@@ -91,122 +91,151 @@ let por_setup ~por ~record ~crash ~abort =
           (tier, fun pid -> List.mem pid victims || List.mem pid ab_victims)
       | _ -> (`Off, fun _ -> false))
 
-(* Run one schedule.  Returns the engine result, the branching degree
-   observed at every decision point, the per-choice footprints (flat, in
-   decision order — [None] unless the driver runs with POR), and whether
-   any decision fell outside its degree (an unfaithful replay — see
-   Sched.trace).  [state_key_at]/[on_state_key] pass through to
-   {!Engine.run} (the `Source tier's state-cache key). *)
-let run_trace ?(state_key_at = -1) ?(on_state_key = fun _ -> ()) d trace =
-  let decisions = Vec.of_list trace in
-  let record = Vec.create () in
-  let mismatch = ref false in
-  let sched = Sched.trace ~mismatch ~decisions ~record () in
-  let footprints = if d.por then Some (Vec.create ()) else None in
-  let res =
-    Engine.run ?footprints ~footprint_crashy:d.crashy ~state_key_at ~on_state_key
-      ~record:d.record ~max_steps:d.max_steps ~n:d.n ~model:d.model ~sched ~crash:(d.crash ())
-      ~abort:(d.abort ()) ~setup:d.setup ~body:d.body ()
+(* Run one node: the schedule [decisions] names (choice 0 past its end),
+   resumed from [base] when given, handing every snapshot captured at a
+   branching position [>= Array.length decisions] (at most one per
+   [snap_gap]) to [snap].  [state_key_at]/[on_state_key] pass through to
+   the engine (the `Source tier's state-cache key). *)
+let run_node ?base ?(snap_gap = 0) ?snap ?state_key_at ?on_state_key d decisions =
+  let rr =
+    Engine.run_resumable ?from:base ~snap_gap ?snap ?state_key_at ?on_state_key ~record:d.record
+      ~max_steps:d.max_steps ~por:d.por ~footprint_crashy:d.crashy ~decisions ~n:d.n
+      ~model:d.model ~crash:d.crash ~abort:d.abort ~setup:d.setup ~body:d.body ()
   in
-  d.tally res;
-  (res, Vec.to_array record, footprints, !mismatch)
+  d.tally rr.Engine.rr_result;
+  rr
 
 (* A shrink candidate counts only if it reproduces the violation *and* its
    decisions all index real branches: a candidate whose degrees shifted
    takes different branches than the trace it would be reported as, so a
-   "minimised" witness built from it would be unfaithful.  Shrinking only
-   replays single vectors, so footprint collection is switched off. *)
+   "minimised" witness built from it would be unfaithful (the check
+   {!Sched.trace}'s [mismatch] flag makes).  Shrinking only replays single
+   vectors, so footprint collection is switched off. *)
 let faithful_reproduces d t =
-  let res, _, _, mismatch = run_trace { d with por = false } t in
-  (not mismatch) && d.check res <> None
+  let decisions = Array.of_list t in
+  let rr = run_node { d with por = false } decisions in
+  let degrees = rr.Engine.rr_degrees in
+  let faithful = ref true in
+  for i = 0 to min (Array.length decisions) (Array.length degrees) - 1 do
+    if decisions.(i) < 0 || decisions.(i) >= degrees.(i) then faithful := false
+  done;
+  !faithful && d.check rr.Engine.rr_result <> None
 
-(* Depth-first exploration of the subtree of decision vectors rooted at
-   [prefix0].  Each run returns the branching degree observed at every
-   decision point; children of a prefix [p] are p with its next positions
-   set to 1 .. degree-1 (0 is the default path, covered by [p] itself).
-   Returns the first violation in DFS preorder, or [None].
+(* The decision vector of the child that follows [decisions]' spine (0 past
+   its end) up to position [i] and takes choice [c] there. *)
+let child decisions i c =
+  let v = Array.make (i + 1) 0 in
+  Array.blit decisions 0 v 0 (Array.length decisions);
+  v.(i) <- c;
+  v
 
-   Sleep-set reduction: the search walks the run's decision points as a
-   chain of nodes along the choice-0 spine.  [sleep0] holds the footprints
-   of processes put to sleep by the ancestors; a sibling whose pid is
-   asleep is skipped wholesale, because every run below it only reorders
-   commuting steps of a run explored since the pid went to sleep.  In this
-   explorer's DFS order siblings at a position are fully explored *before*
-   the spine continues, so each explored sibling joins the sleep set of the
-   later siblings and of the spine continuation — filtered at every hand-
-   off by independence with the step actually taken (a dependent step
-   invalidates the coverage argument and wakes the sleeper).  A sleeping
-   pid's pending step cannot change while it sleeps (only its own step
-   could change it), so the stored footprint stays accurate.
+(* [base_at i]: the deepest checkpoint at or before position [i] of a node
+   resumed from [base] whose own run captured [snaps] — the snapshot a
+   child deviating at [i] resumes from.  The first eligible position is
+   always captured, so children never fall back past the node's own run. *)
+let base_at ~base ~depth ~len snaps =
+  if Vec.length snaps = 0 then fun _ -> base
+  else begin
+    let at = Array.make (max (len - depth) 1) base in
+    let si = ref 0 in
+    for i = depth to len - 1 do
+      while !si < Vec.length snaps && Engine.Snap.pos (Vec.get snaps !si) <= i do
+        incr si
+      done;
+      if !si > 0 then at.(i - depth) <- Some (Vec.get snaps (!si - 1))
+    done;
+    fun i -> at.(i - depth)
+  end
+
+(* The children of a node at depth [depth] whose run was [rr], in DFS
+   preorder: [visit i c sleep] for every choice [c >= 1] at
+   every position [i >= depth] (choice 0 is the node's own spine), with the
+   sleep set the child inherits.
+
+   Sleep-set reduction ([fps] = the run's flat per-choice footprints): the
+   spine is a chain of decision points.  [sleep0] holds the footprints of
+   processes put to sleep by the ancestors; a sibling whose pid is asleep
+   is skipped wholesale, because every run below it only reorders
+   commuting steps of a run explored since the pid went to sleep.  Siblings
+   at a position are visited *before* the spine continues, so each visited
+   sibling joins the sleep set of the later siblings and of the spine
+   continuation — filtered at every hand-off by independence with the step
+   actually taken (a dependent step invalidates the coverage argument and
+   wakes the sleeper).  A sleeping pid's pending step cannot change while
+   it sleeps (only its own step could change it), so the stored footprint
+   stays accurate.  Without POR, and below a timed-out run (the coverage
+   argument permutes complete runs, and this one was cut mid-schedule),
+   every child is visited with an empty sleep set and judges its own run. *)
+let iter_children d (rr : Engine.rrun) ~depth sleep0 visit =
+  let branches = rr.Engine.rr_degrees in
+  if (not d.por) || rr.Engine.rr_result.Engine.timed_out then
+    for i = depth to Array.length branches - 1 do
+      for c = 1 to branches.(i) - 1 do
+        visit i c []
+      done
+    done
+  else begin
+    let fv = rr.Engine.rr_footprints in
+    (* Offset of position [i]'s choices in the flat footprint buffer. *)
+    let off = ref 0 in
+    for i = 0 to depth - 1 do
+      off := !off + branches.(i)
+    done;
+    let sleep = ref sleep0 in
+    for i = depth to Array.length branches - 1 do
+      let degree = branches.(i) in
+      let fp0 = fv.(!off) in
+      if degree > 1 then begin
+        let explored = ref !sleep in
+        for c = 1 to degree - 1 do
+          let fpc = fv.(!off + c) in
+          let pidc = Footprint.pid fpc in
+          if not (List.exists (fun s -> Footprint.pid s = pidc) !sleep) then begin
+            visit i c (List.filter (fun s -> Footprint.independent s fpc) !explored);
+            explored := fpc :: !explored
+          end
+        done;
+        sleep := List.filter (fun s -> Footprint.independent s fp0) !explored
+      end
+      else sleep := List.filter (fun s -> Footprint.independent s fp0) !sleep;
+      off := !off + degree
+    done
+  end
+
+(* Depth-first search of the subtree of decision vectors rooted at
+   [prefix0] ([`Off] and [`Sleep]).  Each node's run returns the branching
+   degree observed at every decision point, and [iter_children] spawns its
+   children.  With [snap_gap > 0] every node's run captures engine
+   checkpoints and each child resumes from the deepest one on its path
+   instead of replaying its whole prefix from the root; with [snap_gap = 0]
+   every run starts at the root.  Both visit the same nodes in the same
+   order.
 
    [take_run] reserves budget for one run and returns [false] once the
    budget is gone; [stop] is an external cancellation signal (the parallel
    explorer's "an earlier subtree already has the answer").  Both unwind
-   the whole subtree immediately — no sibling is visited once the search
-   cannot contribute to the result. *)
-let subtree d ~take_run ~stop (prefix0, sleep0) =
+   the whole subtree immediately.  Returns [`Done] (subtree exhausted),
+   [`Cut] (abandoned), or the first violation in DFS preorder. *)
+let subtree d ~snap_gap ~take_run ~stop (prefix0, sleep0) =
   let exception Halt in
   let exception Found of string * int list in
-  let rec go prefix sleep0 =
+  let rec go base decisions sleep0 =
     if stop () then raise Halt;
     if not (take_run ()) then raise Halt;
-    let res, branches, fps, _ = run_trace d prefix in
-    (match d.check res with Some msg -> raise (Found (msg, prefix)) | None -> ());
-    (* The coverage argument permutes complete runs; a timed-out run was
-       cut mid-schedule, so for this node fall back to the unpruned
-       expansion (children restart with empty sleep sets and judge their
-       own runs). *)
-    let fps = if res.Engine.timed_out then None else fps in
-    let depth = List.length prefix in
-    (* Offset of position [depth]'s choices in the flat footprint buffer. *)
-    let off = ref 0 in
-    (match fps with
-    | None -> ()
-    | Some _ ->
-        for i = 0 to depth - 1 do
-          off := !off + branches.(i)
-        done);
-    (* Sibling prefixes at position [i] share the padded spine
-       [prefix @ 0^(i-depth)], kept reversed and extended in place instead
-       of being rebuilt per child ([prefix @ pad @ [c]] was quadratic in
-       depth). *)
-    let rev_spine = ref (List.rev prefix) in
-    let sleep = ref (match fps with None -> [] | Some _ -> sleep0) in
-    for i = depth to Array.length branches - 1 do
-      let degree = branches.(i) in
-      (match fps with
-      | None ->
-          for c = 1 to degree - 1 do
-            go (List.rev_append !rev_spine [ c ]) []
-          done
-      | Some fv ->
-          let fp_at c = Vec.get fv (!off + c) in
-          if degree > 1 then begin
-            (* Sleep candidates for each next sibling and for the spine:
-               inherited sleepers plus the siblings explored before it. *)
-            let explored = ref !sleep in
-            for c = 1 to degree - 1 do
-              let fpc = fp_at c in
-              let pidc = Footprint.pid fpc in
-              if List.exists (fun s -> Footprint.pid s = pidc) !sleep then ()
-              else begin
-                go
-                  (List.rev_append !rev_spine [ c ])
-                  (List.filter (fun s -> Footprint.independent s fpc) !explored);
-                explored := fpc :: !explored
-              end
-            done;
-            sleep := List.filter (fun s -> Footprint.independent s (fp_at 0)) !explored
-          end
-          else sleep := List.filter (fun s -> Footprint.independent s (fp_at 0)) !sleep;
-          off := !off + degree);
-      rev_spine := 0 :: !rev_spine
-    done
+    let snaps = Vec.create () in
+    let rr = run_node d ?base ~snap_gap ~snap:(Vec.push snaps) decisions in
+    let res = rr.Engine.rr_result in
+    (match d.check res with
+    | Some msg -> raise (Found (msg, Array.to_list decisions))
+    | None -> ());
+    let depth = Array.length decisions in
+    let base_at = base_at ~base ~depth ~len:(Array.length rr.Engine.rr_degrees) snaps in
+    iter_children d rr ~depth sleep0 (fun i c sleep -> go (base_at i) (child decisions i c) sleep)
   in
-  match go prefix0 sleep0 with
-  | () -> None
-  | exception Halt -> None
-  | exception Found (msg, tr) -> Some (msg, tr)
+  match go None prefix0 sleep0 with
+  | () -> `Done
+  | exception Halt -> `Cut
+  | exception Found (msg, tr) -> `Viol (msg, tr)
 
 (* ------------------------------------------------------------------ *)
 (* Source-set DPOR (`Source tier)                                      *)
@@ -320,50 +349,67 @@ module Src = struct
 end
 
 (* Depth-first source-set DPOR with state caching: the `Source analogue of
-   [subtree].  Each node runs its spine schedule, scans the observed
-   footprints for reversible races ({!Footprint.Race}), and explores a
-   sibling only when some race demands it — where [subtree] visits every
-   non-slept sibling.  Demands land in the shared [ctx.slots] under the
-   position they reverse; since descendants of a node keep discovering
-   races at its positions, every frame drains its own position range with
-   fixpoint sweeps until no demand is pending.  Sleep sets filter exactly
-   as in [subtree], and a demanded-but-sleeping pid stays skipped (its
-   reversal is the run the sleeper is standing in for).  A node whose
-   state key hits the cache — same key, stored sleep mask ⊆ current —
-   prunes its whole subtree after re-raising the stored summary's
-   conservative prefix demands; a completed frame none of whose
-   descendants timed out adds itself.  Visit order is demand-driven, so
-   when violations exist the reported witness may differ from [subtree]'s
-   preorder-first one (the shrunk witness is compared in the differential
-   battery instead); exhaustion and violation-existence always agree. *)
-let subtree_source d ~ctx ~take_run ~stop (prefix0, inh0) =
+   [subtree], over the same run and checkpoint machinery.  Each node runs
+   its spine schedule, scans the observed footprints for reversible races
+   ({!Footprint.Race}), and explores a sibling only when some race demands
+   it — where [subtree] visits every non-slept sibling.  Demands land in
+   the shared [ctx.slots] under the position they reverse; since
+   descendants of a node keep discovering races at its positions, every
+   frame drains its own position range with fixpoint sweeps until no demand
+   is pending.  Sleep sets filter exactly as in [subtree], and a
+   demanded-but-sleeping pid stays skipped (its reversal is the run the
+   sleeper is standing in for).  A node whose state key hits the cache —
+   same key, stored sleep mask ⊆ current — prunes its whole subtree after
+   re-raising the stored summary's conservative prefix demands; a completed
+   frame none of whose descendants timed out adds itself.  Visit order is
+   demand-driven, so when violations exist the reported witness may differ
+   from [subtree]'s preorder-first one (the shrunk witness is compared in
+   the differential battery instead); exhaustion and violation-existence
+   always agree.
+
+   The sequential explorer runs one search over a root-0 [ctx]; each
+   parallel task runs one over its own fresh [ctx] (slots, state cache)
+   rooted at its prefix length: demands for positions inside another task's
+   subtree are dropped at the root boundary — sound because the phase-1
+   frontier is fully expanded under sleep-set filtering, a superset of any
+   source-set choice, so whatever a dropped demand would reach is a sibling
+   task already in the pool. *)
+let subtree_source d ~snap_gap ~ctx ~take_run ~stop (prefix0, inh0) =
   let exception Halt in
   let exception Found of string * int list in
   let caching = ctx.Src.cache <> None in
-  let rec go prefix inh0 (note : Src.acc) =
+  let rec go base decisions inh0 (note : Src.acc) =
     if stop () then raise Halt;
     if not (take_run ()) then raise Halt;
-    let depth = List.length prefix in
+    let depth = Array.length decisions in
+    let snaps = Vec.create () in
     let key = ref None in
-    let res, branches, fps, _ =
-      run_trace d prefix
+    let rr =
+      run_node d ?base ~snap_gap ~snap:(Vec.push snaps)
         ~state_key_at:(if caching then depth else -1)
         ~on_state_key:(fun k -> key := Some k)
+        decisions
     in
-    (match d.check res with Some msg -> raise (Found (msg, prefix)) | None -> ());
+    let res = rr.Engine.rr_result in
+    (match d.check res with
+    | Some msg -> raise (Found (msg, Array.to_list decisions))
+    | None -> ());
+    let branches = rr.Engine.rr_degrees in
     let len = Array.length branches in
+    let m = len - depth in
+    (* Precomputed because the fixpoint sweeps revisit positions out of
+       order. *)
+    let base_at = base_at ~base ~depth ~len snaps in
     if res.Engine.timed_out then begin
       (* The run was cut mid-schedule: the permutation argument needs
          complete runs, so expand this node unpruned (children still
          reduce internally) and poison the cache adds of the whole path —
          the subtree's footprints are unknown, so no ancestor summary can
          be trusted. *)
-      let rev_spine = ref (List.rev prefix) in
       for i = depth to len - 1 do
         for c = 1 to branches.(i) - 1 do
-          ignore (go (List.rev_append !rev_spine [ c ]) [] note)
-        done;
-        rev_spine := 0 :: !rev_spine
+          ignore (go (base_at i) (child decisions i c) [] note)
+        done
       done;
       (* Demands children deposited at our positions are subsumed by the
          unpruned expansion; clear them so they cannot leak upward. *)
@@ -374,13 +420,12 @@ let subtree_source d ~ctx ~take_run ~stop (prefix0, inh0) =
       false
     end
     else begin
-      let fps = match fps with Some v -> v | None -> assert false in
-      let fp i = Vec.get fps i in
+      let fpv = rr.Engine.rr_footprints in
+      let fp i = fpv.(i) in
       let offs = Array.make (len + 1) 0 in
       for i = 0 to len - 1 do
         offs.(i + 1) <- offs.(i) + branches.(i)
       done;
-      let decisions = Array.of_list prefix in
       let slept = Src.mask_of_sleep inh0 in
       let hit =
         match (ctx.Src.cache, !key) with
@@ -398,7 +443,6 @@ let subtree_source d ~ctx ~take_run ~stop (prefix0, inh0) =
           for j = depth to len - 1 do
             Src.note acc (fp offs.(j))
           done;
-          let m = len - depth in
           let dem = Array.make (max m 1) 0 in
           (* Drain demands addressed to this frame's positions out of the
              shared slots, eagerly: after the own scan and after every child
@@ -419,14 +463,7 @@ let subtree_source d ~ctx ~take_run ~stop (prefix0, inh0) =
           let inh = Array.make (max m 1) [] in
           let expl = Array.make (max m 1) [] in
           let acted = Array.make (max m 1) 1 (* bit 0: the spine, covered by this run *) in
-          let rev_spine = Array.make (max m 1) [] in
-          if m > 0 then begin
-            inh.(0) <- inh0;
-            rev_spine.(0) <- List.rev prefix;
-            for ix = 1 to m - 1 do
-              rev_spine.(ix) <- 0 :: rev_spine.(ix - 1)
-            done
-          end;
+          if m > 0 then inh.(0) <- inh0;
           let summarizable = ref true in
           let first_sweep = ref true in
           let progress = ref true in
@@ -452,7 +489,7 @@ let subtree_source d ~ctx ~take_run ~stop (prefix0, inh0) =
                             (fun s -> Footprint.independent s fpc)
                             (inh.(ix) @ expl.(ix))
                         in
-                        let ok = go (List.rev_append rev_spine.(ix) [ c ]) child_sleep acc in
+                        let ok = go (base_at i) (child decisions i c) child_sleep acc in
                         drain ();
                         summarizable := !summarizable && ok;
                         expl.(ix) <- fpc :: expl.(ix)
@@ -480,10 +517,10 @@ let subtree_source d ~ctx ~take_run ~stop (prefix0, inh0) =
           !summarizable
     end
   in
-  match go prefix0 inh0 (Src.fresh_acc ()) with
-  | _ -> None
-  | exception Halt -> None
-  | exception Found (msg, tr) -> Some (msg, tr)
+  match go None prefix0 inh0 (Src.fresh_acc ()) with
+  | _ -> `Done
+  | exception Halt -> `Cut
+  | exception Found (msg, tr) -> `Viol (msg, tr)
 
 (* [exhausted] means the search covered the whole tree (up to runs the
    sleep-set reduction proved equivalent to explored ones): no truncation
@@ -556,44 +593,48 @@ let explore ?(max_runs = 100_000) ?(max_steps = 20_000) ?(shrink_violations = tr
     end
   in
   let stop () = false in
-  let outcome =
-    match tier with
-    | `Off ->
-        let violation = subtree d ~take_run ~stop ([], []) in
-        finish d ~shrink_violations ~runs:!runs ~truncated:!truncated violation
-    | (`Sleep | `Source) as tier ->
-      (* Root probe: the very first run — the default schedule — executes
-         footprint-free.  When it already violates, the whole search is
-         that one run and the reduction machinery never pays its footprint
-         overhead (the violation-bound case).  Otherwise the root re-runs
-         with footprints inside the reduced search, without consuming
-         budget a second time, so run counts match the un-probed search
-         exactly. *)
-      if not (take_run ()) then finish d ~shrink_violations ~runs:!runs ~truncated:!truncated None
-      else begin
-        let res, _, _, _ = run_trace { d with por = false } [] in
-        match d.check res with
-        | Some msg ->
-            finish d ~shrink_violations ~runs:!runs ~truncated:!truncated (Some (msg, []))
-        | None ->
-            let first = ref true in
-            let take_run' () =
-              if !first then begin
-                first := false;
-                true
-              end
-              else take_run ()
-            in
-            let violation =
-              match tier with
-              | `Sleep -> subtree d ~take_run:take_run' ~stop ([], [])
-              | `Source ->
-                  let ctx = { Src.slots = Vec.create (); root = 0; cache } in
-                  subtree_source d ~ctx ~take_run:take_run' ~stop ([], [])
-            in
-            finish d ~shrink_violations ~runs:!runs ~truncated:!truncated violation
-      end
+  (* One search over the whole tree, starting every run at the root
+     ([snap_gap = 0]).  Capturing snapshots here (at [snap_gap = 4]) leaves
+     every outcome unchanged but, on the verify benchmark, costs 29% more
+     minor words per passage and 51% more peak heap, for journals and
+     store images that a single-domain DFS mostly throws away again. *)
+  let search take_run =
+    match
+      match tier with
+      | `Off | `Sleep -> subtree d ~snap_gap:0 ~take_run ~stop ([||], [])
+      | `Source ->
+          let ctx = { Src.slots = Vec.create (); root = 0; cache } in
+          subtree_source d ~snap_gap:0 ~ctx ~take_run ~stop ([||], [])
+    with
+    | `Viol v -> Some v
+    | `Done | `Cut -> None
   in
+  let violation =
+    match tier with
+    | `Off -> search take_run
+    | `Sleep | `Source ->
+        (* Root probe: the very first run — the default schedule — executes
+           footprint-free.  When it already violates, the whole search is
+           that one run and the reduction machinery never pays its footprint
+           overhead (the violation-bound case).  Otherwise the root re-runs
+           with footprints inside the reduced search, without consuming
+           budget a second time, so run counts match the un-probed search
+           exactly. *)
+        if not (take_run ()) then None
+        else begin
+          match d.check (run_node { d with por = false } [||]).Engine.rr_result with
+          | Some msg -> Some (msg, [])
+          | None ->
+              let first = ref true in
+              search (fun () ->
+                  if !first then begin
+                    first := false;
+                    true
+                  end
+                  else take_run ())
+        end
+  in
+  let outcome = finish d ~shrink_violations ~runs:!runs ~truncated:!truncated violation in
   (match stats with
   | None -> ()
   | Some f ->
@@ -623,252 +664,7 @@ let explore ?(max_runs = 100_000) ?(max_steps = 20_000) ?(shrink_violations = tr
    always the last item, since expansion stops there.  Keeping the [Done]
    markers in position is what lets the settlement walk reconstruct the
    exact sequential run count. *)
-type item = Done | Task of int list * Footprint.t list | Viol of string * int list
-
-(* Checkpointed DFS of the subtree rooted at [prefix0]: visits the same
-   nodes in the same preorder as [subtree], but every node's run resumes
-   from the deepest engine checkpoint on the current path — captured every
-   [snap_gap] decision positions during the parent runs — instead of
-   replaying its whole decision-vector prefix from the root.  On the
-   explore bench this turns a run whose schedule shares a depth-[k] prefix
-   with its parent from O(full run) into O(fast-forward k + suffix).
-
-   [take_run] is consulted once per node, before its run, and returns
-   [false] to abandon the subtree (budget provably exhausted); [stop] is
-   the pool's cancellation signal.  Returns [`Done] (subtree exhausted),
-   [`Cut] (abandoned), or the first violation in preorder. *)
-let subtree_ckpt d ~snap_gap ~take_run ~stop (prefix0, sleep0) =
-  let exception Halt in
-  let exception Found of string * int list in
-  let rec go (base : Engine.Snap.t option) (decisions : int array) sleep0 =
-    if stop () then raise Halt;
-    if not (take_run ()) then raise Halt;
-    let snaps = Vec.create () in
-    let rr =
-      Engine.run_resumable ?from:base ~snap_gap ~snap:(Vec.push snaps) ~record:d.record
-        ~max_steps:d.max_steps ~por:d.por ~footprint_crashy:d.crashy ~decisions ~n:d.n
-        ~model:d.model ~crash:d.crash ~abort:d.abort ~setup:d.setup ~body:d.body ()
-    in
-    let res = rr.Engine.rr_result in
-    d.tally res;
-    (match d.check res with
-    | Some msg -> raise (Found (msg, Array.to_list decisions))
-    | None -> ());
-    let branches = rr.Engine.rr_degrees in
-    (* Same timed-out fallback as [subtree]: the coverage argument permutes
-       complete runs only. *)
-    let fps = if (not d.por) || res.Engine.timed_out then None else Some rr.Engine.rr_footprints in
-    let depth = Array.length decisions in
-    let off = ref 0 in
-    (match fps with
-    | None -> ()
-    | Some _ ->
-        for i = 0 to depth - 1 do
-          off := !off + branches.(i)
-        done);
-    (* Deepest checkpoint at position <= i; the first eligible position
-       (= [depth]) is always captured, so children never fall back past
-       this node's own run. *)
-    let si = ref 0 in
-    let base_for i =
-      while !si < Vec.length snaps && Engine.Snap.pos (Vec.get snaps !si) <= i do
-        incr si
-      done;
-      if !si = 0 then base else Some (Vec.get snaps (!si - 1))
-    in
-    let child i c =
-      let v = Array.make (i + 1) 0 in
-      Array.blit decisions 0 v 0 depth;
-      v.(i) <- c;
-      v
-    in
-    let sleep = ref (match fps with None -> [] | Some _ -> sleep0) in
-    for i = depth to Array.length branches - 1 do
-      let degree = branches.(i) in
-      (match fps with
-      | None ->
-          for c = 1 to degree - 1 do
-            go (base_for i) (child i c) []
-          done
-      | Some fv ->
-          let fp_at c = fv.(!off + c) in
-          if degree > 1 then begin
-            let explored = ref !sleep in
-            for c = 1 to degree - 1 do
-              let fpc = fp_at c in
-              let pidc = Footprint.pid fpc in
-              if List.exists (fun s -> Footprint.pid s = pidc) !sleep then ()
-              else begin
-                go (base_for i) (child i c)
-                  (List.filter (fun s -> Footprint.independent s fpc) !explored);
-                explored := fpc :: !explored
-              end
-            done;
-            sleep := List.filter (fun s -> Footprint.independent s (fp_at 0)) !explored
-          end
-          else sleep := List.filter (fun s -> Footprint.independent s (fp_at 0)) !sleep;
-          off := !off + degree)
-    done
-  in
-  match go None (Array.of_list prefix0) sleep0 with
-  | () -> `Done
-  | exception Halt -> `Cut
-  | exception Found (msg, tr) -> `Viol (msg, tr)
-
-(* Checkpointed source-set DPOR: [subtree_source]'s frame algorithm over
-   [subtree_ckpt]'s resume machinery.  Each parallel task runs one of
-   these over its own fresh {!Src.ctx} (slots, state cache) rooted at its
-   prefix length: demands for positions inside another task's subtree are
-   dropped at the root boundary — sound because the phase-1 frontier is
-   fully expanded under sleep-set filtering, a superset of any source-set
-   choice, so whatever a dropped demand would reach is a sibling task
-   already in the pool. *)
-let subtree_ckpt_source d ~snap_gap ~ctx ~take_run ~stop (prefix0, inh0) =
-  let exception Halt in
-  let exception Found of string * int list in
-  let caching = ctx.Src.cache <> None in
-  let rec go (base : Engine.Snap.t option) (decisions : int array) inh0 (note : Src.acc) =
-    if stop () then raise Halt;
-    if not (take_run ()) then raise Halt;
-    let depth = Array.length decisions in
-    let snaps = Vec.create () in
-    let key = ref None in
-    let rr =
-      Engine.run_resumable ?from:base ~snap_gap ~snap:(Vec.push snaps) ~record:d.record
-        ~max_steps:d.max_steps ~por:d.por ~footprint_crashy:d.crashy
-        ~state_key_at:(if caching then depth else -1)
-        ~on_state_key:(fun k -> key := Some k)
-        ~decisions ~n:d.n ~model:d.model ~crash:d.crash ~abort:d.abort ~setup:d.setup ~body:d.body ()
-    in
-    let res = rr.Engine.rr_result in
-    d.tally res;
-    (match d.check res with
-    | Some msg -> raise (Found (msg, Array.to_list decisions))
-    | None -> ());
-    let branches = rr.Engine.rr_degrees in
-    let len = Array.length branches in
-    let m = len - depth in
-    (* Deepest checkpoint at position <= i, precomputed because the
-       fixpoint sweeps revisit positions out of order. *)
-    let base_at = Array.make (max m 1) base in
-    (let si = ref 0 in
-     for ix = 0 to m - 1 do
-       let i = depth + ix in
-       while !si < Vec.length snaps && Engine.Snap.pos (Vec.get snaps !si) <= i do
-         incr si
-       done;
-       base_at.(ix) <- (if !si = 0 then base else Some (Vec.get snaps (!si - 1)))
-     done);
-    let child i c =
-      let v = Array.make (i + 1) 0 in
-      Array.blit decisions 0 v 0 depth;
-      v.(i) <- c;
-      v
-    in
-    if res.Engine.timed_out then begin
-      for i = depth to len - 1 do
-        for c = 1 to branches.(i) - 1 do
-          ignore (go base_at.(i - depth) (child i c) [] note)
-        done
-      done;
-      for i = depth to min len (Vec.length ctx.Src.slots) - 1 do
-        Vec.set ctx.Src.slots i 0
-      done;
-      Src.note_summary note None;
-      false
-    end
-    else begin
-      let fpv = rr.Engine.rr_footprints in
-      let fp i = fpv.(i) in
-      let offs = Array.make (len + 1) 0 in
-      for i = 0 to len - 1 do
-        offs.(i + 1) <- offs.(i) + branches.(i)
-      done;
-      let slept = Src.mask_of_sleep inh0 in
-      let hit =
-        match (ctx.Src.cache, !key) with
-        | Some c, Some k -> Statecache.find c ~key:k ~slept
-        | _ -> None
-      in
-      match hit with
-      | Some summary ->
-          Src.demand_prefix ctx ~decisions ~branches ~offs ~fp ~depth summary;
-          Src.note_summary note summary;
-          true
-      | None ->
-          Src.scan ctx ~n:d.n ~decisions ~branches ~offs ~fp;
-          let acc = Src.fresh_acc () in
-          for j = depth to len - 1 do
-            Src.note acc (fp offs.(j))
-          done;
-          let dem = Array.make (max m 1) 0 in
-          let drain () =
-            for i = depth to min len (Vec.length ctx.Src.slots) - 1 do
-              let v = Vec.get ctx.Src.slots i in
-              if v <> 0 then begin
-                dem.(i - depth) <- dem.(i - depth) lor v;
-                Vec.set ctx.Src.slots i 0
-              end
-            done
-          in
-          drain ();
-          let inh = Array.make (max m 1) [] in
-          let expl = Array.make (max m 1) [] in
-          let acted = Array.make (max m 1) 1 in
-          if m > 0 then inh.(0) <- inh0;
-          let summarizable = ref true in
-          let first_sweep = ref true in
-          let progress = ref true in
-          while !progress do
-            progress := false;
-            for i = depth to len - 1 do
-              let ix = i - depth in
-              let deg = branches.(i) in
-              if deg > 1 then begin
-                let full = if deg >= 62 then Src.all_mask else (1 lsl deg) - 1 in
-                let pending = dem.(ix) land full land lnot acted.(ix) in
-                if pending <> 0 then
-                  for c = 1 to deg - 1 do
-                    if pending land (1 lsl c) <> 0 then begin
-                      acted.(ix) <- acted.(ix) lor (1 lsl c);
-                      let fpc = fp (offs.(i) + c) in
-                      let pidc = Footprint.pid fpc in
-                      if List.exists (fun s -> Footprint.pid s = pidc) inh.(ix) then ()
-                      else begin
-                        progress := true;
-                        let child_sleep =
-                          List.filter
-                            (fun s -> Footprint.independent s fpc)
-                            (inh.(ix) @ expl.(ix))
-                        in
-                        let ok = go base_at.(ix) (child i c) child_sleep acc in
-                        drain ();
-                        summarizable := !summarizable && ok;
-                        expl.(ix) <- fpc :: expl.(ix)
-                      end
-                    end
-                  done
-              end;
-              if !first_sweep && ix + 1 < m then
-                inh.(ix + 1) <-
-                  List.filter
-                    (fun s -> Footprint.independent s (fp offs.(i)))
-                    (inh.(ix) @ expl.(ix))
-            done;
-            first_sweep := false
-          done;
-          (if !summarizable && caching then
-             match (ctx.Src.cache, !key) with
-             | Some c, Some k -> Statecache.add c ~key:k ~slept ~summary:(Src.to_summary acc)
-             | _ -> ());
-          Src.note_summary note (Src.to_summary acc);
-          !summarizable
-    end
-  in
-  match go None (Array.of_list prefix0) inh0 (Src.fresh_acc ()) with
-  | _ -> `Done
-  | exception Halt -> `Cut
-  | exception Found (msg, tr) -> `Viol (msg, tr)
+type item = Done | Task of int array * Footprint.t list | Viol of string * int list
 
 (* What a pool task reports back: how many nodes it visited (one per
    [take_run], exactly the sequential DFS's count for the same nodes), the
@@ -925,8 +721,9 @@ let explore_parallel ?(max_runs = 100_000) ?(max_steps = 20_000) ?(shrink_violat
   let probe_viol =
     if tier = `Off || max_runs < 1 then None
     else
-      let res, _, _, _ = run_trace { d with por = false } [] in
-      match d.check res with Some msg -> Some (msg, []) | None -> None
+      match d.check (run_node { d with por = false } [||]).Engine.rr_result with
+      | Some msg -> Some (msg, [])
+      | None -> None
   in
   (* ---- Phase 1: adaptive frontier expansion (sequential). ----
      Runs interior nodes and replaces each by [Done :: its children] until
@@ -937,52 +734,13 @@ let explore_parallel ?(max_runs = 100_000) ?(max_steps = 20_000) ?(shrink_violat
      [split_depth] forces a minimum number of levels (compatibility with
      callers tuned against the fixed-depth splitter). *)
   let expand_one (prefix, sleep0) =
-    let res, branches, fps, _ = run_trace d prefix in
-    match d.check res with
-    | Some msg -> `Viol (msg, prefix)
+    let rr = run_node d prefix in
+    match d.check rr.Engine.rr_result with
+    | Some msg -> `Viol (msg, Array.to_list prefix)
     | None ->
-        let fps = if res.Engine.timed_out then None else fps in
-        let depth = List.length prefix in
-        let off = ref 0 in
-        (match fps with
-        | None -> ()
-        | Some _ ->
-            for i = 0 to depth - 1 do
-              off := !off + branches.(i)
-            done);
-        let rev_spine = ref (List.rev prefix) in
-        let sleep = ref (match fps with None -> [] | Some _ -> sleep0) in
         let children = ref [] in
-        for i = depth to Array.length branches - 1 do
-          let degree = branches.(i) in
-          (match fps with
-          | None ->
-              for c = 1 to degree - 1 do
-                children := Task (List.rev_append !rev_spine [ c ], []) :: !children
-              done
-          | Some fv ->
-              let fp_at c = Vec.get fv (!off + c) in
-              if degree > 1 then begin
-                let explored = ref !sleep in
-                for c = 1 to degree - 1 do
-                  let fpc = fp_at c in
-                  let pidc = Footprint.pid fpc in
-                  if List.exists (fun s -> Footprint.pid s = pidc) !sleep then ()
-                  else begin
-                    children :=
-                      Task
-                        ( List.rev_append !rev_spine [ c ],
-                          List.filter (fun s -> Footprint.independent s fpc) !explored )
-                      :: !children;
-                    explored := fpc :: !explored
-                  end
-                done;
-                sleep := List.filter (fun s -> Footprint.independent s (fp_at 0)) !explored
-              end
-              else sleep := List.filter (fun s -> Footprint.independent s (fp_at 0)) !sleep;
-              off := !off + degree);
-          rev_spine := 0 :: !rev_spine
-        done;
+        iter_children d rr ~depth:(Array.length prefix) sleep0 (fun i c sleep ->
+            children := Task (child prefix i c, sleep) :: !children);
         `Children (List.rev !children)
   in
   let target_tasks = max 16 (8 * ndomains) in
@@ -1020,7 +778,7 @@ let explore_parallel ?(max_runs = 100_000) ?(max_steps = 20_000) ?(shrink_violat
   let items =
     match probe_viol with
     | Some (msg, tr) -> [ Viol (msg, tr) ]
-    | None -> grow 0 [ Task ([], []) ]
+    | None -> grow 0 [ Task ([||], []) ]
   in
   (* ---- Phase 2: the pool. ----
      Tasks carry their skeleton context: [done_before.(j)] counts the
@@ -1069,14 +827,14 @@ let explore_parallel ?(max_runs = 100_000) ?(max_steps = 20_000) ?(shrink_violat
     in
     let r =
       match tier with
-      | `Off | `Sleep -> subtree_ckpt d ~snap_gap ~take_run ~stop (prefix, sleep)
+      | `Off | `Sleep -> subtree d ~snap_gap ~take_run ~stop (prefix, sleep)
       | `Source ->
           (* Fresh per-task slots and cache, rooted at the task prefix:
              the task set and each task's search are then independent of
              the domain count, so 1/2/4-domain outcomes stay identical. *)
           let cache = cache_for ~n ~statecache:None ~cache_capacity in
-          let ctx = { Src.slots = Vec.create (); root = List.length prefix; cache } in
-          let r = subtree_ckpt_source d ~snap_gap ~ctx ~take_run ~stop (prefix, sleep) in
+          let ctx = { Src.slots = Vec.create (); root = Array.length prefix; cache } in
+          let r = subtree_source d ~snap_gap ~ctx ~take_run ~stop (prefix, sleep) in
           (match cache with
           | Some c ->
               ignore (Atomic.fetch_and_add cache_hits_a (Statecache.hits c));

@@ -2,13 +2,22 @@
     checker).
 
     Replays the simulation under every interleaving reachable within the
-    configured bounds, using the trace scheduler: a run is identified by its
-    decision vector (which runnable process steps at each point); after each
-    run, the recorded branching degrees spawn the sibling decision vectors.
-    With small [n] and request counts this enumerates the complete schedule
-    tree and checks a property on every run — exhaustive verification of
-    mutual exclusion for the splitter, arbitrator and WR-Lock components,
-    optionally under a crash plan. *)
+    configured bounds: a run is identified by its decision vector (which
+    runnable process steps at each point, in {!Sched.trace}'s encoding,
+    replayed by {!Engine.run_resumable}); after each run, the recorded
+    branching degrees spawn the sibling decision vectors.  With small [n]
+    and request counts this enumerates the complete schedule tree and
+    checks a property on every run — exhaustive verification of mutual
+    exclusion for the splitter, arbitrator and WR-Lock components,
+    optionally under a crash plan.
+
+    Each reduction tier has exactly one search, shared by {!explore} and
+    {!explore_parallel}: a depth-first search for [`Off] and [`Sleep], and
+    a source-set search for [`Source].  The two entry points differ only in
+    how they drive it.  {!explore} runs it once over the whole tree on the
+    calling domain and starts every run at the root.  {!explore_parallel}
+    runs it once per subtree task, resuming each run from an engine
+    checkpoint. *)
 
 open Rme_sim
 
@@ -72,9 +81,9 @@ val explore :
     the aggregate statistics.  [check] returns [Some
     msg] on a property violation; exploration stops at the first one and,
     with [shrink_violations] (default true), minimises its decision vector
-    before reporting.  Shrink candidates are replayed with degree-mismatch
-    detection ({!Sched.trace}) and rejected when unfaithful, so the
-    reported vector always witnesses the violation it claims.
+    before reporting.  Shrink candidates are replayed with
+    {!Sched.trace}'s degree-mismatch rule and rejected when unfaithful, so
+    the reported vector always witnesses the violation it claims.
 
     [por] selects the partial-order reduction tier (default [`Sleep]):
 
@@ -88,16 +97,23 @@ val explore :
     - [`Source]: source-set dynamic POR with state caching on top of the
       sleep sets.  A sibling is explored only when an {e observed} race
       in some explored run demands its reversal ({!Footprint.Race}), and
-      a decision node whose engine state digest ({!Engine.run}'s
+      a decision node whose engine state key ({!Engine.run}'s
       [on_state_key]) was already fully explored under a sleep mask ⊆ the
       current one prunes its whole subtree ({!Statecache}).  Explores a
       subset of [`Sleep]'s runs (equal in the worst case; the run count
       is not guaranteed smaller, but is on every benched subject).
-      Guarantees the identical [exhausted] verdict and the identical
-      answer to "does a violation exist", but the exploration order is
-      demand-driven, so a reported violation may be a {e different}
-      witness of the same property failure than [`Off]/[`Sleep]'s
-      preorder-first one (shrinking usually re-converges them).
+      The exploration order is demand-driven, so a reported violation may
+      be a {e different} witness of the same property failure than
+      [`Off]/[`Sleep]'s preorder-first one (shrinking usually
+      re-converges them).  The [exhausted] verdict and the answer to
+      "does a violation exist" agree with [`Sleep]'s up to state-key
+      collisions: the key is built from digests ([Memory.fingerprint],
+      per-process answer-stream hashes, folded aggregates), and two
+      distinct states whose digests collide share a key, so the cache
+      can prune a subtree that was never explored and report
+      [exhausted] for a tree it did not cover.  [cache_capacity = 0]
+      rules this out at the cost of the pruning; the ROADMAP item "Make
+      state-cache pruning sound" tracks an exact key.
 
     Both reduced tiers require [check] to be schedule-robust (aggregate
     statistics, not step counts or latencies) and runs to terminate
@@ -109,11 +125,20 @@ val explore :
     waiting-history-driven abort plan, e.g. {!Abort.impatient}, is
     Sensitive, so abort exploration runs unreduced by construction).
 
-    [statecache] injects the [`Source] state cache (tests use degenerate
-    hashes/capacities to exercise collision behaviour); by default a
-    fresh cache of [cache_capacity] (default 65536) entries is built per
-    call.  [cache_capacity = 0] disables state caching — the source-set
-    reduction still applies.  Both are ignored outside [`Source].
+    [statecache] injects the [`Source] search's single state cache
+    (tests use degenerate hashes/capacities to exercise collision
+    behaviour); by default a fresh cache of [cache_capacity] (default
+    65536) entries is built per call.  [cache_capacity = 0] disables
+    state caching — the source-set reduction still applies.  Both are
+    ignored outside [`Source].
+
+    Every run starts at the root: the sequential search captures no
+    engine snapshots.  Capturing them here (the parallel explorer's
+    [snap_gap] of 4) leaves every outcome unchanged, but a one-domain
+    depth-first search throws most snapshots away unused: on the
+    repository benchmark's [verify] workload it costs 29% more minor
+    words per passage and 51% more peak heap, and runs slower, than
+    starting every run from the root.
 
     [stats], when given, is called exactly once, after the search
     completes (including shrinking), with the {!search_stats} effort
@@ -139,16 +164,18 @@ val explore_parallel :
   check:(Engine.result -> string option) ->
   unit ->
   outcome
-(** Same search as {!explore}, sharded across [domains] OCaml domains
+(** The search {!explore} runs, sharded across [domains] OCaml domains
     (default {!Pool.default_domains}).  The schedule tree is split into
     disjoint decision-vector subtrees by expanding the frontier until
     there are enough tasks to keep every domain fed through load
     imbalance (at least [max 16 (8 * domains)], and at least
-    [split_depth] levels — default 1 — for compatibility); the subtrees
-    are distributed over a work-stealing {!Pool}, and each one is
-    searched with engine checkpointing: every [snap_gap]-th decision
-    position (default 4) captures an {!Engine.Snap.t}, and each node's
-    run resumes from the deepest checkpoint on its path instead of
+    [split_depth] levels — default 1 — for compatibility); the frontier
+    expansion enumerates children and sleep sets with the same code as
+    the search itself.  The subtrees are distributed over a work-stealing
+    {!Pool}, and each task runs the tier's one search with engine
+    checkpointing on: every [snap_gap]-th branching decision position
+    (default 4; [0] disables it) captures an {!Engine.Snap.t}, and each
+    node's run resumes from the deepest checkpoint on its path instead of
     replaying the whole shared prefix from the root — the prefix-replay
     elimination that makes the parallel search cheaper per run than the
     sequential one.
@@ -174,7 +201,8 @@ val explore_parallel :
     independent, hence still deterministic, but the task boundaries make
     the explored subset (and so [runs]) potentially differ from the
     sequential [`Source] search's; [exhausted] and violation-existence
-    always agree with it.
+    agree with it up to the state-key collisions described under
+    {!explore}.
 
     [crash], [setup], [body] and [check] are called concurrently from
     multiple domains and must be domain-safe: no shared mutable state

@@ -5,8 +5,15 @@
     Direct-mapped with an explicit capacity bound: a colliding add
     overwrites its slot and counts an {!evictions}.  Lookups compare the
     full key element-wise, so the bucketing [hash] only places entries —
-    a poor (or adversarial) hash costs hit rate, never soundness.  An
-    entry also stores the pid sleep mask its exploration ran under and a
+    a poor (or adversarial) bucketing hash costs hit rate, not soundness.
+    The key itself is not exact, though: its elements are digests
+    ({!Rme_sim.Engine}'s state key folds [Memory.fingerprint], per-process
+    answer-stream hashes and [hmix]-folded aggregates), so two distinct
+    states whose digests collide share a key, and a hit on it prunes a
+    subtree that was never explored.  Pruning is therefore sound only up
+    to 63-bit digest collisions; the ROADMAP item "Make state-cache
+    pruning sound" tracks keying on exact state material.  An entry also
+    stores the pid sleep mask its exploration ran under and a
     caller-supplied subtree summary; {!find} only hits when the stored
     mask is a subset of the caller's (the stored exploration slept less,
     hence covered at least as much). *)

@@ -117,7 +117,6 @@ let jt_ans_bool = 4
 type t = {
   mem : Memory.t;
   n : int;
-  sched : Sched.t;
   crash : Crash.t;
   abort : Abort.t;
   has_abort : bool;  (* abort != Abort.none: gates all abort bookkeeping *)
@@ -136,8 +135,8 @@ type t = {
   on_op : Crash.op_info -> unit;
   footprints : Footprint.t Vec.t option;
   footprint_crashy : int -> bool;
-  journal : journal option;  (* when checkpointing: the resolved-effect log *)
-  log_ops : bool;  (* record [jops] (skipped for the stateless Crash.none) *)
+  journal : journal option;  (* when capturing snapshots: the resolved-effect log *)
+  log_ops : bool;  (* record [jops] (skipped for the stateless none plans) *)
   (* Running digest of each process's journal stream (dispatches, answers,
      crash discontinuations).  A process body is a deterministic function
      of this stream, so equal digests mean equal control state — the
@@ -271,59 +270,35 @@ let ans_value : type a. a Api.view -> a -> int =
   | Api.V_spin _ -> 0
   | Api.V_spin_abortable _ -> 0
 
-let diverged what = failwith ("Engine: journal replay divergence (" ^ what ^ ")")
-
-let continue_ans : type a. a Api.view -> (a, status) Effect.Deep.continuation -> int -> int -> status
-    =
- fun view k tag value ->
+let continue_ans : type a. a Api.view -> (a, status) Effect.Deep.continuation -> int -> status =
+ fun view k value ->
   (* No helper closures here: this runs once per journal entry and closure
-     allocation on that path is measurable. *)
+     allocation on that path is measurable.  The caller has already checked
+     the entry's tag against [ans_tag view]. *)
   match view with
-  | Api.V_read _ ->
-      if tag <> jt_ans_int then diverged "expected an int answer";
-      Effect.Deep.continue k value
-  | Api.V_fas _ ->
-      if tag <> jt_ans_int then diverged "expected an int answer";
-      Effect.Deep.continue k value
-  | Api.V_fas_open_unsafe _ ->
-      if tag <> jt_ans_int then diverged "expected an int answer";
-      Effect.Deep.continue k value
-  | Api.V_faa _ ->
-      if tag <> jt_ans_int then diverged "expected an int answer";
-      Effect.Deep.continue k value
-  | Api.V_get_done ->
-      if tag <> jt_ans_int then diverged "expected an int answer";
-      Effect.Deep.continue k value
-  | Api.V_get_step ->
-      if tag <> jt_ans_int then diverged "expected an int answer";
-      Effect.Deep.continue k value
-  | Api.V_cas _ ->
-      if tag <> jt_ans_bool then diverged "expected a bool answer";
-      Effect.Deep.continue k (value <> 0)
-  | Api.V_poll_abort ->
-      if tag <> jt_ans_bool then diverged "expected a bool answer";
-      Effect.Deep.continue k (value <> 0)
-  | Api.V_write _ ->
-      if tag <> jt_ans_unit then diverged "expected a unit answer";
-      Effect.Deep.continue k ()
-  | Api.V_write_close_unsafe _ ->
-      if tag <> jt_ans_unit then diverged "expected a unit answer";
-      Effect.Deep.continue k ()
-  | Api.V_fas_persist _ ->
-      if tag <> jt_ans_unit then diverged "expected a unit answer";
-      Effect.Deep.continue k ()
-  | Api.V_note _ ->
-      if tag <> jt_ans_unit then diverged "expected a unit answer";
-      Effect.Deep.continue k ()
-  | Api.V_yield ->
-      if tag <> jt_ans_unit then diverged "expected a unit answer";
-      Effect.Deep.continue k ()
-  | Api.V_spin _ ->
-      if tag <> jt_ans_unit then diverged "expected a unit answer";
-      Effect.Deep.continue k ()
-  | Api.V_spin_abortable _ ->
-      if tag <> jt_ans_unit then diverged "expected a unit answer";
-      Effect.Deep.continue k ()
+  | Api.V_read _ -> Effect.Deep.continue k value
+  | Api.V_fas _ -> Effect.Deep.continue k value
+  | Api.V_fas_open_unsafe _ -> Effect.Deep.continue k value
+  | Api.V_faa _ -> Effect.Deep.continue k value
+  | Api.V_get_done -> Effect.Deep.continue k value
+  | Api.V_get_step -> Effect.Deep.continue k value
+  | Api.V_cas _ -> Effect.Deep.continue k (value <> 0)
+  | Api.V_poll_abort -> Effect.Deep.continue k (value <> 0)
+  | Api.V_write _ -> Effect.Deep.continue k ()
+  | Api.V_write_close_unsafe _ -> Effect.Deep.continue k ()
+  | Api.V_fas_persist _ -> Effect.Deep.continue k ()
+  | Api.V_note _ -> Effect.Deep.continue k ()
+  | Api.V_yield -> Effect.Deep.continue k ()
+  | Api.V_spin _ -> Effect.Deep.continue k ()
+  | Api.V_spin_abortable _ -> Effect.Deep.continue k ()
+
+let tag_name tag =
+  if tag = jt_dispatch then "a dispatch"
+  else if tag = jt_crash then "a crash"
+  else if tag = jt_ans_unit then "a unit answer"
+  else if tag = jt_ans_int then "an int answer"
+  else if tag = jt_ans_bool then "a bool answer"
+  else "an unknown entry"
 
 let kind_code : Api.kind -> int = function
   | Api.Read -> 0
@@ -1003,15 +978,6 @@ let finish eng =
     events = Event.Sink.events eng.sink;
   }
 
-(* Domain-safety audit (parallel explorer): [run] is re-entrant.  Every
-   piece of mutable state below — the store, the engine record, the fiber
-   continuations, the per-process arrays — is created inside this call and
-   never escapes it; the module has no top-level mutable bindings (and the
-   same holds for Memory, Cell, Api, Crash and Vec).  Concurrent [run]s in
-   different domains therefore share nothing, *provided* the caller's
-   [sched], [crash], [setup] and [body] arguments are themselves
-   domain-safe: a stateful scheduler or crash plan must be built fresh per
-   run, and the closures must not capture shared mutable state. *)
 (* The oracles an abort plan's async decisions read, closed over the live
    engine.  Built once per run, only when an abort plan is present. *)
 let make_abort_view eng =
@@ -1022,58 +988,38 @@ let make_abort_view eng =
     streak = (fun pid -> eng.ab_streak.(pid));
   }
 
-let run ?(mode = `Auto) ?sink ?(record = false) ?(trace_ops = false) ?(max_steps = 5_000_000)
-    ?stall_window ?(on_crash = default_on_crash) ?(on_op = default_on_op) ?footprints
-    ?(footprint_crashy = fun _ -> false) ?(state_key_at = -1) ?(on_state_key = fun _ -> ())
-    ?(abort = Abort.none) ~n ~model ~sched ~crash ~setup ~body () =
+(* Domain-safety audit (parallel explorer): [run] and [run_resumable] are
+   re-entrant.  Every piece of mutable state below — the store, the engine
+   record, the fiber continuations, the per-process arrays — is created by
+   [create] and never escapes the run; the module has no top-level mutable
+   bindings (and the same holds for Memory, Cell, Api, Crash and Vec).
+   Concurrent runs in different domains therefore share nothing,
+   *provided* the caller's [sched], [crash], [setup] and [body] arguments
+   are themselves domain-safe: a stateful scheduler or crash plan must be
+   built fresh per run, and the closures must not capture shared mutable
+   state. *)
+let create ?stall_window ~max_steps ~sink ~consult_ops ~track_ans ~trace_ops ~on_crash ~on_op
+    ~footprints ~footprint_crashy ~journal ~n ~model ~crash ~abort ~setup ~body () =
   let stall_window =
     match stall_window with Some w -> w | None -> max 1_000 (max_steps / 8)
-  in
-  if footprints <> None && n > 0xffff then
-    invalid_arg "Engine.run: footprint recording supports at most 65536 processes";
-  let sink =
-    match sink with
-    | Some s -> s
-    | None -> if record || trace_ops then Event.Sink.keep () else Event.Sink.drop
-  in
-  let emit = Event.Sink.wants sink in
-  let has_crash = crash != Crash.none in
-  let has_abort = abort != Abort.none in
-  (* Per-feature instrumentation guards.  [`Auto] derives them from what the
-     caller actually supplied; [`Full] forces the instrumented code paths on
-     (for differential benchmarking — results are identical either way);
-     [`Fast] asserts that nothing requires instrumentation, catching configs
-     that would silently fall off the fast path. *)
-  let consult_ops, track_ans =
-    match mode with
-    | `Auto -> (has_crash || has_abort || on_op != default_on_op, state_key_at >= 0)
-    | `Full -> (true, true)
-    | `Fast ->
-        if
-          has_crash || has_abort || emit || trace_ops || footprints <> None
-          || state_key_at >= 0 || on_op != default_on_op || on_crash != default_on_crash
-        then
-          invalid_arg
-            "Engine.run: ~mode:`Fast requires a crash-free, abort-free, uninstrumented \
-             configuration (no sink, no hooks, no footprints, no state key)";
-        (false, false)
   in
   let mem = Memory.create model ~n in
   let ctx = { Ctx.mem; lock_names = Vec.create () } in
   let shared = setup ctx in
   let nlocks = Vec.length ctx.lock_names in
+  let has_crash = crash != Crash.none in
+  let has_abort = abort != Abort.none in
   let eng =
     {
       mem;
       n;
-      sched;
       crash;
       abort;
       has_abort;
       abort_view = Abort.blind_view ~n;
       has_crash;
       sink;
-      emit;
+      emit = Event.Sink.wants sink;
       consult_ops;
       track_ans;
       trace_ops;
@@ -1083,8 +1029,10 @@ let run ?(mode = `Auto) ?sink ?(record = false) ?(trace_ops = false) ?(max_steps
       on_op;
       footprints;
       footprint_crashy;
-      journal = None;
-      log_ops = false;
+      journal;
+      (* The stateless [Crash.none]/[Abort.none] pair needs no winding on
+         resume, so its op stream is not logged. *)
+      log_ops = journal <> None && (has_crash || has_abort);
       ans_hash = Array.make n 0;
       body = (fun ~pid -> body shared ~pid);
       states = Array.make n Start;
@@ -1129,19 +1077,33 @@ let run ?(mode = `Auto) ?sink ?(record = false) ?(trace_ops = false) ?(max_steps
       timed_out = false;
     }
   in
-  if eng.has_abort then eng.abort_view <- make_abort_view eng;
-  let dpos = ref 0 in
+  if has_abort then eng.abort_view <- make_abort_view eng;
+  eng
+
+(* The step loop of both entries.  Each iteration fires the asynchronous
+   crash, system-crash and abort decisions, builds the ready set, pushes one
+   footprint per runnable pid (ascending, the order {!Sched.trace} sorts
+   choices over, so the explorer can index footprints by decision point and
+   choice), offers [capture] the position when it branches, reports the
+   state key at [state_key_at], and steps the pid [pick pos ready] names.
+
+   A snapshot stands after an iteration's async consults and footprint
+   pushes, and a run resumed from one re-enters the loop at the pick of that
+   iteration, so with [resumed] the first iteration ([skip]) does neither. *)
+let drive eng ~pos ~resumed ~pick ~capture ~state_key_at ~on_state_key =
   (* Hoisted once: partially applying these in the loop would allocate a
      closure per step. *)
   let crash_iter = if eng.has_crash then crash_now eng else ignore in
   let abort_iter = if eng.has_abort then signal_abort eng ~origin:(-1) else ignore in
-  let rec loop () =
-    if eng.has_crash then begin
-      List.iter crash_iter (Crash.async eng.crash ~step:eng.step);
-      if Crash.system eng.crash ~step:eng.step then system_crash_now eng
+  let rec loop ~skip pos =
+    if not skip then begin
+      if eng.has_crash then begin
+        List.iter crash_iter (Crash.async eng.crash ~step:eng.step);
+        if Crash.system eng.crash ~step:eng.step then system_crash_now eng
+      end;
+      if eng.has_abort then
+        List.iter abort_iter (Abort.async eng.abort ~step:eng.step eng.abort_view)
     end;
-    if eng.has_abort then
-      List.iter abort_iter (Abort.async eng.abort ~step:eng.step eng.abort_view);
     let ready = runnable eng in
     if Array.length ready = 0 then begin
       let any_parked =
@@ -1152,22 +1114,62 @@ let run ?(mode = `Auto) ?sink ?(record = false) ?(trace_ops = false) ?(max_steps
     end
     else if eng.step >= eng.max_steps then eng.timed_out <- true
     else begin
-      (* One footprint per runnable pid, in the (ascending) order of [ready]
-         — the same order [Sched.trace] sorts decisions over, so the
-         explorer can index footprints by (decision point, choice). *)
       (match eng.footprints with
-      | None -> ()
-      | Some buf -> Array.iter (fun p -> Vec.push buf (pending_footprint eng p)) ready);
-      if !dpos = state_key_at then on_state_key (state_key eng);
-      incr dpos;
-      let pid = Sched.pick eng.sched ~runnable:ready ~step:eng.step in
+      | Some buf when not skip -> Array.iter (fun p -> Vec.push buf (pending_footprint eng p)) ready
+      | Some _ | None -> ());
+      (* Only branching positions are offered: a schedule can deviate
+         nowhere else, so a snapshot at a degree-1 position would never be
+         resumed from. *)
+      (match capture with Some f when Array.length ready > 1 -> f pos | Some _ | None -> ());
+      if pos = state_key_at then on_state_key (state_key eng);
+      let pid = pick pos ready in
       eng.last_sched.(pid) <- eng.step;
       step_process eng pid;
       eng.step <- eng.step + 1;
-      loop ()
+      loop ~skip:false (pos + 1)
     end
   in
-  loop ();
+  loop ~skip:resumed pos
+
+let run ?(mode = `Auto) ?sink ?(record = false) ?(trace_ops = false) ?(max_steps = 5_000_000)
+    ?stall_window ?(on_crash = default_on_crash) ?(on_op = default_on_op) ?footprints
+    ?(footprint_crashy = fun _ -> false) ?(state_key_at = -1) ?(on_state_key = fun _ -> ())
+    ?(abort = Abort.none) ~n ~model ~sched ~crash ~setup ~body () =
+  if footprints <> None && n > 0xffff then
+    invalid_arg "Engine.run: footprint recording supports at most 65536 processes";
+  let sink =
+    match sink with
+    | Some s -> s
+    | None -> if record || trace_ops then Event.Sink.keep () else Event.Sink.drop
+  in
+  let has_crash = crash != Crash.none in
+  let has_abort = abort != Abort.none in
+  (* Per-feature instrumentation guards.  [`Auto] derives them from what the
+     caller actually supplied; [`Full] forces the instrumented code paths on
+     (for differential benchmarking — results are identical either way);
+     [`Fast] asserts that nothing requires instrumentation, catching configs
+     that would silently fall off the fast path. *)
+  let consult_ops, track_ans =
+    match mode with
+    | `Auto -> (has_crash || has_abort || on_op != default_on_op, state_key_at >= 0)
+    | `Full -> (true, true)
+    | `Fast ->
+        if
+          has_crash || has_abort || Event.Sink.wants sink || trace_ops || footprints <> None
+          || state_key_at >= 0 || on_op != default_on_op || on_crash != default_on_crash
+        then
+          invalid_arg
+            "Engine.run: ~mode:`Fast requires a crash-free, abort-free, uninstrumented \
+             configuration (no sink, no hooks, no footprints, no state key)";
+        (false, false)
+  in
+  let eng =
+    create ?stall_window ~max_steps ~sink ~consult_ops ~track_ans ~trace_ops ~on_crash ~on_op
+      ~footprints ~footprint_crashy ~journal:None ~n ~model ~crash ~abort ~setup ~body ()
+  in
+  drive eng ~pos:0 ~resumed:false
+    ~pick:(fun _ ready -> Sched.pick sched ~runnable:ready ~step:eng.step)
+    ~capture:None ~state_key_at ~on_state_key;
   finish eng
 
 (* ------------------------------------------------------------------ *)
@@ -1186,6 +1188,20 @@ let tag_of_state = function
   | Parked _ -> T_parked
   | Woken _ -> T_woken
   | Halted -> T_halted
+
+(* The per-process and per-lock counter arrays a snapshot copies and a
+   resume restores, listed once so the two cannot drift apart. *)
+let int_counters eng =
+  [
+    eng.op_index; eng.completed; eng.crashes; eng.last_progress; eng.last_sched;
+    eng.ab_signal_step; eng.ab_op_origin; eng.ab_own; eng.ab_rmr_acc; eng.ab_streak;
+    eng.entry_depth; eng.entry_since; eng.passage_rmr; eng.passage_super; eng.passage_start;
+    eng.level_max; eng.occupancy; eng.occupancy_max; eng.unsafe_crashes; eng.rmr_by_kind;
+  ]
+
+let bool_counters eng = [ eng.ab_flag; eng.in_passage; eng.in_app_cs ]
+
+let list_counters eng = [ eng.unsafe_open; eng.holding ]
 
 module Snap = struct
   (* A checkpoint standing immediately before decision position [s_pos]:
@@ -1210,33 +1226,11 @@ module Snap = struct
     s_events : Event.t Vec.t;
     s_mem : Memory.image;
     s_tags : ptag array;
-    s_op_index : int array;
-    s_completed : int array;
-    s_crashes : int array;
-    s_last_progress : int array;
-    s_last_sched : int array;
-    s_unsafe_open : int list array;
-    s_holding : int list array;
-    s_ab_flag : bool array;
-    s_ab_signal_step : int array;
-    s_ab_op_origin : int array;
-    s_ab_own : int array;
-    s_ab_rmr_acc : int array;
-    s_ab_streak : int array;
-    s_entry_depth : int array;
-    s_entry_since : int array;
+    s_ints : int array list;
+    s_bools : bool array list;
+    s_lists : int list array list;
     s_ab_stats : abort_stat array;
-    s_in_passage : bool array;
-    s_in_app_cs : bool array;
-    s_passage_rmr : int array;
-    s_passage_super : int array;
-    s_passage_start : int array;
     s_passages : passage array array;
-    s_level_max : int array;
-    s_occupancy : int array;
-    s_occupancy_max : int array;
-    s_unsafe_crashes : int array;
-    s_rmr_by_kind : int array;
     s_total_rmr : int;
     s_system_crashes : int;
     s_global_cs : int;
@@ -1246,7 +1240,7 @@ module Snap = struct
   let pos t = t.s_pos
 end
 
-let capture eng ~pos ~(journal : journal) ~(degrees : int Vec.t) : Snap.t =
+let take_snapshot eng ~pos ~(journal : journal) ~(degrees : int Vec.t) : Snap.t =
   {
     Snap.s_pos = pos;
     s_step = eng.step;
@@ -1261,33 +1255,11 @@ let capture eng ~pos ~(journal : journal) ~(degrees : int Vec.t) : Snap.t =
     s_events = eng.events;
     s_mem = Memory.snapshot eng.mem;
     s_tags = Array.map tag_of_state eng.states;
-    s_op_index = Array.copy eng.op_index;
-    s_completed = Array.copy eng.completed;
-    s_crashes = Array.copy eng.crashes;
-    s_last_progress = Array.copy eng.last_progress;
-    s_last_sched = Array.copy eng.last_sched;
-    s_unsafe_open = Array.copy eng.unsafe_open;
-    s_holding = Array.copy eng.holding;
-    s_ab_flag = Array.copy eng.ab_flag;
-    s_ab_signal_step = Array.copy eng.ab_signal_step;
-    s_ab_op_origin = Array.copy eng.ab_op_origin;
-    s_ab_own = Array.copy eng.ab_own;
-    s_ab_rmr_acc = Array.copy eng.ab_rmr_acc;
-    s_ab_streak = Array.copy eng.ab_streak;
-    s_entry_depth = Array.copy eng.entry_depth;
-    s_entry_since = Array.copy eng.entry_since;
+    s_ints = List.map Array.copy (int_counters eng);
+    s_bools = List.map Array.copy (bool_counters eng);
+    s_lists = List.map Array.copy (list_counters eng);
     s_ab_stats = Vec.to_array eng.ab_stats;
-    s_in_passage = Array.copy eng.in_passage;
-    s_in_app_cs = Array.copy eng.in_app_cs;
-    s_passage_rmr = Array.copy eng.passage_rmr;
-    s_passage_super = Array.copy eng.passage_super;
-    s_passage_start = Array.copy eng.passage_start;
     s_passages = Array.map Vec.to_array eng.passages;
-    s_level_max = Array.copy eng.level_max;
-    s_occupancy = Array.copy eng.occupancy;
-    s_occupancy_max = Array.copy eng.occupancy_max;
-    s_unsafe_crashes = Array.copy eng.unsafe_crashes;
-    s_rmr_by_kind = Array.copy eng.rmr_by_kind;
     s_total_rmr = eng.total_rmr;
     s_system_crashes = eng.system_crashes;
     s_global_cs = eng.global_cs;
@@ -1295,16 +1267,26 @@ let capture eng ~pos ~(journal : journal) ~(degrees : int Vec.t) : Snap.t =
   }
 
 (* Rebuild every fiber to its checkpointed suspension point by replaying
-   the journal prefix: dispatch bodies and feed each suspended instruction
-   the answer (or crash) it got in the recorded run, in the recorded
-   global order.  The global order matters: body segments run for real
-   between suspensions — pure computation, but also direct [Memory.alloc]
-   calls of lazily-built lock structure and other deterministic OCaml-side
-   mutations of [shared] — and must interleave exactly as recorded for
-   cell ids and registries to come out identical.  No instruction touches
-   the store and nothing is charged or scheduled here; the store and every
-   counter are restored from the snapshot afterwards. *)
-let fast_forward eng (journal : journal) jlen (tags : ptag array) =
+   the snapshot's journal prefix: dispatch bodies and feed each suspended
+   instruction the answer (or crash) it got in the recorded run, in the
+   recorded global order.  The global order matters: body segments run for
+   real between suspensions — pure computation, but also direct
+   [Memory.alloc] calls of lazily-built lock structure and other
+   deterministic OCaml-side mutations of [shared] — and must interleave
+   exactly as recorded for cell ids and registries to come out identical.
+   No instruction touches the store and nothing is charged or scheduled
+   here; the store and every counter are restored from the snapshot
+   afterwards.  A body that does not reproduce the journal fails naming the
+   pid, the journal entry and the snapshot's decision position. *)
+let fast_forward eng (s : Snap.t) =
+  let jents = s.Snap.s_jents and jlen = s.Snap.s_jlen in
+  let diverged ~entry pid what =
+    failwith
+      (Printf.sprintf
+         "Engine: journal replay diverged resuming the snapshot at decision position %d: pid %d, \
+          journal entry %d: %s"
+         s.Snap.s_pos pid entry what)
+  in
   (* [Stopped] doubles as the "nothing pending" sentinel so the per-entry
      bookkeeping allocates nothing; [stopped] tells a genuine halt apart
      from a never-dispatched or crashed incarnation where it matters. *)
@@ -1322,35 +1304,44 @@ let fast_forward eng (journal : journal) jlen (tags : ptag array) =
   in
   let i = ref 0 in
   while !i < jlen do
-    (* [jlen] was validated against the journal length by the caller and
-       entries are two slots, so the reads are in bounds. *)
-    let header = Vec.unsafe_get journal.jents !i in
-    let value = Vec.unsafe_get journal.jents (!i + 1) in
+    (* The journal is append-only and [jlen] was its length at capture, so
+       the reads are in bounds. *)
+    let header = Vec.unsafe_get jents !i in
+    let value = Vec.unsafe_get jents (!i + 1) in
+    let entry = !i / 2 in
     i := !i + 2;
     let pid = header lsr 3 in
     let tag = header land 7 in
     if tag = jt_dispatch then settle pid (Effect.Deep.match_with (fun () -> body ~pid) () handler)
-    else if tag = jt_crash then begin
-      match pending.(pid) with
-      | Suspended (_, k) ->
-          discontinue_of k ();
-          pending.(pid) <- Stopped;
-          stopped.(pid) <- false
-      | Stopped -> diverged "crash with no pending instruction"
-    end
     else begin
       match pending.(pid) with
-      | Suspended (view, k) -> settle pid (continue_ans view k tag value)
-      | Stopped -> diverged "answer with no pending instruction"
+      | Suspended (view, k) ->
+          if tag = jt_crash then begin
+            discontinue_of k ();
+            pending.(pid) <- Stopped;
+            stopped.(pid) <- false
+          end
+          else if tag = ans_tag view then settle pid (continue_ans view k value)
+          else
+            diverged ~entry pid
+              (Printf.sprintf "the journal holds %s, the pending %s instruction takes %s"
+                 (tag_name tag)
+                 (Fmt.str "%a" Api.pp_kind (Api.kind_of_view view))
+                 (tag_name (ans_tag view)))
+      | Stopped ->
+          diverged ~entry pid
+            (Printf.sprintf "the journal holds %s, the body has no pending instruction"
+               (tag_name tag))
     end
   done;
+  let entry = jlen / 2 in
   for pid = 0 to eng.n - 1 do
-    match tags.(pid) with
+    match s.Snap.s_tags.(pid) with
     | T_start ->
         (* Never dispatched, or its last incarnation ended in a crash. *)
         eng.states.(pid) <- Start
     | T_halted ->
-        if not stopped.(pid) then diverged "halted process still pending";
+        if not stopped.(pid) then diverged ~entry pid "halted at capture, still pending on replay";
         eng.states.(pid) <- Halted
     | (T_ready | T_parked | T_woken) as tag -> (
         match pending.(pid) with
@@ -1361,57 +1352,28 @@ let fast_forward eng (journal : journal) jlen (tags : ptag array) =
                 match (view, k) with
                 | Api.V_spin (cell, cond), k ->
                     let p = { pk = k; pcell = cell; pcond = cond; pabort = false } in
-                    if tag = T_parked then begin
-                      eng.states.(pid) <- Parked p;
-                      Hashtbl.replace eng.parked_cells cell.Cell.id ()
-                    end
-                    else eng.states.(pid) <- Woken p
+                    if tag = T_parked then park eng pid p else eng.states.(pid) <- Woken p
                 | Api.V_spin_abortable (cell, cond), k ->
                     let p = { pk = k; pcell = cell; pcond = cond; pabort = true } in
-                    if tag = T_parked then begin
-                      eng.states.(pid) <- Parked p;
-                      Hashtbl.replace eng.parked_cells cell.Cell.id ()
-                    end
-                    else eng.states.(pid) <- Woken p
-                | _ -> diverged "parked process not pending on a spin")
+                    if tag = T_parked then park eng pid p else eng.states.(pid) <- Woken p
+                | _ -> diverged ~entry pid "parked at capture, not pending on a spin on replay")
             | _ -> assert false)
-        | Stopped -> diverged "live process with no pending instruction")
+        | Stopped -> diverged ~entry pid "live at capture, no pending instruction on replay")
   done
 
+let blit_all srcs dsts = List.iter2 (fun src dst -> Array.blit src 0 dst 0 (Array.length src)) srcs dsts
+
 let restore_counters eng (s : Snap.t) =
-  let n = eng.n in
-  Array.blit s.Snap.s_op_index 0 eng.op_index 0 n;
-  Array.blit s.Snap.s_completed 0 eng.completed 0 n;
-  Array.blit s.Snap.s_crashes 0 eng.crashes 0 n;
-  Array.blit s.Snap.s_last_progress 0 eng.last_progress 0 n;
-  Array.blit s.Snap.s_last_sched 0 eng.last_sched 0 n;
-  Array.blit s.Snap.s_unsafe_open 0 eng.unsafe_open 0 n;
-  Array.blit s.Snap.s_holding 0 eng.holding 0 n;
-  Array.blit s.Snap.s_in_passage 0 eng.in_passage 0 n;
-  Array.blit s.Snap.s_in_app_cs 0 eng.in_app_cs 0 n;
-  Array.blit s.Snap.s_passage_rmr 0 eng.passage_rmr 0 n;
-  Array.blit s.Snap.s_passage_super 0 eng.passage_super 0 n;
-  Array.blit s.Snap.s_passage_start 0 eng.passage_start 0 n;
-  Array.blit s.Snap.s_ab_flag 0 eng.ab_flag 0 n;
-  Array.blit s.Snap.s_ab_signal_step 0 eng.ab_signal_step 0 n;
-  Array.blit s.Snap.s_ab_op_origin 0 eng.ab_op_origin 0 n;
-  Array.blit s.Snap.s_ab_own 0 eng.ab_own 0 n;
-  Array.blit s.Snap.s_ab_rmr_acc 0 eng.ab_rmr_acc 0 n;
-  Array.blit s.Snap.s_ab_streak 0 eng.ab_streak 0 n;
-  Array.blit s.Snap.s_entry_depth 0 eng.entry_depth 0 n;
-  Array.blit s.Snap.s_entry_since 0 eng.entry_since 0 n;
+  blit_all s.Snap.s_ints (int_counters eng);
+  blit_all s.Snap.s_bools (bool_counters eng);
+  blit_all s.Snap.s_lists (list_counters eng);
   Vec.clear eng.ab_stats;
   Array.iter (Vec.push eng.ab_stats) s.Snap.s_ab_stats;
-  Array.blit s.Snap.s_level_max 0 eng.level_max 0 n;
-  for pid = 0 to n - 1 do
-    Vec.clear eng.passages.(pid);
-    Array.iter (Vec.push eng.passages.(pid)) s.Snap.s_passages.(pid)
-  done;
-  let nlocks = Array.length s.Snap.s_occupancy in
-  Array.blit s.Snap.s_occupancy 0 eng.occupancy 0 nlocks;
-  Array.blit s.Snap.s_occupancy_max 0 eng.occupancy_max 0 nlocks;
-  Array.blit s.Snap.s_unsafe_crashes 0 eng.unsafe_crashes 0 nlocks;
-  Array.blit s.Snap.s_rmr_by_kind 0 eng.rmr_by_kind 0 (Array.length s.Snap.s_rmr_by_kind);
+  Array.iteri
+    (fun pid ps ->
+      Vec.clear eng.passages.(pid);
+      Array.iter (Vec.push eng.passages.(pid)) ps)
+    s.Snap.s_passages;
   eng.total_rmr <- s.Snap.s_total_rmr;
   eng.system_crashes <- s.Snap.s_system_crashes;
   eng.global_cs <- s.Snap.s_global_cs;
@@ -1458,201 +1420,96 @@ type rrun = {
   rr_footprints : Footprint.t array;
 }
 
+(* Stand [eng] where [s] was captured: seed this run's buffers with the
+   snapshot's prefixes — fresh copies, so this run's appends never disturb
+   the snapshot or any other snapshot sharing the source buffers — then
+   fast-forward the fibers, restore the store and counters, and wind the
+   fresh plans forward. *)
+let resume eng ~record ~degrees (s : Snap.t) =
+  if Array.length s.Snap.s_tags <> eng.n then
+    invalid_arg "Engine.run_resumable: snapshot process count mismatch";
+  (match (eng.footprints, s.Snap.s_fps) with
+  | Some _, None -> invalid_arg "Engine.run_resumable: snapshot lacks the footprint prefix POR needs"
+  | Some dst, Some src -> Vec.blit_prefix src s.Snap.s_fplen dst
+  | None, _ -> ());
+  (match eng.journal with
+  | Some j ->
+      Vec.blit_prefix s.Snap.s_jents s.Snap.s_jlen j.jents;
+      if eng.log_ops then Vec.blit_prefix s.Snap.s_jops s.Snap.s_olen j.jops
+  | None -> ());
+  Vec.blit_prefix s.Snap.s_degrees s.Snap.s_pos degrees;
+  if record then Vec.blit_prefix s.Snap.s_events s.Snap.s_evlen eng.events;
+  (* Rebuild the answer-stream digests from the journal prefix — the same
+     folds [jpush] would have performed live. *)
+  if eng.track_ans then begin
+    let i = ref 0 in
+    while !i < s.Snap.s_jlen do
+      let header = Vec.unsafe_get s.Snap.s_jents !i in
+      let value = Vec.unsafe_get s.Snap.s_jents (!i + 1) in
+      let pid = header lsr 3 in
+      eng.ans_hash.(pid) <- hmix (hmix eng.ans_hash.(pid) header) value;
+      i := !i + 2
+    done
+  end;
+  fast_forward eng s;
+  Memory.restore eng.mem s.Snap.s_mem;
+  restore_counters eng s;
+  replay_plan eng.crash eng.abort s
+
 let run_resumable ?from ?(snap_gap = 0) ?(snap = fun (_ : Snap.t) -> ()) ?(record = false)
     ?(max_steps = 5_000_000) ?stall_window ?(por = false) ?(footprint_crashy = fun _ -> false)
     ?(state_key_at = -1) ?(on_state_key = fun _ -> ()) ?(abort = fun () -> Abort.none)
     ~decisions ~n ~model ~crash ~setup ~body () =
-  let stall_window =
-    match stall_window with Some w -> w | None -> max 1_000 (max_steps / 8)
-  in
   if por && n > 0xffff then
     invalid_arg "Engine.run_resumable: footprint recording supports at most 65536 processes";
-  let mem = Memory.create model ~n in
-  let ctx = { Ctx.mem; lock_names = Vec.create () } in
-  let shared = setup ctx in
-  let nlocks = Vec.length ctx.lock_names in
-  let plan = crash () in
-  let plan_abort = abort () in
-  let journal = { jents = Vec.create (); jops = Vec.create () } in
+  let crash = crash () in
+  let abort = abort () in
+  (* The journal exists only to be captured: a resume fast-forwards from
+     the snapshot's own copy. *)
+  let journal = if snap_gap > 0 then Some { jents = Vec.create (); jops = Vec.create () } else None in
   let degrees = Vec.create () in
-  let footprints = if por then Some (Vec.create ()) else None in
-  let sink = if record then Event.Sink.keep () else Event.Sink.drop in
   let eng =
-    {
-      mem;
-      n;
-      sched = Sched.round_robin () (* never consulted: the loop below picks *);
-      crash = plan;
-      abort = plan_abort;
-      has_abort = plan_abort != Abort.none;
-      abort_view = Abort.blind_view ~n;
-      has_crash = plan != Crash.none;
-      sink;
-      emit = Event.Sink.wants sink;
-      consult_ops = plan != Crash.none || plan_abort != Abort.none;
-      track_ans = true (* the journal is the whole point of this entry *);
-      trace_ops = false;
-      max_steps;
-      stall_window;
-      on_crash = (fun ~pid:_ ~step:_ -> ());
-      on_op = (fun _ -> ());
-      footprints;
-      footprint_crashy;
-      journal = Some journal;
-      log_ops = plan != Crash.none || plan_abort != Abort.none;
-      ans_hash = Array.make n 0;
-      body = (fun ~pid -> body shared ~pid);
-      states = Array.make n Start;
-      step = 0;
-      op_index = Array.make n 0;
-      completed = Array.make n 0;
-      crashes = Array.make n 0;
-      last_progress = Array.make n (-1);
-      last_sched = Array.make n (-1);
-      unsafe_open = Array.make n [];
-      holding = Array.make n [];
-      ab_flag = Array.make n false;
-      ab_signal_step = Array.make n (-1);
-      ab_op_origin = Array.make n (-1);
-      ab_own = Array.make n 0;
-      ab_rmr_acc = Array.make n 0;
-      ab_streak = Array.make n 0;
-      entry_depth = Array.make n 0;
-      entry_since = Array.make n (-1);
-      ab_stats = Vec.create ();
-      in_passage = Array.make n false;
-      in_app_cs = Array.make n false;
-      passage_rmr = Array.make n 0;
-      passage_super = Array.make n 0;
-      passage_start = Array.make n 0;
-      passages = Array.init n (fun _ -> Vec.create ());
-      level_max = Array.make n 0;
-      occupancy = Array.make nlocks 0;
-      occupancy_max = Array.make nlocks 0;
-      unsafe_crashes = Array.make nlocks 0;
-      lock_names = Vec.to_array ctx.lock_names;
-      parked_cells = Hashtbl.create 64;
-      events = (match Event.Sink.buffer sink with Some v -> v | None -> Vec.create ());
-      ready_bufs = Array.make (n + 1) [||];
-      last_rmr = 0;
-      rmr_by_kind = Array.make 8 0;
-      total_rmr = 0;
-      system_crashes = 0;
-      global_cs = 0;
-      global_cs_max = 0;
-      deadlocked = false;
-      timed_out = false;
-    }
+    create ?stall_window ~max_steps
+      ~sink:(if record then Event.Sink.keep () else Event.Sink.drop)
+      ~consult_ops:(crash != Crash.none || abort != Abort.none)
+      ~track_ans:(journal <> None || state_key_at >= 0)
+      ~trace_ops:false ~on_crash:default_on_crash ~on_op:default_on_op
+      ~footprints:(if por then Some (Vec.create ()) else None)
+      ~footprint_crashy ~journal ~n ~model ~crash ~abort ~setup ~body ()
   in
-  let npos = Array.length decisions in
-  let start_pos, resumed =
-    match from with
-    | None -> (0, false)
-    | Some (s : Snap.t) ->
-        if Array.length s.Snap.s_tags <> n then
-          invalid_arg "Engine.run_resumable: snapshot process count mismatch";
-        (match (footprints, s.Snap.s_fps) with
-        | Some _, None ->
-            invalid_arg "Engine.run_resumable: snapshot lacks the footprint prefix POR needs"
-        | _ -> ());
-        (* Seed this run's buffers with the checkpointed prefixes — fresh
-           copies, so this run's appends never disturb the snapshot (or
-           any other snapshot sharing the source buffers). *)
-        Vec.blit_prefix s.Snap.s_jents s.Snap.s_jlen journal.jents;
-        if eng.log_ops then Vec.blit_prefix s.Snap.s_jops s.Snap.s_olen journal.jops;
-        Vec.blit_prefix s.Snap.s_degrees s.Snap.s_pos degrees;
-        (match (footprints, s.Snap.s_fps) with
-        | Some dst, Some src -> Vec.blit_prefix src s.Snap.s_fplen dst
-        | _ -> ());
-        if record then Vec.blit_prefix s.Snap.s_events s.Snap.s_evlen eng.events;
-        (* Rebuild the answer-stream digests from the seeded journal prefix
-           — the same folds [jpush] would have performed live. *)
-        let i = ref 0 in
-        while !i < s.Snap.s_jlen do
-          let header = Vec.unsafe_get journal.jents !i in
-          let value = Vec.unsafe_get journal.jents (!i + 1) in
-          let pid = header lsr 3 in
-          eng.ans_hash.(pid) <- hmix (hmix eng.ans_hash.(pid) header) value;
-          i := !i + 2
-        done;
-        fast_forward eng journal s.Snap.s_jlen s.Snap.s_tags;
-        Memory.restore mem s.Snap.s_mem;
-        restore_counters eng s;
-        replay_plan plan plan_abort s;
-        (s.Snap.s_pos, true)
-  in
-  let pos = ref start_pos in
+  let pos = match from with None -> 0 | Some s -> resume eng ~record ~degrees s; s.Snap.s_pos in
   (* Capture only at positions >= the explicit decision vector's length:
      earlier positions belong to ancestor prefixes whose snapshots already
-     exist upstream.  The first eligible position is always captured. *)
-  let next_snap = ref (if snap_gap > 0 then npos else max_int) in
-  (* A snapshot is taken after an iteration's async crashes and footprint
-     pushes; resuming re-enters the loop at the pick of the same
-     iteration, so the first resumed iteration skips both. *)
-  if eng.has_abort then eng.abort_view <- make_abort_view eng;
-  let crash_iter = if eng.has_crash then crash_now eng else ignore in
-  let abort_iter = if eng.has_abort then signal_abort eng ~origin:(-1) else ignore in
-  let first = ref resumed in
-  let rec loop () =
-    let skip = !first in
-    first := false;
-    if not skip then begin
-      if eng.has_crash then begin
-        List.iter crash_iter (Crash.async plan ~step:eng.step);
-        if Crash.system plan ~step:eng.step then system_crash_now eng
-      end;
-      if eng.has_abort then
-        List.iter abort_iter (Abort.async plan_abort ~step:eng.step eng.abort_view)
-    end;
-    let ready = runnable eng in
-    if Array.length ready = 0 then begin
-      let any_parked =
-        Array.exists
-          (function Parked _ -> true | Start | Ready _ | Woken _ | Halted -> false)
-          eng.states
-      in
-      if any_parked then eng.deadlocked <- true
-    end
-    else if eng.step >= eng.max_steps then eng.timed_out <- true
-    else begin
-      (if not skip then
-         match eng.footprints with
-         | None -> ()
-         | Some buf -> Array.iter (fun p -> Vec.push buf (pending_footprint eng p)) ready);
-      (* Capture only at branching positions: a child schedule can only
-         deviate where more than one pid is runnable, so snapshots at
-         degree-1 positions would never be resumed from.  [snap_gap] is
-         the minimum spacing between captures; the stretch from the last
-         snapshot to the deviation position is replayed live on resume. *)
-      if !pos >= !next_snap && Array.length ready > 1 then begin
-        snap (capture eng ~pos:!pos ~journal ~degrees);
-        next_snap := !pos + snap_gap
-      end;
-      if !pos = state_key_at then on_state_key (state_key eng);
-      (* Trace pick, inlined: [runnable] builds the ready set in ascending
-         pid order — the order {!Sched.trace} sorts into — so indexing it
-         directly replays the same schedules the sequential explorer's
-         trace scheduler does. *)
-      let degree = Array.length ready in
-      Vec.push degrees degree;
-      let choice = if !pos < npos then decisions.(!pos) else 0 in
-      let choice =
-        if choice >= 0 && choice < degree then choice
-        else ((choice mod degree) + degree) mod degree
-      in
-      let pid = ready.(choice) in
-      incr pos;
-      eng.last_sched.(pid) <- eng.step;
-      step_process eng pid;
-      eng.step <- eng.step + 1;
-      loop ()
-    end
+     exist upstream.  The first eligible position is always captured;
+     [snap_gap] is the minimum spacing after it, and the stretch from the
+     last snapshot to a child's deviation position is replayed live. *)
+  let npos = Array.length decisions in
+  let capture =
+    match journal with
+    | None -> None
+    | Some journal ->
+        let next = ref npos in
+        Some
+          (fun pos ->
+            if pos >= !next then begin
+              snap (take_snapshot eng ~pos ~journal ~degrees);
+              next := pos + snap_gap
+            end)
   in
-  loop ();
+  (* Trace pick: [runnable] builds the ready set in ascending pid order —
+     the order {!Sched.trace} sorts into — so indexing it directly replays
+     the schedules {!run} under {!Sched.trace} does. *)
+  let pick pos ready =
+    let degree = Array.length ready in
+    Vec.push degrees degree;
+    let choice = if pos < npos then decisions.(pos) else 0 in
+    ready.(if choice >= 0 && choice < degree then choice else ((choice mod degree) + degree) mod degree)
+  in
+  drive eng ~pos ~resumed:(from <> None) ~pick ~capture ~state_key_at ~on_state_key;
   {
     rr_result = finish eng;
     rr_degrees = Vec.to_array degrees;
-    rr_footprints = (match footprints with Some v -> Vec.to_array v | None -> [||]);
+    rr_footprints = (match eng.footprints with Some v -> Vec.to_array v | None -> [||]);
   }
 
 let all_passages res = Array.to_list res.procs |> List.concat_map (fun (p : proc_stats) -> p.passages)

@@ -206,10 +206,12 @@ val run :
     picks), with a compact digest of the whole engine state: store
     contents/versions/cache rows, per-process control state (via the
     journal-stream digests), and every aggregate statistic a
-    schedule-robust check can observe.  Equal keys mean the two decision
-    nodes have pointwise check-equivalent continuations — the explorer's
-    state cache dedups on it.  Step counts, latencies and the stall
-    classification are excluded, matching the POR contract.
+    schedule-robust check can observe.  Equal states give equal keys,
+    and check-equivalent continuations follow from equal states — the
+    explorer's state cache dedups on it.  The converse is not exact: the
+    key's elements are 63-bit digests, so distinct states can collide.
+    Step counts, latencies and the stall classification are excluded,
+    matching the POR contract.
 
     [abort] (default {!Abort.none}) is the abort decision axis: the plan
     is consulted once per iteration (after the crash plan's asynchronous
@@ -222,6 +224,8 @@ val run :
     resolution appending an {!abort_stat} to [result.aborts].  Passing
     [Abort.none] itself (physical equality) skips all abort bookkeeping.
 
+    [run] and {!run_resumable} build the engine the same way and share
+    one step loop; they differ only in how each position's pid is picked.
     [run] is re-entrant and domain-safe: all engine state (store, fibers,
     statistics) is allocated per call, so independent runs may execute
     concurrently on separate OCaml domains — the parallel explorer relies
@@ -309,7 +313,14 @@ val run_resumable :
       belong to ancestor prefixes, whose own runs captured them).  The
       first branching position at or past [Array.length decisions] is
       always captured, so every child of this run has a snapshot at or
-      before its deviation position.
+      before its deviation position.  Only such a run keeps a journal;
+      with [snap_gap = 0] (the default) the run records nothing a
+      snapshot would need, and a resume fast-forwards from the
+      snapshot's own journal.
+
+    A resume whose [setup] and [body] do not reproduce the snapshotted
+    run's journal raises [Failure] naming the pid, the journal entry and
+    the snapshot's decision position at which the replay diverged.
 
     [crash] is a thunk because resuming needs a fresh plan to wind
     forward; it is called exactly once per [run_resumable] call.  [abort]
