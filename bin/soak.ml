@@ -250,7 +250,7 @@ let () =
       & info [ "adversary" ] ~docv:"ADV"
           ~doc:
             "Run an adaptive chaos campaign instead of the oblivious soak: \
-             holder|window|offender|storm|impatient-storm|all.  Violations are replayed \
+             holder|window|offender|storm|sys-storm|impatient-storm|all.  Violations are replayed \
              against a deterministic at-op crash plan and shrunk to a minimal schedule \
              witness.")
   in

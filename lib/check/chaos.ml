@@ -33,18 +33,19 @@ let default_sys_storm = Sys_storm { rate = 0.002; max_crashes = 3; gap = 400; ba
 let default_impatient_storm =
   Impatient_storm { rate = 0.05; max_aborts = 12; gap = 40; backoff = 1.5 }
 
+(* An adversary's CLI name: its rendering up to the parameter list. *)
+let name adv = List.hd (String.split_on_char '(' (Fmt.str "%a" pp_adversary adv))
+
 let adversary_of_string s =
-  match String.lowercase_ascii s with
-  | "holder" -> Ok (Holder { rate = 0.05; max_crashes = 8 })
-  | "window" -> Ok (Window { rate = 0.25; max_crashes = 4 })
-  | "offender" -> Ok (Offender { victim = 0; gap = 4; times = 5 })
-  | "storm" -> Ok (Storm { rate = 0.004; max_crashes = 8; gap = 300; backoff = 2.0 })
-  | "sys-storm" | "sys_storm" | "system-storm" -> Ok default_sys_storm
-  | "impatient-storm" | "impatient_storm" | "impatient" -> Ok default_impatient_storm
-  | other ->
+  let s = String.map (function '_' -> '-' | c -> c) (String.lowercase_ascii s) in
+  let key = match s with "system-storm" -> "sys-storm" | "impatient" -> "impatient-storm" | k -> k in
+  let defaults = standard_adversaries @ [ default_sys_storm; default_impatient_storm ] in
+  match List.find_opt (fun adv -> name adv = key) defaults with
+  | Some adv -> Ok adv
+  | None ->
       Error
-        (Printf.sprintf
-           "unknown adversary %S (holder|window|offender|storm|sys-storm|impatient-storm)" other)
+        (Printf.sprintf "unknown adversary %S (%s)" s
+           (String.concat "|" (List.map name defaults)))
 
 let plan adv ~seed =
   match adv with
@@ -188,6 +189,18 @@ let prop_of problem =
   | Some i -> String.sub problem 0 i
   | None -> problem
 
+(* Steps from the first injected failure, crash or abort, to the end of
+   the run; [None] when the adversary fired nothing. *)
+let detect_latency (r : run) =
+  let first =
+    match (r.fired, r.ab_fired) with
+    | f :: _, a :: _ -> Some (min f.Crash.f_step a.Abort.a_step)
+    | f :: _, [] -> Some f.Crash.f_step
+    | [], a :: _ -> Some a.Abort.a_step
+    | [], [] -> None
+  in
+  Option.map (fun s -> r.res.Engine.steps - s) first
+
 let confirm_and_shrink cfg case ~requests (adv : adversary) ~seed (r : run) problems =
   let prop = prop_of (List.hd problems) in
   let check res =
@@ -204,13 +217,6 @@ let confirm_and_shrink cfg case ~requests (adv : adversary) ~seed (r : run) prob
         r.decisions
     else r.decisions
   in
-  let first_injection =
-    match (r.fired, r.ab_fired) with
-    | f :: _, a :: _ -> Some (min f.Crash.f_step a.Abort.a_step)
-    | f :: _, [] -> Some f.Crash.f_step
-    | [], a :: _ -> Some a.Abort.a_step
-    | [], [] -> None
-  in
   {
     v_case = case.case_name;
     v_adversary = adv;
@@ -220,8 +226,7 @@ let confirm_and_shrink cfg case ~requests (adv : adversary) ~seed (r : run) prob
     v_ab_fired = r.ab_fired;
     v_replay_ok = replay_ok;
     v_witness = witness;
-    v_detect_steps =
-      (match first_injection with None -> 0 | Some s -> r.res.Engine.steps - s);
+    v_detect_steps = Option.value (detect_latency r) ~default:0;
   }
 
 let campaign ?(cfg = default_cfg) ?(jobs = 1) ~adversaries ~runs ~seed_base cases =
@@ -244,14 +249,7 @@ let campaign ?(cfg = default_cfg) ?(jobs = 1) ~adversaries ~runs ~seed_base case
           if problems = [] then None
           else Some (confirm_and_shrink cfg case ~requests:cfg.requests adv ~seed r problems)
         in
-        let detect =
-          match (r.fired, r.ab_fired) with
-          | f :: _, a :: _ -> Some (r.res.Engine.steps - min f.Crash.f_step a.Abort.a_step)
-          | f :: _, [] -> Some (r.res.Engine.steps - f.Crash.f_step)
-          | [], a :: _ -> Some (r.res.Engine.steps - a.Abort.a_step)
-          | [], [] -> None
-        in
-        (r.res.Engine.total_crashes, List.length r.ab_fired, detect, v))
+        (r.res.Engine.total_crashes, List.length r.ab_fired, detect_latency r, v))
   in
   let runs_done = ref 0 and crashes = ref 0 and aborts = ref 0 and violations = ref [] in
   let detect_steps = ref 0 and detect_runs = ref 0 in

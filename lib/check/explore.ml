@@ -86,9 +86,8 @@ let por_setup ~por ~record ~crash ~abort =
   match por with
   | `Off -> (`Off, fun _ -> false)
   | (`Sleep | `Source) as tier -> (
-      match (Crash.por_class (crash ()), Abort.por_class (abort ())) with
-      | Crash.Robust victims, Crash.Robust ab_victims when not record ->
-          (tier, fun pid -> List.mem pid victims || List.mem pid ab_victims)
+      match Plan.union (Crash.por_class (crash ())) (Abort.por_class (abort ())) with
+      | Plan.Robust victims when not record -> (tier, fun pid -> List.mem pid victims)
       | _ -> (`Off, fun _ -> false))
 
 (* Run one node: the schedule [decisions] names (choice 0 past its end),

@@ -16,10 +16,20 @@ let pp_scenario ppf = function
   | Impatient { timeout_steps; retries; backoff } ->
       Fmt.pf ppf "impatient(T=%d,retries=%d,backoff=%g)" timeout_steps retries backoff
 
+(* The ranges the plan constructors accept, checked here so that bad input
+   is a parse failure rather than an [Invalid_argument] from a plan. *)
+let in_range = function
+  | No_failures -> true
+  | Fas_storm { f = k; rate } | Random_storm { crashes = k; rate } ->
+      k >= 0 && rate >= 0.0 && rate <= 1.0
+  | Batch { size; at_step; repeat; gap } -> size >= 0 && at_step >= 0 && repeat >= 0 && gap >= 0
+  | Impatient { timeout_steps; retries; backoff } ->
+      timeout_steps > 0 && retries >= 0 && backoff >= 1.0
+
 (* Accepts both the compact command-line grammar ("fas:3", "impatient:40:3:2")
    and the exact {!pp_scenario} rendering, so a scenario printed in a log or
    a report line can be fed straight back in (the round-trip the tests pin). *)
-let scenario_of_string s =
+let parse_scenario s =
   let scan fmt f = try Some (Scanf.sscanf s fmt f) with Scanf.Scan_failure _ | Failure _ | End_of_file -> None in
   let first_some l = List.fold_left (fun acc p -> match acc with Some _ -> acc | None -> p ()) None l in
   match String.split_on_char ':' s with
@@ -56,6 +66,8 @@ let scenario_of_string s =
             scan "impatient(T=%d,retries=%d,backoff=%f)%!" (fun timeout_steps retries backoff ->
                 Impatient { timeout_steps; retries; backoff }));
         ]
+
+let scenario_of_string s = Option.bind (parse_scenario s) (fun sc -> if in_range sc then Some sc else None)
 
 let scenario_grammar = "none | fas:F | storm:K | batch:SIZE | impatient:T[:RETRIES[:BACKOFF]]"
 

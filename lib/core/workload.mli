@@ -31,7 +31,10 @@ val pp_scenario : scenario Fmt.t
 val scenario_of_string : string -> scenario option
 (** ["none"], ["fas:F"], ["storm:K"], ["batch:SIZE"],
     ["impatient:T[:RETRIES[:BACKOFF]]"] — plus the exact {!pp_scenario}
-    rendering of every arm, so printed scenarios round-trip. *)
+    rendering of every arm, so printed scenarios round-trip.  [None] for
+    malformed input and for values the plans reject: a rate outside
+    [0, 1], a negative count, size, step or gap, T ≤ 0, retries < 0 or
+    backoff < 1. *)
 
 val scenario_grammar : string
 (** The compact grammar, for usage/error messages. *)

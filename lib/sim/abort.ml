@@ -1,20 +1,8 @@
-(* The abort decision axis: when does an impatient client give up on its
-   entry section?  Structured exactly like [Crash]: a plan is consulted by
-   the engine both per applied instruction ([on_op]) and once per engine
-   iteration ([async]); a positive decision delivers an {e abort signal} to
-   the victim.  The engine filters signals — only a process inside some
-   lock's entry section (Lock_enter seen, Lock_acquired not yet) is
-   flagged — so plans may fire blindly.
-
-   Winding contract (record/replay, [Engine.run_resumable]): a plan's
-   internal state (RNG cursors, budgets, gap cursors) must evolve as a
-   function of the consult sequence alone — the global step counter and the
-   logged op stream — never gated on the [view] oracles.  Victim {e
-   selection} may read [view]; state transitions may not.  During journal
-   fast-forward the engine winds plans by consulting [async] with a dummy
-   view (all oracles report "nobody waiting") and discarding the decisions,
-   and replays [on_op] over the logged op stream, so any view-gated state
-   would diverge. *)
+(* The abort decision axis over the shared core in [Plan]: a positive
+   decision delivers an abort signal to the victim, and the engine flags
+   only processes inside some lock's entry section, so plans may fire
+   blindly.  Victim selection may read the [view]; state transitions may
+   not (the winding contract in abort.mli). *)
 
 type view = {
   n : int;
@@ -27,54 +15,23 @@ type view = {
 
 let blind_view ~n = { n; waiting = (fun _ -> -1); streak = (fun _ -> 0) }
 
-type t = {
-  label : string;
-  on_op : Crash.op_info -> bool;
-  async : step:int -> view -> int list;
-  por : Crash.por_class;
-}
+type t = (unit, view) Plan.t
 
-let label t = t.label
+let label (t : t) = t.label
 
-let on_op t info = t.on_op info
+let on_op (t : t) info = match t.on_op info with None -> false | Some () -> true
 
-let async t ~step view = t.async ~step view
+let async (t : t) ~step view = t.async ~step view
 
-let por_class t = t.por
+let por_class (t : t) = t.por
 
-let no_op _ = false
+let none = Plan.none
 
-let no_async ~step:_ _ = []
+let at_op ~pid ~nth : t = Plan.at_op ~tag:"abort-" ~pid ~nth ()
 
-let none = { label = "none"; on_op = no_op; async = no_async; por = Crash.Robust [] }
+let async_at specs : t = Plan.async_at ~tag:"abort-" specs
 
-let at_op ~pid ~nth =
-  let fired = ref false in
-  {
-    label = Printf.sprintf "abort-at-op(p%d,%d)" pid nth;
-    on_op =
-      (fun info ->
-        if (not !fired) && info.Crash.pid = pid && info.Crash.op_index = nth then begin
-          fired := true;
-          true
-        end
-        else false);
-    async = no_async;
-    por = Crash.Robust [ pid ];
-  }
-
-let async_at specs =
-  let pending = ref specs in
-  {
-    label = "abort-async-at";
-    on_op = no_op;
-    async =
-      (fun ~step _ ->
-        let due, rest = List.partition (fun (s, _) -> step >= s) !pending in
-        pending := rest;
-        List.map snd due);
-    por = Crash.Sensitive;
-  }
+let all : t list -> t = Plan.all
 
 (* The impatient-client shape: a process whose entry section has aged past
    [timeout_steps * backoff^streak] engine steps gives up — unless it has
@@ -82,16 +39,16 @@ let async_at specs =
    turns patient and waits the acquisition out.  Stateless (all state lives
    in the engine's oracles), hence trivially wind-exact; re-signalling an
    already-flagged victim is an engine-side no-op. *)
-let impatient ~timeout_steps ?(retries = max_int) ?(backoff = 1.0) () =
+let impatient ~timeout_steps ?(retries = max_int) ?(backoff = 1.0) () : t =
   if timeout_steps <= 0 then invalid_arg "Abort.impatient: timeout_steps must be positive";
   if retries < 0 then invalid_arg "Abort.impatient: retries must be non-negative";
   if backoff < 1.0 then invalid_arg "Abort.impatient: backoff must be >= 1";
   {
+    Plan.none with
     label =
       (if retries = max_int && backoff = 1.0 then
          Printf.sprintf "impatient(timeout=%d)" timeout_steps
        else Printf.sprintf "impatient(timeout=%d,retries=%d,backoff=%g)" timeout_steps retries backoff);
-    on_op = no_op;
     async =
       (fun ~step:_ view ->
         let out = ref [] in
@@ -106,52 +63,29 @@ let impatient ~timeout_steps ?(retries = max_int) ?(backoff = 1.0) () =
         !out);
     (* Entry age is measured in global engine steps, so which op a signal
        lands before depends on the whole interleaving. *)
-    por = Crash.Sensitive;
+    por = Sensitive;
   }
 
-let random ~seed ~rate ~max_aborts ?pids () =
-  if rate < 0.0 || rate > 1.0 then invalid_arg "Abort.random: rate must be in [0, 1]";
-  let rng = Random.State.make [| seed; 0xab02 |] in
-  let budget = ref max_aborts in
-  let eligible =
-    match pids with None -> fun _ -> true | Some ps -> fun pid -> List.mem pid ps
-  in
-  {
-    label = Printf.sprintf "abort-random(rate=%g,max=%d)" rate max_aborts;
-    on_op =
-      (fun info ->
-        if !budget > 0 && eligible info.Crash.pid && Random.State.float rng 1.0 < rate
-        then begin
-          decr budget;
-          true
-        end
-        else false);
-    async = no_async;
-    por = (match pids with Some [ p ] -> Crash.Robust [ p ] | _ -> Crash.Sensitive);
-  }
+let random ~seed ~rate ~max_aborts ?pids () : t =
+  Plan.coin
+    ~label:(Printf.sprintf "abort-random(rate=%g,max=%d)" rate max_aborts)
+    ?pids
+    (Plan.gate "Abort.random" ~salt:0xab02 ~seed ~rate ~budget:max_aborts ())
+    ignore
 
 (* Random abort pressure with a cooldown, the abort face of [Crash.storm].
-   Per the winding contract the RNG is drawn and the budget consumed on
+   Per the winding contract the gate is drawn and the budget consumed on
    the draw itself; only the {e victim selection} (oldest waiter, lowest
    pid on ties) reads the view, so a draw that finds nobody waiting is a
    consumed decision that signals no one. *)
-let storm ~seed ~rate ~max_aborts ~gap ?(backoff = 1.0) () =
-  if rate < 0.0 || rate > 1.0 then invalid_arg "Abort.storm: rate must be in [0, 1]";
-  if gap < 0 then invalid_arg "Abort.storm: gap must be non-negative";
-  if backoff < 1.0 then invalid_arg "Abort.storm: backoff must be >= 1";
-  let rng = Random.State.make [| seed; 0xab5702 |] in
-  let budget = ref max_aborts in
-  let next_ok = ref 0 in
-  let cur_gap = ref (float_of_int gap) in
+let storm ~seed ~rate ~max_aborts ~gap ?(backoff = 1.0) () : t =
+  let gate = Plan.gate "Abort.storm" ~salt:0xab5702 ~seed ~rate ~budget:max_aborts ~gap ~backoff () in
   {
+    Plan.none with
     label = Printf.sprintf "abort-storm(rate=%g,max=%d,gap=%d,backoff=%g)" rate max_aborts gap backoff;
-    on_op = no_op;
     async =
       (fun ~step view ->
-        if !budget > 0 && step >= !next_ok && Random.State.float rng 1.0 < rate then begin
-          decr budget;
-          next_ok := step + int_of_float !cur_gap;
-          cur_gap := !cur_gap *. backoff;
+        if Plan.fire gate ~step then begin
           let victim = ref (-1) in
           let age = ref (-1) in
           for pid = view.n - 1 downto 0 do
@@ -164,65 +98,25 @@ let storm ~seed ~rate ~max_aborts ~gap ?(backoff = 1.0) () =
           if !victim >= 0 then [ !victim ] else []
         end
         else []);
-    por = Crash.Sensitive;
+    por = Sensitive;
   }
 
 type fired = { a_pid : int; a_op_index : int; a_step : int; a_async : bool }
 
 let record_fired plan =
-  let fired = ref [] in
-  let push f = fired := f :: !fired in
-  let wrapped =
-    {
-      plan with
-      on_op =
-        (fun info ->
-          let hit = plan.on_op info in
-          if hit then
-            push
-              {
-                a_pid = info.Crash.pid;
-                a_op_index = info.Crash.op_index;
-                a_step = info.Crash.step;
-                a_async = false;
-              };
-          hit);
-      async =
-        (fun ~step view ->
-          let pids = plan.async ~step view in
-          List.iter
-            (fun pid -> push { a_pid = pid; a_op_index = -1; a_step = step; a_async = true })
-            pids;
-          pids);
-    }
+  let wrapped, log = Plan.record_fired plan in
+  let of_plan = function
+    | Plan.Op { pid; op_index; step; payload = () } ->
+        { a_pid = pid; a_op_index = op_index; a_step = step; a_async = false }
+    | Plan.Async { pid; step } -> { a_pid = pid; a_op_index = -1; a_step = step; a_async = true }
+    | Plan.System { step } -> { a_pid = -1; a_op_index = -1; a_step = step; a_async = true }
   in
-  (wrapped, fun () -> List.rev !fired)
+  (wrapped, fun () -> List.map of_plan (log ()))
 
-let all plans =
-  {
-    label = String.concat "+" (List.map (fun p -> p.label) plans);
-    (* No short circuit: every member must be consulted on every op so
-       stateful plans keep winding forward identically whether or not an
-       earlier member fired. *)
-    on_op = (fun info -> List.fold_left (fun acc p -> p.on_op info || acc) false plans);
-    async = (fun ~step view -> List.concat_map (fun p -> p.async ~step view) plans);
-    por =
-      List.fold_left
-        (fun acc p ->
-          match (acc, p.por) with
-          | Crash.Sensitive, _ | _, Crash.Sensitive -> Crash.Sensitive
-          | Crash.Robust a, Crash.Robust b ->
-              Crash.Robust (List.sort_uniq Int.compare (List.rev_append b a)))
-        (Crash.Robust []) plans;
-  }
-
-let replay_fired fired =
-  match fired with
-  | [] -> none
-  | _ ->
-      let plan_of f =
-        if f.a_async then async_at [ (f.a_step, f.a_pid) ]
-        else at_op ~pid:f.a_pid ~nth:f.a_op_index
-      in
-      let plans = List.map plan_of fired in
-      { (all plans) with label = Printf.sprintf "abort-replay-fired(%d)" (List.length fired) }
+let replay_fired fired : t =
+  Plan.replay_fired ~tag:"abort-"
+    (List.map
+       (fun f ->
+         if f.a_async then Plan.Async { pid = f.a_pid; step = f.a_step }
+         else Plan.Op { pid = f.a_pid; op_index = f.a_op_index; step = f.a_step; payload = () })
+       fired)

@@ -1,99 +1,77 @@
-(** Abort (impatience) plans: the per-step decision axis for when a client
-    gives up on its entry section.
+(** Abort (impatience) plans: when a client gives up on its entry section.
 
-    Structured exactly like {!Crash}: the engine consults a plan both per
-    applied instruction ([on_op], over the same {!Crash.op_info}) and once
-    per engine iteration ([async]); a positive decision delivers an {e
-    abort signal} to the victim.  The engine only flags processes that are
-    actually inside a lock's entry section ({!Event.Lock_enter} seen,
-    {!Event.Lock_acquired} not yet), so plans may fire blindly; signals on
-    already-flagged or non-waiting processes are no-ops.
+    The second decision axis over the core {!Plan}: the engine consults a
+    plan per applied instruction ([on_op]) and once per engine iteration
+    ([async]); a positive decision delivers an {e abort signal}.  The
+    engine flags only processes inside a lock's entry section
+    ({!Event.Lock_enter} seen, {!Event.Lock_acquired} not yet), so plans
+    may fire blindly.  A flagged process observes the signal at its next
+    abortable point ({!Api.spin_abortable} / {!Api.poll_abort}) and runs
+    the lock's [try_abort] (see {!Harness}); the signal resolves when the
+    victim aborts ({!Event.Abort_done}), loses the race and acquires
+    ({!Event.Abort_lost_race}), acquires normally, or crashes.
 
-    A flagged process observes the signal at its next abortable point
-    ({!Api.spin_abortable} / {!Api.poll_abort}) and runs the lock's
-    [try_abort] protocol (see {!Harness}); the signal resolves when the
-    victim either aborts ({!Event.Abort_done}), loses the race and
-    acquires instead ({!Event.Abort_lost_race}), acquires normally
-    ({!Event.Lock_acquired} — the only resolution a non-abortable lock
-    offers), or crashes.
-
-    {b Winding contract} (record/replay and {!Engine.run_resumable}): a
-    plan's internal state (RNG cursors, budgets, gap cursors) must evolve
-    as a function of the consult sequence alone — the step counter and the
-    logged op stream — never gated on the [view] oracles.  Victim {e
-    selection} may read the view; state transitions may not.  Journal
-    fast-forward winds plans by consulting [async] with {!blind_view} and
-    discarding the decisions. *)
+    {b Winding contract} (record/replay, {!Engine.run_resumable}): a plan's
+    state (RNG cursors, budgets, gap cursors) evolves from the consult
+    sequence alone, never gated on the [view] oracles; only victim {e
+    selection} may read the view.  Journal fast-forward winds plans by
+    consulting [async] with {!blind_view} and discarding the decisions. *)
 
 (** Engine oracles handed to [async] decisions, rebuilt fresh per run. *)
 type view = {
   n : int;  (** number of processes *)
   waiting : int -> int;
-      (** entry age of [pid] in engine steps; [-1] when the process is not
-          inside any lock's entry section *)
+      (** entry age of [pid] in engine steps; [-1] outside entry sections *)
   streak : int -> int;
       (** consecutive aborts of [pid]'s current super-passage — reset when
           a request resolves by acquisition, lost race, or crash *)
 }
 
 val blind_view : n:int -> view
-(** The dummy view used when winding plans through a journal fast-forward:
-    every [waiting] is [-1], every [streak] is [0]. *)
+(** All [waiting] [-1], all [streak] [0]: the journal fast-forward view. *)
 
-type t = {
-  label : string;
-  on_op : Crash.op_info -> bool;  (** signal the op's process before this op? *)
-  async : step:int -> view -> int list;  (** pids to signal this iteration *)
-  por : Crash.por_class;
-      (** {!Crash.Robust} iff every decision is a function of the victim's
-          own instruction history alone; [async] plans that read the step
-          counter or the view are {!Crash.Sensitive} *)
-}
+type t
 
 val label : t -> string
 
-val on_op : t -> Crash.op_info -> bool
+val on_op : t -> Plan.op_info -> bool
+(** Signal the op's process before this op? *)
 
 val async : t -> step:int -> view -> int list
+(** Pids to signal this iteration. *)
 
-val por_class : t -> Crash.por_class
+val por_class : t -> Plan.por_class
+(** [Robust] iff every decision is a function of the victim's own
+    instruction history. *)
 
 val none : t
 (** Never signals.  The engine compares against this plan physically to
-    skip all abort bookkeeping, so prefer passing [none] itself over an
-    equivalent fresh plan. *)
+    skip all abort bookkeeping. *)
 
 val at_op : pid:int -> nth:int -> t
-(** Signal [pid] immediately before its [nth] instruction (one-shot).
-    Robust: the decision depends on the victim's own op index alone. *)
+(** Signal [pid] immediately before its [nth] instruction, once.  Robust. *)
 
 val async_at : (int * int) list -> t
-(** [(step, pid)] pairs: signal [pid] at the first iteration whose global
-    step counter reaches [step].  Sensitive. *)
+(** [(step, pid)] pairs: signal [pid] at the first iteration whose step is
+    ≥ [step].  Sensitive. *)
 
 val impatient : timeout_steps:int -> ?retries:int -> ?backoff:float -> unit -> t
-(** The impatient-client workload shape: signal every process whose entry
-    section has aged at least [timeout_steps * backoff ^ streak] engine
-    steps, unless its abort streak has reached [retries] (it then turns
-    patient and waits the acquisition out).  Defaults: unlimited retries,
-    backoff 1.  Stateless, hence trivially wind-exact.  Sensitive. *)
+(** Signal every process whose entry section has aged at least
+    [timeout_steps * backoff ^ streak] engine steps, unless its abort
+    streak has reached [retries] (it then waits the acquisition out).
+    Defaults: unlimited retries, backoff 1.  Stateless.  Sensitive. *)
 
 val random : seed:int -> rate:float -> max_aborts:int -> ?pids:int list -> unit -> t
-(** Seeded per-op coin flips: signal the op's process with probability
-    [rate], at most [max_aborts] times.  Robust when restricted to a single
-    pid, Sensitive otherwise. *)
+(** Signal the op's process with probability [rate], at most [max_aborts]
+    times.  Robust when restricted to a single pid, Sensitive otherwise. *)
 
 val storm : seed:int -> rate:float -> max_aborts:int -> gap:int -> ?backoff:float -> unit -> t
-(** Seeded async abort pressure with a cooldown [gap] that scales by
-    [backoff]: each firing signals the oldest waiter (lowest pid on ties).
-    Budget and RNG are consumed on the draw — not on victim existence — to
-    honour the winding contract.  Sensitive. *)
+(** Seeded async pressure with {!Crash.storm}'s cooldown, signalling the
+    oldest waiter (lowest pid on ties); the gate fires whether or not anyone waits. *)
 
 val all : t list -> t
-(** Union: signal iff any member signals.  Every member is consulted on
-    every decision point (no short circuit) so stateful members wind
-    identically; the por class is the robust union when all members are
-    robust, Sensitive otherwise. *)
+(** Union: signal iff any member signals; every member is consulted at
+    every decision point ({!Plan.all}). *)
 
 (** {1 Record and replay} *)
 
@@ -105,9 +83,8 @@ type fired = {
 }
 
 val record_fired : t -> t * (unit -> fired list)
-(** Wraps a plan so every positive decision is recorded; the thunk returns
-    the firings in order. *)
+(** Wraps a plan so every firing is recorded in order ({!Plan.record_fired}). *)
 
 val replay_fired : fired list -> t
-(** A deterministic composite plan re-issuing exactly the recorded
-    decisions: {!at_op} per op firing, {!async_at} per async firing. *)
+(** Re-issues exactly the recorded decisions: {!at_op} per op firing,
+    {!async_at} per async firing. *)

@@ -2,78 +2,44 @@ type point = Before | After
 
 type decision = No_crash | Crash of point
 
-type op_info = {
-  pid : int;
-  step : int;
-  op_index : int;
-  kind : Api.kind;
-  cell : string option;
-  note : Event.note option;
-  unsafe_wrt : int list;
+type op_info = Plan.op_info = {
+  pid : int; step : int; op_index : int; kind : Api.kind; cell : string option;
+  note : Event.note option; unsafe_wrt : int list;
 }
 
-(* How a plan's firing decisions relate to the schedule, for the explorer's
-   partial-order reduction.  [Robust victims]: every decision is a function
-   of the observed process's own instruction history alone, so swapping
-   independent steps of other processes cannot move a crash; only the listed
-   pids can ever be struck.  [Sensitive]: decisions read the global step
-   counter, a shared RNG consumed in cross-process op order, or shared span
-   state — reordering can change where the plan fires, so POR must stay
-   off. *)
-type por_class = Robust of int list | Sensitive
+type por_class = Plan.por_class = Robust of int list | Sensitive
 
-type t = {
-  label : string;
-  on_op : op_info -> decision;
-  async : step:int -> int list;
-  system : step:int -> bool;
-  por : por_class;
-}
+type t = (point, unit) Plan.t
 
-let label t = t.label
+let label (t : t) = t.label
 
-let on_op t info = t.on_op info
+let on_op (t : t) info = match t.on_op info with None -> No_crash | Some p -> Crash p
 
-let async t ~step = t.async ~step
+let async (t : t) ~step = t.async ~step ()
 
-let system t ~step = t.system ~step
+let system (t : t) ~step = t.system ~step
 
-let por_class t = t.por
+let por_class (t : t) = t.por
 
-let no_async ~step:_ = []
+let none = Plan.none
 
-let no_system ~step:_ = false
+let at_op ~pid ~nth point : t = Plan.at_op ~tag:"" ~pid ~nth point
 
-let none =
-  {
-    label = "none";
-    on_op = (fun _ -> No_crash);
-    async = no_async;
-    system = no_system;
-    por = Robust [];
-  }
+let async_at specs : t = Plan.async_at ~tag:"" specs
 
-let at_op ~pid ~nth point =
-  let fired = ref false in
-  {
-    label = Printf.sprintf "at-op(p%d,%d)" pid nth;
-    on_op =
-      (fun info ->
-        if (not !fired) && info.pid = pid && info.op_index = nth then begin
-          fired := true;
-          Crash point
-        end
-        else No_crash);
-    async = no_async;
-    system = no_system;
-    por = Robust [ pid ];
-  }
+let system_at ~step : t = Plan.system_at ~step
+
+let all : t list -> t = Plan.all
+
+(* Before or After, uniformly, from a gate that just fired. *)
+let draw_point rng = if Random.State.bool rng then Before else After
 
 (* Crash [pid] at the [occurrence]-th instruction satisfying [match_]. *)
-let on_match ~label ~pid ~occurrence ~point match_ =
+let on_match ~label ~pid ~occurrence ~point match_ : t =
   let seen = ref 0 in
   let fired = ref false in
   {
+    Plan.none with
     label;
     on_op =
       (fun info ->
@@ -82,13 +48,11 @@ let on_match ~label ~pid ~occurrence ~point match_ =
           incr seen;
           if k = occurrence then begin
             fired := true;
-            Crash point
+            Some point
           end
-          else No_crash
+          else None
         end
-        else No_crash);
-    async = no_async;
-    system = no_system;
+        else None);
     por = Robust [ pid ];
   }
 
@@ -110,74 +74,37 @@ let on_custom_note ~pid ~tag ~occurrence point =
     ~pid ~occurrence ~point
     (fun info -> match info.note with Some (Event.Custom s) -> s = tag | _ -> false)
 
-let random ~seed ~rate ~max_crashes ?pids () =
-  if rate < 0.0 || rate > 1.0 then invalid_arg "Crash.random: rate must be in [0, 1]";
-  let rng = Random.State.make [| seed; 0x5ca1ab1e |] in
-  let budget = ref max_crashes in
-  let eligible =
-    match pids with None -> fun _ -> true | Some ps -> fun pid -> List.mem pid ps
-  in
-  {
-    label = Printf.sprintf "random(rate=%g,max=%d)" rate max_crashes;
-    on_op =
-      (fun info ->
-        if !budget > 0 && eligible info.pid && Random.State.float rng 1.0 < rate then begin
-          decr budget;
-          Crash (if Random.State.bool rng then Before else After)
-        end
-        else No_crash);
-    async = no_async;
-    system = no_system;
-    (* With a single eligible pid the RNG is consumed only on that pid's
-       ops, in its own program order — schedule-robust.  With several, the
-       draw order depends on the interleaving. *)
-    por = (match pids with Some [ p ] -> Robust [ p ] | _ -> Sensitive);
-  }
+let random ~seed ~rate ~max_crashes ?pids () : t =
+  Plan.coin
+    ~label:(Printf.sprintf "random(rate=%g,max=%d)" rate max_crashes)
+    ?pids
+    (Plan.gate "Crash.random" ~salt:0x5ca1ab1e ~seed ~rate ~budget:max_crashes ())
+    draw_point
 
-let fas_gap ~seed ~rate ~max_crashes ?(cell_suffix = "filter.tail") () =
-  let rng = Random.State.make [| seed; 0xdeadfa5 |] in
-  let budget = ref max_crashes in
-  let has_suffix s suf =
-    let ls = String.length s and lf = String.length suf in
-    ls >= lf && String.sub s (ls - lf) lf = suf
-  in
+let fas_gap ~seed ~rate ~max_crashes ?(cell_suffix = "filter.tail") () : t =
+  let gate = Plan.gate "Crash.fas_gap" ~salt:0xdeadfa5 ~seed ~rate ~budget:max_crashes () in
   {
+    Plan.none with
     label = Printf.sprintf "fas-gap(rate=%g,max=%d)" rate max_crashes;
     on_op =
       (fun info ->
         match info.cell with
         | Some cell
-          when !budget > 0 && info.kind = Api.Fas && has_suffix cell cell_suffix
-               && Random.State.float rng 1.0 < rate ->
-            decr budget;
-            Crash After
-        | _ -> No_crash);
-    async = no_async;
-    system = no_system;
-    por = Sensitive;
-  }
-
-let async_at specs =
-  let pending = ref specs in
-  {
-    label = "async-at";
-    on_op = (fun _ -> No_crash);
-    async =
-      (fun ~step ->
-        let due, rest = List.partition (fun (s, _) -> step >= s) !pending in
-        pending := rest;
-        List.map snd due);
-    system = no_system;
+          when info.kind = Api.Fas && String.ends_with ~suffix:cell_suffix cell
+               && Plan.fire gate ~step:info.step ->
+            Some After
+        | _ -> None);
     por = Sensitive;
   }
 
 let batch ~step ~pids = { (async_at (List.map (fun p -> (step, p)) pids)) with label = "batch" }
 
-let every_nth_passage ~pid ~period ~max_crashes =
+let every_nth_passage ~pid ~period ~max_crashes : t =
   if period <= 0 then invalid_arg "Crash.every_nth_passage: period must be positive";
   let passages = ref 0 in
   let budget = ref max_crashes in
   {
+    Plan.none with
     label = Printf.sprintf "every-nth-passage(p%d,%d)" pid period;
     on_op =
       (fun info ->
@@ -187,22 +114,19 @@ let every_nth_passage ~pid ~period ~max_crashes =
             incr passages;
             if k mod period = period - 1 then begin
               decr budget;
-              Crash After
+              Some After
             end
-            else No_crash
-        | _ -> No_crash);
-    async = no_async;
-    system = no_system;
+            else None
+        | _ -> None);
     por = Robust [ pid ];
   }
 
-let target_holder ?lock ~seed ~rate ~max_crashes () =
-  if rate < 0.0 || rate > 1.0 then invalid_arg "Crash.target_holder: rate must be in [0, 1]";
-  let rng = Random.State.make [| seed; 0x401de2 |] in
-  let budget = ref max_crashes in
+let target_holder ?lock ~seed ~rate ~max_crashes () : t =
+  let gate = Plan.gate "Crash.target_holder" ~salt:0x401de2 ~seed ~rate ~budget:max_crashes () in
   let inside : (int, unit) Hashtbl.t = Hashtbl.create 8 in
   let matches id = match lock with None -> true | Some l -> l = id in
   {
+    Plan.none with
     label = Printf.sprintf "holder(rate=%g,max=%d)" rate max_crashes;
     on_op =
       (fun info ->
@@ -215,46 +139,35 @@ let target_holder ?lock ~seed ~rate ~max_crashes () =
         | Some (Event.Lock_released id) when matches id -> Hashtbl.remove inside info.pid
         | Some (Event.Seg (Event.Ncs_begin | Event.Req_begin)) -> Hashtbl.remove inside info.pid
         | _ -> ());
-        if !budget > 0 && Hashtbl.mem inside info.pid && Random.State.float rng 1.0 < rate
-        then begin
-          decr budget;
-          Crash (if Random.State.bool rng then Before else After)
-        end
-        else No_crash);
-    async = no_async;
-    system = no_system;
+        if Hashtbl.mem inside info.pid && Plan.fire gate ~step:info.step then
+          Some (draw_point (Plan.rng gate))
+        else None);
     por = Sensitive;
   }
 
-let target_window ~seed ~rate ~max_crashes () =
-  if rate < 0.0 || rate > 1.0 then invalid_arg "Crash.target_window: rate must be in [0, 1]";
-  let rng = Random.State.make [| seed; 0x7a26e7 |] in
-  let budget = ref max_crashes in
+let target_window ~seed ~rate ~max_crashes () : t =
+  let gate = Plan.gate "Crash.target_window" ~salt:0x7a26e7 ~seed ~rate ~budget:max_crashes () in
   {
+    Plan.none with
     label = Printf.sprintf "window(rate=%g,max=%d)" rate max_crashes;
     on_op =
       (fun info ->
         (* [Before] keeps the crash strictly inside the open window: crashing
            After the instruction that closes it would land outside. *)
-        if !budget > 0 && info.unsafe_wrt <> [] && Random.State.float rng 1.0 < rate then begin
-          decr budget;
-          Crash Before
-        end
-        else No_crash);
-    async = no_async;
-    system = no_system;
+        if info.unsafe_wrt <> [] && Plan.fire gate ~step:info.step then Some Before else None);
     por = Sensitive;
   }
 
-let repeat_offender ~victim ~gap ~times =
+let repeat_offender ~victim ~gap ~times : t =
   if gap < 0 then invalid_arg "Crash.repeat_offender: gap must be non-negative";
   let budget = ref times in
   let countdown = ref (-1) in
   {
+    Plan.none with
     label = Printf.sprintf "repeat-offender(p%d,gap=%d,times=%d)" victim gap times;
     on_op =
       (fun info ->
-        if info.pid <> victim || !budget <= 0 then No_crash
+        if info.pid <> victim || !budget <= 0 then None
         else begin
           (match info.note with
           | Some (Event.Seg Event.Req_begin) when !countdown < 0 -> countdown := gap
@@ -264,47 +177,22 @@ let repeat_offender ~victim ~gap ~times =
                instructions into the restarted (recovering) passage. *)
             countdown := gap;
             decr budget;
-            Crash After
+            Some After
           end
           else begin
             if !countdown > 0 then decr countdown;
-            No_crash
+            None
           end
         end);
-    async = no_async;
-    system = no_system;
     por = Robust [ victim ];
   }
 
-let storm ~seed ~rate ~max_crashes ~gap ?(backoff = 1.0) ?pids () =
-  if rate < 0.0 || rate > 1.0 then invalid_arg "Crash.storm: rate must be in [0, 1]";
-  if gap < 0 then invalid_arg "Crash.storm: gap must be non-negative";
-  if backoff < 1.0 then invalid_arg "Crash.storm: backoff must be >= 1";
-  let rng = Random.State.make [| seed; 0x5702e0 |] in
-  let budget = ref max_crashes in
-  let next_ok = ref 0 in
-  let cur_gap = ref (float_of_int gap) in
-  let eligible =
-    match pids with None -> fun _ -> true | Some ps -> fun pid -> List.mem pid ps
-  in
-  {
-    label = Printf.sprintf "storm(rate=%g,max=%d,gap=%d,backoff=%g)" rate max_crashes gap backoff;
-    on_op =
-      (fun info ->
-        if
-          !budget > 0 && info.step >= !next_ok && eligible info.pid
-          && Random.State.float rng 1.0 < rate
-        then begin
-          decr budget;
-          next_ok := info.step + int_of_float !cur_gap;
-          cur_gap := !cur_gap *. backoff;
-          Crash (if Random.State.bool rng then Before else After)
-        end
-        else No_crash);
-    async = no_async;
-    system = no_system;
-    por = Sensitive;
-  }
+let storm ~seed ~rate ~max_crashes ~gap ?(backoff = 1.0) ?pids () : t =
+  Plan.coin
+    ~label:(Printf.sprintf "storm(rate=%g,max=%d,gap=%d,backoff=%g)" rate max_crashes gap backoff)
+    ?pids
+    (Plan.gate "Crash.storm" ~salt:0x5702e0 ~seed ~rate ~budget:max_crashes ~gap ~backoff ())
+    draw_point
 
 (* {1 System-wide crashes}
 
@@ -314,64 +202,19 @@ let storm ~seed ~rate ~max_crashes ~gap ?(backoff = 1.0) ?pids () =
    counter only, and therefore is always [Sensitive] — which step an
    iteration lands on depends on the whole interleaving. *)
 
-let system_at ~step =
-  let fired = ref false in
-  {
-    label = Printf.sprintf "system-at(%d)" step;
-    on_op = (fun _ -> No_crash);
-    async = no_async;
-    system =
-      (fun ~step:now ->
-        if (not !fired) && now >= step then begin
-          fired := true;
-          true
-        end
-        else false);
-    por = Sensitive;
-  }
+let system_gate ~label gate : t =
+  { Plan.none with label; system = (fun ~step -> Plan.fire gate ~step); por = Sensitive }
 
 let system_random ~seed ~rate ~max_crashes () =
-  if rate < 0.0 || rate > 1.0 then invalid_arg "Crash.system_random: rate must be in [0, 1]";
-  let rng = Random.State.make [| seed; 0x5b5c8a |] in
-  let budget = ref max_crashes in
-  {
-    label = Printf.sprintf "system-random(rate=%g,max=%d)" rate max_crashes;
-    on_op = (fun _ -> No_crash);
-    async = no_async;
-    system =
-      (fun ~step:_ ->
-        if !budget > 0 && Random.State.float rng 1.0 < rate then begin
-          decr budget;
-          true
-        end
-        else false);
-    por = Sensitive;
-  }
+  system_gate
+    ~label:(Printf.sprintf "system-random(rate=%g,max=%d)" rate max_crashes)
+    (Plan.gate "Crash.system_random" ~salt:0x5b5c8a ~seed ~rate ~budget:max_crashes ())
 
 let system_storm ~seed ~rate ~max_crashes ~gap ?(backoff = 1.0) () =
-  if rate < 0.0 || rate > 1.0 then invalid_arg "Crash.system_storm: rate must be in [0, 1]";
-  if gap < 0 then invalid_arg "Crash.system_storm: gap must be non-negative";
-  if backoff < 1.0 then invalid_arg "Crash.system_storm: backoff must be >= 1";
-  let rng = Random.State.make [| seed; 0x5b5702 |] in
-  let budget = ref max_crashes in
-  let next_ok = ref 0 in
-  let cur_gap = ref (float_of_int gap) in
-  {
-    label =
-      Printf.sprintf "system-storm(rate=%g,max=%d,gap=%d,backoff=%g)" rate max_crashes gap backoff;
-    on_op = (fun _ -> No_crash);
-    async = no_async;
-    system =
-      (fun ~step ->
-        if !budget > 0 && step >= !next_ok && Random.State.float rng 1.0 < rate then begin
-          decr budget;
-          next_ok := step + int_of_float !cur_gap;
-          cur_gap := !cur_gap *. backoff;
-          true
-        end
-        else false);
-    por = Sensitive;
-  }
+  system_gate
+    ~label:
+      (Printf.sprintf "system-storm(rate=%g,max=%d,gap=%d,backoff=%g)" rate max_crashes gap backoff)
+    (Plan.gate "Crash.system_storm" ~salt:0x5b5702 ~seed ~rate ~budget:max_crashes ~gap ~backoff ())
 
 type fired = {
   f_pid : int;
@@ -382,80 +225,23 @@ type fired = {
 }
 
 let record_fired plan =
-  let fired = ref [] in
-  let push f = fired := f :: !fired in
-  let wrapped =
-    {
-      plan with
-      on_op =
-        (fun info ->
-          match plan.on_op info with
-          | No_crash -> No_crash
-          | Crash point as c ->
-              push
-                {
-                  f_pid = info.pid;
-                  f_op_index = info.op_index;
-                  f_step = info.step;
-                  f_point = point;
-                  f_async = false;
-                };
-              c);
-      async =
-        (fun ~step ->
-          let pids = plan.async ~step in
-          List.iter
-            (fun pid ->
-              push { f_pid = pid; f_op_index = -1; f_step = step; f_point = Before; f_async = true })
-            pids;
-          pids);
-      system =
-        (fun ~step ->
-          let hit = plan.system ~step in
-          if hit then
-            push { f_pid = -1; f_op_index = -1; f_step = step; f_point = Before; f_async = true };
-          hit);
-    }
+  let wrapped, log = Plan.record_fired plan in
+  let of_plan = function
+    | Plan.Op { pid; op_index; step; payload } ->
+        { f_pid = pid; f_op_index = op_index; f_step = step; f_point = payload; f_async = false }
+    | Plan.Async { pid; step } ->
+        { f_pid = pid; f_op_index = -1; f_step = step; f_point = Before; f_async = true }
+    | Plan.System { step } ->
+        { f_pid = -1; f_op_index = -1; f_step = step; f_point = Before; f_async = true }
   in
-  (wrapped, fun () -> List.rev !fired)
+  (wrapped, fun () -> List.map of_plan (log ()))
 
-let all plans =
-  {
-    label = String.concat "+" (List.map (fun p -> p.label) plans);
-    on_op =
-      (fun info ->
-        let rec loop = function
-          | [] -> No_crash
-          | p :: rest -> ( match p.on_op info with No_crash -> loop rest | c -> c)
-        in
-        loop plans);
-    async = (fun ~step -> List.concat_map (fun p -> p.async ~step) plans);
-    (* No short circuit: every member must be consulted each iteration so
-       stateful system plans keep winding forward identically whether or
-       not an earlier member fired. *)
-    system = (fun ~step -> List.fold_left (fun acc p -> p.system ~step || acc) false plans);
-    (* Each robust member decides from its victim's own history, and the
-       first-decision-wins short circuit only ever masks consults on ops
-       that another member deterministically (per-pid) crashed — so the
-       union of robust plans is robust, over the union of victims. *)
-    por =
-      List.fold_left
-        (fun acc p ->
-          match (acc, p.por) with
-          | Sensitive, _ | _, Sensitive -> Sensitive
-          | Robust a, Robust b ->
-              Robust (List.sort_uniq Int.compare (List.rev_append b a)))
-        (Robust []) plans;
-  }
-
-let replay_fired fired =
-  match fired with
-  | [] -> none
-  | _ ->
-      let plan_of f =
-        if f.f_async then
-          if f.f_pid < 0 then system_at ~step:f.f_step else async_at [ (f.f_step, f.f_pid) ]
-        else at_op ~pid:f.f_pid ~nth:f.f_op_index f.f_point
-      in
-      let plans = List.map plan_of fired in
-      { (all plans) with label = Printf.sprintf "replay-fired(%d)" (List.length fired) }
+let replay_fired fired : t =
+  Plan.replay_fired ~tag:""
+    (List.map
+       (fun f ->
+         if not f.f_async then
+           Plan.Op { pid = f.f_pid; op_index = f.f_op_index; step = f.f_step; payload = f.f_point }
+         else if f.f_pid < 0 then Plan.System { step = f.f_step }
+         else Plan.Async { pid = f.f_pid; step = f.f_step })
+       fired)

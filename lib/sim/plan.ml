@@ -1,0 +1,195 @@
+type op_info = {
+  pid : int;
+  step : int;
+  op_index : int;
+  kind : Api.kind;
+  cell : string option;
+  note : Event.note option;
+  unsafe_wrt : int list;
+}
+
+type por_class = Robust of int list | Sensitive
+
+let union a b =
+  match (a, b) with
+  | Sensitive, _ | _, Sensitive -> Sensitive
+  | Robust a, Robust b -> Robust (List.sort_uniq Int.compare (List.rev_append b a))
+
+type ('p, 'v) t = {
+  label : string;
+  on_op : op_info -> 'p option;
+  async : step:int -> 'v -> int list;
+  system : step:int -> bool;
+  por : por_class;
+}
+
+let none =
+  {
+    label = "none";
+    on_op = (fun _ -> None);
+    async = (fun ~step:_ _ -> []);
+    system = (fun ~step:_ -> false);
+    por = Robust [];
+  }
+
+type gate = {
+  rng : Random.State.t;
+  rate : float;
+  mutable budget : int;
+  cooldown : bool;
+  mutable next_ok : int;
+  mutable gap : float;
+  backoff : float;
+}
+
+let gate name ~salt ~seed ~rate ~budget ?gap ?(backoff = 1.0) () =
+  let fail what = invalid_arg (name ^ ": " ^ what) in
+  if rate < 0.0 || rate > 1.0 then fail "rate must be in [0, 1]";
+  if Option.value gap ~default:0 < 0 then fail "gap must be non-negative";
+  if backoff < 1.0 then fail "backoff must be >= 1";
+  {
+    rng = Random.State.make [| seed; salt |];
+    rate;
+    budget;
+    cooldown = gap <> None;
+    next_ok = (if gap = None then min_int else 0);
+    gap = float_of_int (Option.value gap ~default:0);
+    backoff;
+  }
+
+let fire g ~step =
+  g.budget > 0 && step >= g.next_ok
+  && Random.State.float g.rng 1.0 < g.rate
+  && begin
+       g.budget <- g.budget - 1;
+       if g.cooldown then begin
+         g.next_ok <- step + int_of_float g.gap;
+         g.gap <- g.gap *. g.backoff
+       end;
+       true
+     end
+
+let rng g = g.rng
+
+let coin ~label ?pids gate payload =
+  let eligible = match pids with None -> fun _ -> true | Some ps -> fun pid -> List.mem pid ps in
+  {
+    none with
+    label;
+    on_op =
+      (fun info ->
+        if eligible info.pid && fire gate ~step:info.step then Some (payload gate.rng) else None);
+    (* With a single eligible pid and no cooldown the RNG is drawn only on
+       that pid's ops, in its own program order; a cooldown reads the
+       global step counter. *)
+    por = (match pids with Some [ p ] when not gate.cooldown -> Robust [ p ] | _ -> Sensitive);
+  }
+
+let at_op ~tag ~pid ~nth payload =
+  let fired = ref false and hit = Some payload in
+  {
+    none with
+    label = Printf.sprintf "%sat-op(p%d,%d)" tag pid nth;
+    on_op =
+      (fun info ->
+        if (not !fired) && info.pid = pid && info.op_index = nth then begin
+          fired := true;
+          hit
+        end
+        else None);
+    por = Robust [ pid ];
+  }
+
+let async_at ~tag specs =
+  let pending = ref specs in
+  {
+    none with
+    label = tag ^ "async-at";
+    async =
+      (fun ~step _ ->
+        let due, rest = List.partition (fun (s, _) -> step >= s) !pending in
+        pending := rest;
+        List.map snd due);
+    por = Sensitive;
+  }
+
+let system_at ~step =
+  let fired = ref false in
+  {
+    none with
+    label = Printf.sprintf "system-at(%d)" step;
+    system =
+      (fun ~step:now ->
+        (not !fired) && now >= step
+        && begin
+             fired := true;
+             true
+           end);
+    por = Sensitive;
+  }
+
+(* The first firing payload, after consulting every member. *)
+let rec first_fired info acc = function
+  | [] -> acc
+  | p :: rest ->
+      let d = p.on_op info in
+      first_fired info (match acc with None -> d | Some _ -> acc) rest
+
+(* Every member is consulted on every axis, so each member's state evolves
+   from the consult stream alone: a robust member still decides from its
+   victim's own history, and the union of robust plans is robust over the
+   union of victims. *)
+let all plans =
+  {
+    label = String.concat "+" (List.map (fun p -> p.label) plans);
+    on_op = (fun info -> first_fired info None plans);
+    async = (fun ~step v -> List.concat_map (fun p -> p.async ~step v) plans);
+    system = (fun ~step -> List.fold_left (fun acc p -> p.system ~step || acc) false plans);
+    por = List.fold_left (fun acc p -> union acc p.por) (Robust []) plans;
+  }
+
+type 'p fired =
+  | Op of { pid : int; op_index : int; step : int; payload : 'p }
+  | Async of { pid : int; step : int }
+  | System of { step : int }
+
+let record_fired plan =
+  let log = ref [] in
+  let push f = log := f :: !log in
+  let wrapped =
+    {
+      plan with
+      on_op =
+        (fun info ->
+          let d = plan.on_op info in
+          (match d with
+          | Some payload ->
+              push (Op { pid = info.pid; op_index = info.op_index; step = info.step; payload })
+          | None -> ());
+          d);
+      async =
+        (fun ~step v ->
+          let pids = plan.async ~step v in
+          List.iter (fun pid -> push (Async { pid; step })) pids;
+          pids);
+      system =
+        (fun ~step ->
+          let hit = plan.system ~step in
+          if hit then push (System { step });
+          hit);
+    }
+  in
+  (wrapped, fun () -> List.rev !log)
+
+let replay_fired ~tag = function
+  | [] -> none
+  | fired ->
+      let plan_of = function
+        | Op { pid; op_index; payload; _ } -> at_op ~tag ~pid ~nth:op_index payload
+        | Async { pid; step } -> async_at ~tag [ (step, pid) ]
+        | System { step } -> system_at ~step
+      in
+      {
+        (all (List.map plan_of fired)) with
+        label = Printf.sprintf "%sreplay-fired(%d)" tag (List.length fired);
+      }

@@ -1,5 +1,6 @@
 (* The abort (impatience) axis: scenario grammar round-trips, the
-   instrumentation milestones, the abort battery's negative space (each
+   composite rule and record/replay at plan level, the instrumentation
+   milestones, the abort battery's negative space (each
    planted pathology trips exactly its own checker), the naive abortable
    TAS caught by no-lost-wakeup with a replay-confirmed witness, and the
    wr-abort acceptance runs — exploration under an impatient abort plan,
@@ -63,7 +64,25 @@ let test_scenario_rejects_garbage () =
   List.iter
     (fun s ->
       check cb (Printf.sprintf "%S rejected" s) true (Workload.scenario_of_string s = None))
-    [ ""; "bogus"; "impatient"; "impatient:x"; "impatient:40:y"; "fas"; "batch:"; "none:1" ]
+    [
+      "";
+      "bogus";
+      "impatient";
+      "impatient:x";
+      "impatient:40:y";
+      "fas";
+      "batch:";
+      "none:1";
+      (* parse, but out of the plans' range *)
+      "random-storm(3,rate=7.5)";
+      "fas-storm(F=3,rate=7.5)";
+      "fas:-3";
+      "storm:-1";
+      "batch:-1";
+      "impatient:0";
+      "impatient:40:-1";
+      "impatient:40:3:0.5";
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* pp_fired rendering of abort records                                 *)
@@ -80,6 +99,68 @@ let test_pp_ab_fired () =
       { Abort.a_pid = 1; a_op_index = 14; a_step = 7; a_async = false }
   in
   check Alcotest.string "op rendering" "abort:p1@op14(step 7)" s
+
+(* ------------------------------------------------------------------ *)
+(* Plan level: the composite rule and record/replay                    *)
+(* ------------------------------------------------------------------ *)
+
+let info ~pid ~op_index ~step =
+  { Crash.pid; step; op_index; kind = Api.Read; cell = None; note = None; unsafe_wrt = [] }
+
+let test_all_consults_every_member () =
+  (* A stateful member behind a firing one winds as if it were alone: the
+     random member draws on op 0 although the one-shot fired there, so its
+     own firings land where they land without the one-shot. *)
+  let random () = Abort.random ~seed:5 ~rate:0.3 ~max_aborts:4 ~pids:[ 0 ] () in
+  let signalled plan ops =
+    List.filter (fun i -> Abort.on_op plan (info ~pid:0 ~op_index:i ~step:i)) ops
+  in
+  let ops = List.init 20 Fun.id in
+  let alone = signalled (random ()) ops in
+  let composite = signalled (Abort.all [ Abort.at_op ~pid:0 ~nth:0; random () ]) ops in
+  check (Alcotest.list ci) "the one-shot plus the member's own firings"
+    (List.sort_uniq compare (0 :: alone))
+    composite;
+  (* A composite that skipped the member on op 0 would shift every draw. *)
+  let skipped = signalled (random ()) (List.tl ops) |> List.map succ in
+  check cb "the rule is observable here" true (List.sort_uniq compare (0 :: skipped) <> composite)
+
+let test_record_replay_roundtrip () =
+  (* Drive a recorded union of a one-shot, an async strike and a random
+     member over a synthetic stream (pids alternate, one op per step), then
+     drive its replay over the same stream. *)
+  let drive plan =
+    let hits = ref [] in
+    for step = 0 to 15 do
+      List.iter
+        (fun pid -> hits := (true, pid, step) :: !hits)
+        (Abort.async plan ~step (Abort.blind_view ~n:2));
+      let pid = step mod 2 in
+      if Abort.on_op plan (info ~pid ~op_index:(step / 2) ~step) then
+        hits := (false, pid, step) :: !hits
+    done;
+    List.rev !hits
+  in
+  let plan, fired =
+    Abort.record_fired
+      (Abort.all
+         [
+           Abort.at_op ~pid:0 ~nth:3;
+           Abort.async_at [ (5, 1) ];
+           Abort.random ~seed:2 ~rate:0.3 ~max_aborts:3 ~pids:[ 1 ] ();
+         ])
+  in
+  let original = drive plan in
+  let record = fired () in
+  let coords = List.map (fun a -> (a.Abort.a_async, a.Abort.a_pid, a.Abort.a_step)) record in
+  check cb "the record is what fired" true (coords = original);
+  check cb "the one-shot fired" true (List.mem (false, 0, 6) original);
+  check cb "the async strike fired" true (List.mem (true, 1, 5) original);
+  check cb "the random member fired" true (List.exists (fun (a, p, _) -> (not a) && p = 1) original);
+  check cb "op firings keep their op index" true
+    (List.for_all (fun a -> a.Abort.a_async || a.Abort.a_op_index = a.Abort.a_step / 2) record);
+  check cb "replay fires exactly the recorded coordinates" true
+    (drive (Abort.replay_fired record) = original)
 
 (* ------------------------------------------------------------------ *)
 (* Instrumentation milestones when release raises                      *)
@@ -429,6 +510,11 @@ let () =
           Alcotest.test_case "compact grammar" `Quick test_scenario_compact_grammar;
           Alcotest.test_case "rejects garbage" `Quick test_scenario_rejects_garbage;
           Alcotest.test_case "pp_ab_fired" `Quick test_pp_ab_fired;
+        ] );
+      ( "plans",
+        [
+          Alcotest.test_case "all consults every member" `Quick test_all_consults_every_member;
+          Alcotest.test_case "record/replay round trip" `Quick test_record_replay_roundtrip;
         ] );
       ( "milestones",
         [

@@ -127,7 +127,18 @@ let test_adversary_of_string () =
   check cb "WINDOW parses" true (Result.is_ok (Chaos.adversary_of_string "WINDOW"));
   check cb "offender parses" true (Result.is_ok (Chaos.adversary_of_string "offender"));
   check cb "storm parses" true (Result.is_ok (Chaos.adversary_of_string "storm"));
-  check cb "junk rejected" true (Result.is_error (Chaos.adversary_of_string "junk"))
+  check cb "junk rejected" true (Result.is_error (Chaos.adversary_of_string "junk"));
+  (* Each CLI name yields exactly the campaign default it names. *)
+  List.iter
+    (fun (s, adv) ->
+      check cb (s ^ " is the campaign default") true (Chaos.adversary_of_string s = Ok adv))
+    (List.combine [ "holder"; "window"; "offender"; "storm" ] Chaos.standard_adversaries
+    @ [
+        ("sys-storm", Chaos.default_sys_storm);
+        ("system_storm", Chaos.default_sys_storm);
+        ("impatient", Chaos.default_impatient_storm);
+        ("impatient_storm", Chaos.default_impatient_storm);
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* Stall watchdog                                                      *)

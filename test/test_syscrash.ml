@@ -303,50 +303,116 @@ let test_por_class_table () =
     ]
   in
   List.iter (fun (name, plan, expected) -> check por name expected (Crash.por_class plan)) rows;
+  (* The abort axis classifies through the same core. *)
+  let abort_rows =
+    [
+      ("abort none", Abort.none, Crash.Robust []);
+      ("abort at_op", Abort.at_op ~pid:1 ~nth:4, Crash.Robust [ 1 ]);
+      ( "abort random (single pid)",
+        Abort.random ~seed:0 ~rate:0.1 ~max_aborts:1 ~pids:[ 2 ] (),
+        Crash.Robust [ 2 ] );
+      ( "abort random (two pids)",
+        Abort.random ~seed:0 ~rate:0.1 ~max_aborts:1 ~pids:[ 0; 1 ] (),
+        Crash.Sensitive );
+      ("abort storm", Abort.storm ~seed:0 ~rate:0.1 ~max_aborts:1 ~gap:5 (), Crash.Sensitive);
+      ("abort impatient", Abort.impatient ~timeout_steps:10 (), Crash.Sensitive);
+      ("abort async_at", Abort.async_at [ (5, 0) ], Crash.Sensitive);
+      ( "abort all (robust union)",
+        Abort.all
+          [ Abort.at_op ~pid:0 ~nth:1; Abort.random ~seed:0 ~rate:0.1 ~max_aborts:1 ~pids:[ 3 ] () ],
+        Crash.Robust [ 0; 3 ] );
+      ( "abort all (sensitive poisons)",
+        Abort.all [ Abort.at_op ~pid:0 ~nth:1; Abort.impatient ~timeout_steps:10 () ],
+        Crash.Sensitive );
+      ("abort all (empty)", Abort.all [], Crash.Robust []);
+    ]
+  in
+  List.iter (fun (name, plan, expected) -> check por name expected (Abort.por_class plan)) abort_rows;
   (* record_fired is a transparent wrapper: the class must pass through. *)
   let wrapped, _ = Crash.record_fired (Crash.at_op ~pid:1 ~nth:0 Crash.Before) in
   check por "record_fired preserves por_class" (Crash.Robust [ 1 ]) (Crash.por_class wrapped)
 
 (* ------------------------------------------------------------------ *)
-(* Storm cooldown at backoff = 1.0 (the documented default)            *)
+(* The shared gate: cooldown and backoff on all three storms           *)
 (* ------------------------------------------------------------------ *)
 
-let op_info ?(pid = 0) ?(step = 0) ?(op_index = 0) () =
-  { Crash.pid; step; op_index; kind = Api.Read; cell = None; note = None; unsafe_wrt = [] }
+let op_info ?(pid = 0) ?(step = 0) ?(op_index = 0) ?(kind = Api.Read) () =
+  { Crash.pid; step; op_index; kind; cell = None; note = None; unsafe_wrt = [] }
 
 let is_crash = function Crash.Crash _ -> true | Crash.No_crash -> false
 
-let test_storm_constant_gap () =
-  (* backoff = 1.0 (the default) must keep the cooldown gap constant:
-     crashes at steps 0, gap, 2*gap, ... at rate 1. *)
-  let plan = Crash.storm ~seed:0 ~rate:1.0 ~max_crashes:3 ~gap:10 () in
-  let at step = is_crash (Crash.on_op plan (op_info ~step ())) in
-  check cb "fires at 0" true (at 0);
-  check cb "cooling at 9" false (at 9);
-  check cb "fires at 10" true (at 10);
-  check cb "cooling at 19" false (at 19);
-  check cb "fires at 20 (gap did not grow)" true (at 20);
-  check cb "budget spent" false (at 1000)
+(* pid 0 always waiting, so every firing of the abort storm names a victim. *)
+let waiting_view = { Abort.n = 1; waiting = (fun _ -> 100); streak = (fun _ -> 0) }
 
-let test_system_storm_constant_gap () =
-  let plan = Crash.system_storm ~seed:0 ~rate:1.0 ~max_crashes:3 ~gap:10 () in
-  let at step = Crash.system plan ~step in
-  check cb "fires at 0" true (at 0);
-  check cb "cooling at 9" false (at 9);
-  check cb "fires at 10" true (at 10);
-  check cb "cooling at 19" false (at 19);
-  check cb "fires at 20 (gap did not grow)" true (at 20);
-  check cb "budget spent" false (at 1000)
+(* Each storm at rate 1 with gap 10 and a budget of 3, as a "does it fire
+   at this step" probe; all three go through the one gate. *)
+let crash_storm backoff =
+  let plan = Crash.storm ~seed:0 ~rate:1.0 ~max_crashes:3 ~gap:10 ?backoff () in
+  fun step -> is_crash (Crash.on_op plan (op_info ~step ()))
 
-let test_system_storm_backoff_grows () =
-  let plan = Crash.system_storm ~seed:0 ~rate:1.0 ~max_crashes:3 ~gap:10 ~backoff:2.0 () in
-  let at step = Crash.system plan ~step in
-  check cb "fires at 0" true (at 0);
-  check cb "cooling at 9" false (at 9);
-  check cb "fires at 10" true (at 10);
+let system_storm backoff =
+  let plan = Crash.system_storm ~seed:0 ~rate:1.0 ~max_crashes:3 ~gap:10 ?backoff () in
+  fun step -> Crash.system plan ~step
+
+let abort_storm backoff =
+  let plan = Abort.storm ~seed:0 ~rate:1.0 ~max_aborts:3 ~gap:10 ?backoff () in
+  fun step -> Abort.async plan ~step waiting_view = [ 0 ]
+
+(* backoff = 1.0 (the default) keeps the cooldown gap constant: firings at
+   steps 0, gap, 2*gap, ... *)
+let check_constant_gap name make =
+  let at = make None in
+  let check_at step expected what = check cb (name ^ ": " ^ what) expected (at step) in
+  check_at 0 true "fires at 0";
+  check_at 9 false "cooling at 9";
+  check_at 10 true "fires at 10";
+  check_at 19 false "cooling at 19";
+  check_at 20 true "fires at 20 (gap did not grow)";
+  check_at 1000 false "budget spent"
+
+let check_backoff_grows name make =
+  let at = make (Some 2.0) in
+  let check_at step expected what = check cb (name ^ ": " ^ what) expected (at step) in
+  check_at 0 true "fires at 0";
+  check_at 9 false "cooling at 9";
+  check_at 10 true "fires at 10";
   (* Gap doubled on firing: next window opens at 10 + 20. *)
-  check cb "cooling at 29" false (at 29);
-  check cb "fires at 30" true (at 30)
+  check_at 29 false "cooling at 29";
+  check_at 30 true "fires at 30"
+
+let test_storm_constant_gap () = check_constant_gap "storm" crash_storm
+let test_storm_backoff_grows () = check_backoff_grows "storm" crash_storm
+let test_system_storm_constant_gap () = check_constant_gap "system_storm" system_storm
+let test_system_storm_backoff_grows () = check_backoff_grows "system_storm" system_storm
+
+let test_abort_storm_gap_and_backoff () =
+  check_constant_gap "abort storm" abort_storm;
+  check_backoff_grows "abort storm" abort_storm
+
+(* ------------------------------------------------------------------ *)
+(* The composite rule: every member is consulted on every op           *)
+(* ------------------------------------------------------------------ *)
+
+let test_all_consults_every_member () =
+  (* The one-shot fires at op 2, which is also p0's first read.  on_kind
+     must still count that read, so its second read — op 4 — crashes; a
+     composite that stopped at the first firing member would hide op 2
+     from on_kind and crash at op 6 instead. *)
+  let plan =
+    Crash.all
+      [
+        Crash.at_op ~pid:0 ~nth:2 Crash.After;
+        Crash.on_kind ~pid:0 ~kind:Api.Read ~occurrence:1 Crash.Before;
+      ]
+  in
+  let crashed =
+    List.filter
+      (fun i ->
+        let kind = if i mod 2 = 0 && i > 0 then Api.Read else Api.Write in
+        is_crash (Crash.on_op plan (op_info ~op_index:i ~step:i ~kind ())))
+      [ 0; 1; 2; 3; 4; 5; 6 ]
+  in
+  check (Alcotest.list ci) "crashes at ops 2 and 4" [ 2; 4 ] crashed
 
 (* ------------------------------------------------------------------ *)
 (* record_fired / replay_fired closure over every crash axis           *)
@@ -540,8 +606,12 @@ let () =
         [
           Alcotest.test_case "por_class table" `Quick test_por_class_table;
           Alcotest.test_case "storm constant gap (backoff 1)" `Quick test_storm_constant_gap;
+          Alcotest.test_case "storm backoff grows" `Quick test_storm_backoff_grows;
           Alcotest.test_case "system storm constant gap" `Quick test_system_storm_constant_gap;
           Alcotest.test_case "system storm backoff grows" `Quick test_system_storm_backoff_grows;
+          Alcotest.test_case "abort storm gap and backoff" `Quick
+            test_abort_storm_gap_and_backoff;
+          Alcotest.test_case "all consults every member" `Quick test_all_consults_every_member;
         ] );
       ( "check",
         [
