@@ -18,10 +18,16 @@ open Rme_locks
 let fmt_f x = Printf.sprintf "%.0f" x
 
 (* Every BENCH_*.json opens with the same provenance header, so a result
-   file always says what machine produced it. *)
+   file always says what machine produced it: enough to interpret throughput
+   and domain-scaling numbers without the machine at hand. *)
+let host_json () =
+  Printf.sprintf
+    {|{"recommended_domain_count": %d, "ocaml_version": %S, "word_size": %d, "int_size": %d, "os_type": %S}|}
+    (Domain.recommended_domain_count ())
+    Sys.ocaml_version Sys.word_size Sys.int_size Sys.os_type
+
 let json_header buf experiment =
-  Printf.bprintf buf "{\n  \"experiment\": %S,\n  \"host\": %s,\n" experiment
-    (Rme_check.Metrics.host_json ())
+  Printf.bprintf buf "{\n  \"experiment\": %S,\n  \"host\": %s,\n" experiment (host_json ())
 
 (* With --csv DIR every printed table is also written as DIR/table_NN.csv. *)
 let csv_dir = ref None
@@ -1120,16 +1126,7 @@ let chaos_bench () =
   Fmt.pr "@.=== Chaos: adaptive-adversary campaign throughput ===@.@.";
   let module Chaos = Rme_check.Chaos in
   let runs = 50 in
-  let case_of key =
-    let spec : Rme.Spec.t = Rme.Spec.find_exn key in
-    {
-      Chaos.case_name = key;
-      case_make = spec.make;
-      case_weak = spec.expectation.Rme.Spec.recoverability = `Weak;
-      case_ff_bound = Option.map (fun f -> f Chaos.default_cfg.Chaos.n) spec.ff_bound;
-      case_abortable = spec.abortable;
-    }
-  in
+  let case_of key = Rme.Spec.chaos_case ~n:Chaos.default_cfg.Chaos.n (Rme.Spec.find_exn key) in
   let adv_name a = Fmt.str "%a" Chaos.pp_adversary a in
   let short s = String.sub s 0 (String.index s '(') in
   let cases =
@@ -1201,15 +1198,11 @@ let syscrash_bench () =
   let module Chaos = Rme_check.Chaos in
   let runs = 40 in
   let cfg = Chaos.default_cfg in
+  (* The shootout judges the battery alone, without the failure-free RMR
+     monitor. *)
   let case_of key =
-    let spec : Rme.Spec.t = Rme.Spec.find_exn key in
-    {
-      Chaos.case_name = key;
-      case_make = spec.make;
-      case_weak = spec.expectation.Rme.Spec.recoverability = `Weak;
-      case_ff_bound = None;
-      case_abortable = spec.abortable;
-    }
+    let case = Rme.Spec.chaos_case ~n:cfg.Chaos.n (Rme.Spec.find_exn key) in
+    { case with Chaos.case_ff_bound = None }
   in
   (* Matched storm profiles: same burst shape, one striking individual
      processes, the other the whole system. *)

@@ -68,6 +68,9 @@ let describe cfg =
 let abort_expect (spec : Rme.Spec.t) =
   if spec.Rme.Spec.abortable then Some Rme.Check.Props.default_abort_expect else None
 
+(* One soak case, run and judged: its configuration, the engine result and
+   the battery's violations.  Both the campaign and --replay go through
+   here. *)
 let run_one ~spec ~scenario ~seed =
   let cfg = derive_cfg ~seed in
   let cfg = match scenario with Some s -> { cfg with Rme.Workload.scenario = s } | None -> cfg in
@@ -77,7 +80,7 @@ let run_one ~spec ~scenario ~seed =
       ?abort:(abort_expect spec)
       res ~requests:cfg.Rme.Workload.requests ~weak_lock_ids:(weak_lock_ids spec)
   in
-  (problems, describe cfg, res.Engine.steps)
+  (cfg, res, problems)
 
 let selected_specs lock =
   match lock with
@@ -97,16 +100,7 @@ let replay lock scenario seed =
   let failed = ref false in
   List.iter
     (fun (spec : Rme.Spec.t) ->
-      let cfg = derive_cfg ~seed in
-      let cfg =
-        match scenario with Some s -> { cfg with Rme.Workload.scenario = s } | None -> cfg
-      in
-      let res = Rme.Workload.run spec cfg in
-      let problems =
-        Rme.Check.Props.check_battery
-          ?abort:(abort_expect spec)
-          res ~requests:cfg.Rme.Workload.requests ~weak_lock_ids:(weak_lock_ids spec)
-      in
+      let cfg, res, problems = run_one ~spec ~scenario ~seed in
       Fmt.pr "=== %s seed=%d: %s@.%a@.%a@." spec.Rme.Spec.key seed (describe cfg)
         Engine.pp_summary res
         (Rme_check.Timeline.pp ?width:None)
@@ -140,7 +134,8 @@ let soak lock scenario runs seed_base verbose jobs =
   in
   let results =
     Rme_check.Pool.map ~domains:(max 1 jobs) ~tasks (fun ~index:_ ~stop:_ (spec, seed) ->
-        run_one ~spec ~scenario ~seed)
+        let cfg, res, problems = run_one ~spec ~scenario ~seed in
+        (problems, describe cfg, res.Engine.steps))
   in
   let failures = ref [] in
   let engine_runs = ref 0 in
@@ -193,18 +188,7 @@ let adversarial lock adv runs seed_base jobs =
           exit 2
   in
   let cfg = Chaos.default_cfg in
-  let cases =
-    List.map
-      (fun (spec : Rme.Spec.t) ->
-        {
-          Chaos.case_name = spec.Rme.Spec.key;
-          case_make = spec.Rme.Spec.make;
-          case_weak = spec.Rme.Spec.expectation.Rme.Spec.recoverability = `Weak;
-          case_ff_bound = Option.map (fun f -> f cfg.Chaos.n) spec.Rme.Spec.ff_bound;
-          case_abortable = spec.Rme.Spec.abortable;
-        })
-      (selected_specs lock)
-  in
+  let cases = List.map (Rme.Spec.chaos_case ~n:cfg.Chaos.n) (selected_specs lock) in
   let outcome =
     Chaos.campaign ~cfg ~jobs:(max 1 jobs) ~adversaries ~runs ~seed_base cases
   in

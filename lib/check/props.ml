@@ -92,27 +92,20 @@ let weak_me_intervals (res : Engine.result) ~lock_id =
     res.Engine.events;
   !violation
 
-(* Count instruction events of [pid] strictly between two note events,
-   scanning from [start] in the event array. *)
-let count_ops events pid ~is_from ~is_to =
+(* Count [pid]'s instruction events from index [start] up to its first
+   [is_to] note; [None] when [pid] crashes first or the history ends. *)
+let count_ops events pid ~is_to start =
   let n = Array.length events in
-  let rec find_from i =
-    if i >= n then None
-    else
-      match events.(i) with
-      | Event.Note { pid = p; note; _ } when p = pid && is_from note -> Some (i + 1)
-      | _ -> find_from (i + 1)
-  in
   let rec count i acc =
     if i >= n then None
     else
       match events.(i) with
-      | Event.Note { pid = p; note; _ } when p = pid && is_to note -> Some (acc, i)
+      | Event.Note { pid = p; note; _ } when p = pid && is_to note -> Some acc
       | Event.Op { pid = p; _ } when p = pid -> count (i + 1) (acc + 1)
       | Event.Crash { pid = p; _ } when p = pid -> None (* segment interrupted *)
       | _ -> count (i + 1) acc
   in
-  (find_from, count)
+  count start 0
 
 let check_segments (res : Engine.result) ~pid_of ~is_from ~is_to ~bound ~what =
   let events = Array.of_list res.Engine.events in
@@ -121,10 +114,9 @@ let check_segments (res : Engine.result) ~pid_of ~is_from ~is_to ~bound ~what =
   let rec scan i =
     if i < n && !violation = None then begin
       (match events.(i) with
-      | Event.Note { pid; note; _ } when pid_of pid && is_from note ->
-          let _, count = count_ops events pid ~is_from ~is_to in
-          (match count (i + 1) 0 with
-          | Some (ops, _) when ops > bound ->
+      | Event.Note { pid; note; _ } when pid_of pid && is_from note -> (
+          match count_ops events pid ~is_to (i + 1) with
+          | Some ops when ops > bound ->
               violation := Some (Printf.sprintf "p%d: %s took %d > %d steps" pid what ops bound)
           | Some _ | None -> ())
       | _ -> ());
@@ -141,83 +133,50 @@ let bounded_exit (res : Engine.result) ~lock_id ~bound =
     ~is_to:(fun note -> note = Event.Lock_released lock_id)
     ~bound ~what:"exit"
 
-let bounded_recovery (res : Engine.result) ~lock_id ~bound =
-  (* After any crash, the steps from the next Req_begin to the start of this
-     lock's Enter segment cover the Recover work re-done by the restart. *)
+(* The post-crash scan: after each crash whose [holding] list satisfies
+   [triggers], count the crashed pid's ops from its next Req_begin up to
+   its first [target] note.  A second crash of that pid before either
+   note abandons the measurement. *)
+let check_after_crash (res : Engine.result) ~triggers ~target ~bound ~what =
   let events = Array.of_list res.Engine.events in
   let n = Array.length events in
-  let violation = ref None in
-  let after_crash i pid =
-    (* find pid's next Req_begin, then count ops to Lock_enter lock_id *)
-    let rec find j =
-      if j >= n then ()
-      else
-        match events.(j) with
-        | Event.Note { pid = p; note = Event.Seg Event.Req_begin; _ } when p = pid ->
-            let rec count k acc =
-              if k >= n then ()
-              else
-                match events.(k) with
-                | Event.Note { pid = p; note = Event.Lock_enter id; _ }
-                  when p = pid && id = lock_id ->
-                    if acc > bound then
-                      violation :=
-                        Some (Printf.sprintf "p%d: recovery took %d > %d steps" pid acc bound)
-                | Event.Crash { pid = p; _ } when p = pid -> ()
-                | Event.Op { pid = p; _ } when p = pid -> count (k + 1) (acc + 1)
-                | _ -> count (k + 1) acc
-            in
-            count (j + 1) 0
-        | Event.Crash { pid = p; _ } when p = pid -> () (* crashed again first *)
-        | _ -> find (j + 1)
-    in
-    find i
+  let rec next_req_begin pid j =
+    if j >= n then None
+    else
+      match events.(j) with
+      | Event.Note { pid = p; note = Event.Seg Event.Req_begin; _ } when p = pid -> Some (j + 1)
+      | Event.Crash { pid = p; _ } when p = pid -> None (* crashed again first *)
+      | _ -> next_req_begin pid (j + 1)
   in
-  Array.iteri
-    (fun i ev ->
-      if !violation = None then
-        match ev with Event.Crash { pid; _ } -> after_crash (i + 1) pid | _ -> ())
-    events;
-  !violation
-
-let bcsr (res : Engine.result) ~lock_id ~bound =
-  let events = Array.of_list res.Engine.events in
-  let n = Array.length events in
   let violation = ref None in
   Array.iteri
     (fun i ev ->
       if !violation = None then
         match ev with
-        | Event.Crash { pid; holding; _ } when List.mem lock_id holding ->
-            (* Count pid's ops from its next Req_begin to re-acquisition. *)
-            let rec find j =
-              if j >= n then ()
-              else
-                match events.(j) with
-                | Event.Note { pid = p; note = Event.Seg Event.Req_begin; _ } when p = pid ->
-                    let rec count k acc =
-                      if k >= n then ()
-                      else
-                        match events.(k) with
-                        | Event.Note { pid = p; note = Event.Lock_acquired id; _ }
-                          when p = pid && id = lock_id ->
-                            if acc > bound then
-                              violation :=
-                                Some
-                                  (Printf.sprintf "p%d: CS reentry took %d > %d steps" pid acc
-                                     bound)
-                        | Event.Crash { pid = p; _ } when p = pid -> ()
-                        | Event.Op { pid = p; _ } when p = pid -> count (k + 1) (acc + 1)
-                        | _ -> count (k + 1) acc
-                    in
-                    count (j + 1) 0
-                | Event.Crash { pid = p; _ } when p = pid -> ()
-                | _ -> find (j + 1)
-            in
-            find (i + 1)
+        | Event.Crash { pid; holding; _ } when triggers holding -> (
+            match
+              Option.bind (next_req_begin pid (i + 1))
+                (count_ops events pid ~is_to:(fun note -> note = target))
+            with
+            | Some ops when ops > bound ->
+                violation := Some (Printf.sprintf "p%d: %s took %d > %d steps" pid what ops bound)
+            | Some _ | None -> ())
         | _ -> ())
     events;
   !violation
+
+let bounded_recovery res ~lock_id ~bound =
+  (* After any crash, the steps from the next Req_begin to the start of this
+     lock's Enter segment cover the Recover work re-done by the restart. *)
+  check_after_crash res
+    ~triggers:(fun _ -> true)
+    ~target:(Event.Lock_enter lock_id) ~bound ~what:"recovery"
+
+let bcsr res ~lock_id ~bound =
+  (* After a crash inside this lock's CS, the steps from the next Req_begin
+     back into it. *)
+  check_after_crash res ~triggers:(List.mem lock_id)
+    ~target:(Event.Lock_acquired lock_id) ~bound ~what:"CS reentry"
 
 let fcfs (res : Engine.result) ~tail_cell =
   let fas_order =

@@ -6,24 +6,14 @@ open Rme_sim
 
 type site = { pid : int; op_index : int; kind : Api.kind; cell : string option; step : int }
 
-let kind_string = function
-  | Api.Read -> "read"
-  | Api.Write -> "write"
-  | Api.Cas -> "cas"
-  | Api.Fas -> "fas"
-  | Api.Faa -> "faa"
-  | Api.Spin -> "spin"
-  | Api.Note -> "note"
-  | Api.Nop -> "nop"
-
 let site_label s =
-  Printf.sprintf "p%d#%d %s%s" s.pid s.op_index (kind_string s.kind)
+  Fmt.str "p%d#%d %a%s" s.pid s.op_index Api.pp_kind s.kind
     (match s.cell with Some c -> " " ^ c | None -> "")
 
 let pp_site ppf s = Fmt.string ppf (site_label s)
 
 let site_signature s =
-  Printf.sprintf "%s/%s/%d" (kind_string s.kind)
+  Fmt.str "%a/%s/%d" Api.pp_kind s.kind
     (match s.cell with Some c -> c | None -> "-")
     s.op_index
 

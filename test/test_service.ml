@@ -1,11 +1,9 @@
 (* Tests for the engine hot-path overhaul and its measurement plumbing:
    Vec edge cases, event sinks (ring wrap-around, policy equivalence),
-   the Api.step clock, the `Fast/`Full differential contract, the
-   log-linear histogram, and the explorer's search-effort counters. *)
+   the Api.step clock, the `Fast/`Full differential contract, and the
+   explorer's search-effort counters. *)
 
 open Rme_sim
-module Metrics = Rme_check.Metrics
-module Hist = Metrics.Hist
 
 let check = Alcotest.check
 
@@ -112,8 +110,8 @@ let test_sink_callback_streams () =
 (* Engine: sink policies and the fast-path differential                 *)
 (* ------------------------------------------------------------------ *)
 
-let lock_workload ?mode ?sink ?record () =
-  let body lock ~pid = Harness.standard_body ~lock ~requests:3 pid in
+let lock_workload ?mode ?sink ?record ?ncs () =
+  let body lock ~pid = Harness.standard_body ?ncs ~lock ~requests:3 pid in
   Engine.run ?mode ?sink ?record ~n:3 ~model:Memory.CC
     ~sched:(Sched.random ~seed:42)
     ~crash:Crash.none ~setup:Rme_locks.Wr_lock.make ~body ()
@@ -141,17 +139,35 @@ let test_ring_is_keep_suffix () =
   check cb "same results otherwise" true
     ({ kept with Engine.events = [] } = { ringed with Engine.events = [] })
 
+(* The open-loop pacing idiom (see [test_open_loop_pacing]): before each
+   request the client polls the clock until its due step, so the answers
+   to [Api.step] shape the schedule.  The 400-step gap is longer than a
+   passage, so clients really sit in the polling loop. *)
+let paced_ncs ~pid =
+  let due = (pid * 7) + (400 * Api.completed_requests ()) in
+  while Api.step () < due do
+    Api.yield ()
+  done
+
 let test_fast_full_differential () =
   (* The tentpole contract: `Fast elides bookkeeping, never semantics.
      Every field of the result — steps, RMRs by kind, per-process
      passages with their latencies, lock stats, cs_max — must be
-     byte-identical across `Fast, `Auto and `Full on the same schedule. *)
-  let fast = lock_workload ~mode:`Fast () in
-  let auto = lock_workload ~mode:`Auto () in
-  let full = lock_workload ~mode:`Full () in
-  check cb "fast = auto" true (fast = auto);
-  check cb "fast = full" true (fast = full);
-  check cb "work happened" true (fast.Engine.steps > 0 && fast.Engine.total_rmr > 0)
+     byte-identical across `Fast, `Auto and `Full on the same schedule,
+     for closed-loop clients and for paced clients polling Api.step. *)
+  List.iter
+    (fun (name, ncs) ->
+      let run mode = lock_workload ~mode ?ncs () in
+      let fast = run `Fast and auto = run `Auto and full = run `Full in
+      check cb (name ^ ": fast = auto") true (fast = auto);
+      check cb (name ^ ": fast = full") true (fast = full);
+      check cb (name ^ ": work happened") true
+        (fast.Engine.steps > 0 && fast.Engine.total_rmr > 0))
+    [ ("closed-loop", None); ("paced", Some paced_ncs) ];
+  (* The paced clients really waited: the last request of pid 2 is due at
+     step 2*7 + 400*2, over twice the closed-loop run's length. *)
+  check cb "paced: last due step reached" true
+    ((lock_workload ~mode:`Fast ~ncs:paced_ncs ()).Engine.steps >= 814)
 
 let test_fast_rejects_instrumented_configs () =
   let crashy () =
@@ -207,7 +223,7 @@ let test_api_step_monotone () =
   check cb "bounded by the run" true (List.for_all (fun s -> s <= res.Engine.steps) obs)
 
 let test_open_loop_pacing () =
-  (* The service harness's pacing idiom: a client polling the clock wakes
+  (* The open-loop pacing idiom: a client polling the clock wakes
      at-or-after its due step, never before. *)
   let due = 40 in
   let woke = ref (-1) in
@@ -227,80 +243,6 @@ let test_open_loop_pacing () =
          else for _ = 1 to 30 do Api.yield () done)
        ());
   check cb "woke at or after due" true (!woke >= due)
-
-(* ------------------------------------------------------------------ *)
-(* Metrics.Hist                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let test_hist_exact_small_values () =
-  let h = Hist.create () in
-  for v = 0 to 255 do
-    Hist.add h v
-  done;
-  check ci "count" 256 (Hist.count h);
-  check ci "min" 0 (Hist.min h);
-  check ci "max" 255 (Hist.max h);
-  (* Below 256 every value has its own bucket: quantiles are exact —
-     rank ceil(0.5 * 256) = 128, whose sample is the value 127. *)
-  check ci "p50" 127 (Hist.percentile h 0.5);
-  check ci "p100" 255 (Hist.percentile h 1.0);
-  check ci "p0+" 0 (Hist.percentile h 0.0)
-
-let test_hist_relative_error () =
-  let h = Hist.create () in
-  let vals = List.init 1000 (fun i -> 1000 + (i * 997)) in
-  List.iter (Hist.add h) vals;
-  let sorted = Array.of_list (List.sort compare vals) in
-  List.iter
-    (fun q ->
-      let rank = max 1 (int_of_float (ceil (q *. 1000.0))) in
-      let exact = sorted.(rank - 1) in
-      let approx = Hist.percentile h q in
-      let err = abs (approx - exact) in
-      check cb
-        (Printf.sprintf "p%g within 1%% (exact %d, got %d)" (q *. 100.0) exact approx)
-        true
-        (float_of_int err <= 0.01 *. float_of_int exact))
-    [ 0.5; 0.9; 0.99; 0.999; 1.0 ]
-
-let test_hist_merge () =
-  let a = Hist.create () and b = Hist.create () and all = Hist.create () in
-  for i = 1 to 500 do
-    Hist.add a (i * 3);
-    Hist.add all (i * 3)
-  done;
-  for i = 1 to 500 do
-    Hist.add b (i * 13);
-    Hist.add all (i * 13)
-  done;
-  Hist.merge_into ~into:a b;
-  check ci "count merged" (Hist.count all) (Hist.count a);
-  check ci "sum merged" (Hist.sum all) (Hist.sum a);
-  check ci "min merged" (Hist.min all) (Hist.min a);
-  check ci "max merged" (Hist.max all) (Hist.max a);
-  List.iter
-    (fun q ->
-      check ci
-        (Printf.sprintf "p%g equal" (q *. 100.0))
-        (Hist.percentile all q) (Hist.percentile a q))
-    [ 0.5; 0.9; 0.99; 1.0 ]
-
-let test_hist_misc () =
-  let h = Hist.create () in
-  check ci "empty percentile" 0 (Hist.percentile h 0.5);
-  check ci "empty max" 0 (Hist.max h);
-  Hist.add h (-5);
-  check ci "negative clamps to 0" 0 (Hist.max h);
-  Hist.add h 1_000_000_000;
-  check ci "count" 2 (Hist.count h);
-  check ci "huge value exact max" 1_000_000_000 (Hist.max h);
-  let total = List.fold_left (fun acc (_, _, c) -> acc + c) 0 (Hist.nonzero h) in
-  check ci "nonzero covers all samples" 2 total;
-  List.iter
-    (fun (lo, hi, _) -> check cb "bucket bounds ordered" true (lo <= hi))
-    (Hist.nonzero h);
-  Hist.clear h;
-  check ci "clear" 0 (Hist.count h)
 
 (* ------------------------------------------------------------------ *)
 (* Explorer search-effort counters                                     *)
@@ -382,13 +324,6 @@ let () =
             test_fast_rejects_instrumented_configs;
           Alcotest.test_case "api.step monotone" `Quick test_api_step_monotone;
           Alcotest.test_case "open-loop pacing" `Quick test_open_loop_pacing;
-        ] );
-      ( "hist",
-        [
-          Alcotest.test_case "exact small values" `Quick test_hist_exact_small_values;
-          Alcotest.test_case "relative error" `Quick test_hist_relative_error;
-          Alcotest.test_case "merge" `Quick test_hist_merge;
-          Alcotest.test_case "edge cases" `Quick test_hist_misc;
         ] );
       ( "explore-stats",
         [
