@@ -1,12 +1,14 @@
 (* Bench harness: regenerates every table and figure of the paper (see
-   DESIGN.md section 4 for the experiment index) from the simulator, then
-   runs a Bechamel wall-clock suite over the same workloads.
+   DESIGN.md section 4 for the experiment index) from the simulator, plus
+   the two wall-clock gates CI runs: [explore] (parallel explorer
+   throughput) and [gc] (engine fast path vs fully instrumented).
 
-     dune exec bench/main.exe            # everything
-     dune exec bench/main.exe table1     # one experiment
-     (experiments: table1 table2 fig1 fig23 adaptivity batch reclaim
-                   ablation branching scale space anatomy fairness
-                   adversary explore gc sweep figures bechamel)
+     dune exec bench/main.exe                      # everything
+     dune exec bench/main.exe -- table1            # one experiment
+     dune exec bench/main.exe -- table1 --csv out  # also write CSV tables
+
+   The experiment list is the [experiments] registry at the end of this
+   file; an unknown name prints it as usage text and exits 2.
 
    Absolute numbers are simulator RMR counts, not hardware cycles; the
    claims under reproduction are the *shapes* (who is flat, who grows like
@@ -17,17 +19,14 @@ open Rme_locks
 
 let fmt_f x = Printf.sprintf "%.0f" x
 
-(* Every BENCH_*.json opens with the same provenance header, so a result
-   file always says what machine produced it: enough to interpret throughput
+(* BENCH_explore.json opens with a provenance header, so the result file
+   always says what machine produced it: enough to interpret throughput
    and domain-scaling numbers without the machine at hand. *)
 let host_json () =
   Printf.sprintf
     {|{"recommended_domain_count": %d, "ocaml_version": %S, "word_size": %d, "int_size": %d, "os_type": %S}|}
     (Domain.recommended_domain_count ())
     Sys.ocaml_version Sys.word_size Sys.int_size Sys.os_type
-
-let json_header buf experiment =
-  Printf.bprintf buf "{\n  \"experiment\": %S,\n  \"host\": %s,\n" experiment (host_json ())
 
 (* With --csv DIR every printed table is also written as DIR/table_NN.csv. *)
 let csv_dir = ref None
@@ -740,238 +739,11 @@ let explore_bench () =
   if gate_fail then
     Fmt.pr "@.FAIL: domains=2 is slower than the sequential explorer (%.2fx < 1.00x)@."
       (speedup_at "domains=2");
-  (* --- partial-order reduction: `Off vs `Sleep vs `Source ----------- *)
-  Fmt.pr "@.=== POR tiers: plain vs sleep sets vs source-set DPOR ===@.@.";
-  (* Three-way A/B.  Where a search can finish (exhaust or stop at a
-     violation) its outcome is compared against every other tier that also
-     finished; divergence is only declared where a comparison is
-     conclusive — differing violations, or a violation / non-exhaustion
-     that another tier's completed search rules out.  The headline
-     reduction factor compares `Source against the best tier that actually
-     exhausted: the plain search where it can finish at all, else the
-     sleep-set search, else (as a 4x-budget lower bound) the truncated
-     plain search. *)
-  let divergence = ref false in
-  let overhead_fail = ref false in
-  let reduction_case (name, run_one, por_cap) =
-    let source, source_dt = time (fun () -> run_one ~por:`Source ~max_runs:por_cap) in
-    let sleep, sleep_dt = time (fun () -> run_one ~por:`Sleep ~max_runs:por_cap) in
-    let plain_cap =
-      if source.Rme_check.Explore.exhausted || sleep.Rme_check.Explore.exhausted then
-        max (4 * max source.Rme_check.Explore.runs sleep.Rme_check.Explore.runs) 10_000
-      else por_cap
-    in
-    let plain, plain_dt = time (fun () -> run_one ~por:`Off ~max_runs:plain_cap) in
-    (* Pairwise verdict comparison: [conclusive, identical]. *)
-    (* [witness]: compare the full violation including the shrunk witness
-       (off vs sleep, strict preorder on both sides); pairs involving
-       `Source compare the message only — the demand-driven order may
-       surface a different witness of the same failure (explore.mli). *)
-    let compare_pair ~witness (p : Rme_check.Explore.outcome) (q : Rme_check.Explore.outcome) =
-      match (p.Rme_check.Explore.violation, q.Rme_check.Explore.violation) with
-      | Some pv, Some qv -> (true, if witness then pv = qv else fst pv = fst qv)
-      | None, Some _ -> (p.Rme_check.Explore.exhausted, not p.Rme_check.Explore.exhausted)
-      | Some _, None -> (q.Rme_check.Explore.exhausted, not q.Rme_check.Explore.exhausted)
-      | None, None ->
-          if p.Rme_check.Explore.exhausted || q.Rme_check.Explore.exhausted then (true, true)
-          else (false, false)
-    in
-    let pairs =
-      [
-        ("off/source", false, plain, source);
-        ("sleep/source", false, sleep, source);
-        ("off/sleep", true, plain, sleep);
-      ]
-    in
-    let identical = ref true in
-    let any_conclusive = ref false in
-    List.iter
-      (fun (pair, witness, p, q) ->
-        let conclusive, same = compare_pair ~witness p q in
-        if conclusive then any_conclusive := true;
-        if conclusive && not same then begin
-          identical := false;
-          divergence := true;
-          Fmt.pr "DIVERGENCE on %s (%s):@.  %a@.  vs %a@." name pair
-            Rme_check.Explore.pp_outcome p Rme_check.Explore.pp_outcome q
-        end)
-      pairs;
-    if not !any_conclusive then
-      Fmt.pr "WARNING: %s is inconclusive — no tier finished within its budget.@." name;
-    (* Reduced tiers pay footprint collection per run; on unreduced
-       subjects (equal run counts) that overhead must stay under 10% —
-       the root probe keeps the first, often decisive, run
-       footprint-free.  Violation-stopped rows are exempt: there the
-       whole search is a handful of instrumented runs (wr-gap-me-n3:
-       83 runs, ~10 ms), below any stable noise floor, and the probe
-       already removes the cost entirely when the default schedule
-       itself violates. *)
-    if
-      source.Rme_check.Explore.runs = plain.Rme_check.Explore.runs
-      && plain.Rme_check.Explore.violation = None
-      && plain_dt > 0.02
-      && source_dt > 1.1 *. plain_dt
-    then begin
-      overhead_fail := true;
-      Fmt.pr "OVERHEAD on %s: source %.4fs vs plain %.4fs at equal runs (> 10%%)@." name source_dt
-        plain_dt
-    end;
-    let baseline, baseline_runs, baseline_exhausted =
-      if plain.Rme_check.Explore.exhausted then ("off", plain.Rme_check.Explore.runs, true)
-      else if sleep.Rme_check.Explore.exhausted then ("sleep", sleep.Rme_check.Explore.runs, true)
-      else ("off", plain.Rme_check.Explore.runs, false)
-    in
-    let factor =
-      float_of_int baseline_runs /. float_of_int (max 1 source.Rme_check.Explore.runs)
-    in
-    ( name,
-      plain.Rme_check.Explore.runs,
-      sleep.Rme_check.Explore.runs,
-      source.Rme_check.Explore.runs,
-      plain_dt,
-      sleep_dt,
-      source_dt,
-      factor,
-      baseline,
-      (not baseline_exhausted) && source.Rme_check.Explore.exhausted,
-      !identical,
-      source.Rme_check.Explore.exhausted )
-  in
-  (* Splitter one-shot: the only real-lock tree small enough for the plain
-     search to enumerate completely — the exact-factor, both-exhausted
-     case. *)
-  let splitter_body sp ~pid =
-    Api.note (Rme_sim.Event.Seg Rme_sim.Event.Req_begin);
-    (if Rme_locks.Splitter.try_fast sp ~pid then begin
-       Api.note (Rme_sim.Event.Seg Rme_sim.Event.Cs_begin);
-       Api.yield ();
-       Api.note (Rme_sim.Event.Seg Rme_sim.Event.Cs_end);
-       Rme_locks.Splitter.release sp ~pid
-     end);
-    Api.note (Rme_sim.Event.Seg Rme_sim.Event.Req_done)
-  in
-  let splitter ~por ~max_runs =
-    Rme_check.Explore.explore ~por ~max_runs ~max_steps:4_000 ~n:2 ~model:Memory.CC ~crash
-      ~setup:Rme_locks.Splitter.create ~body:splitter_body ~check ()
-  in
-  (* WR-Lock ME at n=2 / SA stack (sa-jjj) ME at n=2: POR exhausts trees the
-     plain search provably cannot cover in 4x the runs.  One request per
-     process — the two-request throughput subject above has a tree too deep
-     for even the reduced search to exhaust. *)
-  let body_one lock ~pid = Rme_sim.Harness.standard_body ~lock ~requests:1 pid in
-  let wr_n2 ~por ~max_runs =
-    Rme_check.Explore.explore ~por ~max_runs ~max_steps:4_000 ~shrink_violations:false ~n:2
-      ~model:Memory.CC ~crash ~setup:Wr_lock.make ~body:body_one ~check ()
-  in
-  let sa_n2 ~por ~max_runs =
-    let make = (Rme.Spec.find_exn "sa-jjj").Rme.Spec.make in
-    Rme_check.Explore.explore ~por ~max_runs ~max_steps:20_000 ~shrink_violations:false ~n:2
-      ~model:Memory.CC ~crash ~setup:make ~body:body_one ~check ()
-  in
-  (* SA stack ME at n=3: the acceptance subject — beyond both the plain
-     and the sleep-set search, exhausted only by source-set DPOR with
-     state caching.  The arrival order is handoff-chained (each process
-     may start its request once its predecessor reaches Cs_end), so the
-     explored concurrency is the acquire-vs-release handoff race at
-     every link of the n=3 structure; the unconstrained 3-way tree is
-     beyond any tier (measured > 5M classes).  Mutual exclusion is
-     checked across all three processes. *)
-  let sa_n3 ~por ~max_runs =
-    let make = (Rme.Spec.find_exn "sa-jjj").Rme.Spec.make in
-    Rme_check.Explore.explore ~por ~max_runs ~max_steps:20_000 ~shrink_violations:false ~n:3
-      ~model:Memory.CC ~crash
-      ~setup:(fun ctx ->
-        let gate = Memory.alloc (Engine.Ctx.memory ctx) ~name:"gate" 0 in
-        (make ctx, gate))
-      ~body:(fun (lock, gate) ~pid ->
-        if Api.completed_requests () < 1 then begin
-          if pid > 0 then Api.spin_until gate (Api.Eq pid);
-          Api.note (Rme_sim.Event.Seg Rme_sim.Event.Req_begin);
-          lock.Rme_locks.Lock.acquire ~pid;
-          Api.note (Rme_sim.Event.Seg Rme_sim.Event.Cs_begin);
-          Api.note (Rme_sim.Event.Seg Rme_sim.Event.Cs_end);
-          Api.write gate (pid + 1);
-          lock.Rme_locks.Lock.release ~pid;
-          Api.note (Rme_sim.Event.Seg Rme_sim.Event.Req_done)
-        end)
-      ~check ()
-  in
-  (* WR-Lock ME at n=3 around the unsafe FAS gap (the Figure 1 scenario,
-     staged as in the explorer tests): both searches stop at the identical
-     first violation in DFS preorder with the identical shrunk witness. *)
-  let wr_gap_setup ctx =
-    let gate = Memory.alloc (Engine.Ctx.memory ctx) ~name:"gate" 0 in
-    (Wr_lock.make ctx, gate)
-  in
-  let wr_gap_body (lock, gate) ~pid =
-    if pid = 0 then begin
-      for _ = 1 to 3 do
-        Api.yield ()
-      done;
-      Api.write gate 1
-    end
-    else begin
-      let cs ~pid = if pid = 1 then Api.spin_until gate (Api.Eq 1) in
-      Rme_sim.Harness.standard_body ~cs ~lock ~requests:1 pid
-    end
-  in
-  let wr_gap ~por ~max_runs =
-    Rme_check.Explore.explore ~por ~max_runs ~max_steps:4_000 ~n:3 ~model:Memory.CC
-      ~crash:(fun () -> Crash.on_kind ~pid:2 ~kind:Api.Fas ~occurrence:0 Crash.After)
-      ~setup:wr_gap_setup ~body:wr_gap_body
-      ~check:(fun res -> if res.Engine.cs_max > 1 then Some "ME violation" else None)
-      ()
-  in
-  let reductions =
-    List.map reduction_case
-      [
-        ("splitter-me-n2", splitter, 200_000);
-        ("wr-me-n2", wr_n2, 200_000);
-        ("wr-gap-me-n3", wr_gap, 200_000);
-        ("sa-me-n2", sa_n2, 200_000);
-        ("sa-me-n3", sa_n3, 400_000);
-      ]
-  in
-  table
-    ~header:
-      [ "subject"; "plain"; "sleep"; "source"; "reduction"; "base"; "t plain"; "t src"; "identical" ]
-    ~rows:
-      (List.map
-         (fun ( name,
-                plain_runs,
-                sleep_runs,
-                source_runs,
-                plain_dt,
-                _sleep_dt,
-                source_dt,
-                factor,
-                baseline,
-                lower_bound,
-                identical,
-                _exh ) ->
-           [
-             name;
-             string_of_int plain_runs;
-             string_of_int sleep_runs;
-             string_of_int source_runs;
-             Printf.sprintf "%s%.2fx" (if lower_bound then ">= " else "") factor;
-             baseline;
-             Printf.sprintf "%.3f s" plain_dt;
-             Printf.sprintf "%.3f s" source_dt;
-             string_of_bool identical;
-           ])
-         reductions);
-  Fmt.pr "@.(identical = every conclusive tier pair agrees: same first violation and@.\
-          shrunk witness, or same clean exhaustion — a truncated clean search is@.\
-          compatible with an exhausted clean one; 'reduction' compares `Source@.\
-          against the named baseline, the best tier that exhausted, and '>=' marks@.\
-          subjects where no baseline tier exhausted within 4x the source runs, so@.\
-          the true factor is larger)@.";
-  (* Machine-readable trajectory point, same shape as the sweep/chaos
-     experiments: throughput cases plus the POR reduction factors. *)
+  (* Machine-readable trajectory point: the host header, the sequential
+     search effort and the throughput cases. *)
   let path = "BENCH_explore.json" in
   let buf = Buffer.create 1024 in
-  json_header buf "explore";
+  Printf.bprintf buf "{\n  \"experiment\": \"explore\",\n  \"host\": %s,\n" (host_json ());
   (match !ref_stats with
   | Some s ->
       Printf.bprintf buf
@@ -991,461 +763,11 @@ let explore_bench () =
            label runs dt rate speedup
            (if i = List.length throughput - 1 then "" else ",")))
     throughput;
-  Buffer.add_string buf "  ],\n  \"reduction\": [\n";
-  List.iteri
-    (fun i
-         ( name,
-           plain_runs,
-           sleep_runs,
-           source_runs,
-           plain_dt,
-           sleep_dt,
-           source_dt,
-           factor,
-           baseline,
-           lower_bound,
-           identical,
-           source_exhausted ) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"subject\": %S, \"plain_runs\": %d, \"sleep_runs\": %d, \"por_runs\": %d, \
-            \"reduction_factor\": %.3f, \"baseline\": %S, \"factor_is_lower_bound\": %b, \
-            \"plain_seconds\": %.4f, \"sleep_seconds\": %.4f, \"por_seconds\": %.4f, \
-            \"source_exhausted\": %b, \"identical_outcome\": %b}%s\n"
-           name plain_runs sleep_runs source_runs factor baseline lower_bound plain_dt sleep_dt
-           source_dt source_exhausted identical
-           (if i = List.length reductions - 1 then "" else ",")))
-    reductions;
   Buffer.add_string buf "  ]\n}\n";
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (Buffer.contents buf));
   Fmt.pr "@.(json: %s)@." path;
-  (* Acceptance gates: the SA stack must exhaust under `Source at n=2
-     (exact factor, not a lower bound) and at n=3, and the splitter must
-     keep its measured reduction. *)
-  let row name =
-    List.find (fun (n, _, _, _, _, _, _, _, _, _, _, _) -> n = name) reductions
-  in
-  let exhausted_of (_, _, _, _, _, _, _, _, _, _, _, e) = e in
-  let factor_of (_, _, _, _, _, _, _, f, _, _, _, _) = f in
-  let lower_of (_, _, _, _, _, _, _, _, _, lb, _, _) = lb in
-  let gate ok msg = if not ok then (Fmt.pr "FAIL: %s@." msg; true) else false in
-  let accept_fail =
-    List.exists Fun.id
-      [
-        gate (exhausted_of (row "sa-me-n2")) "sa-me-n2 must exhaust under `Source";
-        gate (not (lower_of (row "sa-me-n2"))) "sa-me-n2 factor must not be a lower bound";
-        gate (exhausted_of (row "sa-me-n3")) "sa-me-n3 must exhaust under `Source";
-        gate (factor_of (row "splitter-me-n2") >= 91.0) "splitter-me-n2 must keep >= 91x";
-      ]
-  in
-  if !divergence || gate_fail || !overhead_fail || accept_fail then exit 1
-
-(* ------------------------------------------------------------------ *)
-(* Sweep throughput: crash-site campaign cost per lock                  *)
-(* ------------------------------------------------------------------ *)
-
-let sweep_bench () =
-  Fmt.pr "@.=== Sweep: crash-site campaign throughput ===@.@.";
-  let module Sweep = Rme_check.Sweep in
-  let sweep_cfg jobs =
-    {
-      Sweep.default_cfg with
-      Sweep.max_runs_per_plan = 150;
-      max_steps = 6_000;
-      site_cap = 48;
-      plan_cap = 120;
-      jobs;
-    }
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let case key jobs =
-    let spec : Rme.Spec.t = Rme.Spec.find_exn key in
-    let s =
-      Sweep.standard_subject ~name:key ~n:2 ~requests:1 ~cs_yields:2
-        ~recoverability:spec.expectation.Rme.Spec.recoverability spec.make
-    in
-    let c, dt =
-      time (fun () ->
-          Sweep.sweep (sweep_cfg jobs) ~n:s.Sweep.subject_n ~model:Memory.CC
-            ~props:s.Sweep.subject_props s.Sweep.subject_scenario)
-    in
-    let sites = List.length c.Sweep.sites in
-    (key, jobs, sites, c.Sweep.plans_run, c.Sweep.runs, dt)
-  in
-  let cases =
-    [ case "wr" 1; case "wr" 2; case "sa-jjj" 1; case "ba-jjj" 1 ]
-  in
-  table
-    ~header:[ "lock"; "jobs"; "sites"; "plans"; "runs"; "wall clock"; "sites/s"; "runs/s" ]
-    ~rows:
-      (List.map
-         (fun (key, jobs, sites, plans, runs, dt) ->
-           [
-             key;
-             string_of_int jobs;
-             string_of_int sites;
-             string_of_int plans;
-             string_of_int runs;
-             Printf.sprintf "%.3f s" dt;
-             Printf.sprintf "%.1f" (float_of_int sites /. dt);
-             Printf.sprintf "%.1f" (float_of_int runs /. dt);
-           ])
-         cases);
-  (* Machine-readable trajectory point: one JSON file per bench invocation,
-     appended to by CI so sweep throughput regressions are visible over time. *)
-  let path = "BENCH_sweep.json" in
-  let buf = Buffer.create 512 in
-  json_header buf "sweep";
-  Buffer.add_string buf "  \"cases\": [\n";
-  List.iteri
-    (fun i (key, jobs, sites, plans, runs, dt) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"lock\": %S, \"jobs\": %d, \"sites\": %d, \"plans\": %d, \"runs\": %d, \
-            \"seconds\": %.4f, \"sites_per_sec\": %.2f, \"runs_per_sec\": %.2f}%s\n"
-           key jobs sites plans runs dt
-           (float_of_int sites /. dt)
-           (float_of_int runs /. dt)
-           (if i = List.length cases - 1 then "" else ",")))
-    cases;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (Buffer.contents buf));
-  Fmt.pr "@.(json: %s)@." path
-
-(* ------------------------------------------------------------------ *)
-(* Chaos campaign throughput: adaptive adversaries over the registry    *)
-(* ------------------------------------------------------------------ *)
-
-let chaos_bench () =
-  Fmt.pr "@.=== Chaos: adaptive-adversary campaign throughput ===@.@.";
-  let module Chaos = Rme_check.Chaos in
-  let runs = 50 in
-  let case_of key = Rme.Spec.chaos_case ~n:Chaos.default_cfg.Chaos.n (Rme.Spec.find_exn key) in
-  let adv_name a = Fmt.str "%a" Chaos.pp_adversary a in
-  let short s = String.sub s 0 (String.index s '(') in
-  let cases =
-    List.concat_map
-      (fun key ->
-        List.map
-          (fun adv ->
-            let t0 = Unix.gettimeofday () in
-            let o =
-              Chaos.campaign ~adversaries:[ adv ] ~runs ~seed_base:0 [ case_of key ]
-            in
-            let dt = Unix.gettimeofday () -. t0 in
-            (key, adv, o, dt))
-          Chaos.standard_adversaries)
-      [ "wr"; "sa-jjj"; "ba-jjj" ]
-  in
-  let latency (o : Chaos.outcome) =
-    if o.Chaos.detect_runs = 0 then 0.0
-    else float_of_int o.Chaos.detect_steps /. float_of_int o.Chaos.detect_runs
-  in
-  table
-    ~header:[ "lock"; "adversary"; "runs"; "crashes"; "viol"; "wall clock"; "runs/s"; "detect" ]
-    ~rows:
-      (List.map
-         (fun (key, adv, (o : Chaos.outcome), dt) ->
-           [
-             key;
-             short (adv_name adv);
-             string_of_int o.Chaos.runs;
-             string_of_int o.Chaos.crashes;
-             string_of_int (List.length o.Chaos.violations);
-             Printf.sprintf "%.3f s" dt;
-             Printf.sprintf "%.1f" (float_of_int o.Chaos.runs /. dt);
-             Printf.sprintf "%.0f steps" (latency o);
-           ])
-         cases);
-  Fmt.pr "@.(detect = mean engine steps from a run's first injected crash to its@.\
-          battery verdict; violations are expected to be 0 — any hit is replayed@.\
-          and shrunk, see soak --adversary)@.";
-  let path = "BENCH_chaos.json" in
-  let buf = Buffer.create 512 in
-  json_header buf "chaos";
-  Buffer.add_string buf "  \"cases\": [\n";
-  List.iteri
-    (fun i (key, adv, (o : Chaos.outcome), dt) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"lock\": %S, \"adversary\": %S, \"runs\": %d, \"crashes\": %d, \
-            \"violations\": %d, \"seconds\": %.4f, \"runs_per_sec\": %.2f, \
-            \"detect_latency_steps\": %.1f}%s\n"
-           key (short (adv_name adv)) o.Chaos.runs o.Chaos.crashes
-           (List.length o.Chaos.violations)
-           dt
-           (float_of_int o.Chaos.runs /. dt)
-           (latency o)
-           (if i = List.length cases - 1 then "" else ",")))
-    cases;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (Buffer.contents buf));
-  Fmt.pr "@.(json: %s)@." path
-
-(* ------------------------------------------------------------------ *)
-(* System-crash shootout: storm adversaries under both crash models     *)
-(* ------------------------------------------------------------------ *)
-
-let syscrash_bench () =
-  Fmt.pr "@.=== Syscrash: lock x crash-model storm shootout ===@.@.";
-  let module Chaos = Rme_check.Chaos in
-  let runs = 40 in
-  let cfg = Chaos.default_cfg in
-  (* The shootout judges the battery alone, without the failure-free RMR
-     monitor. *)
-  let case_of key =
-    let case = Rme.Spec.chaos_case ~n:cfg.Chaos.n (Rme.Spec.find_exn key) in
-    { case with Chaos.case_ff_bound = None }
-  in
-  (* Matched storm profiles: same burst shape, one striking individual
-     processes, the other the whole system. *)
-  let adversaries =
-    [
-      ("per-process", Chaos.Storm { rate = 0.02; max_crashes = 6; gap = 40; backoff = 1.5 }, 6);
-      ("system-wide", Chaos.Sys_storm { rate = 0.01; max_crashes = 4; gap = 60; backoff = 1.5 }, 4);
-    ]
-  in
-  let cases =
-    List.concat_map
-      (fun key ->
-        let case = case_of key in
-        List.map
-          (fun (model_name, adv, budget) ->
-            let t0 = Unix.gettimeofday () in
-            let crashes = ref 0 and exhausted = ref 0 and violations = ref 0 in
-            let detect_steps = ref 0 and detect_runs = ref 0 in
-            for seed = 0 to runs - 1 do
-              let r = Chaos.run_one cfg ~make:case.Chaos.case_make ~adversary:adv ~seed in
-              let fired = List.length r.Chaos.fired in
-              crashes := !crashes + fired;
-              (* runs-to-exhaustion: how often the storm's whole crash
-                 budget landed inside one run's horizon *)
-              if fired >= budget then incr exhausted;
-              (match r.Chaos.fired with
-              | f :: _ ->
-                  detect_steps := !detect_steps + (r.Chaos.res.Rme_sim.Engine.steps - f.Rme_sim.Crash.f_step);
-                  incr detect_runs
-              | [] -> ());
-              if Chaos.battery case ~requests:cfg.Chaos.requests r.Chaos.res <> [] then
-                incr violations
-            done;
-            let dt = Unix.gettimeofday () -. t0 in
-            let latency =
-              if !detect_runs = 0 then 0.0
-              else float_of_int !detect_steps /. float_of_int !detect_runs
-            in
-            (key, model_name, !crashes, !exhausted, !violations, latency, dt))
-          adversaries)
-      [ "wr"; "ba-jjj"; "jjj-sys"; "dm-jjj" ]
-  in
-  table
-    ~header:
-      [ "lock"; "crash model"; "crashes"; "exhausted"; "viol"; "detect"; "wall clock"; "runs/s" ]
-    ~rows:
-      (List.map
-         (fun (key, model_name, crashes, exhausted, violations, latency, dt) ->
-           [
-             key;
-             model_name;
-             string_of_int crashes;
-             Printf.sprintf "%d/%d" exhausted runs;
-             string_of_int violations;
-             Printf.sprintf "%.0f steps" latency;
-             Printf.sprintf "%.3f s" dt;
-             Printf.sprintf "%.1f" (float_of_int runs /. dt);
-           ])
-         cases);
-  Fmt.pr "@.(exhausted = runs in which the storm spent its whole crash budget;@.\
-          detect = mean engine steps from a run's first crash to its battery@.\
-          verdict; viol is expected to stay 0 for every recoverable lock under@.\
-          both models)@.";
-  let path = "BENCH_syscrash.json" in
-  let buf = Buffer.create 512 in
-  json_header buf "syscrash";
-  Buffer.add_string buf "  \"cases\": [\n";
-  List.iteri
-    (fun i (key, model_name, crashes, exhausted, violations, latency, dt) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"lock\": %S, \"crash_model\": %S, \"runs\": %d, \"crashes\": %d, \
-            \"exhausted_runs\": %d, \"violations\": %d, \"detect_latency_steps\": %.1f, \
-            \"seconds\": %.4f, \"runs_per_sec\": %.2f}%s\n"
-           key model_name runs crashes exhausted violations latency dt
-           (float_of_int runs /. dt)
-           (if i = List.length cases - 1 then "" else ",")))
-    cases;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (Buffer.contents buf));
-  Fmt.pr "@.(json: %s)@." path
-
-(* ------------------------------------------------------------------ *)
-(* Abort: impatience shootout over the abortable locks                  *)
-(* ------------------------------------------------------------------ *)
-
-let abort_bench () =
-  Fmt.pr "@.=== Abort: throughput and abort latency under impatience ===@.@.";
-  let n = 8 and requests = 6 in
-  let seeds = List.init 10 (fun i -> i) in
-  (* Impatience levels are timeout profiles; the realised abort fraction
-     is measured and reported, not assumed. *)
-  let levels =
-    [
-      ("none", Rme.Workload.No_failures);
-      ("mild", Rme.Workload.Impatient { timeout_steps = 120; retries = 2; backoff = 2.0 });
-      ("heavy", Rme.Workload.Impatient { timeout_steps = 25; retries = 4; backoff = 1.5 });
-    ]
-  in
-  let cfg scenario seed =
-    {
-      Rme.Workload.default_cfg with
-      Rme.Workload.n;
-      requests;
-      seed;
-      scenario;
-      record = true;
-      max_steps = 2_000_000;
-    }
-  in
-  let locks = [ "wr-abort"; "bakery-abort"; "tas-abort" ] in
-  let cases =
-    List.concat_map
-      (fun key ->
-        let spec = Rme.Spec.find_exn key in
-        List.map
-          (fun (level, scenario) ->
-            let t0 = Unix.gettimeofday () in
-            let throughput = ref 0.0 and aborts = ref 0 and signals = ref 0 in
-            let lat_sum = ref 0 and lat_max = ref 0 and lat_n = ref 0 in
-            let stalls = ref 0 and completed = ref 0 in
-            List.iter
-              (fun seed ->
-                let res = Rme.Workload.run spec (cfg scenario seed) in
-                let m = Rme.Workload.measure res in
-                throughput := !throughput +. m.Rme.Workload.throughput;
-                aborts := !aborts + m.Rme.Workload.aborts;
-                signals := !signals + List.length res.Rme_sim.Engine.aborts;
-                completed := !completed + Rme_sim.Engine.total_completed res;
-                List.iter
-                  (fun (a : Rme_sim.Engine.abort_stat) ->
-                    match a.Rme_sim.Engine.ab_result with
-                    | Rme_sim.Engine.Res_aborted | Rme_sim.Engine.Res_lost_race ->
-                        lat_sum := !lat_sum + a.Rme_sim.Engine.ab_own_steps;
-                        lat_max := max !lat_max a.Rme_sim.Engine.ab_own_steps;
-                        incr lat_n
-                    | _ -> ())
-                  res.Rme_sim.Engine.aborts;
-                if
-                  Rme.Check.Props.no_lost_wakeup res
-                    ~bound:Rme.Check.Props.default_abort_expect.Rme.Check.Props.overtake_bound
-                  <> None
-                then incr stalls)
-              seeds;
-            let k = float_of_int (List.length seeds) in
-            let latency = if !lat_n = 0 then 0.0 else float_of_int !lat_sum /. float_of_int !lat_n in
-            let dt = Unix.gettimeofday () -. t0 in
-            (key, level, !throughput /. k, !signals, !aborts, latency, !lat_max, !stalls, dt))
-          levels)
-      locks
-  in
-  table
-    ~header:
-      [ "lock"; "impatience"; "thpt/1k"; "signals"; "aborts"; "lat mean"; "lat max"; "stalls" ]
-    ~rows:
-      (List.map
-         (fun (key, level, thpt, signals, aborts, latency, lat_max, stalls, _dt) ->
-           [
-             key;
-             level;
-             Printf.sprintf "%.2f" thpt;
-             string_of_int signals;
-             string_of_int aborts;
-             Printf.sprintf "%.1f" latency;
-             string_of_int lat_max;
-             string_of_int stalls;
-           ])
-         cases);
-  Fmt.pr "@.(thpt = satisfied requests per 1000 engine steps, averaged over %d seeds;@.\
-          lat = the victim's own steps from abort signal to Aborted/lost-race@.\
-          resolution; stalls = runs the lost-wakeup monitor flagged, expected 0)@."
-    (List.length seeds);
-  (* The no-abort overhead of the abortable variants: same workload, no
-     impatience, abortable lock vs its plain ancestor.  This is the cost
-     of carrying the abort port when nobody aborts. *)
-  let overhead =
-    List.map
-      (fun (plain, abortable) ->
-        let thpt key =
-          let spec = Rme.Spec.find_exn key in
-          let sum =
-            List.fold_left
-              (fun acc seed ->
-                let res = Rme.Workload.run spec (cfg Rme.Workload.No_failures seed) in
-                acc +. (Rme.Workload.measure res).Rme.Workload.throughput)
-              0.0 seeds
-          in
-          sum /. float_of_int (List.length seeds)
-        in
-        let base = thpt plain and inst = thpt abortable in
-        (plain, abortable, base, inst, if base = 0.0 then 1.0 else inst /. base))
-      [ ("wr", "wr-abort"); ("bakery", "bakery-abort") ]
-  in
-  table
-    ~header:[ "baseline"; "abortable"; "base thpt"; "abortable thpt"; "ratio" ]
-    ~rows:
-      (List.map
-         (fun (plain, abortable, base, inst, ratio) ->
-           [
-             plain;
-             abortable;
-             Printf.sprintf "%.2f" base;
-             Printf.sprintf "%.2f" inst;
-             Printf.sprintf "%.3f" ratio;
-           ])
-         overhead);
-  let path = "BENCH_abort.json" in
-  let buf = Buffer.create 1024 in
-  json_header buf "abort";
-  Buffer.add_string buf "  \"cases\": [\n";
-  List.iteri
-    (fun i (key, level, thpt, signals, aborts, latency, lat_max, stalls, dt) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"lock\": %S, \"impatience\": %S, \"throughput_per_1k_steps\": %.3f, \
-            \"abort_signals\": %d, \"aborts\": %d, \"abort_latency_own_steps_mean\": %.2f, \
-            \"abort_latency_own_steps_max\": %d, \"lost_wakeup_stalls\": %d, \"seconds\": \
-            %.4f}%s\n"
-           key level thpt signals aborts latency lat_max stalls dt
-           (if i = List.length cases - 1 then "" else ",")))
-    cases;
-  Buffer.add_string buf "  ],\n  \"no_abort_overhead\": [\n";
-  List.iteri
-    (fun i (plain, abortable, base, inst, ratio) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"baseline\": %S, \"abortable\": %S, \"baseline_throughput\": %.3f, \
-            \"abortable_throughput\": %.3f, \"ratio\": %.4f}%s\n"
-           plain abortable base inst ratio
-           (if i = List.length overhead - 1 then "" else ",")))
-    overhead;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (Buffer.contents buf));
-  Fmt.pr "@.(json: %s)@." path;
-  List.iter
-    (fun (_, _, _, _, _, _, _, stalls, _) ->
-      if stalls > 0 then begin
-        Fmt.epr "abort bench: lost-wakeup stall detected@.";
-        exit 1
-      end)
-    cases
+  if !divergence || gate_fail then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Gc allocation differential: the fast path's regression gate          *)
@@ -1521,59 +843,6 @@ let gc_bench () =
   Fmt.pr "fast-path regression gate passed@."
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel wall-clock suite                                            *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel () =
-  Fmt.pr "@.=== Bechamel: wall-clock time per simulated workload ===@.@.";
-  let open Bechamel in
-  let workload key scenario () =
-    ignore (Rme.Workload.run_key key (cfg ~n:8 ~requests:4 ~cs_yields:2 scenario))
-  in
-  let tests =
-    (* One Test.make per reproduced table/figure workload. *)
-    [
-      Test.make ~name:"table1/ba-jjj/ff" (Staged.stage (workload "ba-jjj" scenario_none));
-      Test.make ~name:"table1/ba-jjj/f8" (Staged.stage (workload "ba-jjj" (scenario_f 8)));
-      Test.make ~name:"table1/jjj/ff" (Staged.stage (workload "jjj" scenario_none));
-      Test.make ~name:"table1/tournament/ff" (Staged.stage (workload "tournament" scenario_none));
-      Test.make ~name:"table1/bakery/ff" (Staged.stage (workload "bakery" scenario_none));
-      Test.make ~name:"table1/wr/ff" (Staged.stage (workload "wr" scenario_none));
-      Test.make ~name:"table2/sa-bakery/f8" (Staged.stage (workload "sa-bakery" (scenario_f 8)));
-      Test.make ~name:"fig3/ba-jjj/f32" (Staged.stage (workload "ba-jjj" (scenario_f 32)));
-      Test.make ~name:"batch/ba-jjj"
-        (Staged.stage
-           (workload "ba-jjj" (Rme.Workload.Batch { size = 8; at_step = 200; repeat = 1; gap = 0 })));
-      Test.make ~name:"reclaim/wr-reclaim/storm"
-        (Staged.stage (workload "wr-reclaim" (Rme.Workload.Random_storm { crashes = 8; rate = 0.01 })));
-      Test.make ~name:"ablation/ba-jjj-tracked/f8"
-        (Staged.stage (workload "ba-jjj-tracked" (scenario_f 8)));
-    ]
-  in
-  let grouped = Test.make_grouped ~name:"rme" ~fmt:"%s %s" tests in
-  let benchmark () =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg_b =
-      Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) ~kde:(Some 10) ()
-    in
-    let raw = Benchmark.all cfg_b instances grouped in
-    let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-    results
-  in
-  let results = benchmark () in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> rows := [ name; Printf.sprintf "%.2f us/run" (est /. 1000.) ] :: !rows
-      | _ -> rows := [ name; "n/a" ] :: !rows)
-    results;
-  table ~header:[ "workload"; "time" ] ~rows:(List.sort compare !rows)
-
-(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
@@ -1593,33 +862,35 @@ let experiments =
     ("adversary", adversary);
     ("explore", explore_bench);
     ("gc", gc_bench);
-    ("sweep", sweep_bench);
-    ("chaos", chaos_bench);
-    ("syscrash", syscrash_bench);
-    ("abort", abort_bench);
     ("figures", figures);
-    ("bechamel", bechamel);
   ]
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let rec strip_csv acc = function
+  let usage fmt =
+    Fmt.kstr
+      (fun msg ->
+        Fmt.epr "bench: %s@.usage: main.exe [--csv DIR] [EXPERIMENT...]@.\
+                 experiments (all of them, in this order, when none is named):@.  %s@."
+          msg
+          (String.concat " " (List.map fst experiments));
+        exit 2)
+      fmt
+  in
+  let rec parse acc = function
+    | [ "--csv" ] -> usage "--csv needs a directory"
     | "--csv" :: dir :: rest ->
-        if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
         csv_dir := Some dir;
-        strip_csv acc rest
-    | a :: rest -> strip_csv (a :: acc) rest
+        parse acc rest
+    | name :: rest -> (
+        match List.assoc_opt name experiments with
+        | Some f -> parse (f :: acc) rest
+        | None -> usage "unknown experiment %S" name)
     | [] -> List.rev acc
   in
-  match strip_csv [] args with
-  | [] -> List.iter (fun (_, f) -> f ()) experiments
-  | names ->
-      List.iter
-        (fun name ->
-          match List.assoc_opt name experiments with
-          | Some f -> f ()
-          | None ->
-              Fmt.epr "unknown experiment %S (have: %s)@." name
-                (String.concat ", " (List.map fst experiments));
-              exit 1)
-        names
+  let chosen =
+    match parse [] (List.tl (Array.to_list Sys.argv)) with
+    | [] -> List.map snd experiments
+    | fs -> fs
+  in
+  Option.iter (fun dir -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755) !csv_dir;
+  List.iter (fun f -> f ()) chosen

@@ -249,10 +249,10 @@ let () =
   in
   let cmd =
     Cmd.v
-      (Cmd.info "conformance"
+      (Cmd.info "conformance" ~exits:(Cli_exit.exits ())
          ~doc:"Crash-site sweep conformance matrix over the lock registry.")
       Term.(
         const conformance $ n $ requests $ cs_yields $ budget $ site_cap $ plan_cap $ max_runs
         $ max_steps $ jobs $ split_depth $ model $ aborts $ only $ out)
   in
-  exit (Cmd.eval' cmd)
+  exit (Cli_exit.status (Cmd.eval' cmd))

@@ -78,7 +78,9 @@ let run_cmd =
     if not m.Rme.Workload.satisfied then exit 2
   in
   Cmd.v
-    (Cmd.info "run" ~doc:"Run a lock under a workload and print statistics.")
+    (Cmd.info "run"
+       ~exits:(Cli_exit.exits ~doc:"on invalid input, or when a request goes unsatisfied." ())
+       ~doc:"Run a lock under a workload and print statistics.")
     Term.(
       const run $ lock_arg $ n_arg $ requests_arg $ seed_arg $ model_arg $ scenario_arg
       $ events_arg $ timeline_arg)
@@ -103,7 +105,9 @@ let list_cmd =
              ])
            Rme.Spec.all)
   in
-  Cmd.v (Cmd.info "list" ~doc:"List the lock registry.") Term.(const list $ const ())
+  Cmd.v
+    (Cmd.info "list" ~exits:(Cli_exit.exits ()) ~doc:"List the lock registry.")
+    Term.(const list $ const ())
 
 let check_cmd =
   let check lock n requests seed model scenario =
@@ -131,7 +135,9 @@ let check_cmd =
     report "starvation-freedom" (Rme.Check.Props.starvation_freedom res ~requests)
   in
   Cmd.v
-    (Cmd.info "check" ~doc:"Run a lock and check ME + SF on the recorded history.")
+    (Cmd.info "check"
+       ~exits:(Cli_exit.exits ~doc:"on invalid input, or when a property is violated." ())
+       ~doc:"Run a lock and check ME + SF on the recorded history.")
     Term.(const check $ lock_arg $ n_arg $ requests_arg $ seed_arg $ model_arg $ scenario_arg)
 
 let sweep_cmd =
@@ -209,11 +215,15 @@ let sweep_cmd =
         Fmt.pr "(svg: %s)@." path
   in
   Cmd.v
-    (Cmd.info "sweep" ~doc:"Sweep a parameter and print the RMR growth curve.")
+    (Cmd.info "sweep" ~exits:(Cli_exit.exits ())
+       ~doc:"Sweep a parameter and print the RMR growth curve.")
     Term.(
       const sweep $ lock_arg $ n_arg $ requests_arg $ seed_arg $ model_arg $ over_arg $ values_arg
       $ csv_arg $ svg_arg)
 
 let () =
-  let info = Cmd.info "rme" ~version:Rme.version ~doc:"Adaptive recoverable mutual exclusion (PODC 2020) reproduction." in
-  exit (Cmd.eval (Cmd.group info [ run_cmd; list_cmd; check_cmd; sweep_cmd ]))
+  let info =
+    Cmd.info "rme" ~exits:(Cli_exit.exits ()) ~version:Rme.version
+      ~doc:"Adaptive recoverable mutual exclusion (PODC 2020) reproduction."
+  in
+  exit (Cli_exit.status (Cmd.eval (Cmd.group info [ run_cmd; list_cmd; check_cmd; sweep_cmd ])))

@@ -268,9 +268,9 @@ let () =
   in
   let cmd =
     Cmd.v
-      (Cmd.info "soak" ~doc:"Randomized soak/fuzz campaign over the lock registry.")
+      (Cmd.info "soak" ~exits:(Cli_exit.exits ()) ~doc:"Randomized soak/fuzz campaign over the lock registry.")
       Term.(
         const main $ lock $ scenario_arg $ runs $ seed $ verbose $ jobs $ repro_arg $ replay_arg
         $ adversary_arg)
   in
-  exit (Cmd.eval' cmd)
+  exit (Cli_exit.status (Cmd.eval' cmd))

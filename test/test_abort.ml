@@ -501,6 +501,51 @@ let test_wr_abort_parallel_byte_identical () =
   check cb "1 = 2 domains" true (triple o1 = triple o2);
   check cb "1 = 4 domains" true (triple o1 = triple o4)
 
+(* The no-lost-wakeup gate over every abortable lock: under no, mild and
+   heavy impatience, on ten seeds each, no waiter may be overtaken past the
+   bound or left parked behind a free lock.  The impatient profiles must
+   actually deliver abort signals, or the gate would pass vacuously. *)
+let test_abortable_no_lost_wakeup_stall () =
+  let profiles =
+    [
+      ("none", Workload.No_failures);
+      ("mild", Workload.Impatient { timeout_steps = 120; retries = 2; backoff = 2.0 });
+      ("heavy", Workload.Impatient { timeout_steps = 25; retries = 4; backoff = 1.5 });
+    ]
+  in
+  let runs = ref 0 in
+  List.iter
+    (fun key ->
+      let spec = Rme.Spec.find_exn key in
+      List.iter
+        (fun (profile, scenario) ->
+          let signals = ref 0 in
+          for seed = 0 to 9 do
+            let res =
+              Workload.run spec
+                {
+                  Workload.default_cfg with
+                  n = 8;
+                  requests = 6;
+                  seed;
+                  scenario;
+                  record = true;
+                  max_steps = 2_000_000;
+                }
+            in
+            incr runs;
+            signals := !signals + List.length res.Engine.aborts;
+            match Props.no_lost_wakeup res ~bound:bounds.Props.overtake_bound with
+            | None -> ()
+            | Some msg -> Alcotest.failf "%s under %s impatience, seed %d: %s" key profile seed msg
+          done;
+          if scenario <> Workload.No_failures then
+            check cb (Printf.sprintf "%s under %s impatience is signalled" key profile) true
+              (!signals > 0))
+        profiles)
+    [ "wr-abort"; "bakery-abort"; "tas-abort" ];
+  check ci "runs judged" 90 !runs
+
 let () =
   Alcotest.run "abort"
     [
@@ -547,5 +592,7 @@ let () =
           Alcotest.test_case "wr-abort chaos clean" `Quick test_wr_abort_chaos_clean;
           Alcotest.test_case "wr-abort parallel byte-identical" `Slow
             test_wr_abort_parallel_byte_identical;
+          Alcotest.test_case "abortable locks: no lost-wakeup stall" `Quick
+            test_abortable_no_lost_wakeup_stall;
         ] );
     ]

@@ -860,37 +860,83 @@ let test_statecache_adversarial () =
 
 (* --- source-set regression pins -------------------------------------- *)
 
-let test_source_exhausts_sa_wr_trees () =
-  (* Budgets pinned from measured run counts (sa: 18_887, wr: 2_037);
-     blowing past them means the reduction regressed. *)
-  let sa =
-    Explore.explore ~por:`Source ~max_runs:25_000 ~max_steps:20_000 ~n:2 ~model:Memory.CC
-      ~crash:(fun () -> Crash.none)
-      ~setup:(Lazy.force sa_me_make) ~body:standard_one ~check:me_or_deadlock ()
-  in
-  check cb
-    (Printf.sprintf "source exhausts sa ME n=2 within 25k (%d runs)" sa.Explore.runs)
-    true sa.Explore.exhausted;
-  check cb "sa clean" true (sa.Explore.violation = None);
-  let wr =
-    Explore.explore ~por:`Source ~max_runs:3_000 ~max_steps:4_000 ~n:2 ~model:Memory.CC
-      ~crash:(fun () -> Crash.none)
-      ~setup:Wr_lock.make ~body:standard_one ~check:me_or_deadlock ()
-  in
-  check cb
-    (Printf.sprintf "source exhausts wr ME n=2 within 3k (%d runs)" wr.Explore.runs)
-    true wr.Explore.exhausted;
-  check cb "wr clean" true (wr.Explore.violation = None)
+(* Exact run counts per POR tier on the subjects behind the explorer's
+   reduction claims.  Every search here is deterministic, so a moved count
+   means the reduction or the engine's scheduling points changed: measure
+   again and update the pin on purpose.  The budgets sit well above the
+   pinned counts, so exhaustion is each search's own verdict; the one
+   exception is the plain WR search, which must still be running at its
+   budget. *)
 
-let test_source_splitter_reduction_floor () =
-  let plain = explore_splitter ~por:`Off ~crash:(fun () -> Crash.none) () in
-  let source = explore_splitter ~por:`Source ~crash:(fun () -> Crash.none) () in
-  check cb "both exhaust" true (plain.Explore.exhausted && source.Explore.exhausted);
-  check cb
-    (Printf.sprintf "splitter reduction >= 91x (%d vs %d)" plain.Explore.runs
-       source.Explore.runs)
-    true
-    (plain.Explore.runs >= 91 * source.Explore.runs)
+let pin name ~runs ~exhausted (o : Explore.outcome) =
+  check ci (name ^ ": runs") runs o.Explore.runs;
+  check cb (name ^ ": exhausted") exhausted o.Explore.exhausted;
+  check cb (name ^ ": clean") true (o.Explore.violation = None)
+
+let test_source_pins_splitter () =
+  let run por = explore_splitter ~por ~crash:(fun () -> Crash.none) () in
+  pin "splitter-me-n2 off" ~runs:3_552 ~exhausted:true (run `Off);
+  pin "splitter-me-n2 sleep" ~runs:39 ~exhausted:true (run `Sleep);
+  pin "splitter-me-n2 source" ~runs:34 ~exhausted:true (run `Source)
+
+let test_source_pins_sa_wr () =
+  let wr = lock_battery ~make:Wr_lock.make ~body:standard_one ~max_steps:4_000 ~domains:0 in
+  pin "wr-me-n2 off" ~runs:10_000 ~exhausted:false (wr ~por:`Off ~max_runs:10_000);
+  pin "wr-me-n2 sleep" ~runs:2_097 ~exhausted:true (wr ~por:`Sleep ~max_runs:200_000);
+  pin "wr-me-n2 source" ~runs:2_037 ~exhausted:true (wr ~por:`Source ~max_runs:200_000);
+  let sa =
+    lock_battery ~make:(Lazy.force sa_me_make) ~body:standard_one ~max_steps:20_000 ~domains:0
+      ~max_runs:200_000
+  in
+  pin "sa-me-n2 sleep" ~runs:31_290 ~exhausted:true (sa ~por:`Sleep);
+  pin "sa-me-n2 source" ~runs:18_875 ~exhausted:true (sa ~por:`Source)
+
+let test_source_pins_wr_gap () =
+  (* Every tier stops at the same first violation after the same number of
+     runs.  That off and sleep also share the shrunk witness is checked by
+     "wr FAS-gap: plain/por equivalence"; `Source guarantees the message
+     only. *)
+  let run por = explore_wr_gap ~por ~max_runs:200_000 ~domains:0 in
+  List.iter
+    (fun (tier, (o : Explore.outcome)) ->
+      check ci ("wr-gap-me-n3 " ^ tier ^ ": runs") 83 o.Explore.runs;
+      check cb ("wr-gap-me-n3 " ^ tier ^ ": not exhausted") false o.Explore.exhausted;
+      check Alcotest.(option string)
+        ("wr-gap-me-n3 " ^ tier ^ ": violation")
+        (Some "ME violation")
+        (Option.map fst o.Explore.violation))
+    [ ("off", run `Off); ("sleep", run `Sleep); ("source", run `Source) ]
+
+(* SA stack ME at n=3: beyond both the plain and the sleep-set search,
+   exhausted only by source-set DPOR with state caching.  The arrival
+   order is handoff-chained (each process may start its request once its
+   predecessor reaches Cs_end), so the explored concurrency is the
+   acquire-vs-release handoff race at every link of the n=3 structure;
+   the unconstrained 3-way tree is beyond any tier (measured > 5M
+   classes).  Mutual exclusion is checked across all three processes. *)
+let test_source_pins_sa_n3 () =
+  let make = Lazy.force sa_me_make in
+  let source =
+    Explore.explore ~por:`Source ~max_runs:400_000 ~max_steps:20_000 ~shrink_violations:false
+      ~n:3 ~model:Memory.CC
+      ~crash:(fun () -> Crash.none)
+      ~setup:(fun ctx ->
+        let gate = Memory.alloc (Engine.Ctx.memory ctx) ~name:"gate" 0 in
+        (make ctx, gate))
+      ~body:(fun (lock, gate) ~pid ->
+        if Api.completed_requests () < 1 then begin
+          if pid > 0 then Api.spin_until gate (Api.Eq pid);
+          Api.note (Event.Seg Event.Req_begin);
+          lock.Lock.acquire ~pid;
+          Api.note (Event.Seg Event.Cs_begin);
+          Api.note (Event.Seg Event.Cs_end);
+          Api.write gate (pid + 1);
+          lock.Lock.release ~pid;
+          Api.note (Event.Seg Event.Req_done)
+        end)
+      ~check:me_or_deadlock ()
+  in
+  pin "sa-me-n3 source" ~runs:325_345 ~exhausted:true source
 
 (* --- engine checkpoint/resume ----------------------------------------- *)
 
@@ -1058,10 +1104,11 @@ let () =
         ] );
       ( "source pins",
         [
-          Alcotest.test_case "sa/wr n=2 exhaust within budget" `Quick
-            test_source_exhausts_sa_wr_trees;
-          Alcotest.test_case "splitter reduction floor" `Quick
-            test_source_splitter_reduction_floor;
+          Alcotest.test_case "splitter-me-n2 exact counts" `Quick test_source_pins_splitter;
+          Alcotest.test_case "sa/wr n=2 exact counts" `Quick test_source_pins_sa_wr;
+          Alcotest.test_case "wr-gap-me-n3 identical first violation" `Quick
+            test_source_pins_wr_gap;
+          Alcotest.test_case "sa-me-n3 handoff-chained exhausts" `Slow test_source_pins_sa_n3;
         ] );
       ( "por",
         [
