@@ -632,18 +632,15 @@ let adversary () =
 (* ------------------------------------------------------------------ *)
 
 let explore_bench () =
-  Fmt.pr "@.=== Explorer throughput: sequential DFS vs checkpointed parallel search ===@.@.";
+  Fmt.pr "@.=== Explorer throughput: sequential DFS vs parallel search ===@.@.";
   (* Three processes, two WR-Lock requests each: a schedule tree far larger
      than the budget, so every configuration visits exactly [max_runs] runs
      and the wall-clock ratio measures the work done per run.  POR is off
-     on purpose — this section isolates the engine, not the pruning.  The
-     parallel rows resume every subtree from the nearest engine checkpoint
-     instead of replaying its decision prefix live, so they do strictly
-     less work per run than the sequential DFS; that algorithmic saving is
-     what the speedup column certifies, which is why it already shows up
-     at domains=1 and survives on single-core hosts (where Pool clamps the
-     worker count to the hardware and domain parallelism contributes
-     nothing). *)
+     on purpose — this section isolates the engine, not the pruning.  Every
+     row replays each run from the root, so the parallel rows do the same
+     work per run as the sequential DFS and any speedup comes from domain
+     parallelism alone (none on single-core hosts, where Pool clamps the
+     worker count to the hardware). *)
   let check res =
     if res.Engine.cs_max > 1 then Some "ME violation"
     else if res.Engine.deadlocked then Some "deadlock"
@@ -658,7 +655,7 @@ let explore_bench () =
           ~shrink_violations:false ~n:3 ~model:Memory.CC ~crash ~setup:Wr_lock.make ~body ~check
           ()
     | Some domains ->
-        Rme_check.Explore.explore_parallel ?stats ~por:`Off ~snap_gap:8 ~domains ~max_runs
+        Rme_check.Explore.explore_parallel ?stats ~por:`Off ~domains ~max_runs
           ~max_steps:4_000 ~shrink_violations:false ~n:3 ~model:Memory.CC ~crash
           ~setup:Wr_lock.make ~body ~check ()
   in
@@ -722,16 +719,15 @@ let explore_bench () =
            ])
          throughput);
   Fmt.pr "@.(same schedule tree, same budget, byte-identical outcomes; the parallel@.\
-          explorer splits the frontier into tasks, restarts each subtree from the@.\
-          nearest checkpoint, and work-steals across domains — the speedup is@.\
-          algorithmic, from replay avoided, so it holds at every domain count)@.";
+          explorer splits the frontier into tasks and work-steals across domains,@.\
+          every run replayed from the root — the speedup is domain parallelism)@.";
   let cores = Domain.recommended_domain_count () in
   Fmt.pr "@.hardware parallelism: %d@." cores;
   if cores < 2 then
     Fmt.pr "NOTE: single-core host — Pool clamps spawned workers to the hardware@.\
             (oversubscribed OCaml domains only add stop-the-world GC barriers), so@.\
-            all rows above run one worker and the speedup is checkpointing alone;@.\
-            domain parallelism adds its factor on multi-core machines.@.";
+            all rows above run one worker and no speedup is expected; domain@.\
+            parallelism adds its factor on multi-core machines.@.";
   let speedup_at label =
     List.fold_left (fun acc (l, _, _, _, s) -> if l = label then s else acc) 0.0 throughput
   in

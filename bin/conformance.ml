@@ -104,8 +104,8 @@ let matrix_rows cfg ~subjects =
       compare (List.assoc a.Sweep.row_subject order) (List.assoc b.Sweep.row_subject order))
     rows
 
-let conformance n requests cs_yields budget site_cap plan_cap max_runs max_steps jobs
-    split_depth model aborts only out =
+let conformance n requests cs_yields budget site_cap plan_cap max_runs max_steps jobs model
+    aborts only out =
   let cfg =
     {
       Sweep.default_cfg with
@@ -116,7 +116,6 @@ let conformance n requests cs_yields budget site_cap plan_cap max_runs max_steps
       plan_cap;
       abort_timeout = aborts;
       jobs;
-      split_depth;
     }
   in
   let models =
@@ -175,7 +174,9 @@ let conformance n requests cs_yields budget site_cap plan_cap max_runs max_steps
   end
 
 let () =
-  let n = Arg.(value & opt int 2 & info [ "n" ] ~docv:"N" ~doc:"Processes per scenario.") in
+  let n =
+    Arg.(value & opt Cli_exit.pos_int 2 & info [ "n" ] ~docv:"N" ~doc:"Processes per scenario.")
+  in
   let requests =
     Arg.(value & opt int 1 & info [ "requests" ] ~docv:"R" ~doc:"Requests per process.")
   in
@@ -198,7 +199,7 @@ let () =
   in
   let max_runs =
     Arg.(
-      value & opt int 150
+      value & opt Cli_exit.pos_int 150
       & info [ "max-runs" ] ~docv:"N" ~doc:"Explorer budget (schedules) per crash plan.")
   in
   let max_steps =
@@ -208,12 +209,9 @@ let () =
     Arg.(
       value & opt int 1
       & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Explore each plan over $(docv) OCaml domains (1 = sequential).")
-  in
-  let split_depth =
-    Arg.(
-      value & opt int 1
-      & info [ "split-depth" ] ~docv:"D" ~doc:"Frontier split depth of the parallel explorer.")
+          ~doc:
+            "Spread the crash plans over $(docv) OCaml domains (1 = sequential); each plan is \
+             one sequential search, so the matrix is the same for every $(docv).")
   in
   let model =
     Arg.(
@@ -253,6 +251,6 @@ let () =
          ~doc:"Crash-site sweep conformance matrix over the lock registry.")
       Term.(
         const conformance $ n $ requests $ cs_yields $ budget $ site_cap $ plan_cap $ max_runs
-        $ max_steps $ jobs $ split_depth $ model $ aborts $ only $ out)
+        $ max_steps $ jobs $ model $ aborts $ only $ out)
   in
   exit (Cli_exit.status (Cmd.eval' cmd))

@@ -11,7 +11,8 @@ let lock_arg =
   in
   Arg.(value & opt string "ba-jjj" & info [ "l"; "lock" ] ~docv:"LOCK" ~doc)
 
-let n_arg = Arg.(value & opt int 8 & info [ "n" ] ~docv:"N" ~doc:"Number of processes.")
+let n_arg =
+  Arg.(value & opt Cli_exit.pos_int 8 & info [ "n" ] ~docv:"N" ~doc:"Number of processes.")
 
 let requests_arg =
   Arg.(value & opt int 8 & info [ "r"; "requests" ] ~docv:"R" ~doc:"Requests per process.")

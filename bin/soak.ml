@@ -202,7 +202,9 @@ let () =
   let lock =
     Arg.(value & opt (some string) None & info [ "l"; "lock" ] ~docv:"LOCK" ~doc:"Only this lock.")
   in
-  let runs = Arg.(value & opt int 50 & info [ "runs" ] ~docv:"N" ~doc:"Runs per lock.") in
+  let runs =
+    Arg.(value & opt Cli_exit.pos_int 50 & info [ "runs" ] ~docv:"N" ~doc:"Runs per lock.")
+  in
   let seed = Arg.(value & opt int 0 & info [ "seed" ] ~docv:"S" ~doc:"Base seed.") in
   let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Per-run output.") in
   let jobs =

@@ -10,8 +10,9 @@ let pp_outcome ppf o =
 
 (* Effort counters, reported via the [stats] callback rather than inside
    [outcome]: outcomes are compared whole-record across domain counts (the
-   byte-identical determinism contract), while engine step totals legally
-   vary with checkpoint restarts and cache totals with the task split. *)
+   byte-identical determinism contract), while engine run and step totals
+   legally vary with the work a parallel worker does past the settled
+   region, and cache totals with the task split. *)
 type search_stats = {
   engine_runs : int;
   engine_steps : int;
@@ -90,18 +91,16 @@ let por_setup ~por ~record ~crash ~abort =
       | Plan.Robust victims when not record -> (tier, fun pid -> List.mem pid victims)
       | _ -> (`Off, fun _ -> false))
 
-(* Run one node: the schedule [decisions] names (choice 0 past its end),
-   resumed from [base] when given, handing every snapshot captured at a
-   branching position [>= Array.length decisions] (at most one per
-   [snap_gap]) to [snap].  [state_key_at]/[on_state_key] pass through to
-   the engine (the `Source tier's state-cache key). *)
-let run_node ?base ?(snap_gap = 0) ?snap ?state_key_at ?on_state_key d decisions =
+(* Run one node from the root: the schedule [decisions] names (choice 0
+   past its end).  [state_key_at]/[on_state_key] pass through to the engine
+   (the `Source tier's state-cache key). *)
+let run_node ?state_key_at ?on_state_key d decisions =
   let rr =
-    Engine.run_resumable ?from:base ~snap_gap ?snap ?state_key_at ?on_state_key ~record:d.record
-      ~max_steps:d.max_steps ~por:d.por ~footprint_crashy:d.crashy ~decisions ~n:d.n
-      ~model:d.model ~crash:d.crash ~abort:d.abort ~setup:d.setup ~body:d.body ()
+    Engine.run_trace ?state_key_at ?on_state_key ~record:d.record ~max_steps:d.max_steps ~por:d.por
+      ~footprint_crashy:d.crashy ~abort:(d.abort ()) ~decisions ~n:d.n ~model:d.model
+      ~crash:(d.crash ()) ~setup:d.setup ~body:d.body ()
   in
-  d.tally rr.Engine.rr_result;
+  d.tally rr.Engine.tr_result;
   rr
 
 (* A shrink candidate counts only if it reproduces the violation *and* its
@@ -113,12 +112,12 @@ let run_node ?base ?(snap_gap = 0) ?snap ?state_key_at ?on_state_key d decisions
 let faithful_reproduces d t =
   let decisions = Array.of_list t in
   let rr = run_node { d with por = false } decisions in
-  let degrees = rr.Engine.rr_degrees in
+  let degrees = rr.Engine.tr_degrees in
   let faithful = ref true in
   for i = 0 to min (Array.length decisions) (Array.length degrees) - 1 do
     if decisions.(i) < 0 || decisions.(i) >= degrees.(i) then faithful := false
   done;
-  !faithful && d.check rr.Engine.rr_result <> None
+  !faithful && d.check rr.Engine.tr_result <> None
 
 (* The decision vector of the child that follows [decisions]' spine (0 past
    its end) up to position [i] and takes choice [c] there. *)
@@ -127,24 +126,6 @@ let child decisions i c =
   Array.blit decisions 0 v 0 (Array.length decisions);
   v.(i) <- c;
   v
-
-(* [base_at i]: the deepest checkpoint at or before position [i] of a node
-   resumed from [base] whose own run captured [snaps] — the snapshot a
-   child deviating at [i] resumes from.  The first eligible position is
-   always captured, so children never fall back past the node's own run. *)
-let base_at ~base ~depth ~len snaps =
-  if Vec.length snaps = 0 then fun _ -> base
-  else begin
-    let at = Array.make (max (len - depth) 1) base in
-    let si = ref 0 in
-    for i = depth to len - 1 do
-      while !si < Vec.length snaps && Engine.Snap.pos (Vec.get snaps !si) <= i do
-        incr si
-      done;
-      if !si > 0 then at.(i - depth) <- Some (Vec.get snaps (!si - 1))
-    done;
-    fun i -> at.(i - depth)
-  end
 
 (* The children of a node at depth [depth] whose run was [rr], in DFS
    preorder: [visit i c sleep] for every choice [c >= 1] at
@@ -165,16 +146,16 @@ let base_at ~base ~depth ~len snaps =
    stays accurate.  Without POR, and below a timed-out run (the coverage
    argument permutes complete runs, and this one was cut mid-schedule),
    every child is visited with an empty sleep set and judges its own run. *)
-let iter_children d (rr : Engine.rrun) ~depth sleep0 visit =
-  let branches = rr.Engine.rr_degrees in
-  if (not d.por) || rr.Engine.rr_result.Engine.timed_out then
+let iter_children d (rr : Engine.trun) ~depth sleep0 visit =
+  let branches = rr.Engine.tr_degrees in
+  if (not d.por) || rr.Engine.tr_result.Engine.timed_out then
     for i = depth to Array.length branches - 1 do
       for c = 1 to branches.(i) - 1 do
         visit i c []
       done
     done
   else begin
-    let fv = rr.Engine.rr_footprints in
+    let fv = rr.Engine.tr_footprints in
     (* Offset of position [i]'s choices in the flat footprint buffer. *)
     let off = ref 0 in
     for i = 0 to depth - 1 do
@@ -202,36 +183,29 @@ let iter_children d (rr : Engine.rrun) ~depth sleep0 visit =
   end
 
 (* Depth-first search of the subtree of decision vectors rooted at
-   [prefix0] ([`Off] and [`Sleep]).  Each node's run returns the branching
-   degree observed at every decision point, and [iter_children] spawns its
-   children.  With [snap_gap > 0] every node's run captures engine
-   checkpoints and each child resumes from the deepest one on its path
-   instead of replaying its whole prefix from the root; with [snap_gap = 0]
-   every run starts at the root.  Both visit the same nodes in the same
-   order.
+   [prefix0] ([`Off] and [`Sleep]).  Each node's run starts at the root and
+   returns the branching degree observed at every decision point, and
+   [iter_children] spawns its children.
 
    [take_run] reserves budget for one run and returns [false] once the
    budget is gone; [stop] is an external cancellation signal (the parallel
    explorer's "an earlier subtree already has the answer").  Both unwind
    the whole subtree immediately.  Returns [`Done] (subtree exhausted),
    [`Cut] (abandoned), or the first violation in DFS preorder. *)
-let subtree d ~snap_gap ~take_run ~stop (prefix0, sleep0) =
+let subtree d ~take_run ~stop (prefix0, sleep0) =
   let exception Halt in
   let exception Found of string * int list in
-  let rec go base decisions sleep0 =
+  let rec go decisions sleep0 =
     if stop () then raise Halt;
     if not (take_run ()) then raise Halt;
-    let snaps = Vec.create () in
-    let rr = run_node d ?base ~snap_gap ~snap:(Vec.push snaps) decisions in
-    let res = rr.Engine.rr_result in
-    (match d.check res with
+    let rr = run_node d decisions in
+    (match d.check rr.Engine.tr_result with
     | Some msg -> raise (Found (msg, Array.to_list decisions))
     | None -> ());
-    let depth = Array.length decisions in
-    let base_at = base_at ~base ~depth ~len:(Array.length rr.Engine.rr_degrees) snaps in
-    iter_children d rr ~depth sleep0 (fun i c sleep -> go (base_at i) (child decisions i c) sleep)
+    iter_children d rr ~depth:(Array.length decisions) sleep0 (fun i c sleep ->
+        go (child decisions i c) sleep)
   in
-  match go None prefix0 sleep0 with
+  match go prefix0 sleep0 with
   | () -> `Done
   | exception Halt -> `Cut
   | exception Found (msg, tr) -> `Viol (msg, tr)
@@ -348,7 +322,7 @@ module Src = struct
 end
 
 (* Depth-first source-set DPOR with state caching: the `Source analogue of
-   [subtree], over the same run and checkpoint machinery.  Each node runs
+   [subtree], over the same node runs.  Each node runs
    its spine schedule, scans the observed footprints for reversible races
    ({!Footprint.Race}), and explores a sibling only when some race demands
    it — where [subtree] visits every non-slept sibling.  Demands land in
@@ -373,32 +347,28 @@ end
    frontier is fully expanded under sleep-set filtering, a superset of any
    source-set choice, so whatever a dropped demand would reach is a sibling
    task already in the pool. *)
-let subtree_source d ~snap_gap ~ctx ~take_run ~stop (prefix0, inh0) =
+let subtree_source d ~ctx ~take_run ~stop (prefix0, inh0) =
   let exception Halt in
   let exception Found of string * int list in
   let caching = ctx.Src.cache <> None in
-  let rec go base decisions inh0 (note : Src.acc) =
+  let rec go decisions inh0 (note : Src.acc) =
     if stop () then raise Halt;
     if not (take_run ()) then raise Halt;
     let depth = Array.length decisions in
-    let snaps = Vec.create () in
     let key = ref None in
     let rr =
-      run_node d ?base ~snap_gap ~snap:(Vec.push snaps)
+      run_node d
         ~state_key_at:(if caching then depth else -1)
         ~on_state_key:(fun k -> key := Some k)
         decisions
     in
-    let res = rr.Engine.rr_result in
+    let res = rr.Engine.tr_result in
     (match d.check res with
     | Some msg -> raise (Found (msg, Array.to_list decisions))
     | None -> ());
-    let branches = rr.Engine.rr_degrees in
+    let branches = rr.Engine.tr_degrees in
     let len = Array.length branches in
     let m = len - depth in
-    (* Precomputed because the fixpoint sweeps revisit positions out of
-       order. *)
-    let base_at = base_at ~base ~depth ~len snaps in
     if res.Engine.timed_out then begin
       (* The run was cut mid-schedule: the permutation argument needs
          complete runs, so expand this node unpruned (children still
@@ -407,7 +377,7 @@ let subtree_source d ~snap_gap ~ctx ~take_run ~stop (prefix0, inh0) =
          be trusted. *)
       for i = depth to len - 1 do
         for c = 1 to branches.(i) - 1 do
-          ignore (go (base_at i) (child decisions i c) [] note)
+          ignore (go (child decisions i c) [] note)
         done
       done;
       (* Demands children deposited at our positions are subsumed by the
@@ -419,7 +389,7 @@ let subtree_source d ~snap_gap ~ctx ~take_run ~stop (prefix0, inh0) =
       false
     end
     else begin
-      let fpv = rr.Engine.rr_footprints in
+      let fpv = rr.Engine.tr_footprints in
       let fp i = fpv.(i) in
       let offs = Array.make (len + 1) 0 in
       for i = 0 to len - 1 do
@@ -488,7 +458,7 @@ let subtree_source d ~snap_gap ~ctx ~take_run ~stop (prefix0, inh0) =
                             (fun s -> Footprint.independent s fpc)
                             (inh.(ix) @ expl.(ix))
                         in
-                        let ok = go (base_at i) (child decisions i c) child_sleep acc in
+                        let ok = go (child decisions i c) child_sleep acc in
                         drain ();
                         summarizable := !summarizable && ok;
                         expl.(ix) <- fpc :: expl.(ix)
@@ -516,7 +486,7 @@ let subtree_source d ~snap_gap ~ctx ~take_run ~stop (prefix0, inh0) =
           !summarizable
     end
   in
-  match go None prefix0 inh0 (Src.fresh_acc ()) with
+  match go prefix0 inh0 (Src.fresh_acc ()) with
   | _ -> `Done
   | exception Halt -> `Cut
   | exception Found (msg, tr) -> `Viol (msg, tr)
@@ -592,18 +562,13 @@ let explore ?(max_runs = 100_000) ?(max_steps = 20_000) ?(shrink_violations = tr
     end
   in
   let stop () = false in
-  (* One search over the whole tree, starting every run at the root
-     ([snap_gap = 0]).  Capturing snapshots here (at [snap_gap = 4]) leaves
-     every outcome unchanged but, on the verify benchmark, costs 29% more
-     minor words per passage and 51% more peak heap, for journals and
-     store images that a single-domain DFS mostly throws away again. *)
   let search take_run =
     match
       match tier with
-      | `Off | `Sleep -> subtree d ~snap_gap:0 ~take_run ~stop ([||], [])
+      | `Off | `Sleep -> subtree d ~take_run ~stop ([||], [])
       | `Source ->
           let ctx = { Src.slots = Vec.create (); root = 0; cache } in
-          subtree_source d ~snap_gap:0 ~ctx ~take_run ~stop ([||], [])
+          subtree_source d ~ctx ~take_run ~stop ([||], [])
     with
     | `Viol v -> Some v
     | `Done | `Cut -> None
@@ -621,7 +586,7 @@ let explore ?(max_runs = 100_000) ?(max_steps = 20_000) ?(shrink_violations = tr
            exactly. *)
         if not (take_run ()) then None
         else begin
-          match d.check (run_node { d with por = false } [||]).Engine.rr_result with
+          match d.check (run_node { d with por = false } [||]).Engine.tr_result with
           | Some msg -> Some (msg, [])
           | None ->
               let first = ref true in
@@ -671,9 +636,8 @@ type item = Done | Task of int array * Footprint.t list | Viol of string * int l
 type task_result = { t_runs : int; t_viol : (string * int list) option; t_cut : bool }
 
 let explore_parallel ?(max_runs = 100_000) ?(max_steps = 20_000) ?(shrink_violations = true)
-    ?(record = false) ?(por = `Sleep) ?(cache_capacity = 65_536) ?domains ?(split_depth = 1)
-    ?(snap_gap = 4) ?(abort = fun () -> Abort.none) ?stats ~n ~model ~crash ~setup ~body ~check ()
-    =
+    ?(record = false) ?(por = `Sleep) ?(cache_capacity = 65_536) ?domains
+    ?(abort = fun () -> Abort.none) ?stats ~n ~model ~crash ~setup ~body ~check () =
   let tier, crashy = por_setup ~por ~record ~crash ~abort in
   (* Effort counters accumulate atomically: the tally fires on whatever
      domain runs the task.  They feed only the [stats] callback, never the
@@ -720,7 +684,7 @@ let explore_parallel ?(max_runs = 100_000) ?(max_steps = 20_000) ?(shrink_violat
   let probe_viol =
     if tier = `Off || max_runs < 1 then None
     else
-      match d.check (run_node { d with por = false } [||]).Engine.rr_result with
+      match d.check (run_node { d with por = false } [||]).Engine.tr_result with
       | Some msg -> Some (msg, [])
       | None -> None
   in
@@ -729,12 +693,11 @@ let explore_parallel ?(max_runs = 100_000) ?(max_steps = 20_000) ?(shrink_violat
      there are enough tasks to keep every domain fed through imbalance
      (~8x domains), the tree is exhausted, a violation surfaces (the
      search ends at it — later items are dropped), or further splitting
-     cannot matter because the budget would already be spent.
-     [split_depth] forces a minimum number of levels (compatibility with
-     callers tuned against the fixed-depth splitter). *)
+     cannot matter because the budget would already be spent.  The root
+     is always expanded, so every task sits at least one level deep. *)
   let expand_one (prefix, sleep0) =
     let rr = run_node d prefix in
-    match d.check rr.Engine.rr_result with
+    match d.check rr.Engine.tr_result with
     | Some msg -> `Viol (msg, Array.to_list prefix)
     | None ->
         let children = ref [] in
@@ -755,7 +718,7 @@ let explore_parallel ?(max_runs = 100_000) ?(max_steps = 20_000) ?(shrink_violat
     if
       ntasks = 0 || level >= 64
       || ndone + ntasks >= max_runs
-      || (level >= split_depth && ntasks >= target_tasks)
+      || (level >= 1 && ntasks >= target_tasks)
     then items
     else begin
       (* Expand every task one level, left to right, keeping order — no
@@ -826,14 +789,14 @@ let explore_parallel ?(max_runs = 100_000) ?(max_steps = 20_000) ?(shrink_violat
     in
     let r =
       match tier with
-      | `Off | `Sleep -> subtree d ~snap_gap ~take_run ~stop (prefix, sleep)
+      | `Off | `Sleep -> subtree d ~take_run ~stop (prefix, sleep)
       | `Source ->
           (* Fresh per-task slots and cache, rooted at the task prefix:
              the task set and each task's search are then independent of
              the domain count, so 1/2/4-domain outcomes stay identical. *)
           let cache = cache_for ~n ~statecache:None ~cache_capacity in
           let ctx = { Src.slots = Vec.create (); root = Array.length prefix; cache } in
-          let r = subtree_source d ~snap_gap ~ctx ~take_run ~stop (prefix, sleep) in
+          let r = subtree_source d ~ctx ~take_run ~stop (prefix, sleep) in
           (match cache with
           | Some c ->
               ignore (Atomic.fetch_and_add cache_hits_a (Statecache.hits c));

@@ -4,20 +4,20 @@
     Replays the simulation under every interleaving reachable within the
     configured bounds: a run is identified by its decision vector (which
     runnable process steps at each point, in {!Sched.trace}'s encoding,
-    replayed by {!Engine.run_resumable}); after each run, the recorded
-    branching degrees spawn the sibling decision vectors.  With small [n]
-    and request counts this enumerates the complete schedule tree and
-    checks a property on every run — exhaustive verification of mutual
-    exclusion for the splitter, arbitrator and WR-Lock components,
+    replayed from the root by {!Engine.run_trace}); after each run, the
+    recorded branching degrees spawn the sibling decision vectors.  With
+    small [n] and request counts this enumerates the complete schedule
+    tree and checks a property on every run — exhaustive verification of
+    mutual exclusion for the splitter, arbitrator and WR-Lock components,
     optionally under a crash plan.
 
     Each reduction tier has exactly one search, shared by {!explore} and
     {!explore_parallel}: a depth-first search for [`Off] and [`Sleep], and
     a source-set search for [`Source].  The two entry points differ only in
     how they drive it.  {!explore} runs it once over the whole tree on the
-    calling domain and starts every run at the root.  {!explore_parallel}
-    runs it once per subtree task, resuming each run from an engine
-    checkpoint. *)
+    calling domain; {!explore_parallel} runs it once per subtree task.
+    Either way every run replays its whole decision vector from the
+    root. *)
 
 open Rme_sim
 
@@ -43,9 +43,8 @@ type search_stats = {
 }
 (** Search-effort counters, reported through the [?stats] callback of
     {!explore} / {!explore_parallel}.  Deliberately {e not} part of
-    {!outcome}: outcomes are compared byte-for-byte across domain counts
-    (and step totals vary with checkpoint restarts), while these counters
-    describe the effort of one particular search. *)
+    {!outcome}: outcomes are compared byte-for-byte across domain counts,
+    while these counters describe the effort of one particular search. *)
 
 val pp_search_stats : search_stats Fmt.t
 
@@ -132,14 +131,6 @@ val explore :
     state caching — the source-set reduction still applies.  Both are
     ignored outside [`Source].
 
-    Every run starts at the root: the sequential search captures no
-    engine snapshots.  Capturing them here (the parallel explorer's
-    [snap_gap] of 4) leaves every outcome unchanged, but a one-domain
-    depth-first search throws most snapshots away unused: on the
-    repository benchmark's [verify] workload it costs 29% more minor
-    words per passage and 51% more peak heap, and runs slower, than
-    starting every run from the root.
-
     [stats], when given, is called exactly once, after the search
     completes (including shrinking), with the {!search_stats} effort
     counters for this call. *)
@@ -152,8 +143,6 @@ val explore_parallel :
   ?por:[ `Off | `Sleep | `Source ] ->
   ?cache_capacity:int ->
   ?domains:int ->
-  ?split_depth:int ->
-  ?snap_gap:int ->
   ?abort:(unit -> Abort.t) ->
   ?stats:(search_stats -> unit) ->
   n:int ->
@@ -168,17 +157,13 @@ val explore_parallel :
     (default {!Pool.default_domains}).  The schedule tree is split into
     disjoint decision-vector subtrees by expanding the frontier until
     there are enough tasks to keep every domain fed through load
-    imbalance (at least [max 16 (8 * domains)], and at least
-    [split_depth] levels — default 1 — for compatibility); the frontier
-    expansion enumerates children and sleep sets with the same code as
-    the search itself.  The subtrees are distributed over a work-stealing
-    {!Pool}, and each task runs the tier's one search with engine
-    checkpointing on: every [snap_gap]-th branching decision position
-    (default 4; [0] disables it) captures an {!Engine.Snap.t}, and each
-    node's run resumes from the deepest checkpoint on its path instead of
-    replaying the whole shared prefix from the root — the prefix-replay
-    elimination that makes the parallel search cheaper per run than the
-    sequential one.
+    imbalance (at least [max 16 (8 * domains)], and at least one level
+    below the root); the frontier expansion enumerates children and sleep
+    sets with the same code as the search itself.  The subtrees are
+    distributed over a work-stealing {!Pool}, and each task runs the
+    tier's one search, replaying every run from the root exactly as
+    {!explore} does.  The speedup over {!explore} is the domain count at
+    best: nothing is saved per run.
 
     Determinism: the reported outcome — [runs], [exhausted], and the
     [violation] with its shrunk vector — is byte-identical for every

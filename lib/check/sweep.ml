@@ -155,7 +155,6 @@ type cfg = {
   crash_model : crash_model;
   abort_timeout : int option;
   jobs : int;
-  split_depth : int;
 }
 
 let default_cfg =
@@ -169,7 +168,6 @@ let default_cfg =
     crash_model = Per_process;
     abort_timeout = None;
     jobs = 1;
-    split_depth = 1;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -198,6 +196,7 @@ type campaign = {
   plans_total : int;
   plans_run : int;
   plans_truncated : bool;
+  plans_exhausted : int;
   runs : int;
   findings : finding list;
 }
@@ -314,17 +313,31 @@ let abort_of_cfg cfg () =
   | None -> Abort.none
   | Some timeout_steps -> Abort.impatient ~timeout_steps ()
 
-let explore_once cfg ~n ~model ~record ~crash scenario check =
+(* Expectation classes: under No_crash every violation is a FAIL; under a
+   crashing plan the expected properties are checked in a separate second
+   pass, so an expected violation (e.g. WR-Lock's FAS-gap ME overlap) can
+   never mask a FAIL of the same plan. *)
+let classes_of plan props =
+  match plan with
+  | No_crash -> [ (props, false) ]
+  | _ ->
+      let expected, unexpected = List.partition (fun p -> p.expected_under_crash) props in
+      (match unexpected with [] -> [] | ps -> [ (ps, false) ])
+      @ match expected with [] -> [] | ps -> [ (ps, true) ]
+
+(* One plan, every expectation class, each explored by the sequential
+   explorer: [(outcome, expected)] per class, in class order. *)
+let sweep_plan cfg ~n ~model ~props scenario plan =
   let abort = abort_of_cfg cfg in
   match scenario with
   | Scenario { setup; body } ->
-      if cfg.jobs <= 1 then
-        Explore.explore ~max_runs:cfg.max_runs_per_plan ~max_steps:cfg.max_steps ~record ~abort
-          ~n ~model ~crash ~setup ~body ~check ()
-      else
-        Explore.explore_parallel ~max_runs:cfg.max_runs_per_plan ~max_steps:cfg.max_steps
-          ~record ~abort ~domains:cfg.jobs ~split_depth:cfg.split_depth ~n ~model ~crash ~setup
-          ~body ~check ()
+      List.map
+        (fun (ps, expected) ->
+          let record = List.exists (fun p -> p.needs_record) ps in
+          ( Explore.explore ~max_runs:cfg.max_runs_per_plan ~max_steps:cfg.max_steps ~record
+              ~abort ~n ~model ~crash:(crash_of_plan plan) ~setup ~body ~check:(check_of ps) (),
+            expected ))
+        (classes_of plan props)
 
 let sweep cfg ~n ~model ~props scenario =
   let sites_seen, sites, sites_truncated = discover cfg ~n ~model scenario in
@@ -332,47 +345,32 @@ let sweep cfg ~n ~model ~props scenario =
   let plans_total = List.length all_plans in
   let plans_truncated = plans_total > cfg.plan_cap in
   let plans = if plans_truncated then take cfg.plan_cap all_plans else all_plans in
-  let runs = ref 0 in
-  let findings = ref [] in
-  List.iter
-    (fun plan ->
-      (* Expectation classes: under No_crash every violation is a FAIL;
-         under a crashing plan the expected properties are checked in a
-         separate second pass, so an expected violation (e.g. WR-Lock's
-         FAS-gap ME overlap) can never mask a FAIL of the same plan. *)
-      let classes =
-        match plan with
-        | No_crash -> [ (props, false) ]
-        | _ ->
-            let expected, unexpected =
-              List.partition (fun p -> p.expected_under_crash) props
-            in
-            (match unexpected with [] -> [] | ps -> [ (ps, false) ])
-            @ (match expected with [] -> [] | ps -> [ (ps, true) ])
-      in
-      List.iter
-        (fun (ps, expected) ->
-          let record = List.exists (fun p -> p.needs_record) ps in
-          let outcome =
-            explore_once cfg ~n ~model ~record ~crash:(crash_of_plan plan) scenario
-              (check_of ps)
-          in
-          runs := !runs + outcome.Explore.runs;
-          match outcome.Explore.violation with
-          | None -> ()
-          | Some (tagged, witness) ->
-              let prop_name, msg = split_tagged tagged in
-              findings :=
+  (* Plans are independent searches: shard them across domains and merge
+     in plan order, so everything below is the same for every [jobs]. *)
+  let per_plan =
+    Pool.map ~domains:(max 1 cfg.jobs) ~tasks:(Array.of_list plans) (fun ~index:_ ~stop:_ plan ->
+        (plan, sweep_plan cfg ~n ~model ~props scenario plan))
+  in
+  let per_plan = Array.to_list (Array.map Option.get per_plan) in
+  let findings =
+    List.concat_map
+      (fun (plan, classes) ->
+        List.filter_map
+          (fun ((o : Explore.outcome), expected) ->
+            Option.map
+              (fun (tagged, witness) ->
+                let prop_name, msg = split_tagged tagged in
                 {
                   f_plan = plan;
                   f_prop = prop_name;
                   f_message = msg;
                   f_witness = witness;
                   f_expected = expected;
-                }
-                :: !findings)
-        classes)
-    plans;
+                })
+              o.violation)
+          classes)
+      per_plan
+  in
   {
     sites_seen;
     sites;
@@ -380,8 +378,18 @@ let sweep cfg ~n ~model ~props scenario =
     plans_total;
     plans_run = List.length plans;
     plans_truncated;
-    runs = !runs;
-    findings = List.rev !findings;
+    plans_exhausted =
+      List.length
+        (List.filter
+           (fun (_, classes) ->
+             List.for_all (fun ((o : Explore.outcome), _) -> o.exhausted) classes)
+           per_plan);
+    runs =
+      List.fold_left
+        (fun acc (_, classes) ->
+          List.fold_left (fun acc ((o : Explore.outcome), _) -> acc + o.runs) acc classes)
+        0 per_plan;
+    findings;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -458,7 +466,7 @@ let prop_columns rows =
 
 let matrix_cells rows =
   let props = prop_columns rows in
-  let header = ("lock" :: props) @ [ "sites"; "plans"; "truncated" ] in
+  let header = ("lock" :: props) @ [ "sites"; "plans"; "exhausted"; "truncated" ] in
   let cells =
     List.map
       (fun row ->
@@ -479,6 +487,7 @@ let matrix_cells rows =
         @ [
             Printf.sprintf "%d/%d" (List.length c.sites) c.sites_seen;
             Printf.sprintf "%d/%d" c.plans_run c.plans_total;
+            Printf.sprintf "%d/%d" c.plans_exhausted c.plans_run;
             trunc;
           ])
       rows
@@ -516,7 +525,17 @@ let matrix_details rows =
           ]
         else []
       in
-      fails @ truncs)
+      let samples =
+        if c.plans_exhausted < c.plans_run then
+          [
+            Printf.sprintf
+              "%s: %d of %d plans stopped at the per-plan run budget or a violation, so their \
+               verdicts cover a sample of schedules"
+              row.row_subject (c.plans_run - c.plans_exhausted) c.plans_run;
+          ]
+        else []
+      in
+      fails @ truncs @ samples)
     rows
 
 let matrix_failures rows =

@@ -13,9 +13,10 @@
       [{Before, After}] × each site, an asynchronous crash at each park
       point (spin sites), and pairwise site combinations once the crash
       budget [F ≥ 2];
-    + {b verification} — drive every plan through {!Explore.explore} (or
-      {!Explore.explore_parallel} with [jobs > 1]), checking a battery of
-      {!Props}-style properties on every explored schedule.
+    + {b verification} — drive every plan through {!Explore.explore},
+      checking a battery of {!Props}-style properties on every explored
+      schedule; with [jobs > 1] the plans are spread over that many
+      domains, each plan still one sequential search.
 
     On top of the engine, {!matrix} evaluates a list of lock subjects
     against their batteries and produces a deterministic lock × property
@@ -23,12 +24,11 @@
     the cross-lock conformance matrix the [conformance] binary renders.
 
     Determinism: discovery is a single deterministic run; plan order is a
-    pure function of the discovered sites; per-plan outcomes inherit the
-    explorer's sequential-vs-parallel determinism guarantee.  Everything
-    rendered by {!matrix_cells}/{!matrix_details} is therefore
-    byte-identical across [jobs] and [split_depth] — only {!campaign.runs}
-    (how many schedules the parallel explorer executed before cancelling)
-    may vary, and it is deliberately excluded from the rendered matrix. *)
+    pure function of the discovered sites; each plan is one sequential
+    search, and the per-plan results are merged in plan order whatever
+    domain ran them.  The whole {!campaign}, and everything rendered by
+    {!matrix_cells}/{!matrix_details}, is therefore byte-identical across
+    [jobs]. *)
 
 open Rme_sim
 
@@ -154,15 +154,13 @@ type cfg = {
           default) injects no aborts.  Impatience plans are
           schedule-sensitive, so the explorer runs unreduced under this
           axis. *)
-  jobs : int;  (** 1 = sequential {!Explore.explore}; > 1 = that many domains *)
-  split_depth : int;  (** frontier split depth of the parallel explorer *)
+  jobs : int;  (** domains the plans are spread over (1 = all on the calling domain) *)
 }
 
 val default_cfg : cfg
 (** [{ max_runs_per_plan = 300; max_steps = 4_000; budget = 1;
       site_cap = 96; plan_cap = 256; site_kinds = None;
-      crash_model = Per_process; abort_timeout = None; jobs = 1;
-      split_depth = 1 }] *)
+      crash_model = Per_process; abort_timeout = None; jobs = 1 }] *)
 
 (** {1 The sweep} *)
 
@@ -183,8 +181,11 @@ type campaign = {
   plans_total : int;  (** plans the enumeration produced *)
   plans_run : int;  (** plans actually swept ([plan_cap]) *)
   plans_truncated : bool;
-  runs : int;  (** schedules executed across all plans (not deterministic
-                   across [jobs] when violations cancel subtrees) *)
+  plans_exhausted : int;
+      (** swept plans whose every expectation class explored its whole
+          schedule tree; the others stopped at [max_runs_per_plan] or at a
+          violation, so their verdicts rest on a sample of schedules *)
+  runs : int;  (** schedules executed across all plans and classes *)
   findings : finding list;  (** in plan order; at most one per (plan, prop) *)
 }
 
@@ -250,15 +251,15 @@ val matrix : cfg -> model:Memory.model -> subjects:subject list -> mrow list
 val matrix_cells : mrow list -> string list * string list list
 (** [(header, rows)] for {!Rme.Report.table}: subject, one column per
     property name occurring in any battery ("-" where a subject does not
-    check it), then deterministic site/plan counts and truncation flags.
-    Contains no run counts, so the rendering is byte-identical across
-    [jobs]/[split_depth]. *)
+    check it), then deterministic site/plan counts, the exhausted plan
+    count out of the swept plans, and truncation flags. *)
 
 val matrix_details : mrow list -> string list
 (** Deterministic detail lines: one per FAIL (plan label, message, shrunk
     witness vector — enough to reproduce by replaying the vector under the
-    labelled crash plan) and one per truncated campaign (what was
-    dropped).  Empty when every cell is pass/expected. *)
+    labelled crash plan), one per truncated campaign (what was dropped),
+    and one per subject with a plan that did not exhaust (how many).  Empty when
+    every cell is pass/expected and every plan exhausted. *)
 
 val matrix_failures : mrow list -> (string * finding) list
 (** All FAIL findings, with their subject names ([[]] = conformant). *)

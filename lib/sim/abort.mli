@@ -11,11 +11,11 @@
     victim aborts ({!Event.Abort_done}), loses the race and acquires
     ({!Event.Abort_lost_race}), acquires normally, or crashes.
 
-    {b Winding contract} (record/replay, {!Engine.run_resumable}): a plan's
-    state (RNG cursors, budgets, gap cursors) evolves from the consult
-    sequence alone, never gated on the [view] oracles; only victim {e
-    selection} may read the view.  Journal fast-forward winds plans by
-    consulting [async] with {!blind_view} and discarding the decisions. *)
+    {b Winding contract} (record/replay): a plan's state (RNG cursors,
+    budgets, gap cursors) evolves from the consult sequence alone, never
+    gated on the [view] oracles; only victim {e selection} may read the
+    view.  Two runs that consult a plan in the same order therefore leave
+    it in the same state, whatever the oracles answered. *)
 
 (** Engine oracles handed to [async] decisions, rebuilt fresh per run. *)
 type view = {
@@ -28,7 +28,8 @@ type view = {
 }
 
 val blind_view : n:int -> view
-(** All [waiting] [-1], all [streak] [0]: the journal fast-forward view. *)
+(** All [waiting] [-1], all [streak] [0]: the view of no engine at all —
+    the engine's placeholder when a run has no abort plan. *)
 
 type t
 

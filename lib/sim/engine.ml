@@ -83,32 +83,22 @@ type parked = {
 
 type pstate = Start | Ready of status | Parked of parked | Woken of parked | Halted
 
-(* Run journal, the raw material of checkpoints.  One-shot effect
-   continuations cannot be copied, so a checkpoint cannot snapshot the
-   fibers themselves; instead the engine logs, in global resolution order,
-   every event that advanced a fiber — a body dispatch, the answer fed to a
-   suspended instruction, or the crash that discontinued it.  Replaying the
-   log against fresh fibers ("fast-forward") rebuilds every continuation at
-   the checkpointed suspension point without touching the store, the
-   scheduler or the crash plan.  [jops] keeps the {!Crash.op_info} stream
-   so a fresh (stateful) crash plan can be wound forward to the same
-   internal state. *)
-(* Journal entries are packed into an unboxed int [Vec.t], two slots per
-   entry — header, then answer value — so live recording allocates nothing
-   per step (amortized array growth aside) and fast-forward scans a flat
-   int array.  Header layout: the low 3 bits hold the entry tag, the rest
-   the pid. *)
-type journal = { jents : int Vec.t; jops : Crash.op_info Vec.t }
-
 (* FNV-style fold for the per-process answer-stream digests and the state
    key.  Stays in [0, max_int] so the digests are portable ints. *)
 let hmix h x = (h lxor x) * 0x100000001b3 land max_int
 
+(* Each process's answer stream: in global resolution order, every event
+   that advanced its fiber — a body dispatch, the answer fed to a suspended
+   instruction, or the crash that discontinued it.  A body is a
+   deterministic function of this stream, so the engine folds it into a
+   per-process digest ([ans_hash]) for the state key.  An entry is a header
+   — the low 3 bits hold the entry tag, the rest the pid — and an answer
+   value. *)
 let jt_dispatch = 0 (* pid's body (re)started: ran to its first suspension *)
 
 let jt_crash = 1 (* pid's pending instruction discontinued by a crash *)
 
-let jt_ans_unit = 2 (* pid's pending instruction resolved; answer in slot 2 *)
+let jt_ans_unit = 2 (* pid's pending instruction resolved; answer in the value *)
 
 let jt_ans_int = 3
 
@@ -127,17 +117,13 @@ type t = {
   consult_ops : bool;  (* build a [Crash.op_info] per instruction and consult
                           the plans/hooks; off on the fast path, where only
                           the op counter advances *)
-  track_ans : bool;  (* fold answer-stream digests (journal or state keys) *)
+  track_ans : bool;  (* fold answer-stream digests (state keys) *)
   trace_ops : bool;
   max_steps : int;
   stall_window : int;
   on_crash : pid:int -> step:int -> unit;
   on_op : Crash.op_info -> unit;
-  footprints : Footprint.t Vec.t option;
-  footprint_crashy : int -> bool;
-  journal : journal option;  (* when capturing snapshots: the resolved-effect log *)
-  log_ops : bool;  (* record [jops] (skipped for the stateless none plans) *)
-  (* Running digest of each process's journal stream (dispatches, answers,
+  (* Running digest of each process's answer stream (dispatches, answers,
      crash discontinuations).  A process body is a deterministic function
      of this stream, so equal digests mean equal control state — the
      private half of {!state_key}. *)
@@ -178,9 +164,6 @@ type t = {
   unsafe_crashes : int array;
   lock_names : string array;
   parked_cells : (int, unit) Hashtbl.t;  (* cell ids with parked processes *)
-  (* The [Keep] sink's buffer when the sink has one, else a fresh empty
-     vector — checkpoint capture blits event prefixes from it. *)
-  events : Event.t Vec.t;
   (* Per-count scratch arrays for {!runnable}: [Sched.pick] implementations
      read [Array.length runnable], so each ready-set size needs an
      exact-length buffer.  Lazily allocated, reused across steps. *)
@@ -221,15 +204,10 @@ let handler : (unit, status) Effect.Deep.handler =
 let jpush eng header value =
   if eng.track_ans then begin
     let pid = header lsr 3 in
-    eng.ans_hash.(pid) <- hmix (hmix eng.ans_hash.(pid) header) value;
-    match eng.journal with
-    | Some j ->
-        Vec.push j.jents header;
-        Vec.push j.jents value
-    | None -> ()
+    eng.ans_hash.(pid) <- hmix (hmix eng.ans_hash.(pid) header) value
   end
 
-(* The answer a resolved instruction fed its fiber, packed for the journal.
+(* The answer a resolved instruction fed its fiber, packed for the stream.
    GADT refinement is per-branch, so same-typed constructors cannot share
    an or-pattern. *)
 let ans_tag : type a. a Api.view -> int =
@@ -269,36 +247,6 @@ let ans_value : type a. a Api.view -> a -> int =
   | Api.V_yield -> 0
   | Api.V_spin _ -> 0
   | Api.V_spin_abortable _ -> 0
-
-let continue_ans : type a. a Api.view -> (a, status) Effect.Deep.continuation -> int -> status =
- fun view k value ->
-  (* No helper closures here: this runs once per journal entry and closure
-     allocation on that path is measurable.  The caller has already checked
-     the entry's tag against [ans_tag view]. *)
-  match view with
-  | Api.V_read _ -> Effect.Deep.continue k value
-  | Api.V_fas _ -> Effect.Deep.continue k value
-  | Api.V_fas_open_unsafe _ -> Effect.Deep.continue k value
-  | Api.V_faa _ -> Effect.Deep.continue k value
-  | Api.V_get_done -> Effect.Deep.continue k value
-  | Api.V_get_step -> Effect.Deep.continue k value
-  | Api.V_cas _ -> Effect.Deep.continue k (value <> 0)
-  | Api.V_poll_abort -> Effect.Deep.continue k (value <> 0)
-  | Api.V_write _ -> Effect.Deep.continue k ()
-  | Api.V_write_close_unsafe _ -> Effect.Deep.continue k ()
-  | Api.V_fas_persist _ -> Effect.Deep.continue k ()
-  | Api.V_note _ -> Effect.Deep.continue k ()
-  | Api.V_yield -> Effect.Deep.continue k ()
-  | Api.V_spin _ -> Effect.Deep.continue k ()
-  | Api.V_spin_abortable _ -> Effect.Deep.continue k ()
-
-let tag_name tag =
-  if tag = jt_dispatch then "a dispatch"
-  else if tag = jt_crash then "a crash"
-  else if tag = jt_ans_unit then "a unit answer"
-  else if tag = jt_ans_int then "an int answer"
-  else if tag = jt_ans_bool then "a bool answer"
-  else "an unknown entry"
 
 let kind_code : Api.kind -> int = function
   | Api.Read -> 0
@@ -660,7 +608,6 @@ let op_info : type a. t -> int -> a Api.view -> Crash.op_info =
   in
   eng.op_index.(pid) <- eng.op_index.(pid) + 1;
   eng.on_op info;
-  (match eng.journal with Some j when eng.log_ops -> Vec.push j.jops info | Some _ | None -> ());
   info
 
 let park eng pid (p : parked) =
@@ -677,8 +624,7 @@ let exec eng pid (st : status) =
           let info = op_info eng pid view in
           (* The abort consult precedes the crash consult, so a signal fired
              on an op the crash plan then suppresses still counts as
-             delivered — and [replay_plan] winds both plans in the same
-             order. *)
+             delivered. *)
           if eng.has_abort && Abort.on_op eng.abort info then
             signal_abort eng ~origin:info.Crash.op_index pid;
           Crash.on_op eng.crash info
@@ -753,11 +699,10 @@ let step_process eng pid =
    body to its first suspension (pure local computation) and a [Woken]
    dispatch only re-reads the spin cell; neither consults the crash plan
    (no [op_info]), so neither is crashy whatever the plan. *)
-let pending_footprint eng pid =
+let pending_footprint eng ~crashy pid =
   match eng.states.(pid) with
   | Start -> Footprint.local ~pid
-  | Ready (Suspended (view, _)) ->
-      Footprint.of_view ~pid ~crashy:(eng.footprint_crashy pid) view
+  | Ready (Suspended (view, _)) -> Footprint.of_view ~pid ~crashy:(crashy pid) view
   | Woken p -> Footprint.waiting ~pid p.pcell
   | Ready Stopped | Parked _ | Halted -> assert false
 
@@ -775,7 +720,7 @@ let pending_footprint eng pid =
    [last_progress]/[last_sched] and the stall classification.
 
    Control state rests on [ans_hash]: bodies are deterministic functions
-   of their journal stream, so the digest pins the pending instruction
+   of their answer stream, so the digest pins the pending instruction
    (including a parked process's spin cell); the explicit tag settles
    Ready/Parked/Woken, which engine bookkeeping decides outside the
    stream.  A schedule-robust ([Crash.por_class] = [Robust]) plan's
@@ -988,7 +933,7 @@ let make_abort_view eng =
     streak = (fun pid -> eng.ab_streak.(pid));
   }
 
-(* Domain-safety audit (parallel explorer): [run] and [run_resumable] are
+(* Domain-safety audit (parallel explorer): [run] and [run_trace] are
    re-entrant.  Every piece of mutable state below — the store, the engine
    record, the fiber continuations, the per-process arrays — is created by
    [create] and never escapes the run; the module has no top-level mutable
@@ -998,8 +943,8 @@ let make_abort_view eng =
    are themselves domain-safe: a stateful scheduler or crash plan must be
    built fresh per run, and the closures must not capture shared mutable
    state. *)
-let create ?stall_window ~max_steps ~sink ~consult_ops ~track_ans ~trace_ops ~on_crash ~on_op
-    ~footprints ~footprint_crashy ~journal ~n ~model ~crash ~abort ~setup ~body () =
+let create ?stall_window ~max_steps ~sink ~consult_ops ~track_ans ~trace_ops ~on_crash ~on_op ~n
+    ~model ~crash ~abort ~setup ~body () =
   let stall_window =
     match stall_window with Some w -> w | None -> max 1_000 (max_steps / 8)
   in
@@ -1027,12 +972,6 @@ let create ?stall_window ~max_steps ~sink ~consult_ops ~track_ans ~trace_ops ~on
       stall_window;
       on_crash;
       on_op;
-      footprints;
-      footprint_crashy;
-      journal;
-      (* The stateless [Crash.none]/[Abort.none] pair needs no winding on
-         resume, so its op stream is not logged. *)
-      log_ops = journal <> None && (has_crash || has_abort);
       ans_hash = Array.make n 0;
       body = (fun ~pid -> body shared ~pid);
       states = Array.make n Start;
@@ -1065,7 +1004,6 @@ let create ?stall_window ~max_steps ~sink ~consult_ops ~track_ans ~trace_ops ~on
       unsafe_crashes = Array.make nlocks 0;
       lock_names = Vec.to_array ctx.lock_names;
       parked_cells = Hashtbl.create 64;
-      events = (match Event.Sink.buffer sink with Some v -> v | None -> Vec.create ());
       ready_bufs = Array.make (n + 1) [||];
       last_rmr = 0;
       rmr_by_kind = Array.make 8 0;
@@ -1081,29 +1019,19 @@ let create ?stall_window ~max_steps ~sink ~consult_ops ~track_ans ~trace_ops ~on
   eng
 
 (* The step loop of both entries.  Each iteration fires the asynchronous
-   crash, system-crash and abort decisions, builds the ready set, pushes one
-   footprint per runnable pid (ascending, the order {!Sched.trace} sorts
-   choices over, so the explorer can index footprints by decision point and
-   choice), offers [capture] the position when it branches, reports the
-   state key at [state_key_at], and steps the pid [pick pos ready] names.
-
-   A snapshot stands after an iteration's async consults and footprint
-   pushes, and a run resumed from one re-enters the loop at the pick of that
-   iteration, so with [resumed] the first iteration ([skip]) does neither. *)
-let drive eng ~pos ~resumed ~pick ~capture ~state_key_at ~on_state_key =
+   crash, system-crash and abort decisions, builds the ready set, and steps
+   the pid [pick pos ready] names, [pos] being the decision position. *)
+let drive eng ~pick =
   (* Hoisted once: partially applying these in the loop would allocate a
      closure per step. *)
   let crash_iter = if eng.has_crash then crash_now eng else ignore in
   let abort_iter = if eng.has_abort then signal_abort eng ~origin:(-1) else ignore in
-  let rec loop ~skip pos =
-    if not skip then begin
-      if eng.has_crash then begin
-        List.iter crash_iter (Crash.async eng.crash ~step:eng.step);
-        if Crash.system eng.crash ~step:eng.step then system_crash_now eng
-      end;
-      if eng.has_abort then
-        List.iter abort_iter (Abort.async eng.abort ~step:eng.step eng.abort_view)
+  let rec loop pos =
+    if eng.has_crash then begin
+      List.iter crash_iter (Crash.async eng.crash ~step:eng.step);
+      if Crash.system eng.crash ~step:eng.step then system_crash_now eng
     end;
+    if eng.has_abort then List.iter abort_iter (Abort.async eng.abort ~step:eng.step eng.abort_view);
     let ready = runnable eng in
     if Array.length ready = 0 then begin
       let any_parked =
@@ -1114,29 +1042,18 @@ let drive eng ~pos ~resumed ~pick ~capture ~state_key_at ~on_state_key =
     end
     else if eng.step >= eng.max_steps then eng.timed_out <- true
     else begin
-      (match eng.footprints with
-      | Some buf when not skip -> Array.iter (fun p -> Vec.push buf (pending_footprint eng p)) ready
-      | Some _ | None -> ());
-      (* Only branching positions are offered: a schedule can deviate
-         nowhere else, so a snapshot at a degree-1 position would never be
-         resumed from. *)
-      (match capture with Some f when Array.length ready > 1 -> f pos | Some _ | None -> ());
-      if pos = state_key_at then on_state_key (state_key eng);
       let pid = pick pos ready in
       eng.last_sched.(pid) <- eng.step;
       step_process eng pid;
       eng.step <- eng.step + 1;
-      loop ~skip:false (pos + 1)
+      loop (pos + 1)
     end
   in
-  loop ~skip:resumed pos
+  loop 0
 
 let run ?(mode = `Auto) ?sink ?(record = false) ?(trace_ops = false) ?(max_steps = 5_000_000)
-    ?stall_window ?(on_crash = default_on_crash) ?(on_op = default_on_op) ?footprints
-    ?(footprint_crashy = fun _ -> false) ?(state_key_at = -1) ?(on_state_key = fun _ -> ())
-    ?(abort = Abort.none) ~n ~model ~sched ~crash ~setup ~body () =
-  if footprints <> None && n > 0xffff then
-    invalid_arg "Engine.run: footprint recording supports at most 65536 processes";
+    ?stall_window ?(on_crash = default_on_crash) ?(on_op = default_on_op) ?(abort = Abort.none) ~n
+    ~model ~sched ~crash ~setup ~body () =
   let sink =
     match sink with
     | Some s -> s
@@ -1151,365 +1068,67 @@ let run ?(mode = `Auto) ?sink ?(record = false) ?(trace_ops = false) ?(max_steps
      that would silently fall off the fast path. *)
   let consult_ops, track_ans =
     match mode with
-    | `Auto -> (has_crash || has_abort || on_op != default_on_op, state_key_at >= 0)
+    | `Auto -> (has_crash || has_abort || on_op != default_on_op, false)
     | `Full -> (true, true)
     | `Fast ->
         if
-          has_crash || has_abort || Event.Sink.wants sink || trace_ops || footprints <> None
-          || state_key_at >= 0 || on_op != default_on_op || on_crash != default_on_crash
+          has_crash || has_abort || Event.Sink.wants sink || trace_ops || on_op != default_on_op
+          || on_crash != default_on_crash
         then
           invalid_arg
             "Engine.run: ~mode:`Fast requires a crash-free, abort-free, uninstrumented \
-             configuration (no sink, no hooks, no footprints, no state key)";
+             configuration (no sink, no hooks)";
         (false, false)
   in
   let eng =
-    create ?stall_window ~max_steps ~sink ~consult_ops ~track_ans ~trace_ops ~on_crash ~on_op
-      ~footprints ~footprint_crashy ~journal:None ~n ~model ~crash ~abort ~setup ~body ()
+    create ?stall_window ~max_steps ~sink ~consult_ops ~track_ans ~trace_ops ~on_crash ~on_op ~n
+      ~model ~crash ~abort ~setup ~body ()
   in
-  drive eng ~pos:0 ~resumed:false
-    ~pick:(fun _ ready -> Sched.pick sched ~runnable:ready ~step:eng.step)
-    ~capture:None ~state_key_at ~on_state_key;
+  drive eng ~pick:(fun _ ready -> Sched.pick sched ~runnable:ready ~step:eng.step);
   finish eng
 
-(* ------------------------------------------------------------------ *)
-(* Checkpoint / resume                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Control-state tag of a process at capture time.  The continuations
-   themselves are rebuilt by fast-forward; the tag settles the ambiguity
-   the journal cannot (a pending spin instruction may be Ready, Parked or
-   Woken depending on engine bookkeeping the fibers never see). *)
-type ptag = T_start | T_ready | T_parked | T_woken | T_halted
-
-let tag_of_state = function
-  | Start -> T_start
-  | Ready _ -> T_ready
-  | Parked _ -> T_parked
-  | Woken _ -> T_woken
-  | Halted -> T_halted
-
-(* The per-process and per-lock counter arrays a snapshot copies and a
-   resume restores, listed once so the two cannot drift apart. *)
-let int_counters eng =
-  [
-    eng.op_index; eng.completed; eng.crashes; eng.last_progress; eng.last_sched;
-    eng.ab_signal_step; eng.ab_op_origin; eng.ab_own; eng.ab_rmr_acc; eng.ab_streak;
-    eng.entry_depth; eng.entry_since; eng.passage_rmr; eng.passage_super; eng.passage_start;
-    eng.level_max; eng.occupancy; eng.occupancy_max; eng.unsafe_crashes; eng.rmr_by_kind;
-  ]
-
-let bool_counters eng = [ eng.ab_flag; eng.in_passage; eng.in_app_cs ]
-
-let list_counters eng = [ eng.unsafe_open; eng.holding ]
-
-module Snap = struct
-  (* A checkpoint standing immediately before decision position [s_pos]:
-     taken after that iteration's asynchronous crashes fired and its
-     footprints were pushed, before the scheduler picked.  It references
-     the capturing run's append-only buffers (journal, degree record,
-     footprints, events) plus explicit lengths, and owns copies of the
-     store image and every engine counter.  The buffers are only ever
-     appended to, so a snapshot stays valid however far the capturing run
-     — or runs resumed from it — later extends its own copies. *)
-  type t = {
-    s_pos : int;
-    s_step : int;
-    s_jlen : int;
-    s_olen : int;
-    s_fplen : int;
-    s_evlen : int;
-    s_jents : int Vec.t;
-    s_jops : Crash.op_info Vec.t;
-    s_degrees : int Vec.t;
-    s_fps : Footprint.t Vec.t option;
-    s_events : Event.t Vec.t;
-    s_mem : Memory.image;
-    s_tags : ptag array;
-    s_ints : int array list;
-    s_bools : bool array list;
-    s_lists : int list array list;
-    s_ab_stats : abort_stat array;
-    s_passages : passage array array;
-    s_total_rmr : int;
-    s_system_crashes : int;
-    s_global_cs : int;
-    s_global_cs_max : int;
-  }
-
-  let pos t = t.s_pos
-end
-
-let take_snapshot eng ~pos ~(journal : journal) ~(degrees : int Vec.t) : Snap.t =
-  {
-    Snap.s_pos = pos;
-    s_step = eng.step;
-    s_jlen = Vec.length journal.jents;
-    s_olen = Vec.length journal.jops;
-    s_fplen = (match eng.footprints with Some v -> Vec.length v | None -> 0);
-    s_evlen = Vec.length eng.events;
-    s_jents = journal.jents;
-    s_jops = journal.jops;
-    s_degrees = degrees;
-    s_fps = eng.footprints;
-    s_events = eng.events;
-    s_mem = Memory.snapshot eng.mem;
-    s_tags = Array.map tag_of_state eng.states;
-    s_ints = List.map Array.copy (int_counters eng);
-    s_bools = List.map Array.copy (bool_counters eng);
-    s_lists = List.map Array.copy (list_counters eng);
-    s_ab_stats = Vec.to_array eng.ab_stats;
-    s_passages = Array.map Vec.to_array eng.passages;
-    s_total_rmr = eng.total_rmr;
-    s_system_crashes = eng.system_crashes;
-    s_global_cs = eng.global_cs;
-    s_global_cs_max = eng.global_cs_max;
-  }
-
-(* Rebuild every fiber to its checkpointed suspension point by replaying
-   the snapshot's journal prefix: dispatch bodies and feed each suspended
-   instruction the answer (or crash) it got in the recorded run, in the
-   recorded global order.  The global order matters: body segments run for
-   real between suspensions — pure computation, but also direct
-   [Memory.alloc] calls of lazily-built lock structure and other
-   deterministic OCaml-side mutations of [shared] — and must interleave
-   exactly as recorded for cell ids and registries to come out identical.
-   No instruction touches the store and nothing is charged or scheduled
-   here; the store and every counter are restored from the snapshot
-   afterwards.  A body that does not reproduce the journal fails naming the
-   pid, the journal entry and the snapshot's decision position. *)
-let fast_forward eng (s : Snap.t) =
-  let jents = s.Snap.s_jents and jlen = s.Snap.s_jlen in
-  let diverged ~entry pid what =
-    failwith
-      (Printf.sprintf
-         "Engine: journal replay diverged resuming the snapshot at decision position %d: pid %d, \
-          journal entry %d: %s"
-         s.Snap.s_pos pid entry what)
-  in
-  (* [Stopped] doubles as the "nothing pending" sentinel so the per-entry
-     bookkeeping allocates nothing; [stopped] tells a genuine halt apart
-     from a never-dispatched or crashed incarnation where it matters. *)
-  let pending : status array = Array.make eng.n Stopped in
-  let stopped = Array.make eng.n false in
-  let body = eng.body in
-  let settle pid st =
-    match st with
-    | Stopped ->
-        pending.(pid) <- Stopped;
-        stopped.(pid) <- true
-    | Suspended _ ->
-        pending.(pid) <- st;
-        stopped.(pid) <- false
-  in
-  let i = ref 0 in
-  while !i < jlen do
-    (* The journal is append-only and [jlen] was its length at capture, so
-       the reads are in bounds. *)
-    let header = Vec.unsafe_get jents !i in
-    let value = Vec.unsafe_get jents (!i + 1) in
-    let entry = !i / 2 in
-    i := !i + 2;
-    let pid = header lsr 3 in
-    let tag = header land 7 in
-    if tag = jt_dispatch then settle pid (Effect.Deep.match_with (fun () -> body ~pid) () handler)
-    else begin
-      match pending.(pid) with
-      | Suspended (view, k) ->
-          if tag = jt_crash then begin
-            discontinue_of k ();
-            pending.(pid) <- Stopped;
-            stopped.(pid) <- false
-          end
-          else if tag = ans_tag view then settle pid (continue_ans view k value)
-          else
-            diverged ~entry pid
-              (Printf.sprintf "the journal holds %s, the pending %s instruction takes %s"
-                 (tag_name tag)
-                 (Fmt.str "%a" Api.pp_kind (Api.kind_of_view view))
-                 (tag_name (ans_tag view)))
-      | Stopped ->
-          diverged ~entry pid
-            (Printf.sprintf "the journal holds %s, the body has no pending instruction"
-               (tag_name tag))
-    end
-  done;
-  let entry = jlen / 2 in
-  for pid = 0 to eng.n - 1 do
-    match s.Snap.s_tags.(pid) with
-    | T_start ->
-        (* Never dispatched, or its last incarnation ended in a crash. *)
-        eng.states.(pid) <- Start
-    | T_halted ->
-        if not stopped.(pid) then diverged ~entry pid "halted at capture, still pending on replay";
-        eng.states.(pid) <- Halted
-    | (T_ready | T_parked | T_woken) as tag -> (
-        match pending.(pid) with
-        | Suspended (view, k) as st -> (
-            match tag with
-            | T_ready -> eng.states.(pid) <- Ready st
-            | T_parked | T_woken -> (
-                match (view, k) with
-                | Api.V_spin (cell, cond), k ->
-                    let p = { pk = k; pcell = cell; pcond = cond; pabort = false } in
-                    if tag = T_parked then park eng pid p else eng.states.(pid) <- Woken p
-                | Api.V_spin_abortable (cell, cond), k ->
-                    let p = { pk = k; pcell = cell; pcond = cond; pabort = true } in
-                    if tag = T_parked then park eng pid p else eng.states.(pid) <- Woken p
-                | _ -> diverged ~entry pid "parked at capture, not pending on a spin on replay")
-            | _ -> assert false)
-        | Stopped -> diverged ~entry pid "live at capture, no pending instruction on replay")
-  done
-
-let blit_all srcs dsts = List.iter2 (fun src dst -> Array.blit src 0 dst 0 (Array.length src)) srcs dsts
-
-let restore_counters eng (s : Snap.t) =
-  blit_all s.Snap.s_ints (int_counters eng);
-  blit_all s.Snap.s_bools (bool_counters eng);
-  blit_all s.Snap.s_lists (list_counters eng);
-  Vec.clear eng.ab_stats;
-  Array.iter (Vec.push eng.ab_stats) s.Snap.s_ab_stats;
-  Array.iteri
-    (fun pid ps ->
-      Vec.clear eng.passages.(pid);
-      Array.iter (Vec.push eng.passages.(pid)) ps)
-    s.Snap.s_passages;
-  eng.total_rmr <- s.Snap.s_total_rmr;
-  eng.system_crashes <- s.Snap.s_system_crashes;
-  eng.global_cs <- s.Snap.s_global_cs;
-  eng.global_cs_max <- s.Snap.s_global_cs_max;
-  eng.step <- s.Snap.s_step
-
-(* Wind a fresh crash plan forward to the checkpoint: replay the recorded
-   [op_info] stream interleaved with the async consultations, in the order
-   of the recorded run (async at step s fires before the instruction of
-   step s; the capture point sits after async of [s_step] and before its
-   instruction).  Decisions are discarded — their effects are baked into
-   the snapshot — but the calls rebuild the plan's internal state.  The
-   stateless [Crash.none] plan skips the whole walk (and the engine skips
-   recording [jops] for it). *)
-let replay_plan plan abort_plan (s : Snap.t) =
-  let wind_crash = plan != Crash.none in
-  let wind_abort = abort_plan != Abort.none in
-  if wind_crash || wind_abort then begin
-    (* Abort plans honour the winding contract: async state evolves from
-       the consult sequence alone, so a blind view suffices and the
-       decisions can be discarded. *)
-    let bview = Abort.blind_view ~n:(Array.length s.Snap.s_tags) in
-    let oi = ref 0 in
-    for st = 0 to s.Snap.s_step do
-      (* Same per-iteration order as the live loops: crash async, the
-         system consult, abort async, then per instruction the abort
-         [on_op] followed by the crash [on_op]. *)
-      if wind_crash then begin
-        ignore (Crash.async plan ~step:st);
-        ignore (Crash.system plan ~step:st)
-      end;
-      if wind_abort then ignore (Abort.async abort_plan ~step:st bview);
-      while !oi < s.Snap.s_olen && (Vec.get s.Snap.s_jops !oi).Crash.step = st do
-        if wind_abort then ignore (Abort.on_op abort_plan (Vec.get s.Snap.s_jops !oi));
-        if wind_crash then ignore (Crash.on_op plan (Vec.get s.Snap.s_jops !oi));
-        incr oi
-      done
-    done
-  end
-
-type rrun = {
-  rr_result : result;
-  rr_degrees : int array;
-  rr_footprints : Footprint.t array;
+type trun = {
+  tr_result : result;
+  tr_degrees : int array;
+  tr_footprints : Footprint.t array;
 }
 
-(* Stand [eng] where [s] was captured: seed this run's buffers with the
-   snapshot's prefixes — fresh copies, so this run's appends never disturb
-   the snapshot or any other snapshot sharing the source buffers — then
-   fast-forward the fibers, restore the store and counters, and wind the
-   fresh plans forward. *)
-let resume eng ~record ~degrees (s : Snap.t) =
-  if Array.length s.Snap.s_tags <> eng.n then
-    invalid_arg "Engine.run_resumable: snapshot process count mismatch";
-  (match (eng.footprints, s.Snap.s_fps) with
-  | Some _, None -> invalid_arg "Engine.run_resumable: snapshot lacks the footprint prefix POR needs"
-  | Some dst, Some src -> Vec.blit_prefix src s.Snap.s_fplen dst
-  | None, _ -> ());
-  (match eng.journal with
-  | Some j ->
-      Vec.blit_prefix s.Snap.s_jents s.Snap.s_jlen j.jents;
-      if eng.log_ops then Vec.blit_prefix s.Snap.s_jops s.Snap.s_olen j.jops
-  | None -> ());
-  Vec.blit_prefix s.Snap.s_degrees s.Snap.s_pos degrees;
-  if record then Vec.blit_prefix s.Snap.s_events s.Snap.s_evlen eng.events;
-  (* Rebuild the answer-stream digests from the journal prefix — the same
-     folds [jpush] would have performed live. *)
-  if eng.track_ans then begin
-    let i = ref 0 in
-    while !i < s.Snap.s_jlen do
-      let header = Vec.unsafe_get s.Snap.s_jents !i in
-      let value = Vec.unsafe_get s.Snap.s_jents (!i + 1) in
-      let pid = header lsr 3 in
-      eng.ans_hash.(pid) <- hmix (hmix eng.ans_hash.(pid) header) value;
-      i := !i + 2
-    done
-  end;
-  fast_forward eng s;
-  Memory.restore eng.mem s.Snap.s_mem;
-  restore_counters eng s;
-  replay_plan eng.crash eng.abort s
-
-let run_resumable ?from ?(snap_gap = 0) ?(snap = fun (_ : Snap.t) -> ()) ?(record = false)
-    ?(max_steps = 5_000_000) ?stall_window ?(por = false) ?(footprint_crashy = fun _ -> false)
-    ?(state_key_at = -1) ?(on_state_key = fun _ -> ()) ?(abort = fun () -> Abort.none)
-    ~decisions ~n ~model ~crash ~setup ~body () =
+let run_trace ?(record = false) ?(max_steps = 5_000_000) ?stall_window ?(por = false)
+    ?(footprint_crashy = fun _ -> false) ?(state_key_at = -1) ?(on_state_key = fun _ -> ())
+    ?(abort = Abort.none) ~decisions ~n ~model ~crash ~setup ~body () =
   if por && n > 0xffff then
-    invalid_arg "Engine.run_resumable: footprint recording supports at most 65536 processes";
-  let crash = crash () in
-  let abort = abort () in
-  (* The journal exists only to be captured: a resume fast-forwards from
-     the snapshot's own copy. *)
-  let journal = if snap_gap > 0 then Some { jents = Vec.create (); jops = Vec.create () } else None in
+    invalid_arg "Engine.run_trace: footprint recording supports at most 65536 processes";
   let degrees = Vec.create () in
+  let footprints = Vec.create () in
   let eng =
     create ?stall_window ~max_steps
       ~sink:(if record then Event.Sink.keep () else Event.Sink.drop)
       ~consult_ops:(crash != Crash.none || abort != Abort.none)
-      ~track_ans:(journal <> None || state_key_at >= 0)
-      ~trace_ops:false ~on_crash:default_on_crash ~on_op:default_on_op
-      ~footprints:(if por then Some (Vec.create ()) else None)
-      ~footprint_crashy ~journal ~n ~model ~crash ~abort ~setup ~body ()
+      ~track_ans:(state_key_at >= 0) ~trace_ops:false ~on_crash:default_on_crash
+      ~on_op:default_on_op ~n ~model ~crash ~abort ~setup ~body ()
   in
-  let pos = match from with None -> 0 | Some s -> resume eng ~record ~degrees s; s.Snap.s_pos in
-  (* Capture only at positions >= the explicit decision vector's length:
-     earlier positions belong to ancestor prefixes whose snapshots already
-     exist upstream.  The first eligible position is always captured;
-     [snap_gap] is the minimum spacing after it, and the stretch from the
-     last snapshot to a child's deviation position is replayed live. *)
   let npos = Array.length decisions in
-  let capture =
-    match journal with
-    | None -> None
-    | Some journal ->
-        let next = ref npos in
-        Some
-          (fun pos ->
-            if pos >= !next then begin
-              snap (take_snapshot eng ~pos ~journal ~degrees);
-              next := pos + snap_gap
-            end)
-  in
   (* Trace pick: [runnable] builds the ready set in ascending pid order —
      the order {!Sched.trace} sorts into — so indexing it directly replays
-     the schedules {!run} under {!Sched.trace} does. *)
+     the schedules {!run} under {!Sched.trace} does.  Footprints are pushed
+     one per runnable pid in that same order, so the explorer can index
+     them by decision position and choice. *)
   let pick pos ready =
+    if por then
+      for i = 0 to Array.length ready - 1 do
+        Vec.push footprints (pending_footprint eng ~crashy:footprint_crashy ready.(i))
+      done;
+    if pos = state_key_at then on_state_key (state_key eng);
     let degree = Array.length ready in
     Vec.push degrees degree;
     let choice = if pos < npos then decisions.(pos) else 0 in
     ready.(if choice >= 0 && choice < degree then choice else ((choice mod degree) + degree) mod degree)
   in
-  drive eng ~pos ~resumed:(from <> None) ~pick ~capture ~state_key_at ~on_state_key;
+  drive eng ~pick;
   {
-    rr_result = finish eng;
-    rr_degrees = Vec.to_array degrees;
-    rr_footprints = (match eng.footprints with Some v -> Vec.to_array v | None -> [||]);
+    tr_result = finish eng;
+    tr_degrees = Vec.to_array degrees;
+    tr_footprints = Vec.to_array footprints;
   }
 
 let all_passages res = Array.to_list res.procs |> List.concat_map (fun (p : proc_stats) -> p.passages)

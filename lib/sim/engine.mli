@@ -137,10 +137,6 @@ val run :
   ?stall_window:int ->
   ?on_crash:(pid:int -> step:int -> unit) ->
   ?on_op:(Crash.op_info -> unit) ->
-  ?footprints:Footprint.t Vec.t ->
-  ?footprint_crashy:(int -> bool) ->
-  ?state_key_at:int ->
-  ?on_state_key:(int array -> unit) ->
   ?abort:Abort.t ->
   n:int ->
   model:Memory.model ->
@@ -172,9 +168,9 @@ val run :
       [`Full]'s.
     - [`Fast]: asserts that {e nothing} requires instrumentation — raises
       [Invalid_argument] when a crash or abort plan (other than the [none]
-      sentinels), a wanting sink, [trace_ops], [footprints], a state key or
-      an [on_op]/[on_crash] hook is supplied.  Use it in benchmarks to fail
-      loudly instead of silently falling off the fast path.
+      sentinels), a wanting sink, [trace_ops] or an [on_op]/[on_crash] hook
+      is supplied.  Use it in benchmarks to fail loudly instead of
+      silently falling off the fast path.
     - [`Full]: forces the instrumented code paths on even when nothing
       consumes their output — the differential baseline for measuring the
       fast path's gain.
@@ -190,29 +186,6 @@ val run :
     discovery pass).  It fires before the crash plan is consulted, so
     instructions suppressed by a [Crash Before] are still observed.
 
-    [footprints], when supplied, receives one {!Footprint.t} per runnable
-    pid at every scheduling decision, pushed in ascending pid order — the
-    order {!Sched.trace} sorts choices over — before the scheduler picks.
-    Indexing by the per-decision branching degrees recovers the footprint
-    of every (decision point, choice) pair; this is the oracle behind the
-    explorer's partial-order reduction.  [footprint_crashy pid] (default
-    [fun _ -> false]) marks pids whose steps the crash plan may strike
-    (see {!Crash.por_class}); their footprints carry the crashy flag so
-    crash teardown is treated as part of the step.
-
-    [state_key_at], when non-negative, makes the run call [on_state_key]
-    once, at decision position [state_key_at] (after that position's
-    asynchronous crashes and footprint pushes, before the scheduler
-    picks), with a compact digest of the whole engine state: store
-    contents/versions/cache rows, per-process control state (via the
-    journal-stream digests), and every aggregate statistic a
-    schedule-robust check can observe.  Equal states give equal keys,
-    and check-equivalent continuations follow from equal states — the
-    explorer's state cache dedups on it.  The converse is not exact: the
-    key's elements are 63-bit digests, so distinct states can collide.
-    Step counts, latencies and the stall classification are excluded,
-    matching the POR contract.
-
     [abort] (default {!Abort.none}) is the abort decision axis: the plan
     is consulted once per iteration (after the crash plan's asynchronous
     and system consults) and once per instruction (immediately {e before}
@@ -224,8 +197,9 @@ val run :
     resolution appending an {!abort_stat} to [result.aborts].  Passing
     [Abort.none] itself (physical equality) skips all abort bookkeeping.
 
-    [run] and {!run_resumable} build the engine the same way and share
-    one step loop; they differ only in how each position's pid is picked.
+    [run] and {!run_trace} build the engine the same way and share one
+    step loop; they differ only in the pick function, where [run_trace]
+    also records its footprints and state key.
     [run] is re-entrant and domain-safe: all engine state (store, fibers,
     statistics) is allocated per call, so independent runs may execute
     concurrently on separate OCaml domains — the parallel explorer relies
@@ -233,49 +207,16 @@ val run :
     [sched]s and [crash] plans fresh per run, and keep shared mutable
     state out of the [setup]/[body]/[on_crash] closures. *)
 
-(** {1 Checkpoint / resume}
+(** {1 Decision-vector replay} *)
 
-    Support for the parallel explorer's prefix elimination: a run started
-    with checkpointing enabled can hand out {!Snap.t} snapshots at chosen
-    decision positions, and a later run can {e resume} from one instead of
-    replaying the whole decision-vector prefix from the root.
-
-    OCaml's one-shot effect continuations cannot be copied, so a snapshot
-    does not capture the fibers.  It captures everything else — the store
-    image, every statistics counter, the control-state tag of each process
-    — plus a {e journal}: the log, in global order, of every event that
-    advanced a fiber (body dispatch, instruction answer, crash
-    discontinuation).  Resuming re-executes [setup], fast-forwards fresh
-    fibers by feeding them the journaled answers (cheap: no store access,
-    no scheduling, no crash consultation, no accounting), restores the
-    snapshot on top, winds a fresh crash plan forward over the recorded
-    op stream, and continues stepping normally from the checkpointed
-    decision position. *)
-
-module Snap : sig
-  type t
-  (** A checkpoint standing immediately before one decision position of a
-      recorded run.  Self-contained and immutable: it stays valid after
-      the capturing run finishes and across any number of resumes. *)
-
-  val pos : t -> int
-  (** The decision position the snapshot stands before. *)
-end
-
-type rrun = {
-  rr_result : result;
-  rr_degrees : int array;
-      (** branching degree observed at every decision position, prefix
-          included *)
-  rr_footprints : Footprint.t array;
-      (** flat per-choice footprints in decision order, prefix included;
-          [[||]] unless [por] *)
+type trun = {
+  tr_result : result;
+  tr_degrees : int array;  (** branching degree observed at every decision position *)
+  tr_footprints : Footprint.t array;
+      (** flat per-choice footprints in decision order; [[||]] unless [por] *)
 }
 
-val run_resumable :
-  ?from:Snap.t ->
-  ?snap_gap:int ->
-  ?snap:(Snap.t -> unit) ->
+val run_trace :
   ?record:bool ->
   ?max_steps:int ->
   ?stall_window:int ->
@@ -283,60 +224,48 @@ val run_resumable :
   ?footprint_crashy:(int -> bool) ->
   ?state_key_at:int ->
   ?on_state_key:(int array -> unit) ->
-  ?abort:(unit -> Abort.t) ->
+  ?abort:Abort.t ->
   decisions:int array ->
   n:int ->
   model:Memory.model ->
-  crash:(unit -> Crash.t) ->
+  crash:Crash.t ->
   setup:(Ctx.t -> 'a) ->
   body:('a -> pid:int -> unit) ->
   unit ->
-  rrun
-(** [run_resumable ~decisions ...] replays the schedule identified by
-    [decisions] exactly as {!run} under {!Sched.trace} would (position [i]
-    picks the [decisions.(i)]-th smallest runnable pid, default 0 past the
-    end), with two additions:
+  trun
+(** [run_trace ~decisions ...] runs, from the root, the schedule
+    identified by [decisions] exactly as {!run} under {!Sched.trace} would
+    (position [i] picks the [decisions.(i)]-th smallest runnable pid,
+    default 0 past the end), and reports the branching degree observed at
+    every decision position — the explorer's one engine entry.
 
-    - [from] resumes from a snapshot instead of starting at the root: the
-      positions before [Snap.pos from] are reconstructed by fast-forward
-      and restore, the positions from [Snap.pos from] on are executed
-      normally against [decisions].  [decisions] must agree with the
-      snapshotted run on every position before [Snap.pos from], and
-      [record], [por], [max_steps], [crash] and the lock construction must
-      match the capturing run's — resumption reproduces, byte for byte,
-      the run a full replay of [decisions] would produce.
-    - [snap_gap > 0] captures snapshots and passes each to [snap], in
-      position order.  Only {e branching} positions (more than one
-      runnable process) are captured — a resumed run can deviate nowhere
-      else — at most one per [snap_gap] positions, starting at
-      [Array.length decisions] (positions below the explicit vector
-      belong to ancestor prefixes, whose own runs captured them).  The
-      first branching position at or past [Array.length decisions] is
-      always captured, so every child of this run has a snapshot at or
-      before its deviation position.  Only such a run keeps a journal;
-      with [snap_gap = 0] (the default) the run records nothing a
-      snapshot would need, and a resume fast-forwards from the
-      snapshot's own journal.
+    [por] records, at every decision position, one {!Footprint.t} per
+    runnable pid in ascending pid order — the order {!Sched.trace} sorts
+    choices over — before the pick.  Indexing by the per-position
+    degrees recovers the footprint of every (decision position, choice)
+    pair; this is the oracle behind the explorer's partial-order
+    reduction.  [footprint_crashy pid] (default [fun _ -> false]) marks
+    pids whose steps the crash plan may strike (see {!Crash.por_class});
+    their footprints carry the crashy flag so crash teardown is treated as
+    part of the step.
 
-    A resume whose [setup] and [body] do not reproduce the snapshotted
-    run's journal raises [Failure] naming the pid, the journal entry and
-    the snapshot's decision position at which the replay diverged.
+    [state_key_at], when non-negative, makes the run call [on_state_key]
+    once, at decision position [state_key_at] (after that position's
+    asynchronous crashes and footprint pushes, before the pick), with a
+    compact digest of the whole engine state: store
+    contents/versions/cache rows, per-process control state (via
+    per-process digests of the answer stream each body has consumed), and
+    every aggregate statistic a schedule-robust check can observe.  Equal
+    states give equal keys, and check-equivalent continuations follow
+    from equal states — the explorer's state cache dedups on it.  The
+    converse is not exact: the key's elements are 63-bit digests, so
+    distinct states can collide.  Step counts, latencies and the stall
+    classification are excluded, matching the POR contract.
 
-    [crash] is a thunk because resuming needs a fresh plan to wind
-    forward; it is called exactly once per [run_resumable] call.  [abort]
-    (default [fun () -> Abort.none]) is a thunk for the same reason: a
-    resume winds the fresh abort plan over the recorded op stream and the
-    step counter, consulting [async] with {!Abort.blind_view} — which is
-    exactly why abort plans must honour the winding contract documented in
-    {!Abort}.
-    [state_key_at]/[on_state_key] behave as in {!run} (the digest is
-    identical whether the position was reached live or via a resume — the
-    journal-stream digests are rebuilt from the seeded prefix).  The
-    hooks of {!run} ([on_op], [on_crash], [trace_ops]) are not available:
-    fast-forward does not re-fire them.  Domain-safety matches {!run};
-    snapshots may be captured in one domain and resumed in another, but
-    not concurrently with mutations of the capturing run (the explorer's
-    DFS discipline guarantees this). *)
+    [crash] and [abort] (default {!Abort.none}) are the plans of this one
+    run; stateful plans must be fresh per call.  The hooks of {!run}
+    ([on_op], [on_crash], [trace_ops], [sink]) are not available.
+    Domain-safety matches {!run}. *)
 
 (** {1 Result helpers} *)
 

@@ -140,7 +140,4 @@ module Sink = struct
         r.pos <- 0;
         r.total <- 0
     | Callback c -> c.delivered <- 0
-
-  (* Internal (engine checkpointing): the Keep policy's backing buffer. *)
-  let buffer = function Keep v -> Some v | Drop | Ring _ | Callback _ -> None
 end

@@ -107,10 +107,4 @@ module Sink : sig
       the last [<= capacity], oldest first; [drop]/[Callback]: [[]]. *)
 
   val clear : t -> unit
-
-  (**/**)
-
-  val buffer : t -> event Vec.t option
-  (** Internal: the [Keep] policy's backing buffer, used by the engine's
-      checkpoint capture/restore.  [None] for every other policy. *)
 end

@@ -156,43 +156,8 @@ let fas t ~pid (c : Cell.t) v =
   let old = fas_u t ~pid c v in
   (old, t.last_cost)
 
-(* Point-in-time copy of the store for the engine's checkpoints: cell
-   contents, write versions and the per-process cache validity rows.  The
-   cell *layout* (names, homes, count) is not part of the image — a restore
-   target is expected to have re-allocated the identical cells, which the
-   engine guarantees by replaying [setup] and the body prefixes that
-   performed the allocations. *)
-type image = {
-  i_contents : int array;
-  i_version : int array;
-  i_cached : int array option array;
-}
-
-let snapshot t =
-  let len = Vec.length t.contents in
-  {
-    i_contents = Vec.prefix_array t.contents len;
-    i_version = Vec.prefix_array t.version len;
-    i_cached =
-      Array.init len (fun c ->
-          match Vec.get t.cached c with Some r -> Some (Array.copy r) | None -> None);
-  }
-
-let restore t img =
-  let len = Array.length img.i_contents in
-  if Vec.length t.contents <> len then
-    invalid_arg
-      (Printf.sprintf "Memory.restore: store has %d cells, image has %d — cell layout diverged"
-         (Vec.length t.contents) len);
-  for c = 0 to len - 1 do
-    Vec.set t.contents c img.i_contents.(c);
-    Vec.set t.version c img.i_version.(c);
-    Vec.set t.cached c
-      (match img.i_cached.(c) with Some r -> Some (Array.copy r) | None -> None)
-  done
-
-(* One-word digest of everything [snapshot] would copy: cell contents,
-   write versions, and the per-process cache validity rows.  Two stores
+(* One-word digest of the store's state: cell contents, write versions,
+   and the per-process cache validity rows.  Two stores
    with equal fingerprints are equal for the explorer's purposes with the
    usual hash-collision caveat — callers that need certainty (the state
    cache) must pair the fingerprint with enough engine state that a

@@ -50,30 +50,15 @@ val forget : t -> pid:int -> unit
 (** [forget t ~pid] drops every cache line of [pid] — called by the engine
     when the process crashes, since a restart begins with a cold cache. *)
 
-(** {1 Checkpoints}
-
-    Point-in-time images of the store, used by the engine's run
-    checkpoints (the parallel explorer's prefix-elimination). *)
-
-type image
-
-val snapshot : t -> image
-(** [snapshot t] copies the current contents, write versions and cache
-    validity rows of every allocated cell.  O(cells · n). *)
-
-val restore : t -> image -> unit
-(** [restore t img] overwrites [t]'s contents, versions and cache rows with
-    the image's.  [t] must hold exactly the cells it held when [img] was
-    taken (same count, in allocation order) — the engine guarantees this by
-    replaying the deterministic allocation history before restoring.
-    @raise Invalid_argument when the cell counts differ. *)
+(** {1 State digest} *)
 
 val fingerprint : t -> int
-(** [fingerprint t] is a one-word digest of everything {!snapshot} would
-    copy: contents, write versions and cache validity rows.  Equal stores
-    have equal fingerprints; the converse holds only up to hash collisions,
-    so callers deduplicating on it (the explorer's state cache) must ensure
-    a collision can only cost duplicated work, never a verdict.
+(** [fingerprint t] is a one-word digest of the store's state: the
+    contents, write versions and cache validity rows of every allocated
+    cell.  Equal stores have equal fingerprints; the converse holds only
+    up to hash collisions, so callers deduplicating on it (the explorer's
+    state cache) must ensure a collision can only cost duplicated work,
+    never a verdict.
     O(cells · n), no allocation. *)
 
 (** {1 Accounted operations}
@@ -97,7 +82,7 @@ val faa : t -> pid:int -> Cell.t -> int -> int * int
     Same accounting as the tuple API above, but the result comes back bare
     and the RMR cost is left in {!last_cost} — the engine's hot loop uses
     these to avoid one tuple allocation per instruction.  [last_cost] is
-    scratch state, not part of {!snapshot}/{!fingerprint}; read it before
+    scratch state, not part of {!fingerprint}; read it before
     the next accounted operation overwrites it. *)
 
 val read_u : t -> pid:int -> Cell.t -> int

@@ -69,29 +69,6 @@ let to_list t =
 
 let to_array t = Array.sub t.data 0 t.len
 
-let blit_prefix src len dst =
-  if len < 0 || len > src.len then
-    invalid_arg (Printf.sprintf "Vec.blit_prefix: length %d out of bounds [0, %d]" len src.len);
-  if len > 0 then begin
-    let need = dst.len + len in
-    if need > Array.length dst.data then begin
-      let cap = ref (max 8 (2 * Array.length dst.data)) in
-      while !cap < need do
-        cap := 2 * !cap
-      done;
-      let data = Array.make !cap src.data.(0) in
-      Array.blit dst.data 0 data 0 dst.len;
-      dst.data <- data
-    end;
-    Array.blit src.data 0 dst.data dst.len len;
-    dst.len <- need
-  end
-
-let prefix_array src len =
-  if len < 0 || len > src.len then
-    invalid_arg (Printf.sprintf "Vec.prefix_array: length %d out of bounds [0, %d]" len src.len);
-  Array.sub src.data 0 len
-
 let of_list xs =
   let t = create () in
   List.iter (push t) xs;

@@ -52,14 +52,4 @@ val to_list : 'a t -> 'a list
 
 val to_array : 'a t -> 'a array
 
-val blit_prefix : 'a t -> int -> 'a t -> unit
-(** [blit_prefix src len dst] appends the first [len] elements of [src] to
-    [dst].  Used by the engine's checkpoint restore to seed a fresh
-    per-run buffer with a snapshotted prefix.  @raise Invalid_argument
-    when [len] exceeds [src]'s length. *)
-
-val prefix_array : 'a t -> int -> 'a array
-(** [prefix_array src len] is a fresh array of the first [len] elements.
-    @raise Invalid_argument when [len] exceeds [src]'s length. *)
-
 val of_list : 'a list -> 'a t

@@ -270,14 +270,13 @@ let test_parallel_clean_tree_identical () =
   in
   let par =
     run
-      (Explore.explore_parallel ~max_runs:5_000 ~domains:4 ?max_steps:None ?split_depth:None
-         ?snap_gap:None ?shrink_violations:None ?record:None ?por:None ?cache_capacity:None
-         ?abort:None ?stats:None)
+      (Explore.explore_parallel ~max_runs:5_000 ~domains:4 ?max_steps:None ?shrink_violations:None
+         ?record:None ?por:None ?cache_capacity:None ?abort:None ?stats:None)
   in
   check cb "exhausted" true seq.Explore.exhausted;
   check cb "identical outcomes" true (seq = par)
 
-(* --- differential: sequential vs checkpointed parallel -------------- *)
+(* --- differential: sequential vs parallel ---------------------------- *)
 
 (* The whole point of the settlement scheme: {runs; exhausted; violation}
    — including the shrunk witness — must be byte-identical to the
@@ -938,118 +937,6 @@ let test_source_pins_sa_n3 () =
   in
   pin "sa-me-n3 source" ~runs:325_345 ~exhausted:true source
 
-(* --- engine checkpoint/resume ----------------------------------------- *)
-
-(* [Engine.run_resumable]'s contract, checked directly rather than through
-   the explorer: a run resumed from any snapshot reproduces, byte for byte,
-   the straight [Engine.run] of the same decision vector under
-   [Sched.trace] — result, branching degrees, footprints, and the state key
-   at a later position. *)
-
-let resume_max_steps = 20_000
-
-let straight_run ~crash ~abort ~setup ~crashy ~state_key_at decisions =
-  let degrees = Vec.create () in
-  let footprints = Vec.create () in
-  let key = ref [||] in
-  let res =
-    Engine.run ~footprints ~footprint_crashy:crashy ~state_key_at
-      ~on_state_key:(fun k -> key := k)
-      ~max_steps:resume_max_steps ~n:2 ~model:Memory.CC
-      ~sched:(Sched.trace ~decisions:(Vec.of_list (Array.to_list decisions)) ~record:degrees ())
-      ~crash:(crash ()) ~abort:(abort ()) ~setup ~body:standard_one ()
-  in
-  (res, Vec.to_array degrees, Vec.to_array footprints, !key)
-
-let resumed_run ?from ?snap ~snap_gap ~crash ~abort ~setup ~crashy ~state_key_at decisions =
-  let key = ref [||] in
-  let rr =
-    Engine.run_resumable ?from ~snap_gap ?snap ~por:true ~footprint_crashy:crashy ~state_key_at
-      ~on_state_key:(fun k -> key := k)
-      ~max_steps:resume_max_steps ~decisions ~n:2 ~model:Memory.CC ~crash ~abort ~setup
-      ~body:standard_one ()
-  in
-  (rr, !key)
-
-let check_resumes name ~crash ~abort ~setup ~crashy =
-  let snaps = Vec.create () in
-  let root, _ =
-    resumed_run ~snap_gap:1 ~snap:(Vec.push snaps) ~crash ~abort ~setup ~crashy ~state_key_at:(-1)
-      [||]
-  in
-  let res, _, _, _ = straight_run ~crash ~abort ~setup ~crashy ~state_key_at:(-1) [||] in
-  check cb (name ^ ": capturing run equals the straight run") true (root.Engine.rr_result = res);
-  check cb (name ^ ": the plan fired") true (res.Engine.total_crashes + List.length res.Engine.aborts > 0);
-  let branching =
-    Array.fold_left (fun k d -> if d > 1 then k + 1 else k) 0 root.Engine.rr_degrees
-  in
-  check ci (name ^ ": one snapshot per branching position") branching (Vec.length snaps);
-  Vec.iter
-    (fun s ->
-      let p = Engine.Snap.pos s in
-      (* A child deviating at the snapshot's position, then alternating. *)
-      let decisions = Array.init (p + 6) (fun i -> if i >= p && (i - p) mod 2 = 0 then 1 else 0) in
-      let state_key_at = p + 3 in
-      let res, degrees, fps, key = straight_run ~crash ~abort ~setup ~crashy ~state_key_at decisions in
-      if state_key_at < Array.length degrees then
-        check cb (Printf.sprintf "%s: straight run keyed at %d" name state_key_at) true (key <> [||]);
-      List.iter
-        (fun snap_gap ->
-          let rr, rkey = resumed_run ~from:s ~snap_gap ~crash ~abort ~setup ~crashy ~state_key_at decisions in
-          let tag = Printf.sprintf "%s: resumed at %d, snap_gap %d" name p snap_gap in
-          check cb (tag ^ ": result") true (rr.Engine.rr_result = res);
-          check (Alcotest.array ci) (tag ^ ": degrees") degrees rr.Engine.rr_degrees;
-          check cb (tag ^ ": footprints") true (rr.Engine.rr_footprints = fps);
-          check (Alcotest.array ci) (tag ^ ": state key") key rkey)
-        [ 0; 1 ])
-    snaps
-
-let test_resume_matches_straight_run () =
-  check_resumes "wr, crash at p1 op 6"
-    ~crash:(fun () -> Crash.at_op ~pid:1 ~nth:6 Crash.After)
-    ~abort:(fun () -> Abort.none)
-    ~setup:Wr_lock.make
-    ~crashy:(fun pid -> pid = 1);
-  check_resumes "wr-abort, abort at p0 op 5"
-    ~crash:(fun () -> Crash.none)
-    ~abort:(fun () -> Abort.at_op ~pid:0 ~nth:5)
-    ~setup:Wr_lock.make_abort
-    ~crashy:(fun pid -> pid = 0)
-
-(* Resuming under a body that does not reproduce the journal fails loudly,
-   naming where: p0 answered a read at journal entry 1, but the other body
-   is pending on a write there. *)
-let test_resume_divergence_is_located () =
-  let setup ctx = Memory.alloc (Engine.Ctx.memory ctx) ~name:"c" 0 in
-  let read_first c ~pid =
-    ignore (Api.read c);
-    Api.write c pid
-  in
-  let write_first c ~pid =
-    Api.write c pid;
-    ignore (Api.read c)
-  in
-  let snaps = Vec.create () in
-  ignore
-    (Engine.run_resumable ~snap_gap:1 ~snap:(Vec.push snaps) ~decisions:[||] ~n:2
-       ~model:Memory.CC
-       ~crash:(fun () -> Crash.none)
-       ~setup ~body:read_first ());
-  let s = Vec.get snaps 2 in
-  check ci "snapshot position" 2 (Engine.Snap.pos s);
-  match
-    Engine.run_resumable ~from:s ~decisions:[| 0; 0 |] ~n:2 ~model:Memory.CC
-      ~crash:(fun () -> Crash.none)
-      ~setup ~body:write_first ()
-  with
-  | _ -> Alcotest.fail "a resume under a different body did not fail"
-  | exception Failure msg ->
-      check Alcotest.string "divergence report"
-        "Engine: journal replay diverged resuming the snapshot at decision position 2: pid 0, \
-         journal entry 1: the journal holds an int answer, the pending write instruction takes \
-         a unit answer"
-        msg
-
 let () =
   Alcotest.run "explore"
     [
@@ -1094,13 +981,6 @@ let () =
         [
           Alcotest.test_case "unit: subset rule and eviction" `Quick test_statecache_unit;
           Alcotest.test_case "adversarial collisions" `Quick test_statecache_adversarial;
-        ] );
-      ( "resume",
-        [
-          Alcotest.test_case "resumed runs equal straight runs" `Quick
-            test_resume_matches_straight_run;
-          Alcotest.test_case "divergence names pid, entry and position" `Quick
-            test_resume_divergence_is_located;
         ] );
       ( "source pins",
         [

@@ -15,29 +15,6 @@ let cb = Alcotest.bool
 (* Vec edge cases                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let test_vec_blit_prefix_zero () =
-  let src = Vec.create () in
-  Vec.push src 1;
-  Vec.push src 2;
-  let dst = Vec.create () in
-  Vec.push dst 9;
-  Vec.blit_prefix src 0 dst;
-  check ci "length unchanged" 1 (Vec.length dst);
-  check ci "contents unchanged" 9 (Vec.get dst 0);
-  (* Zero-length blit from an empty source is a no-op, not an error. *)
-  Vec.blit_prefix (Vec.create ()) 0 dst;
-  check ci "still unchanged" 1 (Vec.length dst)
-
-let test_vec_blit_prefix_bounds () =
-  let src = Vec.create () in
-  Vec.push src 1;
-  let raised =
-    match Vec.blit_prefix src 2 (Vec.create ()) with
-    | exception Invalid_argument _ -> true
-    | () -> false
-  in
-  check cb "len beyond source rejected" true raised
-
 let test_vec_push_through_growth () =
   (* Push across several doubling boundaries and verify every element
      lands where it should, including the pushes at exact capacity. *)
@@ -304,8 +281,6 @@ let () =
     [
       ( "vec",
         [
-          Alcotest.test_case "blit_prefix zero" `Quick test_vec_blit_prefix_zero;
-          Alcotest.test_case "blit_prefix bounds" `Quick test_vec_blit_prefix_bounds;
           Alcotest.test_case "push through growth" `Quick test_vec_push_through_growth;
           Alcotest.test_case "unsafe_get after resize" `Quick test_vec_unsafe_get_after_resize;
         ] );

@@ -170,7 +170,7 @@ let test_strong_locks_zero_me_findings () =
     [ "sa-jjj"; "ba-jjj" ]
 
 (* ------------------------------------------------------------------ *)
-(* Matrix determinism across jobs and split_depth                      *)
+(* Matrix determinism across jobs, and the exhausted column           *)
 (* ------------------------------------------------------------------ *)
 
 (* Deterministic toy subjects whose schedule trees are small enough to
@@ -230,10 +230,50 @@ let test_matrix_determinism_across_jobs () =
   check cb "reference has expected" true (has "expected(");
   check cb "reference has FAIL" true (has "FAIL");
   List.iter
-    (fun (jobs, split_depth) ->
-      let s = render { base with Sweep.jobs; split_depth } in
-      check Alcotest.string (Printf.sprintf "jobs=%d split_depth=%d" jobs split_depth) reference s)
-    [ (1, 2); (1, 3); (4, 1); (4, 2); (4, 3) ]
+    (fun jobs ->
+      let s = render { base with Sweep.jobs } in
+      check Alcotest.string (Printf.sprintf "jobs=%d" jobs) reference s)
+    [ 2; 4 ]
+
+(* A pass whose plans stopped at the run budget is a sample, and the
+   matrix says so: the toy subject, checked only for a bound it always
+   meets, exhausts only some of its 7 plans at 3 runs per plan, and all of
+   them at 400. *)
+let test_matrix_exhausted_column () =
+  let tiny_pass = List.hd tiny_subjects in
+  let subject =
+    {
+      tiny_pass with
+      Sweep.subject_props =
+        List.filter (fun p -> p.Sweep.prop_name = "roomy") tiny_pass.Sweep.subject_props;
+    }
+  in
+  let rows max_runs_per_plan =
+    Sweep.matrix
+      { Sweep.default_cfg with Sweep.max_runs_per_plan; max_steps = 500 }
+      ~model:Memory.CC ~subjects:[ subject ]
+  in
+  let exhausted_cell rows =
+    let header, cells = Sweep.matrix_cells rows in
+    let rec find i = function
+      | [] -> Alcotest.fail "no exhausted column"
+      | "exhausted" :: _ -> i
+      | _ :: rest -> find (i + 1) rest
+    in
+    List.nth (List.hd cells) (find 0 header)
+  in
+  let small = rows 3 and large = rows 400 in
+  let c = (List.hd small).Sweep.row_campaign in
+  check ci "small: plans swept" 7 c.Sweep.plans_run;
+  check cb "small: some plan not exhausted" true (c.Sweep.plans_exhausted < c.Sweep.plans_run);
+  check Alcotest.string "small: cell" (Printf.sprintf "%d/7" c.Sweep.plans_exhausted)
+    (exhausted_cell small);
+  check cb "small: detail line" true
+    (List.exists
+       (fun l -> contains_sub l "tiny-pass: " && contains_sub l "cover a sample")
+       (Sweep.matrix_details small));
+  check Alcotest.string "large: cell" "7/7" (exhausted_cell large);
+  check (Alcotest.list Alcotest.string) "large: no detail lines" [] (Sweep.matrix_details large)
 
 let () =
   Alcotest.run "sweep"
@@ -252,7 +292,8 @@ let () =
         ] );
       ( "determinism",
         [
-          Alcotest.test_case "matrix identical across jobs/split" `Slow
+          Alcotest.test_case "matrix identical across jobs" `Slow
             test_matrix_determinism_across_jobs;
+          Alcotest.test_case "exhausted column marks samples" `Quick test_matrix_exhausted_column;
         ] );
     ]
