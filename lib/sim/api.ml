@@ -88,12 +88,22 @@ let spin_until c cond = Effect.perform (Instr (V_spin (c, cond)))
 
 let spin_abortable c cond = Effect.perform (Instr (V_spin_abortable (c, cond)))
 
-let poll_abort () = Effect.perform (Instr V_poll_abort)
+(* The argument-free instructions perform one shared effect value each, so
+   a call allocates no [Instr] block. *)
+let poll_abort_eff = Instr V_poll_abort
+
+let get_done_eff = Instr V_get_done
+
+let get_step_eff = Instr V_get_step
+
+let yield_eff = Instr V_yield
+
+let poll_abort () = Effect.perform poll_abort_eff
 
 let note n = Effect.perform (Instr (V_note n))
 
-let completed_requests () = Effect.perform (Instr V_get_done)
+let completed_requests () = Effect.perform get_done_eff
 
-let step () = Effect.perform (Instr V_get_step)
+let step () = Effect.perform get_step_eff
 
-let yield () = Effect.perform (Instr V_yield)
+let yield () = Effect.perform yield_eff

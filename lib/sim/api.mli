@@ -60,7 +60,11 @@ val kind_of_view : 'a view -> kind
 val cell_of_view : 'a view -> Cell.t option
 
 type _ Effect.t += Instr : 'a view -> 'a Effect.t
-(** The single effect simulated processes perform; handled by {!Engine}. *)
+(** The single effect simulated processes perform; handled by {!Engine}.
+    The argument-free instructions ({!step}, {!yield},
+    {!completed_requests}, {!poll_abort}) each perform one shared
+    top-level [Instr] value, so a call allocates no effect block; the
+    others build their view and [Instr] per call. *)
 
 (** {1 Instructions} *)
 

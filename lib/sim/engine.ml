@@ -72,16 +72,25 @@ type result = {
   events : Event.t list;
 }
 
-type status = Stopped | Suspended : 'a Api.view * ('a, status) Effect.Deep.continuation -> status
+(* A process's fiber state, which is also what its effect handler returns:
+   [Ready] from [effc] (the fiber suspended on an instruction), [Halted]
+   from [retc]/[exnc] (the body returned, or unwound on [Crashed]).  So the
+   handler's result needs no box of its own: a suspension on an
+   argument-free instruction allocates only the runtime continuation and
+   the [Ready] block. *)
+type pstate =
+  | Start
+  | Ready : 'a Api.view * ('a, pstate) Effect.Deep.continuation -> pstate
+  | Parked of parked
+  | Woken of parked
+  | Halted
 
-type parked = {
-  pk : (unit, status) Effect.Deep.continuation;
+and parked = {
+  pk : (unit, pstate) Effect.Deep.continuation;
   pcell : Cell.t;
   pcond : Api.cond;
   pabort : bool;  (* abortable park: an abort signal also wakes it *)
 }
-
-type pstate = Start | Ready of status | Parked of parked | Woken of parked | Halted
 
 (* FNV-style fold for the per-process answer-stream digests and the state
    key.  Stays in [0, max_int] so the digests are portable ints. *)
@@ -189,15 +198,29 @@ let default_on_crash ~pid:_ ~step:_ = ()
 
 let default_on_op (_ : Crash.op_info) = ()
 
-let handler : (unit, status) Effect.Deep.handler =
+(* Handler results for the argument-free instructions, built once: their
+   views are constants (and {!Api} performs one shared [Instr] value for
+   each), so neither the [Some] nor the closure depends on the effect. *)
+let on_get_done = Some (fun k -> Ready (Api.V_get_done, k))
+
+let on_get_step = Some (fun k -> Ready (Api.V_get_step, k))
+
+let on_poll_abort = Some (fun k -> Ready (Api.V_poll_abort, k))
+
+let on_yield = Some (fun k -> Ready (Api.V_yield, k))
+
+let handler : (unit, pstate) Effect.Deep.handler =
   {
-    retc = (fun () -> Stopped);
-    exnc = (function Crashed -> Stopped | e -> raise e);
+    retc = (fun () -> Halted);
+    exnc = (function Crashed -> Halted | e -> raise e);
     effc =
-      (fun (type c) (eff : c Effect.t) ->
+      (fun (type c) (eff : c Effect.t) : ((c, pstate) Effect.Deep.continuation -> pstate) option ->
         match eff with
-        | Api.Instr view ->
-            Some (fun (k : (c, status) Effect.Deep.continuation) -> Suspended (view, k))
+        | Api.Instr Api.V_get_step -> on_get_step
+        | Api.Instr Api.V_yield -> on_yield
+        | Api.Instr Api.V_get_done -> on_get_done
+        | Api.Instr Api.V_poll_abort -> on_poll_abort
+        | Api.Instr view -> Some (fun k -> Ready (view, k))
         | _ -> None);
   }
 
@@ -524,7 +547,18 @@ let record_op : type a. t -> int -> a Api.view -> unit =
     | _ -> ()
   end
 
-let do_crash eng pid (kont : (unit -> unit) option) =
+(* Discontinue a suspended fiber with [Crashed]; it must unwind to the
+   handler's [exnc]. *)
+let discontinue (type a) (k : (a, pstate) Effect.Deep.continuation) =
+  match Effect.Deep.discontinue k Crashed with
+  | Halted -> ()
+  | Start | Ready _ | Parked _ | Woken _ ->
+      (* The body swallowed [Crashed] and kept computing: forbidden. *)
+      failwith "Engine: process body must not catch the crash exception"
+
+(* Crash [pid], discarding whatever fiber [eng.states.(pid)] holds.  [exec]
+   calls this while the state is still the [Ready] being executed. *)
+let do_crash eng pid =
   if eng.emit then
     record_event eng
       (Event.Crash
@@ -554,28 +588,21 @@ let do_crash eng pid (kont : (unit -> unit) option) =
   end;
   Memory.forget eng.mem ~pid;
   eng.unsafe_open.(pid) <- [];
-  (match kont with
-  | Some discontinue ->
+  (match eng.states.(pid) with
+  | Ready (_, k) ->
       jpush eng (jt_crash lor (pid lsl 3)) 0;
-      discontinue ()
-  | None -> () (* no live fiber — nothing for a replay to discontinue *));
+      discontinue k
+  | Parked p | Woken p ->
+      jpush eng (jt_crash lor (pid lsl 3)) 0;
+      discontinue p.pk
+  | Start | Halted -> () (* no live fiber — nothing for a replay to discontinue *));
   eng.states.(pid) <- Start;
   eng.on_crash ~pid ~step:eng.step
 
-let discontinue_of (type a) (k : (a, status) Effect.Deep.continuation) () =
-  match Effect.Deep.discontinue k Crashed with
-  | Stopped -> ()
-  | Suspended _ ->
-      (* The body swallowed [Crashed] and kept computing: forbidden. *)
-      failwith "Engine: process body must not catch the crash exception"
-
 let crash_now eng pid =
   match eng.states.(pid) with
-  | Start -> do_crash eng pid None (* crash in NCS: nothing to discard *)
-  | Ready (Suspended (_, k)) -> do_crash eng pid (Some (discontinue_of k))
-  | Ready Stopped -> assert false
-  | Parked p | Woken p -> do_crash eng pid (Some (discontinue_of p.pk))
   | Halted -> ()
+  | Start | Ready _ | Parked _ | Woken _ -> do_crash eng pid
 
 (* A system-wide crash (the JJJ model): every process's continuation —
    running, ready, and parked alike — is erased at this instant; NVRAM
@@ -587,11 +614,6 @@ let system_crash_now eng =
   for pid = 0 to eng.n - 1 do
     crash_now eng pid
   done
-
-let absorb eng pid (st : status) =
-  match st with
-  | Stopped -> eng.states.(pid) <- Halted
-  | Suspended _ -> eng.states.(pid) <- Ready st
 
 let op_info : type a. t -> int -> a Api.view -> Crash.op_info =
  fun eng pid view ->
@@ -614,65 +636,65 @@ let park eng pid (p : parked) =
   eng.states.(pid) <- Parked p;
   Hashtbl.replace eng.parked_cells p.pcell.Cell.id ()
 
-(* Execute the pending instruction of [pid]. *)
-let exec eng pid (st : status) =
-  match st with
-  | Stopped -> assert false
-  | Suspended (view, k) -> (
-      let decision =
-        if eng.consult_ops then begin
-          let info = op_info eng pid view in
-          (* The abort consult precedes the crash consult, so a signal fired
-             on an op the crash plan then suppresses still counts as
-             delivered. *)
-          if eng.has_abort && Abort.on_op eng.abort info then
-            signal_abort eng ~origin:info.Crash.op_index pid;
-          Crash.on_op eng.crash info
-        end
-        else begin
-          (* Fast path: no plan and no hook reads the [op_info], so only the
-             per-process op counter (part of the state key) advances. *)
-          eng.op_index.(pid) <- eng.op_index.(pid) + 1;
-          Crash.No_crash
-        end
+(* Execute [pid]'s pending instruction [view], resuming [k] with its
+   answer.  [eng.states.(pid)] still holds [Ready (view, k)], which is what
+   a crash discontinues; the fiber's next suspension overwrites it. *)
+let exec : type a. t -> int -> a Api.view -> (a, pstate) Effect.Deep.continuation -> unit =
+ fun eng pid view k ->
+  let decision =
+    if eng.consult_ops then begin
+      let info = op_info eng pid view in
+      (* The abort consult precedes the crash consult, so a signal fired
+         on an op the crash plan then suppresses still counts as
+         delivered. *)
+      if eng.has_abort && Abort.on_op eng.abort info then
+        signal_abort eng ~origin:info.Crash.op_index pid;
+      Crash.on_op eng.crash info
+    end
+    else begin
+      (* Fast path: no plan and no hook reads the [op_info], so only the
+         per-process op counter (part of the state key) advances. *)
+      eng.op_index.(pid) <- eng.op_index.(pid) + 1;
+      Crash.No_crash
+    end
+  in
+  match decision with
+  | Crash Before -> do_crash eng pid
+  | (No_crash | Crash After) as decision -> (
+      let crash_after =
+        match decision with Crash.Crash _ -> true | Crash.No_crash -> false
       in
-      match decision with
-      | Crash Before -> do_crash eng pid (Some (discontinue_of k))
-      | (No_crash | Crash After) as decision -> (
-          let crash_after =
-            match decision with Crash.Crash _ -> true | Crash.No_crash -> false
-          in
-          match view with
-          | Api.V_spin (cell, cond) ->
-              let v = Memory.read_u eng.mem ~pid cell in
-              charge eng pid ~kind:Api.Spin (Memory.last_cost eng.mem);
-              record_op eng pid view;
-              if crash_after then do_crash eng pid (Some (discontinue_of k))
-              else if Api.cond_holds cond v then begin
-                jpush eng (jt_ans_unit lor (pid lsl 3)) 0;
-                absorb eng pid (Effect.Deep.continue k ())
-              end
-              else park eng pid { pk = k; pcell = cell; pcond = cond; pabort = false }
-          | Api.V_spin_abortable (cell, cond) ->
-              let v = Memory.read_u eng.mem ~pid cell in
-              charge eng pid ~kind:Api.Spin (Memory.last_cost eng.mem);
-              record_op eng pid view;
-              if crash_after then do_crash eng pid (Some (discontinue_of k))
-              else if Api.cond_holds cond v || eng.ab_flag.(pid) then begin
-                jpush eng (jt_ans_unit lor (pid lsl 3)) 0;
-                absorb eng pid (Effect.Deep.continue k ())
-              end
-              else park eng pid { pk = k; pcell = cell; pcond = cond; pabort = true }
-          | _ ->
-              let res = apply_view eng pid view in
-              charge eng pid ~kind:(Api.kind_of_view view) eng.last_rmr;
-              record_op eng pid view;
-              wake_after eng view;
-              if crash_after then do_crash eng pid (Some (discontinue_of k))
-              else begin
-                jpush eng (ans_tag view lor (pid lsl 3)) (ans_value view res);
-                absorb eng pid (Effect.Deep.continue k res)
-              end))
+      match view with
+      | Api.V_spin (cell, cond) ->
+          let v = Memory.read_u eng.mem ~pid cell in
+          charge eng pid ~kind:Api.Spin (Memory.last_cost eng.mem);
+          record_op eng pid view;
+          if crash_after then do_crash eng pid
+          else if Api.cond_holds cond v then begin
+            jpush eng (jt_ans_unit lor (pid lsl 3)) 0;
+            eng.states.(pid) <- Effect.Deep.continue k ()
+          end
+          else park eng pid { pk = k; pcell = cell; pcond = cond; pabort = false }
+      | Api.V_spin_abortable (cell, cond) ->
+          let v = Memory.read_u eng.mem ~pid cell in
+          charge eng pid ~kind:Api.Spin (Memory.last_cost eng.mem);
+          record_op eng pid view;
+          if crash_after then do_crash eng pid
+          else if Api.cond_holds cond v || eng.ab_flag.(pid) then begin
+            jpush eng (jt_ans_unit lor (pid lsl 3)) 0;
+            eng.states.(pid) <- Effect.Deep.continue k ()
+          end
+          else park eng pid { pk = k; pcell = cell; pcond = cond; pabort = true }
+      | _ ->
+          let res = apply_view eng pid view in
+          charge eng pid ~kind:(Api.kind_of_view view) eng.last_rmr;
+          record_op eng pid view;
+          wake_after eng view;
+          if crash_after then do_crash eng pid
+          else begin
+            jpush eng (ans_tag view lor (pid lsl 3)) (ans_value view res);
+            eng.states.(pid) <- Effect.Deep.continue k res
+          end)
 
 let step_process eng pid =
   (* Steps taken while the abort flag is up are the victim's own resolving
@@ -682,14 +704,14 @@ let step_process eng pid =
   | Start ->
       let body = eng.body in
       jpush eng (jt_dispatch lor (pid lsl 3)) 0;
-      absorb eng pid (Effect.Deep.match_with (fun () -> body ~pid) () handler)
-  | Ready st -> exec eng pid st
+      eng.states.(pid) <- Effect.Deep.match_with (fun () -> body ~pid) () handler
+  | Ready (view, k) -> exec eng pid view k
   | Woken p ->
       let v = Memory.read_u eng.mem ~pid p.pcell in
       charge eng pid ~kind:Api.Spin (Memory.last_cost eng.mem);
       if Api.cond_holds p.pcond v || (p.pabort && eng.ab_flag.(pid)) then begin
         jpush eng (jt_ans_unit lor (pid lsl 3)) 0;
-        absorb eng pid (Effect.Deep.continue p.pk ())
+        eng.states.(pid) <- Effect.Deep.continue p.pk ()
       end
       else park eng pid p
   | Parked _ | Halted -> assert false
@@ -702,9 +724,9 @@ let step_process eng pid =
 let pending_footprint eng ~crashy pid =
   match eng.states.(pid) with
   | Start -> Footprint.local ~pid
-  | Ready (Suspended (view, _)) -> Footprint.of_view ~pid ~crashy:(crashy pid) view
+  | Ready (view, _) -> Footprint.of_view ~pid ~crashy:(crashy pid) view
   | Woken p -> Footprint.waiting ~pid p.pcell
-  | Ready Stopped | Parked _ | Halted -> assert false
+  | Parked _ | Halted -> assert false
 
 (* The state key behind the explorer's decision-node deduplication: a
    compact int-array digest of everything that determines both the future

@@ -155,8 +155,10 @@ val run :
 
     [sink] routes the event stream explicitly and overrides [record]'s
     default: {!Event.Sink.drop} (the default when neither [record] nor
-    [trace_ops] is set) skips event construction entirely — steady-state
-    passages then allocate (almost) no minor words — while
+    [trace_ops] is set) skips event construction entirely — a steady-state
+    step then allocates only at the effect boundary: 5 minor words for an
+    argument-free instruction ([step], [yield]), 16–17 for one carrying
+    arguments ([read], [write]), on OCaml 5.1 — while
     {!Event.Sink.keep} retains everything ([record]'s behaviour),
     {!Event.Sink.ring} keeps a bounded trailing window for post-mortem
     diagnosis of long runs, and {!Event.Sink.callback} streams events out.

@@ -221,6 +221,41 @@ let test_open_loop_pacing () =
        ());
   check cb "woke at or after due" true (!woke >= due)
 
+(* Minor words one fast-path step allocates: 8 bodies each loop 100k times
+   over one instruction under the allocation-free random scheduler, so the
+   effect boundary dominates.  A suspension costs the runtime continuation
+   and the [Ready] state box (5 words); an argument-carrying instruction
+   adds its view, its [Instr] block and the handler's [Some] closure. *)
+let words_per_step instr =
+  let n = 8 and iters = 100_000 in
+  let w0 = Gc.minor_words () in
+  let res =
+    Engine.run ~mode:`Fast ~n ~model:Memory.CC ~sched:(Sched.random ~seed:3) ~crash:Crash.none
+      ~setup:(fun ctx -> Memory.alloc (Engine.Ctx.memory ctx) ~name:"c" 0)
+      ~body:(fun c ~pid:_ ->
+        for _ = 1 to iters do
+          instr c
+        done)
+      ()
+  in
+  let words = Gc.minor_words () -. w0 in
+  check ci "one dispatch plus one step per instruction" (n * (iters + 1)) res.Engine.steps;
+  words /. float_of_int res.Engine.steps
+
+let test_step_allocation () =
+  (* Pins carry one word of headroom over the OCaml 5.1 figures (5, 5, 16)
+     for other 5.x runtimes. *)
+  List.iter
+    (fun (name, bound, instr) ->
+      let w = words_per_step instr in
+      check cb (Printf.sprintf "%s: %.2f minor words per step <= %d" name w bound) true
+        (w <= float_of_int bound))
+    [
+      ("yield", 6, fun _ -> Api.yield ());
+      ("step", 6, fun _ -> ignore (Api.step ()));
+      ("read", 17, fun c -> ignore (Api.read c));
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Explorer search-effort counters                                     *)
 (* ------------------------------------------------------------------ *)
@@ -299,6 +334,7 @@ let () =
             test_fast_rejects_instrumented_configs;
           Alcotest.test_case "api.step monotone" `Quick test_api_step_monotone;
           Alcotest.test_case "open-loop pacing" `Quick test_open_loop_pacing;
+          Alcotest.test_case "minor words per step" `Quick test_step_allocation;
         ] );
       ( "explore-stats",
         [

@@ -436,6 +436,20 @@ let test_engine_propagates_body_exceptions () =
   in
   Alcotest.check_raises "propagates" (Failure "bug in body") boom
 
+let test_engine_rejects_swallowed_crash () =
+  (* A simulated crash erases the fiber; a body that catches [Crashed] and
+     keeps computing would survive it, so the engine refuses to go on. *)
+  let swallow () =
+    ignore
+      (Engine.run ~n:1 ~model:Memory.CC ~sched:(Sched.round_robin ())
+         ~crash:(Crash.at_op ~pid:0 ~nth:0 Crash.Before)
+         ~setup:(fun _ -> ())
+         ~body:(fun () ~pid:_ -> try Api.yield () with _ -> Api.yield ())
+         ())
+  in
+  Alcotest.check_raises "refused"
+    (Failure "Engine: process body must not catch the crash exception") swallow
+
 let test_engine_midrun_allocation () =
   (* Cells may be allocated during the run (queue nodes): accounting and
      parking still work on them. *)
@@ -531,6 +545,7 @@ let () =
           Alcotest.test_case "max steps times out" `Quick test_engine_max_steps_times_out;
           Alcotest.test_case "get_done survives crash" `Quick test_engine_get_done_survives_crash;
           Alcotest.test_case "propagates body exceptions" `Quick test_engine_propagates_body_exceptions;
+          Alcotest.test_case "rejects a swallowed crash" `Quick test_engine_rejects_swallowed_crash;
           Alcotest.test_case "mid-run allocation" `Quick test_engine_midrun_allocation;
           Alcotest.test_case "percentiles" `Quick test_percentiles;
           Alcotest.test_case "latency recorded" `Quick test_latency_recorded;
