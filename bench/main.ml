@@ -1,7 +1,7 @@
 (* Bench harness: regenerates every table and figure of the paper (see
    DESIGN.md section 4 for the experiment index) from the simulator, plus
-   the two wall-clock gates CI runs: [explore] (parallel explorer
-   throughput) and [gc] (engine fast path vs fully instrumented).
+   the wall-clock gate CI runs: [gc] (engine fast path vs fully
+   instrumented).
 
      dune exec bench/main.exe                      # everything
      dune exec bench/main.exe -- table1            # one experiment
@@ -18,15 +18,6 @@ open Rme_sim
 open Rme_locks
 
 let fmt_f x = Printf.sprintf "%.0f" x
-
-(* BENCH_explore.json opens with a provenance header, so the result file
-   always says what machine produced it: enough to interpret throughput
-   and domain-scaling numbers without the machine at hand. *)
-let host_json () =
-  Printf.sprintf
-    {|{"recommended_domain_count": %d, "ocaml_version": %S, "word_size": %d, "int_size": %d, "os_type": %S}|}
-    (Domain.recommended_domain_count ())
-    Sys.ocaml_version Sys.word_size Sys.int_size Sys.os_type
 
 (* With --csv DIR every printed table is also written as DIR/table_NN.csv. *)
 let csv_dir = ref None
@@ -628,144 +619,6 @@ let adversary () =
   if !violations > 0 then exit 1
 
 (* ------------------------------------------------------------------ *)
-(* Parallel explorer throughput                                         *)
-(* ------------------------------------------------------------------ *)
-
-let explore_bench () =
-  Fmt.pr "@.=== Explorer throughput: sequential DFS vs parallel search ===@.@.";
-  (* Three processes, two WR-Lock requests each: a schedule tree far larger
-     than the budget, so every configuration visits exactly [max_runs] runs
-     and the wall-clock ratio measures the work done per run.  POR is off
-     on purpose — this section isolates the engine, not the pruning.  Every
-     row replays each run from the root, so the parallel rows do the same
-     work per run as the sequential DFS and any speedup comes from domain
-     parallelism alone (none on single-core hosts, where Pool clamps the
-     worker count to the hardware). *)
-  let check res =
-    if res.Engine.cs_max > 1 then Some "ME violation"
-    else if res.Engine.deadlocked then Some "deadlock"
-    else None
-  in
-  let body lock ~pid = Rme_sim.Harness.standard_body ~lock ~requests:2 pid in
-  let crash () = Crash.none in
-  let max_runs = 4_000 in
-  let run_case ?stats = function
-    | None ->
-        Rme_check.Explore.explore ?stats ~por:`Off ~max_runs ~max_steps:4_000
-          ~shrink_violations:false ~n:3 ~model:Memory.CC ~crash ~setup:Wr_lock.make ~body ~check
-          ()
-    | Some domains ->
-        Rme_check.Explore.explore_parallel ?stats ~por:`Off ~domains ~max_runs
-          ~max_steps:4_000 ~shrink_violations:false ~n:3 ~model:Memory.CC ~crash
-          ~setup:Wr_lock.make ~body ~check ()
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let divergence = ref false in
-  (* Warm up allocators/code paths, and fix the reference outcome every
-     configuration must reproduce byte-for-byte. *)
-  let ref_stats = ref None in
-  let reference = run_case ~stats:(fun s -> ref_stats := Some s) None in
-  (match !ref_stats with
-  | Some s -> Fmt.pr "search effort (sequential): %a@.@." Rme_check.Explore.pp_search_stats s
-  | None -> ());
-  let cases =
-    [ ("sequential", None); ("domains=1", Some 1); ("domains=2", Some 2); ("domains=4", Some 4) ]
-  in
-  (* Wall-clock noise on shared runners dwarfs the effect under test (the
-     same binary's sequential baseline has been observed drifting 30%
-     between back-to-back runs), so every round re-times every case and
-     each case keeps its best round: the ratio of two minima is far more
-     stable than any single reading. *)
-  let rounds = 7 in
-  let best = Array.make (List.length cases) infinity in
-  for _ = 1 to rounds do
-    List.iteri
-      (fun i (label, domains) ->
-        let o, dt = time (fun () -> run_case domains) in
-        if dt < best.(i) then best.(i) <- dt;
-        if o <> reference then begin
-          divergence := true;
-          Fmt.pr "DIVERGENCE on %s:@.  expected: %a@.  got:      %a@." label
-            Rme_check.Explore.pp_outcome reference Rme_check.Explore.pp_outcome o
-        end)
-      cases
-  done;
-  let throughput =
-    List.mapi
-      (fun i (label, _) ->
-        let dt = best.(i) in
-        ( label,
-          reference.Rme_check.Explore.runs,
-          dt,
-          float_of_int reference.Rme_check.Explore.runs /. dt,
-          best.(0) /. dt ))
-      cases
-  in
-  table
-    ~header:[ "explorer"; "runs"; "best of 7"; "runs/s"; "speedup" ]
-    ~rows:
-      (List.map
-         (fun (label, runs, dt, rate, speedup) ->
-           [
-             label;
-             string_of_int runs;
-             Printf.sprintf "%.3f s" dt;
-             Printf.sprintf "%.0f" rate;
-             Printf.sprintf "%.2fx" speedup;
-           ])
-         throughput);
-  Fmt.pr "@.(same schedule tree, same budget, byte-identical outcomes; the parallel@.\
-          explorer splits the frontier into tasks and work-steals across domains,@.\
-          every run replayed from the root — the speedup is domain parallelism)@.";
-  let cores = Domain.recommended_domain_count () in
-  Fmt.pr "@.hardware parallelism: %d@." cores;
-  if cores < 2 then
-    Fmt.pr "NOTE: single-core host — Pool clamps spawned workers to the hardware@.\
-            (oversubscribed OCaml domains only add stop-the-world GC barriers), so@.\
-            all rows above run one worker and no speedup is expected; domain@.\
-            parallelism adds its factor on multi-core machines.@.";
-  let speedup_at label =
-    List.fold_left (fun acc (l, _, _, _, s) -> if l = label then s else acc) 0.0 throughput
-  in
-  let gate_fail = speedup_at "domains=2" < 1.0 in
-  if gate_fail then
-    Fmt.pr "@.FAIL: domains=2 is slower than the sequential explorer (%.2fx < 1.00x)@."
-      (speedup_at "domains=2");
-  (* Machine-readable trajectory point: the host header, the sequential
-     search effort and the throughput cases. *)
-  let path = "BENCH_explore.json" in
-  let buf = Buffer.create 1024 in
-  Printf.bprintf buf "{\n  \"experiment\": \"explore\",\n  \"host\": %s,\n" (host_json ());
-  (match !ref_stats with
-  | Some s ->
-      Printf.bprintf buf
-        "  \"search_stats\": {\"engine_runs\": %d, \"engine_steps\": %d, \"cache_hits\": %d, \
-         \"cache_misses\": %d, \"cache_evictions\": %d},\n"
-        s.Rme_check.Explore.engine_runs s.Rme_check.Explore.engine_steps
-        s.Rme_check.Explore.cache_hits s.Rme_check.Explore.cache_misses
-        s.Rme_check.Explore.cache_evictions
-  | None -> ());
-  Buffer.add_string buf "  \"throughput\": [\n";
-  List.iteri
-    (fun i (label, runs, dt, rate, speedup) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"explorer\": %S, \"runs\": %d, \"seconds\": %.4f, \"runs_per_sec\": %.2f, \
-            \"speedup\": %.3f}%s\n"
-           label runs dt rate speedup
-           (if i = List.length throughput - 1 then "" else ",")))
-    throughput;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (Buffer.contents buf));
-  Fmt.pr "@.(json: %s)@." path;
-  if !divergence || gate_fail then exit 1
-
-(* ------------------------------------------------------------------ *)
 (* Gc allocation differential: the fast path's regression gate          *)
 (* ------------------------------------------------------------------ *)
 
@@ -856,7 +709,6 @@ let experiments =
     ("anatomy", anatomy);
     ("fairness", fairness);
     ("adversary", adversary);
-    ("explore", explore_bench);
     ("gc", gc_bench);
     ("figures", figures);
   ]

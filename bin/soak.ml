@@ -133,7 +133,7 @@ let soak lock scenario runs seed_base verbose jobs =
          specs)
   in
   let results =
-    Rme_check.Pool.map ~domains:(max 1 jobs) ~tasks (fun ~index:_ ~stop:_ (spec, seed) ->
+    Rme_check.Pool.map ~domains:jobs ~tasks (fun (spec, seed) ->
         let cfg, res, problems = run_one ~spec ~scenario ~seed in
         (problems, describe cfg, res.Engine.steps))
   in
@@ -141,20 +141,17 @@ let soak lock scenario runs seed_base verbose jobs =
   let engine_runs = ref 0 in
   let engine_steps = ref 0 in
   Array.iteri
-    (fun i result ->
+    (fun i (problems, descr, steps) ->
       let spec, seed = tasks.(i) in
-      match result with
-      | None -> ()
-      | Some (problems, descr, steps) ->
-          incr engine_runs;
-          engine_steps := !engine_steps + steps;
-          if verbose then
-            Fmt.pr "%-16s seed=%-6d %s %s@." spec.Rme.Spec.key seed descr
-              (if problems = [] then "ok" else "FAIL");
-          List.iter
-            (fun what -> failures := { lock = spec.Rme.Spec.key; seed; what } :: !failures)
-            problems;
-          if seed = seed_base + runs - 1 then Fmt.pr "%-16s %d runs done@." spec.Rme.Spec.key runs)
+      incr engine_runs;
+      engine_steps := !engine_steps + steps;
+      if verbose then
+        Fmt.pr "%-16s seed=%-6d %s %s@." spec.Rme.Spec.key seed descr
+          (if problems = [] then "ok" else "FAIL");
+      List.iter
+        (fun what -> failures := { lock = spec.Rme.Spec.key; seed; what } :: !failures)
+        problems;
+      if seed = seed_base + runs - 1 then Fmt.pr "%-16s %d runs done@." spec.Rme.Spec.key runs)
     results;
   let failures = List.rev !failures in
   let total = Array.length tasks in

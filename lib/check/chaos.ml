@@ -242,7 +242,7 @@ let campaign ?(cfg = default_cfg) ?(jobs = 1) ~adversaries ~runs ~seed_base case
   (* Each task is independent and seeded; Pool reports in task order, so
      the outcome does not depend on the domain count. *)
   let results =
-    Pool.map ~domains:(max 1 jobs) ~tasks (fun ~index:_ ~stop:_ (case, adv, seed) ->
+    Pool.map ~domains:jobs ~tasks (fun (case, adv, seed) ->
         let r = run_one cfg ~make:case.case_make ~adversary:adv ~seed in
         let problems = battery case ~requests:cfg.requests r.res in
         let v =
@@ -251,24 +251,21 @@ let campaign ?(cfg = default_cfg) ?(jobs = 1) ~adversaries ~runs ~seed_base case
         in
         (r.res.Engine.total_crashes, List.length r.ab_fired, detect_latency r, v))
   in
-  let runs_done = ref 0 and crashes = ref 0 and aborts = ref 0 and violations = ref [] in
+  let crashes = ref 0 and aborts = ref 0 and violations = ref [] in
   let detect_steps = ref 0 and detect_runs = ref 0 in
   Array.iter
-    (function
-      | None -> ()
-      | Some (c, a, detect, v) ->
-          incr runs_done;
-          crashes := !crashes + c;
-          aborts := !aborts + a;
-          (match detect with
-          | Some d ->
-              detect_steps := !detect_steps + d;
-              incr detect_runs
-          | None -> ());
-          (match v with Some v -> violations := v :: !violations | None -> ()))
+    (fun (c, a, detect, v) ->
+      crashes := !crashes + c;
+      aborts := !aborts + a;
+      (match detect with
+      | Some d ->
+          detect_steps := !detect_steps + d;
+          incr detect_runs
+      | None -> ());
+      match v with Some v -> violations := v :: !violations | None -> ())
     results;
   {
-    runs = !runs_done;
+    runs = Array.length results;
     crashes = !crashes;
     aborts = !aborts;
     detect_steps = !detect_steps;

@@ -9,10 +9,9 @@ let pp_outcome ppf o =
     o.violation
 
 (* Effort counters, reported via the [stats] callback rather than inside
-   [outcome]: outcomes are compared whole-record across domain counts (the
-   byte-identical determinism contract), while engine run and step totals
-   legally vary with the work a parallel worker does past the settled
-   region, and cache totals with the task split. *)
+   [outcome]: the outcome is the search's verdict, compared whole-record
+   across POR tiers and pinned in tests, while these totals also count
+   probes and shrink replays. *)
 type search_stats = {
   engine_runs : int;
   engine_steps : int;
@@ -53,8 +52,7 @@ let shrink ~reproduces trace =
   let t = canon trace in
   if still_fails t then fix t else trace
 
-(* Everything one run needs, bundled so the sequential explorer, the
-   shrinker and the per-domain workers of the parallel explorer replay
+(* Everything one run needs, bundled so the search and the shrinker replay
    schedules identically.  [por] enables footprint collection for the
    sleep-set reduction; [crashy] marks the crash plan's possible victims
    (see Crash.por_class). *)
@@ -182,21 +180,17 @@ let iter_children d (rr : Engine.trun) ~depth sleep0 visit =
     done
   end
 
-(* Depth-first search of the subtree of decision vectors rooted at
-   [prefix0] ([`Off] and [`Sleep]).  Each node's run starts at the root and
-   returns the branching degree observed at every decision point, and
-   [iter_children] spawns its children.
+(* Depth-first search of the schedule tree ([`Off] and [`Sleep]).  Each
+   node's run starts at the root and returns the branching degree observed
+   at every decision point, and [iter_children] spawns its children.
 
    [take_run] reserves budget for one run and returns [false] once the
-   budget is gone; [stop] is an external cancellation signal (the parallel
-   explorer's "an earlier subtree already has the answer").  Both unwind
-   the whole subtree immediately.  Returns [`Done] (subtree exhausted),
-   [`Cut] (abandoned), or the first violation in DFS preorder. *)
-let subtree d ~take_run ~stop (prefix0, sleep0) =
+   budget is gone, which unwinds the whole search immediately.  Returns the
+   first violation in DFS preorder, if the search reaches one. *)
+let subtree d ~take_run =
   let exception Halt in
   let exception Found of string * int list in
   let rec go decisions sleep0 =
-    if stop () then raise Halt;
     if not (take_run ()) then raise Halt;
     let rr = run_node d decisions in
     (match d.check rr.Engine.tr_result with
@@ -205,10 +199,9 @@ let subtree d ~take_run ~stop (prefix0, sleep0) =
     iter_children d rr ~depth:(Array.length decisions) sleep0 (fun i c sleep ->
         go (child decisions i c) sleep)
   in
-  match go prefix0 sleep0 with
-  | () -> `Done
-  | exception Halt -> `Cut
-  | exception Found (msg, tr) -> `Viol (msg, tr)
+  match go [||] [] with
+  | () | (exception Halt) -> None
+  | exception Found (msg, tr) -> Some (msg, tr)
 
 (* ------------------------------------------------------------------ *)
 (* Source-set DPOR (`Source tier)                                      *)
@@ -220,17 +213,14 @@ let subtree d ~take_run ~stop (prefix0, sleep0) =
    that position ([all_mask] = every choice, used when the demanded pid is
    not runnable there or the degree exceeds the mask width).  One frame
    owns each position at a time; a frame drains and clears its own
-   positions before returning, and leaves demands for positions below
-   [root] — an ancestor's, or outside a parallel task's subtree — to their
-   owners (the parallel frontier is fully expanded under sleep-set
-   filtering, so dropped below-root demands are already covered by sibling
-   tasks). *)
+   positions before returning, and leaves demands for positions below its
+   depth to the ancestor frames that own them. *)
 module Src = struct
   type summary = Footprint.t list option
   (* distinct footprints a subtree executed; [None] = overflowed the cap,
      treated as conflicting with everything *)
 
-  type ctx = { slots : int Vec.t; root : int; cache : summary Statecache.t option }
+  type ctx = { slots : int Vec.t; cache : summary Statecache.t option }
 
   (* Mutable summary accumulator threaded from child frames to parents. *)
   type acc = { mutable fps : Footprint.t list; mutable universal : bool }
@@ -283,14 +273,12 @@ module Src = struct
     Footprint.Race.scan ~n ~len ~executed
       ~degree:(fun j -> branches.(j))
       ~emit:(fun ~pos ~pid ->
-        if pos >= ctx.root then begin
-          let deg = branches.(pos) in
-          let c = ref None in
-          for i = deg - 1 downto 0 do
-            if Footprint.pid (fp (offs.(pos) + i)) = pid then c := Some i
-          done;
-          demand ctx ~pos ~deg ~choice:!c
-        end)
+        let deg = branches.(pos) in
+        let c = ref None in
+        for i = deg - 1 downto 0 do
+          if Footprint.pid (fp (offs.(pos) + i)) = pid then c := Some i
+        done;
+        demand ctx ~pos ~deg ~choice:!c)
 
   (* Conservative demands a pruned (cache-hit) subtree owes the current
      prefix.  The stored exploration raised its cross-prefix race demands
@@ -299,7 +287,7 @@ module Src = struct
      executed step conflicts with any footprint the subtree ran. *)
   let demand_prefix ctx ~decisions ~branches ~offs ~fp ~depth (s : summary) =
     ensure ctx depth;
-    for k = ctx.root to depth - 1 do
+    for k = 0 to depth - 1 do
       let deg = branches.(k) in
       if deg > 1 then begin
         let fk = fp (offs.(k) + decisions.(k)) in
@@ -338,21 +326,13 @@ end
    demand-driven, so when violations exist the reported witness may differ
    from [subtree]'s preorder-first one (the shrunk witness is compared in
    the differential battery instead); exhaustion and violation-existence
-   always agree.
-
-   The sequential explorer runs one search over a root-0 [ctx]; each
-   parallel task runs one over its own fresh [ctx] (slots, state cache)
-   rooted at its prefix length: demands for positions inside another task's
-   subtree are dropped at the root boundary — sound because the phase-1
-   frontier is fully expanded under sleep-set filtering, a superset of any
-   source-set choice, so whatever a dropped demand would reach is a sibling
-   task already in the pool. *)
-let subtree_source d ~ctx ~take_run ~stop (prefix0, inh0) =
+   always agree. *)
+let subtree_source d ~cache ~take_run =
   let exception Halt in
   let exception Found of string * int list in
-  let caching = ctx.Src.cache <> None in
+  let ctx = { Src.slots = Vec.create (); cache } in
+  let caching = cache <> None in
   let rec go decisions inh0 (note : Src.acc) =
-    if stop () then raise Halt;
     if not (take_run ()) then raise Halt;
     let depth = Array.length decisions in
     let key = ref None in
@@ -486,10 +466,9 @@ let subtree_source d ~ctx ~take_run ~stop (prefix0, inh0) =
           !summarizable
     end
   in
-  match go prefix0 inh0 (Src.fresh_acc ()) with
-  | _ -> `Done
-  | exception Halt -> `Cut
-  | exception Found (msg, tr) -> `Viol (msg, tr)
+  match go [||] [] (Src.fresh_acc ()) with
+  | _ | (exception Halt) -> None
+  | exception Found (msg, tr) -> Some (msg, tr)
 
 (* [exhausted] means the search covered the whole tree (up to runs the
    sleep-set reduction proved equivalent to explored ones): no truncation
@@ -561,17 +540,10 @@ let explore ?(max_runs = 100_000) ?(max_steps = 20_000) ?(shrink_violations = tr
       true
     end
   in
-  let stop () = false in
   let search take_run =
-    match
-      match tier with
-      | `Off | `Sleep -> subtree d ~take_run ~stop ([||], [])
-      | `Source ->
-          let ctx = { Src.slots = Vec.create (); root = 0; cache } in
-          subtree_source d ~ctx ~take_run ~stop ([||], [])
-    with
-    | `Viol v -> Some v
-    | `Done | `Cut -> None
+    match tier with
+    | `Off | `Sleep -> subtree d ~take_run
+    | `Source -> subtree_source d ~cache ~take_run
   in
   let violation =
     match tier with
@@ -617,249 +589,7 @@ let explore ?(max_runs = 100_000) ?(max_steps = 20_000) ?(shrink_violations = tr
         });
   outcome
 
-(* ------------------------------------------------------------------ *)
-(* Parallel exploration                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* The skeleton is the DFS preorder of the schedule tree, cut at the split
-   frontier: a [Done] marker for each interior node the (sequential)
-   expansion phase already ran, a [Task] for each unexpanded subtree (with
-   the sleep set it inherits), or the [Viol]ation of an expanded node —
-   always the last item, since expansion stops there.  Keeping the [Done]
-   markers in position is what lets the settlement walk reconstruct the
-   exact sequential run count. *)
-type item = Done | Task of int array * Footprint.t list | Viol of string * int list
-
-(* What a pool task reports back: how many nodes it visited (one per
-   [take_run], exactly the sequential DFS's count for the same nodes), the
-   first violation in its preorder if any, and whether it stopped early. *)
-type task_result = { t_runs : int; t_viol : (string * int list) option; t_cut : bool }
-
-let explore_parallel ?(max_runs = 100_000) ?(max_steps = 20_000) ?(shrink_violations = true)
-    ?(record = false) ?(por = `Sleep) ?(cache_capacity = 65_536) ?domains
-    ?(abort = fun () -> Abort.none) ?stats ~n ~model ~crash ~setup ~body ~check () =
-  let tier, crashy = por_setup ~por ~record ~crash ~abort in
-  (* Effort counters accumulate atomically: the tally fires on whatever
-     domain runs the task.  They feed only the [stats] callback, never the
-     outcome, so the domain-count determinism contract is untouched. *)
-  let runs_a = Atomic.make 0 in
-  let steps_a = Atomic.make 0 in
-  let cache_hits_a = Atomic.make 0 in
-  let cache_misses_a = Atomic.make 0 in
-  let cache_evictions_a = Atomic.make 0 in
-  let tally =
-    match stats with
-    | None -> fun (_ : Engine.result) -> ()
-    | Some _ ->
-        fun (r : Engine.result) ->
-          Atomic.incr runs_a;
-          ignore (Atomic.fetch_and_add steps_a r.Engine.steps)
-  in
-  let d =
-    {
-      max_steps;
-      record;
-      n;
-      model;
-      crash;
-      abort;
-      setup;
-      body;
-      check;
-      por = tier <> `Off;
-      crashy;
-      tally;
-    }
-  in
-  let ndomains =
-    match domains with Some x when x >= 1 -> x | Some _ -> 1 | None -> Pool.default_domains ()
-  in
-  (* ---- Phase 0: root probe (reduced tiers). ----
-     The default schedule runs once, footprint-free.  A violation here is
-     the sequential search's first run, so the whole exploration is that
-     one run — reduction never pays its footprint overhead on
-     violation-bound subjects.  Otherwise phase 1 re-runs the root with
-     footprints; settlement charges that interior node once, as before,
-     so run accounting is unchanged. *)
-  let probe_viol =
-    if tier = `Off || max_runs < 1 then None
-    else
-      match d.check (run_node { d with por = false } [||]).Engine.tr_result with
-      | Some msg -> Some (msg, [])
-      | None -> None
-  in
-  (* ---- Phase 1: adaptive frontier expansion (sequential). ----
-     Runs interior nodes and replaces each by [Done :: its children] until
-     there are enough tasks to keep every domain fed through imbalance
-     (~8x domains), the tree is exhausted, a violation surfaces (the
-     search ends at it — later items are dropped), or further splitting
-     cannot matter because the budget would already be spent.  The root
-     is always expanded, so every task sits at least one level deep. *)
-  let expand_one (prefix, sleep0) =
-    let rr = run_node d prefix in
-    match d.check rr.Engine.tr_result with
-    | Some msg -> `Viol (msg, Array.to_list prefix)
-    | None ->
-        let children = ref [] in
-        iter_children d rr ~depth:(Array.length prefix) sleep0 (fun i c sleep ->
-            children := Task (child prefix i c, sleep) :: !children);
-        `Children (List.rev !children)
-  in
-  let target_tasks = max 16 (8 * ndomains) in
-  let count_tasks items =
-    List.fold_left (fun k it -> match it with Task _ -> k + 1 | Done | Viol _ -> k) 0 items
-  in
-  let count_done items =
-    List.fold_left (fun k it -> match it with Done -> k + 1 | Task _ | Viol _ -> k) 0 items
-  in
-  let rec grow level items =
-    let ntasks = count_tasks items in
-    let ndone = count_done items in
-    if
-      ntasks = 0 || level >= 64
-      || ndone + ntasks >= max_runs
-      || (level >= 1 && ntasks >= target_tasks)
-    then items
-    else begin
-      (* Expand every task one level, left to right, keeping order — no
-         item is ever silently dropped mid-level, so the skeleton (and
-         with it the truncation point) is the same whatever the budget. *)
-      let rec walk acc = function
-        | [] -> (List.rev acc, false)
-        | (Viol _ as it) :: _ -> (List.rev (it :: acc), true)
-        | (Done as it) :: rest -> walk (it :: acc) rest
-        | Task (p, s) :: rest -> (
-            match expand_one (p, s) with
-            | `Viol (msg, tr) -> (List.rev (Viol (msg, tr) :: acc), true)
-            | `Children cs -> walk (List.rev_append (Done :: cs) acc) rest)
-      in
-      let items', found_viol = walk [] items in
-      if found_viol then items' else grow (level + 1) items'
-    end
-  in
-  let items =
-    match probe_viol with
-    | Some (msg, tr) -> [ Viol (msg, tr) ]
-    | None -> grow 0 [ Task ([||], []) ]
-  in
-  (* ---- Phase 2: the pool. ----
-     Tasks carry their skeleton context: [done_before.(j)] counts the
-     interior-node runs the sequential search performs before reaching
-     task [j]'s subtree.  Budget is enforced by a leased lower bound
-     instead of a shared counter: each worker publishes its own progress
-     (a single-writer atomic slot, refreshed every 256 runs and at the
-     end) and stops once
-       own visits + done_before + earlier tasks' published progress
-     reaches [max_runs] — at that point the sequential search provably
-     truncates at or before the worker's current node, whatever the
-     still-running earlier tasks turn out to do. *)
-  let tasks =
-    let acc = ref [] and dones = ref 0 in
-    List.iter
-      (function
-        | Done -> incr dones
-        | Task (p, s) -> acc := (p, s, !dones) :: !acc
-        | Viol _ -> ())
-      items;
-    Array.of_list (List.rev !acc)
-  in
-  let progress = Array.map (fun _ -> Atomic.make 0) tasks in
-  let lower_bound j =
-    let _, _, done_before = tasks.(j) in
-    let lb = ref done_before in
-    for j' = 0 to j - 1 do
-      lb := !lb + Atomic.get progress.(j')
-    done;
-    !lb
-  in
-  let run_task ~index:j ~stop (prefix, sleep, _done_before) =
-    let u = ref 0 in
-    let lb = ref (lower_bound j) in
-    let take_run () =
-      if !u + !lb >= max_runs then lb := lower_bound j;
-      if !u + !lb >= max_runs then false
-      else begin
-        incr u;
-        if !u land 255 = 0 then begin
-          Atomic.set progress.(j) !u;
-          lb := lower_bound j
-        end;
-        true
-      end
-    in
-    let r =
-      match tier with
-      | `Off | `Sleep -> subtree d ~take_run ~stop (prefix, sleep)
-      | `Source ->
-          (* Fresh per-task slots and cache, rooted at the task prefix:
-             the task set and each task's search are then independent of
-             the domain count, so 1/2/4-domain outcomes stay identical. *)
-          let cache = cache_for ~n ~statecache:None ~cache_capacity in
-          let ctx = { Src.slots = Vec.create (); root = Array.length prefix; cache } in
-          let r = subtree_source d ~ctx ~take_run ~stop (prefix, sleep) in
-          (match cache with
-          | Some c ->
-              ignore (Atomic.fetch_and_add cache_hits_a (Statecache.hits c));
-              ignore (Atomic.fetch_and_add cache_misses_a (Statecache.misses c));
-              ignore (Atomic.fetch_and_add cache_evictions_a (Statecache.evictions c))
-          | None -> ());
-          r
-    in
-    Atomic.set progress.(j) !u;
-    match r with
-    | `Done -> { t_runs = !u; t_viol = None; t_cut = false }
-    | `Cut -> { t_runs = !u; t_viol = None; t_cut = true }
-    | `Viol (msg, tr) -> { t_runs = !u; t_viol = Some (msg, tr); t_cut = false }
-  in
-  let results =
-    Pool.map ?domains ~hit:(fun r -> r.t_cut || r.t_viol <> None) ~tasks run_task
-  in
-  (* ---- Phase 3: settlement. ----
-     Walk the skeleton in DFS preorder, charging each item its exact
-     sequential cost, and stop exactly where the sequential search stops:
-     at the budget, or at the first violation it can afford.  The pool's
-     order-respecting cancellation guarantees every task before the
-     decisive one ran to completion, so its [t_runs] is the exact subtree
-     size. *)
-  let truncated_outcome = { runs = max_runs; exhausted = false; violation = None } in
-  let rec settle acc ti = function
-    | [] -> { runs = acc; exhausted = true; violation = None }
-    | _ :: _ when acc >= max_runs -> truncated_outcome
-    | Done :: rest -> settle (acc + 1) ti rest
-    | Viol (msg, tr) :: _ -> { runs = acc + 1; exhausted = false; violation = Some (msg, tr) }
-    | Task _ :: rest -> (
-        match results.(ti) with
-        | None ->
-            (* Unreachable: a skipped task sits behind a decisive earlier
-               one, and the walk stops there. *)
-            failwith "Explore.explore_parallel: settlement reached a cancelled task"
-        | Some r -> (
-            match r.t_viol with
-            | Some v ->
-                if acc + r.t_runs <= max_runs then
-                  { runs = acc + r.t_runs; exhausted = false; violation = Some v }
-                else truncated_outcome
-            | None ->
-                if r.t_cut then truncated_outcome (* cut implies acc + t_runs >= max_runs *)
-                else if acc + r.t_runs > max_runs then truncated_outcome
-                else settle (acc + r.t_runs) (ti + 1) rest))
-  in
-  let outcome = settle 0 0 items in
-  let outcome =
-    match outcome.violation with
-    | Some (msg, tr) when shrink_violations ->
-        { outcome with violation = Some (msg, shrink ~reproduces:(faithful_reproduces d) tr) }
-    | Some _ | None -> outcome
-  in
-  (match stats with
-  | None -> ()
-  | Some f ->
-      f
-        {
-          engine_runs = Atomic.get runs_a;
-          engine_steps = Atomic.get steps_a;
-          cache_hits = Atomic.get cache_hits_a;
-          cache_misses = Atomic.get cache_misses_a;
-          cache_evictions = Atomic.get cache_evictions_a;
-        });
-  outcome
+let explore_parallel ?max_runs ?max_steps ?shrink_violations ?por ?domains:_ ?stats ~n ~model
+    ~crash ~setup ~body ~check () =
+  explore ?max_runs ?max_steps ?shrink_violations ?por ?stats ~n ~model ~crash ~setup ~body ~check
+    ()

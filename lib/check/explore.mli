@@ -11,13 +11,12 @@
     mutual exclusion for the splitter, arbitrator and WR-Lock components,
     optionally under a crash plan.
 
-    Each reduction tier has exactly one search, shared by {!explore} and
-    {!explore_parallel}: a depth-first search for [`Off] and [`Sleep], and
-    a source-set search for [`Source].  The two entry points differ only in
-    how they drive it.  {!explore} runs it once over the whole tree on the
-    calling domain; {!explore_parallel} runs it once per subtree task.
-    Either way every run replays its whole decision vector from the
-    root. *)
+    Each reduction tier has exactly one search, driven by {!explore}: a
+    depth-first search for [`Off] and [`Sleep], and a source-set search for
+    [`Source].  It runs once over the whole tree on the calling domain, and
+    every run replays its whole decision vector from the root.  Parallelism
+    lives one level up: {!Sweep} and {!Chaos} shard independent crash plans
+    and seeds over domains with {!Pool}, one sequential search each. *)
 
 open Rme_sim
 
@@ -42,9 +41,10 @@ type search_stats = {
   cache_evictions : int;  (** entries displaced by the cache's capacity bound *)
 }
 (** Search-effort counters, reported through the [?stats] callback of
-    {!explore} / {!explore_parallel}.  Deliberately {e not} part of
-    {!outcome}: outcomes are compared byte-for-byte across domain counts,
-    while these counters describe the effort of one particular search. *)
+    {!explore}.  Deliberately {e not} part of {!outcome}: the outcome is
+    the verdict, compared whole-record across POR tiers and pinned in
+    tests, while these counters describe the effort behind it — probes
+    and shrink replays included. *)
 
 val pp_search_stats : search_stats Fmt.t
 
@@ -139,11 +139,8 @@ val explore_parallel :
   ?max_runs:int ->
   ?max_steps:int ->
   ?shrink_violations:bool ->
-  ?record:bool ->
   ?por:[ `Off | `Sleep | `Source ] ->
-  ?cache_capacity:int ->
   ?domains:int ->
-  ?abort:(unit -> Abort.t) ->
   ?stats:(search_stats -> unit) ->
   n:int ->
   model:Memory.model ->
@@ -153,49 +150,8 @@ val explore_parallel :
   check:(Engine.result -> string option) ->
   unit ->
   outcome
-(** The search {!explore} runs, sharded across [domains] OCaml domains
-    (default {!Pool.default_domains}).  The schedule tree is split into
-    disjoint decision-vector subtrees by expanding the frontier until
-    there are enough tasks to keep every domain fed through load
-    imbalance (at least [max 16 (8 * domains)], and at least one level
-    below the root); the frontier expansion enumerates children and sleep
-    sets with the same code as the search itself.  The subtrees are
-    distributed over a work-stealing {!Pool}, and each task runs the
-    tier's one search, replaying every run from the root exactly as
-    {!explore} does.  The speedup over {!explore} is the domain count at
-    best: nothing is saved per run.
-
-    Determinism: the reported outcome — [runs], [exhausted], and the
-    [violation] with its shrunk vector — is byte-identical for every
-    domain count, under every [por] tier, including under [max_runs]
-    truncation and when a violation is found.  Tasks report their exact
-    per-subtree visit counts and first violations; a final sequential
-    settlement walk over the DFS-preorder skeleton recomputes exactly
-    where the search would stop.
-    Budgets are enforced by leased lower bounds (each worker periodically
-    publishes its progress and stops once the provable total reaches
-    [max_runs]) rather than a contended shared counter, so a worker may
-    privately visit more nodes than the settled count — but never
-    fewer within the settled region — without affecting the outcome.
-    Under [`Off] and [`Sleep] the outcome additionally equals the
-    sequential {!explore}'s byte for byte: the frontier expansion
-    replicates the sequential sleep evolution exactly, so the pruned run
-    set is the same for every domain count.  Under [`Source] each task
-    runs source-set DPOR over its own fresh demand slots and state cache
-    ([cache_capacity] entries), rooted at its subtree — domain-count
-    independent, hence still deterministic, but the task boundaries make
-    the explored subset (and so [runs]) potentially differ from the
-    sequential [`Source] search's; [exhausted] and violation-existence
-    agree with it up to the state-key collisions described under
-    {!explore}.
-
-    [crash], [setup], [body] and [check] are called concurrently from
-    multiple domains and must be domain-safe: no shared mutable state
-    outside the per-run engine (in particular no global [Random] and no
-    captured growing [Vec]s; {!Engine.run} itself is re-entrant).
-
-    [stats] is called exactly once, after settlement and shrinking, from
-    the calling domain.  Its counters are accumulated atomically across
-    workers, so — unlike the outcome — they are {e not} deterministic
-    across domain counts (work-stealing decides how many nodes each
-    worker privately visits beyond the settled region). *)
+(** Compatibility shim, kept only because [rmebench/verify.ml] still calls
+    it for its [wr-me-n2-par] subject: forwards every argument to
+    {!explore} and ignores [domains], so the outcome is {!explore}'s.  It
+    is removed by the next change to the benchmark, together with that
+    subject. *)

@@ -1,119 +1,42 @@
-(* Domain-sharded work pool with deterministic, order-respecting merge.
+(* Tasks are claimed in index order from one shared atomic counter, so the
+   claimed set is always a prefix of the task array.  A failure only stops
+   further claims: every claimed task still runs, so every task before the
+   first one to fail sequentially has run, and the lowest-indexed failure
+   is the one a left-to-right run would raise. *)
 
-   Tasks are dealt into per-domain index segments, each with its own atomic
-   cursor; a worker drains its own segment in index order and, once empty,
-   steals the lowest-indexed remaining work from another segment.  One
-   atomic fetch-and-add per claimed task, on a cursor only contended when
-   stealing — the single shared claim counter this replaces was hammered by
-   every domain for every task.
-
-   The pool supports early cancellation keyed on task order: when a task's
-   result satisfies [hit], every task with a *higher* index becomes
-   irrelevant (in the explorer, the first violation in DFS order lives in
-   the lowest-indexed subtree that has one) and is skipped or asked to
-   stop; tasks with a lower index always run to completion, so the merged
-   result is independent of how the OS schedules the domains. *)
-
-let env_domains () =
-  match Sys.getenv_opt "RME_DOMAINS" with
-  | None -> None
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some d when d >= 1 -> Some d
-      | Some _ | None -> None)
-
-let default_domains () =
-  match env_domains () with
-  | Some d -> d
-  | None ->
-      (* Use what the runtime reports, leaving one core for the rest of the
-         system; never oversubscribe small (e.g. 2-core CI) machines with a
-         fixed upper clamp. *)
-      max 1 (Domain.recommended_domain_count () - 1)
-
-let cas_min cell candidate =
-  let rec loop () =
-    let cur = Atomic.get cell in
-    if candidate < cur && not (Atomic.compare_and_set cell cur candidate) then loop ()
-  in
-  loop ()
-
-(* Per-domain segment of the task index space: [lo, hi), with [cursor] the
-   next unclaimed index.  Claiming — by the owner or a thief — is the same
-   fetch-and-add; an overshoot (cursor past [hi]) just means empty. *)
-type seg = { lo : int; hi : int; cursor : int Atomic.t }
-
-let map ?domains ?(hit = fun _ -> false) ~tasks f =
+let map ~domains ~tasks f =
   let len = Array.length tasks in
-  let requested =
-    match domains with Some d when d >= 1 -> d | Some _ -> 1 | None -> default_domains ()
-  in
-  (* [domains] is the parallelism request; the spawn count is additionally
-     clamped to what the hardware can actually schedule.  OCaml domains
-     must not be oversubscribed: every minor collection is a stop-the-world
-     barrier across all of them, so spawning more than the core count only
-     adds synchronization — it can never run more work at once.  Results
-     are deterministic either way, so the clamp is invisible except in
-     wall-clock time. *)
-  let domains =
-    min (min requested (max 1 (Domain.recommended_domain_count ()))) (max 1 len)
-  in
-  let segs =
-    Array.init domains (fun w ->
-        let lo = w * len / domains and hi = (w + 1) * len / domains in
-        { lo; hi; cursor = Atomic.make lo })
-  in
-  (* Lowest task index whose result hit; tasks beyond it are cancelled. *)
-  let first_hit = Atomic.make max_int in
-  let results = Array.make len None in
-  let claim seg =
-    let i = Atomic.fetch_and_add seg.cursor 1 in
-    if i < seg.hi then Some i else None
-  in
-  (* Steal from the segment with the most unclaimed work; ties go to the
-     lower index range (the scan order), the work cancellation can never
-     skip. *)
-  let rec steal my =
-    let best = ref (-1) and best_left = ref 0 in
-    for w = 0 to domains - 1 do
-      if w <> my then begin
-        let left = segs.(w).hi - Atomic.get segs.(w).cursor in
-        if left > !best_left then begin
-          best := w;
-          best_left := left
+  let domains = min (min domains (Domain.recommended_domain_count ())) len in
+  if domains <= 1 then Array.map f tasks
+  else begin
+    let results = Array.make len None in
+    let next = Atomic.make 0 in
+    let failed = Atomic.make false in
+    let rec worker () =
+      if not (Atomic.get failed) then begin
+        let i = Atomic.fetch_and_add next 1 in
+        if i < len then begin
+          (results.(i) <-
+             match f tasks.(i) with
+             | r -> Some (Ok r)
+             | exception e ->
+                 let bt = Printexc.get_raw_backtrace () in
+                 Atomic.set failed true;
+                 Some (Error (e, bt)));
+          worker ()
         end
       end
-    done;
-    if !best < 0 then None
-    else
-      match claim segs.(!best) with
-      | Some i -> Some i
-      | None -> steal my (* lost the race for the victim's last item; rescan *)
-  in
-  let worker w () =
-    let rec next () =
-      match claim segs.(w) with
-      | Some i -> run i
-      | None -> ( match steal w with Some i -> run i | None -> ())
-    and run i =
-      if i <= Atomic.get first_hit then begin
-        (* [stop] turns true only when a strictly earlier task hits, so a
-           task that observes it can abandon its subtree: whatever it
-           would have produced is shadowed in the merge. *)
-        let stop () = Atomic.get first_hit < i in
-        let r = f ~index:i ~stop tasks.(i) in
-        results.(i) <- Some r;
-        if hit r then cas_min first_hit i
-      end;
-      next ()
     in
-    next ()
-  in
-  if domains = 1 then worker 0 ()
-  else begin
-    let spawned = List.init (domains - 1) (fun w -> Domain.spawn (worker (w + 1))) in
-    Fun.protect ~finally:(fun () -> List.iter Domain.join spawned) (worker 0)
-  end;
-  (* Every write to [results] happens-before the joins above, so the array
-     is safely published to the caller. *)
-  results
+    let spawned = List.init (domains - 1) (fun _ -> Domain.spawn worker) in
+    worker ();
+    (* Every write to [results] happens-before its worker's join. *)
+    List.iter Domain.join spawned;
+    (* Unclaimed slots ([None]) all follow the first failure, so the
+       in-order walk raises before it reaches one. *)
+    Array.map
+      (function
+        | Some (Ok r) -> r
+        | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
+        | None -> assert false)
+      results
+  end

@@ -1,40 +1,21 @@
-(** Domain-sharded work pool with a deterministic, order-respecting merge.
+(** Domain-sharded map over independent tasks, for coarse work: the crash
+    plans of a {!Sweep}, the seeded runs of a {!Chaos} campaign, the seeds
+    of a soak.  Each task is one whole search or run, so a single shared
+    claim counter costs nothing next to the work it hands out.  The
+    caller's [f] must be domain-safe (no shared mutable state outside the
+    task it is given). *)
 
-    Built for the parallel explorer but generic: an array of independent
-    tasks is dealt into per-domain index segments, claimed in index order
-    by each segment's owner, with idle workers stealing the lowest-indexed
-    remaining work from the fullest other segment — so one slow subtree
-    does not serialize the pool behind a single shared claim counter.
-    Results land in an array indexed like the input.  The caller's [f]
-    must be domain-safe (operate only on its task and on thread-safe
-    shared state such as [Atomic.t] counters). *)
+val map : domains:int -> tasks:'a array -> ('a -> 'b) -> 'b array
+(** [map ~domains ~tasks f] applies [f] to every task across [domains]
+    workers (the calling domain is one of them) and returns the results in
+    task order, so the answer is the same for every [domains].  The worker
+    count is clamped to [Domain.recommended_domain_count ()] and to the
+    task count: oversubscribing OCaml domains only adds stop-the-world GC
+    barriers.  [domains <= 1] runs [Array.map f tasks] on the calling
+    domain.
 
-val default_domains : unit -> int
-(** [Domain.recommended_domain_count () - 1], at least 1 — the runtime's
-    own report, with one core left for the rest of the system and no
-    fixed upper clamp, so small CI runners are never oversubscribed.  The
-    [RME_DOMAINS] environment variable (a positive integer) overrides the
-    computed value. *)
-
-val map :
-  ?domains:int ->
-  ?hit:('b -> bool) ->
-  tasks:'a array ->
-  (index:int -> stop:(unit -> bool) -> 'a -> 'b) ->
-  'b option array
-(** [map ~tasks f] runs [f] over every task across [domains] workers
-    (default {!default_domains}; the calling domain is one of them) and
-    returns the results in task order.  The worker count is clamped to
-    [Domain.recommended_domain_count ()]: oversubscribing OCaml domains
-    only adds stop-the-world GC barriers, and the result is deterministic
-    regardless, so a request beyond the hardware is satisfied with the
-    hardware's parallelism.
-
-    [hit] drives early cancellation: once [hit result] is true for task
-    [i], tasks with index [> i] are skipped (their slot stays [None]) and
-    running tasks with index [> i] observe [stop () = true], a request to
-    abandon their work.  Tasks with index [< i] are never cancelled and
-    always run to completion, so the lowest-indexed hit in the returned
-    array is the same one a sequential left-to-right execution would have
-    found — wall-clock scheduling of the domains cannot change the merged
-    answer. *)
+    If some task raises, workers stop claiming new tasks, every claimed
+    task runs to completion, and once all workers are joined [map]
+    re-raises the exception of the lowest-indexed failing task, unwrapped
+    and with its backtrace — the exception a sequential left-to-right run
+    would have raised. *)

@@ -348,10 +348,10 @@ let sweep cfg ~n ~model ~props scenario =
   (* Plans are independent searches: shard them across domains and merge
      in plan order, so everything below is the same for every [jobs]. *)
   let per_plan =
-    Pool.map ~domains:(max 1 cfg.jobs) ~tasks:(Array.of_list plans) (fun ~index:_ ~stop:_ plan ->
+    Pool.map ~domains:cfg.jobs ~tasks:(Array.of_list plans) (fun plan ->
         (plan, sweep_plan cfg ~n ~model ~props scenario plan))
   in
-  let per_plan = Array.to_list (Array.map Option.get per_plan) in
+  let per_plan = Array.to_list per_plan in
   let findings =
     List.concat_map
       (fun (plan, classes) ->

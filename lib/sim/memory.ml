@@ -108,10 +108,6 @@ let read_u t ~pid (c : Cell.t) =
 
 let last_cost t = t.last_cost
 
-let read t ~pid (c : Cell.t) =
-  let v = read_u t ~pid c in
-  (v, t.last_cost)
-
 (* A mutation bumps the version (invalidating every cached copy) and leaves
    the writer's cache holding the fresh value. *)
 let mutate t ~pid (c : Cell.t) v =
@@ -141,20 +137,12 @@ let cas_u t ~pid (c : Cell.t) ~expect ~value =
     false
   end
 
-let cas t ~pid (c : Cell.t) ~expect ~value =
-  let ok = cas_u t ~pid c ~expect ~value in
-  (ok, t.last_cost)
-
 let fas_u t ~pid (c : Cell.t) v =
   check_pid t pid;
   let old = Vec.get t.contents c.id in
   mutate t ~pid c v;
   t.last_cost <- write_cost t ~pid c;
   old
-
-let fas t ~pid (c : Cell.t) v =
-  let old = fas_u t ~pid c v in
-  (old, t.last_cost)
 
 (* One-word digest of the store's state: cell contents, write versions,
    and the per-process cache validity rows.  Two stores
@@ -184,7 +172,3 @@ let faa_u t ~pid (c : Cell.t) d =
   mutate t ~pid c (old + d);
   t.last_cost <- write_cost t ~pid c;
   old
-
-let faa t ~pid (c : Cell.t) d =
-  let old = faa_u t ~pid c d in
-  (old, t.last_cost)

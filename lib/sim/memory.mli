@@ -63,35 +63,25 @@ val fingerprint : t -> int
 
 (** {1 Accounted operations}
 
-    Each returns [(result, rmrs)] where [rmrs] ∈ {0, 1}. *)
+    Every charged access costs [0] or [1] RMR.  [write] returns its cost;
+    the others return their result bare and leave the cost in
+    {!last_cost}, so the engine's hot loop allocates no result tuple per
+    instruction.  [last_cost] is scratch state, not part of
+    {!fingerprint}; read it before the next accounted operation overwrites
+    it. *)
 
-val read : t -> pid:int -> Cell.t -> int * int
+val read_u : t -> pid:int -> Cell.t -> int
 
 val write : t -> pid:int -> Cell.t -> int -> int
 (** Returns the RMR count. *)
 
-val cas : t -> pid:int -> Cell.t -> expect:int -> value:int -> bool * int
-
-val fas : t -> pid:int -> Cell.t -> int -> int * int
-
-val faa : t -> pid:int -> Cell.t -> int -> int * int
-(** Fetch-and-add; returns the previous contents. *)
-
-(** {1 Unboxed accounted operations}
-
-    Same accounting as the tuple API above, but the result comes back bare
-    and the RMR cost is left in {!last_cost} — the engine's hot loop uses
-    these to avoid one tuple allocation per instruction.  [last_cost] is
-    scratch state, not part of {!fingerprint}; read it before
-    the next accounted operation overwrites it. *)
-
-val read_u : t -> pid:int -> Cell.t -> int
-
 val cas_u : t -> pid:int -> Cell.t -> expect:int -> value:int -> bool
 
 val fas_u : t -> pid:int -> Cell.t -> int -> int
+(** Fetch-and-store; returns the previous contents. *)
 
 val faa_u : t -> pid:int -> Cell.t -> int -> int
+(** Fetch-and-add; returns the previous contents. *)
 
 val last_cost : t -> int
 (** RMR cost of the most recent [*_u] operation. *)

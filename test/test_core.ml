@@ -78,14 +78,16 @@ let qcheck_memory_coherence =
           let pid = v mod 3 in
           match kind with
           | 0 ->
-              let value, rmr = Memory.read mem ~pid c in
+              let value = Memory.read_u mem ~pid c in
+              let rmr = Memory.last_cost mem in
               value = !shadow && rmr >= 0 && rmr <= 1
           | 1 ->
               let rmr = Memory.write mem ~pid c v in
               shadow := v;
               rmr >= 0 && rmr <= 1
           | _ ->
-              let old, rmr = Memory.fas mem ~pid c v in
+              let old = Memory.fas_u mem ~pid c v in
+              let rmr = Memory.last_cost mem in
               let ok = old = !shadow in
               shadow := v;
               ok && rmr >= 0 && rmr <= 1)
@@ -99,17 +101,17 @@ let qcheck_cc_cached_reads_free =
     (fun v ->
       let mem = Memory.create Memory.CC ~n:2 in
       let c = Memory.alloc mem ~name:"c" v in
-      let _ = Memory.read mem ~pid:0 c in
-      let _, rmr = Memory.read mem ~pid:0 c in
-      rmr = 0)
+      ignore (Memory.read_u mem ~pid:0 c);
+      ignore (Memory.read_u mem ~pid:0 c);
+      Memory.last_cost mem = 0)
 
 let test_memory_forget () =
   let mem = Memory.create Memory.CC ~n:2 in
   let c = Memory.alloc mem ~name:"c" 5 in
-  let _ = Memory.read mem ~pid:0 c in
+  ignore (Memory.read_u mem ~pid:0 c);
   Memory.forget mem ~pid:0;
-  let _, rmr = Memory.read mem ~pid:0 c in
-  check ci "cold cache after forget" 1 rmr
+  ignore (Memory.read_u mem ~pid:0 c);
+  check ci "cold cache after forget" 1 (Memory.last_cost mem)
 
 (* ------------------------------------------------------------------ *)
 (* Report: fitting and classification                                  *)

@@ -11,8 +11,6 @@ let cb = Alcotest.bool
 
 let ci = Alcotest.int
 
-let tier_name = function `Off -> "off" | `Sleep -> "sleep" | `Source -> "source"
-
 (* A deliberately broken 2-process mutex: test-and-test-and-set with a
    non-atomic check-then-write — the classic race.  Raw closures (no
    instrumentation) keep the schedule tree small enough to exhaust. *)
@@ -219,6 +217,10 @@ let wr_gap_replay trace =
   in
   (res, !mismatch)
 
+let explore_wr_gap ~por ~max_runs =
+  Explore.explore ~por ~max_runs ~max_steps:4_000 ~n:3 ~model:Memory.CC ~crash:wr_gap_crash
+    ~setup:wr_gap_setup ~body:wr_gap_body ~check:wr_gap_check ()
+
 let test_wr_gap_sequential_finds_violation () =
   let outcome =
     Explore.explore ~max_runs:20_000 ~max_steps:4_000 ~n:3 ~model:Memory.CC ~crash:wr_gap_crash
@@ -232,184 +234,6 @@ let test_wr_gap_sequential_finds_violation () =
       let res, mismatch = wr_gap_replay trace in
       check cb "witness replays faithfully" false mismatch;
       check cb "witness still violates ME" true (res.Engine.cs_max > 1)
-
-let test_wr_gap_parallel_determinism () =
-  let seq =
-    Explore.explore ~max_runs:20_000 ~max_steps:4_000 ~n:3 ~model:Memory.CC ~crash:wr_gap_crash
-      ~setup:wr_gap_setup ~body:wr_gap_body ~check:wr_gap_check ()
-  in
-  let par =
-    Explore.explore_parallel ~domains:4 ~max_runs:20_000 ~max_steps:4_000 ~n:3 ~model:Memory.CC
-      ~crash:wr_gap_crash ~setup:wr_gap_setup ~body:wr_gap_body ~check:wr_gap_check ()
-  in
-  check cb "sequential found the violation" true (seq.Explore.violation <> None);
-  check cb "identical (shrunk) violation" true (par.Explore.violation = seq.Explore.violation);
-  check cb "identical exhausted flag" true (par.Explore.exhausted = seq.Explore.exhausted)
-
-let test_parallel_clean_tree_identical () =
-  (* On a clean exhaustive search the parallel explorer must return the
-     outcome byte-for-byte: same runs count, exhausted, no violation. *)
-  let run explorer =
-    explorer ~n:2 ~model:Memory.CC
-      ~crash:(fun () -> Crash.none)
-      ~setup:(fun ctx -> Memory.alloc (Engine.Ctx.memory ctx) ~name:"c" 0)
-      ~body:(fun c ~pid:_ ->
-        if Api.completed_requests () < 1 then begin
-          Api.note (Event.Seg Event.Req_begin);
-          Api.write c 1;
-          Api.write c 2;
-          Api.note (Event.Seg Event.Req_done)
-        end)
-      ~check:(fun _ -> None)
-      ()
-  in
-  let seq =
-    run
-      (Explore.explore ~max_runs:5_000 ?max_steps:None ?shrink_violations:None ?record:None
-         ?por:None ?statecache:None ?cache_capacity:None ?abort:None ?stats:None)
-  in
-  let par =
-    run
-      (Explore.explore_parallel ~max_runs:5_000 ~domains:4 ?max_steps:None ?shrink_violations:None
-         ?record:None ?por:None ?cache_capacity:None ?abort:None ?stats:None)
-  in
-  check cb "exhausted" true seq.Explore.exhausted;
-  check cb "identical outcomes" true (seq = par)
-
-(* --- differential: sequential vs parallel ---------------------------- *)
-
-(* The whole point of the settlement scheme: {runs; exhausted; violation}
-   — including the shrunk witness — must be byte-identical to the
-   sequential explorer's for every domain count, POR on or off, with and
-   without a (robust) crash plan, and under truncating budgets.  The
-   structural equality below compares complete outcome records. *)
-
-let small_writes_setup ctx = Memory.alloc (Engine.Ctx.memory ctx) ~name:"c" 0
-
-let small_writes_body c ~pid:_ =
-  if Api.completed_requests () < 1 then begin
-    Api.note (Event.Seg Event.Req_begin);
-    Api.write c 1;
-    Api.write c 2;
-    Api.note (Event.Seg Event.Req_done)
-  end
-
-let explore_small ~por ~max_runs ~domains =
-  if domains = 0 then
-    Explore.explore ~por ~max_runs ~n:2 ~model:Memory.CC
-      ~crash:(fun () -> Crash.none)
-      ~setup:small_writes_setup ~body:small_writes_body
-      ~check:(fun _ -> None)
-      ()
-  else
-    Explore.explore_parallel ~por ~max_runs ~domains ~n:2 ~model:Memory.CC
-      ~crash:(fun () -> Crash.none)
-      ~setup:small_writes_setup ~body:small_writes_body
-      ~check:(fun _ -> None)
-      ()
-
-let explore_wr_gap ~por ~max_runs ~domains =
-  if domains = 0 then
-    Explore.explore ~por ~max_runs ~max_steps:4_000 ~n:3 ~model:Memory.CC ~crash:wr_gap_crash
-      ~setup:wr_gap_setup ~body:wr_gap_body ~check:wr_gap_check ()
-  else
-    Explore.explore_parallel ~por ~max_runs ~max_steps:4_000 ~domains ~n:3 ~model:Memory.CC
-      ~crash:wr_gap_crash ~setup:wr_gap_setup ~body:wr_gap_body ~check:wr_gap_check ()
-
-let assert_identical tag (seq : Explore.outcome) (par : Explore.outcome) =
-  check ci (tag ^ ": runs") seq.Explore.runs par.Explore.runs;
-  check cb (tag ^ ": exhausted") seq.Explore.exhausted par.Explore.exhausted;
-  check cb (tag ^ ": violation (incl. shrunk witness)") true
-    (par.Explore.violation = seq.Explore.violation)
-
-(* Under `Off and `Sleep the parallel outcome is byte-identical to the
-   sequential one; under `Source each task roots its own reduction, so the
-   guarantee is domain-count identity — the reference is the 1-domain run
-   (re-verified against the sequential verdict where the budget is ample). *)
-let source_reference ~explore_case ~seq ~ample =
-  let p1 = explore_case 1 in
-  if ample then begin
-    check cb "source parallel matches sequential verdict" true
-      (p1.Explore.exhausted = seq.Explore.exhausted
-      && p1.Explore.violation = seq.Explore.violation)
-  end;
-  p1
-
-let test_differential_clean_tree () =
-  List.iter
-    (fun por ->
-      let seq = explore_small ~por ~max_runs:5_000 ~domains:0 in
-      check cb "exhausted" true seq.Explore.exhausted;
-      let reference =
-        match por with
-        | `Source ->
-            source_reference ~seq ~ample:true
-              ~explore_case:(fun domains -> explore_small ~por ~max_runs:5_000 ~domains)
-        | `Off | `Sleep -> seq
-      in
-      List.iter
-        (fun domains ->
-          assert_identical
-            (Printf.sprintf "small por=%s d=%d" (tier_name por) domains)
-            reference
-            (explore_small ~por ~max_runs:5_000 ~domains))
-        [ 1; 2; 4 ])
-    [ `Off; `Sleep; `Source ]
-
-let test_differential_truncated_budgets () =
-  (* Regression for the nondeterministic-truncation bug: the old frontier
-     expansion silently dropped pending items when the budget ran out
-     mid-level, so a truncated parallel result depended on where the
-     budget landed.  Now every truncated outcome is byte-identical to the
-     sequential one, for any budget and domain count. *)
-  List.iter
-    (fun por ->
-      List.iter
-        (fun max_runs ->
-          let seq = explore_small ~por ~max_runs ~domains:0 in
-          let reference =
-            match por with
-            | `Source ->
-                source_reference ~seq ~ample:false
-                  ~explore_case:(fun domains -> explore_small ~por ~max_runs ~domains)
-            | `Off | `Sleep -> seq
-          in
-          List.iter
-            (fun domains ->
-              assert_identical
-                (Printf.sprintf "small por=%s max_runs=%d d=%d" (tier_name por) max_runs domains)
-                reference
-                (explore_small ~por ~max_runs ~domains))
-            [ 1; 2; 4 ])
-        [ 1; 2; 3; 7; 40 ])
-    [ `Off; `Sleep; `Source ]
-
-let test_differential_violation_crash_plan () =
-  (* Robust crash plan, real violation on the DFS spine (the WR FAS gap):
-     with an ample budget all domain counts must report the identical
-     violation at the identical run count; with a budget that truncates
-     before the witness they must all report the identical truncation. *)
-  List.iter
-    (fun por ->
-      List.iter
-        (fun max_runs ->
-          let seq = explore_wr_gap ~por ~max_runs ~domains:0 in
-          let reference =
-            match por with
-            | `Source ->
-                source_reference ~seq ~ample:false
-                  ~explore_case:(fun domains -> explore_wr_gap ~por ~max_runs ~domains)
-            | `Off | `Sleep -> seq
-          in
-          List.iter
-            (fun domains ->
-              assert_identical
-                (Printf.sprintf "wr-gap por=%s max_runs=%d d=%d" (tier_name por) max_runs domains)
-                reference
-                (explore_wr_gap ~por ~max_runs ~domains))
-            [ 1; 2; 4 ])
-        [ 600; 20_000 ])
-    [ `Off; `Sleep; `Source ]
 
 (* --- sleep-set POR equivalence ------------------------------------- *)
 
@@ -448,13 +272,9 @@ let me_or_deadlock res =
   else if res.Engine.deadlocked then Some "deadlock"
   else None
 
-let explore_splitter ?(domains = 0) ~por ~crash () =
-  if domains = 0 then
-    Explore.explore ~por ~max_runs:200_000 ~max_steps:4_000 ~n:2 ~model:Memory.CC ~crash
-      ~setup:splitter_setup ~body:splitter_body ~check:me_or_deadlock ()
-  else
-    Explore.explore_parallel ~por ~domains ~max_runs:200_000 ~max_steps:4_000 ~n:2
-      ~model:Memory.CC ~crash ~setup:splitter_setup ~body:splitter_body ~check:me_or_deadlock ()
+let explore_splitter ~por ~crash () =
+  Explore.explore ~por ~max_runs:200_000 ~max_steps:4_000 ~n:2 ~model:Memory.CC ~crash
+    ~setup:splitter_setup ~body:splitter_body ~check:me_or_deadlock ()
 
 let test_por_splitter_equivalence () =
   let no_crash () = Crash.none in
@@ -467,19 +287,6 @@ let test_por_splitter_equivalence () =
     (Printf.sprintf "at least 2x fewer runs (%d vs %d)" por.Explore.runs plain.Explore.runs)
     true
     (2 * por.Explore.runs <= plain.Explore.runs)
-
-let test_por_parallel_byte_identical () =
-  (* Acceptance: with POR on, the parallel explorer returns byte-identical
-     outcomes for 1, 2 and 4 domains (and the sequential search) on a
-     clean exhaustive tree. *)
-  let no_crash () = Crash.none in
-  let seq = explore_splitter ~por:`Sleep ~crash:no_crash () in
-  check cb "exhausted" true seq.Explore.exhausted;
-  List.iter
-    (fun domains ->
-      let par = explore_splitter ~domains ~por:`Sleep ~crash:no_crash () in
-      check cb (Printf.sprintf "%d domains byte-identical" domains) true (par = seq))
-    [ 1; 2; 4 ]
 
 let test_por_wr_gap_equivalence () =
   let run por =
@@ -586,16 +393,13 @@ let test_por_differential_sweep () =
    `Sleep and `Source over the same subject and asserts the identical
    verdict — same [exhausted], same [violation] including the shrunk
    witness — with monotonically non-increasing run counts
-   (off >= sleep >= source).  Cases marked [dpar] additionally check
-   1/2/4-domain byte-identity under `Source (the parallel determinism
-   guarantee) and that the parallel verdict matches the sequential one.
-   Subjects span the four families (wr / sa / bakery / splitter), robust
-   crash plans, seeded violations and truncating budgets. *)
+   (off >= sleep >= source).  Subjects span the four families (wr / sa /
+   bakery / splitter), robust crash plans, seeded violations and
+   truncating budgets. *)
 
 type dpor_case = {
   dname : string;
-  drun : por:[ `Off | `Sleep | `Source ] -> domains:int -> Explore.outcome;
-  dpar : bool;
+  drun : por:[ `Off | `Sleep | `Source ] -> Explore.outcome;
   dmono : bool;
       (* assert sleep >= source runs: holds on crash-free subjects; under a
          crash plan a race reversal can name a crashed pid, and the
@@ -604,35 +408,21 @@ type dpor_case = {
          larger. *)
 }
 
-let splitter_battery ~crash () ~por ~domains = explore_splitter ~domains ~por ~crash ()
+let splitter_battery ~crash () ~por = explore_splitter ~por ~crash ()
 
-let splitter_trunc ~max_runs ~por ~domains =
-  if domains = 0 then
-    Explore.explore ~por ~max_runs ~max_steps:4_000 ~n:2 ~model:Memory.CC
-      ~crash:(fun () -> Crash.none)
-      ~setup:splitter_setup ~body:splitter_body ~check:me_or_deadlock ()
-  else
-    Explore.explore_parallel ~por ~domains ~max_runs ~max_steps:4_000 ~n:2 ~model:Memory.CC
-      ~crash:(fun () -> Crash.none)
-      ~setup:splitter_setup ~body:splitter_body ~check:me_or_deadlock ()
+let splitter_trunc ~max_runs ~por =
+  Explore.explore ~por ~max_runs ~max_steps:4_000 ~n:2 ~model:Memory.CC
+    ~crash:(fun () -> Crash.none)
+    ~setup:splitter_setup ~body:splitter_body ~check:me_or_deadlock ()
 
-let lock_battery ~make ~body ~max_runs ~max_steps ~por ~domains =
-  if domains = 0 then
-    Explore.explore ~por ~max_runs ~max_steps ~n:2 ~model:Memory.CC
-      ~crash:(fun () -> Crash.none)
-      ~setup:make ~body ~check:me_or_deadlock ()
-  else
-    Explore.explore_parallel ~por ~domains ~max_runs ~max_steps ~n:2 ~model:Memory.CC
-      ~crash:(fun () -> Crash.none)
-      ~setup:make ~body ~check:me_or_deadlock ()
+let lock_battery ~make ~body ~max_runs ~max_steps ~por =
+  Explore.explore ~por ~max_runs ~max_steps ~n:2 ~model:Memory.CC
+    ~crash:(fun () -> Crash.none)
+    ~setup:make ~body ~check:me_or_deadlock ()
 
-let sa0_battery ~max_runs ~por ~domains =
-  if domains = 0 then
-    Explore.explore ~por ~max_runs ~max_steps:6_000 ~n:3 ~model:Memory.CC ~crash:sa0_crash
-      ~setup:sa0_setup ~body:sa0_body ~check:sa0_check ()
-  else
-    Explore.explore_parallel ~por ~domains ~max_runs ~max_steps:6_000 ~n:3 ~model:Memory.CC
-      ~crash:sa0_crash ~setup:sa0_setup ~body:sa0_body ~check:sa0_check ()
+let sa0_battery ~max_runs ~por =
+  Explore.explore ~por ~max_runs ~max_steps:6_000 ~n:3 ~model:Memory.CC ~crash:sa0_crash
+    ~setup:sa0_setup ~body:sa0_body ~check:sa0_check ()
 
 let sa_me_make = lazy (Rme.Spec.find_exn "sa-jjj").Rme.Spec.make
 
@@ -654,16 +444,14 @@ let dpor_battery_cases =
         let desc, crash = seeded_crash () in
         {
           dname = Printf.sprintf "splitter crash #%d (%s)" (i + 1) desc;
-          drun = (fun ~por ~domains -> splitter_battery ~crash () ~por ~domains);
-          dpar = false;
+          drun = splitter_battery ~crash ();
           dmono = false;
         })
   in
   [
     {
       dname = "splitter clean exhaustive";
-      drun = (fun ~por ~domains -> splitter_battery ~crash:(fun () -> Crash.none) () ~por ~domains);
-      dpar = true;
+      drun = splitter_battery ~crash:(fun () -> Crash.none) ();
       dmono = true;
     };
   ]
@@ -672,49 +460,39 @@ let dpor_battery_cases =
       {
         dname = "splitter clean truncated at 20";
         drun = splitter_trunc ~max_runs:20;
-        dpar = true;
         dmono = true;
       };
       {
         dname = "racy mutex seeded violation";
         drun = lock_battery ~make:broken_mutex ~body:tiny_body ~max_runs:50_000 ~max_steps:20_000;
-        dpar = true;
         dmono = true;
       };
       {
         dname = "wr FAS-gap violation (n=3, robust crash)";
-        drun = (fun ~por ~domains -> explore_wr_gap ~por ~max_runs:20_000 ~domains);
-        dpar = true;
+        drun = explore_wr_gap ~max_runs:20_000;
         dmono = false;
       };
       {
         dname = "sa level-0 filter overlap (n=3, robust crash)";
         drun = sa0_battery ~max_runs:20_000;
-        dpar = false;
         dmono = false;
       };
       {
         dname = "wr ME n=2 truncated at 300";
-        drun =
-          (fun ~por ~domains ->
-            lock_battery ~make:Wr_lock.make ~body:standard_one ~max_runs:300 ~max_steps:4_000 ~por
-              ~domains);
-        dpar = false;
+        drun = lock_battery ~make:Wr_lock.make ~body:standard_one ~max_runs:300 ~max_steps:4_000;
         dmono = true;
       };
       {
         dname = "sa ME n=2 truncated at 1000";
         drun =
-          (fun ~por ~domains ->
+          (fun ~por ->
             lock_battery ~make:(Lazy.force sa_me_make) ~body:standard_one ~max_runs:1_000
-              ~max_steps:20_000 ~por ~domains);
-        dpar = false;
+              ~max_steps:20_000 ~por);
         dmono = true;
       };
       {
         dname = "bakery truncated at 200";
         drun = lock_battery ~make:Bakery.make ~body:tiny_body ~max_runs:200 ~max_steps:4_000;
-        dpar = false;
         dmono = true;
       };
       {
@@ -723,15 +501,14 @@ let dpor_battery_cases =
           lock_battery
             ~make:(fun ctx -> Arbitrator.as_two_process_lock (Arbitrator.create ctx) ~n:2)
             ~body:tiny_body ~max_runs:200 ~max_steps:4_000;
-        dpar = false;
         dmono = true;
       };
     ]
 
-let run_dpor_case { dname; drun; dpar; dmono } =
-  let off = drun ~por:`Off ~domains:0 in
-  let sleep = drun ~por:`Sleep ~domains:0 in
-  let source = drun ~por:`Source ~domains:0 in
+let run_dpor_case { dname; drun; dmono } =
+  let off = drun ~por:`Off in
+  let sleep = drun ~por:`Sleep in
+  let source = drun ~por:`Source in
   check cb (dname ^ ": sleep/off identical exhausted") true
     (sleep.Explore.exhausted = off.Explore.exhausted);
   check cb (dname ^ ": source/off identical exhausted") true
@@ -764,27 +541,7 @@ let run_dpor_case { dname; drun; dpar; dmono } =
       (Printf.sprintf "%s: source never exceeds sleep (%d >= %d)" dname sleep.Explore.runs
          source.Explore.runs)
       true
-      (sleep.Explore.runs >= source.Explore.runs);
-  if dpar then begin
-    (* Domain-count byte-identity under `Source, and the parallel verdict
-       must agree with the sequential one (run counts may differ: the
-       parallel search roots its reduction at each subtree task). *)
-    let p1 = drun ~por:`Source ~domains:1 in
-    check cb (dname ^ ": source parallel verdict matches sequential") true
-      (p1.Explore.exhausted = source.Explore.exhausted
-      &&
-      match (p1.Explore.violation, source.Explore.violation) with
-      | None, None -> true
-      | Some (m, _), Some (m', _) -> m = m'
-      | Some _, None | None, Some _ -> false);
-    List.iter
-      (fun domains ->
-        let par = drun ~por:`Source ~domains in
-        check cb
-          (Printf.sprintf "%s: source %d domains byte-identical" dname domains)
-          true (par = p1))
-      [ 2; 4 ]
-  end
+      (sleep.Explore.runs >= source.Explore.runs)
 
 let test_dpor_battery () = List.iter run_dpor_case dpor_battery_cases
 
@@ -879,12 +636,12 @@ let test_source_pins_splitter () =
   pin "splitter-me-n2 source" ~runs:34 ~exhausted:true (run `Source)
 
 let test_source_pins_sa_wr () =
-  let wr = lock_battery ~make:Wr_lock.make ~body:standard_one ~max_steps:4_000 ~domains:0 in
+  let wr = lock_battery ~make:Wr_lock.make ~body:standard_one ~max_steps:4_000 in
   pin "wr-me-n2 off" ~runs:10_000 ~exhausted:false (wr ~por:`Off ~max_runs:10_000);
   pin "wr-me-n2 sleep" ~runs:2_097 ~exhausted:true (wr ~por:`Sleep ~max_runs:200_000);
   pin "wr-me-n2 source" ~runs:2_037 ~exhausted:true (wr ~por:`Source ~max_runs:200_000);
   let sa =
-    lock_battery ~make:(Lazy.force sa_me_make) ~body:standard_one ~max_steps:20_000 ~domains:0
+    lock_battery ~make:(Lazy.force sa_me_make) ~body:standard_one ~max_steps:20_000
       ~max_runs:200_000
   in
   pin "sa-me-n2 sleep" ~runs:31_290 ~exhausted:true (sa ~por:`Sleep);
@@ -895,7 +652,7 @@ let test_source_pins_wr_gap () =
      runs.  That off and sleep also share the shrunk witness is checked by
      "wr FAS-gap: plain/por equivalence"; `Source guarantees the message
      only. *)
-  let run por = explore_wr_gap ~por ~max_runs:200_000 ~domains:0 in
+  let run por = explore_wr_gap ~por ~max_runs:200_000 in
   List.iter
     (fun (tier, (o : Explore.outcome)) ->
       check ci ("wr-gap-me-n3 " ^ tier ^ ": runs") 83 o.Explore.runs;
@@ -957,18 +714,6 @@ let () =
         [
           Alcotest.test_case "wr FAS-gap: sequential witness" `Quick
             test_wr_gap_sequential_finds_violation;
-          Alcotest.test_case "wr FAS-gap: 4-domain determinism" `Quick
-            test_wr_gap_parallel_determinism;
-          Alcotest.test_case "clean tree: identical outcomes" `Quick
-            test_parallel_clean_tree_identical;
-        ] );
-      ( "differential",
-        [
-          Alcotest.test_case "clean tree: 1/2/4 domains x por" `Quick test_differential_clean_tree;
-          Alcotest.test_case "truncated budgets deterministic" `Quick
-            test_differential_truncated_budgets;
-          Alcotest.test_case "violation + crash plan + truncation" `Quick
-            test_differential_violation_crash_plan;
         ] );
       ( "shrink",
         [
@@ -994,8 +739,6 @@ let () =
         [
           Alcotest.test_case "splitter: plain/por equivalence" `Quick
             test_por_splitter_equivalence;
-          Alcotest.test_case "splitter: 1/2/4 domains byte-identical" `Quick
-            test_por_parallel_byte_identical;
           Alcotest.test_case "wr FAS-gap: plain/por equivalence" `Quick
             test_por_wr_gap_equivalence;
           Alcotest.test_case "sa level-0: plain/por equivalence" `Quick test_por_sa0_equivalence;

@@ -260,7 +260,7 @@ let test_step_allocation () =
 (* Explorer search-effort counters                                     *)
 (* ------------------------------------------------------------------ *)
 
-let explore_subject ?stats ~por which =
+let explore_subject ~stats ~por =
   let body c ~pid:_ =
     if Api.completed_requests () < 1 then begin
       Api.note (Event.Seg Event.Req_begin);
@@ -271,19 +271,13 @@ let explore_subject ?stats ~por which =
   in
   let setup ctx = Memory.alloc (Engine.Ctx.memory ctx) ~name:"c" 0 in
   let check_fn (_ : Engine.result) = None in
-  match which with
-  | `Seq ->
-      Rme_check.Explore.explore ?stats ~por ~n:3 ~model:Memory.CC
-        ~crash:(fun () -> Crash.none)
-        ~setup ~body ~check:check_fn ()
-  | `Par ->
-      Rme_check.Explore.explore_parallel ?stats ~por ~domains:2 ~n:3 ~model:Memory.CC
-        ~crash:(fun () -> Crash.none)
-        ~setup ~body ~check:check_fn ()
+  Rme_check.Explore.explore ~stats ~por ~n:3 ~model:Memory.CC
+    ~crash:(fun () -> Crash.none)
+    ~setup ~body ~check:check_fn ()
 
 let test_explore_stats_sequential () =
   let got = ref None in
-  let outcome = explore_subject ~stats:(fun s -> got := Some s) ~por:`Sleep `Seq in
+  let outcome = explore_subject ~stats:(fun s -> got := Some s) ~por:`Sleep in
   match !got with
   | None -> Alcotest.fail "stats callback never fired"
   | Some s ->
@@ -295,21 +289,11 @@ let test_explore_stats_sequential () =
 
 let test_explore_stats_source_cache () =
   let got = ref None in
-  ignore (explore_subject ~stats:(fun s -> got := Some s) ~por:`Source `Seq);
+  ignore (explore_subject ~stats:(fun s -> got := Some s) ~por:`Source);
   match !got with
   | None -> Alcotest.fail "stats callback never fired"
   | Some s ->
       check cb "state cache consulted" true (s.Rme_check.Explore.cache_misses > 0)
-
-let test_explore_stats_parallel () =
-  let got = ref None in
-  let outcome = explore_subject ~stats:(fun s -> got := Some s) ~por:`Sleep `Par in
-  match !got with
-  | None -> Alcotest.fail "stats callback never fired"
-  | Some s ->
-      check cb "parallel runs counted" true
-        (s.Rme_check.Explore.engine_runs >= outcome.Rme_check.Explore.runs);
-      check cb "parallel steps counted" true (s.Rme_check.Explore.engine_steps > 0)
 
 let () =
   Alcotest.run "service"
@@ -340,6 +324,5 @@ let () =
         [
           Alcotest.test_case "sequential" `Quick test_explore_stats_sequential;
           Alcotest.test_case "source cache" `Quick test_explore_stats_source_cache;
-          Alcotest.test_case "parallel" `Quick test_explore_stats_parallel;
         ] );
     ]

@@ -16,69 +16,66 @@ let cb = Alcotest.bool
 let test_cc_read_caching () =
   let mem = Memory.create Memory.CC ~n:2 in
   let c = Memory.alloc mem ~name:"x" 7 in
-  let v, r = Memory.read mem ~pid:0 c in
-  check ci "value" 7 v;
-  check ci "first read misses" 1 r;
-  let _, r = Memory.read mem ~pid:0 c in
-  check ci "second read hits" 0 r;
-  let _, r = Memory.read mem ~pid:1 c in
-  check ci "other process misses" 1 r
+  check ci "value" 7 (Memory.read_u mem ~pid:0 c);
+  check ci "first read misses" 1 (Memory.last_cost mem);
+  ignore (Memory.read_u mem ~pid:0 c);
+  check ci "second read hits" 0 (Memory.last_cost mem);
+  ignore (Memory.read_u mem ~pid:1 c);
+  check ci "other process misses" 1 (Memory.last_cost mem)
 
 let test_cc_write_invalidates () =
   let mem = Memory.create Memory.CC ~n:2 in
   let c = Memory.alloc mem ~name:"x" 0 in
-  let _ = Memory.read mem ~pid:0 c in
+  ignore (Memory.read_u mem ~pid:0 c);
   let r = Memory.write mem ~pid:1 c 5 in
   check ci "write costs one RMR" 1 r;
-  let v, r = Memory.read mem ~pid:0 c in
-  check ci "reader refetches" 1 r;
+  let v = Memory.read_u mem ~pid:0 c in
+  check ci "reader refetches" 1 (Memory.last_cost mem);
   check ci "sees new value" 5 v;
-  let _, r = Memory.read mem ~pid:1 c in
-  check ci "writer reads its own cache" 0 r
+  ignore (Memory.read_u mem ~pid:1 c);
+  check ci "writer reads its own cache" 0 (Memory.last_cost mem)
 
 let test_cc_failed_cas_keeps_caches () =
   let mem = Memory.create Memory.CC ~n:2 in
   let c = Memory.alloc mem ~name:"x" 1 in
-  let _ = Memory.read mem ~pid:0 c in
-  let ok, r = Memory.cas mem ~pid:1 c ~expect:9 ~value:2 in
+  ignore (Memory.read_u mem ~pid:0 c);
+  let ok = Memory.cas_u mem ~pid:1 c ~expect:9 ~value:2 in
   check cb "cas failed" false ok;
-  check ci "failed cas still costs" 1 r;
-  let _, r = Memory.read mem ~pid:0 c in
-  check ci "reader cache still valid" 0 r
+  check ci "failed cas still costs" 1 (Memory.last_cost mem);
+  ignore (Memory.read_u mem ~pid:0 c);
+  check ci "reader cache still valid" 0 (Memory.last_cost mem)
 
 let test_cc_successful_cas_invalidates () =
   let mem = Memory.create Memory.CC ~n:2 in
   let c = Memory.alloc mem ~name:"x" 1 in
-  let _ = Memory.read mem ~pid:0 c in
-  let ok, _ = Memory.cas mem ~pid:1 c ~expect:1 ~value:2 in
+  ignore (Memory.read_u mem ~pid:0 c);
+  let ok = Memory.cas_u mem ~pid:1 c ~expect:1 ~value:2 in
   check cb "cas ok" true ok;
-  let v, r = Memory.read mem ~pid:0 c in
-  check ci "invalidated" 1 r;
+  let v = Memory.read_u mem ~pid:0 c in
+  check ci "invalidated" 1 (Memory.last_cost mem);
   check ci "new value" 2 v
 
 let test_dsm_home_locality () =
   let mem = Memory.create Memory.DSM ~n:3 in
   let local = Memory.alloc mem ~home:1 ~name:"local" 0 in
   let global = Memory.alloc mem ~name:"global" 0 in
-  let _, r = Memory.read mem ~pid:1 local in
-  check ci "home read is local" 0 r;
-  let _, r = Memory.read mem ~pid:0 local in
-  check ci "remote read costs" 1 r;
+  ignore (Memory.read_u mem ~pid:1 local);
+  check ci "home read is local" 0 (Memory.last_cost mem);
+  ignore (Memory.read_u mem ~pid:0 local);
+  check ci "remote read costs" 1 (Memory.last_cost mem);
   check ci "home write is local" 0 (Memory.write mem ~pid:1 local 3);
   check ci "remote write costs" 1 (Memory.write mem ~pid:2 local 4);
-  let _, r = Memory.read mem ~pid:0 global in
-  check ci "global cell is remote to all" 1 r;
-  let _, r = Memory.faa mem ~pid:2 global 1 in
-  check ci "global faa remote" 1 r
+  ignore (Memory.read_u mem ~pid:0 global);
+  check ci "global cell is remote to all" 1 (Memory.last_cost mem);
+  ignore (Memory.faa_u mem ~pid:2 global 1);
+  check ci "global faa remote" 1 (Memory.last_cost mem)
 
 let test_fas_faa_semantics () =
   let mem = Memory.create Memory.CC ~n:1 in
   let c = Memory.alloc mem ~name:"x" 10 in
-  let old, _ = Memory.fas mem ~pid:0 c 20 in
-  check ci "fas returns old" 10 old;
+  check ci "fas returns old" 10 (Memory.fas_u mem ~pid:0 c 20);
   check ci "fas stored" 20 (Memory.peek mem c);
-  let old, _ = Memory.faa mem ~pid:0 c 5 in
-  check ci "faa returns old" 20 old;
+  check ci "faa returns old" 20 (Memory.faa_u mem ~pid:0 c 5);
   check ci "faa added" 25 (Memory.peek mem c)
 
 (* ------------------------------------------------------------------ *)

@@ -235,6 +235,31 @@ let test_matrix_determinism_across_jobs () =
       check Alcotest.string (Printf.sprintf "jobs=%d" jobs) reference s)
     [ 2; 4 ]
 
+(* The pool under Sweep, Chaos and soak: results come back in task order
+   for every domain count, and a task's exception surfaces as itself — the
+   lowest-indexed one, as a left-to-right run would raise it — not wrapped
+   by the join of the domain that ran it.  The failing tasks sit in the
+   upper half of the array, where a second domain picks up work. *)
+let test_pool_order_and_exceptions () =
+  let tasks = Array.init 50 Fun.id in
+  List.iter
+    (fun domains ->
+      check
+        Alcotest.(array int)
+        (Printf.sprintf "domains=%d: results in task order" domains)
+        (Array.map (fun i -> i * i) tasks)
+        (Pool.map ~domains ~tasks (fun i -> i * i));
+      let f i = if i = 40 then failwith "boom" else if i = 45 then failwith "late" else i in
+      match Pool.map ~domains ~tasks f with
+      | _ -> Alcotest.failf "domains=%d: the raising task went unnoticed" domains
+      | exception Failure msg ->
+          check Alcotest.string
+            (Printf.sprintf "domains=%d: lowest-indexed failure, unwrapped" domains)
+            "boom" msg
+      | exception e ->
+          Alcotest.failf "domains=%d: task exception surfaced as %s" domains (Printexc.to_string e))
+    [ 1; 2; 4 ]
+
 (* A pass whose plans stopped at the run budget is a sample, and the
    matrix says so: the toy subject, checked only for a bound it always
    meets, exhausts only some of its 7 plans at 3 runs per plan, and all of
@@ -295,5 +320,6 @@ let () =
           Alcotest.test_case "matrix identical across jobs" `Slow
             test_matrix_determinism_across_jobs;
           Alcotest.test_case "exhausted column marks samples" `Quick test_matrix_exhausted_column;
+          Alcotest.test_case "pool: task order and exceptions" `Quick test_pool_order_and_exceptions;
         ] );
     ]
