@@ -178,7 +178,8 @@ let () =
     Arg.(value & opt Cli_exit.pos_int 2 & info [ "n" ] ~docv:"N" ~doc:"Processes per scenario.")
   in
   let requests =
-    Arg.(value & opt int 1 & info [ "requests" ] ~docv:"R" ~doc:"Requests per process.")
+    Arg.(
+      value & opt Cli_exit.pos_int 1 & info [ "requests" ] ~docv:"R" ~doc:"Requests per process.")
   in
   let cs_yields =
     Arg.(
@@ -192,10 +193,13 @@ let () =
           ~doc:"Crash budget: 0 = crash-free only, 1 = single-site plans, 2 = add pairs.")
   in
   let site_cap =
-    Arg.(value & opt int 64 & info [ "site-cap" ] ~docv:"S" ~doc:"Max deduplicated crash sites.")
+    Arg.(
+      value & opt Cli_exit.pos_int 64
+      & info [ "site-cap" ] ~docv:"S" ~doc:"Max deduplicated crash sites.")
   in
   let plan_cap =
-    Arg.(value & opt int 160 & info [ "plan-cap" ] ~docv:"P" ~doc:"Max crash plans swept.")
+    Arg.(
+      value & opt Cli_exit.pos_int 160 & info [ "plan-cap" ] ~docv:"P" ~doc:"Max crash plans swept.")
   in
   let max_runs =
     Arg.(
@@ -203,11 +207,13 @@ let () =
       & info [ "max-runs" ] ~docv:"N" ~doc:"Explorer budget (schedules) per crash plan.")
   in
   let max_steps =
-    Arg.(value & opt int 6_000 & info [ "max-steps" ] ~docv:"N" ~doc:"Engine step bound per run.")
+    Arg.(
+      value & opt Cli_exit.pos_int 6_000
+      & info [ "max-steps" ] ~docv:"N" ~doc:"Engine step bound per run.")
   in
   let jobs =
     Arg.(
-      value & opt int 1
+      value & opt Cli_exit.pos_int 1
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
             "Spread the crash plans over $(docv) OCaml domains (1 = sequential); each plan is \
@@ -226,7 +232,7 @@ let () =
   let aborts =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some Cli_exit.pos_int) None
       & info [ "aborts" ] ~docv:"T"
           ~doc:
             "Abort-injection mode: layer an impatient-waiter abort plan (timeout $(docv) \

@@ -15,7 +15,8 @@ let n_arg =
   Arg.(value & opt Cli_exit.pos_int 8 & info [ "n" ] ~docv:"N" ~doc:"Number of processes.")
 
 let requests_arg =
-  Arg.(value & opt int 8 & info [ "r"; "requests" ] ~docv:"R" ~doc:"Requests per process.")
+  Arg.(
+    value & opt Cli_exit.pos_int 8 & info [ "r"; "requests" ] ~docv:"R" ~doc:"Requests per process.")
 
 let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Scheduler seed.")
 

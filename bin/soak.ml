@@ -206,7 +206,7 @@ let () =
   let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Per-run output.") in
   let jobs =
     Arg.(
-      value & opt int 1
+      value & opt Cli_exit.pos_int 1
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:"Shard the campaign over $(docv) OCaml domains (1 = sequential).")
   in

@@ -98,21 +98,20 @@ let run_one cfg ~make ~adversary ~seed =
   { res; fired = fired (); ab_fired = ab_fired (); decisions = Vec.to_list decisions }
 
 let replay cfg ~make ~fired ?(ab_fired = []) ~decisions () =
-  let mismatch = ref false in
-  let sched = Sched.trace ~mismatch ~decisions:(Vec.of_list decisions) ~record:(Vec.create ()) () in
   let abort = if ab_fired = [] then Abort.none else Abort.replay_fired ab_fired in
-  let res =
-    Harness.run_lock ~record:true ~max_steps:cfg.max_steps ~cs:(cs_of cfg) ~n:cfg.n
-      ~model:cfg.model ~sched ~crash:(Crash.replay_fired fired) ~abort ~requests:cfg.requests
-      ~make ()
+  let res, diverged =
+    Explore.replay ~record:true ~max_steps:cfg.max_steps ~abort ~decisions:(Array.of_list decisions)
+      ~n:cfg.n ~model:cfg.model ~crash:(Crash.replay_fired fired) ~setup:make
+      ~body:(fun lock ~pid -> Harness.standard_body ~cs:(cs_of cfg) ~lock ~requests:cfg.requests pid)
+      ()
   in
-  (res, !mismatch)
+  (res, diverged <> None)
 
 let shrink_witness cfg ~make ~fired ?(ab_fired = []) ~check trace =
   Explore.shrink
     ~reproduces:(fun t ->
-      let res, mismatch = replay cfg ~make ~fired ~ab_fired ~decisions:t () in
-      (not mismatch) && check res <> None)
+      let res, diverged = replay cfg ~make ~fired ~ab_fired ~decisions:t () in
+      (not diverged) && check res <> None)
     trace
 
 type case = {
@@ -207,10 +206,10 @@ let confirm_and_shrink cfg case ~requests (adv : adversary) ~seed (r : run) prob
     if List.exists (fun p -> prop_of p = prop) (battery case ~requests res) then Some prop
     else None
   in
-  let replay_res, mismatch =
+  let replay_res, diverged =
     replay cfg ~make:case.case_make ~fired:r.fired ~ab_fired:r.ab_fired ~decisions:r.decisions ()
   in
-  let replay_ok = (not mismatch) && check replay_res <> None in
+  let replay_ok = (not diverged) && check replay_res <> None in
   let witness =
     if replay_ok then
       shrink_witness cfg ~make:case.case_make ~fired:r.fired ~ab_fired:r.ab_fired ~check

@@ -90,7 +90,9 @@ type run = {
   res : Engine.result;
   fired : Crash.fired list;  (** crashes the adversary fired, in order *)
   ab_fired : Abort.fired list;  (** abort signals fired, in order *)
-  decisions : int list;  (** recorded schedule, {!Sched.trace} encoding *)
+  decisions : int list;
+      (** recorded schedule: per pick, the index into the ascending ready
+          set ({!Sched.recording}) *)
 }
 
 val run_one : cfg -> make:(Engine.Ctx.t -> Harness.lock) -> adversary:adversary -> seed:int -> run
@@ -106,13 +108,13 @@ val replay :
   decisions:int list ->
   unit ->
   Engine.result * bool
-(** Deterministic re-execution: the recorded schedule under
-    {!Sched.trace}, the recorded crashes as a fresh composite
+(** Deterministic re-execution through {!Explore.replay}: the recorded
+    schedule, the recorded crashes as a fresh composite
     {!Crash.replay_fired} plan, and — when [ab_fired] is non-empty — the
     recorded abort signals as an {!Rme_sim.Abort.replay_fired} plan.
     Returns the result and whether the replay {e diverged} from the
-    recorded branching structure ([true] = mismatch; reject the replay as
-    unfaithful). *)
+    recorded branching structure ([true] = some decision named no real
+    branch; reject the replay as unfaithful). *)
 
 val shrink_witness :
   cfg ->

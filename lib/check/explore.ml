@@ -79,14 +79,16 @@ type 'a driver = {
    [check]s that read [result.events] can observe the order of independent
    steps, which the reduction deliberately does not preserve.  Aggregate
    statistics (counts, maxima, per-passage RMRs) are permutation-stable by
-   the footprint oracle's construction.  When either condition fails the
-   requested tier downgrades to `Off. *)
-let por_setup ~por ~record ~crash ~abort =
+   the footprint oracle's construction.  (c) The reduced search keeps its
+   per-position sibling sets and sleep masks in one int, so it cannot name
+   choices or pids past 61.  When any condition fails the requested tier
+   downgrades to `Off. *)
+let por_setup ~por ~record ~n ~crash ~abort =
   match por with
   | `Off -> (`Off, fun _ -> false)
   | (`Sleep | `Source) as tier -> (
       match Plan.union (Crash.por_class (crash ())) (Abort.por_class (abort ())) with
-      | Plan.Robust victims when not record -> (tier, fun pid -> List.mem pid victims)
+      | Plan.Robust victims when (not record) && n <= 62 -> (tier, fun pid -> List.mem pid victims)
       | _ -> (`Off, fun _ -> false))
 
 (* Run one node from the root: the schedule [decisions] names (choice 0
@@ -101,21 +103,34 @@ let run_node ?state_key_at ?on_state_key d decisions =
   d.tally rr.Engine.tr_result;
   rr
 
-(* A shrink candidate counts only if it reproduces the violation *and* its
-   decisions all index real branches: a candidate whose degrees shifted
-   takes different branches than the trace it would be reported as, so a
-   "minimised" witness built from it would be unfaithful (the check
-   {!Sched.trace}'s [mismatch] flag makes).  Shrinking only replays single
-   vectors, so footprint collection is switched off. *)
-let faithful_reproduces d t =
-  let decisions = Array.of_list t in
-  let rr = run_node { d with por = false } decisions in
+type divergence = { position : int; choice : int; degree : int }
+
+(* Positions the run never reached are not checked: past its end a
+   decision vector names nothing. *)
+let replay ?record ?max_steps ?abort ~decisions ~n ~model ~crash ~setup ~body () =
+  let rr = Engine.run_trace ?record ?max_steps ?abort ~decisions ~n ~model ~crash ~setup ~body () in
   let degrees = rr.Engine.tr_degrees in
-  let faithful = ref true in
-  for i = 0 to min (Array.length decisions) (Array.length degrees) - 1 do
-    if decisions.(i) < 0 || decisions.(i) >= degrees.(i) then faithful := false
-  done;
-  !faithful && d.check rr.Engine.tr_result <> None
+  let rec first i =
+    if i >= min (Array.length decisions) (Array.length degrees) then None
+    else
+      let choice = decisions.(i) and degree = degrees.(i) in
+      if choice < 0 || choice >= degree then Some { position = i; choice; degree }
+      else first (i + 1)
+  in
+  (rr.Engine.tr_result, first 0)
+
+(* A shrink candidate counts only if it reproduces the violation *and* its
+   replay does not diverge: a candidate whose degrees shifted takes
+   different branches than the trace it would be reported as, so a
+   "minimised" witness built from it would be unfaithful.  Shrinking only
+   replays single vectors, so no footprints are collected. *)
+let faithful_reproduces d t =
+  let res, diverged =
+    replay ~record:d.record ~max_steps:d.max_steps ~abort:(d.abort ()) ~decisions:(Array.of_list t)
+      ~n:d.n ~model:d.model ~crash:(d.crash ()) ~setup:d.setup ~body:d.body ()
+  in
+  d.tally res;
+  diverged = None && d.check res <> None
 
 (* The decision vector of the child that follows [decisions]' spine (0 past
    its end) up to position [i] and takes choice [c] there. *)
@@ -125,64 +140,11 @@ let child decisions i c =
   v.(i) <- c;
   v
 
-(* The children of a node at depth [depth] whose run was [rr], in DFS
-   preorder: [visit i c sleep] for every choice [c >= 1] at
-   every position [i >= depth] (choice 0 is the node's own spine), with the
-   sleep set the child inherits.
-
-   Sleep-set reduction ([fps] = the run's flat per-choice footprints): the
-   spine is a chain of decision points.  [sleep0] holds the footprints of
-   processes put to sleep by the ancestors; a sibling whose pid is asleep
-   is skipped wholesale, because every run below it only reorders
-   commuting steps of a run explored since the pid went to sleep.  Siblings
-   at a position are visited *before* the spine continues, so each visited
-   sibling joins the sleep set of the later siblings and of the spine
-   continuation — filtered at every hand-off by independence with the step
-   actually taken (a dependent step invalidates the coverage argument and
-   wakes the sleeper).  A sleeping pid's pending step cannot change while
-   it sleeps (only its own step could change it), so the stored footprint
-   stays accurate.  Without POR, and below a timed-out run (the coverage
-   argument permutes complete runs, and this one was cut mid-schedule),
-   every child is visited with an empty sleep set and judges its own run. *)
-let iter_children d (rr : Engine.trun) ~depth sleep0 visit =
-  let branches = rr.Engine.tr_degrees in
-  if (not d.por) || rr.Engine.tr_result.Engine.timed_out then
-    for i = depth to Array.length branches - 1 do
-      for c = 1 to branches.(i) - 1 do
-        visit i c []
-      done
-    done
-  else begin
-    let fv = rr.Engine.tr_footprints in
-    (* Offset of position [i]'s choices in the flat footprint buffer. *)
-    let off = ref 0 in
-    for i = 0 to depth - 1 do
-      off := !off + branches.(i)
-    done;
-    let sleep = ref sleep0 in
-    for i = depth to Array.length branches - 1 do
-      let degree = branches.(i) in
-      let fp0 = fv.(!off) in
-      if degree > 1 then begin
-        let explored = ref !sleep in
-        for c = 1 to degree - 1 do
-          let fpc = fv.(!off + c) in
-          let pidc = Footprint.pid fpc in
-          if not (List.exists (fun s -> Footprint.pid s = pidc) !sleep) then begin
-            visit i c (List.filter (fun s -> Footprint.independent s fpc) !explored);
-            explored := fpc :: !explored
-          end
-        done;
-        sleep := List.filter (fun s -> Footprint.independent s fp0) !explored
-      end
-      else sleep := List.filter (fun s -> Footprint.independent s fp0) !sleep;
-      off := !off + degree
-    done
-  end
-
-(* Depth-first search of the schedule tree ([`Off] and [`Sleep]).  Each
-   node's run starts at the root and returns the branching degree observed
-   at every decision point, and [iter_children] spawns its children.
+(* Plain depth-first search of the schedule tree ([`Off]), the unreduced
+   reference the reduced tiers are compared against.  Each node's run
+   starts at the root and returns the branching degree observed at every
+   decision point; every choice [c >= 1] at every position past the
+   node's own prefix spawns a child (choice 0 is the node's own spine).
 
    [take_run] reserves budget for one run and returns [false] once the
    budget is gone, which unwinds the whole search immediately.  Returns the
@@ -190,16 +152,20 @@ let iter_children d (rr : Engine.trun) ~depth sleep0 visit =
 let subtree d ~take_run =
   let exception Halt in
   let exception Found of string * int list in
-  let rec go decisions sleep0 =
+  let rec go decisions =
     if not (take_run ()) then raise Halt;
     let rr = run_node d decisions in
     (match d.check rr.Engine.tr_result with
     | Some msg -> raise (Found (msg, Array.to_list decisions))
     | None -> ());
-    iter_children d rr ~depth:(Array.length decisions) sleep0 (fun i c sleep ->
-        go (child decisions i c) sleep)
+    let branches = rr.Engine.tr_degrees in
+    for i = Array.length decisions to Array.length branches - 1 do
+      for c = 1 to branches.(i) - 1 do
+        go (child decisions i c)
+      done
+    done
   in
-  match go [||] [] with
+  match go [||] with
   | () | (exception Halt) -> None
   | exception Found (msg, tr) -> Some (msg, tr)
 
@@ -304,30 +270,44 @@ module Src = struct
       end
     done
 
-  (* Sleep mask for the cache's subset rule; pids ≥ 62 cannot be encoded
-     exactly, so caching is disabled for such systems upstream. *)
+  (* Sleep mask for the cache's subset rule; exact because [por_setup]
+     keeps systems wider than 62 pids out of the reduced tiers. *)
   let mask_of_sleep inh = List.fold_left (fun m f -> m lor (1 lsl Footprint.pid f)) 0 inh
 end
 
-(* Depth-first source-set DPOR with state caching: the `Source analogue of
-   [subtree], over the same node runs.  Each node runs
-   its spine schedule, scans the observed footprints for reversible races
-   ({!Footprint.Race}), and explores a sibling only when some race demands
-   it — where [subtree] visits every non-slept sibling.  Demands land in
-   the shared [ctx.slots] under the position they reverse; since
-   descendants of a node keep discovering races at its positions, every
-   frame drains its own position range with fixpoint sweeps until no demand
-   is pending.  Sleep sets filter exactly as in [subtree], and a
-   demanded-but-sleeping pid stays skipped (its reversal is the run the
-   sleeper is standing in for).  A node whose state key hits the cache —
-   same key, stored sleep mask ⊆ current — prunes its whole subtree after
-   re-raising the stored summary's conservative prefix demands; a completed
-   frame none of whose descendants timed out adds itself.  Visit order is
-   demand-driven, so when violations exist the reported witness may differ
-   from [subtree]'s preorder-first one (the shrunk witness is compared in
-   the differential battery instead); exhaustion and violation-existence
-   always agree. *)
-let subtree_source d ~cache ~take_run =
+(* Depth-first reduced search over the same node runs as [subtree], shared
+   by both reduced tiers.  Each node runs its spine schedule and explores a
+   sibling only when it is demanded: under [races] (`Source) when the
+   node's scan of its observed footprints finds a reversible race
+   ({!Footprint.Race}) that demands it, otherwise (`Sleep) always.  Race
+   demands land in the shared [ctx.slots] under the position they reverse;
+   since descendants of a node keep discovering races at its positions,
+   every frame drains its own position range with fixpoint sweeps until no
+   demand is pending.
+
+   Sleep sets prune on top of the demands: the spine is a chain of decision
+   points, and [inh0] holds the footprints of processes put to sleep by
+   the ancestors.  A sibling whose pid is asleep is skipped, because every
+   run below it only reorders commuting steps of a run explored since the
+   pid went to sleep (and a demanded-but-sleeping pid's reversal is the
+   run the sleeper stands in for).  Each visited sibling joins the sleep
+   set of the later siblings and of the spine continuation — filtered at
+   every hand-off by independence with the step actually taken (a
+   dependent step wakes the sleeper).  A sleeping pid's pending step
+   cannot change while it sleeps (only its own step could change it), so
+   the stored footprint stays accurate.  With every sibling demanded the
+   first sweep visits each position's siblings before the spine continues,
+   in DFS preorder.
+
+   With a [cache], a node whose state key hits it — same key, stored sleep
+   mask ⊆ current — prunes its whole subtree after re-raising the stored
+   summary's conservative prefix demands; a completed frame none of whose
+   descendants timed out adds itself.  Without one, no subtree summary is
+   kept.  Race-driven visit order is demand-driven, so when violations
+   exist the reported witness may differ from [subtree]'s preorder-first
+   one (the shrunk witness is compared in the differential battery
+   instead); exhaustion and violation-existence always agree. *)
+let subtree_source d ~races ~cache ~take_run =
   let exception Halt in
   let exception Found of string * int list in
   let ctx = { Src.slots = Vec.create (); cache } in
@@ -337,10 +317,9 @@ let subtree_source d ~cache ~take_run =
     let depth = Array.length decisions in
     let key = ref None in
     let rr =
-      run_node d
-        ~state_key_at:(if caching then depth else -1)
-        ~on_state_key:(fun k -> key := Some k)
-        decisions
+      if caching then
+        run_node d ~state_key_at:depth ~on_state_key:(fun k -> key := Some k) decisions
+      else run_node d decisions
     in
     let res = rr.Engine.tr_result in
     (match d.check res with
@@ -365,7 +344,7 @@ let subtree_source d ~cache ~take_run =
       for i = depth to min len (Vec.length ctx.Src.slots) - 1 do
         Vec.set ctx.Src.slots i 0
       done;
-      Src.note_summary note None;
+      if caching then Src.note_summary note None;
       false
     end
     else begin
@@ -375,7 +354,7 @@ let subtree_source d ~cache ~take_run =
       for i = 0 to len - 1 do
         offs.(i + 1) <- offs.(i) + branches.(i)
       done;
-      let slept = Src.mask_of_sleep inh0 in
+      let slept = if caching then Src.mask_of_sleep inh0 else 0 in
       let hit =
         match (ctx.Src.cache, !key) with
         | Some c, Some k -> Statecache.find c ~key:k ~slept
@@ -387,12 +366,13 @@ let subtree_source d ~cache ~take_run =
           Src.note_summary note summary;
           true
       | None ->
-          Src.scan ctx ~n:d.n ~decisions ~branches ~offs ~fp;
+          if races then Src.scan ctx ~n:d.n ~decisions ~branches ~offs ~fp;
           let acc = Src.fresh_acc () in
-          for j = depth to len - 1 do
-            Src.note acc (fp offs.(j))
-          done;
-          let dem = Array.make (max m 1) 0 in
+          if caching then
+            for j = depth to len - 1 do
+              Src.note acc (fp offs.(j))
+            done;
+          let dem = Array.make (max m 1) (if races then 0 else Src.all_mask) in
           (* Drain demands addressed to this frame's positions out of the
              shared slots, eagerly: after the own scan and after every child
              returns.  A child's position range overlaps ours (absolute
@@ -446,10 +426,9 @@ let subtree_source d ~cache ~take_run =
                     end
                   done
               end;
-              (* The spine's inherited sleep evolves exactly as [subtree]'s:
-                 past position [i], the first-sweep explored siblings (and
-                 the inherited sleepers) survive iff independent of the
-                 step the spine actually took. *)
+              (* Past position [i], the first-sweep explored siblings (and
+                 the inherited sleepers) stay asleep on the spine iff
+                 independent of the step the spine actually took. *)
               if !first_sweep && ix + 1 < m then
                 inh.(ix + 1) <-
                   List.filter
@@ -458,11 +437,11 @@ let subtree_source d ~cache ~take_run =
             done;
             first_sweep := false
           done;
-          (if !summarizable && caching then
-             match (ctx.Src.cache, !key) with
-             | Some c, Some k -> Statecache.add c ~key:k ~slept ~summary:(Src.to_summary acc)
-             | _ -> ());
-          Src.note_summary note (Src.to_summary acc);
+          (match (ctx.Src.cache, !key) with
+          | Some c, Some k when !summarizable ->
+              Statecache.add c ~key:k ~slept ~summary:(Src.to_summary acc)
+          | _ -> ());
+          if caching then Src.note_summary note (Src.to_summary acc);
           !summarizable
     end
   in
@@ -482,19 +461,10 @@ let finish d ~shrink_violations ~runs ~truncated violation =
   in
   { runs; exhausted = (violation = None) && not truncated; violation }
 
-(* Sleep masks index pids into an int; caching would be unsound past the
-   word width, so it switches off for (absurdly) wide systems. *)
-let cache_for ~n ~statecache ~cache_capacity =
-  if n > 62 then None
-  else
-    match statecache with
-    | Some _ as c -> c
-    | None -> if cache_capacity > 0 then Some (Statecache.create ~capacity:cache_capacity ()) else None
-
 let explore ?(max_runs = 100_000) ?(max_steps = 20_000) ?(shrink_violations = true)
     ?(record = false) ?(por = `Sleep) ?statecache ?(cache_capacity = 65_536)
     ?(abort = fun () -> Abort.none) ?stats ~n ~model ~crash ~setup ~body ~check () =
-  let tier, crashy = por_setup ~por ~record ~crash ~abort in
+  let tier, crashy = por_setup ~por ~record ~n ~crash ~abort in
   let runs_total = ref 0 in
   let steps_total = ref 0 in
   let tally =
@@ -525,8 +495,9 @@ let explore ?(max_runs = 100_000) ?(max_steps = 20_000) ?(shrink_violations = tr
      search, whichever branch ran. *)
   let cache =
     match tier with
-    | `Source -> cache_for ~n ~statecache ~cache_capacity
-    | `Off | `Sleep -> None
+    | `Source when statecache <> None -> statecache
+    | `Source when cache_capacity > 0 -> Some (Statecache.create ~capacity:cache_capacity ())
+    | `Off | `Sleep | `Source -> None
   in
   let runs = ref 0 in
   let truncated = ref false in
@@ -542,8 +513,9 @@ let explore ?(max_runs = 100_000) ?(max_steps = 20_000) ?(shrink_violations = tr
   in
   let search take_run =
     match tier with
-    | `Off | `Sleep -> subtree d ~take_run
-    | `Source -> subtree_source d ~cache ~take_run
+    | `Off -> subtree d ~take_run
+    | `Sleep -> subtree_source d ~races:false ~cache:None ~take_run
+    | `Source -> subtree_source d ~races:true ~cache ~take_run
   in
   let violation =
     match tier with

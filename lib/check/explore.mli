@@ -3,17 +3,18 @@
 
     Replays the simulation under every interleaving reachable within the
     configured bounds: a run is identified by its decision vector (which
-    runnable process steps at each point, in {!Sched.trace}'s encoding,
-    replayed from the root by {!Engine.run_trace}); after each run, the
+    runnable process steps at each point, as an index into the ascending
+    ready set, replayed from the root by {!Engine.run_trace}); after each run, the
     recorded branching degrees spawn the sibling decision vectors.  With
     small [n] and request counts this enumerates the complete schedule
     tree and checks a property on every run — exhaustive verification of
     mutual exclusion for the splitter, arbitrator and WR-Lock components,
     optionally under a crash plan.
 
-    Each reduction tier has exactly one search, driven by {!explore}: a
-    depth-first search for [`Off] and [`Sleep], and a source-set search for
-    [`Source].  It runs once over the whole tree on the calling domain, and
+    There are two searches, both driven by {!explore}: a plain depth-first
+    search for [`Off], and one reduced search for [`Sleep] and [`Source],
+    which differ only in which siblings it is asked to visit.  Each runs
+    once over the whole tree on the calling domain, and
     every run replays its whole decision vector from the root.  Parallelism
     lives one level up: {!Sweep} and {!Chaos} shard independent crash plans
     and seeds over domains with {!Pool}, one sequential search each. *)
@@ -53,6 +54,35 @@ val shrink : reproduces:(int list -> bool) -> int list -> int list
     the implied default suffix while [reproduces] keeps returning [true].
     Returns the input unchanged when it does not reproduce. *)
 
+type divergence = { position : int; choice : int; degree : int }
+(** Where a replay left the tree its decision vector was recorded
+    against: [choice] is not a branch of position [position], whose
+    observed branching degree is [degree]. *)
+
+val replay :
+  ?record:bool ->
+  ?max_steps:int ->
+  ?abort:Abort.t ->
+  decisions:int array ->
+  n:int ->
+  model:Memory.model ->
+  crash:Crash.t ->
+  setup:(Engine.Ctx.t -> 'a) ->
+  body:('a -> pid:int -> unit) ->
+  unit ->
+  Engine.result * divergence option
+(** The one replay rule of the explorer, its shrinker and {!Chaos}: run
+    [decisions] from the root through {!Engine.run_trace} and return the
+    result with the first position whose decision does not index a real
+    branch ([choice < 0] or [choice >= degree]), or [None] when every
+    decision the run reached was a real branch.  Positions past the end
+    of the run are not checked.  A divergent pick still resolves (the
+    index is reduced modulo the degree), so the result is that of some
+    schedule — just not the one [decisions] was recorded as; a caller
+    that reports a witness must reject it.  [crash] and [abort] (default
+    {!Abort.none}) are the plans of this one run; stateful plans must be
+    fresh per call.  Defaults as {!Engine.run_trace}. *)
+
 val explore :
   ?max_runs:int ->
   ?max_steps:int ->
@@ -80,23 +110,25 @@ val explore :
     the aggregate statistics.  [check] returns [Some
     msg] on a property violation; exploration stops at the first one and,
     with [shrink_violations] (default true), minimises its decision vector
-    before reporting.  Shrink candidates are replayed with
-    {!Sched.trace}'s degree-mismatch rule and rejected when unfaithful, so
-    the reported vector always witnesses the violation it claims.
+    before reporting.  Shrink candidates are replayed with {!replay} and
+    rejected when they diverge, so the reported vector always witnesses
+    the violation it claims.
 
     [por] selects the partial-order reduction tier (default [`Sleep]):
 
     - [`Off]: plain exhaustive DFS over the schedule tree.
-    - [`Sleep]: sleep-set reduction — a sibling schedule is skipped when
-      the step it deviates with is independent — by the {!Footprint}
-      oracle — of every step explored since the deviating process was put
-      to sleep, so roughly one representative per Mazurkiewicz trace
-      class is executed.  Reports the {e identical} [exhausted] verdict,
-      first violation in DFS preorder, and shrunk witness as [`Off].
+    - [`Sleep]: sleep-set reduction — the reduced search with every
+      sibling demanded, so a sibling schedule is skipped only when the
+      step it deviates with is independent — by the {!Footprint} oracle —
+      of every step explored since the deviating process was put to
+      sleep; roughly one representative per Mazurkiewicz trace class is
+      executed.  No race scan and no state cache.  Siblings are visited
+      in DFS preorder, so it reports the {e identical} [exhausted]
+      verdict, first violation, and shrunk witness as [`Off].
     - [`Source]: source-set dynamic POR with state caching on top of the
       sleep sets.  A sibling is explored only when an {e observed} race
       in some explored run demands its reversal ({!Footprint.Race}), and
-      a decision node whose engine state key ({!Engine.run}'s
+      a decision node whose engine state key ({!Engine.run_trace}'s
       [on_state_key]) was already fully explored under a sleep mask ⊆ the
       current one prunes its whole subtree ({!Statecache}).  Explores a
       subset of [`Sleep]'s runs (equal in the worst case; the run count
@@ -119,7 +151,8 @@ val explore :
     within [max_steps] (a timed-out run's node falls back to unpruned
     expansion).  They automatically downgrade to [`Off] when they cannot
     be sound: under [record] (event order between independent steps is
-    not preserved) and for schedule-sensitive crash {e or abort} plans
+    not preserved), for [n > 62] (sibling sets and sleep masks are one
+    int wide), and for schedule-sensitive crash {e or abort} plans
     ({!Crash.por_class} / {!Abort.por_class} = [Sensitive] — every
     waiting-history-driven abort plan, e.g. {!Abort.impatient}, is
     Sensitive, so abort exploration runs unreduced by construction).

@@ -1,5 +1,5 @@
 (** Bounded cache of fully-explored decision-tree nodes, keyed by the
-    engine state key ({!Rme_sim.Engine.run}'s [on_state_key] digest) — the
+    engine state key ({!Rme_sim.Engine.run_trace}'s [on_state_key] digest) — the
     deduplication behind the explorer's `Source tier.
 
     Direct-mapped with an explicit capacity bound: a colliding add

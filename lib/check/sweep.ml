@@ -151,7 +151,6 @@ type cfg = {
   budget : int;
   site_cap : int;
   plan_cap : int;
-  site_kinds : Api.kind list option;
   crash_model : crash_model;
   abort_timeout : int option;
   jobs : int;
@@ -164,7 +163,6 @@ let default_cfg =
     budget = 1;
     site_cap = 96;
     plan_cap = 256;
-    site_kinds = None;
     crash_model = Per_process;
     abort_timeout = None;
     jobs = 1;
@@ -206,29 +204,24 @@ let take k l = List.filteri (fun i _ -> i < k) l
 let discover cfg ~n ~model scenario =
   match scenario with
   | Scenario { setup; body } ->
-      let wanted =
-        match cfg.site_kinds with None -> fun _ -> true | Some ks -> fun k -> List.mem k ks
-      in
       let seen = ref 0 in
       let acc = ref [] in
       let sigs = Hashtbl.create 64 in
       let on_op (info : Crash.op_info) =
-        if wanted info.kind then begin
-          incr seen;
-          let s =
-            {
-              pid = info.pid;
-              op_index = info.op_index;
-              kind = info.kind;
-              cell = info.cell;
-              step = info.step;
-            }
-          in
-          let key = site_signature s in
-          if not (Hashtbl.mem sigs key) then begin
-            Hashtbl.add sigs key ();
-            acc := s :: !acc
-          end
+        incr seen;
+        let s =
+          {
+            pid = info.pid;
+            op_index = info.op_index;
+            kind = info.kind;
+            cell = info.cell;
+            step = info.step;
+          }
+        in
+        let key = site_signature s in
+        if not (Hashtbl.mem sigs key) then begin
+          Hashtbl.add sigs key ();
+          acc := s :: !acc
         end
       in
       (* The crash-free discovery run replays the explorer's root schedule

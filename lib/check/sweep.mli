@@ -141,10 +141,6 @@ type cfg = {
           (system-wide), ≥ 2 adds pairwise combinations *)
   site_cap : int;  (** keep at most this many deduplicated sites *)
   plan_cap : int;  (** keep at most this many plans *)
-  site_kinds : Api.kind list option;
-      (** [Some kinds] restricts discovery to sites of these instruction
-          kinds — a focused campaign (e.g. [[Fas]] sweeps only the
-          FAS-gap candidates); [None] (the default) sweeps everything *)
   crash_model : crash_model;  (** which failure model the plans quantify over *)
   abort_timeout : int option;
       (** the abort-injection axis: [Some t] layers
@@ -159,7 +155,7 @@ type cfg = {
 
 val default_cfg : cfg
 (** [{ max_runs_per_plan = 300; max_steps = 4_000; budget = 1;
-      site_cap = 96; plan_cap = 256; site_kinds = None;
+      site_cap = 96; plan_cap = 256;
       crash_model = Per_process; abort_timeout = None; jobs = 1 }] *)
 
 (** {1 The sweep} *)

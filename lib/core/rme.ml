@@ -7,18 +7,3 @@ module Report = Report
 module Svg_chart = Svg_chart
 
 let version = "1.0.0"
-
-let run ?n ?model ?requests ?seed ?scenario ?record key =
-  let d = Workload.default_cfg in
-  let cfg =
-    {
-      d with
-      n = Option.value n ~default:d.Workload.n;
-      model = Option.value model ~default:d.Workload.model;
-      requests = Option.value requests ~default:d.Workload.requests;
-      seed = Option.value seed ~default:d.Workload.seed;
-      scenario = Option.value scenario ~default:d.Workload.scenario;
-      record = Option.value record ~default:d.Workload.record;
-    }
-  in
-  Workload.run_key key cfg

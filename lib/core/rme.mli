@@ -29,15 +29,3 @@ module Report = Report
 module Svg_chart = Svg_chart
 
 val version : string
-
-val run :
-  ?n:int ->
-  ?model:Rme_sim.Memory.model ->
-  ?requests:int ->
-  ?seed:int ->
-  ?scenario:Workload.scenario ->
-  ?record:bool ->
-  string ->
-  Rme_sim.Engine.result
-(** [run key] drives the lock registered under [key] through the standard
-    workload.  Defaults: n = 8, CC, 8 requests per process, no failures. *)

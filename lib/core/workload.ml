@@ -162,19 +162,3 @@ let measure (res : Engine.result) =
   }
 
 let sweep spec ~over xs = List.map (fun x -> (x, measure (run spec (over x)))) xs
-
-let repeat_avg spec cfg ~seeds =
-  let ms = List.map (fun seed -> measure (run spec { cfg with seed })) seeds in
-  let k = float_of_int (List.length ms) in
-  let sum f = List.fold_left (fun acc m -> acc +. f m) 0.0 ms in
-  {
-    max_rmr = List.fold_left (fun acc m -> Float.max acc m.max_rmr) 0.0 ms;
-    avg_rmr = sum (fun m -> m.avg_rmr) /. k;
-    avg_super_rmr = sum (fun m -> m.avg_super_rmr) /. k;
-    crashes = List.fold_left (fun acc m -> acc + m.crashes) 0 ms / List.length ms;
-    aborts = List.fold_left (fun acc m -> acc + m.aborts) 0 ms / List.length ms;
-    max_level = List.fold_left (fun acc m -> max acc m.max_level) 0 ms;
-    satisfied = List.for_all (fun m -> m.satisfied) ms;
-    me_ok = List.for_all (fun m -> m.me_ok) ms;
-    throughput = sum (fun m -> m.throughput) /. k;
-  }

@@ -83,6 +83,3 @@ val sweep : Spec.t -> over:('a -> cfg) -> 'a list -> ('a * measurement) list
 (** Run the lock once per parameter value, averaging nothing — runs are
     deterministic given the seed. *)
 
-val repeat_avg : Spec.t -> cfg -> seeds:int list -> measurement
-(** Run once per seed and average the numeric fields (max fields take the
-    max). *)

@@ -813,6 +813,8 @@ let state_key eng =
   key
 
 (* Build the ready set (ascending pids) into a per-count scratch buffer.
+   The ascending order is a contract: {!Sched.recording}, {!Sched.trace}
+   and [run_trace]'s pick index into it directly.
    The result is valid until the next [runnable] call on this engine —
    callers (the run loops) consume it before stepping again, and the in-repo
    schedulers copy it when they need to retain it.  Scratch arrays must be
@@ -955,8 +957,8 @@ let make_abort_view eng =
     streak = (fun pid -> eng.ab_streak.(pid));
   }
 
-(* Domain-safety audit (parallel explorer): [run] and [run_trace] are
-   re-entrant.  Every piece of mutable state below — the store, the engine
+(* Domain-safety audit (plans and seeds sharded over domains): [run] and
+   [run_trace] are re-entrant.  Every piece of mutable state below — the store, the engine
    record, the fiber continuations, the per-process arrays — is created by
    [create] and never escapes the run; the module has no top-level mutable
    bindings (and the same holds for Memory, Cell, Api, Crash and Vec).
@@ -1130,9 +1132,9 @@ let run_trace ?(record = false) ?(max_steps = 5_000_000) ?stall_window ?(por = f
       ~on_op:default_on_op ~n ~model ~crash ~abort ~setup ~body ()
   in
   let npos = Array.length decisions in
-  (* Trace pick: [runnable] builds the ready set in ascending pid order —
-     the order {!Sched.trace} sorts into — so indexing it directly replays
-     the schedules {!run} under {!Sched.trace} does.  Footprints are pushed
+  (* Trace pick: [runnable] builds the ready set in ascending pid order and
+     {!Sched.trace} indexes it the same way, so this replays the schedules
+     {!run} under {!Sched.trace} does.  Footprints are pushed
      one per runnable pid in that same order, so the explorer can index
      them by decision position and choice. *)
   let pick pos ready =

@@ -123,7 +123,7 @@ type result = {
   events : Event.t list;
       (** what the event sink retained: the full history under [record] (a
           [Keep] sink), the trailing window under a [Ring] sink, [[]] under
-          the default dropping sink or a [Callback] sink *)
+          the default dropping sink *)
 }
 
 val pp_stall : stall Fmt.t
@@ -160,8 +160,8 @@ val run :
     argument-free instruction ([step], [yield]), 16–17 for one carrying
     arguments ([read], [write]), on OCaml 5.1 — while
     {!Event.Sink.keep} retains everything ([record]'s behaviour),
-    {!Event.Sink.ring} keeps a bounded trailing window for post-mortem
-    diagnosis of long runs, and {!Event.Sink.callback} streams events out.
+    and {!Event.Sink.ring} keeps a bounded trailing window for post-mortem
+    diagnosis of long runs.
 
     [mode] selects the instrumentation contract:
     - [`Auto] (default): each bookkeeping layer (per-instruction crash/abort
@@ -204,8 +204,8 @@ val run :
     also records its footprints and state key.
     [run] is re-entrant and domain-safe: all engine state (store, fibers,
     statistics) is allocated per call, so independent runs may execute
-    concurrently on separate OCaml domains — the parallel explorer relies
-    on this.  The caller must supply domain-safe arguments: build stateful
+    concurrently on separate OCaml domains — {!Rme_check.Pool} runs
+    independent plans and seeds that way.  The caller must supply domain-safe arguments: build stateful
     [sched]s and [crash] plans fresh per run, and keep shared mutable
     state out of the [setup]/[body]/[on_crash] closures. *)
 
@@ -238,12 +238,13 @@ val run_trace :
 (** [run_trace ~decisions ...] runs, from the root, the schedule
     identified by [decisions] exactly as {!run} under {!Sched.trace} would
     (position [i] picks the [decisions.(i)]-th smallest runnable pid,
-    default 0 past the end), and reports the branching degree observed at
+    default 0 past the end, an index outside the ready set reduced modulo
+    its size), and reports the branching degree observed at
     every decision position — the explorer's one engine entry.
 
     [por] records, at every decision position, one {!Footprint.t} per
-    runnable pid in ascending pid order — the order {!Sched.trace} sorts
-    choices over — before the pick.  Indexing by the per-position
+    runnable pid in ascending pid order — the order of the ready set every
+    pick indexes — before the pick.  Indexing by the per-position
     degrees recovers the footprint of every (decision position, choice)
     pair; this is the oracle behind the explorer's partial-order
     reduction.  [footprint_crashy pid] (default [fun _ -> false]) marks

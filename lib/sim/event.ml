@@ -86,7 +86,6 @@ module Sink = struct
     | Drop
     | Keep of event Vec.t
     | Ring of { buf : event array; mutable pos : int; mutable total : int }
-    | Callback of { f : event -> unit; mutable delivered : int }
 
   (* Shared constant: Drop carries no state, so one value serves every
      engine in every domain. *)
@@ -100,9 +99,7 @@ module Sink = struct
     if capacity <= 0 then invalid_arg "Event.Sink.ring: capacity must be positive";
     Ring { buf = Array.make capacity (Sys_crash { step = -1 }); pos = 0; total = 0 }
 
-  let callback f = Callback { f; delivered = 0 }
-
-  let wants = function Drop -> false | Keep _ | Ring _ | Callback _ -> true
+  let wants = function Drop -> false | Keep _ | Ring _ -> true
 
   let emit t ev =
     match t with
@@ -112,18 +109,14 @@ module Sink = struct
         r.buf.(r.pos) <- ev;
         r.pos <- (r.pos + 1) mod Array.length r.buf;
         r.total <- r.total + 1
-    | Callback c ->
-        c.delivered <- c.delivered + 1;
-        c.f ev
 
   let emitted = function
     | Drop -> 0
     | Keep v -> Vec.length v
     | Ring r -> r.total
-    | Callback c -> c.delivered
 
   let events = function
-    | Drop | Callback _ -> []
+    | Drop -> []
     | Keep v -> Vec.to_list v
     | Ring r ->
         let cap = Array.length r.buf in
@@ -139,5 +132,4 @@ module Sink = struct
     | Ring r ->
         r.pos <- 0;
         r.total <- 0
-    | Callback c -> c.delivered <- 0
 end

@@ -70,9 +70,8 @@ val pid : t -> int
     event {e construction} entirely for a {!Sink.drop} sink, so an
     uninstrumented passage allocates no event records at all.  [Keep]
     preserves the full history (the pre-existing [record:true] behaviour),
-    [Ring] the last [capacity] events (bounded-memory flight recorder for
-    long service runs), [Callback] streams each event to a function without
-    retaining it. *)
+    and [Ring] the last [capacity] events (bounded-memory flight recorder
+    for long service runs). *)
 module Sink : sig
   type event = t
 
@@ -89,9 +88,6 @@ module Sink : sig
   (** Retains the last [capacity] events.  {!emitted} still counts every
       emission.  @raise Invalid_argument when [capacity <= 0]. *)
 
-  val callback : (event -> unit) -> t
-  (** Delivers each event to the function; retains nothing. *)
-
   val wants : t -> bool
   (** [false] iff the sink is {!drop} — the engine's gate for skipping
       event construction. *)
@@ -99,12 +95,12 @@ module Sink : sig
   val emit : t -> event -> unit
 
   val emitted : t -> int
-  (** Events emitted into the sink ([Keep]: retained; [Ring]/[Callback]:
-      total ever delivered; [drop]: 0). *)
+  (** Events emitted into the sink ([Keep]: retained; [Ring]: total ever
+      delivered; [drop]: 0). *)
 
   val events : t -> event list
   (** The retained events in emission order.  [Keep]: all of them; [Ring]:
-      the last [<= capacity], oldest first; [drop]/[Callback]: [[]]. *)
+      the last [<= capacity], oldest first; [drop]: [[]]. *)
 
   val clear : t -> unit
 end

@@ -87,10 +87,9 @@ let forget t ~pid =
       match Vec.get t.cached cell with Some r -> r.(pid) <- -1 | None -> ()
     done
 
-(* Unboxed variants: same accounting as the tuple-returning API below, but
-   the cost lands in [last_cost] — the engine's per-instruction dispatch
-   reads it back without a tuple allocation.  The tuple API stays as thin
-   wrappers for tests and external callers. *)
+(* The value comes back unboxed and the cost lands in [last_cost] — the
+   engine's per-instruction dispatch reads it back without a tuple
+   allocation. *)
 let read_u t ~pid (c : Cell.t) =
   check_pid t pid;
   let v = Vec.get t.contents c.id in

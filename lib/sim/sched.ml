@@ -6,6 +6,8 @@ let pick t ~runnable ~step =
   if Array.length runnable = 0 then invalid_arg "Sched.pick: empty runnable set";
   t.pick ~runnable ~step
 
+let make ~label pick = { label; pick }
+
 let round_robin () =
   let cursor = ref 0 in
   {
@@ -66,71 +68,32 @@ let burst ~seed ~len =
         end);
   }
 
-(* Ascending copy of [runnable] in a scratch buffer reused across picks —
-   this runs once per engine step of every explored run, so no per-pick
-   allocation and no polymorphic compare.  The engine already produces
-   runnable sets in ascending pid order, making the insertion sort a single
-   verification pass.  Only the first [Array.length runnable] entries of
-   the returned buffer are meaningful. *)
-let sorted_scratch () =
-  let buf = ref [||] in
-  fun (runnable : int array) ->
-    let len = Array.length runnable in
-    if Array.length !buf < len then buf := Array.make (max 16 (2 * len)) 0;
-    let a = !buf in
-    Array.blit runnable 0 a 0 len;
-    for i = 1 to len - 1 do
-      let v = a.(i) in
-      let j = ref (i - 1) in
-      while !j >= 0 && a.(!j) > v do
-        a.(!j + 1) <- a.(!j);
-        decr j
-      done;
-      a.(!j + 1) <- v
-    done;
-    a
-
+(* Both index the ready set as given: the engine builds it in ascending
+   pid order, so the [i]-th entry is the [i]-th smallest runnable pid.
+   Each runs once per engine step, hence a plain loop and no allocation. *)
 let recording ~inner ~decisions =
-  let sorted_of = sorted_scratch () in
   {
     label = Printf.sprintf "recording(%s)" inner.label;
     pick =
       (fun ~runnable ~step ->
         let chosen = inner.pick ~runnable ~step in
-        let sorted = sorted_of runnable in
         let idx = ref 0 in
         for i = 0 to Array.length runnable - 1 do
-          if sorted.(i) = chosen then idx := i
+          if runnable.(i) = chosen then idx := i
         done;
         Vec.push decisions !idx;
         chosen);
   }
 
-exception Unfaithful of { position : int; choice : int; degree : int }
-
-let trace ?mismatch ?(strict = false) ~decisions ~record () =
+let trace ~decisions ~record () =
   let i = ref 0 in
-  let sorted_of = sorted_scratch () in
   {
     label = "trace";
     pick =
       (fun ~runnable ~step:_ ->
-        let sorted = sorted_of runnable in
         let choice = if !i < Vec.length decisions then Vec.get decisions !i else 0 in
-        let position = !i in
         incr i;
         let degree = Array.length runnable in
         Vec.push record degree;
-        (* A decision outside the branching degree means the replayed run no
-           longer takes the branches the decision vector was recorded
-           against (the degree shifted, e.g. because an earlier decision was
-           edited during shrinking).  Silently wrapping would report a trace
-           that witnesses a different schedule than the one executed, so the
-           divergence is surfaced: flagged via [mismatch], or fatal under
-           [strict]. *)
-        if choice >= degree || choice < 0 then begin
-          if strict then raise (Unfaithful { position; choice; degree });
-          match mismatch with Some flag -> flag := true | None -> ()
-        end;
-        sorted.(((choice mod degree) + degree) mod degree));
+        runnable.(((choice mod degree) + degree) mod degree));
   }

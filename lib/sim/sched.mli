@@ -12,6 +12,11 @@ val label : t -> string
 val pick : t -> runnable:int array -> step:int -> int
 (** [pick t ~runnable ~step] chooses one pid from [runnable] (non-empty). *)
 
+val make : label:string -> (runnable:int array -> step:int -> int) -> t
+(** A scheduler from its pick function, for adversaries and probes defined
+    outside this module.  The engine passes every runnable set in
+    ascending pid order. *)
+
 val round_robin : unit -> t
 (** Cycles through the processes in pid order. *)
 
@@ -28,26 +33,17 @@ val burst : seed:int -> len:int -> t
 
 val recording : inner:t -> decisions:int Vec.t -> t
 (** Delegates every pick to [inner] and appends the chosen pid's index into
-    the {e sorted} runnable set to [decisions] — the same encoding {!trace}
-    consumes.  A run scheduled by [recording ~inner] followed by a replay
-    under [trace ~decisions] takes the identical schedule, which is how the
-    chaos campaign turns a random adversarial discovery into a
-    deterministic, shrinkable witness. *)
+    the runnable set to [decisions].  The engine passes every runnable set
+    in ascending pid order, so the index is the chosen pid's rank — the
+    decision-vector encoding of {!trace} and {!Engine.run_trace}.  This is
+    how the chaos campaign turns a random adversarial discovery into a
+    deterministic, shrinkable witness ({!Rme_check.Explore.replay}
+    re-executes it and reports where a replay diverges). *)
 
-exception Unfaithful of { position : int; choice : int; degree : int }
-(** Raised by a [strict] trace scheduler when [decisions.(position)] is not a
-    valid index into a runnable set of size [degree]. *)
-
-val trace :
-  ?mismatch:bool ref -> ?strict:bool -> decisions:int Vec.t -> record:int Vec.t -> unit -> t
-(** Replay scheduler for the bounded explorer: the [i]-th pick takes
-    [decisions.(i)] as an index into the sorted runnable set (0 when the
-    trace is exhausted) and appends the size of the runnable set to
-    [record], letting the explorer enumerate sibling branches.
-
-    A decision outside the observed branching degree means the replay has
-    diverged from the run the vector was recorded against (shrinking can
-    shift degrees).  The pick still resolves — the index is reduced modulo
-    the degree — but the divergence sets [mismatch] (when supplied) so the
-    caller can reject the replay as unfaithful; with [strict], it raises
-    {!Unfaithful} instead. *)
+val trace : decisions:int Vec.t -> record:int Vec.t -> unit -> t
+(** Decision-vector scheduler: the [i]-th pick takes [decisions.(i)] as an
+    index into the runnable set (0 when the vector is exhausted; an index
+    outside the set is reduced modulo its size) and appends the size of
+    the runnable set to [record].  The same rule as {!Engine.run_trace},
+    for callers that need {!Engine.run}'s hooks; to check that a vector
+    replays faithfully, use {!Rme_check.Explore.replay}. *)

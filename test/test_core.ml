@@ -225,13 +225,6 @@ let test_workload_deterministic_runs () =
   let m2 = Rme.Workload.measure (Rme.Workload.run_key "ba-jjj" cfg) in
   check cb "same seed, same measurement" true (m1 = m2)
 
-let test_repeat_avg () =
-  let cfg = { Rme.Workload.default_cfg with n = 4; requests = 4 } in
-  let m = Rme.Workload.repeat_avg (Rme.Spec.find_exn "wr") cfg ~seeds:[ 1; 2; 3 ] in
-  check cb "satisfied" true m.Rme.Workload.satisfied;
-  check cb "me" true m.Rme.Workload.me_ok;
-  check cb "sane avg" true (m.Rme.Workload.avg_rmr > 0.0)
-
 (* ------------------------------------------------------------------ *)
 (* Spec registry                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -303,7 +296,6 @@ let () =
         [
           Alcotest.test_case "scenario parsing" `Quick test_scenario_parsing;
           Alcotest.test_case "deterministic" `Quick test_workload_deterministic_runs;
-          Alcotest.test_case "repeat avg" `Quick test_repeat_avg;
         ] );
       ( "spec",
         [

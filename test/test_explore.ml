@@ -155,26 +155,36 @@ let test_truncation_not_exhausted () =
   check cb "not exhausted" false outcome.Explore.exhausted;
   check cb "no violation" true (outcome.Explore.violation = None)
 
-(* --- trace-scheduler faithfulness ---------------------------------- *)
+(* --- replay faithfulness ------------------------------------------- *)
+
+(* Two processes, two scheduling points each: position 0 branches two
+   ways, and the rendered history tells the schedules apart. *)
+let replay_two decisions =
+  let res, diverged =
+    Explore.replay ~record:true ~decisions:(Array.of_list decisions) ~n:2 ~model:Memory.CC
+      ~crash:Crash.none
+      ~setup:(fun _ -> ())
+      ~body:(fun () ~pid:_ -> Api.note (Event.Seg Event.Req_begin))
+      ()
+  in
+  (Fmt.str "%a" Fmt.(list Event.pp) res.Engine.events, diverged)
 
 let test_trace_degree_mismatch () =
-  let record = Vec.create () in
-  let mismatch = ref false in
-  let sched = Sched.trace ~mismatch ~decisions:(Vec.of_list [ 5 ]) ~record () in
-  let p = Sched.pick sched ~runnable:[| 1; 0 |] ~step:0 in
-  check cb "out-of-range decision flags a mismatch" true !mismatch;
-  check ci "pick still deterministic (5 mod 2 -> second of sorted)" 1 p;
-  check ci "degree recorded" 2 (Vec.get record 0);
-  let mismatch = ref false in
-  let sched = Sched.trace ~mismatch ~decisions:(Vec.of_list [ 1 ]) ~record:(Vec.create ()) () in
-  ignore (Sched.pick sched ~runnable:[| 1; 0 |] ~step:0);
-  check cb "in-range decision leaves the flag clear" false !mismatch
+  let hist5, diverged = replay_two [ 5 ] in
+  check cb "out-of-range decision flags a mismatch" true (diverged <> None);
+  let hist1, diverged = replay_two [ 1 ] in
+  check cb "in-range decision leaves the flag clear" true (diverged = None);
+  check Alcotest.string "pick still deterministic (5 mod 2 -> second of sorted)" hist1 hist5;
+  check cb "the second branch is not the first" true (hist1 <> fst (replay_two [ 0 ]));
+  check cb "choice = degree is not a branch" true (snd (replay_two [ 2 ]) <> None);
+  check cb "a negative choice is not a branch" true (snd (replay_two [ -1 ]) <> None)
 
-let test_trace_strict_raises () =
-  let sched = Sched.trace ~strict:true ~decisions:(Vec.of_list [ 5 ]) ~record:(Vec.create ()) () in
-  Alcotest.check_raises "strict replay raises"
-    (Sched.Unfaithful { position = 0; choice = 5; degree = 2 })
-    (fun () -> ignore (Sched.pick sched ~runnable:[| 1; 0 |] ~step:0))
+let test_replay_reports_divergence () =
+  match replay_two [ 5 ] with
+  | _, Some d ->
+      check (Alcotest.list ci) "reports position 0, choice 5, degree 2" [ 0; 5; 2 ]
+        [ d.Explore.position; d.Explore.choice; d.Explore.degree ]
+  | _, None -> Alcotest.fail "divergent replay reported no divergence"
 
 (* --- WR-Lock FAS gap: parallel determinism ------------------------- *)
 
@@ -208,14 +218,11 @@ let wr_gap_crash () = Crash.on_kind ~pid:2 ~kind:Api.Fas ~occurrence:0 Crash.Aft
 let wr_gap_check res = if res.Engine.cs_max > 1 then Some "ME violation" else None
 
 let wr_gap_replay trace =
-  let record = Vec.create () in
-  let mismatch = ref false in
-  let sched = Sched.trace ~mismatch ~decisions:(Vec.of_list trace) ~record () in
-  let res =
-    Engine.run ~max_steps:4_000 ~n:3 ~model:Memory.CC ~sched ~crash:(wr_gap_crash ())
-      ~setup:wr_gap_setup ~body:wr_gap_body ()
+  let res, diverged =
+    Explore.replay ~max_steps:4_000 ~decisions:(Array.of_list trace) ~n:3 ~model:Memory.CC
+      ~crash:(wr_gap_crash ()) ~setup:wr_gap_setup ~body:wr_gap_body ()
   in
-  (res, !mismatch)
+  (res, diverged <> None)
 
 let explore_wr_gap ~por ~max_runs =
   Explore.explore ~por ~max_runs ~max_steps:4_000 ~n:3 ~model:Memory.CC ~crash:wr_gap_crash
@@ -708,7 +715,7 @@ let () =
       ( "trace faithfulness",
         [
           Alcotest.test_case "degree mismatch flag" `Quick test_trace_degree_mismatch;
-          Alcotest.test_case "strict replay raises" `Quick test_trace_strict_raises;
+          Alcotest.test_case "replay reports divergence" `Quick test_replay_reports_divergence;
         ] );
       ( "parallel",
         [

@@ -73,16 +73,6 @@ let test_sink_ring_wraparound () =
   Event.Sink.emit s (note_at 2);
   check cb "partial window" true (List.map Event.step (Event.Sink.events s) = [ 1; 2 ])
 
-let test_sink_callback_streams () =
-  let got = ref [] in
-  let s = Event.Sink.callback (fun ev -> got := Event.step ev :: !got) in
-  for i = 1 to 5 do
-    Event.Sink.emit s (note_at i)
-  done;
-  check cb "delivered in order" true (List.rev !got = [ 1; 2; 3; 4; 5 ]);
-  check ci "emitted counts" 5 (Event.Sink.emitted s);
-  check cb "nothing retained" true (Event.Sink.events s = [])
-
 (* ------------------------------------------------------------------ *)
 (* Engine: sink policies and the fast-path differential                 *)
 (* ------------------------------------------------------------------ *)
@@ -307,7 +297,6 @@ let () =
         [
           Alcotest.test_case "drop" `Quick test_sink_drop;
           Alcotest.test_case "ring wrap-around" `Quick test_sink_ring_wraparound;
-          Alcotest.test_case "callback streams" `Quick test_sink_callback_streams;
           Alcotest.test_case "keep vs drop equivalence" `Quick test_keep_vs_drop_equivalence;
           Alcotest.test_case "ring is keep's suffix" `Quick test_ring_is_keep_suffix;
         ] );

@@ -194,6 +194,41 @@ let test_burst_sched_bursts () =
   in
   check ci "all done under burst" 12 (Engine.total_completed res)
 
+(* The replay schedulers ([Sched.recording], [Sched.trace],
+   [Engine.run_trace]) index the ready set directly, so every pick must
+   see a strictly ascending one — across per-process crashes, a
+   system-wide crash and abort signals too. *)
+let test_ready_set_ascending () =
+  let inner = Sched.random ~seed:5 in
+  let picks = ref 0 and unsorted = ref [] in
+  let sched =
+    Sched.make ~label:"ascending" (fun ~runnable ~step ->
+        incr picks;
+        for i = 1 to Array.length runnable - 1 do
+          if runnable.(i - 1) >= runnable.(i) then unsorted := step :: !unsorted
+        done;
+        Sched.pick inner ~runnable ~step)
+  in
+  let crash =
+    Crash.all
+      [
+        Crash.at_op ~pid:1 ~nth:3 Crash.After;
+        Crash.at_op ~pid:2 ~nth:9 Crash.Before;
+        Crash.system_at ~step:80;
+      ]
+  in
+  let abort = Abort.all [ Abort.at_op ~pid:0 ~nth:2; Abort.impatient ~timeout_steps:15 () ] in
+  let res =
+    Harness.run_lock ~max_steps:50_000 ~n:3 ~model:Memory.CC ~sched ~crash ~abort ~requests:3
+      ~make:(Rme.Spec.find_exn "wr-abort").Rme.Spec.make ()
+  in
+  check (Alcotest.list ci) "every ready set strictly ascending" [] !unsorted;
+  check cb "the run completed" true ((not res.Engine.deadlocked) && not res.Engine.timed_out);
+  check ci "one system-wide crash" 1 res.Engine.system_crashes;
+  check cb "per-process crashes fired" true (res.Engine.total_crashes > 3);
+  check cb "abort signals delivered" true (res.Engine.aborts <> []);
+  check cb "picks checked" true (!picks > 100)
+
 let run_counter ?(n = 3) ?(requests = 5) ?(crash = Crash.none) ?(sched = Sched.round_robin ()) () =
   let cellr = ref None in
   let res =
@@ -523,6 +558,7 @@ let () =
           Alcotest.test_case "random is fair" `Quick test_random_sched_is_fair;
           Alcotest.test_case "burst bursts" `Quick test_burst_sched_bursts;
           Alcotest.test_case "random deterministic" `Quick test_random_sched_deterministic;
+          Alcotest.test_case "ready set ascending" `Quick test_ready_set_ascending;
         ] );
       ( "engine",
         [
