@@ -153,7 +153,8 @@ let sweep_cmd =
     Arg.(
       value
       & opt (list int) [ 1; 2; 4; 8; 16; 32; 64 ]
-      & info [ "values" ] ~docv:"V1,V2,..." ~doc:"Axis values.")
+      & info [ "values" ] ~docv:"V1,V2,..."
+          ~doc:"Axis values: process counts (at least 1) or failure counts (at least 0).")
   in
   let csv_arg =
     Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" ~doc:"Also write a CSV file.")
@@ -161,7 +162,7 @@ let sweep_cmd =
   let svg_arg =
     Arg.(value & opt (some string) None & info [ "svg" ] ~docv:"FILE" ~doc:"Also write an SVG chart.")
   in
-  let sweep lock n requests seed model over values csv svg =
+  let sweep_values lock n requests seed model over values csv svg =
     let spec = Rme.Spec.find_exn lock in
     let cfg_of v =
       let base =
@@ -216,12 +217,28 @@ let sweep_cmd =
           [ { Rme.Svg_chart.label = lock; points } ];
         Fmt.pr "(svg: %s)@." path
   in
+  (* Each axis value gets the check its own flag gets: a process count must
+     be positive like [-n], a failure count non-negative like [--scenario
+     fas:F] (0 means failure-free). *)
+  let invalid_value over v = match over with `N -> v < 1 | `F -> v < 0 in
+  let sweep lock n requests seed model over values csv svg =
+    match List.find_opt (invalid_value over) values with
+    | Some v ->
+        `Error
+          ( true,
+            Printf.sprintf "--values: %d is not a %s" v
+              (match over with
+              | `N -> "positive integer (a process count for --over n)"
+              | `F -> "non-negative integer (a failure count for --over f)") )
+    | None -> `Ok (sweep_values lock n requests seed model over values csv svg)
+  in
   Cmd.v
     (Cmd.info "sweep" ~exits:(Cli_exit.exits ())
        ~doc:"Sweep a parameter and print the RMR growth curve.")
     Term.(
-      const sweep $ lock_arg $ n_arg $ requests_arg $ seed_arg $ model_arg $ over_arg $ values_arg
-      $ csv_arg $ svg_arg)
+      ret
+        (const sweep $ lock_arg $ n_arg $ requests_arg $ seed_arg $ model_arg $ over_arg
+       $ values_arg $ csv_arg $ svg_arg))
 
 let () =
   let info =

@@ -21,15 +21,12 @@ type t = {
 
 let make_spin_pool ?(name = "arb") ctx =
   let mem = Engine.Ctx.memory ctx in
-  Array.init (Engine.Ctx.n ctx) (fun p ->
-      Memory.alloc mem ~home:p ~name:(Printf.sprintf "%s.spin[%d]" name p) 0)
+  Memory.alloc_per_process mem ~name:(name ^ ".spin") 0
 
 let create ?(name = "arb") ?spin_pool ctx =
   let mem = Engine.Ctx.memory ctx in
   let id = Engine.Ctx.register_lock ctx name in
-  let per_side field init =
-    Array.init 2 (fun s -> Memory.alloc mem ~name:(Printf.sprintf "%s.%s[%d]" name field s) init)
-  in
+  let per_side field init = Memory.alloc_array mem ~len:2 ~name:(name ^ "." ^ field) init in
   {
     id;
     name;

@@ -17,12 +17,10 @@ let create ?(name = "ba") ?levels ?(track_level = false) ~base ctx =
   let m = match levels with Some m -> max 0 m | None -> Tournament.levels_for n in
   let sa =
     Array.init m (fun l ->
-        Sa_lock.create ~name:(Printf.sprintf "%s.l%d" name (l + 1)) ~level:(l + 1) ctx)
+        Sa_lock.create ~name:(name ^ ".l" ^ string_of_int (l + 1)) ~level:(l + 1) ctx)
   in
   let base = base ctx in
-  let hint =
-    Array.init n (fun i -> Memory.alloc mem ~home:i ~name:(Printf.sprintf "%s.hint[%d]" name i) 1)
-  in
+  let hint = Memory.alloc_per_process mem ~name:(name ^ ".hint") 1 in
   { id; name; m; sa; base; track = track_level; hint }
 
 let lock_id t = t.id

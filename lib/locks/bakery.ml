@@ -14,10 +14,7 @@ let make_named ?(abortable = false) ~name ctx =
   let mem = Engine.Ctx.memory ctx in
   let n = Engine.Ctx.n ctx in
   let id = Engine.Ctx.register_lock ctx name in
-  let arr field init =
-    Array.init n (fun i ->
-        Memory.alloc mem ~home:i ~name:(Printf.sprintf "%s.%s[%d]" name field i) init)
-  in
+  let arr field init = Memory.alloc_per_process mem ~name:(name ^ "." ^ field) init in
   let choosing = arr "choosing" 0 in
   let number = arr "number" 0 in
   let state = arr "state" idle in

@@ -15,7 +15,7 @@ let make ctx =
   let id = Engine.Ctx.register_lock ctx "clh" in
   let cells = Vec.create () in
   let fresh_cell init =
-    let c = Memory.alloc mem ~name:(Printf.sprintf "clh.n%d" (Vec.length cells)) init in
+    let c = Memory.alloc mem ~name:("clh.n" ^ string_of_int (Vec.length cells)) init in
     Vec.push cells c;
     c
   in

@@ -28,7 +28,7 @@ let make_named ?k ~name ctx =
         let span = pow_k (l + 1) in
         let count = (n + span - 1) / span in
         Array.init count (fun i ->
-            Kport.create ~name:(Printf.sprintf "%s.l%d.n%d" name l i) ~k ctx))
+            Kport.create ~name:(name ^ ".l" ^ string_of_int l ^ ".n" ^ string_of_int i) ~k ctx))
   in
   let node_of pid l = nodes.(l).(pid / pow_k (l + 1)) in
   let port_of pid l = pid / pow_k l mod k in

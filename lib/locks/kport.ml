@@ -24,9 +24,7 @@ type t = {
 let create ?(name = "kport") ~k ctx =
   let mem = Engine.Ctx.memory ctx in
   let id = Engine.Ctx.register_lock ctx name in
-  let per_port field init =
-    Array.init k (fun q -> Memory.alloc mem ~name:(Printf.sprintf "%s.%s[%d]" name field q) init)
-  in
+  let per_port field init = Memory.alloc_array mem ~len:k ~name:(name ^ "." ^ field) init in
   {
     id;
     name;

@@ -4,18 +4,20 @@ type node = { id : int; next : Cell.t; locked : Cell.t; owner : int }
 
 let null = 0
 
-type registry = { mem : Memory.t; prefix : string; nodes : node Vec.t }
+(* [stem] is the registry's prefix plus [".n"]: node [id]'s cells are
+   [stem ^ id ^ ".next"] and [stem ^ id ^ ".locked"]. *)
+type registry = { mem : Memory.t; stem : string; nodes : node Vec.t }
 
-let create_registry mem ~prefix = { mem; prefix; nodes = Vec.create () }
+let create_registry mem ~prefix = { mem; stem = prefix ^ ".n"; nodes = Vec.create () }
 
 let fresh reg ~owner =
   let id = Vec.length reg.nodes + 1 in
-  let name field = Printf.sprintf "%s.n%d.%s" reg.prefix id field in
+  let node_name = reg.stem ^ string_of_int id in
   let node =
     {
       id;
-      next = Memory.alloc reg.mem ~home:owner ~name:(name "next") null;
-      locked = Memory.alloc reg.mem ~home:owner ~name:(name "locked") 0;
+      next = Memory.alloc reg.mem ~home:owner ~name:(node_name ^ ".next") null;
+      locked = Memory.alloc reg.mem ~home:owner ~name:(node_name ^ ".locked") 0;
       owner;
     }
   in

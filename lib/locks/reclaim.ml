@@ -46,14 +46,11 @@ type t = {
 let create ?(name = "reclaim") ?(notify = false) ctx =
   let mem = Engine.Ctx.memory ctx in
   let n = Engine.Ctx.n ctx in
-  let arr field init =
-    Array.init n (fun i ->
-        Memory.alloc mem ~home:i ~name:(Printf.sprintf "%s.%s[%d]" name field i) init)
-  in
+  let arr field init = Memory.alloc_per_process mem ~name:(name ^ "." ^ field) init in
   let matrix field init =
+    let name = name ^ "." ^ field in
     Array.init n (fun i ->
-        Array.init n (fun j ->
-            Memory.alloc mem ~home:i ~name:(Printf.sprintf "%s.%s[%d][%d]" name field i j) init))
+        Memory.alloc_array mem ~home:i ~len:n ~name:(name ^ "[" ^ string_of_int i ^ "]") init)
   in
   {
     name;

@@ -26,10 +26,7 @@ let create ?(name = "rw") ?writer_lock ctx =
     | Some l -> l
     | None -> Ba_lock.lock (Ba_lock.create ~name:(name ^ ".w") ~base:Jjj_tree.make ctx)
   in
-  let arr field init =
-    Array.init n (fun i ->
-        Memory.alloc mem ~home:i ~name:(Printf.sprintf "%s.%s[%d]" name field i) init)
-  in
+  let arr field init = Memory.alloc_per_process mem ~name:(name ^ "." ^ field) init in
   {
     name;
     n;

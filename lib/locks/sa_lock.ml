@@ -18,7 +18,6 @@ type t = {
 
 let create ?(name = "sa") ?level ?core ctx =
   let mem = Engine.Ctx.memory ctx in
-  let n = Engine.Ctx.n ctx in
   let id = Engine.Ctx.register_lock ctx name in
   let filter = Wr_lock.create ~name:(name ^ ".filter") ctx in
   {
@@ -28,8 +27,7 @@ let create ?(name = "sa") ?level ?core ctx =
     filter;
     flock = Wr_lock.lock filter;
     owner = Memory.alloc mem ~name:(name ^ ".owner") 0;
-    typ =
-      Array.init n (fun i -> Memory.alloc mem ~home:i ~name:(Printf.sprintf "%s.type[%d]" name i) fast);
+    typ = Memory.alloc_per_process mem ~name:(name ^ ".type") fast;
     core;
     arb = Arbitrator.create ~name:(name ^ ".arb") ctx;
   }

@@ -26,9 +26,7 @@ let create ?(name = "tickets") ctx =
     seq = Memory.alloc mem ~name:(name ^ ".seq") base;
     grant = Memory.alloc mem ~name:(name ^ ".grant") base;
     dirty = Memory.alloc mem ~name:(name ^ ".dirty") 0;
-    ann =
-      Array.init n (fun p ->
-          Memory.alloc mem ~home:p ~name:(Printf.sprintf "%s.ann[%d]" name p) idle);
+    ann = Memory.alloc_per_process mem ~name:(name ^ ".ann") idle;
   }
 
 (* Skip the ticket currently served iff its owner provably died in the

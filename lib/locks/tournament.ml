@@ -16,7 +16,9 @@ let make_named ~name ctx =
     Array.init levels (fun l ->
         let count = (n + (1 lsl (l + 1)) - 1) / (1 lsl (l + 1)) in
         Array.init count (fun i ->
-            Arbitrator.create ~name:(Printf.sprintf "%s.l%d.a%d" name l i) ~spin_pool ctx))
+            Arbitrator.create
+              ~name:(name ^ ".l" ^ string_of_int l ^ ".a" ^ string_of_int i)
+              ~spin_pool ctx))
   in
   let node_of pid l = nodes.(l).(pid lsr (l + 1)) in
   let side_of pid l = if (pid lsr l) land 1 = 0 then Lock.Left else Lock.Right in

@@ -39,10 +39,7 @@ let create ?(name = "wr") ?(alloc = default_alloc) ?(retire = fun ~pid:_ -> ()) 
   let mem = Engine.Ctx.memory ctx in
   let n = Engine.Ctx.n ctx in
   let id = Engine.Ctx.register_lock ctx name in
-  let cell_array field init =
-    Array.init n (fun i ->
-        Memory.alloc mem ~home:i ~name:(Printf.sprintf "%s.%s[%d]" name field i) init)
-  in
+  let cell_array field init = Memory.alloc_per_process mem ~name:(name ^ "." ^ field) init in
   {
     id;
     name;

@@ -20,63 +20,132 @@ let pp_kind ppf k =
 type _ view =
   | V_read : Cell.t -> int view
   | V_write : Cell.t * int -> unit view
-  | V_cas : Cell.t * int * int -> bool view
-  | V_fas : Cell.t * int -> int view
   | V_fas_open_unsafe : int * Cell.t * int -> int view
   | V_fas_persist : Cell.t * int * Cell.t -> unit view
   | V_write_close_unsafe : int * Cell.t * int -> unit view
-  | V_faa : Cell.t * int -> int view
   | V_spin : Cell.t * cond -> unit view
   | V_spin_abortable : Cell.t * cond -> unit view
-  | V_note : Event.note -> unit view
   | V_get_done : int view
   | V_get_step : int view
   | V_poll_abort : bool view
   | V_yield : unit view
+  | V_read_reg : int view
+  | V_write_reg : unit view
+  | V_cas_reg : bool view
+  | V_fas_reg : int view
+  | V_faa_reg : int view
+  | V_note_reg : unit view
 
 exception Abort_signal
 
 let kind_of_view : type a. a view -> kind = function
-  | V_read _ -> Read
-  | V_write _ -> Write
-  | V_cas _ -> Cas
-  | V_fas _ -> Fas
-  | V_fas_open_unsafe _ -> Fas
-  | V_fas_persist _ -> Fas
-  | V_write_close_unsafe _ -> Write
-  | V_faa _ -> Faa
-  | V_spin _ -> Spin
-  | V_spin_abortable _ -> Spin
-  | V_note _ -> Note
-  | V_get_done -> Nop
-  | V_get_step -> Nop
-  | V_poll_abort -> Nop
-  | V_yield -> Nop
+  | V_read _ | V_read_reg -> Read
+  | V_write _ | V_write_close_unsafe _ | V_write_reg -> Write
+  | V_cas_reg -> Cas
+  | V_fas_open_unsafe _ | V_fas_persist _ | V_fas_reg -> Fas
+  | V_faa_reg -> Faa
+  | V_spin _ | V_spin_abortable _ -> Spin
+  | V_note_reg -> Note
+  | V_get_done | V_get_step | V_poll_abort | V_yield -> Nop
 
-let cell_of_view : type a. a view -> Cell.t option = function
-  | V_read c -> Some c
-  | V_write (c, _) -> Some c
-  | V_cas (c, _, _) -> Some c
-  | V_fas (c, _) -> Some c
-  | V_fas_open_unsafe (_, c, _) -> Some c
-  | V_fas_persist (c, _, _) -> Some c
-  | V_write_close_unsafe (_, c, _) -> Some c
-  | V_faa (c, _) -> Some c
-  | V_spin (c, _) -> Some c
-  | V_spin_abortable (c, _) -> Some c
-  | V_note _ | V_get_done | V_get_step | V_poll_abort | V_yield -> None
+let is_register_view : type a. a view -> bool = function
+  | V_read_reg | V_write_reg | V_cas_reg | V_fas_reg | V_faa_reg | V_note_reg -> true
+  | V_read _ | V_write _ | V_fas_open_unsafe _ | V_fas_persist _ | V_write_close_unsafe _
+  | V_spin _ | V_spin_abortable _ | V_get_done | V_get_step | V_poll_abort | V_yield ->
+      false
+
+type operands = {
+  mutable cell : Cell.t;
+  mutable arg : int;
+  mutable arg2 : int;
+  mutable dst : Cell.t;
+  mutable note : Event.note;
+}
+
+let no_cell = Cell.make ~id:(-1) ~name:"-" ~home:Cell.global
+
+let make_operands () =
+  { cell = no_cell; arg = 0; arg2 = 0; dst = no_cell; note = Event.Seg Event.Ncs_begin }
+
+let load_operands : type a. a view -> reg:operands -> operands -> unit =
+ fun view ~reg o ->
+  match view with
+  | V_read_reg -> o.cell <- reg.cell
+  | V_write_reg | V_fas_reg | V_faa_reg ->
+      o.cell <- reg.cell;
+      o.arg <- reg.arg
+  | V_cas_reg ->
+      o.cell <- reg.cell;
+      o.arg <- reg.arg;
+      o.arg2 <- reg.arg2
+  | V_note_reg -> o.note <- reg.note
+  | V_read c | V_spin (c, _) | V_spin_abortable (c, _) -> o.cell <- c
+  | V_write (c, v) ->
+      o.cell <- c;
+      o.arg <- v
+  | V_fas_open_unsafe (lock, c, v) | V_write_close_unsafe (lock, c, v) ->
+      o.cell <- c;
+      o.arg <- v;
+      o.arg2 <- lock
+  | V_fas_persist (c, v, dst) ->
+      o.cell <- c;
+      o.arg <- v;
+      o.dst <- dst
+  | V_get_done | V_get_step | V_poll_abort | V_yield -> ()
+
+(* One register per domain: a fiber fills it and performs its effect, and
+   the engine copies it out before any other fiber of that domain runs, so
+   concurrent engines in different domains never share one. *)
+let register_key = Domain.DLS.new_key make_operands
+
+let register () = Domain.DLS.get register_key
 
 type _ Effect.t += Instr : 'a view -> 'a Effect.t
 
-let read c = Effect.perform (Instr (V_read c))
+(* The argument-carrying instructions fill the register and perform one
+   shared effect value per kind, so a call allocates no view and no
+   [Instr] block; the argument-free ones need no register at all. *)
+let read_eff = Instr V_read_reg
 
-let write c v = Effect.perform (Instr (V_write (c, v)))
+let write_eff = Instr V_write_reg
 
-let cas c ~expect ~value = Effect.perform (Instr (V_cas (c, expect, value)))
+let cas_eff = Instr V_cas_reg
 
-let fas c v = Effect.perform (Instr (V_fas (c, v)))
+let fas_eff = Instr V_fas_reg
 
-let faa c v = Effect.perform (Instr (V_faa (c, v)))
+let faa_eff = Instr V_faa_reg
+
+let note_eff = Instr V_note_reg
+
+let read c =
+  let r = register () in
+  r.cell <- c;
+  Effect.perform read_eff
+
+let write c v =
+  let r = register () in
+  r.cell <- c;
+  r.arg <- v;
+  Effect.perform write_eff
+
+let cas c ~expect ~value =
+  let r = register () in
+  r.cell <- c;
+  r.arg <- expect;
+  r.arg2 <- value;
+  Effect.perform cas_eff
+
+let fas c v =
+  let r = register () in
+  r.cell <- c;
+  r.arg <- v;
+  Effect.perform fas_eff
+
+let faa c v =
+  let r = register () in
+  r.cell <- c;
+  r.arg <- v;
+  Effect.perform faa_eff
 
 let fas_open_unsafe ~lock c v = Effect.perform (Instr (V_fas_open_unsafe (lock, c, v)))
 
@@ -88,8 +157,6 @@ let spin_until c cond = Effect.perform (Instr (V_spin (c, cond)))
 
 let spin_abortable c cond = Effect.perform (Instr (V_spin_abortable (c, cond)))
 
-(* The argument-free instructions perform one shared effect value each, so
-   a call allocates no [Instr] block. *)
 let poll_abort_eff = Instr V_poll_abort
 
 let get_done_eff = Instr V_get_done
@@ -100,7 +167,9 @@ let yield_eff = Instr V_yield
 
 let poll_abort () = Effect.perform poll_abort_eff
 
-let note n = Effect.perform (Instr (V_note n))
+let note n =
+  (register ()).note <- n;
+  Effect.perform note_eff
 
 let completed_requests () = Effect.perform get_done_eff
 

@@ -21,12 +21,18 @@ type kind = Read | Write | Cas | Fas | Faa | Spin | Note | Nop
 
 val pp_kind : kind Fmt.t
 
-(** The engine-side view of a suspended instruction. *)
+(** The engine-side view of a suspended instruction.
+
+    {!read}, {!write}, {!cas}, {!fas}, {!faa} and {!note} perform one of
+    the six {e register views} ([V_read_reg] … [V_note_reg]): constant
+    constructors whose operands travel in this domain's operand
+    {!register}.  The other views carry their operands inline: the
+    window-marking instructions, {!fas_persist} and the spins build theirs
+    per call, and [V_read] and [V_write] remain for code that performs
+    {!Instr} directly or asks {!Footprint.of_view} about a given cell. *)
 type _ view =
   | V_read : Cell.t -> int view
   | V_write : Cell.t * int -> unit view
-  | V_cas : Cell.t * int * int -> bool view
-  | V_fas : Cell.t * int -> int view
   | V_fas_open_unsafe : int * Cell.t * int -> int view
       (** FAS that opens lock [id]'s sensitive window (the WR-Lock append,
           Algorithm 2 line "FAS(tail, mine\[i\])"). *)
@@ -36,18 +42,22 @@ type _ view =
   | V_write_close_unsafe : int * Cell.t * int -> unit view
       (** Write that closes lock [id]'s sensitive window (persisting the FAS
           result into [pred]). *)
-  | V_faa : Cell.t * int -> int view
   | V_spin : Cell.t * cond -> unit view
   | V_spin_abortable : Cell.t * cond -> unit view
       (** Like [V_spin] but also completes — with the condition possibly
           still false — when the spinning process carries a pending abort
           signal.  Follow with {!poll_abort} to tell the two wake reasons
           apart. *)
-  | V_note : Event.note -> unit view
   | V_get_done : int view
   | V_get_step : int view
   | V_poll_abort : bool view
   | V_yield : unit view
+  | V_read_reg : int view  (** {!read}: the cell in [cell] *)
+  | V_write_reg : unit view  (** {!write}: the cell in [cell], the value in [arg] *)
+  | V_cas_reg : bool view  (** {!cas}: [cell], expected value [arg], new value [arg2] *)
+  | V_fas_reg : int view  (** {!fas}: [cell], the value stored in [arg] *)
+  | V_faa_reg : int view  (** {!faa}: [cell], the increment in [arg] *)
+  | V_note_reg : unit view  (** {!note}: the payload in [note] *)
 
 exception Abort_signal
 (** Raised by abortable lock [acquire] code when it observes a pending
@@ -57,14 +67,50 @@ exception Abort_signal
 
 val kind_of_view : 'a view -> kind
 
-val cell_of_view : 'a view -> Cell.t option
+val is_register_view : 'a view -> bool
+(** [true] for the six register views, whose operands are not in the view. *)
+
+(** {1 Operands}
+
+    The operands of one instruction: its cell, up to two integer
+    arguments, a second cell and a note payload.  Which fields mean
+    something depends on the view (see the register views above): [arg]
+    is also the value {!fas_open_unsafe}, {!write_close_unsafe} and
+    {!fas_persist} store, [arg2] the lock id of the first two, and [dst]
+    {!fas_persist}'s destination. *)
+
+type operands = {
+  mutable cell : Cell.t;
+  mutable arg : int;
+  mutable arg2 : int;
+  mutable dst : Cell.t;
+  mutable note : Event.note;
+}
+
+val make_operands : unit -> operands
+(** A fresh record; its cells are a placeholder with id [-1]. *)
+
+val register : unit -> operands
+(** This domain's operand register.  A register view's operands are valid
+    in it from the instruction's [perform] until the engine has taken its
+    suspension, and no longer: the next instruction of any fiber in the
+    domain overwrites them. *)
+
+val load_operands : 'a view -> reg:operands -> operands -> unit
+(** [load_operands view ~reg o] stores [view]'s operands in [o]: a
+    register view's from [reg] (the {!register} it was performed with),
+    an inline view's from the view itself.  Fields the view does not use
+    keep their old contents.  No allocation. *)
 
 type _ Effect.t += Instr : 'a view -> 'a Effect.t
 (** The single effect simulated processes perform; handled by {!Engine}.
-    The argument-free instructions ({!step}, {!yield},
-    {!completed_requests}, {!poll_abort}) each perform one shared
-    top-level [Instr] value, so a call allocates no effect block; the
-    others build their view and [Instr] per call. *)
+    Every instruction function performs a shared top-level [Instr] value
+    except the window-marking ones, {!fas_persist} and the spins, which
+    build their inline view and [Instr] per call.  The argument-free
+    instructions ({!step}, {!yield}, {!completed_requests},
+    {!poll_abort}) need no operands; {!read}, {!write}, {!cas}, {!fas},
+    {!faa} and {!note} first store theirs in the {!register}, so their
+    calls allocate nothing either. *)
 
 (** {1 Instructions} *)
 

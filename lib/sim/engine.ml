@@ -76,8 +76,9 @@ type result = {
    [Ready] from [effc] (the fiber suspended on an instruction), [Halted]
    from [retc]/[exnc] (the body returned, or unwound on [Crashed]).  So the
    handler's result needs no box of its own: a suspension on an
-   argument-free instruction allocates only the runtime continuation and
-   the [Ready] block. *)
+   argument-free or a register instruction allocates only the runtime
+   continuation and the [Ready] block.  A [Ready] instruction's operands
+   are in the process's [pend] slot, not in its view. *)
 type pstate =
   | Start
   | Ready : 'a Api.view * ('a, pstate) Effect.Deep.continuation -> pstate
@@ -139,6 +140,8 @@ type t = {
   ans_hash : int array;
   body : pid:int -> unit;
   states : pstate array;
+  reg : Api.operands;  (* this domain's operand register ({!Api.register}) *)
+  pend : Api.operands array;  (* operands of each pid's [Ready] instruction *)
   mutable step : int;
   op_index : int array;
   completed : int array;
@@ -177,7 +180,7 @@ type t = {
      read [Array.length runnable], so each ready-set size needs an
      exact-length buffer.  Lazily allocated, reused across steps. *)
   ready_bufs : int array array;
-  mutable last_rmr : int;  (* RMR cost of the last [apply_view] (scratch) *)
+  mutable last_rmr : int;  (* RMR cost of the last [apply] (scratch) *)
   rmr_by_kind : int array;  (* indexed by a dense Api.kind code *)
   mutable total_rmr : int;
   mutable system_crashes : int;
@@ -198,9 +201,9 @@ let default_on_crash ~pid:_ ~step:_ = ()
 
 let default_on_op (_ : Crash.op_info) = ()
 
-(* Handler results for the argument-free instructions, built once: their
-   views are constants (and {!Api} performs one shared [Instr] value for
-   each), so neither the [Some] nor the closure depends on the effect. *)
+(* Handler results for the constant views, built once: {!Api} performs one
+   shared [Instr] value for each, so neither the [Some] nor the closure
+   depends on the effect. *)
 let on_get_done = Some (fun k -> Ready (Api.V_get_done, k))
 
 let on_get_step = Some (fun k -> Ready (Api.V_get_step, k))
@@ -209,6 +212,18 @@ let on_poll_abort = Some (fun k -> Ready (Api.V_poll_abort, k))
 
 let on_yield = Some (fun k -> Ready (Api.V_yield, k))
 
+let on_read = Some (fun k -> Ready (Api.V_read_reg, k))
+
+let on_write = Some (fun k -> Ready (Api.V_write_reg, k))
+
+let on_cas = Some (fun k -> Ready (Api.V_cas_reg, k))
+
+let on_fas = Some (fun k -> Ready (Api.V_fas_reg, k))
+
+let on_faa = Some (fun k -> Ready (Api.V_faa_reg, k))
+
+let on_note = Some (fun k -> Ready (Api.V_note_reg, k))
+
 let handler : (unit, pstate) Effect.Deep.handler =
   {
     retc = (fun () -> Halted);
@@ -216,6 +231,12 @@ let handler : (unit, pstate) Effect.Deep.handler =
     effc =
       (fun (type c) (eff : c Effect.t) : ((c, pstate) Effect.Deep.continuation -> pstate) option ->
         match eff with
+        | Api.Instr Api.V_read_reg -> on_read
+        | Api.Instr Api.V_write_reg -> on_write
+        | Api.Instr Api.V_cas_reg -> on_cas
+        | Api.Instr Api.V_fas_reg -> on_fas
+        | Api.Instr Api.V_faa_reg -> on_faa
+        | Api.Instr Api.V_note_reg -> on_note
         | Api.Instr Api.V_get_step -> on_get_step
         | Api.Instr Api.V_yield -> on_yield
         | Api.Instr Api.V_get_done -> on_get_done
@@ -230,46 +251,42 @@ let jpush eng header value =
     eng.ans_hash.(pid) <- hmix (hmix eng.ans_hash.(pid) header) value
   end
 
-(* The answer a resolved instruction fed its fiber, packed for the stream.
-   GADT refinement is per-branch, so same-typed constructors cannot share
-   an or-pattern. *)
+(* The stream tag of a resolved instruction's answer. *)
 let ans_tag : type a. a Api.view -> int =
  fun view ->
   match view with
-  | Api.V_read _ -> jt_ans_int
-  | Api.V_fas _ -> jt_ans_int
-  | Api.V_fas_open_unsafe _ -> jt_ans_int
-  | Api.V_faa _ -> jt_ans_int
-  | Api.V_get_done -> jt_ans_int
-  | Api.V_get_step -> jt_ans_int
-  | Api.V_cas _ -> jt_ans_bool
-  | Api.V_poll_abort -> jt_ans_bool
-  | Api.V_write _ -> jt_ans_unit
-  | Api.V_write_close_unsafe _ -> jt_ans_unit
-  | Api.V_fas_persist _ -> jt_ans_unit
-  | Api.V_note _ -> jt_ans_unit
-  | Api.V_yield -> jt_ans_unit
-  | Api.V_spin _ -> jt_ans_unit
-  | Api.V_spin_abortable _ -> jt_ans_unit
+  | Api.V_read _ | Api.V_read_reg | Api.V_fas_reg | Api.V_fas_open_unsafe _
+  | Api.V_faa_reg | Api.V_get_done | Api.V_get_step ->
+      jt_ans_int
+  | Api.V_cas_reg | Api.V_poll_abort -> jt_ans_bool
+  | Api.V_write _ | Api.V_write_reg | Api.V_write_close_unsafe _ | Api.V_fas_persist _
+  | Api.V_note_reg | Api.V_yield | Api.V_spin _ | Api.V_spin_abortable _ ->
+      jt_ans_unit
 
-let ans_value : type a. a Api.view -> a -> int =
- fun view res ->
+(* The answer for [view] from its packed form (an int as is, a bool as 0 or
+   1, unit as 0), which is also what the answer stream folds.  GADT
+   refinement is per-branch, so same-typed constructors cannot share an
+   or-pattern. *)
+let answer : type a. a Api.view -> int -> a =
+ fun view x ->
   match view with
-  | Api.V_read _ -> res
-  | Api.V_fas _ -> res
-  | Api.V_fas_open_unsafe _ -> res
-  | Api.V_faa _ -> res
-  | Api.V_get_done -> res
-  | Api.V_get_step -> res
-  | Api.V_cas _ -> Bool.to_int res
-  | Api.V_poll_abort -> Bool.to_int res
-  | Api.V_write _ -> 0
-  | Api.V_write_close_unsafe _ -> 0
-  | Api.V_fas_persist _ -> 0
-  | Api.V_note _ -> 0
-  | Api.V_yield -> 0
-  | Api.V_spin _ -> 0
-  | Api.V_spin_abortable _ -> 0
+  | Api.V_read _ -> x
+  | Api.V_read_reg -> x
+  | Api.V_fas_reg -> x
+  | Api.V_fas_open_unsafe _ -> x
+  | Api.V_faa_reg -> x
+  | Api.V_get_done -> x
+  | Api.V_get_step -> x
+  | Api.V_cas_reg -> x <> 0
+  | Api.V_poll_abort -> x <> 0
+  | Api.V_write _ -> ()
+  | Api.V_write_reg -> ()
+  | Api.V_write_close_unsafe _ -> ()
+  | Api.V_fas_persist _ -> ()
+  | Api.V_note_reg -> ()
+  | Api.V_yield -> ()
+  | Api.V_spin _ -> ()
+  | Api.V_spin_abortable _ -> ()
 
 let kind_code : Api.kind -> int = function
   | Api.Read -> 0
@@ -439,46 +456,53 @@ let open_unsafe eng pid lock =
 let close_unsafe eng pid lock =
   eng.unsafe_open.(pid) <- List.filter (fun x -> x <> lock) eng.unsafe_open.(pid)
 
-(* Apply a non-spin instruction to shared memory, returning its bare result
-   and leaving the RMR cost in [eng.last_rmr] — a tuple here would be one
-   allocation per instruction.  Window bookkeeping happens here so that a
-   crash injected after the instruction sees the correct unsafe state. *)
-let apply_view : type a. t -> int -> a Api.view -> a =
+(* Apply [pid]'s pending non-spin instruction to shared memory, returning
+   its packed answer (see [answer]) and leaving the RMR cost in
+   [eng.last_rmr] — a tuple here would be one allocation per instruction.
+   The operands come from [pid]'s [pend] slot, whatever the view.  Window
+   bookkeeping happens here so that a crash injected after the instruction
+   sees the correct unsafe state. *)
+let apply : type a. t -> int -> a Api.view -> int =
  fun eng pid view ->
-  let mem = eng.mem in
+  let mem = eng.mem and o = eng.pend.(pid) in
   match view with
-  | Api.V_read c ->
-      let v = Memory.read_u mem ~pid c in
+  | Api.V_read _ | Api.V_read_reg ->
+      let v = Memory.read_u mem ~pid o.cell in
       eng.last_rmr <- Memory.last_cost mem;
       v
-  | Api.V_write (c, v) -> eng.last_rmr <- Memory.write mem ~pid c v
-  | Api.V_cas (c, expect, value) ->
-      let ok = Memory.cas_u mem ~pid c ~expect ~value in
+  | Api.V_write _ | Api.V_write_reg ->
+      eng.last_rmr <- Memory.write mem ~pid o.cell o.arg;
+      0
+  | Api.V_cas_reg ->
+      let ok = Memory.cas_u mem ~pid o.cell ~expect:o.arg ~value:o.arg2 in
       eng.last_rmr <- Memory.last_cost mem;
-      ok
-  | Api.V_fas (c, v) ->
-      let old = Memory.fas_u mem ~pid c v in
+      Bool.to_int ok
+  | Api.V_fas_reg ->
+      let old = Memory.fas_u mem ~pid o.cell o.arg in
       eng.last_rmr <- Memory.last_cost mem;
       old
-  | Api.V_fas_open_unsafe (lock, c, v) ->
-      let old = Memory.fas_u mem ~pid c v in
+  | Api.V_fas_open_unsafe _ ->
+      let old = Memory.fas_u mem ~pid o.cell o.arg in
       eng.last_rmr <- Memory.last_cost mem;
-      open_unsafe eng pid lock;
+      open_unsafe eng pid o.arg2;
       old
-  | Api.V_write_close_unsafe (lock, c, v) ->
-      eng.last_rmr <- Memory.write mem ~pid c v;
-      close_unsafe eng pid lock
-  | Api.V_fas_persist (c, v, dst) ->
-      let old = Memory.fas_u mem ~pid c v in
+  | Api.V_write_close_unsafe _ ->
+      eng.last_rmr <- Memory.write mem ~pid o.cell o.arg;
+      close_unsafe eng pid o.arg2;
+      0
+  | Api.V_fas_persist _ ->
+      let old = Memory.fas_u mem ~pid o.cell o.arg in
       let m1 = Memory.last_cost mem in
-      eng.last_rmr <- m1 + Memory.write mem ~pid dst old
-  | Api.V_faa (c, v) ->
-      let old = Memory.faa_u mem ~pid c v in
+      eng.last_rmr <- m1 + Memory.write mem ~pid o.dst old;
+      0
+  | Api.V_faa_reg ->
+      let old = Memory.faa_u mem ~pid o.cell o.arg in
       eng.last_rmr <- Memory.last_cost mem;
       old
-  | Api.V_note n ->
+  | Api.V_note_reg ->
       eng.last_rmr <- 0;
-      handle_note eng pid n
+      handle_note eng pid o.note;
+      0
   | Api.V_get_done ->
       eng.last_rmr <- 0;
       eng.completed.(pid)
@@ -487,10 +511,11 @@ let apply_view : type a. t -> int -> a Api.view -> a =
       eng.step
   | Api.V_poll_abort ->
       eng.last_rmr <- 0;
-      eng.ab_flag.(pid)
-  | Api.V_yield -> eng.last_rmr <- 0
-  | Api.V_spin _ -> assert false (* handled by [exec] *)
-  | Api.V_spin_abortable _ -> assert false (* handled by [exec] *)
+      Bool.to_int eng.ab_flag.(pid)
+  | Api.V_yield ->
+      eng.last_rmr <- 0;
+      0
+  | Api.V_spin _ | Api.V_spin_abortable _ -> assert false (* handled by [exec] *)
 
 let wake_parked eng (c : Cell.t) =
   if Hashtbl.mem eng.parked_cells c.id then begin
@@ -505,29 +530,26 @@ let wake_parked eng (c : Cell.t) =
     if not !still_parked then Hashtbl.remove eng.parked_cells c.id
   end
 
-(* Wake waiters after a mutating instruction.  Direct GADT dispatch instead
-   of [cell_of_view]/[mutates]: the option box would be one allocation per
-   instruction.  [V_fas_persist] wakes on its primary cell only, matching
-   the [cell_of_view]-based behaviour this replaces. *)
-let wake_after : type a. t -> a Api.view -> unit =
- fun eng view ->
-  match view with
-  | Api.V_write (c, _) -> wake_parked eng c
-  | Api.V_cas (c, _, _) -> wake_parked eng c
-  | Api.V_fas (c, _) -> wake_parked eng c
-  | Api.V_fas_open_unsafe (_, c, _) -> wake_parked eng c
-  | Api.V_write_close_unsafe (_, c, _) -> wake_parked eng c
-  | Api.V_fas_persist (c, _, _) -> wake_parked eng c
-  | Api.V_faa (c, _) -> wake_parked eng c
-  | Api.V_read _ | Api.V_spin _ | Api.V_spin_abortable _ | Api.V_note _ | Api.V_get_done
-  | Api.V_get_step | Api.V_poll_abort | Api.V_yield ->
-      ()
+(* Does [view] name a cell?  Every instruction but notes and the
+   argument-free ones does; its cell is the [pend] slot's [cell]. *)
+let has_cell view =
+  match Api.kind_of_view view with
+  | Api.Note | Api.Nop -> false
+  | Api.Read | Api.Write | Api.Cas | Api.Fas | Api.Faa | Api.Spin -> true
+
+(* Wake waiters after a mutating instruction.  [V_fas_persist] wakes on its
+   primary cell only. *)
+let wake_after eng pid view =
+  match Api.kind_of_view view with
+  | Api.Write | Api.Cas | Api.Fas | Api.Faa -> wake_parked eng eng.pend.(pid).cell
+  | Api.Read | Api.Spin | Api.Note | Api.Nop -> ()
 
 (* Record an *applied* instruction together with the cell contents after it
    (for reads, the value read) — the data the replay checker feeds on. *)
 let record_op : type a. t -> int -> a Api.view -> unit =
  fun eng pid view ->
   if eng.trace_ops then begin
+    let o = eng.pend.(pid) in
     let emit ~kind (cell : Cell.t option) =
       record_event eng
         (Event.Op
@@ -539,11 +561,13 @@ let record_op : type a. t -> int -> a Api.view -> unit =
              value = (match cell with Some c -> Memory.peek eng.mem c | None -> 0);
            })
     in
-    emit ~kind:(Fmt.str "%a" Api.pp_kind (Api.kind_of_view view)) (Api.cell_of_view view);
+    emit
+      ~kind:(Fmt.str "%a" Api.pp_kind (Api.kind_of_view view))
+      (if has_cell view then Some o.cell else None);
     (* fas_persist atomically touches a second cell; give it its own trace
        entry so replay sees every mutation. *)
     match view with
-    | Api.V_fas_persist (_, _, dst) -> emit ~kind:"write" (Some dst)
+    | Api.V_fas_persist _ -> emit ~kind:"write" (Some o.dst)
     | _ -> ()
   end
 
@@ -617,14 +641,15 @@ let system_crash_now eng =
 
 let op_info : type a. t -> int -> a Api.view -> Crash.op_info =
  fun eng pid view ->
+  let o = eng.pend.(pid) in
   let info =
     {
       Crash.pid;
       step = eng.step;
       op_index = eng.op_index.(pid);
       kind = Api.kind_of_view view;
-      cell = (match Api.cell_of_view view with Some c -> Some c.Cell.name | None -> None);
-      note = (match view with Api.V_note n -> Some n | _ -> None);
+      cell = (if has_cell view then Some o.cell.Cell.name else None);
+      note = (match view with Api.V_note_reg -> Some o.note | _ -> None);
       unsafe_wrt = eng.unsafe_open.(pid);
     }
   in
@@ -632,13 +657,23 @@ let op_info : type a. t -> int -> a Api.view -> Crash.op_info =
   eng.on_op info;
   info
 
+(* Store the state a fiber suspended in, taking a [Ready] instruction's
+   operands into [pid]'s [pend] slot before any other fiber can overwrite
+   the register. *)
+let resume eng pid st =
+  (match st with
+  | Ready (view, _) -> Api.load_operands view ~reg:eng.reg eng.pend.(pid)
+  | Start | Parked _ | Woken _ | Halted -> ());
+  eng.states.(pid) <- st
+
 let park eng pid (p : parked) =
   eng.states.(pid) <- Parked p;
   Hashtbl.replace eng.parked_cells p.pcell.Cell.id ()
 
 (* Execute [pid]'s pending instruction [view], resuming [k] with its
    answer.  [eng.states.(pid)] still holds [Ready (view, k)], which is what
-   a crash discontinues; the fiber's next suspension overwrites it. *)
+   a crash discontinues; the fiber's next suspension overwrites it, and its
+   operands the [pend] slot. *)
 let exec : type a. t -> int -> a Api.view -> (a, pstate) Effect.Deep.continuation -> unit =
  fun eng pid view k ->
   let decision =
@@ -672,7 +707,7 @@ let exec : type a. t -> int -> a Api.view -> (a, pstate) Effect.Deep.continuatio
           if crash_after then do_crash eng pid
           else if Api.cond_holds cond v then begin
             jpush eng (jt_ans_unit lor (pid lsl 3)) 0;
-            eng.states.(pid) <- Effect.Deep.continue k ()
+            resume eng pid (Effect.Deep.continue k ())
           end
           else park eng pid { pk = k; pcell = cell; pcond = cond; pabort = false }
       | Api.V_spin_abortable (cell, cond) ->
@@ -682,18 +717,18 @@ let exec : type a. t -> int -> a Api.view -> (a, pstate) Effect.Deep.continuatio
           if crash_after then do_crash eng pid
           else if Api.cond_holds cond v || eng.ab_flag.(pid) then begin
             jpush eng (jt_ans_unit lor (pid lsl 3)) 0;
-            eng.states.(pid) <- Effect.Deep.continue k ()
+            resume eng pid (Effect.Deep.continue k ())
           end
           else park eng pid { pk = k; pcell = cell; pcond = cond; pabort = true }
       | _ ->
-          let res = apply_view eng pid view in
+          let res = apply eng pid view in
           charge eng pid ~kind:(Api.kind_of_view view) eng.last_rmr;
           record_op eng pid view;
-          wake_after eng view;
+          wake_after eng pid view;
           if crash_after then do_crash eng pid
           else begin
-            jpush eng (ans_tag view lor (pid lsl 3)) (ans_value view res);
-            eng.states.(pid) <- Effect.Deep.continue k res
+            jpush eng (ans_tag view lor (pid lsl 3)) res;
+            resume eng pid (Effect.Deep.continue k (answer view res))
           end)
 
 let step_process eng pid =
@@ -704,14 +739,14 @@ let step_process eng pid =
   | Start ->
       let body = eng.body in
       jpush eng (jt_dispatch lor (pid lsl 3)) 0;
-      eng.states.(pid) <- Effect.Deep.match_with (fun () -> body ~pid) () handler
+      resume eng pid (Effect.Deep.match_with (fun () -> body ~pid) () handler)
   | Ready (view, k) -> exec eng pid view k
   | Woken p ->
       let v = Memory.read_u eng.mem ~pid p.pcell in
       charge eng pid ~kind:Api.Spin (Memory.last_cost eng.mem);
       if Api.cond_holds p.pcond v || (p.pabort && eng.ab_flag.(pid)) then begin
         jpush eng (jt_ans_unit lor (pid lsl 3)) 0;
-        eng.states.(pid) <- Effect.Deep.continue p.pk ()
+        resume eng pid (Effect.Deep.continue p.pk ())
       end
       else park eng pid p
   | Parked _ | Halted -> assert false
@@ -724,7 +759,7 @@ let step_process eng pid =
 let pending_footprint eng ~crashy pid =
   match eng.states.(pid) with
   | Start -> Footprint.local ~pid
-  | Ready (view, _) -> Footprint.of_view ~pid ~crashy:(crashy pid) view
+  | Ready (view, _) -> Footprint.of_pending ~pid ~crashy:(crashy pid) view eng.pend.(pid)
   | Woken p -> Footprint.waiting ~pid p.pcell
   | Parked _ | Halted -> assert false
 
@@ -961,7 +996,10 @@ let make_abort_view eng =
    [run_trace] are re-entrant.  Every piece of mutable state below — the store, the engine
    record, the fiber continuations, the per-process arrays — is created by
    [create] and never escapes the run; the module has no top-level mutable
-   bindings (and the same holds for Memory, Cell, Api, Crash and Vec).
+   bindings (and the same holds for Memory, Cell, Crash and Vec).  The one
+   shared piece is {!Api.register}, which is per domain: [create] takes the
+   calling domain's, the run's fibers fill it in that same domain, and
+   [resume] empties it into [pend] before another fiber runs.
    Concurrent runs in different domains therefore share nothing,
    *provided* the caller's [sched], [crash], [setup] and [body] arguments
    are themselves domain-safe: a stateful scheduler or crash plan must be
@@ -999,6 +1037,8 @@ let create ?stall_window ~max_steps ~sink ~consult_ops ~track_ans ~trace_ops ~on
       ans_hash = Array.make n 0;
       body = (fun ~pid -> body shared ~pid);
       states = Array.make n Start;
+      reg = Api.register ();
+      pend = Array.init n (fun _ -> Api.make_operands ());
       step = 0;
       op_index = Array.make n 0;
       completed = Array.make n 0;
@@ -1027,7 +1067,7 @@ let create ?stall_window ~max_steps ~sink ~consult_ops ~track_ans ~trace_ops ~on
       occupancy_max = Array.make nlocks 0;
       unsafe_crashes = Array.make nlocks 0;
       lock_names = Vec.to_array ctx.lock_names;
-      parked_cells = Hashtbl.create 64;
+      parked_cells = Hashtbl.create 8;
       ready_bufs = Array.make (n + 1) [||];
       last_rmr = 0;
       rmr_by_kind = Array.make 8 0;

@@ -156,9 +156,13 @@ val run :
     [sink] routes the event stream explicitly and overrides [record]'s
     default: {!Event.Sink.drop} (the default when neither [record] nor
     [trace_ops] is set) skips event construction entirely — a steady-state
-    step then allocates only at the effect boundary: 5 minor words for an
-    argument-free instruction ([step], [yield]), 16–17 for one carrying
-    arguments ([read], [write]), on OCaml 5.1 — while
+    step then allocates only at the effect boundary, 5 minor words on
+    OCaml 5.1 (the runtime continuation and the ready state) for every
+    instruction but the spins, the window-marking FAS and write and
+    [fas_persist], which still build their view per call: argument-free
+    ones ([step], [yield]) need no operands, and [read], [write], [cas],
+    [fas], [faa] and [note] pass theirs through the domain's
+    {!Api.register} — while
     {!Event.Sink.keep} retains everything ([record]'s behaviour),
     and {!Event.Sink.ring} keeps a bounded trailing window for post-mortem
     diagnosis of long runs.
@@ -203,7 +207,8 @@ val run :
     step loop; they differ only in the pick function, where [run_trace]
     also records its footprints and state key.
     [run] is re-entrant and domain-safe: all engine state (store, fibers,
-    statistics) is allocated per call, so independent runs may execute
+    statistics) is allocated per call, and the operand register its
+    fibers fill is the calling domain's own, so independent runs may execute
     concurrently on separate OCaml domains — {!Rme_check.Pool} runs
     independent plans and seeds that way.  The caller must supply domain-safe arguments: build stateful
     [sched]s and [crash] plans fresh per run, and keep shared mutable

@@ -76,24 +76,20 @@ let of_note ~pid ~crashy (n : Event.note) =
   | Event.Level _ | Event.Path _ | Event.Custom _ | Event.Abort_signal ->
       make ~pid ~crashy cls_local code_none
 
-let of_view : type a. pid:int -> crashy:bool -> a Api.view -> t =
- fun ~pid ~crashy view ->
+let of_pending : type a. pid:int -> crashy:bool -> a Api.view -> Api.operands -> t =
+ fun ~pid ~crashy view o ->
   match view with
-  | Api.V_read c -> make ~pid ~crashy cls_read (code_cell c.Cell.id)
-  | Api.V_write (c, _) -> make ~pid ~crashy cls_write (code_cell c.Cell.id)
-  | Api.V_cas (c, _, _) -> make ~pid ~crashy cls_write (code_cell c.Cell.id)
-  | Api.V_fas (c, _) -> make ~pid ~crashy cls_write (code_cell c.Cell.id)
-  | Api.V_fas_open_unsafe (_, c, _) -> make ~pid ~crashy cls_write (code_cell c.Cell.id)
-  | Api.V_write_close_unsafe (_, c, _) -> make ~pid ~crashy cls_write (code_cell c.Cell.id)
+  | Api.V_read _ | Api.V_read_reg -> make ~pid ~crashy cls_read (code_cell o.cell.Cell.id)
+  | Api.V_write _ | Api.V_write_reg | Api.V_cas_reg | Api.V_fas_reg
+  | Api.V_fas_open_unsafe _ | Api.V_write_close_unsafe _ | Api.V_faa_reg ->
+      make ~pid ~crashy cls_write (code_cell o.cell.Cell.id)
   (* Touches two cells atomically; a single-location footprint cannot
      express that, so it conflicts with everything. *)
   | Api.V_fas_persist _ -> make ~pid ~crashy cls_global code_none
-  | Api.V_faa (c, _) -> make ~pid ~crashy cls_write (code_cell c.Cell.id)
   (* Spins park and their writers unpark: order against any access to the
      cell matters, so the whole wait protocol is write-class. *)
-  | Api.V_spin (c, _) -> make ~pid ~crashy cls_write (code_cell c.Cell.id)
-  | Api.V_spin_abortable (c, _) -> make ~pid ~crashy cls_write (code_cell c.Cell.id)
-  | Api.V_note n -> of_note ~pid ~crashy n
+  | Api.V_spin _ | Api.V_spin_abortable _ -> make ~pid ~crashy cls_write (code_cell o.cell.Cell.id)
+  | Api.V_note_reg -> of_note ~pid ~crashy o.note
   | Api.V_get_done -> make ~pid ~crashy cls_local code_none
   (* Reads the global step counter — excluded from state keys and robust
      checks like latencies, so local for reduction purposes. *)
@@ -102,6 +98,16 @@ let of_view : type a. pid:int -> crashy:bool -> a Api.view -> t =
      the Sensitive POR downgrade) and the process's own protocol move. *)
   | Api.V_poll_abort -> make ~pid ~crashy cls_local code_none
   | Api.V_yield -> make ~pid ~crashy cls_local code_none
+
+(* A register view carries no operands, so on its own it could touch
+   anything. *)
+let of_view ~pid ~crashy view =
+  if Api.is_register_view view then make ~pid ~crashy cls_global code_none
+  else begin
+    let o = Api.make_operands () in
+    Api.load_operands view ~reg:o o;
+    of_pending ~pid ~crashy view o
+  end
 
 (* Crash teardown (close the CS, drop held locks, forget the cache) commutes
    with other processes' plain memory accesses but not with anything that

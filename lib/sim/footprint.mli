@@ -18,11 +18,18 @@ val waiting : pid:int -> Cell.t -> t
     class — parking and unparking do not commute with accesses to the
     cell). *)
 
+val of_pending : pid:int -> crashy:bool -> 'a Api.view -> Api.operands -> t
+(** Footprint of a suspended operation whose operands are in the given
+    record (the engine's per-process slot, see {!Api.load_operands}); only
+    the view's constructor is read.  [crashy] marks steps of processes the
+    crash plan may strike: such a step may additionally run crash teardown
+    (closing the CS, releasing held locks), which conflicts with the
+    CS/lock pseudo-cells and with other crashy steps. *)
+
 val of_view : pid:int -> crashy:bool -> 'a Api.view -> t
-(** Footprint of a suspended operation.  [crashy] marks steps of processes
-    the crash plan may strike: such a step may additionally run crash
-    teardown (closing the CS, releasing held locks), which conflicts with
-    the CS/lock pseudo-cells and with other crashy steps. *)
+(** {!of_pending} with the operands the view carries inline.  A register
+    view ({!Api.is_register_view}) carries none, so its footprint is
+    global: it conflicts with every step. *)
 
 val pid : t -> int
 

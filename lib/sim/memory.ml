@@ -21,8 +21,6 @@ type t = {
      deep parts are never touched (e.g. the base levels of BA-Lock in a
      failure-free run) cost nothing.  Only used under CC. *)
   cached : int array option Vec.t;
-  names : string Vec.t;
-  homes : int Vec.t;
   (* RMR cost of the last unboxed-variant operation ([read_u] etc.): the
      engine's hot loop reads it back instead of allocating a result tuple
      per instruction. *)
@@ -37,8 +35,6 @@ let create model ~n =
     contents = Vec.create ();
     version = Vec.create ();
     cached = Vec.create ();
-    names = Vec.create ();
-    homes = Vec.create ();
     last_cost = 0;
   }
 
@@ -46,16 +42,34 @@ let model t = t.model
 
 let n t = t.n
 
-let alloc t ?(home = Cell.global) ~name v =
+let alloc_at t ~home ~name v =
   if home <> Cell.global && (home < 0 || home >= t.n) then
     invalid_arg (Printf.sprintf "Memory.alloc %s: home %d out of range" name home);
   let id = Vec.length t.contents in
   Vec.push t.contents v;
   Vec.push t.version 0;
-  Vec.push t.names name;
-  Vec.push t.homes home;
   Vec.push t.cached None;
   Cell.make ~id ~name ~home
+
+let alloc t ?(home = Cell.global) ~name v = alloc_at t ~home ~name v
+
+(* [name ^ "[" ^ string_of_int i ^ "]"] in two string allocations, not
+   four. *)
+let indexed name i =
+  let idx = string_of_int i in
+  let len = String.length name and d = String.length idx in
+  let b = Bytes.create (len + d + 2) in
+  Bytes.blit_string name 0 b 0 len;
+  Bytes.set b len '[';
+  Bytes.blit_string idx 0 b (len + 1) d;
+  Bytes.set b (len + d + 1) ']';
+  Bytes.unsafe_to_string b
+
+let alloc_array t ?(home = Cell.global) ~len ~name v =
+  Array.init len (fun i -> alloc_at t ~home ~name:(indexed name i) v)
+
+let alloc_per_process t ~name v =
+  Array.init t.n (fun i -> alloc_at t ~home:i ~name:(indexed name i) v)
 
 let cell_count t = Vec.length t.contents
 

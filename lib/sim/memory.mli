@@ -37,6 +37,15 @@ val alloc : t -> ?home:int -> name:string -> int -> Cell.t
     [home] defaults to {!Cell.global}.  Allocation happens during lock
     construction (outside any simulated execution) and costs no RMRs. *)
 
+val alloc_array : t -> ?home:int -> len:int -> name:string -> int -> Cell.t array
+(** [alloc_array t ~len ~name v] allocates [len] cells with initial
+    contents [v], cell [i] named [name[i]] (e.g. [arb.want[1]]), all with
+    home [home] (default {!Cell.global}). *)
+
+val alloc_per_process : t -> name:string -> int -> Cell.t array
+(** [alloc_per_process t ~name v] allocates one cell per process, cell [i]
+    named [name[i]] and homed at process [i] (local spinning under DSM). *)
+
 val cell_count : t -> int
 
 val peek : t -> Cell.t -> int

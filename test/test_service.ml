@@ -214,8 +214,8 @@ let test_open_loop_pacing () =
 (* Minor words one fast-path step allocates: 8 bodies each loop 100k times
    over one instruction under the allocation-free random scheduler, so the
    effect boundary dominates.  A suspension costs the runtime continuation
-   and the [Ready] state box (5 words); an argument-carrying instruction
-   adds its view, its [Instr] block and the handler's [Some] closure. *)
+   and the [Ready] state box (5 words); the instructions below carry their
+   operands in the domain's register, not in a per-call view. *)
 let words_per_step instr =
   let n = 8 and iters = 100_000 in
   let w0 = Gc.minor_words () in
@@ -232,19 +232,141 @@ let words_per_step instr =
   check ci "one dispatch plus one step per instruction" (n * (iters + 1)) res.Engine.steps;
   words /. float_of_int res.Engine.steps
 
+(* Reports every pin, not just the first that fails. *)
+let pins_hold pins =
+  List.iter (fun (msg, ok) -> if not ok then Printf.printf "FAIL %s\n" msg) pins;
+  check cb (String.concat "; " (List.map fst pins)) true (List.for_all snd pins)
+
 let test_step_allocation () =
-  (* Pins carry one word of headroom over the OCaml 5.1 figures (5, 5, 16)
-     for other 5.x runtimes. *)
-  List.iter
-    (fun (name, bound, instr) ->
-      let w = words_per_step instr in
-      check cb (Printf.sprintf "%s: %.2f minor words per step <= %d" name w bound) true
-        (w <= float_of_int bound))
-    [
-      ("yield", 6, fun _ -> Api.yield ());
-      ("step", 6, fun _ -> ignore (Api.step ()));
-      ("read", 17, fun c -> ignore (Api.read c));
-    ]
+  (* Every figure is 5 on OCaml 5.1; the pins leave one word of headroom
+     (three for the read-modify-write instructions) for other 5.x
+     runtimes. *)
+  pins_hold
+    (List.map
+       (fun (name, bound, instr) ->
+         let w = words_per_step instr in
+         ( Printf.sprintf "%s: %.2f minor words per step <= %d" name w bound,
+           w <= float_of_int bound ))
+       [
+         ("yield", 6, fun _ -> Api.yield ());
+         ("step", 6, fun _ -> ignore (Api.step ()));
+         ("read", 6, fun c -> ignore (Api.read c));
+         ("write", 8, fun c -> Api.write c 1);
+         ("cas", 8, fun c -> ignore (Api.cas c ~expect:0 ~value:1));
+         ("fas", 8, fun c -> ignore (Api.fas c 1));
+         ("faa", 8, fun c -> ignore (Api.faa c 1));
+         ("note", 6, fun _ -> Api.note (Event.Seg Event.Cs_begin));
+       ])
+
+(* Minor words one explorer run spends before its first step: engine
+   creation, lock construction (cell names included) and [finish].  A
+   warm-up run first, so one-time initialisation is not counted. *)
+let test_construction_allocation () =
+  pins_hold
+  @@ List.map
+       (fun key ->
+         let make = (Rme.Spec.find_exn key).Rme.Spec.make in
+         let run () =
+           ignore
+             (Engine.run_trace ~max_steps:0 ~decisions:[||] ~n:2 ~model:Memory.CC ~crash:Crash.none
+                ~setup:make
+                ~body:(fun lock ~pid -> Harness.standard_body ~lock ~requests:1 pid)
+                ())
+         in
+         run ();
+         let w0 = Gc.minor_words () in
+         run ();
+         let w = Gc.minor_words () -. w0 in
+         (Printf.sprintf "%s n=2: %.0f minor words to construct <= 1800" key w, w <= 1800.))
+       [ "sa-jjj"; "ba-jjj" ]
+
+(* ------------------------------------------------------------------ *)
+(* Register dispatch: domain safety and crash hygiene                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A crash-plan run over read-modify-write-heavy bodies: four processes
+   hammer three shared cells with CAS, FAS, FAA, writes and notes under a
+   random crash plan, recording every applied op with the cell contents
+   after it. *)
+let rmw_chaos seed =
+  Engine.run ~trace_ops:true ~n:4 ~model:Memory.CC ~sched:(Sched.random ~seed)
+    ~crash:(Crash.random ~seed ~rate:0.01 ~max_crashes:8 ())
+    ~setup:(fun ctx ->
+      let mem = Engine.Ctx.memory ctx in
+      Array.init 3 (fun i -> Memory.alloc mem ~name:(Printf.sprintf "x%d" i) 0))
+    ~body:(fun cells ~pid ->
+      for i = 1 to 200 do
+        let c = cells.((pid + i) mod 3) in
+        match i mod 5 with
+        | 0 -> ignore (Api.cas c ~expect:(Api.read c) ~value:(pid + i))
+        | 1 -> ignore (Api.fas c i)
+        | 2 -> ignore (Api.faa c pid)
+        | 3 -> Api.write c (pid * i)
+        | _ -> Api.note (Event.Level i)
+      done)
+    ()
+
+let test_register_domain_safety () =
+  (* Every engine takes its domain's operand register, so runs sharded
+     over two domains must match the same runs on one, op for op. *)
+  let tasks = Array.init 16 Fun.id in
+  let one = Rme_check.Pool.map ~domains:1 ~tasks rmw_chaos in
+  let two = Rme_check.Pool.map ~domains:2 ~tasks rmw_chaos in
+  check cb "crashes happened" true (Array.exists (fun r -> r.Engine.total_crashes > 0) one);
+  Array.iteri
+    (fun i r ->
+      check cb (Printf.sprintf "seed %d: identical over 1 and 2 domains" i) true (r = two.(i)))
+    one
+
+let test_crash_before_rmw_leaves_no_operands () =
+  (* p0's second instruction, a CAS on [a], is crashed before it applies.
+     Its restarted body then takes the other branch (FAA on [c], write to
+     [b]) while p1 keeps refilling the register with operands on [d]: no
+     CAS operand may leak into p0's next dispatch. *)
+  let store = ref None and seen = ref [] in
+  let res =
+    Engine.run ~trace_ops:true ~n:2 ~model:Memory.CC ~sched:(Sched.round_robin ())
+      ~crash:(Crash.at_op ~pid:0 ~nth:1 Crash.Before)
+      ~on_op:(fun (i : Crash.op_info) ->
+        if i.pid = 0 then seen := (i.op_index, i.kind, i.cell) :: !seen)
+      ~setup:(fun ctx ->
+        let m = Engine.Ctx.memory ctx in
+        let cell name = Memory.alloc m ~name 0 in
+        let cells = (cell "a", cell "b", cell "c", cell "d") in
+        store := Some (m, cells);
+        cells)
+      ~body:(fun (a, b, c, d) ~pid ->
+        if pid = 0 then begin
+          if Api.faa c 1 = 0 then ignore (Api.cas a ~expect:0 ~value:1) else Api.write b 7
+        end
+        else begin
+          Api.write d 3;
+          ignore (Api.fas d 4);
+          ignore (Api.cas d ~expect:4 ~value:5)
+        end)
+      ()
+  in
+  check ci "one crash" 1 res.Engine.total_crashes;
+  check cb "p0's op stream" true
+    (List.rev !seen
+    = [
+        (0, Api.Faa, Some "c");
+        (1, Api.Cas, Some "a");
+        (2, Api.Faa, Some "c");
+        (3, Api.Write, Some "b");
+      ]);
+  let applied =
+    List.filter_map
+      (function Event.Op { pid = 0; kind; cell; value; _ } -> Some (kind, cell, value) | _ -> None)
+      res.Engine.events
+  in
+  check cb "p0's applied ops" true
+    (applied = [ ("faa", "c", 1); ("faa", "c", 2); ("write", "b", 7) ]);
+  match !store with
+  | None -> Alcotest.fail "setup never ran"
+  | Some (m, (a, b, c, d)) ->
+      check (Alcotest.list ci) "final a b c d" [ 0; 7; 2; 5 ]
+        (List.map (Memory.peek m) [ a; b; c; d ])
 
 (* ------------------------------------------------------------------ *)
 (* Explorer search-effort counters                                     *)
@@ -308,6 +430,13 @@ let () =
           Alcotest.test_case "api.step monotone" `Quick test_api_step_monotone;
           Alcotest.test_case "open-loop pacing" `Quick test_open_loop_pacing;
           Alcotest.test_case "minor words per step" `Quick test_step_allocation;
+          Alcotest.test_case "minor words per construction" `Quick test_construction_allocation;
+        ] );
+      ( "register dispatch",
+        [
+          Alcotest.test_case "domain safety" `Quick test_register_domain_safety;
+          Alcotest.test_case "crash-before leaves no operands" `Quick
+            test_crash_before_rmw_leaves_no_operands;
         ] );
       ( "explore-stats",
         [
