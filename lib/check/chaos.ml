@@ -83,7 +83,7 @@ type run = {
   res : Engine.result;
   fired : Crash.fired list;
   ab_fired : Abort.fired list;
-  decisions : int list;
+  decisions : int array;
 }
 
 let run_one cfg ~make ~adversary ~seed =
@@ -95,12 +95,12 @@ let run_one cfg ~make ~adversary ~seed =
     Harness.run_lock ~record:true ~max_steps:cfg.max_steps ~cs:(cs_of cfg) ~n:cfg.n
       ~model:cfg.model ~sched ~crash ~abort ~requests:cfg.requests ~make ()
   in
-  { res; fired = fired (); ab_fired = ab_fired (); decisions = Vec.to_list decisions }
+  { res; fired = fired (); ab_fired = ab_fired (); decisions = Vec.to_array decisions }
 
 let replay cfg ~make ~fired ?(ab_fired = []) ~decisions () =
   let abort = if ab_fired = [] then Abort.none else Abort.replay_fired ab_fired in
   let res, diverged =
-    Explore.replay ~record:true ~max_steps:cfg.max_steps ~abort ~decisions:(Array.of_list decisions)
+    Explore.replay ~record:true ~max_steps:cfg.max_steps ~abort ~decisions
       ~n:cfg.n ~model:cfg.model ~crash:(Crash.replay_fired fired) ~setup:make
       ~body:(fun lock ~pid -> Harness.standard_body ~cs:(cs_of cfg) ~lock ~requests:cfg.requests pid)
       ()
@@ -108,11 +108,12 @@ let replay cfg ~make ~fired ?(ab_fired = []) ~decisions () =
   (res, diverged <> None)
 
 let shrink_witness cfg ~make ~fired ?(ab_fired = []) ~check trace =
-  Explore.shrink
-    ~reproduces:(fun t ->
-      let res, diverged = replay cfg ~make ~fired ~ab_fired ~decisions:t () in
-      (not diverged) && check res <> None)
-    trace
+  Array.of_list
+    (Explore.shrink
+       ~reproduces:(fun t ->
+         let res, diverged = replay cfg ~make ~fired ~ab_fired ~decisions:(Array.of_list t) () in
+         (not diverged) && check res <> None)
+       (Array.to_list trace))
 
 type case = {
   case_name : string;
@@ -142,7 +143,7 @@ type violation = {
   v_fired : Crash.fired list;
   v_ab_fired : Abort.fired list;
   v_replay_ok : bool;
-  v_witness : int list;
+  v_witness : int array;
   v_detect_steps : int;
 }
 
@@ -171,7 +172,7 @@ let pp_violation ppf v =
     Fmt.(list ~sep:(any " ") pp_ab_fired)
     v.v_ab_fired
     (if v.v_replay_ok then "confirmed" else "UNFAITHFUL")
-    (List.length v.v_witness)
+    (Array.length v.v_witness)
 
 type outcome = {
   runs : int;

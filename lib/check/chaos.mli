@@ -90,7 +90,7 @@ type run = {
   res : Engine.result;
   fired : Crash.fired list;  (** crashes the adversary fired, in order *)
   ab_fired : Abort.fired list;  (** abort signals fired, in order *)
-  decisions : int list;
+  decisions : int array;
       (** recorded schedule: per pick, the index into the ascending ready
           set ({!Sched.recording}) *)
 }
@@ -105,7 +105,7 @@ val replay :
   make:(Engine.Ctx.t -> Harness.lock) ->
   fired:Crash.fired list ->
   ?ab_fired:Abort.fired list ->
-  decisions:int list ->
+  decisions:int array ->
   unit ->
   Engine.result * bool
 (** Deterministic re-execution through {!Explore.replay}: the recorded
@@ -122,8 +122,8 @@ val shrink_witness :
   fired:Crash.fired list ->
   ?ab_fired:Abort.fired list ->
   check:(Engine.result -> string option) ->
-  int list ->
-  int list
+  int array ->
+  int array
 (** {!Explore.shrink} over faithful replays: minimise the decision vector
     while the composite crash plan still reproduces a violation of
     [check].  Returns the input unchanged if it does not reproduce. *)
@@ -158,7 +158,7 @@ type violation = {
   v_replay_ok : bool;
       (** the deterministic composite plan re-triggered a violation of the
           same property under the recorded schedule *)
-  v_witness : int list;
+  v_witness : int array;
       (** shrunk decision vector (= the recorded one when [not v_replay_ok]) *)
   v_detect_steps : int;
       (** engine steps from the first injection (crash or abort signal) to

@@ -3,8 +3,8 @@ type point = Before | After
 type decision = No_crash | Crash of point
 
 type op_info = Plan.op_info = {
-  pid : int; step : int; op_index : int; kind : Api.kind; cell : string option;
-  note : Event.note option; unsafe_wrt : int list;
+  mutable pid : int; mutable step : int; mutable op_index : int; mutable kind : Api.kind;
+  mutable cell : string option; mutable note : Event.note option; mutable unsafe_wrt : int list;
 }
 
 type por_class = Plan.por_class = Robust of int list | Sensitive

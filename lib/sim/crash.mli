@@ -19,10 +19,12 @@ type point = Before | After
 
 type decision = No_crash | Crash of point
 
-(** See {!Plan.op_info}. *)
+(** See {!Plan.op_info}.  The engine reuses one record for every
+    instruction of a run, refilling it before each consult: a plan or
+    hook that keeps it must copy its fields. *)
 type op_info = Plan.op_info = {
-  pid : int; step : int; op_index : int; kind : Api.kind; cell : string option;
-  note : Event.note option; unsafe_wrt : int list;
+  mutable pid : int; mutable step : int; mutable op_index : int; mutable kind : Api.kind;
+  mutable cell : string option; mutable note : Event.note option; mutable unsafe_wrt : int list;
 }
 
 (** See {!Plan.por_class}. *)

@@ -114,6 +114,25 @@ let jt_ans_int = 3
 
 let jt_ans_bool = 4
 
+(* The instrumented path's scratch: the one [op_info] every consult of a
+   run is handed, refilled in place per instruction, and each cell's name
+   boxed once, by cell id ([None]: not boxed yet). *)
+type consult = { info : Crash.op_info; mutable cell_names : string option array }
+
+let fresh_info () =
+  {
+    Crash.pid = 0;
+    step = 0;
+    op_index = 0;
+    kind = Api.Nop;
+    cell = None;
+    note = None;
+    unsafe_wrt = [];
+  }
+
+(* Shared by every engine off the instrumented path, which never writes it. *)
+let no_consult = { info = fresh_info (); cell_names = [||] }
+
 type t = {
   mem : Memory.t;
   n : int;
@@ -124,9 +143,10 @@ type t = {
   has_crash : bool;  (* crash != Crash.none: gates the per-step plan consults *)
   sink : Event.Sink.t;
   emit : bool;  (* [Event.Sink.wants sink], cached: gates event construction *)
-  consult_ops : bool;  (* build a [Crash.op_info] per instruction and consult
+  consult_ops : bool;  (* fill [consult.info] per instruction and consult
                           the plans/hooks; off on the fast path, where only
                           the op counter advances *)
+  consult : consult;  (* [no_consult] unless [consult_ops] *)
   track_ans : bool;  (* fold answer-stream digests (state keys) *)
   trace_ops : bool;
   max_steps : int;
@@ -639,20 +659,34 @@ let system_crash_now eng =
     crash_now eng pid
   done
 
+(* [Some c.name], boxed on [c]'s first consult.  Cells allocated after
+   [create] (lazily built nodes) grow the table. *)
+let cell_name c (cell : Cell.t) =
+  let id = cell.Cell.id in
+  if id >= Array.length c.cell_names then begin
+    let grown = Array.make (max (id + 1) (2 * Array.length c.cell_names)) None in
+    Array.blit c.cell_names 0 grown 0 (Array.length c.cell_names);
+    c.cell_names <- grown
+  end;
+  match c.cell_names.(id) with
+  | Some _ as boxed -> boxed
+  | None ->
+      let boxed = Some cell.Cell.name in
+      c.cell_names.(id) <- boxed;
+      boxed
+
+(* Refill the run's one [op_info] for [pid]'s pending instruction. *)
 let op_info : type a. t -> int -> a Api.view -> Crash.op_info =
  fun eng pid view ->
   let o = eng.pend.(pid) in
-  let info =
-    {
-      Crash.pid;
-      step = eng.step;
-      op_index = eng.op_index.(pid);
-      kind = Api.kind_of_view view;
-      cell = (if has_cell view then Some o.cell.Cell.name else None);
-      note = (match view with Api.V_note_reg -> Some o.note | _ -> None);
-      unsafe_wrt = eng.unsafe_open.(pid);
-    }
-  in
+  let info = eng.consult.info in
+  info.pid <- pid;
+  info.step <- eng.step;
+  info.op_index <- eng.op_index.(pid);
+  info.kind <- Api.kind_of_view view;
+  info.cell <- (if has_cell view then cell_name eng.consult o.cell else None);
+  info.note <- (match view with Api.V_note_reg -> Some o.note | _ -> None);
+  info.unsafe_wrt <- eng.unsafe_open.(pid);
   eng.op_index.(pid) <- eng.op_index.(pid) + 1;
   eng.on_op info;
   info
@@ -1028,6 +1062,10 @@ let create ?stall_window ~max_steps ~sink ~consult_ops ~track_ans ~trace_ops ~on
       sink;
       emit = Event.Sink.wants sink;
       consult_ops;
+      consult =
+        (if consult_ops then
+           { info = fresh_info (); cell_names = Array.make (Memory.cell_count mem) None }
+         else no_consult);
       track_ans;
       trace_ops;
       max_steps;

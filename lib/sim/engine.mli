@@ -190,7 +190,9 @@ val run :
     crash plan gets, in the same order — so a caller can enumerate the
     crash sites [(pid, op_index, kind, cell)] of a run (the sweep engine's
     discovery pass).  It fires before the crash plan is consulted, so
-    instructions suppressed by a [Crash Before] are still observed.
+    instructions suppressed by a [Crash Before] are still observed.  The
+    engine refills one record per run for every instruction, so a hook
+    that keeps it past the call must copy its fields.
 
     [abort] (default {!Abort.none}) is the abort decision axis: the plan
     is consulted once per iteration (after the crash plan's asynchronous

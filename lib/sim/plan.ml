@@ -1,11 +1,11 @@
 type op_info = {
-  pid : int;
-  step : int;
-  op_index : int;
-  kind : Api.kind;
-  cell : string option;
-  note : Event.note option;
-  unsafe_wrt : int list;
+  mutable pid : int;
+  mutable step : int;
+  mutable op_index : int;
+  mutable kind : Api.kind;
+  mutable cell : string option;
+  mutable note : Event.note option;
+  mutable unsafe_wrt : int list;
 }
 
 type por_class = Robust of int list | Sensitive
@@ -100,6 +100,8 @@ let at_op ~tag ~pid ~nth payload =
     por = Robust [ pid ];
   }
 
+let rec any_due now = function [] -> false | (s, _) :: rest -> now >= s || any_due now rest
+
 let async_at ~tag specs =
   let pending = ref specs in
   {
@@ -107,9 +109,13 @@ let async_at ~tag specs =
     label = tag ^ "async-at";
     async =
       (fun ~step _ ->
-        let due, rest = List.partition (fun (s, _) -> step >= s) !pending in
-        pending := rest;
-        List.map snd due);
+        (* Consulted every iteration: partition only when an entry is due. *)
+        if not (any_due step !pending) then []
+        else begin
+          let due, rest = List.partition (fun (s, _) -> step >= s) !pending in
+          pending := rest;
+          List.map snd due
+        end);
     por = Sensitive;
   }
 
@@ -135,16 +141,29 @@ let rec first_fired info acc = function
       let d = p.on_op info in
       first_fired info (match acc with None -> d | Some _ -> acc) rest
 
+(* Every member's pids, in member order; copies a list only when two
+   members fire at once. *)
+let rec async_all ~step v = function
+  | [] -> []
+  | p :: rest -> (
+      let pids = p.async ~step v in
+      match async_all ~step v rest with [] -> pids | more -> pids @ more)
+
+let rec system_any ~step acc = function
+  | [] -> acc
+  | p :: rest -> system_any ~step (p.system ~step || acc) rest
+
 (* Every member is consulted on every axis, so each member's state evolves
    from the consult stream alone: a robust member still decides from its
    victim's own history, and the union of robust plans is robust over the
-   union of victims. *)
+   union of victims.  The consults recurse directly, so an iteration where
+   no member fires allocates nothing. *)
 let all plans =
   {
     label = String.concat "+" (List.map (fun p -> p.label) plans);
     on_op = (fun info -> first_fired info None plans);
-    async = (fun ~step v -> List.concat_map (fun p -> p.async ~step v) plans);
-    system = (fun ~step -> List.fold_left (fun acc p -> p.system ~step || acc) false plans);
+    async = (fun ~step v -> async_all ~step v plans);
+    system = (fun ~step -> system_any ~step false plans);
     por = List.fold_left (fun acc p -> union acc p.por) (Robust []) plans;
   }
 
@@ -170,7 +189,9 @@ let record_fired plan =
       async =
         (fun ~step v ->
           let pids = plan.async ~step v in
-          List.iter (fun pid -> push (Async { pid; step })) pids;
+          (* Matched first: the closure would otherwise be built every
+             iteration, firing or not. *)
+          (match pids with [] -> () | _ -> List.iter (fun pid -> push (Async { pid; step })) pids);
           pids);
       system =
         (fun ~step ->

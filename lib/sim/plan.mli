@@ -10,19 +10,24 @@
     evolves from the consult sequence alone, so {!all} consults every
     member on every axis.  Plans are stateful; build fresh ones per run. *)
 
-(** What a plan sees about the instruction about to execute. *)
+(** What a plan sees about the instruction about to execute.
+
+    The engine fills {e one} record per run in place and hands it to every
+    consult, so an [on_op] (or an {!Engine.run} [on_op] hook) that keeps
+    the record past its call sees it overwritten by the next instruction:
+    copy the fields you need ({!record_fired} does). *)
 type op_info = {
-  pid : int;
-  step : int;  (** global step counter *)
-  op_index : int;
+  mutable pid : int;
+  mutable step : int;  (** global step counter *)
+  mutable op_index : int;
       (** per-process instruction counter from the start of the run, {e
           not} reset by a crash: the [nth] of {!at_op} addresses one point
           of the whole execution (test "op_index continues across
           restarts" in [test/test_sim.ml]) *)
-  kind : Api.kind;
-  cell : string option;  (** name of the touched cell, if any *)
-  note : Event.note option;  (** payload when [kind = Note] *)
-  unsafe_wrt : int list;
+  mutable kind : Api.kind;
+  mutable cell : string option;  (** name of the touched cell, if any *)
+  mutable note : Event.note option;  (** payload when [kind = Note] *)
+  mutable unsafe_wrt : int list;
       (** locks whose sensitive window ({!Api.fas_open_unsafe} …
           {!Api.write_close_unsafe}) the process has open before this
           instruction: non-empty means a crash now is unsafe (§2.2) *)
@@ -75,7 +80,8 @@ val at_op : tag:string -> pid:int -> nth:int -> 'p -> ('p, 'v) t
 (** Strike [pid] at its [nth] instruction once; Robust.  [tag] prefixes the label. *)
 
 val async_at : tag:string -> (int * int) list -> ('p, 'v) t
-(** [(step, pid)]: strike [pid] at the first iteration at or past [step]. *)
+(** [(step, pid)]: strike [pid] at the first iteration at or past [step].
+    An iteration with no entry due allocates nothing. *)
 
 val system_at : step:int -> ('p, 'v) t
 (** One system-wide crash at the first iteration at or past [step]. *)
@@ -83,7 +89,8 @@ val system_at : step:int -> ('p, 'v) t
 val all : ('p, 'v) t list -> ('p, 'v) t
 (** Every member is consulted on every axis; the first firing payload
     wins, [async] pids are concatenated, [system] fires if any member
-    does, and the class is the {!union}. *)
+    does, and the class is the {!union}.  A consult where no member fires
+    allocates nothing. *)
 
 type 'p fired =
   | Op of { pid : int; op_index : int; step : int; payload : 'p }
@@ -91,7 +98,9 @@ type 'p fired =
   | System of { step : int }
 
 val record_fired : ('p, 'v) t -> ('p, 'v) t * (unit -> 'p fired list)
-(** Captures every firing on every axis, in order; keeps the class. *)
+(** Captures every firing on every axis, in order, copying the
+    coordinates out of the reused {!op_info}; keeps the class.  A consult
+    that fires nothing allocates nothing. *)
 
 val replay_fired : tag:string -> 'p fired list -> ('p, 'v) t
 (** {!all} of one one-shot per record, {!none} for none. *)

@@ -122,6 +122,49 @@ let test_record_and_replay_fired () =
   check cb "spares everything else" false
     (is_crash (Crash.on_op replay (info ~pid:1 ~op_index:8 ())))
 
+(* The engine refills one [op_info] per run, so a recorder must copy each
+   firing's coordinates out of it: a plan that fires on every op of two
+   pids logs every firing at its own coordinates, as the [on_op] hook
+   observed them. *)
+let test_record_fired_copies_reused_info () =
+  let seen = ref [] in
+  let plan, fired = Crash.record_fired (Crash.random ~seed:1 ~rate:1.0 ~max_crashes:6 ()) in
+  let res =
+    Engine.run ~n:2 ~model:Memory.CC ~sched:(Sched.round_robin ()) ~crash:plan
+      ~on_op:(fun (i : Crash.op_info) -> seen := (i.pid, i.op_index, i.step) :: !seen)
+      ~setup:(fun ctx -> Memory.alloc (Engine.Ctx.memory ctx) ~name:"c" 0)
+      ~body:(fun c ~pid:_ ->
+        for _ = 1 to 4 do
+          Api.write c 1
+        done)
+      ()
+  in
+  let coords =
+    List.map (fun (f : Crash.fired) -> (f.f_pid, f.f_op_index, f.f_step)) (fired ())
+  in
+  check ci "six crashes" 6 res.Engine.total_crashes;
+  check ci "six records" 6 (List.length coords);
+  check ci "distinct (pid, op_index, step)" 6 (List.length (List.sort_uniq compare coords));
+  check cb "both pids struck" true
+    (List.exists (fun (p, _, _) -> p = 0) coords && List.exists (fun (p, _, _) -> p = 1) coords);
+  check cb "each record is an observed op" true (List.for_all (fun c -> List.mem c !seen) coords)
+
+let test_record_fired_logs_every_async_pid () =
+  let plan, fired = Crash.record_fired (Crash.async_at [ (5, 0); (5, 1) ]) in
+  ignore
+    (Engine.run ~n:2 ~model:Memory.CC ~sched:(Sched.round_robin ()) ~crash:plan
+       ~setup:(fun _ -> ())
+       ~body:(fun () ~pid:_ ->
+         for _ = 1 to 10 do
+           Api.yield ()
+         done)
+       ());
+  check
+    Alcotest.(list (triple int int bool))
+    "both pids at step 5"
+    [ (0, 5, true); (1, 5, true) ]
+    (List.map (fun (f : Crash.fired) -> (f.f_pid, f.f_step, f.f_async)) (fired ()))
+
 let test_adversary_of_string () =
   check cb "holder parses" true (Result.is_ok (Chaos.adversary_of_string "holder"));
   check cb "WINDOW parses" true (Result.is_ok (Chaos.adversary_of_string "WINDOW"));
@@ -410,7 +453,7 @@ let test_holder_rediscovers_wr_fas_gap () =
       r.Chaos.decisions
   in
   check cb "witness no longer than the discovery" true
-    (List.length witness <= List.length r.Chaos.decisions);
+    (Array.length witness <= Array.length r.Chaos.decisions);
   let wres, wmis = Chaos.replay wr_cfg ~make:wr_make ~fired:r.Chaos.fired ~decisions:witness () in
   check cb "witness faithful" false wmis;
   check cb "witness violates ME" true (wres.Engine.cs_max > 1)
@@ -442,7 +485,7 @@ let test_campaign_reports_wr_overlap () =
         | [] -> false);
       check cb "replay confirmed" true v.Chaos.v_replay_ok;
       check cb "witness shrunk below discovery" true
-        (List.length v.Chaos.v_witness < List.length v.Chaos.v_fired * 200);
+        (Array.length v.Chaos.v_witness < List.length v.Chaos.v_fired * 200);
       check cb "fired sites recorded" true (v.Chaos.v_fired <> []);
       check cb "detection latency recorded" true (v.Chaos.v_detect_steps > 0)
 
@@ -495,6 +538,10 @@ let () =
           Alcotest.test_case "storm gap and backoff" `Quick test_storm_gap_backoff;
           Alcotest.test_case "storm validates backoff" `Quick test_storm_validation;
           Alcotest.test_case "record_fired / replay_fired" `Quick test_record_and_replay_fired;
+          Alcotest.test_case "record_fired copies the reused op_info" `Quick
+            test_record_fired_copies_reused_info;
+          Alcotest.test_case "record_fired logs every async pid" `Quick
+            test_record_fired_logs_every_async_pid;
           Alcotest.test_case "adversary parsing" `Quick test_adversary_of_string;
         ] );
       ( "watchdog",

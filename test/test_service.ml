@@ -215,12 +215,16 @@ let test_open_loop_pacing () =
    over one instruction under the allocation-free random scheduler, so the
    effect boundary dominates.  A suspension costs the runtime continuation
    and the [Ready] state box (5 words); the instructions below carry their
-   operands in the domain's register, not in a per-call view. *)
-let words_per_step instr =
+   operands in the domain's register, not in a per-call view.  [plans]
+   builds the run's crash and abort plans; with either one the run takes
+   the instrumented path, which consults both on every instruction. *)
+let words_per_step ?(plans = fun () -> (Crash.none, Abort.none)) instr =
   let n = 8 and iters = 100_000 in
+  let crash, abort = plans () in
+  let mode = if crash == Crash.none && abort == Abort.none then `Fast else `Auto in
   let w0 = Gc.minor_words () in
   let res =
-    Engine.run ~mode:`Fast ~n ~model:Memory.CC ~sched:(Sched.random ~seed:3) ~crash:Crash.none
+    Engine.run ~mode ~abort ~n ~model:Memory.CC ~sched:(Sched.random ~seed:3) ~crash
       ~setup:(fun ctx -> Memory.alloc (Engine.Ctx.memory ctx) ~name:"c" 0)
       ~body:(fun c ~pid:_ ->
         for _ = 1 to iters do
@@ -256,6 +260,41 @@ let test_step_allocation () =
          ("fas", 8, fun c -> ignore (Api.fas c 1));
          ("faa", 8, fun c -> ignore (Api.faa c 1));
          ("note", 6, fun _ -> Api.note (Event.Seg Event.Cs_begin));
+       ])
+
+(* The instrumented path refills one [op_info] per run and the plans'
+   consults allocate nothing unless they fire, so a consulted step costs
+   what a fast-path step does (5 words on OCaml 5.1), plus the boxed draw
+   of a seeded gate (2 words) and a note's [Some] payload (2 words).  The
+   plans here never fire. *)
+let test_consulted_step_allocation () =
+  let recorders () = (fst (Crash.record_fired Crash.none), fst (Abort.record_fired Abort.none)) in
+  let coin () = (Crash.random ~seed:5 ~rate:0.0 ~max_crashes:8 (), Abort.none) in
+  let union () =
+    ( Crash.all [ Crash.at_op ~pid:0 ~nth:max_int Crash.Before; Crash.system_at ~step:max_int ],
+      Abort.none )
+  in
+  let pending () = (Crash.async_at [ (max_int, 0) ], Abort.none) in
+  pins_hold
+    (List.concat_map
+       (fun (plan, bound, plans) ->
+         List.map
+           (fun (name, extra, instr) ->
+             let w = words_per_step ~plans instr in
+             let bound = bound + extra in
+             ( Printf.sprintf "%s under %s: %.2f minor words per step <= %d" name plan w bound,
+               w <= float_of_int bound ))
+           [
+             ("write", 0, fun c -> Api.write c 1);
+             ("read", 0, fun c -> ignore (Api.read c));
+             ("yield", 0, fun _ -> Api.yield ());
+             ("note", 2, fun _ -> Api.note (Event.Seg Event.Cs_begin));
+           ])
+       [
+         ("recorded none", 6, recorders);
+         ("random rate 0", 8, coin);
+         ("all [at_op; system_at]", 6, union);
+         ("async_at", 6, pending);
        ])
 
 (* Minor words one explorer run spends before its first step: engine
@@ -430,6 +469,7 @@ let () =
           Alcotest.test_case "api.step monotone" `Quick test_api_step_monotone;
           Alcotest.test_case "open-loop pacing" `Quick test_open_loop_pacing;
           Alcotest.test_case "minor words per step" `Quick test_step_allocation;
+          Alcotest.test_case "minor words per consulted step" `Quick test_consulted_step_allocation;
           Alcotest.test_case "minor words per construction" `Quick test_construction_allocation;
         ] );
       ( "register dispatch",
