@@ -86,8 +86,10 @@ type run = {
   decisions : int array;
 }
 
+(* The recorded schedule starts at 1,024 decisions, above the 700-odd
+   steps a default-config run takes, so most runs never grow it. *)
 let run_one cfg ~make ~adversary ~seed =
-  let decisions = Vec.create () in
+  let decisions = Vec.make (min cfg.max_steps 1024) 0 in
   let crash, fired = Crash.record_fired (plan adversary ~seed) in
   let abort, ab_fired = Abort.record_fired (abort_plan adversary ~seed) in
   let sched = Sched.recording ~inner:(Sched.random ~seed) ~decisions in

@@ -55,7 +55,8 @@ let shrink ~reproduces trace =
 (* Everything one run needs, bundled so the search and the shrinker replay
    schedules identically.  [por] enables footprint collection for the
    sleep-set reduction; [crashy] marks the crash plan's possible victims
-   (see Crash.por_class). *)
+   (see Crash.por_class); [buffers] are the degree and footprint scratch
+   every run of the search reuses. *)
 type 'a driver = {
   max_steps : int;
   record : bool;
@@ -71,6 +72,7 @@ type 'a driver = {
   tally : Engine.result -> unit;
       (* fired once per engine execution (probes and shrink replays
          included) — feeds the [stats] callback's effort counters *)
+  buffers : Engine.trace_buffers;
 }
 
 (* Decide which reduction tier can actually run.  Both reduced tiers need
@@ -97,8 +99,8 @@ let por_setup ~por ~record ~n ~crash ~abort =
 let run_node ?state_key_at ?on_state_key d decisions =
   let rr =
     Engine.run_trace ?state_key_at ?on_state_key ~record:d.record ~max_steps:d.max_steps ~por:d.por
-      ~footprint_crashy:d.crashy ~abort:(d.abort ()) ~decisions ~n:d.n ~model:d.model
-      ~crash:(d.crash ()) ~setup:d.setup ~body:d.body ()
+      ~footprint_crashy:d.crashy ~abort:(d.abort ()) ~buffers:d.buffers ~decisions ~n:d.n
+      ~model:d.model ~crash:(d.crash ()) ~setup:d.setup ~body:d.body ()
   in
   d.tally rr.Engine.tr_result;
   rr
@@ -489,6 +491,7 @@ let explore ?(max_runs = 100_000) ?(max_steps = 20_000) ?(shrink_violations = tr
       por = tier <> `Off;
       crashy;
       tally;
+      buffers = Engine.trace_buffers ();
     }
   in
   (* Hoisted so the [stats] callback can read the counters after the

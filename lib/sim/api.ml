@@ -23,8 +23,6 @@ type _ view =
   | V_fas_open_unsafe : int * Cell.t * int -> int view
   | V_fas_persist : Cell.t * int * Cell.t -> unit view
   | V_write_close_unsafe : int * Cell.t * int -> unit view
-  | V_spin : Cell.t * cond -> unit view
-  | V_spin_abortable : Cell.t * cond -> unit view
   | V_get_done : int view
   | V_get_step : int view
   | V_poll_abort : bool view
@@ -35,6 +33,8 @@ type _ view =
   | V_fas_reg : int view
   | V_faa_reg : int view
   | V_note_reg : unit view
+  | V_spin_reg : unit view
+  | V_spin_abortable_reg : unit view
 
 exception Abort_signal
 
@@ -44,14 +44,16 @@ let kind_of_view : type a. a view -> kind = function
   | V_cas_reg -> Cas
   | V_fas_open_unsafe _ | V_fas_persist _ | V_fas_reg -> Fas
   | V_faa_reg -> Faa
-  | V_spin _ | V_spin_abortable _ -> Spin
+  | V_spin_reg | V_spin_abortable_reg -> Spin
   | V_note_reg -> Note
   | V_get_done | V_get_step | V_poll_abort | V_yield -> Nop
 
 let is_register_view : type a. a view -> bool = function
-  | V_read_reg | V_write_reg | V_cas_reg | V_fas_reg | V_faa_reg | V_note_reg -> true
+  | V_read_reg | V_write_reg | V_cas_reg | V_fas_reg | V_faa_reg | V_note_reg | V_spin_reg
+  | V_spin_abortable_reg ->
+      true
   | V_read _ | V_write _ | V_fas_open_unsafe _ | V_fas_persist _ | V_write_close_unsafe _
-  | V_spin _ | V_spin_abortable _ | V_get_done | V_get_step | V_poll_abort | V_yield ->
+  | V_get_done | V_get_step | V_poll_abort | V_yield ->
       false
 
 type operands = {
@@ -60,26 +62,46 @@ type operands = {
   mutable arg2 : int;
   mutable dst : Cell.t;
   mutable note : Event.note;
+  mutable cond : cond;
 }
 
 let no_cell = Cell.make ~id:(-1) ~name:"-" ~home:Cell.global
 
 let make_operands () =
-  { cell = no_cell; arg = 0; arg2 = 0; dst = no_cell; note = Event.Seg Event.Ncs_begin }
+  {
+    cell = no_cell;
+    arg = 0;
+    arg2 = 0;
+    dst = no_cell;
+    note = Event.Seg Event.Ncs_begin;
+    cond = Eq 0;
+  }
+
+(* A pointer store pays the write barrier; these skip it when the field
+   already holds the value, as it does while a process loops on one cell,
+   condition or constant note. *)
+let set_cell o c = if o.cell != c then o.cell <- c
+
+let set_cond o c = if o.cond != c then o.cond <- c
+
+let set_note o n = if o.note != n then o.note <- n
 
 let load_operands : type a. a view -> reg:operands -> operands -> unit =
  fun view ~reg o ->
   match view with
-  | V_read_reg -> o.cell <- reg.cell
+  | V_read_reg -> set_cell o reg.cell
   | V_write_reg | V_fas_reg | V_faa_reg ->
-      o.cell <- reg.cell;
+      set_cell o reg.cell;
       o.arg <- reg.arg
   | V_cas_reg ->
-      o.cell <- reg.cell;
+      set_cell o reg.cell;
       o.arg <- reg.arg;
       o.arg2 <- reg.arg2
-  | V_note_reg -> o.note <- reg.note
-  | V_read c | V_spin (c, _) | V_spin_abortable (c, _) -> o.cell <- c
+  | V_note_reg -> set_note o reg.note
+  | V_spin_reg | V_spin_abortable_reg ->
+      set_cell o reg.cell;
+      set_cond o reg.cond
+  | V_read c -> o.cell <- c
   | V_write (c, v) ->
       o.cell <- c;
       o.arg <- v
@@ -102,9 +124,10 @@ let register () = Domain.DLS.get register_key
 
 type _ Effect.t += Instr : 'a view -> 'a Effect.t
 
-(* The argument-carrying instructions fill the register and perform one
-   shared effect value per kind, so a call allocates no view and no
-   [Instr] block; the argument-free ones need no register at all. *)
+(* The argument-carrying instructions, the spins included, fill the
+   register and perform one shared effect value per kind, so a call
+   allocates no view and no [Instr] block; the argument-free ones need no
+   register at all. *)
 let read_eff = Instr V_read_reg
 
 let write_eff = Instr V_write_reg
@@ -117,33 +140,37 @@ let faa_eff = Instr V_faa_reg
 
 let note_eff = Instr V_note_reg
 
+let spin_eff = Instr V_spin_reg
+
+let spin_abortable_eff = Instr V_spin_abortable_reg
+
 let read c =
   let r = register () in
-  r.cell <- c;
+  set_cell r c;
   Effect.perform read_eff
 
 let write c v =
   let r = register () in
-  r.cell <- c;
+  set_cell r c;
   r.arg <- v;
   Effect.perform write_eff
 
 let cas c ~expect ~value =
   let r = register () in
-  r.cell <- c;
+  set_cell r c;
   r.arg <- expect;
   r.arg2 <- value;
   Effect.perform cas_eff
 
 let fas c v =
   let r = register () in
-  r.cell <- c;
+  set_cell r c;
   r.arg <- v;
   Effect.perform fas_eff
 
 let faa c v =
   let r = register () in
-  r.cell <- c;
+  set_cell r c;
   r.arg <- v;
   Effect.perform faa_eff
 
@@ -153,9 +180,17 @@ let write_close_unsafe ~lock c v = Effect.perform (Instr (V_write_close_unsafe (
 
 let fas_persist c v ~dst = Effect.perform (Instr (V_fas_persist (c, v, dst)))
 
-let spin_until c cond = Effect.perform (Instr (V_spin (c, cond)))
+let spin_until c cond =
+  let r = register () in
+  set_cell r c;
+  set_cond r cond;
+  Effect.perform spin_eff
 
-let spin_abortable c cond = Effect.perform (Instr (V_spin_abortable (c, cond)))
+let spin_abortable c cond =
+  let r = register () in
+  set_cell r c;
+  set_cond r cond;
+  Effect.perform spin_abortable_eff
 
 let poll_abort_eff = Instr V_poll_abort
 
@@ -168,7 +203,7 @@ let yield_eff = Instr V_yield
 let poll_abort () = Effect.perform poll_abort_eff
 
 let note n =
-  (register ()).note <- n;
+  set_note (register ()) n;
   Effect.perform note_eff
 
 let completed_requests () = Effect.perform get_done_eff

@@ -23,13 +23,14 @@ val pp_kind : kind Fmt.t
 
 (** The engine-side view of a suspended instruction.
 
-    {!read}, {!write}, {!cas}, {!fas}, {!faa} and {!note} perform one of
-    the six {e register views} ([V_read_reg] … [V_note_reg]): constant
-    constructors whose operands travel in this domain's operand
-    {!register}.  The other views carry their operands inline: the
-    window-marking instructions, {!fas_persist} and the spins build theirs
-    per call, and [V_read] and [V_write] remain for code that performs
-    {!Instr} directly or asks {!Footprint.of_view} about a given cell. *)
+    {!read}, {!write}, {!cas}, {!fas}, {!faa}, {!note}, {!spin_until} and
+    {!spin_abortable} perform one of the eight {e register views}
+    ([V_read_reg] … [V_spin_abortable_reg]): constant constructors whose
+    operands travel in this domain's operand {!register}.  The other views
+    carry their operands inline: the window-marking instructions and
+    {!fas_persist} build theirs per call, and [V_read] and [V_write] remain
+    for code that performs {!Instr} directly or asks {!Footprint.of_view}
+    about a given cell. *)
 type _ view =
   | V_read : Cell.t -> int view
   | V_write : Cell.t * int -> unit view
@@ -42,12 +43,6 @@ type _ view =
   | V_write_close_unsafe : int * Cell.t * int -> unit view
       (** Write that closes lock [id]'s sensitive window (persisting the FAS
           result into [pred]). *)
-  | V_spin : Cell.t * cond -> unit view
-  | V_spin_abortable : Cell.t * cond -> unit view
-      (** Like [V_spin] but also completes — with the condition possibly
-          still false — when the spinning process carries a pending abort
-          signal.  Follow with {!poll_abort} to tell the two wake reasons
-          apart. *)
   | V_get_done : int view
   | V_get_step : int view
   | V_poll_abort : bool view
@@ -58,6 +53,12 @@ type _ view =
   | V_fas_reg : int view  (** {!fas}: [cell], the value stored in [arg] *)
   | V_faa_reg : int view  (** {!faa}: [cell], the increment in [arg] *)
   | V_note_reg : unit view  (** {!note}: the payload in [note] *)
+  | V_spin_reg : unit view  (** {!spin_until}: [cell], the condition in [cond] *)
+  | V_spin_abortable_reg : unit view
+      (** {!spin_abortable}: like [V_spin_reg] but also completes — with the
+          condition possibly still false — when the spinning process
+          carries a pending abort signal.  Follow with {!poll_abort} to
+          tell the two wake reasons apart. *)
 
 exception Abort_signal
 (** Raised by abortable lock [acquire] code when it observes a pending
@@ -68,16 +69,16 @@ exception Abort_signal
 val kind_of_view : 'a view -> kind
 
 val is_register_view : 'a view -> bool
-(** [true] for the six register views, whose operands are not in the view. *)
+(** [true] for the eight register views, whose operands are not in the view. *)
 
 (** {1 Operands}
 
     The operands of one instruction: its cell, up to two integer
-    arguments, a second cell and a note payload.  Which fields mean
-    something depends on the view (see the register views above): [arg]
-    is also the value {!fas_open_unsafe}, {!write_close_unsafe} and
-    {!fas_persist} store, [arg2] the lock id of the first two, and [dst]
-    {!fas_persist}'s destination. *)
+    arguments, a second cell, a note payload and a spin condition.  Which
+    fields mean something depends on the view (see the register views
+    above): [arg] is also the value {!fas_open_unsafe},
+    {!write_close_unsafe} and {!fas_persist} store, [arg2] the lock id of
+    the first two, and [dst] {!fas_persist}'s destination. *)
 
 type operands = {
   mutable cell : Cell.t;
@@ -85,6 +86,7 @@ type operands = {
   mutable arg2 : int;
   mutable dst : Cell.t;
   mutable note : Event.note;
+  mutable cond : cond;
 }
 
 val make_operands : unit -> operands
@@ -105,12 +107,12 @@ val load_operands : 'a view -> reg:operands -> operands -> unit
 type _ Effect.t += Instr : 'a view -> 'a Effect.t
 (** The single effect simulated processes perform; handled by {!Engine}.
     Every instruction function performs a shared top-level [Instr] value
-    except the window-marking ones, {!fas_persist} and the spins, which
-    build their inline view and [Instr] per call.  The argument-free
-    instructions ({!step}, {!yield}, {!completed_requests},
-    {!poll_abort}) need no operands; {!read}, {!write}, {!cas}, {!fas},
-    {!faa} and {!note} first store theirs in the {!register}, so their
-    calls allocate nothing either. *)
+    except the window-marking ones and {!fas_persist}, which build their
+    inline view and [Instr] per call.  The argument-free instructions
+    ({!step}, {!yield}, {!completed_requests}, {!poll_abort}) need no
+    operands; {!read}, {!write}, {!cas}, {!fas}, {!faa}, {!note} and the
+    spins first store theirs in the {!register}, so their calls allocate
+    nothing either. *)
 
 (** {1 Instructions} *)
 

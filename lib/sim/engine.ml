@@ -73,24 +73,48 @@ type result = {
 }
 
 (* A process's fiber state, which is also what its effect handler returns:
-   [Ready] from [effc] (the fiber suspended on an instruction), [Halted]
-   from [retc]/[exnc] (the body returned, or unwound on [Crashed]).  So the
-   handler's result needs no box of its own: a suspension on an
-   argument-free or a register instruction allocates only the runtime
-   continuation and the [Ready] block.  A [Ready] instruction's operands
-   are in the process's [pend] slot, not in its view. *)
-type pstate =
-  | Start
-  | Ready : 'a Api.view * ('a, pstate) Effect.Deep.continuation -> pstate
-  | Parked of parked
-  | Woken of parked
-  | Halted
+   a [Ready_*] tag from [effc] (the fiber suspended on an instruction whose
+   answer is an int, a bool or unit), [Halted] from [retc]/[exnc] (the body
+   returned, or unwound on [Crashed]).  The suspension itself lives in
+   per-pid slots of the engine: the continuation and the view in the
+   [slots] of its answer type ([ints], [bools], [units]) and the operands
+   in [pend].  [Parked] and [Woken] are suspensions on a spin, whose
+   answer is unit.  The tag is immediate, so a suspension allocates only
+   the runtime continuation, and the tag guards every slot read: a slot
+   whose continuation was already resumed is never read again, and would
+   raise [Continuation_already_resumed] if it were. *)
+type phase = Start | Ready_int | Ready_bool | Ready_unit | Parked | Woken | Halted
 
-and parked = {
-  pk : (unit, pstate) Effect.Deep.continuation;
-  pcell : Cell.t;
-  pcond : Api.cond;
-  pabort : bool;  (* abortable park: an abort signal also wakes it *)
+(* A view's answer type, as a witness: matching on it refines the view's
+   type index, so the handler and [exec] pick a continuation slot without
+   [Obj]. *)
+type _ answer = A_int : int answer | A_bool : bool answer | A_unit : unit answer
+
+let answer_type : type a. a Api.view -> a answer = function
+  | Api.V_read _ -> A_int
+  | Api.V_read_reg -> A_int
+  | Api.V_fas_reg -> A_int
+  | Api.V_fas_open_unsafe _ -> A_int
+  | Api.V_faa_reg -> A_int
+  | Api.V_get_done -> A_int
+  | Api.V_get_step -> A_int
+  | Api.V_cas_reg -> A_bool
+  | Api.V_poll_abort -> A_bool
+  | Api.V_write _ -> A_unit
+  | Api.V_write_reg -> A_unit
+  | Api.V_write_close_unsafe _ -> A_unit
+  | Api.V_fas_persist _ -> A_unit
+  | Api.V_note_reg -> A_unit
+  | Api.V_yield -> A_unit
+  | Api.V_spin_reg -> A_unit
+  | Api.V_spin_abortable_reg -> A_unit
+
+(* Each pid's suspended continuation and pending view, for one answer
+   type.  [k] is [[||]] until the run's first suspension of that type,
+   which fills every pid's slot with its continuation. *)
+type 'a slots = {
+  mutable k : ('a, phase) Effect.Deep.continuation array;
+  view : 'a Api.view array;
 }
 
 (* FNV-style fold for the per-process answer-stream digests and the state
@@ -115,9 +139,14 @@ let jt_ans_int = 3
 let jt_ans_bool = 4
 
 (* The instrumented path's scratch: the one [op_info] every consult of a
-   run is handed, refilled in place per instruction, and each cell's name
-   boxed once, by cell id ([None]: not boxed yet). *)
-type consult = { info : Crash.op_info; mutable cell_names : string option array }
+   run is handed, refilled in place per instruction, each cell's name
+   boxed once, by cell id ([None]: not boxed yet), and the last note
+   payload's box, reused while the payload stays physically the same. *)
+type consult = {
+  info : Crash.op_info;
+  mutable cell_names : string option array;
+  mutable note_box : Event.note option;
+}
 
 let fresh_info () =
   {
@@ -131,7 +160,7 @@ let fresh_info () =
   }
 
 (* Shared by every engine off the instrumented path, which never writes it. *)
-let no_consult = { info = fresh_info (); cell_names = [||] }
+let no_consult = { info = fresh_info (); cell_names = [||]; note_box = None }
 
 type t = {
   mem : Memory.t;
@@ -159,9 +188,13 @@ type t = {
      private half of {!state_key}. *)
   ans_hash : int array;
   body : pid:int -> unit;
-  states : pstate array;
+  phase : phase array;
+  mutable cur : int;  (* the pid whose fiber runs: where the handler files its suspension *)
+  ints : int slots;  (* the [phase] tag says which slots are live *)
+  bools : bool slots;
+  units : unit slots;
   reg : Api.operands;  (* this domain's operand register ({!Api.register}) *)
-  pend : Api.operands array;  (* operands of each pid's [Ready] instruction *)
+  pend : Api.operands array;  (* operands of each pid's pending instruction *)
   mutable step : int;
   op_index : int array;
   completed : int array;
@@ -221,47 +254,43 @@ let default_on_crash ~pid:_ ~step:_ = ()
 
 let default_on_op (_ : Crash.op_info) = ()
 
-(* Handler results for the constant views, built once: {!Api} performs one
-   shared [Instr] value for each, so neither the [Some] nor the closure
-   depends on the effect. *)
-let on_get_done = Some (fun k -> Ready (Api.V_get_done, k))
+(* File the running pid's continuation, creating the slot array on the
+   run's first capture of its type. *)
+let file_k eng s k = if Array.length s.k = 0 then s.k <- Array.make eng.n k else s.k.(eng.cur) <- k
 
-let on_get_step = Some (fun k -> Ready (Api.V_get_step, k))
+(* Skipped when the slot already holds [view], so a loop over one register
+   instruction stores no view. *)
+let file_view s pid view = if s.view.(pid) != view then s.view.(pid) <- view
 
-let on_poll_abort = Some (fun k -> Ready (Api.V_poll_abort, k))
-
-let on_yield = Some (fun k -> Ready (Api.V_yield, k))
-
-let on_read = Some (fun k -> Ready (Api.V_read_reg, k))
-
-let on_write = Some (fun k -> Ready (Api.V_write_reg, k))
-
-let on_cas = Some (fun k -> Ready (Api.V_cas_reg, k))
-
-let on_fas = Some (fun k -> Ready (Api.V_fas_reg, k))
-
-let on_faa = Some (fun k -> Ready (Api.V_faa_reg, k))
-
-let on_note = Some (fun k -> Ready (Api.V_note_reg, k))
-
-let handler : (unit, pstate) Effect.Deep.handler =
+(* The run's effect handler, built once per run by [drive].  [effc] files
+   the suspension under [eng.cur]: the operands into [pend] and the view
+   into the slots of its answer type, and hands the runtime one of three
+   preallocated results, which files the continuation and returns the
+   tag.  The view's answer type picks the slots, so no suspension
+   allocates beyond the runtime continuation. *)
+let make_handler eng : (unit, phase) Effect.Deep.handler =
+  let on_int = Some (fun k -> file_k eng eng.ints k; Ready_int) in
+  let on_bool = Some (fun k -> file_k eng eng.bools k; Ready_bool) in
+  let on_unit = Some (fun k -> file_k eng eng.units k; Ready_unit) in
   {
     retc = (fun () -> Halted);
     exnc = (function Crashed -> Halted | e -> raise e);
     effc =
-      (fun (type c) (eff : c Effect.t) : ((c, pstate) Effect.Deep.continuation -> pstate) option ->
+      (fun (type c) (eff : c Effect.t) : ((c, phase) Effect.Deep.continuation -> phase) option ->
         match eff with
-        | Api.Instr Api.V_read_reg -> on_read
-        | Api.Instr Api.V_write_reg -> on_write
-        | Api.Instr Api.V_cas_reg -> on_cas
-        | Api.Instr Api.V_fas_reg -> on_fas
-        | Api.Instr Api.V_faa_reg -> on_faa
-        | Api.Instr Api.V_note_reg -> on_note
-        | Api.Instr Api.V_get_step -> on_get_step
-        | Api.Instr Api.V_yield -> on_yield
-        | Api.Instr Api.V_get_done -> on_get_done
-        | Api.Instr Api.V_poll_abort -> on_poll_abort
-        | Api.Instr view -> Some (fun k -> Ready (view, k))
+        | Api.Instr view -> (
+            let pid = eng.cur in
+            Api.load_operands view ~reg:eng.reg eng.pend.(pid);
+            match answer_type view with
+            | A_int ->
+                file_view eng.ints pid view;
+                on_int
+            | A_bool ->
+                file_view eng.bools pid view;
+                on_bool
+            | A_unit ->
+                file_view eng.units pid view;
+                on_unit)
         | _ -> None);
   }
 
@@ -272,41 +301,15 @@ let jpush eng header value =
   end
 
 (* The stream tag of a resolved instruction's answer. *)
-let ans_tag : type a. a Api.view -> int =
- fun view ->
-  match view with
-  | Api.V_read _ | Api.V_read_reg | Api.V_fas_reg | Api.V_fas_open_unsafe _
-  | Api.V_faa_reg | Api.V_get_done | Api.V_get_step ->
-      jt_ans_int
-  | Api.V_cas_reg | Api.V_poll_abort -> jt_ans_bool
-  | Api.V_write _ | Api.V_write_reg | Api.V_write_close_unsafe _ | Api.V_fas_persist _
-  | Api.V_note_reg | Api.V_yield | Api.V_spin _ | Api.V_spin_abortable _ ->
-      jt_ans_unit
+let ans_tag : type a. a answer -> int = function
+  | A_int -> jt_ans_int
+  | A_bool -> jt_ans_bool
+  | A_unit -> jt_ans_unit
 
-(* The answer for [view] from its packed form (an int as is, a bool as 0 or
-   1, unit as 0), which is also what the answer stream folds.  GADT
-   refinement is per-branch, so same-typed constructors cannot share an
-   or-pattern. *)
-let answer : type a. a Api.view -> int -> a =
- fun view x ->
-  match view with
-  | Api.V_read _ -> x
-  | Api.V_read_reg -> x
-  | Api.V_fas_reg -> x
-  | Api.V_fas_open_unsafe _ -> x
-  | Api.V_faa_reg -> x
-  | Api.V_get_done -> x
-  | Api.V_get_step -> x
-  | Api.V_cas_reg -> x <> 0
-  | Api.V_poll_abort -> x <> 0
-  | Api.V_write _ -> ()
-  | Api.V_write_reg -> ()
-  | Api.V_write_close_unsafe _ -> ()
-  | Api.V_fas_persist _ -> ()
-  | Api.V_note_reg -> ()
-  | Api.V_yield -> ()
-  | Api.V_spin _ -> ()
-  | Api.V_spin_abortable _ -> ()
+(* The answer from its packed form (an int as is, a bool as 0 or 1, unit
+   as 0), which is also what the answer stream folds. *)
+let answer : type a. a answer -> int -> a =
+ fun ans x -> match ans with A_int -> x | A_bool -> x <> 0 | A_unit -> ()
 
 let kind_code : Api.kind -> int = function
   | Api.Read -> 0
@@ -347,15 +350,24 @@ let resolve_abort eng pid result =
     eng.ab_flag.(pid) <- false
   end
 
+(* Is [pid]'s spin (parked or woken) abortable?  Its view slot still holds
+   the spin view: the fiber has not suspended since. *)
+let abortable_spin eng pid =
+  match eng.units.view.(pid) with
+  | Api.V_spin_abortable_reg -> true
+  | Api.V_spin_reg | Api.V_write _ | Api.V_write_reg | Api.V_write_close_unsafe _
+  | Api.V_fas_persist _ | Api.V_note_reg | Api.V_yield ->
+      false
+
 (* Deliver an abort signal.  Only a live process inside some lock's entry
    section is flagged; re-signalling a flagged victim is a no-op, so blind
    plans are harmless.  An abortable parked victim is woken so it can
    observe the flag. *)
 let signal_abort eng ~origin pid =
   if pid >= 0 && pid < eng.n && eng.entry_depth.(pid) > 0 && not eng.ab_flag.(pid) then begin
-    match eng.states.(pid) with
+    match eng.phase.(pid) with
     | Halted -> ()
-    | (Start | Ready _ | Parked _ | Woken _) as st ->
+    | (Start | Ready_int | Ready_bool | Ready_unit | Parked | Woken) as ph ->
         eng.ab_flag.(pid) <- true;
         eng.ab_signal_step.(pid) <- eng.step;
         eng.ab_op_origin.(pid) <- origin;
@@ -365,9 +377,9 @@ let signal_abort eng ~origin pid =
           record_event eng
             (Event.Note
                { step = eng.step; pid; super = eng.completed.(pid); note = Event.Abort_signal });
-        (match st with
-        | Parked p when p.pabort -> eng.states.(pid) <- Woken p
-        | _ -> ())
+        (match ph with
+        | Parked when abortable_spin eng pid -> eng.phase.(pid) <- Woken
+        | Start | Ready_int | Ready_bool | Ready_unit | Parked | Woken | Halted -> ())
   end
 
 let close_passage eng pid ~completed =
@@ -535,17 +547,20 @@ let apply : type a. t -> int -> a Api.view -> int =
   | Api.V_yield ->
       eng.last_rmr <- 0;
       0
-  | Api.V_spin _ | Api.V_spin_abortable _ -> assert false (* handled by [exec] *)
+  | Api.V_spin_reg | Api.V_spin_abortable_reg -> assert false (* handled by [exec] *)
 
+(* A parked pid waits on its [pend] slot's [cell] for its [cond]. *)
 let wake_parked eng (c : Cell.t) =
   if Hashtbl.mem eng.parked_cells c.id then begin
     let still_parked = ref false in
     for pid = 0 to eng.n - 1 do
-      match eng.states.(pid) with
-      | Parked p when Cell.equal p.pcell c ->
-          if Api.cond_holds p.pcond (Memory.peek eng.mem c) then eng.states.(pid) <- Woken p
-          else still_parked := true
-      | Parked _ | Start | Ready _ | Woken _ | Halted -> ()
+      match eng.phase.(pid) with
+      | Parked ->
+          let o = eng.pend.(pid) in
+          if Cell.equal o.cell c then
+            if Api.cond_holds o.cond (Memory.peek eng.mem c) then eng.phase.(pid) <- Woken
+            else still_parked := true
+      | Start | Ready_int | Ready_bool | Ready_unit | Woken | Halted -> ()
     done;
     if not !still_parked then Hashtbl.remove eng.parked_cells c.id
   end
@@ -591,17 +606,18 @@ let record_op : type a. t -> int -> a Api.view -> unit =
     | _ -> ()
   end
 
-(* Discontinue a suspended fiber with [Crashed]; it must unwind to the
-   handler's [exnc]. *)
-let discontinue (type a) (k : (a, pstate) Effect.Deep.continuation) =
+(* Discontinue [pid]'s suspended fiber with [Crashed]; it must unwind to
+   the handler's [exnc]. *)
+let discontinue (type a) eng pid (k : (a, phase) Effect.Deep.continuation) =
+  eng.cur <- pid;
   match Effect.Deep.discontinue k Crashed with
   | Halted -> ()
-  | Start | Ready _ | Parked _ | Woken _ ->
+  | Start | Ready_int | Ready_bool | Ready_unit | Parked | Woken ->
       (* The body swallowed [Crashed] and kept computing: forbidden. *)
       failwith "Engine: process body must not catch the crash exception"
 
-(* Crash [pid], discarding whatever fiber [eng.states.(pid)] holds.  [exec]
-   calls this while the state is still the [Ready] being executed. *)
+(* Crash [pid], discarding whatever fiber its slots hold.  [exec] calls
+   this while the tag is still the [Ready_*] being executed. *)
 let do_crash eng pid =
   if eng.emit then
     record_event eng
@@ -632,21 +648,24 @@ let do_crash eng pid =
   end;
   Memory.forget eng.mem ~pid;
   eng.unsafe_open.(pid) <- [];
-  (match eng.states.(pid) with
-  | Ready (_, k) ->
+  (match eng.phase.(pid) with
+  | Ready_int ->
       jpush eng (jt_crash lor (pid lsl 3)) 0;
-      discontinue k
-  | Parked p | Woken p ->
+      discontinue eng pid eng.ints.k.(pid)
+  | Ready_bool ->
       jpush eng (jt_crash lor (pid lsl 3)) 0;
-      discontinue p.pk
+      discontinue eng pid eng.bools.k.(pid)
+  | Ready_unit | Parked | Woken ->
+      jpush eng (jt_crash lor (pid lsl 3)) 0;
+      discontinue eng pid eng.units.k.(pid)
   | Start | Halted -> () (* no live fiber — nothing for a replay to discontinue *));
-  eng.states.(pid) <- Start;
+  eng.phase.(pid) <- Start;
   eng.on_crash ~pid ~step:eng.step
 
 let crash_now eng pid =
-  match eng.states.(pid) with
+  match eng.phase.(pid) with
   | Halted -> ()
-  | Start | Ready _ | Parked _ | Woken _ -> do_crash eng pid
+  | Start | Ready_int | Ready_bool | Ready_unit | Parked | Woken -> do_crash eng pid
 
 (* A system-wide crash (the JJJ model): every process's continuation —
    running, ready, and parked alike — is erased at this instant; NVRAM
@@ -675,6 +694,16 @@ let cell_name c (cell : Cell.t) =
       c.cell_names.(id) <- boxed;
       boxed
 
+(* [Some note], reusing the last box while the payload is physically the
+   same, which every constant payload is. *)
+let note_box c note =
+  match c.note_box with
+  | Some n as boxed when n == note -> boxed
+  | Some _ | None ->
+      let boxed = Some note in
+      c.note_box <- boxed;
+      boxed
+
 (* Refill the run's one [op_info] for [pid]'s pending instruction. *)
 let op_info : type a. t -> int -> a Api.view -> Crash.op_info =
  fun eng pid view ->
@@ -685,31 +714,39 @@ let op_info : type a. t -> int -> a Api.view -> Crash.op_info =
   info.op_index <- eng.op_index.(pid);
   info.kind <- Api.kind_of_view view;
   info.cell <- (if has_cell view then cell_name eng.consult o.cell else None);
-  info.note <- (match view with Api.V_note_reg -> Some o.note | _ -> None);
+  info.note <- (match view with Api.V_note_reg -> note_box eng.consult o.note | _ -> None);
   info.unsafe_wrt <- eng.unsafe_open.(pid);
   eng.op_index.(pid) <- eng.op_index.(pid) + 1;
   eng.on_op info;
   info
 
-(* Store the state a fiber suspended in, taking a [Ready] instruction's
-   operands into [pid]'s [pend] slot before any other fiber can overwrite
-   the register. *)
-let resume eng pid st =
-  (match st with
-  | Ready (view, _) -> Api.load_operands view ~reg:eng.reg eng.pend.(pid)
-  | Start | Parked _ | Woken _ | Halted -> ());
-  eng.states.(pid) <- st
+(* Park [pid] on its spin: the continuation stays in its unit slot and the
+   spin's cell and condition in its [pend] slot. *)
+let park eng pid =
+  eng.phase.(pid) <- Parked;
+  Hashtbl.replace eng.parked_cells eng.pend.(pid).cell.Cell.id ()
 
-let park eng pid (p : parked) =
-  eng.states.(pid) <- Parked p;
-  Hashtbl.replace eng.parked_cells p.pcell.Cell.id ()
+(* Execute [pid]'s pending spin: resume [k] if the condition holds (or an
+   abortable spin carries an abort signal), park it otherwise. *)
+let spin eng pid view (k : (unit, phase) Effect.Deep.continuation) ~crash_after ~abortable =
+  let o = eng.pend.(pid) in
+  let v = Memory.read_u eng.mem ~pid o.cell in
+  charge eng pid ~kind:Api.Spin (Memory.last_cost eng.mem);
+  record_op eng pid view;
+  if crash_after then do_crash eng pid
+  else if Api.cond_holds o.cond v || (abortable && eng.ab_flag.(pid)) then begin
+    jpush eng (jt_ans_unit lor (pid lsl 3)) 0;
+    eng.phase.(pid) <- Effect.Deep.continue k ()
+  end
+  else park eng pid
 
-(* Execute [pid]'s pending instruction [view], resuming [k] with its
-   answer.  [eng.states.(pid)] still holds [Ready (view, k)], which is what
-   a crash discontinues; the fiber's next suspension overwrites it, and its
-   operands the [pend] slot. *)
-let exec : type a. t -> int -> a Api.view -> (a, pstate) Effect.Deep.continuation -> unit =
- fun eng pid view k ->
+(* Execute [pid]'s pending instruction [view], resuming [k] (its slot's
+   continuation, whose answer type [ans] names) with its answer.  The tag
+   still says [Ready_*], so a crash discontinues [k]; the fiber's next
+   suspension overwrites the slots and the [pend] operands. *)
+let exec : type a. t -> int -> a answer -> a Api.view -> (a, phase) Effect.Deep.continuation -> unit
+    =
+ fun eng pid ans view k ->
   let decision =
     if eng.consult_ops then begin
       let info = op_info eng pid view in
@@ -734,26 +771,8 @@ let exec : type a. t -> int -> a Api.view -> (a, pstate) Effect.Deep.continuatio
         match decision with Crash.Crash _ -> true | Crash.No_crash -> false
       in
       match view with
-      | Api.V_spin (cell, cond) ->
-          let v = Memory.read_u eng.mem ~pid cell in
-          charge eng pid ~kind:Api.Spin (Memory.last_cost eng.mem);
-          record_op eng pid view;
-          if crash_after then do_crash eng pid
-          else if Api.cond_holds cond v then begin
-            jpush eng (jt_ans_unit lor (pid lsl 3)) 0;
-            resume eng pid (Effect.Deep.continue k ())
-          end
-          else park eng pid { pk = k; pcell = cell; pcond = cond; pabort = false }
-      | Api.V_spin_abortable (cell, cond) ->
-          let v = Memory.read_u eng.mem ~pid cell in
-          charge eng pid ~kind:Api.Spin (Memory.last_cost eng.mem);
-          record_op eng pid view;
-          if crash_after then do_crash eng pid
-          else if Api.cond_holds cond v || eng.ab_flag.(pid) then begin
-            jpush eng (jt_ans_unit lor (pid lsl 3)) 0;
-            resume eng pid (Effect.Deep.continue k ())
-          end
-          else park eng pid { pk = k; pcell = cell; pcond = cond; pabort = true }
+      | Api.V_spin_reg -> spin eng pid view k ~crash_after ~abortable:false
+      | Api.V_spin_abortable_reg -> spin eng pid view k ~crash_after ~abortable:true
       | _ ->
           let res = apply eng pid view in
           charge eng pid ~kind:(Api.kind_of_view view) eng.last_rmr;
@@ -761,29 +780,36 @@ let exec : type a. t -> int -> a Api.view -> (a, pstate) Effect.Deep.continuatio
           wake_after eng pid view;
           if crash_after then do_crash eng pid
           else begin
-            jpush eng (ans_tag view lor (pid lsl 3)) res;
-            resume eng pid (Effect.Deep.continue k (answer view res))
+            jpush eng (ans_tag ans lor (pid lsl 3)) res;
+            eng.phase.(pid) <- Effect.Deep.continue k (answer ans res)
           end)
 
-let step_process eng pid =
+(* Step [pid].  Whatever resumes its fiber stores the tag the fiber comes
+   back with: the handler has already filed a suspension in [pid]'s
+   slots. *)
+let step_process eng handler pid =
   (* Steps taken while the abort flag is up are the victim's own resolving
      steps — the quantity [Props.abort_liveness] bounds. *)
   if eng.has_abort && eng.ab_flag.(pid) then eng.ab_own.(pid) <- eng.ab_own.(pid) + 1;
-  match eng.states.(pid) with
+  eng.cur <- pid;
+  match eng.phase.(pid) with
   | Start ->
       let body = eng.body in
       jpush eng (jt_dispatch lor (pid lsl 3)) 0;
-      resume eng pid (Effect.Deep.match_with (fun () -> body ~pid) () handler)
-  | Ready (view, k) -> exec eng pid view k
-  | Woken p ->
-      let v = Memory.read_u eng.mem ~pid p.pcell in
+      eng.phase.(pid) <- Effect.Deep.match_with (fun () -> body ~pid) () handler
+  | Ready_int -> exec eng pid A_int eng.ints.view.(pid) eng.ints.k.(pid)
+  | Ready_bool -> exec eng pid A_bool eng.bools.view.(pid) eng.bools.k.(pid)
+  | Ready_unit -> exec eng pid A_unit eng.units.view.(pid) eng.units.k.(pid)
+  | Woken ->
+      let o = eng.pend.(pid) in
+      let v = Memory.read_u eng.mem ~pid o.cell in
       charge eng pid ~kind:Api.Spin (Memory.last_cost eng.mem);
-      if Api.cond_holds p.pcond v || (p.pabort && eng.ab_flag.(pid)) then begin
+      if Api.cond_holds o.cond v || (abortable_spin eng pid && eng.ab_flag.(pid)) then begin
         jpush eng (jt_ans_unit lor (pid lsl 3)) 0;
-        resume eng pid (Effect.Deep.continue p.pk ())
+        eng.phase.(pid) <- Effect.Deep.continue eng.units.k.(pid) ()
       end
-      else park eng pid p
-  | Parked _ | Halted -> assert false
+      else park eng pid
+  | Parked | Halted -> assert false
 
 (* The access footprint of the step [pid] would take if scheduled now, for
    the explorer's partial-order reduction.  A [Start] dispatch only runs the
@@ -791,11 +817,14 @@ let step_process eng pid =
    dispatch only re-reads the spin cell; neither consults the crash plan
    (no [op_info]), so neither is crashy whatever the plan. *)
 let pending_footprint eng ~crashy pid =
-  match eng.states.(pid) with
+  let o = eng.pend.(pid) in
+  match eng.phase.(pid) with
   | Start -> Footprint.local ~pid
-  | Ready (view, _) -> Footprint.of_pending ~pid ~crashy:(crashy pid) view eng.pend.(pid)
-  | Woken p -> Footprint.waiting ~pid p.pcell
-  | Parked _ | Halted -> assert false
+  | Ready_int -> Footprint.of_pending ~pid ~crashy:(crashy pid) eng.ints.view.(pid) o
+  | Ready_bool -> Footprint.of_pending ~pid ~crashy:(crashy pid) eng.bools.view.(pid) o
+  | Ready_unit -> Footprint.of_pending ~pid ~crashy:(crashy pid) eng.units.view.(pid) o
+  | Woken -> Footprint.waiting ~pid o.cell
+  | Parked | Halted -> assert false
 
 (* The state key behind the explorer's decision-node deduplication: a
    compact int-array digest of everything that determines both the future
@@ -813,7 +842,7 @@ let pending_footprint eng ~crashy pid =
    Control state rests on [ans_hash]: bodies are deterministic functions
    of their answer stream, so the digest pins the pending instruction
    (including a parked process's spin cell); the explicit tag settles
-   Ready/Parked/Woken, which engine bookkeeping decides outside the
+   ready/parked/woken, which engine bookkeeping decides outside the
    stream.  A schedule-robust ([Crash.por_class] = [Robust]) plan's
    internal cursor is likewise a function of the per-process op streams,
    which the digests determine. *)
@@ -825,11 +854,11 @@ let state_key eng =
   for p = 0 to n - 1 do
     key.(1 + p) <- eng.ans_hash.(p);
     let tag =
-      match eng.states.(p) with
+      match eng.phase.(p) with
       | Start -> 0
-      | Ready _ -> 1
-      | Parked _ -> 2
-      | Woken _ -> 3
+      | Ready_int | Ready_bool | Ready_unit -> 1
+      | Parked -> 2
+      | Woken -> 3
       | Halted -> 4
     in
     key.(1 + n + p) <- tag lor (eng.op_index.(p) lsl 3);
@@ -891,9 +920,9 @@ let state_key eng =
 let runnable eng =
   let count = ref 0 in
   for pid = 0 to eng.n - 1 do
-    match eng.states.(pid) with
-    | Start | Ready _ | Woken _ -> incr count
-    | Parked _ | Halted -> ()
+    match eng.phase.(pid) with
+    | Start | Ready_int | Ready_bool | Ready_unit | Woken -> incr count
+    | Parked | Halted -> ()
   done;
   let c = !count in
   if c = 0 then [||]
@@ -909,11 +938,11 @@ let runnable eng =
     in
     let i = ref 0 in
     for pid = 0 to eng.n - 1 do
-      match eng.states.(pid) with
-      | Start | Ready _ | Woken _ ->
+      match eng.phase.(pid) with
+      | Start | Ready_int | Ready_bool | Ready_unit | Woken ->
           Array.unsafe_set buf !i pid;
           incr i
-      | Parked _ | Halted -> ()
+      | Parked | Halted -> ()
     done;
     buf
   end
@@ -928,9 +957,9 @@ let segment eng pid =
         (String.concat "," (List.map (fun id -> eng.lock_names.(id)) eng.holding.(pid)))
     else "entry"
   in
-  match eng.states.(pid) with
-  | Parked p -> Printf.sprintf "%s parked@%s" base p.pcell.Cell.name
-  | Start | Ready _ | Woken _ | Halted -> base
+  match eng.phase.(pid) with
+  | Parked -> Printf.sprintf "%s parked@%s" base eng.pend.(pid).cell.Cell.name
+  | Start | Ready_int | Ready_bool | Ready_unit | Woken | Halted -> base
 
 (* Diagnose an abnormal end state.  Deadlock is structural (every live
    process parked).  On timeout, progress within the trailing
@@ -942,9 +971,9 @@ let segment eng pid =
 let classify_stall eng =
   let live = ref [] in
   for pid = eng.n - 1 downto 0 do
-    match eng.states.(pid) with
+    match eng.phase.(pid) with
     | Halted -> ()
-    | Start | Ready _ | Woken _ | Parked _ -> live := pid :: !live
+    | Start | Ready_int | Ready_bool | Ready_unit | Woken | Parked -> live := pid :: !live
   done;
   let live = !live in
   let report kind pids = Some { stall_kind = kind; culprits = List.map (fun p -> (p, segment eng p)) pids } in
@@ -1027,14 +1056,15 @@ let make_abort_view eng =
   }
 
 (* Domain-safety audit (plans and seeds sharded over domains): [run] and
-   [run_trace] are re-entrant.  Every piece of mutable state below — the store, the engine
-   record, the fiber continuations, the per-process arrays — is created by
-   [create] and never escapes the run; the module has no top-level mutable
-   bindings (and the same holds for Memory, Cell, Crash and Vec).  The one
-   shared piece is {!Api.register}, which is per domain: [create] takes the
-   calling domain's, the run's fibers fill it in that same domain, and
-   [resume] empties it into [pend] before another fiber runs.
-   Concurrent runs in different domains therefore share nothing,
+   [run_trace] are re-entrant.  Every piece of mutable state below — the
+   store, the engine record, the continuation and view slots, the
+   per-process arrays — is created by [create], and the effect handler
+   with its preallocated results by [drive]; none of it escapes the run.
+   The module has no top-level mutable bindings (and the same holds for
+   Memory, Cell, Crash and Vec).  The one shared piece is {!Api.register},
+   which is per domain: [create] takes the calling domain's, the run's
+   fibers fill it in that same domain, and the handler empties it into
+   [pend] before another fiber runs.  Concurrent runs in different domains therefore share nothing,
    *provided* the caller's [sched], [crash], [setup] and [body] arguments
    are themselves domain-safe: a stateful scheduler or crash plan must be
    built fresh per run, and the closures must not capture shared mutable
@@ -1064,7 +1094,11 @@ let create ?stall_window ~max_steps ~sink ~consult_ops ~track_ans ~trace_ops ~on
       consult_ops;
       consult =
         (if consult_ops then
-           { info = fresh_info (); cell_names = Array.make (Memory.cell_count mem) None }
+           {
+             info = fresh_info ();
+             cell_names = Array.make (Memory.cell_count mem) None;
+             note_box = None;
+           }
          else no_consult);
       track_ans;
       trace_ops;
@@ -1074,7 +1108,11 @@ let create ?stall_window ~max_steps ~sink ~consult_ops ~track_ans ~trace_ops ~on
       on_op;
       ans_hash = Array.make n 0;
       body = (fun ~pid -> body shared ~pid);
-      states = Array.make n Start;
+      phase = Array.make n Start;
+      cur = 0;
+      ints = { k = [||]; view = Array.make n Api.V_read_reg };
+      bools = { k = [||]; view = Array.make n Api.V_cas_reg };
+      units = { k = [||]; view = Array.make n Api.V_yield };
       reg = Api.register ();
       pend = Array.init n (fun _ -> Api.make_operands ());
       step = 0;
@@ -1124,6 +1162,7 @@ let create ?stall_window ~max_steps ~sink ~consult_ops ~track_ans ~trace_ops ~on
    crash, system-crash and abort decisions, builds the ready set, and steps
    the pid [pick pos ready] names, [pos] being the decision position. *)
 let drive eng ~pick =
+  let handler = make_handler eng in
   (* Hoisted once: partially applying these in the loop would allocate a
      closure per step. *)
   let crash_iter = if eng.has_crash then crash_now eng else ignore in
@@ -1137,7 +1176,11 @@ let drive eng ~pick =
     let ready = runnable eng in
     if Array.length ready = 0 then begin
       let any_parked =
-        Array.exists (function Parked _ -> true | Start | Ready _ | Woken _ | Halted -> false) eng.states
+        Array.exists
+          (function
+            | Parked -> true
+            | Start | Ready_int | Ready_bool | Ready_unit | Woken | Halted -> false)
+          eng.phase
       in
       if any_parked then eng.deadlocked <- true
       (* else: all halted — normal termination *)
@@ -1146,7 +1189,7 @@ let drive eng ~pick =
     else begin
       let pid = pick pos ready in
       eng.last_sched.(pid) <- eng.step;
-      step_process eng pid;
+      step_process eng handler pid;
       eng.step <- eng.step + 1;
       loop (pos + 1)
     end
@@ -1195,13 +1238,31 @@ type trun = {
   tr_footprints : Footprint.t array;
 }
 
+type trace_buffers = { degrees : int Vec.t; footprints : Footprint.t Vec.t }
+
+let trace_buffers () = { degrees = Vec.create (); footprints = Vec.create () }
+
 let run_trace ?(record = false) ?(max_steps = 5_000_000) ?stall_window ?(por = false)
     ?(footprint_crashy = fun _ -> false) ?(state_key_at = -1) ?(on_state_key = fun _ -> ())
-    ?(abort = Abort.none) ~decisions ~n ~model ~crash ~setup ~body () =
+    ?(abort = Abort.none) ?buffers ~decisions ~n ~model ~crash ~setup ~body () =
   if por && n > 0xffff then
     invalid_arg "Engine.run_trace: footprint recording supports at most 65536 processes";
-  let degrees = Vec.create () in
-  let footprints = Vec.create () in
+  (* A caller's buffers are reused as they are; fresh ones start at a
+     capacity the run already knows: a replay runs about as many steps as
+     it has decisions, and a short default schedule fits in 128. *)
+  let { degrees; footprints } =
+    match buffers with
+    | Some b ->
+        Vec.clear b.degrees;
+        Vec.clear b.footprints;
+        b
+    | None ->
+        let cap = max 128 (Array.length decisions) in
+        {
+          degrees = Vec.make cap 0;
+          footprints = (if por then Vec.make (n * cap) (Footprint.local ~pid:0) else Vec.create ());
+        }
+  in
   let eng =
     create ?stall_window ~max_steps
       ~sink:(if record then Event.Sink.keep () else Event.Sink.drop)

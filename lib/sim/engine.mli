@@ -209,8 +209,9 @@ val run :
     step loop; they differ only in the pick function, where [run_trace]
     also records its footprints and state key.
     [run] is re-entrant and domain-safe: all engine state (store, fibers,
-    statistics) is allocated per call, and the operand register its
-    fibers fill is the calling domain's own, so independent runs may execute
+    the effect handler and its continuation slots, statistics) is
+    allocated per call, and the operand register its fibers fill is the
+    calling domain's own, so independent runs may execute
     concurrently on separate OCaml domains — {!Rme_check.Pool} runs
     independent plans and seeds that way.  The caller must supply domain-safe arguments: build stateful
     [sched]s and [crash] plans fresh per run, and keep shared mutable
@@ -225,6 +226,13 @@ type trun = {
       (** flat per-choice footprints in decision order; [[||]] unless [por] *)
 }
 
+type trace_buffers
+(** Growable scratch for a run's degrees and footprints, reused across the
+    runs of one caller so they stop growing after its first runs.  Not
+    shared between concurrent runs. *)
+
+val trace_buffers : unit -> trace_buffers
+
 val run_trace :
   ?record:bool ->
   ?max_steps:int ->
@@ -234,6 +242,7 @@ val run_trace :
   ?state_key_at:int ->
   ?on_state_key:(int array -> unit) ->
   ?abort:Abort.t ->
+  ?buffers:trace_buffers ->
   decisions:int array ->
   n:int ->
   model:Memory.model ->
@@ -271,6 +280,11 @@ val run_trace :
     converse is not exact: the key's elements are 63-bit digests, so
     distinct states can collide.  Step counts, latencies and the stall
     classification are excluded, matching the POR contract.
+
+    [buffers] collect the degrees and footprints while the run goes; the
+    returned arrays are exact-length copies, so the same buffers can serve
+    the caller's next run.  Without them the run sizes fresh ones from
+    [decisions].
 
     [crash] and [abort] (default {!Abort.none}) are the plans of this one
     run; stateful plans must be fresh per call.  The hooks of {!run}

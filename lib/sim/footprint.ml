@@ -88,7 +88,7 @@ let of_pending : type a. pid:int -> crashy:bool -> a Api.view -> Api.operands ->
   | Api.V_fas_persist _ -> make ~pid ~crashy cls_global code_none
   (* Spins park and their writers unpark: order against any access to the
      cell matters, so the whole wait protocol is write-class. *)
-  | Api.V_spin _ | Api.V_spin_abortable _ -> make ~pid ~crashy cls_write (code_cell o.cell.Cell.id)
+  | Api.V_spin_reg | Api.V_spin_abortable_reg -> make ~pid ~crashy cls_write (code_cell o.cell.Cell.id)
   | Api.V_note_reg -> of_note ~pid ~crashy o.note
   | Api.V_get_done -> make ~pid ~crashy cls_local code_none
   (* Reads the global step counter — excluded from state keys and robust

@@ -2,6 +2,8 @@ type 'a t = { mutable data : 'a array; mutable len : int }
 
 let create () = { data = [||]; len = 0 }
 
+let make capacity x = { data = Array.make capacity x; len = 0 }
+
 let length t = t.len
 
 let is_empty t = t.len = 0

@@ -9,6 +9,10 @@ type 'a t
 val create : unit -> 'a t
 (** [create ()] is an empty vector. *)
 
+val make : int -> 'a -> 'a t
+(** [make capacity x] is an empty vector whose first [capacity] pushes do
+    not grow it; [x] fills the unused slots and is never observed. *)
+
 val length : 'a t -> int
 
 val is_empty : 'a t -> bool

@@ -213,9 +213,10 @@ let test_open_loop_pacing () =
 
 (* Minor words one fast-path step allocates: 8 bodies each loop 100k times
    over one instruction under the allocation-free random scheduler, so the
-   effect boundary dominates.  A suspension costs the runtime continuation
-   and the [Ready] state box (5 words); the instructions below carry their
-   operands in the domain's register, not in a per-call view.  [plans]
+   effect boundary dominates.  A suspension costs only the runtime
+   continuation (2 words): the engine files it in a per-pid slot and the
+   handler returns an immediate tag, and the instructions below carry
+   their operands in the domain's register, not in a per-call view.  [plans]
    builds the run's crash and abort plans; with either one the run takes
    the instrumented path, which consults both on every instruction. *)
 let words_per_step ?(plans = fun () -> (Crash.none, Abort.none)) instr =
@@ -242,9 +243,8 @@ let pins_hold pins =
   check cb (String.concat "; " (List.map fst pins)) true (List.for_all snd pins)
 
 let test_step_allocation () =
-  (* Every figure is 5 on OCaml 5.1; the pins leave one word of headroom
-     (three for the read-modify-write instructions) for other 5.x
-     runtimes. *)
+  (* Every figure is 2 on OCaml 5.1; the pins leave one word of headroom
+     for other 5.x runtimes. *)
   pins_hold
     (List.map
        (fun (name, bound, instr) ->
@@ -252,21 +252,24 @@ let test_step_allocation () =
          ( Printf.sprintf "%s: %.2f minor words per step <= %d" name w bound,
            w <= float_of_int bound ))
        [
-         ("yield", 6, fun _ -> Api.yield ());
-         ("step", 6, fun _ -> ignore (Api.step ()));
-         ("read", 6, fun c -> ignore (Api.read c));
-         ("write", 8, fun c -> Api.write c 1);
-         ("cas", 8, fun c -> ignore (Api.cas c ~expect:0 ~value:1));
-         ("fas", 8, fun c -> ignore (Api.fas c 1));
-         ("faa", 8, fun c -> ignore (Api.faa c 1));
-         ("note", 6, fun _ -> Api.note (Event.Seg Event.Cs_begin));
+         ("yield", 3, fun _ -> Api.yield ());
+         ("step", 3, fun _ -> ignore (Api.step ()));
+         ("read", 3, fun c -> ignore (Api.read c));
+         ("write", 3, fun c -> Api.write c 1);
+         ("cas", 3, fun c -> ignore (Api.cas c ~expect:0 ~value:1));
+         ("fas", 3, fun c -> ignore (Api.fas c 1));
+         ("faa", 3, fun c -> ignore (Api.faa c 1));
+         ("note", 3, fun _ -> Api.note (Event.Seg Event.Cs_begin));
+         ("spin_until", 3, fun c -> Api.spin_until c (Api.Eq 0));
+         ("spin_abortable", 3, fun c -> Api.spin_abortable c (Api.Eq 0));
        ])
 
 (* The instrumented path refills one [op_info] per run and the plans'
    consults allocate nothing unless they fire, so a consulted step costs
-   what a fast-path step does (5 words on OCaml 5.1), plus the boxed draw
-   of a seeded gate (2 words) and a note's [Some] payload (2 words).  The
-   plans here never fire. *)
+   what a fast-path step does (2 words on OCaml 5.1), plus the boxed draw
+   of a seeded gate (2 words).  A note's [Some] payload is boxed once and
+   reused while the payload stays the same constant.  The plans here never
+   fire. *)
 let test_consulted_step_allocation () =
   let recorders () = (fst (Crash.record_fired Crash.none), fst (Abort.record_fired Abort.none)) in
   let coin () = (Crash.random ~seed:5 ~rate:0.0 ~max_crashes:8 (), Abort.none) in
@@ -288,13 +291,13 @@ let test_consulted_step_allocation () =
              ("write", 0, fun c -> Api.write c 1);
              ("read", 0, fun c -> ignore (Api.read c));
              ("yield", 0, fun _ -> Api.yield ());
-             ("note", 2, fun _ -> Api.note (Event.Seg Event.Cs_begin));
+             ("note", 0, fun _ -> Api.note (Event.Seg Event.Cs_begin));
            ])
        [
-         ("recorded none", 6, recorders);
-         ("random rate 0", 8, coin);
-         ("all [at_op; system_at]", 6, union);
-         ("async_at", 6, pending);
+         ("recorded none", 3, recorders);
+         ("random rate 0", 5, coin);
+         ("all [at_op; system_at]", 3, union);
+         ("async_at", 3, pending);
        ])
 
 (* Minor words one explorer run spends before its first step: engine
@@ -318,6 +321,27 @@ let test_construction_allocation () =
          let w = Gc.minor_words () -. w0 in
          (Printf.sprintf "%s n=2: %.0f minor words to construct <= 1800" key w, w <= 1800.))
        [ "sa-jjj"; "ba-jjj" ]
+
+(* Minor words of one whole default-schedule explorer run with footprints:
+   construction, 132 steps, degrees, footprints and [finish].  The degree
+   and footprint vectors start at a capacity the run knows instead of
+   doubling up from 8 entries.  3,698 words before the continuation slots
+   and the sized vectors; 2,973 on OCaml 5.1. *)
+let test_trace_run_allocation () =
+  let make = (Rme.Spec.find_exn "sa-jjj").Rme.Spec.make in
+  let run () =
+    Engine.run_trace ~por:true ~decisions:[||] ~n:2 ~model:Memory.CC ~crash:Crash.none ~setup:make
+      ~body:(fun lock ~pid -> Harness.standard_body ~lock ~requests:1 pid)
+      ()
+  in
+  ignore (run ());
+  let w0 = Gc.minor_words () in
+  let r = run () in
+  let w = Gc.minor_words () -. w0 in
+  check ci "default schedule length" 132 r.Engine.tr_result.Engine.steps;
+  check ci "one degree per position" 132 (Array.length r.Engine.tr_degrees);
+  check ci "one footprint per runnable pid" 198 (Array.length r.Engine.tr_footprints);
+  pins_hold [ (Printf.sprintf "sa-jjj n=2: %.0f minor words per run <= 3300" w, w <= 3300.) ]
 
 (* ------------------------------------------------------------------ *)
 (* Register dispatch: domain safety and crash hygiene                  *)
@@ -407,6 +431,86 @@ let test_crash_before_rmw_leaves_no_operands () =
       check (Alcotest.list ci) "final a b c d" [ 0; 7; 2; 5 ]
         (List.map (Memory.peek m) [ a; b; c; d ])
 
+(* Crashes that discontinue every kind of continuation slot.  p0 loops on
+   reads (pending on an int answer), p1 on CAS (a bool answer), p2 on
+   writes (unit) and p3 spins until p2 publishes its request count.  Under
+   round-robin, [at_op ~pid:1 ~nth:3 Before] strikes p1's second CAS at
+   step 16 while p0 and p2 are pending, and the system crash at step 30
+   finds p0 on a read, p1 on a CAS, p2 on a write and p3 parked. *)
+let slot_run () =
+  Engine.run ~n:4 ~model:Memory.CC ~sched:(Sched.round_robin ())
+    ~crash:(Crash.all [ Crash.system_at ~step:30; Crash.at_op ~pid:1 ~nth:3 Crash.Before ])
+    ~setup:(fun ctx ->
+      let m = Engine.Ctx.memory ctx in
+      (Memory.alloc m ~name:"a" 0, Memory.alloc m ~name:"flag" 0))
+    ~body:(fun (a, flag) ~pid ->
+      while Api.completed_requests () < 2 do
+        Api.note (Event.Seg Event.Req_begin);
+        (match pid with
+        | 0 -> for _ = 1 to 6 do ignore (Api.read a) done
+        | 1 -> for i = 1 to 6 do ignore (Api.cas a ~expect:(i - 1) ~value:i) done
+        | 2 ->
+            for i = 1 to 6 do Api.write a i done;
+            Api.write flag (Api.completed_requests () + 1)
+        | _ -> Api.spin_until flag (Api.Ge (Api.completed_requests () + 1)));
+        Api.note (Event.Seg Event.Cs_begin);
+        Api.yield ();
+        Api.note (Event.Seg Event.Cs_end);
+        Api.note (Event.Seg Event.Req_done)
+      done)
+    ()
+
+(* An abort signal at step 12 wakes p0, parked on an abortable spin since
+   step 9; p0 aborts, retries and parks again until p1 sets the flag. *)
+let abort_wake_run () =
+  Engine.run ~n:2 ~model:Memory.CC ~sched:(Sched.round_robin ()) ~crash:Crash.none
+    ~abort:(Abort.async_at [ (12, 0) ])
+    ~setup:(fun ctx ->
+      (Engine.Ctx.register_lock ctx "gate", Memory.alloc (Engine.Ctx.memory ctx) ~name:"flag" 0))
+    ~body:(fun (id, flag) ~pid ->
+      if pid = 0 then
+        while Api.completed_requests () < 1 do
+          Api.note (Event.Seg Event.Req_begin);
+          Api.note (Event.Lock_enter id);
+          Api.spin_abortable flag (Api.Ne 0);
+          if Api.poll_abort () then Api.note (Event.Abort_done id)
+          else begin
+            Api.note (Event.Lock_acquired id);
+            Api.note (Event.Seg Event.Cs_begin);
+            Api.note (Event.Seg Event.Cs_end);
+            Api.note (Event.Lock_release id);
+            Api.note (Event.Seg Event.Req_done)
+          end
+        done
+      else begin
+        for _ = 1 to 30 do Api.yield () done;
+        Api.write flag 1;
+        Api.note (Event.Seg Event.Req_done)
+      end)
+    ()
+
+(* Pinned to the figures of the engine before the continuation slots. *)
+let test_continuation_slots_under_crashes () =
+  let per_pid (r : Engine.result) f = Array.to_list (Array.map f r.Engine.procs) in
+  let r = slot_run () in
+  check ci "crash run: steps" 132 r.Engine.steps;
+  check ci "crash run: total_rmr" 52 r.Engine.total_rmr;
+  check ci "crash run: system crashes" 1 r.Engine.system_crashes;
+  check (Alcotest.list ci) "crash run: completed" [ 2; 2; 2; 2 ]
+    (per_pid r (fun p -> p.Engine.completed));
+  check (Alcotest.list ci) "crash run: crashes" [ 1; 2; 1; 1 ]
+    (per_pid r (fun p -> p.Engine.crashes));
+  check ci "crash run: cs_max" 4 r.Engine.cs_max;
+  let r = abort_wake_run () in
+  check ci "abort run: steps" 53 r.Engine.steps;
+  check ci "abort run: total_rmr" 3 r.Engine.total_rmr;
+  check (Alcotest.list ci) "abort run: completed" [ 1; 1 ] (per_pid r (fun p -> p.Engine.completed));
+  check (Alcotest.list ci) "abort run: crashes" [ 0; 0 ] (per_pid r (fun p -> p.Engine.crashes));
+  check ci "abort run: cs_max" 1 r.Engine.cs_max;
+  check cb "abort run: the woken spinner aborted" true
+    (List.map (fun (a : Engine.abort_stat) -> (a.ab_pid, a.ab_signal_step, a.ab_result)) r.Engine.aborts
+    = [ (0, 12, Engine.Res_aborted) ])
+
 (* ------------------------------------------------------------------ *)
 (* Explorer search-effort counters                                     *)
 (* ------------------------------------------------------------------ *)
@@ -471,12 +575,15 @@ let () =
           Alcotest.test_case "minor words per step" `Quick test_step_allocation;
           Alcotest.test_case "minor words per consulted step" `Quick test_consulted_step_allocation;
           Alcotest.test_case "minor words per construction" `Quick test_construction_allocation;
+          Alcotest.test_case "minor words per explorer run" `Quick test_trace_run_allocation;
         ] );
       ( "register dispatch",
         [
           Alcotest.test_case "domain safety" `Quick test_register_domain_safety;
           Alcotest.test_case "crash-before leaves no operands" `Quick
             test_crash_before_rmw_leaves_no_operands;
+          Alcotest.test_case "continuation slots under crashes" `Quick
+            test_continuation_slots_under_crashes;
         ] );
       ( "explore-stats",
         [
