@@ -11,6 +11,15 @@ let exits ?(doc = "on invalid input, such as a command-line parse error.") () =
   Cmd.Exit.info 2 ~doc
   :: List.filter (fun i -> Cmd.Exit.info_code i <> Cmd.Exit.cli_error) Cmd.Exit.defaults
 
+(* A failure scenario, in the grammar of [Chaos.scenario_of_string]. *)
+let scenario =
+  let open Rme.Check.Chaos in
+  let parse s =
+    Option.to_result (scenario_of_string s)
+      ~none:(Printf.sprintf "invalid scenario %S (valid: %s)" s scenario_grammar)
+  in
+  Arg.conv' (parse, pp_scenario)
+
 (* A count that must be at least 1 (processes, runs, a budget).  Zero or a
    negative value is a parse error, so it exits 2 with usage like any other
    bad input instead of failing deep inside the library or passing

@@ -32,17 +32,9 @@ let model_arg =
   Arg.(value & opt model_conv Memory.CC & info [ "m"; "model" ] ~docv:"MODEL" ~doc:"Memory model: cc or dsm.")
 
 let scenario_arg =
-  let scenario_conv =
-    Arg.conv
-      ( (fun s ->
-          match Rme.Workload.scenario_of_string s with
-          | Some sc -> Ok sc
-          | None -> Error (`Msg ("expected " ^ Rme.Workload.scenario_grammar))),
-        Rme.Workload.pp_scenario )
-  in
   Arg.(
     value
-    & opt scenario_conv Rme.Workload.No_failures
+    & opt Cli_exit.scenario Rme.Workload.No_failures
     & info [ "s"; "scenario" ] ~docv:"SCENARIO"
         ~doc:
           "Failure scenario: none, fas:F (F unsafe FAS-gap crashes), storm:K (K random \

@@ -1,199 +1,80 @@
-(* Randomized soak campaign: hammer every crash-safe lock in the registry
-   with random schedules, crash storms and memory models, and run the full
-   checker battery over the recorded histories.  Exit status 0 iff no
-   violation was found.
+(* Randomized soak campaign: one Rme_check.Chaos campaign over every
+   crash-safe lock in the registry, judged by the full checker battery.
+   Each seed draws its own configuration and failure scenario (the
+   Oblivious adversary) unless --adversary names adaptive ones; every
+   violation is replay-confirmed and shrunk.  Exit 0 iff none was found.
 
-     dune exec bin/soak.exe -- --runs 200 --seed 0
-     dune exec bin/soak.exe -- --lock ba-jjj --runs 1000
+     dune exec bin/soak.exe -- --lock ba-jjj --runs 1000 --seed 0
      dune exec bin/soak.exe -- --replay 1234 --lock wr     # full report
-     dune exec bin/soak.exe -- --adversary all --runs 50   # chaos campaign *)
+     dune exec bin/soak.exe -- --adversary all --runs 50   # adaptive adversaries *)
 
 open Cmdliner
 open Rme_sim
 module Chaos = Rme_check.Chaos
 
-type failure = { lock : string; seed : int; what : string }
+(* "n=3 req=3 CC fas-storm(F=1,rate=0.4)": what a run went under. *)
+let pp_setup ppf ((cfg : Chaos.cfg), adversary) =
+  Fmt.pf ppf "n=%d req=%d %a %a" cfg.n cfg.requests Memory.pp_model cfg.model Chaos.pp_adversary
+    adversary
 
-(* The whole run configuration is a pure function of the seed, so any
-   soak case replays exactly from its seed alone. *)
-let derive_cfg ~seed =
-  let rng = Random.State.make [| seed; 0x50a6 |] in
-  let n = 2 + Random.State.int rng 7 in
-  let requests = 2 + Random.State.int rng 5 in
-  let model = if Random.State.bool rng then Memory.CC else Memory.DSM in
-  let scenario =
-    match Random.State.int rng 5 with
-    | 0 -> Rme.Workload.No_failures
-    | 1 -> Rme.Workload.Fas_storm { f = 1 + Random.State.int rng 8; rate = 0.4 }
-    | 2 -> Rme.Workload.Random_storm { crashes = 1 + Random.State.int rng n; rate = 0.008 }
-    | 3 ->
-        (* Batch phase and cadence vary per seed so the batches land in
-           different phases of the run (startup, steady state, drain). *)
-        Rme.Workload.Batch
-          {
-            size = 1 + Random.State.int rng n;
-            at_step = 50 + Random.State.int rng 1950;
-            repeat = 1 + Random.State.int rng 3;
-            gap = 200 + Random.State.int rng 1800;
-          }
-    | _ ->
-        Rme.Workload.Impatient
-          {
-            timeout_steps = 20 + Random.State.int rng 180;
-            retries = 1 + Random.State.int rng 4;
-            backoff = 1.0 +. Random.State.float rng 1.5;
-          }
-  in
-  {
-    Rme.Workload.n;
-    requests;
-    model;
-    seed;
-    scenario;
-    record = true;
-    cs_yields = Random.State.int rng 6;
-    ncs_yields = Random.State.int rng 3;
-    max_steps = 3_000_000;
-  }
-
-let weak_lock_ids (spec : Rme.Spec.t) =
-  (* By construction every registered weakly recoverable lock registers
-     itself first, so its lock id is 0. *)
-  if spec.Rme.Spec.expectation.Rme.Spec.recoverability = `Weak then [ 0 ] else []
-
-let describe cfg =
-  Fmt.str "n=%d req=%d %a %a" cfg.Rme.Workload.n cfg.Rme.Workload.requests Memory.pp_model
-    cfg.Rme.Workload.model Rme.Workload.pp_scenario cfg.Rme.Workload.scenario
-
-let abort_expect (spec : Rme.Spec.t) =
-  if spec.Rme.Spec.abortable then Some Rme.Check.Props.default_abort_expect else None
-
-(* One soak case, run and judged: its configuration, the engine result and
-   the battery's violations.  Both the campaign and --replay go through
-   here. *)
-let run_one ~spec ~scenario ~seed =
-  let cfg = derive_cfg ~seed in
-  let cfg = match scenario with Some s -> { cfg with Rme.Workload.scenario = s } | None -> cfg in
-  let res = Rme.Workload.run spec cfg in
-  let problems =
-    Rme.Check.Props.check_battery
-      ?abort:(abort_expect spec)
-      res ~requests:cfg.Rme.Workload.requests ~weak_lock_ids:(weak_lock_ids spec)
-  in
-  (cfg, res, problems)
-
-let selected_specs lock =
-  match lock with
-  | Some key -> [ Rme.Spec.find_exn key ]
-  | None -> List.filter (fun (s : Rme.Spec.t) -> s.crash_safe) Rme.Spec.all
-
-(* --replay: deterministically re-run one recorded case and print the full
-   battery report, engine summary and history timeline. *)
 let pp_abort_stat ppf (a : Engine.abort_stat) =
-  Fmt.pf ppf "p%d signal@%d op#%d %s own=%d rmr=%d -> %a" a.Engine.ab_pid
-    a.Engine.ab_signal_step a.Engine.ab_op_index
-    (if a.Engine.ab_resolved_step < 0 then "pending"
-     else Printf.sprintf "resolved@%d" a.Engine.ab_resolved_step)
-    a.Engine.ab_own_steps a.Engine.ab_rmr Engine.pp_abort_result a.Engine.ab_result
+  Fmt.pf ppf "p%d signal@%d op#%d %s own=%d rmr=%d -> %a" a.ab_pid a.ab_signal_step a.ab_op_index
+    (if a.ab_resolved_step < 0 then "pending" else Printf.sprintf "resolved@%d" a.ab_resolved_step)
+    a.ab_own_steps a.ab_rmr Engine.pp_abort_result a.ab_result
 
-let replay lock scenario seed =
-  let failed = ref false in
+(* --replay: one seed's full report per selected case and adversary; the
+   abort decisions list every delivered signal and how it resolved. *)
+let replay cases adversaries seed =
+  let report (case : Chaos.case) adversary =
+    let r = Chaos.run_one Chaos.default_cfg ~make:case.case_make ~adversary ~seed in
+    let problems = Chaos.battery case ~requests:r.cfg.requests r.res in
+    Fmt.pr "=== %s seed=%d: %a@.%a@.%a@." case.case_name seed pp_setup (r.cfg, r.adversary)
+      Engine.pp_summary r.res (Rme_check.Timeline.pp ?width:None) r.res;
+    if r.fired <> [] then Fmt.pr "fired: %a@." Fmt.(list ~sep:(any " ") Chaos.pp_fired) r.fired;
+    if r.res.aborts <> [] then Fmt.pr "abort decisions (%d):@." (List.length r.res.aborts);
+    List.iter (Fmt.pr "  %a@." pp_abort_stat) r.res.aborts;
+    if problems = [] then Fmt.pr "battery clean@.";
+    List.iter (Fmt.pr "VIOLATION: %s@.") problems;
+    problems = []
+  in
+  let clean = List.concat_map (fun case -> List.map (report case) adversaries) cases in
+  if List.for_all Fun.id clean then 0 else 1
+
+(* The oblivious soak prints per-lock progress, its totals and replay
+   commands; the adaptive adversaries print a campaign summary. *)
+let campaign ~oblivious ~scenario cases adversaries runs seed_base verbose jobs =
+  let o = Chaos.campaign ~jobs ~adversaries ~runs ~seed_base cases in
+  (* -v: what each run went under ([Chaos.setup]) and whether it failed. *)
+  let progress (case : Chaos.case) adversary =
+    if verbose then
+      for seed = seed_base to seed_base + runs - 1 do
+        let setup = Chaos.setup Chaos.default_cfg adversary ~seed in
+        let failed (v : Chaos.violation) =
+          v.v_case = case.case_name && v.v_seed = seed && v.v_adversary = snd setup
+        in
+        Fmt.pr "%-16s seed=%-6d %a %s@." case.case_name seed pp_setup setup
+          (if List.exists failed o.violations then "FAIL" else "ok")
+      done;
+    if oblivious then Fmt.pr "%-16s %d runs done@." case.case_name runs
+  in
+  List.iter (fun case -> List.iter (progress case) adversaries) cases;
+  let violations = List.length o.violations in
+  if not oblivious then
+    Fmt.pr "chaos campaign: %d runs, %d crashes + %d aborts injected, %d violations@." o.runs
+      o.crashes o.aborts violations
+  else if violations = 0 then
+    Fmt.pr "@.soak clean: %d runs, 0 violations (engine: %d runs, %d steps)@." o.runs o.runs o.steps
+  else
+    Fmt.pr "@.%d VIOLATIONS in %d runs (engine: %d runs, %d steps):@." violations o.runs o.runs
+      o.steps;
   List.iter
-    (fun (spec : Rme.Spec.t) ->
-      let cfg, res, problems = run_one ~spec ~scenario ~seed in
-      Fmt.pr "=== %s seed=%d: %s@.%a@.%a@." spec.Rme.Spec.key seed (describe cfg)
-        Engine.pp_summary res
-        (Rme_check.Timeline.pp ?width:None)
-        res;
-      (* The abort decision vector of the run: every delivered signal and
-         how it resolved, in delivery order. *)
-      (match res.Engine.aborts with
-      | [] -> ()
-      | aborts ->
-          Fmt.pr "abort decisions (%d):@." (List.length aborts);
-          List.iter (fun a -> Fmt.pr "  %a@." pp_abort_stat a) aborts);
-      if problems = [] then Fmt.pr "battery clean@."
-      else begin
-        failed := true;
-        List.iter (Fmt.pr "VIOLATION: %s@.") problems
-      end)
-    (selected_specs lock);
-  if !failed then 1 else 0
-
-let soak lock scenario runs seed_base verbose jobs =
-  let specs = selected_specs lock in
-  (* One task per (lock, seed); sharded across domains with --jobs > 1.
-     run_one is domain-safe (every run builds its own engine, memory and
-     seeded RNGs), and results are reported in task order, so the output
-     and the exit status are independent of the domain count. *)
-  let tasks =
-    Array.of_list
-      (List.concat_map
-         (fun (spec : Rme.Spec.t) -> List.init runs (fun i -> (spec, seed_base + i)))
-         specs)
-  in
-  let results =
-    Rme_check.Pool.map ~domains:jobs ~tasks (fun (spec, seed) ->
-        let cfg, res, problems = run_one ~spec ~scenario ~seed in
-        (problems, describe cfg, res.Engine.steps))
-  in
-  let failures = ref [] in
-  let engine_runs = ref 0 in
-  let engine_steps = ref 0 in
-  Array.iteri
-    (fun i (problems, descr, steps) ->
-      let spec, seed = tasks.(i) in
-      incr engine_runs;
-      engine_steps := !engine_steps + steps;
-      if verbose then
-        Fmt.pr "%-16s seed=%-6d %s %s@." spec.Rme.Spec.key seed descr
-          (if problems = [] then "ok" else "FAIL");
-      List.iter
-        (fun what -> failures := { lock = spec.Rme.Spec.key; seed; what } :: !failures)
-        problems;
-      if seed = seed_base + runs - 1 then Fmt.pr "%-16s %d runs done@." spec.Rme.Spec.key runs)
-    results;
-  let failures = List.rev !failures in
-  let total = Array.length tasks in
-  if failures = [] then begin
-    Fmt.pr "@.soak clean: %d runs, 0 violations (engine: %d runs, %d steps)@." total !engine_runs
-      !engine_steps;
-    0
-  end
-  else begin
-    Fmt.pr "@.%d VIOLATIONS in %d runs (engine: %d runs, %d steps):@." (List.length failures)
-      total !engine_runs !engine_steps;
-    List.iter
-      (fun f ->
-        Fmt.pr "  %s seed=%d: %s@.    (replay: soak --replay %d --lock %s)@." f.lock f.seed
-          f.what f.seed f.lock)
-      failures;
-    1
-  end
-
-(* --adversary: seeded chaos campaign with the adaptive adversaries; on a
-   violation the campaign replays it against a fixed at-op crash plan and
-   shrinks the schedule witness (see Rme_check.Chaos). *)
-let adversarial lock adv runs seed_base jobs =
-  let adversaries =
-    if String.lowercase_ascii adv = "all" then Chaos.standard_adversaries
-    else
-      match Chaos.adversary_of_string adv with
-      | Ok a -> [ a ]
-      | Error msg ->
-          Fmt.epr "soak: %s@." msg;
-          exit 2
-  in
-  let cfg = Chaos.default_cfg in
-  let cases = List.map (Rme.Spec.chaos_case ~n:cfg.Chaos.n) (selected_specs lock) in
-  let outcome =
-    Chaos.campaign ~cfg ~jobs:(max 1 jobs) ~adversaries ~runs ~seed_base cases
-  in
-  Fmt.pr "chaos campaign: %d runs, %d crashes + %d aborts injected, %d violations@."
-    outcome.Chaos.runs outcome.Chaos.crashes outcome.Chaos.aborts
-    (List.length outcome.Chaos.violations);
-  List.iter (fun v -> Fmt.pr "%a@." Chaos.pp_violation v) outcome.Chaos.violations;
-  if outcome.Chaos.violations = [] then 0 else 1
+    (fun (v : Chaos.violation) ->
+      Fmt.pr "%a@." Chaos.pp_violation v;
+      if oblivious then
+        Fmt.pr "  (replay: soak --replay %d --lock %s%s)@." v.v_seed v.v_case
+          (match scenario with Some s -> " --scenario " ^ Filename.quote s | None -> ""))
+    o.violations;
+  if violations = 0 then 0 else 1
 
 let () =
   let lock =
@@ -223,53 +104,65 @@ let () =
       & opt (some int) None
       & info [ "replay" ] ~docv:"SEED"
           ~doc:
-            "Deterministically re-run the soak case of $(docv) (restrict with --lock) and \
-             print the full battery report, engine summary and history timeline.")
+            "Re-run seed $(docv) for each selected lock (and --adversary) and print the engine \
+             summary, history timeline, fired crashes and full battery report.")
   in
   let adversary_arg =
+    let parse s =
+      if String.lowercase_ascii s = "all" then Ok Chaos.standard_adversaries
+      else Result.map (fun a -> [ a ]) (Chaos.adversary_of_string s)
+    in
     Arg.(
       value
-      & opt (some string) None
+      & opt (some (conv' (parse, Fmt.(list ~sep:comma Chaos.pp_adversary)))) None
       & info [ "adversary" ] ~docv:"ADV"
           ~doc:
-            "Run an adaptive chaos campaign instead of the oblivious soak: \
-             holder|window|offender|storm|sys-storm|impatient-storm|all.  Violations are replayed \
-             against a deterministic at-op crash plan and shrunk to a minimal schedule \
-             witness.")
+            "Run the adaptive adversaries instead of the oblivious soak: \
+             holder|window|offender|storm|sys-storm|impatient-storm|all.")
   in
   let scenario_arg =
+    (* The flag's own text is kept for replay lines: printed, a scenario's
+       floats are rounded. *)
+    let parse s = Result.map (fun sc -> (s, sc)) (Arg.conv_parser Cli_exit.scenario s) in
     Arg.(
       value
-      & opt (some string) None
+      & opt (some (conv (parse, fun ppf (s, _) -> Fmt.string ppf s))) None
       & info [ "scenario" ] ~docv:"SCENARIO"
           ~doc:
-            "Force every soak/replay run to this failure scenario instead of the \
-             seed-derived one.  Grammar: none | fas:F | storm:K | batch:SIZE | \
+            "Force every soak/replay run to this failure scenario instead of the seed-derived \
+             one (not with --adversary).  Grammar: none | fas:F | storm:K | batch:SIZE | \
              impatient:T[:RETRIES[:BACKOFF]].")
   in
-  let main lock scenario_str runs seed verbose jobs repro_case replay_seed adversary =
-    let scenario =
-      match scenario_str with
-      | None -> None
-      | Some str -> (
-          match Rme.Workload.scenario_of_string str with
-          | Some sc -> Some sc
-          | None ->
-              Fmt.epr "soak: invalid scenario %S (valid: %s)@." str
-                Rme.Workload.scenario_grammar;
-              exit 2)
+  let main lock scenario runs seed verbose jobs repro_case replay_seed adversaries =
+    let oblivious = adversaries = None in
+    let lock, replay_seed =
+      match repro_case with Some (key, s) -> (Some key, Some s) | None -> (lock, replay_seed)
     in
-    match (repro_case, replay_seed, adversary) with
-    | Some (key, s), _, _ -> replay (Some key) scenario s
-    | None, Some s, _ -> replay lock scenario s
-    | None, None, Some adv -> adversarial lock adv runs seed jobs
-    | None, None, None -> soak lock scenario runs seed verbose jobs
+    let specs =
+      match lock with
+      | Some key -> [ Rme.Spec.find_exn key ]
+      | None -> List.filter (fun (s : Rme.Spec.t) -> s.crash_safe) Rme.Spec.all
+    in
+    (* Oblivious runs draw n and the model: no CC ff bound at one n applies. *)
+    let n = if oblivious then None else Some Chaos.default_cfg.n in
+    let cases = List.map (Rme.Spec.chaos_case ?n) specs in
+    let adversaries =
+      Option.value adversaries ~default:[ Chaos.Oblivious (Option.map snd scenario) ]
+    in
+    match (oblivious, scenario, replay_seed) with
+    | false, Some _, _ ->
+        `Error (true, "--scenario applies to the oblivious soak, not to --adversary")
+    | _, _, Some s -> `Ok (replay cases adversaries s)
+    | _ ->
+        let scenario = Option.map fst scenario in
+        `Ok (campaign ~oblivious ~scenario cases adversaries runs seed verbose jobs)
   in
   let cmd =
     Cmd.v
       (Cmd.info "soak" ~exits:(Cli_exit.exits ()) ~doc:"Randomized soak/fuzz campaign over the lock registry.")
       Term.(
-        const main $ lock $ scenario_arg $ runs $ seed $ verbose $ jobs $ repro_arg $ replay_arg
-        $ adversary_arg)
+        ret
+          (const main $ lock $ scenario_arg $ runs $ seed $ verbose $ jobs $ repro_arg $ replay_arg
+         $ adversary_arg))
   in
   exit (Cli_exit.status (Cmd.eval' cmd))

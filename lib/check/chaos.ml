@@ -1,5 +1,89 @@
 open Rme_sim
 
+type scenario =
+  | No_failures
+  | Fas_storm of { f : int; rate : float }
+  | Random_storm of { crashes : int; rate : float }
+  | Batch of { size : int; at_step : int; repeat : int; gap : int }
+  | Impatient of { timeout_steps : int; retries : int; backoff : float }
+
+let pp_scenario ppf = function
+  | No_failures -> Fmt.string ppf "none"
+  | Fas_storm { f; rate } -> Fmt.pf ppf "fas-storm(F=%d,rate=%g)" f rate
+  | Random_storm { crashes; rate } -> Fmt.pf ppf "random-storm(%d,rate=%g)" crashes rate
+  | Batch { size; at_step; repeat; gap } ->
+      Fmt.pf ppf "batch(size=%d,at=%d,repeat=%d,gap=%d)" size at_step repeat gap
+  | Impatient { timeout_steps; retries; backoff } ->
+      Fmt.pf ppf "impatient(T=%d,retries=%d,backoff=%g)" timeout_steps retries backoff
+
+(* The ranges the plan constructors accept, checked here so that bad input
+   is a parse failure rather than an [Invalid_argument] from a plan. *)
+let in_range = function
+  | No_failures -> true
+  | Fas_storm { f = k; rate } | Random_storm { crashes = k; rate } ->
+      k >= 0 && rate >= 0.0 && rate <= 1.0
+  | Batch { size; at_step; repeat; gap } -> size >= 0 && at_step >= 0 && repeat >= 0 && gap >= 0
+  | Impatient { timeout_steps; retries; backoff } ->
+      timeout_steps > 0 && retries >= 0 && backoff >= 1.0
+
+(* Accepts both the compact command-line grammar ("fas:3", "impatient:40:3:2")
+   and the exact {!pp_scenario} rendering, so a scenario printed in a log or
+   a report line can be fed straight back in (the round-trip the tests pin). *)
+let parse_scenario s =
+  let scan fmt f =
+    try Some (Scanf.sscanf s fmt f) with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
+  in
+  match String.split_on_char ':' s with
+  | [ "none" ] -> Some No_failures
+  | [ "fas"; f ] -> int_of_string_opt f |> Option.map (fun f -> Fas_storm { f; rate = 0.5 })
+  | [ "storm"; k ] ->
+      int_of_string_opt k |> Option.map (fun crashes -> Random_storm { crashes; rate = 0.01 })
+  | [ "batch"; k ] ->
+      int_of_string_opt k
+      |> Option.map (fun size -> Batch { size; at_step = 200; repeat = 1; gap = 1000 })
+  | "impatient" :: t :: ([] | [ _ ] | [ _; _ ] as rest) -> (
+      let retries = match rest with r :: _ -> int_of_string_opt r | [] -> Some 3 in
+      let backoff = match rest with [ _; b ] -> float_of_string_opt b | _ -> Some 2.0 in
+      match (int_of_string_opt t, retries, backoff) with
+      | Some timeout_steps, Some retries, Some backoff ->
+          Some (Impatient { timeout_steps; retries; backoff })
+      | _ -> None)
+  | _ ->
+      List.find_map
+        (fun p -> p ())
+        [
+          (fun () ->
+            scan "fas-storm(F=%d,rate=%f)%!" (fun f rate -> Fas_storm { f; rate }));
+          (fun () ->
+            scan "random-storm(%d,rate=%f)%!" (fun crashes rate -> Random_storm { crashes; rate }));
+          (fun () ->
+            scan "batch(size=%d,at=%d,repeat=%d,gap=%d)%!" (fun size at_step repeat gap ->
+                Batch { size; at_step; repeat; gap }));
+          (fun () ->
+            scan "impatient(T=%d,retries=%d,backoff=%f)%!" (fun timeout_steps retries backoff ->
+                Impatient { timeout_steps; retries; backoff }));
+        ]
+
+let scenario_of_string s =
+  Option.bind (parse_scenario s) (fun sc -> if in_range sc then Some sc else None)
+
+let scenario_grammar = "none | fas:F | storm:K | batch:SIZE | impatient:T[:RETRIES[:BACKOFF]]"
+
+let scenario_crash_plan scenario ~seed =
+  match scenario with
+  | No_failures | Impatient _ -> Crash.none
+  | Fas_storm { f; rate } -> Crash.fas_gap ~seed ~rate ~max_crashes:f ~cell_suffix:".tail" ()
+  | Random_storm { crashes; rate } -> Crash.random ~seed ~rate ~max_crashes:crashes ()
+  | Batch { size; at_step; repeat; gap } ->
+      Crash.all
+        (List.init repeat (fun r ->
+             Crash.batch ~step:(at_step + (r * gap)) ~pids:(List.init size (fun i -> i))))
+
+let scenario_abort_plan scenario =
+  match scenario with
+  | Impatient { timeout_steps; retries; backoff } -> Abort.impatient ~timeout_steps ~retries ~backoff ()
+  | No_failures | Fas_storm _ | Random_storm _ | Batch _ -> Abort.none
+
 type adversary =
   | Holder of { rate : float; max_crashes : int }
   | Window of { rate : float; max_crashes : int }
@@ -7,6 +91,7 @@ type adversary =
   | Storm of { rate : float; max_crashes : int; gap : int; backoff : float }
   | Sys_storm of { rate : float; max_crashes : int; gap : int; backoff : float }
   | Impatient_storm of { rate : float; max_aborts : int; gap : int; backoff : float }
+  | Oblivious of scenario option
 
 let pp_adversary ppf = function
   | Holder { rate; max_crashes } -> Fmt.pf ppf "holder(rate=%g,max=%d)" rate max_crashes
@@ -19,6 +104,8 @@ let pp_adversary ppf = function
       Fmt.pf ppf "sys-storm(rate=%g,max=%d,gap=%d,backoff=%g)" rate max_crashes gap backoff
   | Impatient_storm { rate; max_aborts; gap; backoff } ->
       Fmt.pf ppf "impatient-storm(rate=%g,max=%d,gap=%d,backoff=%g)" rate max_aborts gap backoff
+  | Oblivious None -> Fmt.string ppf "oblivious"
+  | Oblivious (Some sc) -> pp_scenario ppf sc
 
 let standard_adversaries =
   [
@@ -47,6 +134,56 @@ let adversary_of_string s =
         (Printf.sprintf "unknown adversary %S (%s)" s
            (String.concat "|" (List.map name defaults)))
 
+type cfg = {
+  n : int;
+  requests : int;
+  model : Memory.model;
+  cs_yields : int;
+  ncs_yields : int;
+  max_steps : int;
+}
+
+let default_cfg =
+  { n = 4; requests = 3; model = Memory.CC; cs_yields = 3; ncs_yields = 0; max_steps = 400_000 }
+
+(* An oblivious run is a pure function of its seed (and [forced]).  The
+   draws keep soak's historical order (record-literal fields right to left),
+   so a seed keeps naming the same run. *)
+let oblivious forced ~seed =
+  let rng = Random.State.make [| seed; 0x50a6 |] in
+  let int = Random.State.int rng in
+  let n = 2 + int 7 in
+  let requests = 2 + int 5 in
+  let model = if Random.State.bool rng then Memory.CC else Memory.DSM in
+  let scenario =
+    match int 5 with
+    | 0 -> No_failures
+    | 1 -> Fas_storm { f = 1 + int 8; rate = 0.4 }
+    | 2 -> Random_storm { crashes = 1 + int n; rate = 0.008 }
+    | 3 ->
+        (* Batch phase and cadence vary per seed so the batches land in
+           different phases of the run (startup, steady state, drain). *)
+        let gap = 200 + int 1800 in
+        let repeat = 1 + int 3 in
+        let at_step = 50 + int 1950 in
+        Batch { size = 1 + int n; at_step; repeat; gap }
+    | _ ->
+        let backoff = 1.0 +. Random.State.float rng 1.5 in
+        let retries = 1 + int 4 in
+        Impatient { timeout_steps = 20 + int 180; retries; backoff }
+  in
+  let ncs_yields = int 3 in
+  let cs_yields = int 6 in
+  ( { n; requests; model; cs_yields; ncs_yields; max_steps = 3_000_000 },
+    Option.value forced ~default:scenario )
+
+let setup cfg adversary ~seed =
+  match adversary with
+  | Oblivious forced ->
+      let cfg, scenario = oblivious forced ~seed in
+      (cfg, Oblivious (Some scenario))
+  | Holder _ | Window _ | Offender _ | Storm _ | Sys_storm _ | Impatient_storm _ -> (cfg, adversary)
+
 let plan adv ~seed =
   match adv with
   | Holder { rate; max_crashes } -> Crash.target_holder ~seed ~rate ~max_crashes ()
@@ -57,55 +194,58 @@ let plan adv ~seed =
   | Sys_storm { rate; max_crashes; gap; backoff } ->
       Crash.system_storm ~seed ~rate ~max_crashes ~gap ~backoff ()
   | Impatient_storm _ -> Crash.none
+  | Oblivious sc -> scenario_crash_plan (snd (oblivious sc ~seed)) ~seed:(seed + 7919)
 
 let abort_plan adv ~seed =
   match adv with
   | Impatient_storm { rate; max_aborts; gap; backoff } ->
       Abort.storm ~seed ~rate ~max_aborts ~gap ~backoff ()
   | Holder _ | Window _ | Offender _ | Storm _ | Sys_storm _ -> Abort.none
-
-type cfg = {
-  n : int;
-  requests : int;
-  model : Memory.model;
-  cs_yields : int;
-  max_steps : int;
-}
-
-let default_cfg = { n = 4; requests = 3; model = Memory.CC; cs_yields = 3; max_steps = 400_000 }
-
-let cs_of cfg ~pid:_ =
-  for _ = 1 to cfg.cs_yields do
-    Api.yield ()
-  done
+  | Oblivious sc -> scenario_abort_plan (snd (oblivious sc ~seed))
 
 type run = {
+  cfg : cfg;
+  adversary : adversary;
   res : Engine.result;
   fired : Crash.fired list;
   ab_fired : Abort.fired list;
   decisions : int array;
 }
 
+(* No NCS body without NCS yields, as in every adaptive run: passing an
+   empty one cost rmebench recover 3 minor words per passage. *)
+let body cfg =
+  let cs = Harness.yields cfg.cs_yields in
+  let ncs = if cfg.ncs_yields = 0 then None else Some (Harness.yields cfg.ncs_yields) in
+  fun lock ~pid -> Harness.standard_body ~cs ?ncs ~lock ~requests:cfg.requests pid
+
 (* The recorded schedule starts at 1,024 decisions, above the 700-odd
    steps a default-config run takes, so most runs never grow it. *)
 let run_one cfg ~make ~adversary ~seed =
+  let cfg, adversary = setup cfg adversary ~seed in
   let decisions = Vec.make (min cfg.max_steps 1024) 0 in
   let crash, fired = Crash.record_fired (plan adversary ~seed) in
   let abort, ab_fired = Abort.record_fired (abort_plan adversary ~seed) in
   let sched = Sched.recording ~inner:(Sched.random ~seed) ~decisions in
   let res =
-    Harness.run_lock ~record:true ~max_steps:cfg.max_steps ~cs:(cs_of cfg) ~n:cfg.n
-      ~model:cfg.model ~sched ~crash ~abort ~requests:cfg.requests ~make ()
+    Engine.run ~record:true ~max_steps:cfg.max_steps ~n:cfg.n ~model:cfg.model ~sched ~crash
+      ~abort ~setup:make ~body:(body cfg) ()
   in
-  { res; fired = fired (); ab_fired = ab_fired (); decisions = Vec.to_array decisions }
+  {
+    cfg;
+    adversary;
+    res;
+    fired = fired ();
+    ab_fired = ab_fired ();
+    decisions = Vec.to_array decisions;
+  }
 
 let replay cfg ~make ~fired ?(ab_fired = []) ~decisions () =
   let abort = if ab_fired = [] then Abort.none else Abort.replay_fired ab_fired in
   let res, diverged =
     Explore.replay ~record:true ~max_steps:cfg.max_steps ~abort ~decisions
       ~n:cfg.n ~model:cfg.model ~crash:(Crash.replay_fired fired) ~setup:make
-      ~body:(fun lock ~pid -> Harness.standard_body ~cs:(cs_of cfg) ~lock ~requests:cfg.requests pid)
-      ()
+      ~body:(body cfg) ()
   in
   (res, diverged <> None)
 
@@ -178,6 +318,7 @@ let pp_violation ppf v =
 
 type outcome = {
   runs : int;
+  steps : int;
   crashes : int;
   aborts : int;
   detect_steps : int;
@@ -203,25 +344,26 @@ let detect_latency (r : run) =
   in
   Option.map (fun s -> r.res.Engine.steps - s) first
 
-let confirm_and_shrink cfg case ~requests (adv : adversary) ~seed (r : run) problems =
+let confirm_and_shrink case ~seed (r : run) problems =
   let prop = prop_of (List.hd problems) in
   let check res =
-    if List.exists (fun p -> prop_of p = prop) (battery case ~requests res) then Some prop
+    if List.exists (fun p -> prop_of p = prop) (battery case ~requests:r.cfg.requests res) then
+      Some prop
     else None
   in
   let replay_res, diverged =
-    replay cfg ~make:case.case_make ~fired:r.fired ~ab_fired:r.ab_fired ~decisions:r.decisions ()
+    replay r.cfg ~make:case.case_make ~fired:r.fired ~ab_fired:r.ab_fired ~decisions:r.decisions ()
   in
   let replay_ok = (not diverged) && check replay_res <> None in
   let witness =
     if replay_ok then
-      shrink_witness cfg ~make:case.case_make ~fired:r.fired ~ab_fired:r.ab_fired ~check
+      shrink_witness r.cfg ~make:case.case_make ~fired:r.fired ~ab_fired:r.ab_fired ~check
         r.decisions
     else r.decisions
   in
   {
     v_case = case.case_name;
-    v_adversary = adv;
+    v_adversary = r.adversary;
     v_seed = seed;
     v_problems = problems;
     v_fired = r.fired;
@@ -246,17 +388,15 @@ let campaign ?(cfg = default_cfg) ?(jobs = 1) ~adversaries ~runs ~seed_base case
   let results =
     Pool.map ~domains:jobs ~tasks (fun (case, adv, seed) ->
         let r = run_one cfg ~make:case.case_make ~adversary:adv ~seed in
-        let problems = battery case ~requests:cfg.requests r.res in
-        let v =
-          if problems = [] then None
-          else Some (confirm_and_shrink cfg case ~requests:cfg.requests adv ~seed r problems)
-        in
-        (r.res.Engine.total_crashes, List.length r.ab_fired, detect_latency r, v))
+        let problems = battery case ~requests:r.cfg.requests r.res in
+        let v = if problems = [] then None else Some (confirm_and_shrink case ~seed r problems) in
+        (r.res.Engine.steps, r.res.Engine.total_crashes, List.length r.ab_fired, detect_latency r, v))
   in
-  let crashes = ref 0 and aborts = ref 0 and violations = ref [] in
+  let steps = ref 0 and crashes = ref 0 and aborts = ref 0 and violations = ref [] in
   let detect_steps = ref 0 and detect_runs = ref 0 in
   Array.iter
-    (fun (c, a, detect, v) ->
+    (fun (s, c, a, detect, v) ->
+      steps := !steps + s;
       crashes := !crashes + c;
       aborts := !aborts + a;
       (match detect with
@@ -268,6 +408,7 @@ let campaign ?(cfg = default_cfg) ?(jobs = 1) ~adversaries ~runs ~seed_base case
     results;
   {
     runs = Array.length results;
+    steps = !steps;
     crashes = !crashes;
     aborts = !aborts;
     detect_steps = !detect_steps;

@@ -1,25 +1,60 @@
-(** Adversarial chaos campaigns: adaptive crash adversaries hunting for
-    property violations, with a deterministic replay-and-shrink bridge.
+(** Chaos campaigns: seeded failure adversaries hunting for property
+    violations, with a deterministic replay-and-shrink bridge.
 
-    The oblivious plans the rest of the suite uses (fixed sites, blind
-    storms) exercise the common case; the paper's guarantees, however, are
-    stated against {e adversaries} — weak recoverability tolerates crashes
-    anywhere (Theorem 4.2), super-adaptivity prices level escalation in
-    failures (Theorem 5.17).  This module drives the execution-observing
-    plans of {!Rme_sim.Crash} ({!Rme_sim.Crash.target_holder},
-    {!Rme_sim.Crash.target_window}, {!Rme_sim.Crash.repeat_offender},
-    {!Rme_sim.Crash.storm}) over lock cases under a recorded random
-    scheduler, checks the full property battery plus the
-    adaptivity-contract monitors on every run, and — when a violation
-    surfaces — converts the crashes the adversary actually fired into a
-    composite {!Rme_sim.Crash.at_op} plan, re-confirms that this fixed plan
-    replays the violation under the recorded schedule, and hands the
-    decision vector to {!Explore.shrink} for a minimal witness.
+    The paper's guarantees are stated against failures that strike
+    anywhere — weak recoverability tolerates crashes anywhere (Theorem
+    4.2), super-adaptivity prices level escalation in failures (Theorem
+    5.17).  A campaign drives two adversary families over lock cases: the
+    {e adaptive} ones watch the execution ({!Rme_sim.Crash}'s targeting
+    plans and storms, {!Rme_sim.Abort.storm}); the {e oblivious} one
+    ({!Oblivious}, [soak]'s default) runs a {!scenario} under a
+    configuration drawn from the seed.  Each run is judged by the full
+    property battery plus the adaptivity-contract monitors; on a violation
+    the campaign turns the crashes the adversary fired into a composite
+    {!Rme_sim.Crash.at_op} plan, re-confirms that this fixed plan replays
+    the violation under the recorded schedule, and hands the decision
+    vector to {!Explore.shrink} for a minimal witness.
 
     Everything is seeded: a campaign is a pure function of its
     configuration, and every reported witness replays deterministically. *)
 
 open Rme_sim
+
+(** {1 Scenarios}
+
+    The oblivious failure regimes of §2.5's three-way analysis and §7.1's
+    batches, plus impatience.  [Rme.Workload] re-exports the type, printer
+    and parser. *)
+
+type scenario =
+  | No_failures
+  | Fas_storm of { f : int; rate : float }
+      (** F unsafe (filter FAS-gap) failures — the adversary of Theorems
+          5.17-5.19.  [rate] is the per-FAS crash probability. *)
+  | Random_storm of { crashes : int; rate : float }
+      (** arbitrary failures anywhere in the passage *)
+  | Batch of { size : int; at_step : int; repeat : int; gap : int }
+      (** §7.1: [repeat] batches of [size] simultaneous crashes, the first
+          at [at_step], then every [gap] steps *)
+  | Impatient of { timeout_steps : int; retries : int; backoff : float }
+      (** timeout/impatience: every waiter that has been in its entry
+          section for [timeout_steps] consecutive steps receives an abort
+          signal, up to [retries] times per super-passage, with the
+          effective timeout multiplied by [backoff] after each abort
+          (deterministic — no crashes, no RNG). *)
+
+val pp_scenario : scenario Fmt.t
+
+val scenario_of_string : string -> scenario option
+(** ["none"], ["fas:F"], ["storm:K"], ["batch:SIZE"],
+    ["impatient:T[:RETRIES[:BACKOFF]]"] — plus the exact {!pp_scenario}
+    rendering of every arm, so printed scenarios round-trip.  [None] for
+    malformed input and for values the plans reject: a rate outside
+    [0, 1], a negative count, size, step or gap, T ≤ 0, retries < 0 or
+    backoff < 1. *)
+
+val scenario_grammar : string
+(** The compact grammar, for usage/error messages. *)
 
 (** {1 Adversaries} *)
 
@@ -44,14 +79,20 @@ type adversary =
           oldest waiter is told to give up, at most [max_aborts] times,
           with a cooldown gap that scales by [backoff].  Fires no crashes
           at all — the pure-impatience adversary. *)
+  | Oblivious of scenario option
+      (** the oblivious soak: each seed draws its own {!cfg} — [n] in
+          2..8, 2..6 requests, the memory model, 0..5 CS and 0..2 NCS
+          yields, 3,000,000 steps — in place of the campaign's, and, for
+          [None], its {!scenario}.  The crash plan is seeded [seed + 7919]. *)
 
 val pp_adversary : adversary Fmt.t
+(** [Oblivious (Some sc)] prints as [sc]. *)
 
 val adversary_of_string : string -> (adversary, string) result
 (** Parses the CLI names [holder], [window], [offender], [storm],
     [sys-storm], [impatient-storm] (with the default parameters of
     {!standard_adversaries}, {!default_sys_storm} and
-    {!default_impatient_storm}). *)
+    {!default_impatient_storm}).  {!Oblivious} has none. *)
 
 val standard_adversaries : adversary list
 (** One per-process adversary of each kind, with campaign-tuned default
@@ -71,8 +112,8 @@ val plan : adversary -> seed:int -> Crash.t
 
 val abort_plan : adversary -> seed:int -> Abort.t
 (** Instantiate the abort plan — {!Rme_sim.Abort.storm} for
-    {!Impatient_storm}, {!Rme_sim.Abort.none} for every crash
-    adversary. *)
+    {!Impatient_storm}, {!Rme_sim.Abort.impatient} for an [Impatient]
+    scenario, {!Rme_sim.Abort.none} otherwise. *)
 
 (** {1 One adversarial run} *)
 
@@ -81,12 +122,20 @@ type cfg = {
   requests : int;
   model : Memory.model;
   cs_yields : int;  (** yields inside the critical section (overlap window) *)
+  ncs_yields : int;  (** yields between requests (think time) *)
   max_steps : int;
 }
 
 val default_cfg : cfg
 
+val setup : cfg -> adversary -> seed:int -> cfg * adversary
+(** What seed [seed]'s run goes under: [cfg] and the adversary, except that
+    an {!Oblivious} one swaps in the {!cfg} its seed draws and names its
+    scenario. *)
+
 type run = {
+  cfg : cfg;  (** as run ({!setup}) *)
+  adversary : adversary;  (** as run ({!setup}) *)
   res : Engine.result;
   fired : Crash.fired list;  (** crashes the adversary fired, in order *)
   ab_fired : Abort.fired list;  (** abort signals fired, in order *)
@@ -96,8 +145,8 @@ type run = {
 }
 
 val run_one : cfg -> make:(Engine.Ctx.t -> Harness.lock) -> adversary:adversary -> seed:int -> run
-(** One seeded adversarial run: the adversary's plan under a recorded
-    random scheduler, with history recording on so the event-based
+(** One seeded adversarial run: the adversary's plans under a recorded
+    [Sched.random ~seed], with history recording on so the event-based
     checkers apply. *)
 
 val replay :
@@ -137,7 +186,9 @@ type case = {
       (** application lock is weakly recoverable: check the interval form
           of ME (consequence intervals) instead of plain ME *)
   case_ff_bound : int option;
-      (** failure-free per-passage RMR contract, if the lock states one *)
+      (** failure-free per-passage RMR contract, if the lock states one:
+          a bound under CC at the campaign's [n], so [None] for
+          {!Oblivious} runs, which draw both *)
   case_abortable : bool;
       (** the lock has a real abort path: hold it to the abort battery
           ({!Props.default_abort_expect}) on every run *)
@@ -176,6 +227,7 @@ val pp_violation : violation Fmt.t
 
 type outcome = {
   runs : int;
+  steps : int;  (** engine steps summed over the runs (not their replays) *)
   crashes : int;  (** crashes injected across all runs *)
   aborts : int;  (** abort signals injected across all runs *)
   detect_steps : int;

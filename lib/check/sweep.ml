@@ -64,11 +64,7 @@ let crash_of_plan plan () =
 type scenario = Scenario : { setup : Engine.Ctx.t -> 'a; body : 'a -> pid:int -> unit } -> scenario
 
 let lock_scenario ?(cs_yields = 4) ~requests make =
-  let cs ~pid:_ =
-    for _ = 1 to cs_yields do
-      Api.yield ()
-    done
-  in
+  let cs = Harness.yields cs_yields in
   Scenario
     { setup = make; body = (fun lock ~pid -> Harness.standard_body ~cs ~lock ~requests pid) }
 

@@ -322,11 +322,11 @@ let keys () = List.map (fun s -> s.key) all
 
 let headline = find_exn "ba-jjj"
 
-let chaos_case ~n s =
+let chaos_case ?n s =
   {
     Rme_check.Chaos.case_name = s.key;
     case_make = s.make;
     case_weak = s.expectation.recoverability = `Weak;
-    case_ff_bound = Option.map (fun f -> f n) s.ff_bound;
+    case_ff_bound = Option.bind n (fun n -> Option.map (fun f -> f n) s.ff_bound);
     case_abortable = s.abortable;
   }

@@ -44,7 +44,8 @@ val keys : unit -> string list
 val headline : t
 (** The paper's contribution: BA-Lock over the JJJ-shape base lock. *)
 
-val chaos_case : n:int -> t -> Rme_check.Chaos.case
+val chaos_case : ?n:int -> t -> Rme_check.Chaos.case
 (** The lock as a {!Rme_check.Chaos} campaign case: its key and maker, the
     weak interval form of the battery when its recoverability is [`Weak],
-    its [ff_bound] evaluated at [n] processes, and its abort port. *)
+    its abort port and its [ff_bound] at [n], a CC bound: leave [n] out for
+    runs that draw [n] or the model ({!Rme_check.Chaos.Oblivious}). *)

@@ -46,6 +46,11 @@ let standard_body ?(cs = fun ~pid:_ -> ()) ?(ncs = fun ~pid:_ -> ()) ~lock ~requ
     end
   done
 
+let yields k ~pid:_ =
+  for _ = 1 to k do
+    Api.yield ()
+  done
+
 let run_lock ?record ?trace_ops ?max_steps ?on_crash ?abort ?cs ?ncs ~n ~model ~sched ~crash
     ~requests ~make () =
   Engine.run ?record ?trace_ops ?max_steps ?on_crash ?abort ~n ~model ~sched ~crash ~setup:make

@@ -47,6 +47,9 @@ val standard_body :
     [Acquired_instead] / [Not_supported] it proceeds to the CS and
     releases normally. *)
 
+val yields : int -> pid:int -> unit
+(** [yields k] is a [cs] or [ncs] body of [k] scheduling points. *)
+
 val run_lock :
   ?record:bool ->
   ?trace_ops:bool ->

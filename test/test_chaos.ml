@@ -171,6 +171,9 @@ let test_adversary_of_string () =
   check cb "offender parses" true (Result.is_ok (Chaos.adversary_of_string "offender"));
   check cb "storm parses" true (Result.is_ok (Chaos.adversary_of_string "storm"));
   check cb "junk rejected" true (Result.is_error (Chaos.adversary_of_string "junk"));
+  (* The oblivious arm is soak's mode without --adversary, not a name. *)
+  check cb "oblivious has no CLI name" true
+    (Result.is_error (Chaos.adversary_of_string "oblivious"));
   (* Each CLI name yields exactly the campaign default it names. *)
   List.iter
     (fun (s, adv) ->
@@ -526,6 +529,80 @@ let test_recording_scheduler_roundtrip () =
   check ci "same crashes" r.Chaos.res.Engine.total_crashes replayed.Engine.total_crashes;
   check ci "same completed" (Engine.total_completed r.Chaos.res) (Engine.total_completed replayed)
 
+(* ------------------------------------------------------------------ *)
+(* The oblivious arm                                                   *)
+(* ------------------------------------------------------------------ *)
+
+let mcs_case = Rme.Spec.chaos_case (Rme.Spec.find_exn "mcs")
+
+let test_oblivious_is_the_workload_run () =
+  (* An oblivious seed names the run Rme.Workload.run makes of the drawn
+     configuration: Sched.random ~seed, the scenario's plans with the crash
+     seed offset by 7919, the drawn CS and NCS lengths. *)
+  List.iter
+    (fun (key, seed) ->
+      let spec = Rme.Spec.find_exn key in
+      let r =
+        Chaos.run_one Chaos.default_cfg ~make:spec.Rme.Spec.make ~adversary:(Chaos.Oblivious None)
+          ~seed
+      in
+      let cfg = r.Chaos.cfg in
+      let scenario =
+        match r.Chaos.adversary with
+        | Chaos.Oblivious (Some sc) -> sc
+        | _ -> Alcotest.fail "an oblivious run names its drawn scenario"
+      in
+      let res =
+        Rme.Workload.run spec
+          {
+            Rme.Workload.n = cfg.Chaos.n;
+            model = cfg.Chaos.model;
+            requests = cfg.Chaos.requests;
+            seed;
+            scenario;
+            record = true;
+            cs_yields = cfg.Chaos.cs_yields;
+            ncs_yields = cfg.Chaos.ncs_yields;
+            max_steps = cfg.Chaos.max_steps;
+          }
+      in
+      let label = Printf.sprintf "%s seed %d" key seed in
+      check ci (label ^ " steps") res.Engine.steps r.Chaos.res.Engine.steps;
+      check ci (label ^ " rmr") res.Engine.total_rmr r.Chaos.res.Engine.total_rmr;
+      check ci (label ^ " crashes") res.Engine.total_crashes r.Chaos.res.Engine.total_crashes;
+      check ci (label ^ " aborts") (List.length res.Engine.aborts)
+        (List.length r.Chaos.res.Engine.aborts))
+    (List.concat_map
+       (fun key -> List.init 12 (fun seed -> (key, seed)))
+       [ "wr"; "wr-abort"; "ba-jjj"; "jjj-sys" ])
+
+let test_oblivious_planted_mcs () =
+  (* Plain MCS is not crash-safe: under a forced storm:3 the oblivious arm
+     finds it starving on 16 of 20 seeds, each confirmed on replay and
+     shrunk. *)
+  let storm = Chaos.Oblivious (Some (Chaos.Random_storm { crashes = 3; rate = 0.01 })) in
+  let o = Chaos.campaign ~adversaries:[ storm ] ~runs:20 ~seed_base:0 [ mcs_case ] in
+  check ci "runs" 20 o.Chaos.runs;
+  check ci "engine steps" 5198 o.Chaos.steps;
+  check
+    Alcotest.(list int)
+    "violating seeds"
+    [ 0; 1; 3; 4; 5; 7; 8; 9; 10; 11; 13; 15; 16; 17; 18; 19 ]
+    (List.map (fun v -> v.Chaos.v_seed) o.Chaos.violations);
+  List.iter
+    (fun (v : Chaos.violation) ->
+      let label = Printf.sprintf "seed %d" v.v_seed in
+      check cb (label ^ " starvation freedom") true
+        (List.for_all (has_prefix ~prefix:"starvation-freedom") v.v_problems);
+      check cb (label ^ " replay confirmed") true v.v_replay_ok;
+      let r =
+        Chaos.run_one Chaos.default_cfg ~make:mcs_case.Chaos.case_make ~adversary:storm
+          ~seed:v.v_seed
+      in
+      check cb (label ^ " witness no longer than the schedule") true
+        (Array.length v.v_witness <= Array.length r.Chaos.decisions))
+    o.Chaos.violations
+
 let () =
   Alcotest.run "chaos"
     [
@@ -573,5 +650,11 @@ let () =
           Alcotest.test_case "campaign replays and shrinks it" `Slow
             test_campaign_reports_wr_overlap;
           Alcotest.test_case "weak interval form stays clean" `Slow test_campaign_weak_wr_clean;
+        ] );
+      ( "oblivious",
+        [
+          Alcotest.test_case "a seed names the workload run" `Quick
+            test_oblivious_is_the_workload_run;
+          Alcotest.test_case "planted mcs starvation" `Quick test_oblivious_planted_mcs;
         ] );
     ]
