@@ -55,8 +55,8 @@ let shrink ~reproduces trace =
 (* Everything one run needs, bundled so the search and the shrinker replay
    schedules identically.  [por] enables footprint collection for the
    sleep-set reduction; [crashy] marks the crash plan's possible victims
-   (see Crash.por_class); [buffers] are the degree and footprint scratch
-   every run of the search reuses. *)
+   (see Crash.por_class); [arena] is the engine storage every run of the
+   search, shrink replays included, resets and reuses. *)
 type 'a driver = {
   max_steps : int;
   record : bool;
@@ -72,7 +72,7 @@ type 'a driver = {
   tally : Engine.result -> unit;
       (* fired once per engine execution (probes and shrink replays
          included) — feeds the [stats] callback's effort counters *)
-  buffers : Engine.trace_buffers;
+  arena : Engine.arena;
 }
 
 (* Decide which reduction tier can actually run.  Both reduced tiers need
@@ -99,7 +99,7 @@ let por_setup ~por ~record ~n ~crash ~abort =
 let run_node ?state_key_at ?on_state_key d decisions =
   let rr =
     Engine.run_trace ?state_key_at ?on_state_key ~record:d.record ~max_steps:d.max_steps ~por:d.por
-      ~footprint_crashy:d.crashy ~abort:(d.abort ()) ~buffers:d.buffers ~decisions ~n:d.n
+      ~footprint_crashy:d.crashy ~abort:(d.abort ()) ~arena:d.arena ~decisions ~n:d.n
       ~model:d.model ~crash:(d.crash ()) ~setup:d.setup ~body:d.body ()
   in
   d.tally rr.Engine.tr_result;
@@ -107,19 +107,22 @@ let run_node ?state_key_at ?on_state_key d decisions =
 
 type divergence = { position : int; choice : int; degree : int }
 
-(* Positions the run never reached are not checked: past its end a
-   decision vector names nothing. *)
-let replay ?record ?max_steps ?abort ~decisions ~n ~model ~crash ~setup ~body () =
-  let rr = Engine.run_trace ?record ?max_steps ?abort ~decisions ~n ~model ~crash ~setup ~body () in
-  let degrees = rr.Engine.tr_degrees in
+(* The first position where [decisions] names a choice outside the run's
+   ready set.  Positions the run never reached are not checked: past its
+   end a decision vector names nothing. *)
+let divergence (rr : Engine.trun) decisions =
   let rec first i =
-    if i >= min (Array.length decisions) (Array.length degrees) then None
+    if i >= min (Array.length decisions) rr.tr_len then None
     else
-      let choice = decisions.(i) and degree = degrees.(i) in
+      let choice = decisions.(i) and degree = rr.tr_degrees.(i) in
       if choice < 0 || choice >= degree then Some { position = i; choice; degree }
       else first (i + 1)
   in
-  (rr.Engine.tr_result, first 0)
+  first 0
+
+let replay ?record ?max_steps ?abort ~decisions ~n ~model ~crash ~setup ~body () =
+  let rr = Engine.run_trace ?record ?max_steps ?abort ~decisions ~n ~model ~crash ~setup ~body () in
+  (rr.Engine.tr_result, divergence rr decisions)
 
 (* A shrink candidate counts only if it reproduces the violation *and* its
    replay does not diverge: a candidate whose degrees shifted takes
@@ -127,12 +130,14 @@ let replay ?record ?max_steps ?abort ~decisions ~n ~model ~crash ~setup ~body ()
    "minimised" witness built from it would be unfaithful.  Shrinking only
    replays single vectors, so no footprints are collected. *)
 let faithful_reproduces d t =
-  let res, diverged =
-    replay ~record:d.record ~max_steps:d.max_steps ~abort:(d.abort ()) ~decisions:(Array.of_list t)
-      ~n:d.n ~model:d.model ~crash:(d.crash ()) ~setup:d.setup ~body:d.body ()
-  in
-  d.tally res;
-  diverged = None && d.check res <> None
+  let decisions = Array.of_list t in
+  let rr = run_node { d with por = false } decisions in
+  divergence rr decisions = None && d.check rr.Engine.tr_result <> None
+
+(* [a.(from .. upto - 1)], copied: a node keeps its own suffix of the
+   arena's degrees and footprints before its first child overwrites
+   them. *)
+let suffix a ~from ~upto = if upto <= from then [||] else Array.sub a from (upto - from)
 
 (* The decision vector of the child that follows [decisions]' spine (0 past
    its end) up to position [i] and takes choice [c] there. *)
@@ -160,10 +165,11 @@ let subtree d ~take_run =
     (match d.check rr.Engine.tr_result with
     | Some msg -> raise (Found (msg, Array.to_list decisions))
     | None -> ());
-    let branches = rr.Engine.tr_degrees in
-    for i = Array.length decisions to Array.length branches - 1 do
-      for c = 1 to branches.(i) - 1 do
-        go (child decisions i c)
+    let depth = Array.length decisions in
+    let branches = suffix rr.Engine.tr_degrees ~from:depth ~upto:rr.Engine.tr_len in
+    for ix = 0 to Array.length branches - 1 do
+      for c = 1 to branches.(ix) - 1 do
+        go (child decisions (depth + ix) c)
       done
     done
   in
@@ -188,7 +194,15 @@ module Src = struct
   (* distinct footprints a subtree executed; [None] = overflowed the cap,
      treated as conflicting with everything *)
 
-  type ctx = { slots : int Vec.t; cache : summary Statecache.t option }
+  (* [race] and [offs] are the race scan's storage, reused by every scan of
+     the search: [offs.(j)] is position [j]'s first footprint in the
+     arena's buffer. *)
+  type ctx = {
+    slots : int Vec.t;
+    cache : summary Statecache.t option;
+    race : Footprint.Race.scratch;
+    mutable offs : int array;
+  }
 
   (* Mutable summary accumulator threaded from child frames to parents. *)
   type acc = { mutable fps : Footprint.t list; mutable universal : bool }
@@ -221,30 +235,42 @@ module Src = struct
       Vec.push ctx.slots 0
     done
 
+  (* [choice]: the demanded pid's index in the ready set, -1 when it is not
+     runnable there. *)
   let demand ctx ~pos ~deg ~choice =
     let cur = Vec.get ctx.slots pos in
     if cur <> all_mask then
-      Vec.set ctx.slots pos
-        (match choice with
-        | Some c when deg <= 62 -> cur lor (1 lsl c)
-        | Some _ | None -> all_mask)
+      Vec.set ctx.slots pos (if choice >= 0 && deg <= 62 then cur lor (1 lsl choice) else all_mask)
+
+  (* Where each position's footprints start in the arena's flat buffer. *)
+  let offsets ctx ~degrees ~len =
+    if Array.length ctx.offs < len then
+      ctx.offs <- Array.make (max len (2 * Array.length ctx.offs)) 0;
+    let offs = ctx.offs in
+    let o = ref 0 in
+    for j = 0 to len - 1 do
+      offs.(j) <- !o;
+      o := !o + degrees.(j)
+    done;
+    offs
 
   (* Scan a completed run for reversible races and deposit the resulting
-     demands.  [decisions] is the explicit prefix (0 past its end), [offs]
-     the per-position offsets into the flat footprint buffer [fp]. *)
-  let scan ctx ~n ~decisions ~branches ~offs ~fp =
-    let len = Array.length branches in
+     demands.  [decisions] is the explicit prefix (0 past its end),
+     [degrees] and [fps] the run's degrees and flat footprints, read in
+     place in the arena. *)
+  let scan ctx ~n ~decisions ~len ~degrees ~fps =
     ensure ctx len;
+    let offs = offsets ctx ~degrees ~len in
     let ndec = Array.length decisions in
     let choice j = if j < ndec then decisions.(j) else 0 in
-    let executed j = fp (offs.(j) + choice j) in
-    Footprint.Race.scan ~n ~len ~executed
-      ~degree:(fun j -> branches.(j))
+    let executed j = fps.(offs.(j) + choice j) in
+    Footprint.Race.scan ctx.race ~n ~len ~executed
+      ~degree:(fun j -> degrees.(j))
       ~emit:(fun ~pos ~pid ->
-        let deg = branches.(pos) in
-        let c = ref None in
+        let deg = degrees.(pos) in
+        let c = ref (-1) in
         for i = deg - 1 downto 0 do
-          if Footprint.pid (fp (offs.(pos) + i)) = pid then c := Some i
+          if Footprint.pid fps.(offs.(pos) + i) = pid then c := i
         done;
         demand ctx ~pos ~deg ~choice:!c)
 
@@ -252,13 +278,16 @@ module Src = struct
      prefix.  The stored exploration raised its cross-prefix race demands
      against *its* path, not ours, so re-raise them here from the summary:
      demand every sibling at every branching prefix position whose
-     executed step conflicts with any footprint the subtree ran. *)
-  let demand_prefix ctx ~decisions ~branches ~offs ~fp ~depth (s : summary) =
+     executed step conflicts with any footprint the subtree ran.  The
+     prefix is read in place in the arena, walking its offsets. *)
+  let demand_prefix ctx ~decisions ~degrees ~fps (s : summary) =
+    let depth = Array.length decisions in
     ensure ctx depth;
+    let off = ref 0 in
     for k = 0 to depth - 1 do
-      let deg = branches.(k) in
+      let deg = degrees.(k) in
       if deg > 1 then begin
-        let fk = fp (offs.(k) + decisions.(k)) in
+        let fk = fps.(!off + decisions.(k)) in
         let conflict =
           match s with
           | None -> true
@@ -268,8 +297,9 @@ module Src = struct
                   Footprint.pid f <> Footprint.pid fk && not (Footprint.independent f fk))
                 l
         in
-        if conflict then demand ctx ~pos:k ~deg ~choice:None
-      end
+        if conflict then demand ctx ~pos:k ~deg ~choice:(-1)
+      end;
+      off := !off + deg
     done
 
   (* Sleep mask for the cache's subset rule; exact because [por_setup]
@@ -312,7 +342,7 @@ end
 let subtree_source d ~races ~cache ~take_run =
   let exception Halt in
   let exception Found of string * int list in
-  let ctx = { Src.slots = Vec.create (); cache } in
+  let ctx = { Src.slots = Vec.create (); cache; race = Footprint.Race.scratch (); offs = [||] } in
   let caching = cache <> None in
   let rec go decisions inh0 (note : Src.acc) =
     if not (take_run ()) then raise Halt;
@@ -327,8 +357,7 @@ let subtree_source d ~races ~cache ~take_run =
     (match d.check res with
     | Some msg -> raise (Found (msg, Array.to_list decisions))
     | None -> ());
-    let branches = rr.Engine.tr_degrees in
-    let len = Array.length branches in
+    let len = rr.Engine.tr_len in
     let m = len - depth in
     if res.Engine.timed_out then begin
       (* The run was cut mid-schedule: the permutation argument needs
@@ -336,9 +365,10 @@ let subtree_source d ~races ~cache ~take_run =
          reduce internally) and poison the cache adds of the whole path —
          the subtree's footprints are unknown, so no ancestor summary can
          be trusted. *)
-      for i = depth to len - 1 do
-        for c = 1 to branches.(i) - 1 do
-          ignore (go (child decisions i c) [] note)
+      let branches = suffix rr.Engine.tr_degrees ~from:depth ~upto:len in
+      for ix = 0 to m - 1 do
+        for c = 1 to branches.(ix) - 1 do
+          ignore (go (child decisions (depth + ix) c) [] note)
         done
       done;
       (* Demands children deposited at our positions are subsumed by the
@@ -350,12 +380,7 @@ let subtree_source d ~races ~cache ~take_run =
       false
     end
     else begin
-      let fpv = rr.Engine.tr_footprints in
-      let fp i = fpv.(i) in
-      let offs = Array.make (len + 1) 0 in
-      for i = 0 to len - 1 do
-        offs.(i + 1) <- offs.(i) + branches.(i)
-      done;
+      let degrees = rr.Engine.tr_degrees and fps = rr.Engine.tr_footprints in
       let slept = if caching then Src.mask_of_sleep inh0 else 0 in
       let hit =
         match (ctx.Src.cache, !key) with
@@ -364,16 +389,28 @@ let subtree_source d ~races ~cache ~take_run =
       in
       match hit with
       | Some summary ->
-          Src.demand_prefix ctx ~decisions ~branches ~offs ~fp ~depth summary;
+          Src.demand_prefix ctx ~decisions ~degrees ~fps summary;
           Src.note_summary note summary;
           true
       | None ->
-          if races then Src.scan ctx ~n:d.n ~decisions ~branches ~offs ~fp;
+          if races then Src.scan ctx ~n:d.n ~decisions ~len ~degrees ~fps;
+          (* This node's own degrees and footprints, [depth, len): the
+             children below overwrite the arena's. *)
+          let base = ref 0 in
+          for k = 0 to depth - 1 do
+            base := !base + degrees.(k)
+          done;
+          let branches = suffix degrees ~from:depth ~upto:len in
+          let own = Array.fold_left ( + ) 0 branches in
+          let fp = Array.sub fps !base own in
           let acc = Src.fresh_acc () in
-          if caching then
-            for j = depth to len - 1 do
-              Src.note acc (fp offs.(j))
-            done;
+          if caching then begin
+            let o = ref 0 in
+            for ix = 0 to m - 1 do
+              Src.note acc fp.(!o);
+              o := !o + branches.(ix)
+            done
+          end;
           let dem = Array.make (max m 1) (if races then 0 else Src.all_mask) in
           (* Drain demands addressed to this frame's positions out of the
              shared slots, eagerly: after the own scan and after every child
@@ -400,9 +437,10 @@ let subtree_source d ~races ~cache ~take_run =
           let progress = ref true in
           while !progress do
             progress := false;
-            for i = depth to len - 1 do
-              let ix = i - depth in
-              let deg = branches.(i) in
+            (* [o]: position [depth + ix]'s first footprint in [fp]. *)
+            let o = ref 0 in
+            for ix = 0 to m - 1 do
+              let deg = branches.(ix) in
               if deg > 1 then begin
                 let full = if deg >= 62 then Src.all_mask else (1 lsl deg) - 1 in
                 let pending = dem.(ix) land full land lnot acted.(ix) in
@@ -410,7 +448,7 @@ let subtree_source d ~races ~cache ~take_run =
                   for c = 1 to deg - 1 do
                     if pending land (1 lsl c) <> 0 then begin
                       acted.(ix) <- acted.(ix) lor (1 lsl c);
-                      let fpc = fp (offs.(i) + c) in
+                      let fpc = fp.(!o + c) in
                       let pidc = Footprint.pid fpc in
                       if List.exists (fun s -> Footprint.pid s = pidc) inh.(ix) then ()
                       else begin
@@ -420,7 +458,7 @@ let subtree_source d ~races ~cache ~take_run =
                             (fun s -> Footprint.independent s fpc)
                             (inh.(ix) @ expl.(ix))
                         in
-                        let ok = go (child decisions i c) child_sleep acc in
+                        let ok = go (child decisions (depth + ix) c) child_sleep acc in
                         drain ();
                         summarizable := !summarizable && ok;
                         expl.(ix) <- fpc :: expl.(ix)
@@ -428,14 +466,15 @@ let subtree_source d ~races ~cache ~take_run =
                     end
                   done
               end;
-              (* Past position [i], the first-sweep explored siblings (and
+              (* Past this position, the first-sweep explored siblings (and
                  the inherited sleepers) stay asleep on the spine iff
                  independent of the step the spine actually took. *)
-              if !first_sweep && ix + 1 < m then
+              if !first_sweep && ix + 1 < m then begin
+                let spine = fp.(!o) in
                 inh.(ix + 1) <-
-                  List.filter
-                    (fun s -> Footprint.independent s (fp offs.(i)))
-                    (inh.(ix) @ expl.(ix))
+                  List.filter (fun s -> Footprint.independent s spine) (inh.(ix) @ expl.(ix))
+              end;
+              o := !o + deg
             done;
             first_sweep := false
           done;
@@ -491,7 +530,7 @@ let explore ?(max_runs = 100_000) ?(max_steps = 20_000) ?(shrink_violations = tr
       por = tier <> `Off;
       crashy;
       tally;
-      buffers = Engine.trace_buffers ();
+      arena = Engine.arena ~n;
     }
   in
   (* Hoisted so the [stats] callback can read the counters after the

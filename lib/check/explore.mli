@@ -15,7 +15,15 @@
     search for [`Off], and one reduced search for [`Sleep] and [`Source],
     which differ only in which siblings it is asked to visit.  Each runs
     once over the whole tree on the calling domain, and
-    every run replays its whole decision vector from the root.  Parallelism
+    every run replays its whole decision vector from the root.
+
+    A search allocates one {!Engine.arena} for its [n] and runs every one
+    of its runs in it, the root probe and the shrink replays included.  A
+    node reads its run's degrees and footprints in place, in the arena's
+    buffers: a cache hit walks its prefix there, and a node that expands
+    children first copies its own suffix of them (from its depth to the
+    end of its run), which the children's runs overwrite.  The race scans
+    of a [`Source] search share one {!Footprint.Race.scratch}.  Parallelism
     lives one level up: {!Sweep} and {!Chaos} shard independent crash plans
     and seeds over domains with {!Pool}, one sequential search each. *)
 
@@ -81,7 +89,8 @@ val replay :
     schedule — just not the one [decisions] was recorded as; a caller
     that reports a witness must reject it.  [crash] and [abort] (default
     {!Abort.none}) are the plans of this one run; stateful plans must be
-    fresh per call.  Defaults as {!Engine.run_trace}. *)
+    fresh per call.  Each call runs on a fresh {!Engine.arena}.  Defaults
+    as {!Engine.run_trace}. *)
 
 val explore :
   ?max_runs:int ->
@@ -110,9 +119,9 @@ val explore :
     the aggregate statistics.  [check] returns [Some
     msg] on a property violation; exploration stops at the first one and,
     with [shrink_violations] (default true), minimises its decision vector
-    before reporting.  Shrink candidates are replayed with {!replay} and
-    rejected when they diverge, so the reported vector always witnesses
-    the violation it claims.
+    before reporting.  Shrink candidates are replayed by {!replay}'s rule,
+    in the search's arena, and rejected when they diverge, so the reported
+    vector always witnesses the violation it claims.
 
     [por] selects the partial-order reduction tier (default [`Sleep]):
 

@@ -162,38 +162,45 @@ let fresh_info () =
 (* Shared by every engine off the instrumented path, which never writes it. *)
 let no_consult = { info = fresh_info (); cell_names = [||]; note_box = None }
 
+(* One engine, which is also an arena: [make] allocates it for [n]
+   processes and [prepare] resets it in place for each run, so the runs of
+   one explorer search share every per-pid array, slot and buffer below.
+   The per-run configuration is mutable for the same reason. *)
 type t = {
-  mem : Memory.t;
   n : int;
-  crash : Crash.t;
-  abort : Abort.t;
-  has_abort : bool;  (* abort != Abort.none: gates all abort bookkeeping *)
+  mutable mem : Memory.t;
+  lock_names : string Vec.t;  (* by lock id: the registry [setup] fills *)
+  mutable nlocks : int;  (* locks of this run; the per-lock arrays may be longer *)
+  mutable crash : Crash.t;
+  mutable abort : Abort.t;
+  mutable has_abort : bool;  (* abort != Abort.none: gates all abort bookkeeping *)
   mutable abort_view : Abort.view;  (* oracles over this engine, built once *)
-  has_crash : bool;  (* crash != Crash.none: gates the per-step plan consults *)
-  sink : Event.Sink.t;
-  emit : bool;  (* [Event.Sink.wants sink], cached: gates event construction *)
-  consult_ops : bool;  (* fill [consult.info] per instruction and consult
-                          the plans/hooks; off on the fast path, where only
-                          the op counter advances *)
-  consult : consult;  (* [no_consult] unless [consult_ops] *)
-  track_ans : bool;  (* fold answer-stream digests (state keys) *)
-  trace_ops : bool;
-  max_steps : int;
-  stall_window : int;
-  on_crash : pid:int -> step:int -> unit;
-  on_op : Crash.op_info -> unit;
+  mutable has_crash : bool;  (* crash != Crash.none: gates the per-step plan consults *)
+  mutable sink : Event.Sink.t;
+  mutable emit : bool;  (* [Event.Sink.wants sink], cached: gates event construction *)
+  mutable consult_ops : bool;  (* fill [consult.info] per instruction and consult
+                                  the plans/hooks; off on the fast path, where only
+                                  the op counter advances *)
+  mutable consult : consult;  (* [no_consult] until the first [consult_ops] run *)
+  mutable track_ans : bool;  (* fold answer-stream digests (state keys) *)
+  mutable trace_ops : bool;
+  mutable max_steps : int;
+  mutable stall_window : int;
+  mutable on_crash : pid:int -> step:int -> unit;
+  mutable on_op : Crash.op_info -> unit;
   (* Running digest of each process's answer stream (dispatches, answers,
      crash discontinuations).  A process body is a deterministic function
      of this stream, so equal digests mean equal control state — the
      private half of {!state_key}. *)
   ans_hash : int array;
-  body : pid:int -> unit;
+  mutable body : pid:int -> unit;
+  mutable handler : (unit, phase) Effect.Deep.handler;  (* [make_handler], once per engine *)
   phase : phase array;
   mutable cur : int;  (* the pid whose fiber runs: where the handler files its suspension *)
   ints : int slots;  (* the [phase] tag says which slots are live *)
   bools : bool slots;
   units : unit slots;
-  reg : Api.operands;  (* this domain's operand register ({!Api.register}) *)
+  mutable reg : Api.operands;  (* the running domain's operand register ({!Api.register}) *)
   pend : Api.operands array;  (* operands of each pid's pending instruction *)
   mutable step : int;
   op_index : int array;
@@ -224,15 +231,22 @@ type t = {
   passage_start : int array;
   passages : passage Vec.t array;
   level_max : int array;
-  occupancy : int array;
-  occupancy_max : int array;
-  unsafe_crashes : int array;
-  lock_names : string array;
+  mutable occupancy : int array;
+  mutable occupancy_max : int array;
+  mutable unsafe_crashes : int array;
   parked_cells : (int, unit) Hashtbl.t;  (* cell ids with parked processes *)
   (* Per-count scratch arrays for {!runnable}: [Sched.pick] implementations
      read [Array.length runnable], so each ready-set size needs an
      exact-length buffer.  Lazily allocated, reused across steps. *)
   ready_bufs : int array array;
+  (* [run_trace]'s output: the degree of every decision position in
+     [degrees.(0 .. npos - 1)] and, under [por], the flat per-choice
+     footprints in [footprints.(0 .. nfp - 1)].  Grown by doubling; the
+     first [run_trace] sizes them. *)
+  mutable degrees : int array;
+  mutable npos : int;
+  mutable footprints : Footprint.t array;
+  mutable nfp : int;
   mutable last_rmr : int;  (* RMR cost of the last [apply] (scratch) *)
   rmr_by_kind : int array;  (* indexed by a dense Api.kind code *)
   mutable total_rmr : int;
@@ -848,7 +862,7 @@ let pending_footprint eng ~crashy pid =
    which the digests determine. *)
 let state_key eng =
   let n = eng.n in
-  let nlocks = Array.length eng.occupancy in
+  let nlocks = eng.nlocks in
   let key = Array.make ((3 * n) + nlocks + 4) 0 in
   key.(0) <- Memory.fingerprint eng.mem;
   for p = 0 to n - 1 do
@@ -954,7 +968,7 @@ let segment eng pid =
     else if not eng.in_passage.(pid) then "ncs"
     else if eng.holding.(pid) <> [] then
       Printf.sprintf "holding(%s)"
-        (String.concat "," (List.map (fun id -> eng.lock_names.(id)) eng.holding.(pid)))
+        (String.concat "," (List.map (fun id -> Vec.get eng.lock_names id) eng.holding.(pid)))
     else "entry"
   in
   match eng.phase.(pid) with
@@ -969,29 +983,43 @@ let segment eng pid =
    progressed recently — the run was healthy and simply ran out of step
    budget. *)
 let classify_stall eng =
-  let live = ref [] in
-  for pid = eng.n - 1 downto 0 do
-    match eng.phase.(pid) with
-    | Halted -> ()
-    | Start | Ready_int | Ready_bool | Ready_unit | Woken | Parked -> live := pid :: !live
-  done;
-  let live = !live in
-  let report kind pids = Some { stall_kind = kind; culprits = List.map (fun p -> (p, segment eng p)) pids } in
-  if eng.deadlocked then report Deadlock live
-  else if not eng.timed_out then None
+  if not (eng.deadlocked || eng.timed_out) then None
   else begin
-    let horizon = eng.step - eng.stall_window in
-    let progressed p = eng.last_progress.(p) >= horizon in
-    let starved = List.filter (fun p -> not (progressed p)) live in
-    if starved = [] then report Underbudget live
-    else if List.exists progressed live then report Starvation starved
+    let live = ref [] in
+    for pid = eng.n - 1 downto 0 do
+      match eng.phase.(pid) with
+      | Halted -> ()
+      | Start | Ready_int | Ready_bool | Ready_unit | Woken | Parked -> live := pid :: !live
+    done;
+    let live = !live in
+    let report kind pids =
+      Some { stall_kind = kind; culprits = List.map (fun p -> (p, segment eng p)) pids }
+    in
+    if eng.deadlocked then report Deadlock live
     else begin
-      (* Nobody progressed: livelock.  Blame the processes still burning
-         steps; if even scheduling stopped reaching them, blame all live. *)
-      let spinning = List.filter (fun p -> eng.last_sched.(p) >= horizon) live in
-      report Livelock (if spinning = [] then live else spinning)
+      let horizon = eng.step - eng.stall_window in
+      let progressed p = eng.last_progress.(p) >= horizon in
+      let starved = List.filter (fun p -> not (progressed p)) live in
+      if starved = [] then report Underbudget live
+      else if List.exists progressed live then report Starvation starved
+      else begin
+        (* Nobody progressed: livelock.  Blame the processes still burning
+           steps; if even scheduling stopped reaching them, blame all live. *)
+        let spinning = List.filter (fun p -> eng.last_sched.(p) >= horizon) live in
+        report Livelock (if spinning = [] then live else spinning)
+      end
     end
   end
+
+(* The kinds that cost RMRs, in kind-code order. *)
+let charged_kinds eng =
+  let rec from i acc =
+    if i < 0 then acc
+    else
+      let v = eng.rmr_by_kind.(i) in
+      from (i - 1) (if v > 0 then (kind_of_code.(i), v) :: acc else acc)
+  in
+  from (Array.length eng.rmr_by_kind - 1) []
 
 let finish eng =
   let procs =
@@ -1004,9 +1032,9 @@ let finish eng =
         })
   in
   let locks =
-    Array.init (Array.length eng.lock_names) (fun id ->
+    Array.init eng.nlocks (fun id ->
         {
-          lock_name = eng.lock_names.(id);
+          lock_name = Vec.get eng.lock_names id;
           max_occupancy = eng.occupancy_max.(id);
           unsafe_crashes = eng.unsafe_crashes.(id);
         })
@@ -1029,10 +1057,7 @@ let finish eng =
   {
     steps = eng.step;
     total_rmr = eng.total_rmr;
-    rmr_by_kind =
-      List.filter
-        (fun (_, v) -> v > 0)
-        (Array.to_list (Array.mapi (fun i v -> (kind_of_code.(i), v)) eng.rmr_by_kind));
+    rmr_by_kind = charged_kinds eng;
     total_crashes = Array.fold_left ( + ) 0 eng.crashes;
     system_crashes = eng.system_crashes;
     procs;
@@ -1045,8 +1070,8 @@ let finish eng =
     events = Event.Sink.events eng.sink;
   }
 
-(* The oracles an abort plan's async decisions read, closed over the live
-   engine.  Built once per run, only when an abort plan is present. *)
+(* The oracles an abort plan's async decisions read, closed over the
+   engine.  Built on the engine's first run with an abort plan. *)
 let make_abort_view eng =
   {
     Abort.n = eng.n;
@@ -1055,59 +1080,55 @@ let make_abort_view eng =
     streak = (fun pid -> eng.ab_streak.(pid));
   }
 
-(* Domain-safety audit (plans and seeds sharded over domains): [run] and
-   [run_trace] are re-entrant.  Every piece of mutable state below — the
-   store, the engine record, the continuation and view slots, the
-   per-process arrays — is created by [create], and the effect handler
-   with its preallocated results by [drive]; none of it escapes the run.
-   The module has no top-level mutable bindings (and the same holds for
-   Memory, Cell, Crash and Vec).  The one shared piece is {!Api.register},
-   which is per domain: [create] takes the calling domain's, the run's
-   fibers fill it in that same domain, and the handler empties it into
-   [pend] before another fiber runs.  Concurrent runs in different domains therefore share nothing,
-   *provided* the caller's [sched], [crash], [setup] and [body] arguments
-   are themselves domain-safe: a stateful scheduler or crash plan must be
-   built fresh per run, and the closures must not capture shared mutable
-   state. *)
-let create ?stall_window ~max_steps ~sink ~consult_ops ~track_ans ~trace_ops ~on_crash ~on_op ~n
-    ~model ~crash ~abort ~setup ~body () =
-  let stall_window =
-    match stall_window with Some w -> w | None -> max 1_000 (max_steps / 8)
-  in
+(* Placeholders until [make_abort_view] and [make_handler] replace them;
+   neither is ever used. *)
+let no_abort_view = Abort.blind_view ~n:0
+
+let no_handler : (unit, phase) Effect.Deep.handler =
+  { retc = (fun () -> Halted); exnc = raise; effc = (fun _ -> None) }
+
+(* Domain-safety audit (plans and seeds sharded over domains): an engine
+   serves one run at a time.  [run] makes a fresh one per call, and
+   [run_trace] uses its caller's arena (or a fresh one), which one search
+   owns.  Every piece of mutable state below — the store, the engine
+   record, the continuation and view slots, the per-process arrays, the
+   effect handler with its preallocated results — belongs to one engine:
+   [make] allocates it and [prepare] resets it.  The module has no
+   top-level mutable bindings (and the same holds for Memory, Cell, Crash
+   and Vec).  The one shared piece is {!Api.register}, which is per
+   domain: [prepare] takes the running domain's, the run's fibers fill it
+   in that same domain, and the handler empties it into [pend] before
+   another fiber runs.  Concurrent runs on different engines in different
+   domains therefore share nothing, *provided* the caller's [sched],
+   [crash], [setup] and [body] arguments are themselves domain-safe: a
+   stateful scheduler or crash plan must be built fresh per run, and the
+   closures must not capture shared mutable state. *)
+let make ~n ~model =
   let mem = Memory.create model ~n in
-  let ctx = { Ctx.mem; lock_names = Vec.create () } in
-  let shared = setup ctx in
-  let nlocks = Vec.length ctx.lock_names in
-  let has_crash = crash != Crash.none in
-  let has_abort = abort != Abort.none in
   let eng =
     {
-      mem;
       n;
-      crash;
-      abort;
-      has_abort;
-      abort_view = Abort.blind_view ~n;
-      has_crash;
-      sink;
-      emit = Event.Sink.wants sink;
-      consult_ops;
-      consult =
-        (if consult_ops then
-           {
-             info = fresh_info ();
-             cell_names = Array.make (Memory.cell_count mem) None;
-             note_box = None;
-           }
-         else no_consult);
-      track_ans;
-      trace_ops;
-      max_steps;
-      stall_window;
-      on_crash;
-      on_op;
+      mem;
+      lock_names = Vec.create ();
+      nlocks = 0;
+      crash = Crash.none;
+      abort = Abort.none;
+      has_abort = false;
+      abort_view = no_abort_view;
+      has_crash = false;
+      sink = Event.Sink.drop;
+      emit = false;
+      consult_ops = false;
+      consult = no_consult;
+      track_ans = false;
+      trace_ops = false;
+      max_steps = 0;
+      stall_window = 0;
+      on_crash = default_on_crash;
+      on_op = default_on_op;
       ans_hash = Array.make n 0;
-      body = (fun ~pid -> body shared ~pid);
+      body = (fun ~pid:_ -> ());
+      handler = no_handler;
       phase = Array.make n Start;
       cur = 0;
       ints = { k = [||]; view = Array.make n Api.V_read_reg };
@@ -1139,12 +1160,15 @@ let create ?stall_window ~max_steps ~sink ~consult_ops ~track_ans ~trace_ops ~on
       passage_start = Array.make n 0;
       passages = Array.init n (fun _ -> Vec.create ());
       level_max = Array.make n 0;
-      occupancy = Array.make nlocks 0;
-      occupancy_max = Array.make nlocks 0;
-      unsafe_crashes = Array.make nlocks 0;
-      lock_names = Vec.to_array ctx.lock_names;
+      occupancy = [||];
+      occupancy_max = [||];
+      unsafe_crashes = [||];
       parked_cells = Hashtbl.create 8;
       ready_bufs = Array.make (n + 1) [||];
+      degrees = [||];
+      npos = 0;
+      footprints = [||];
+      nfp = 0;
       last_rmr = 0;
       rmr_by_kind = Array.make 8 0;
       total_rmr = 0;
@@ -1155,14 +1179,108 @@ let create ?stall_window ~max_steps ~sink ~consult_ops ~track_ans ~trace_ops ~on
       timed_out = false;
     }
   in
-  if has_abort then eng.abort_view <- make_abort_view eng;
+  eng.handler <- make_handler eng;
   eng
+
+(* Reset [eng] in place for a run and build the run's locks: [setup]
+   allocates into the emptied store, so cell and lock ids restart at 0.
+   What a run leaves behind (suspended continuations, stale views and
+   operands) stays in the slots, unread: every slot read is guarded by a
+   [phase] tag this run set. *)
+let prepare eng ~stall_window ~max_steps ~sink ~consult_ops ~track_ans ~trace_ops ~on_crash ~on_op
+    ~model ~crash ~abort ~setup ~body =
+  let n = eng.n in
+  if Memory.model eng.mem = model then Memory.reset eng.mem
+  else eng.mem <- Memory.create model ~n;
+  Vec.clear eng.lock_names;
+  let shared = setup { Ctx.mem = eng.mem; lock_names = eng.lock_names } in
+  let nlocks = Vec.length eng.lock_names in
+  if Array.length eng.occupancy < nlocks then begin
+    eng.occupancy <- Array.make nlocks 0;
+    eng.occupancy_max <- Array.make nlocks 0;
+    eng.unsafe_crashes <- Array.make nlocks 0
+  end
+  else begin
+    Array.fill eng.occupancy 0 nlocks 0;
+    Array.fill eng.occupancy_max 0 nlocks 0;
+    Array.fill eng.unsafe_crashes 0 nlocks 0
+  end;
+  eng.nlocks <- nlocks;
+  eng.crash <- crash;
+  eng.abort <- abort;
+  eng.has_crash <- crash != Crash.none;
+  eng.has_abort <- abort != Abort.none;
+  if eng.has_abort && eng.abort_view == no_abort_view then eng.abort_view <- make_abort_view eng;
+  eng.sink <- sink;
+  eng.emit <- Event.Sink.wants sink;
+  eng.consult_ops <- consult_ops;
+  if consult_ops then begin
+    if eng.consult == no_consult then
+      eng.consult <-
+        {
+          info = fresh_info ();
+          cell_names = Array.make (Memory.cell_count eng.mem) None;
+          note_box = None;
+        }
+    else begin
+      let c = eng.consult in
+      Array.fill c.cell_names 0 (Array.length c.cell_names) None;
+      c.note_box <- None
+    end
+  end;
+  eng.track_ans <- track_ans;
+  eng.trace_ops <- trace_ops;
+  eng.max_steps <- max_steps;
+  eng.stall_window <-
+    (match stall_window with Some w -> w | None -> max 1_000 (max_steps / 8));
+  eng.on_crash <- on_crash;
+  eng.on_op <- on_op;
+  eng.body <- (fun ~pid -> body shared ~pid);
+  eng.reg <- Api.register ();
+  Array.fill eng.ans_hash 0 n 0;
+  Array.fill eng.phase 0 n Start;
+  eng.cur <- 0;
+  eng.step <- 0;
+  Array.fill eng.op_index 0 n 0;
+  Array.fill eng.completed 0 n 0;
+  Array.fill eng.crashes 0 n 0;
+  Array.fill eng.last_progress 0 n (-1);
+  Array.fill eng.last_sched 0 n (-1);
+  Array.fill eng.unsafe_open 0 n [];
+  Array.fill eng.holding 0 n [];
+  Array.fill eng.ab_flag 0 n false;
+  Array.fill eng.ab_signal_step 0 n (-1);
+  Array.fill eng.ab_op_origin 0 n (-1);
+  Array.fill eng.ab_own 0 n 0;
+  Array.fill eng.ab_rmr_acc 0 n 0;
+  Array.fill eng.ab_streak 0 n 0;
+  Array.fill eng.entry_depth 0 n 0;
+  Array.fill eng.entry_since 0 n (-1);
+  Vec.clear eng.ab_stats;
+  Array.fill eng.in_passage 0 n false;
+  Array.fill eng.in_app_cs 0 n false;
+  Array.fill eng.passage_rmr 0 n 0;
+  Array.fill eng.passage_super 0 n 0;
+  Array.fill eng.passage_start 0 n 0;
+  Array.iter Vec.clear eng.passages;
+  Array.fill eng.level_max 0 n 0;
+  Hashtbl.clear eng.parked_cells;
+  eng.npos <- 0;
+  eng.nfp <- 0;
+  eng.last_rmr <- 0;
+  Array.fill eng.rmr_by_kind 0 (Array.length eng.rmr_by_kind) 0;
+  eng.total_rmr <- 0;
+  eng.system_crashes <- 0;
+  eng.global_cs <- 0;
+  eng.global_cs_max <- 0;
+  eng.deadlocked <- false;
+  eng.timed_out <- false
 
 (* The step loop of both entries.  Each iteration fires the asynchronous
    crash, system-crash and abort decisions, builds the ready set, and steps
    the pid [pick pos ready] names, [pos] being the decision position. *)
 let drive eng ~pick =
-  let handler = make_handler eng in
+  let handler = eng.handler in
   (* Hoisted once: partially applying these in the loop would allocate a
      closure per step. *)
   let crash_iter = if eng.has_crash then crash_now eng else ignore in
@@ -1225,73 +1343,81 @@ let run ?(mode = `Auto) ?sink ?(record = false) ?(trace_ops = false) ?(max_steps
              configuration (no sink, no hooks)";
         (false, false)
   in
-  let eng =
-    create ?stall_window ~max_steps ~sink ~consult_ops ~track_ans ~trace_ops ~on_crash ~on_op ~n
-      ~model ~crash ~abort ~setup ~body ()
-  in
+  let eng = make ~n ~model in
+  prepare eng ~stall_window ~max_steps ~sink ~consult_ops ~track_ans ~trace_ops ~on_crash ~on_op
+    ~model ~crash ~abort ~setup ~body;
   drive eng ~pick:(fun _ ready -> Sched.pick sched ~runnable:ready ~step:eng.step);
   finish eng
 
+type arena = t
+
+let arena ~n = make ~n ~model:Memory.CC
+
 type trun = {
   tr_result : result;
+  tr_len : int;
   tr_degrees : int array;
   tr_footprints : Footprint.t array;
 }
 
-type trace_buffers = { degrees : int Vec.t; footprints : Footprint.t Vec.t }
-
-let trace_buffers () = { degrees = Vec.create (); footprints = Vec.create () }
+(* [a] at least [len] long, keeping its contents. *)
+let grow a ~len filler =
+  let b = Array.make (max len (2 * Array.length a)) filler in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
 let run_trace ?(record = false) ?(max_steps = 5_000_000) ?stall_window ?(por = false)
     ?(footprint_crashy = fun _ -> false) ?(state_key_at = -1) ?(on_state_key = fun _ -> ())
-    ?(abort = Abort.none) ?buffers ~decisions ~n ~model ~crash ~setup ~body () =
+    ?(abort = Abort.none) ?arena ~decisions ~n ~model ~crash ~setup ~body () =
   if por && n > 0xffff then
     invalid_arg "Engine.run_trace: footprint recording supports at most 65536 processes";
-  (* A caller's buffers are reused as they are; fresh ones start at a
-     capacity the run already knows: a replay runs about as many steps as
-     it has decisions, and a short default schedule fits in 128. *)
-  let { degrees; footprints } =
-    match buffers with
-    | Some b ->
-        Vec.clear b.degrees;
-        Vec.clear b.footprints;
-        b
-    | None ->
-        let cap = max 128 (Array.length decisions) in
-        {
-          degrees = Vec.make cap 0;
-          footprints = (if por then Vec.make (n * cap) (Footprint.local ~pid:0) else Vec.create ());
-        }
-  in
   let eng =
-    create ?stall_window ~max_steps
-      ~sink:(if record then Event.Sink.keep () else Event.Sink.drop)
-      ~consult_ops:(crash != Crash.none || abort != Abort.none)
-      ~track_ans:(state_key_at >= 0) ~trace_ops:false ~on_crash:default_on_crash
-      ~on_op:default_on_op ~n ~model ~crash ~abort ~setup ~body ()
+    match arena with
+    | None -> make ~n ~model
+    | Some eng when eng.n = n -> eng
+    | Some _ -> invalid_arg "Engine.run_trace: the arena was made for another n"
   in
+  prepare eng ~stall_window ~max_steps
+    ~sink:(if record then Event.Sink.keep () else Event.Sink.drop)
+    ~consult_ops:(crash != Crash.none || abort != Abort.none)
+    ~track_ans:(state_key_at >= 0) ~trace_ops:false ~on_crash:default_on_crash
+    ~on_op:default_on_op ~model ~crash ~abort ~setup ~body;
+  (* Sized at a length the run already knows: a replay runs about as many
+     steps as it has decisions, and a short default schedule fits in
+     128. *)
+  let cap = max 128 (Array.length decisions) in
+  if Array.length eng.degrees < cap then eng.degrees <- Array.make cap 0;
+  if por && Array.length eng.footprints < n * cap then
+    eng.footprints <- Array.make (n * cap) (Footprint.local ~pid:0);
   let npos = Array.length decisions in
   (* Trace pick: [runnable] builds the ready set in ascending pid order and
      {!Sched.trace} indexes it the same way, so this replays the schedules
-     {!run} under {!Sched.trace} does.  Footprints are pushed
+     {!run} under {!Sched.trace} does.  Footprints are stored
      one per runnable pid in that same order, so the explorer can index
      them by decision position and choice. *)
   let pick pos ready =
-    if por then
-      for i = 0 to Array.length ready - 1 do
-        Vec.push footprints (pending_footprint eng ~crashy:footprint_crashy ready.(i))
-      done;
-    if pos = state_key_at then on_state_key (state_key eng);
     let degree = Array.length ready in
-    Vec.push degrees degree;
+    if por then begin
+      if eng.nfp + degree > Array.length eng.footprints then
+        eng.footprints <- grow eng.footprints ~len:(eng.nfp + degree) (Footprint.local ~pid:0);
+      for i = 0 to degree - 1 do
+        eng.footprints.(eng.nfp + i) <- pending_footprint eng ~crashy:footprint_crashy ready.(i)
+      done;
+      eng.nfp <- eng.nfp + degree
+    end;
+    if pos = state_key_at then on_state_key (state_key eng);
+    if pos = Array.length eng.degrees then eng.degrees <- grow eng.degrees ~len:(pos + 1) 0;
+    eng.degrees.(pos) <- degree;
+    eng.npos <- pos + 1;
     let choice = if pos < npos then decisions.(pos) else 0 in
     ready.(if choice >= 0 && choice < degree then choice else ((choice mod degree) + degree) mod degree)
   in
   drive eng ~pick;
   {
     tr_result = finish eng;
-    tr_degrees = Vec.to_array degrees;
-    tr_footprints = Vec.to_array footprints;
+    tr_len = eng.npos;
+    tr_degrees = eng.degrees;
+    tr_footprints = (if por then eng.footprints else [||]);
   }
 
 let all_passages res = Array.to_list res.procs |> List.concat_map (fun (p : proc_stats) -> p.passages)

@@ -156,13 +156,12 @@ val run :
     [sink] routes the event stream explicitly and overrides [record]'s
     default: {!Event.Sink.drop} (the default when neither [record] nor
     [trace_ops] is set) skips event construction entirely — a steady-state
-    step then allocates only at the effect boundary, 5 minor words on
-    OCaml 5.1 (the runtime continuation and the ready state) for every
-    instruction but the spins, the window-marking FAS and write and
-    [fas_persist], which still build their view per call: argument-free
-    ones ([step], [yield]) need no operands, and [read], [write], [cas],
-    [fas], [faa] and [note] pass theirs through the domain's
-    {!Api.register} — while
+    step then allocates only at the effect boundary, 2 minor words on
+    OCaml 5.1 (the runtime continuation) for every instruction but the
+    window-marking FAS and write and [fas_persist], which still build
+    their view per call: argument-free ones ([step], [yield]) need no
+    operands, and [read], [write], [cas], [fas], [faa], [note] and the
+    spins pass theirs through the domain's {!Api.register} — while
     {!Event.Sink.keep} retains everything ([record]'s behaviour),
     and {!Event.Sink.ring} keeps a bounded trailing window for post-mortem
     diagnosis of long runs.
@@ -205,9 +204,10 @@ val run :
     resolution appending an {!abort_stat} to [result.aborts].  Passing
     [Abort.none] itself (physical equality) skips all abort bookkeeping.
 
-    [run] and {!run_trace} build the engine the same way and share one
+    [run] and {!run_trace} reset the engine the same way and share one
     step loop; they differ only in the pick function, where [run_trace]
-    also records its footprints and state key.
+    also records its footprints and state key, and in the engine's
+    storage: [run_trace] may reuse an {!arena}.
     [run] is re-entrant and domain-safe: all engine state (store, fibers,
     the effect handler and its continuation slots, statistics) is
     allocated per call, and the operand register its fibers fill is the
@@ -219,19 +219,30 @@ val run :
 
 (** {1 Decision-vector replay} *)
 
+type arena
+(** An engine's storage, reused across runs: the per-process arrays, the
+    pending-operand records, the continuation and view slots, the ready
+    buffers, the parked-cell table, the passage vectors, the store's
+    contents, version and cache vectors, and the degree and footprint
+    buffers {!run_trace} reports through.  Each run resets it in place and
+    runs its [setup] afresh, so the runs of one explorer search stop
+    allocating engine storage once the first ones have sized it.  An arena
+    serves one run at a time: one arena per search and domain. *)
+
+val arena : n:int -> arena
+(** [arena ~n] is an empty arena for runs of [n] processes. *)
+
 type trun = {
-  tr_result : result;
-  tr_degrees : int array;  (** branching degree observed at every decision position *)
+  tr_result : result;  (** freshly built: keeps nothing of the arena *)
+  tr_len : int;  (** decision positions the run reached *)
+  tr_degrees : int array;
+      (** the arena's degree buffer: the branching degree of position [i]
+          in [tr_degrees.(i)] for [i < tr_len]; later slots are junk *)
   tr_footprints : Footprint.t array;
-      (** flat per-choice footprints in decision order; [[||]] unless [por] *)
+      (** the arena's footprint buffer under [por] ([[||]] otherwise): the
+          flat per-choice footprints in decision order, position [i]'s at
+          the sum of the earlier degrees *)
 }
-
-type trace_buffers
-(** Growable scratch for a run's degrees and footprints, reused across the
-    runs of one caller so they stop growing after its first runs.  Not
-    shared between concurrent runs. *)
-
-val trace_buffers : unit -> trace_buffers
 
 val run_trace :
   ?record:bool ->
@@ -242,7 +253,7 @@ val run_trace :
   ?state_key_at:int ->
   ?on_state_key:(int array -> unit) ->
   ?abort:Abort.t ->
-  ?buffers:trace_buffers ->
+  ?arena:arena ->
   decisions:int array ->
   n:int ->
   model:Memory.model ->
@@ -281,15 +292,21 @@ val run_trace :
     distinct states can collide.  Step counts, latencies and the stall
     classification are excluded, matching the POR contract.
 
-    [buffers] collect the degrees and footprints while the run goes; the
-    returned arrays are exact-length copies, so the same buffers can serve
-    the caller's next run.  Without them the run sizes fresh ones from
-    [decisions].
+    [arena] (default: a fresh one) is the storage the run resets and runs
+    in; it must have been made for this [n].  The returned degrees and
+    footprints are the arena's own buffers, not copies: they stay valid
+    until the next run on that arena, so a caller that runs again before
+    it is done with them copies what it still needs.  The [result] is
+    built afresh and stays valid.  The store, and every cell and lock
+    handle [setup] made, belong to the run: the next run on the arena
+    empties the store and runs [setup] again.
 
     [crash] and [abort] (default {!Abort.none}) are the plans of this one
     run; stateful plans must be fresh per call.  The hooks of {!run}
     ([on_op], [on_crash], [trace_ops], [sink]) are not available.
-    Domain-safety matches {!run}. *)
+    Domain-safety matches {!run}, per arena: runs on different arenas may
+    execute concurrently on separate domains, runs on one arena may
+    not. *)
 
 (** {1 Result helpers} *)
 

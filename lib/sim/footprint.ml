@@ -144,25 +144,53 @@ let independent a b =
    reporting a race, which costs the explorer extra schedules but never
    coverage. *)
 module Race = struct
-  (* [scan ~n ~len ~executed ~degree ~emit]:
+  (* One scan's working storage, kept by the caller across scans and grown
+     when a scan needs more.  [eclock.(j*n + q)]: highest position of a
+     step of process [q] that happens-before (or is) step [j]; -1 if none.
+     [cur.(p*n + q)]: the same clock carried forward along process [p]'s
+     program order.  [evs.(p)]: positions of process [p]'s steps so far, in
+     order.  [v]: the clock of the step being scanned.  [cand_pos]: the
+     race candidates of one step, at most one per other process. *)
+  type scratch = {
+    mutable n : int;
+    mutable eclock : int array;
+    mutable cur : int array;
+    mutable evs : int Vec.t array;
+    mutable v : int array;
+    mutable cand_pos : int array;
+  }
+
+  let scratch () = { n = 0; eclock = [||]; cur = [||]; evs = [||]; v = [||]; cand_pos = [||] }
+
+  (* Size [s] for [n] processes and [len] positions and clear what a scan
+     reads before writing: [cur] and [evs].  [eclock] rows are written
+     before they are read, and [v] and [cand_pos] per step. *)
+  let prepare s ~n ~len =
+    if s.n <> n then begin
+      s.n <- n;
+      s.cur <- Array.make (n * n) (-1);
+      s.evs <- Array.init n (fun _ -> Vec.create ());
+      s.v <- Array.make n (-1);
+      s.cand_pos <- Array.make n (-1)
+    end
+    else begin
+      Array.fill s.cur 0 (n * n) (-1);
+      Array.iter Vec.clear s.evs
+    end;
+    if Array.length s.eclock < len * n then
+      s.eclock <- Array.make (max (len * n) (2 * Array.length s.eclock)) (-1)
+
+  (* [scan s ~n ~len ~executed ~degree ~emit]:
      [executed i] is the footprint of the step the run took at decision
      position [i]; [degree i] its branching degree (races at degree-1
      positions have no alternative schedule and are not emitted);
      [emit ~pos ~pid] demands that the explorer also try scheduling [pid]
      at position [pos].  O(len * n) plus the race-initial walks. *)
-  let scan ~n ~len ~executed ~degree ~emit =
+  let scan s ~n ~len ~executed ~degree ~emit =
     if len > 0 then begin
-      (* eclock.(j*n + q): highest position of a step of process [q] that
-         happens-before (or is) step [j]; -1 if none. *)
-      let eclock = Array.make (len * n) (-1) in
-      (* cur.(p*n + q): the same clock carried forward along process [p]'s
-         program order. *)
-      let cur = Array.make (n * n) (-1) in
-      (* positions of each process's steps so far, in order *)
-      let evs = Array.init n (fun _ -> Vec.create ()) in
-      let v = Array.make n (-1) in
-      (* race candidates of one step: at most one per other process *)
-      let cand_pos = Array.make n (-1) in
+      prepare s ~n ~len;
+      let eclock = s.eclock and cur = s.cur and evs = s.evs and v = s.v in
+      let cand_pos = s.cand_pos in
       for j = 0 to len - 1 do
         let f = executed j in
         let p = pid f in

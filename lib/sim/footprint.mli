@@ -50,17 +50,29 @@ val pp : t Fmt.t
     complete run — the oracle behind the explorer's source-set dynamic
     partial-order reduction (see {!Rme_check.Explore}). *)
 module Race : sig
+  type scratch
+  (** A scan's working storage — the vector clocks, the per-process step
+      positions and the race candidates — kept by the caller across scans.
+      Each scan sizes it for its [n] and [len], growing it only when it is
+      too small, so a search that scans every run with one scratch stops
+      allocating for the scans once its longest run has been scanned.  One
+      scan at a time. *)
+
+  val scratch : unit -> scratch
+  (** An empty scratch; the first scan sizes it. *)
+
   val scan :
+    scratch ->
     n:int ->
     len:int ->
     executed:(int -> t) ->
     degree:(int -> int) ->
     emit:(pos:int -> pid:int -> unit) ->
     unit
-  (** [scan ~n ~len ~executed ~degree ~emit] computes the happens-before
-      relation of a run of [len] decision positions ([executed i] is the
-      footprint of the step taken at position [i]) with per-process vector
-      clocks, finds every {e reversible race} — dependent steps [(k, j)],
+  (** [scan s ~n ~len ~executed ~degree ~emit], working in [s], computes
+      the happens-before relation of a run of [len] decision positions
+      ([executed i] is the footprint of the step taken at position [i])
+      with per-process vector clocks, finds every {e reversible race} — dependent steps [(k, j)],
       [k < j], of different processes with no intervening happens-before
       chain — and calls [emit ~pos:k ~pid] for each race at a branching
       position ([degree k > 1]).  [pid] is the process whose scheduling at

@@ -17,10 +17,13 @@ type t = {
   version : int Vec.t;
   (* [cached] holds, per cell, the version each process last fetched (the
      line is valid iff it equals the current version).  Rows are allocated
-     lazily on a cell's first accounted access: large lock structures whose
-     deep parts are never touched (e.g. the base levels of BA-Lock in a
-     failure-free run) cost nothing.  Only used under CC. *)
-  cached : int array option Vec.t;
+     lazily on a cell's first accounted access ([no_row] until then): large
+     lock structures whose deep parts are never touched (e.g. the base
+     levels of BA-Lock in a failure-free run) cost nothing.  Only used
+     under CC. *)
+  cached : int array Vec.t;
+  (* Rows of the cells a [reset] dropped, handed out again by [row]. *)
+  spare : int array Vec.t;
   (* RMR cost of the last unboxed-variant operation ([read_u] etc.): the
      engine's hot loop reads it back instead of allocating a result tuple
      per instruction. *)
@@ -35,8 +38,22 @@ let create model ~n =
     contents = Vec.create ();
     version = Vec.create ();
     cached = Vec.create ();
+    spare = Vec.create ();
     last_cost = 0;
   }
+
+(* A cell no process has fetched yet.  Never written: [row] replaces it. *)
+let no_row : int array = [||]
+
+let reset t =
+  for c = 0 to Vec.length t.cached - 1 do
+    let r = Vec.unsafe_get t.cached c in
+    if r != no_row then Vec.push t.spare r
+  done;
+  Vec.clear t.contents;
+  Vec.clear t.version;
+  Vec.clear t.cached;
+  t.last_cost <- 0
 
 let model t = t.model
 
@@ -48,7 +65,7 @@ let alloc_at t ~home ~name v =
   let id = Vec.length t.contents in
   Vec.push t.contents v;
   Vec.push t.version 0;
-  Vec.push t.cached None;
+  Vec.push t.cached no_row;
   Cell.make ~id ~name ~home
 
 let alloc t ?(home = Cell.global) ~name v = alloc_at t ~home ~name v
@@ -87,18 +104,27 @@ let dsm_cost (c : Cell.t) pid = if c.home = pid then 0 else 1
 
 (* A fresh row means "cached by nobody": version 0 vs stored -1. *)
 let row t (c : Cell.t) =
-  match Vec.get t.cached c.id with
-  | Some r -> r
-  | None ->
-      let r = Array.make t.n (-1) in
-      Vec.set t.cached c.id (Some r);
-      r
+  let r = Vec.get t.cached c.id in
+  if r != no_row then r
+  else begin
+    let r =
+      if Vec.is_empty t.spare then Array.make t.n (-1)
+      else begin
+        let r = Vec.pop t.spare in
+        Array.fill r 0 t.n (-1);
+        r
+      end
+    in
+    Vec.set t.cached c.id r;
+    r
+  end
 
 let forget t ~pid =
   check_pid t pid;
   if t.model = CC then
     for cell = 0 to Vec.length t.cached - 1 do
-      match Vec.get t.cached cell with Some r -> r.(pid) <- -1 | None -> ()
+      let r = Vec.get t.cached cell in
+      if r != no_row then r.(pid) <- -1
     done
 
 (* The value comes back unboxed and the cost lands in [last_cost] — the
@@ -170,12 +196,12 @@ let fingerprint t =
   for c = 0 to len - 1 do
     h := mix !h (Vec.get t.contents c);
     h := mix !h (Vec.get t.version c);
-    match Vec.get t.cached c with
-    | None -> h := mix !h 0x9e3779b9
-    | Some r ->
-        for p = 0 to t.n - 1 do
-          h := mix !h r.(p)
-        done
+    let r = Vec.get t.cached c in
+    if r == no_row then h := mix !h 0x9e3779b9
+    else
+      for p = 0 to t.n - 1 do
+        h := mix !h r.(p)
+      done
   done;
   !h
 

@@ -28,6 +28,13 @@ type t
 val create : model -> n:int -> t
 (** [create model ~n] is an empty store for [n] processes. *)
 
+val reset : t -> unit
+(** [reset t] empties [t] for a fresh run: the next {!alloc} gets cell id 0
+    again and every cell starts unfetched.  The storage stays, cache rows
+    included, so a store reset before each run stops allocating once its
+    first runs have sized it.  Cells of the earlier run must not be used
+    again. *)
+
 val model : t -> model
 
 val n : t -> int

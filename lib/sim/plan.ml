@@ -57,9 +57,17 @@ let gate name ~salt ~seed ~rate ~budget ?gap ?(backoff = 1.0) () =
     backoff;
   }
 
+(* [Random.State.float g.rng 1.0 < g.rate], drawn as the standard library
+   draws it — the top 53 bits of one [bits64], drawn again on 0 — so the
+   stream and every value stay the same, but compared where it is drawn,
+   so no float is boxed. *)
+let rec draw_below g =
+  let n = Int64.shift_right_logical (Random.State.bits64 g.rng) 11 in
+  if n <> 0L then Int64.to_float n *. 0x1.p-53 < g.rate else draw_below g
+
 let fire g ~step =
   g.budget > 0 && step >= g.next_ok
-  && Random.State.float g.rng 1.0 < g.rate
+  && draw_below g
   && begin
        g.budget <- g.budget - 1;
        if g.cooldown then begin

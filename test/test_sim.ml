@@ -530,6 +530,105 @@ let test_engine_get_done_survives_crash () =
   check ci "crash happened" 1 res.Engine.total_crashes;
   check ci "exactly 3 requests" 3 (Engine.total_completed res)
 
+(* ------------------------------------------------------------------ *)
+(* Engine arenas: a run on a reused arena is a run on a fresh one      *)
+(* ------------------------------------------------------------------ *)
+
+type observed = Engine.result * int array * Footprint.t array * int array list
+
+(* Everything a caller can read of one 3-process [run_trace]: the result,
+   the degrees and footprints of the positions it reached (copied before
+   the arena's next run overwrites them) and the state keys it reported. *)
+let observe ?arena ?(record = false) ?(max_steps = 20_000) ?(crash = Crash.none)
+    ?(abort = Abort.none) ?(state_key_at = -1) ?(decisions = [||]) ~setup ~body () : observed =
+  let keys = ref [] in
+  let rr =
+    Engine.run_trace ?arena ~record ~max_steps ~por:true ~state_key_at
+      ~on_state_key:(fun k -> keys := k :: !keys)
+      ~abort ~decisions ~n:3 ~model:Memory.CC ~crash ~setup ~body ()
+  in
+  let degrees = Array.sub rr.Engine.tr_degrees 0 rr.Engine.tr_len in
+  let footprints = Array.sub rr.Engine.tr_footprints 0 (Array.fold_left ( + ) 0 degrees) in
+  (rr.Engine.tr_result, degrees, footprints, !keys)
+
+(* Three processes that all end parked on a cell nobody writes: p0 inside
+   an open unsafe window of the scenario's lock, p1 after a crash and
+   restart, p2 holding the lock inside the application CS.  The run
+   deadlocks with every fiber suspended. *)
+let stuck_setup ctx =
+  let mem = Engine.Ctx.memory ctx in
+  let lock = Engine.Ctx.register_lock ctx "stuck" in
+  (lock, Memory.alloc mem ~name:"x" 0, Memory.alloc mem ~name:"gate" 0)
+
+let stuck_body (lock, x, gate) ~pid =
+  Api.note (Event.Seg Event.Req_begin);
+  (match pid with
+  | 0 -> ignore (Api.fas_open_unsafe ~lock x 1)
+  | 1 -> Api.write x 2
+  | _ ->
+      Api.note (Event.Lock_acquired lock);
+      Api.note (Event.Seg Event.Cs_begin));
+  Api.spin_until gate (Api.Eq 1)
+
+let stuck ?arena () =
+  observe ?arena ~state_key_at:4
+    ~crash:(Crash.on_kind ~pid:1 ~kind:Api.Write ~occurrence:0 Crash.After)
+    ~setup:stuck_setup ~body:stuck_body ()
+
+let standard lock ~pid = Harness.standard_body ~lock ~requests:1 pid
+
+let lock_setup key = (Rme.Spec.find_exn key).Rme.Spec.make
+
+(* A clean run whose state key would show any state a stuck run left. *)
+let clean ?arena () = observe ?arena ~state_key_at:6 ~setup:(lock_setup "sa-jjj") ~body:standard ()
+
+(* Cut by [max_steps] mid-passage under a crash plan that has struck
+   inside WR-Lock's unsafe window. *)
+let cut ?arena () =
+  observe ?arena ~max_steps:60
+    ~crash:(Crash.random ~seed:2 ~rate:0.05 ~max_crashes:3 ())
+    ~decisions:[| 0; 1; 2; 2; 1; 0; 1 |] ~setup:(lock_setup "wr") ~body:standard ()
+
+(* A mixed sequence: clean runs, a deadlock under a crash plan, a run cut
+   by [max_steps] mid-passage under a crash plan, an abort run that
+   records its events, and state keys along the way. *)
+let arena_runs : (?arena:Engine.arena -> unit -> observed) list =
+  [
+    clean;
+    stuck;
+    clean;
+    cut;
+    (fun ?arena () -> observe ?arena ~state_key_at:10 ~setup:(lock_setup "wr") ~body:standard ());
+    (fun ?arena () ->
+      observe ?arena ~record:true
+        ~abort:(Abort.impatient ~timeout_steps:5 ())
+        ~setup:(lock_setup "wr-abort") ~body:standard ());
+    (fun ?arena () ->
+      observe ?arena ~state_key_at:3 ~decisions:[| 1; 2; 1 |] ~setup:(lock_setup "ba-jjj")
+        ~body:standard ());
+  ]
+
+let test_arena_matches_fresh () =
+  let (res, _, _, _) = stuck () in
+  check cb "the stuck run deadlocks" true res.Engine.deadlocked;
+  let (res, _, _, _) = cut () in
+  check cb "the cut run times out" true res.Engine.timed_out;
+  check cb "after an unsafe crash" true (res.Engine.locks.(0).Engine.unsafe_crashes > 0);
+  let arena = Engine.arena ~n:3 in
+  let shared = List.map (fun (run : ?arena:_ -> _) -> run ~arena ()) arena_runs in
+  let fresh = List.map (fun (run : ?arena:_ -> _) -> run ()) arena_runs in
+  List.iteri
+    (fun i (a, b) -> check cb (Printf.sprintf "run %d: shared arena = fresh arena" i) true (a = b))
+    (List.combine shared fresh)
+
+let test_arena_result_kept () =
+  let arena = Engine.arena ~n:3 in
+  let (kept, _, _, _) = stuck ~arena () in
+  let copy : Engine.result = Marshal.from_string (Marshal.to_string kept []) 0 in
+  let second = clean ~arena () in
+  check cb "run 1's result unchanged by run 2" true (kept = copy);
+  check cb "run 2 on the arena = run 2 on a fresh one" true (second = clean ())
+
 let () =
   Alcotest.run "rme_sim"
     [
@@ -582,5 +681,10 @@ let () =
           Alcotest.test_case "mid-run allocation" `Quick test_engine_midrun_allocation;
           Alcotest.test_case "percentiles" `Quick test_percentiles;
           Alcotest.test_case "latency recorded" `Quick test_latency_recorded;
+        ] );
+      ( "arena",
+        [
+          Alcotest.test_case "shared arena matches fresh" `Quick test_arena_matches_fresh;
+          Alcotest.test_case "kept result survives the next run" `Quick test_arena_result_kept;
         ] );
     ]
