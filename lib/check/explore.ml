@@ -56,7 +56,8 @@ let shrink ~reproduces trace =
    schedules identically.  [por] enables footprint collection for the
    sleep-set reduction; [crashy] marks the crash plan's possible victims
    (see Crash.por_class); [arena] is the engine storage every run of the
-   search, shrink replays included, resets and reuses. *)
+   search, shrink replays included, resets and reuses, with the subject
+   built into it once: each run rewinds to it instead of constructing. *)
 type 'a driver = {
   max_steps : int;
   record : bool;
@@ -533,6 +534,7 @@ let explore ?(max_runs = 100_000) ?(max_steps = 20_000) ?(shrink_violations = tr
       arena = Engine.arena ~n;
     }
   in
+  Engine.build d.arena ~model ~setup ~body;
   (* Hoisted so the [stats] callback can read the counters after the
      search, whichever branch ran. *)
   let cache =

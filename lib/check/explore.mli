@@ -17,12 +17,15 @@
     once over the whole tree on the calling domain, and
     every run replays its whole decision vector from the root.
 
-    A search allocates one {!Engine.arena} for its [n] and runs every one
-    of its runs in it, the root probe and the shrink replays included.  A
-    node reads its run's degrees and footprints in place, in the arena's
-    buffers: a cache hit walks its prefix there, and a node that expands
-    children first copies its own suffix of them (from its depth to the
-    end of its run), which the children's runs overwrite.  The race scans
+    A search allocates one {!Engine.arena} for its [n], constructs its
+    subject into it once ({!Engine.build}), and runs every one of its runs
+    in it, the root probe and the shrink replays included: each run
+    rewinds the arena to the constructed subject instead of running
+    [setup] again.  A node reads its run's degrees and footprints in
+    place, in the arena's buffers: a cache hit walks its prefix there, and
+    a node that expands children first copies its own suffix of them (from
+    its depth to the end of its run), which the children's runs
+    overwrite.  The race scans
     of a [`Source] search share one {!Footprint.Race.scratch}.  Parallelism
     lives one level up: {!Sweep} and {!Chaos} shard independent crash plans
     and seeds over domains with {!Pool}, one sequential search each. *)
@@ -110,7 +113,15 @@ val explore :
   check:(Engine.result -> string option) ->
   unit ->
   outcome
-(** [crash] builds a fresh (stateful) plan per run.  [abort] (default
+(** [setup] runs once per search, before the first run; every run
+    starts from the state [setup] left, rewound ({!Engine.build}).  Host-side
+    state that [setup] creates and a run mutates — a private array, a
+    node registry, a counter [check] reads — must be put back before each
+    run by a reset [setup] registers through {!Engine.Ctx.on_rewind};
+    the registry locks register theirs.  [body] and [check] are called
+    per run as before.
+
+    [crash] builds a fresh (stateful) plan per run.  [abort] (default
     {!Abort.none}) likewise builds a fresh abort plan per run — the abort
     decision axis explored alongside the schedule.  [record] (default
     false) runs the engine with history recording so that [check] can use

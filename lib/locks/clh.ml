@@ -30,6 +30,12 @@ let make ctx =
       cells;
     }
   in
+  (* A rewound store keeps only the dummy: every other node is a run's.
+     [pred] needs no rewind: every acquire sets it before its release reads
+     it, and a crash restarts the body at an acquire. *)
+  Engine.Ctx.on_rewind ctx (fun () ->
+      Vec.truncate cells 1;
+      Array.fill t.mine 0 n 0);
   (* Cell ids are global across the store, so map via the recorded vector:
      nodes are few (n + 1 live), a linear scan is fine. *)
   let find idp1 =

@@ -29,7 +29,7 @@ let create ?(name = "kport") ~k ctx =
     id;
     name;
     k;
-    reg = Nodes.create_registry mem ~prefix:name;
+    reg = Nodes.create_registry ctx ~prefix:name;
     tail = Memory.alloc mem ~name:(name ^ ".tail") Nodes.null;
     state = per_port "state" free;
     mine = per_port "mine" Nodes.null;

@@ -11,11 +11,12 @@ let make ctx =
   let id = Engine.Ctx.register_lock ctx "mcs" in
   let t =
     {
-      reg = Nodes.create_registry mem ~prefix:"mcs";
+      reg = Nodes.create_registry ctx ~prefix:"mcs";
       tail = Memory.alloc mem ~name:"mcs.tail" Nodes.null;
       own = Array.make n Nodes.null;
     }
   in
+  Engine.Ctx.on_rewind ctx (fun () -> Array.fill t.own 0 n Nodes.null);
   let node_of pid =
     if t.own.(pid) = Nodes.null then t.own.(pid) <- (Nodes.fresh t.reg ~owner:pid).Nodes.id;
     Nodes.get t.reg t.own.(pid)

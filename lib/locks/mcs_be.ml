@@ -8,11 +8,13 @@ let make ctx =
   let id = Engine.Ctx.register_lock ctx "mcs-be" in
   let t =
     {
-      reg = Nodes.create_registry mem ~prefix:"mcs-be";
+      reg = Nodes.create_registry ctx ~prefix:"mcs-be";
       tail = Memory.alloc mem ~name:"mcs-be.tail" Nodes.null;
       own = Array.make n Nodes.null;
     }
   in
+  (* [own] needs no rewind: every acquire sets it before its release reads
+     it, and a crash restarts the body at an acquire. *)
   let acquire ~pid =
     let node = Nodes.fresh t.reg ~owner:pid in
     t.own.(pid) <- node.Nodes.id;

@@ -8,7 +8,21 @@ let null = 0
    [stem ^ id ^ ".next"] and [stem ^ id ^ ".locked"]. *)
 type registry = { mem : Memory.t; stem : string; nodes : node Vec.t }
 
-let create_registry mem ~prefix = { mem; stem = prefix ^ ".n"; nodes = Vec.create () }
+(* Nodes are allocated in id order, so the ones whose cells a store
+   rewind dropped are a suffix. *)
+let rec drop_rewound reg =
+  if
+    (not (Vec.is_empty reg.nodes))
+    && (Vec.last reg.nodes).next.Cell.id >= Memory.cell_count reg.mem
+  then begin
+    ignore (Vec.pop reg.nodes);
+    drop_rewound reg
+  end
+
+let create_registry ctx ~prefix =
+  let reg = { mem = Engine.Ctx.memory ctx; stem = prefix ^ ".n"; nodes = Vec.create () } in
+  Engine.Ctx.on_rewind ctx (fun () -> drop_rewound reg);
+  reg
 
 let fresh reg ~owner =
   let id = Vec.length reg.nodes + 1 in

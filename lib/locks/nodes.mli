@@ -15,7 +15,11 @@ val null : int
 
 type registry
 
-val create_registry : Memory.t -> prefix:string -> registry
+val create_registry : Engine.Ctx.t -> prefix:string -> registry
+(** A registry allocating its nodes' cells in the context's store.  It
+    registers its own {!Engine.Ctx.on_rewind} reset: a rewound store drops
+    the nodes runs allocated, and the registry drops them with it, so
+    every run resolves the node ids a fresh construction would. *)
 
 val fresh : registry -> owner:int -> node
 (** Allocate a new node owned by process [owner].  May be called from inside

@@ -29,7 +29,6 @@ type notify = {
 
 type t = {
   name : string;
-  mem : Memory.t;
   n : int;
   incoming : Cell.t array;  (* paper: in[i], nodes allocated *)
   outgoing : Cell.t array;  (* paper: out[i], nodes retired *)
@@ -52,21 +51,27 @@ let create ?(name = "reclaim") ?(notify = false) ctx =
     Array.init n (fun i ->
         Memory.alloc_array mem ~home:i ~len:n ~name:(name ^ "[" ^ string_of_int i ^ "]") init)
   in
-  {
-    name;
-    mem;
-    n;
-    incoming = arr "in" 0;
-    outgoing = arr "out" 0;
-    switch = arr "switch" completed;
-    mode = arr "mode" scan;
-    index = arr "index" 0;
-    snapshot = matrix "snapshot" 0;
-    pool_index = arr "pool_index" 0;
-    confirm_pool_index = arr "confirm_pool_index" 0;
-    notify = (if notify then Some { ding = arr "ding" 0; slot = matrix "slot" 0; dirty = arr "dirty" 0 } else None);
-    pools = [||];
-  }
+  let t =
+    {
+      name;
+      n;
+      incoming = arr "in" 0;
+      outgoing = arr "out" 0;
+      switch = arr "switch" completed;
+      mode = arr "mode" scan;
+      index = arr "index" 0;
+      snapshot = matrix "snapshot" 0;
+      pool_index = arr "pool_index" 0;
+      confirm_pool_index = arr "confirm_pool_index" 0;
+      notify =
+        (if notify then Some { ding = arr "ding" 0; slot = matrix "slot" 0; dirty = arr "dirty" 0 }
+         else None);
+      pools = [||];
+    }
+  in
+  (* A rewound store drops the pool nodes a run drew. *)
+  Engine.Ctx.on_rewind ctx (fun () -> t.pools <- [||]);
+  t
 
 (* The pools model statically allocated NVRAM; they are drawn lazily from
    the owning lock's registry so that node ids resolve in that lock. *)
@@ -149,7 +154,3 @@ let retire t ~pid =
   end
 
 let alloc = new_node
-
-let pool_nodes t = Array.fold_left (fun acc p -> acc + (2 * Array.length p.(0))) 0 t.pools
-
-let in_use t ~pid = Memory.peek t.mem t.incoming.(pid) <> Memory.peek t.mem t.outgoing.(pid)

@@ -40,11 +40,3 @@ val retire : t -> pid:int -> unit
 
 val alloc : t -> pid:int -> Nodes.registry -> Nodes.node
 (** Alias of {!new_node}, matching {!Wr_lock.create}'s [alloc] signature. *)
-
-(** {1 Diagnostics} *)
-
-val pool_nodes : t -> int
-(** Total nodes backing the pools (0 before first use; 4n² afterwards). *)
-
-val in_use : t -> pid:int -> bool
-(** Whether [pid] currently holds an unretired node. *)

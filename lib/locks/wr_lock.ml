@@ -45,7 +45,7 @@ let create ?(name = "wr") ?(alloc = default_alloc) ?(retire = fun ~pid:_ -> ()) 
     name;
     mem;
     n;
-    reg = Nodes.create_registry mem ~prefix:name;
+    reg = Nodes.create_registry ctx ~prefix:name;
     tail = Memory.alloc mem ~name:(name ^ ".tail") Nodes.null;
     state = cell_array "state" free;
     mine = cell_array "mine" Nodes.null;

@@ -2,7 +2,7 @@ exception Crashed
 (* Raised into a fiber to simulate the loss of its private state. *)
 
 module Ctx = struct
-  type t = { mem : Memory.t; lock_names : string Vec.t }
+  type t = { mem : Memory.t; lock_names : string Vec.t; mutable rewinders : (unit -> unit) list }
 
   let memory t = t.mem
 
@@ -11,6 +11,8 @@ module Ctx = struct
   let register_lock t name =
     Vec.push t.lock_names name;
     Vec.length t.lock_names - 1
+
+  let on_rewind t f = t.rewinders <- f :: t.rewinders
 end
 
 type passage = { super : int; rmr : int; completed : bool; latency : int }
@@ -162,6 +164,11 @@ let fresh_info () =
 (* Shared by every engine off the instrumented path, which never writes it. *)
 let no_consult = { info = fresh_info (); cell_names = [||]; note_box = None }
 
+(* The subject {!build} constructed into an arena: every later run on the
+   arena rewinds to it instead of running [setup] again, and must name the
+   same [setup] and [body]. *)
+type image = Unbuilt | Built : { setup : Ctx.t -> 'a; body : 'a -> pid:int -> unit } -> image
+
 (* One engine, which is also an arena: [make] allocates it for [n]
    processes and [prepare] resets it in place for each run, so the runs of
    one explorer search share every per-pid array, slot and buffer below.
@@ -170,7 +177,7 @@ type t = {
   n : int;
   mutable mem : Memory.t;
   lock_names : string Vec.t;  (* by lock id: the registry [setup] fills *)
-  mutable nlocks : int;  (* locks of this run; the per-lock arrays may be longer *)
+  mutable nlocks : int;  (* locks of the subject; the per-lock arrays may be longer *)
   mutable crash : Crash.t;
   mutable abort : Abort.t;
   mutable has_abort : bool;  (* abort != Abort.none: gates all abort bookkeeping *)
@@ -255,6 +262,8 @@ type t = {
   mutable global_cs_max : int;
   mutable deadlocked : bool;
   mutable timed_out : bool;
+  mutable rewinders : (unit -> unit) list;  (* [Ctx.on_rewind]'s, run before each run of a built arena *)
+  mutable image : image;
 }
 
 (* Call sites guard with [eng.emit] *before* constructing the event, so a
@@ -1177,35 +1186,59 @@ let make ~n ~model =
       global_cs_max = 0;
       deadlocked = false;
       timed_out = false;
+      rewinders = [];
+      image = Unbuilt;
     }
   in
   eng.handler <- make_handler eng;
   eng
 
-(* Reset [eng] in place for a run and build the run's locks: [setup]
-   allocates into the emptied store, so cell and lock ids restart at 0.
-   What a run leaves behind (suspended continuations, stale views and
-   operands) stays in the slots, unread: every slot read is guarded by a
-   [phase] tag this run set. *)
-let prepare eng ~stall_window ~max_steps ~sink ~consult_ops ~track_ans ~trace_ops ~on_crash ~on_op
-    ~model ~crash ~abort ~setup ~body =
-  let n = eng.n in
+(* Construct the subject into [eng]: [setup] allocates into the emptied
+   store and lock registry, so cell and lock ids restart at 0. *)
+let construct eng ~model ~setup ~body =
   if Memory.model eng.mem = model then Memory.reset eng.mem
-  else eng.mem <- Memory.create model ~n;
+  else eng.mem <- Memory.create model ~n:eng.n;
   Vec.clear eng.lock_names;
-  let shared = setup { Ctx.mem = eng.mem; lock_names = eng.lock_names } in
+  eng.image <- Unbuilt;
+  let ctx = { Ctx.mem = eng.mem; lock_names = eng.lock_names; rewinders = [] } in
+  let shared = setup ctx in
+  eng.rewinders <- ctx.rewinders;
   let nlocks = Vec.length eng.lock_names in
   if Array.length eng.occupancy < nlocks then begin
     eng.occupancy <- Array.make nlocks 0;
     eng.occupancy_max <- Array.make nlocks 0;
     eng.unsafe_crashes <- Array.make nlocks 0
-  end
-  else begin
-    Array.fill eng.occupancy 0 nlocks 0;
-    Array.fill eng.occupancy_max 0 nlocks 0;
-    Array.fill eng.unsafe_crashes 0 nlocks 0
   end;
   eng.nlocks <- nlocks;
+  eng.body <- (fun ~pid -> body shared ~pid)
+
+let build eng ~model ~setup ~body =
+  construct eng ~model ~setup ~body;
+  Memory.seal eng.mem;
+  eng.image <- Built { setup; body }
+
+(* Reset [eng] in place for a run: construct the subject afresh, or, on a
+   built arena, rewind the store and the registered host state to the
+   image [build] left.  What a run leaves behind (suspended continuations,
+   stale views and operands) stays in the slots, unread: every slot read
+   is guarded by a [phase] tag this run set. *)
+let prepare eng ~stall_window ~max_steps ~sink ~consult_ops ~track_ans ~trace_ops ~on_crash ~on_op
+    ~model ~crash ~abort ~setup ~body =
+  let n = eng.n in
+  (match eng.image with
+  | Unbuilt -> construct eng ~model ~setup ~body
+  | Built b ->
+      if
+        Obj.repr b.setup != Obj.repr setup
+        || Obj.repr b.body != Obj.repr body
+        || Memory.model eng.mem <> model
+      then invalid_arg "Engine.run_trace: the arena was built with another setup, body or model";
+      Memory.rewind eng.mem;
+      List.iter (fun rewind -> rewind ()) eng.rewinders);
+  let nlocks = eng.nlocks in
+  Array.fill eng.occupancy 0 nlocks 0;
+  Array.fill eng.occupancy_max 0 nlocks 0;
+  Array.fill eng.unsafe_crashes 0 nlocks 0;
   eng.crash <- crash;
   eng.abort <- abort;
   eng.has_crash <- crash != Crash.none;
@@ -1235,7 +1268,6 @@ let prepare eng ~stall_window ~max_steps ~sink ~consult_ops ~track_ans ~trace_op
     (match stall_window with Some w -> w | None -> max 1_000 (max_steps / 8));
   eng.on_crash <- on_crash;
   eng.on_op <- on_op;
-  eng.body <- (fun ~pid -> body shared ~pid);
   eng.reg <- Api.register ();
   Array.fill eng.ans_hash 0 n 0;
   Array.fill eng.phase 0 n Start;

@@ -24,6 +24,15 @@ module Ctx : sig
   val register_lock : t -> string -> int
   (** Registers a lock instance and returns its id, used in {!Event.note}
       milestones and per-lock statistics.  Call during [setup] only. *)
+
+  val on_rewind : t -> (unit -> unit) -> unit
+  (** [on_rewind ctx f] registers the reset of host-side state that a run
+      mutates: a private per-process array, a node registry, a lazily
+      drawn pool.  On an arena {!build} constructed once for many runs, [f]
+      runs before every run, after the store has been rewound to its
+      post-construction image, and must put that state back as [setup]
+      left it.  Setup code that keeps such state and registers no reset
+      carries one run's state into the next.  Call during [setup] only. *)
 end
 
 type passage = { super : int; rmr : int; completed : bool; latency : int }
@@ -207,7 +216,8 @@ val run :
     [run] and {!run_trace} reset the engine the same way and share one
     step loop; they differ only in the pick function, where [run_trace]
     also records its footprints and state key, and in the engine's
-    storage: [run_trace] may reuse an {!arena}.
+    storage: [run_trace] may reuse an {!arena}, built or not, while [run]
+    constructs its subject afresh on every call.
     [run] is re-entrant and domain-safe: all engine state (store, fibers,
     the effect handler and its continuation slots, statistics) is
     allocated per call, and the operand register its fibers fill is the
@@ -224,13 +234,29 @@ type arena
     pending-operand records, the continuation and view slots, the ready
     buffers, the parked-cell table, the passage vectors, the store's
     contents, version and cache vectors, and the degree and footprint
-    buffers {!run_trace} reports through.  Each run resets it in place and
-    runs its [setup] afresh, so the runs of one explorer search stop
-    allocating engine storage once the first ones have sized it.  An arena
-    serves one run at a time: one arena per search and domain. *)
+    buffers {!run_trace} reports through.  Each run resets it in place,
+    so the runs of one explorer search stop allocating engine storage once
+    the first ones have sized it.  A run on an unbuilt arena runs its
+    [setup] afresh; a run on a {!build}-constructed one rewinds to the
+    subject [build] made.  An arena serves one run at a time: one arena
+    per search and domain. *)
 
 val arena : n:int -> arena
-(** [arena ~n] is an empty arena for runs of [n] processes. *)
+(** [arena ~n] is an empty, unbuilt arena for runs of [n] processes. *)
+
+val build :
+  arena -> model:Memory.model -> setup:(Ctx.t -> 'a) -> body:('a -> pid:int -> unit) -> unit
+(** [build arena ~model ~setup ~body] constructs the subject once: it
+    empties the arena's store, runs [setup] into it, and records the
+    image every later {!run_trace} on [arena] starts from — the store's
+    cells and their initial contents, the lock registry, the shared value
+    and the [body] closure over it.  Each such run rewinds the store to
+    that image ({!Memory.rewind}) and runs the resets [setup] registered
+    through {!Ctx.on_rewind}, instead of constructing again; its result,
+    degrees, footprints and state keys equal those of a run that
+    constructs afresh.  The runs must pass this very [setup] and [body]
+    (physical equality) and this [model], or {!run_trace} raises
+    [Invalid_argument].  A later [build] replaces the image. *)
 
 type trun = {
   tr_result : result;  (** freshly built: keeps nothing of the arena *)
@@ -297,9 +323,13 @@ val run_trace :
     footprints are the arena's own buffers, not copies: they stay valid
     until the next run on that arena, so a caller that runs again before
     it is done with them copies what it still needs.  The [result] is
-    built afresh and stays valid.  The store, and every cell and lock
-    handle [setup] made, belong to the run: the next run on the arena
-    empties the store and runs [setup] again.
+    built afresh and stays valid.  On an unbuilt arena the run constructs
+    its subject with [setup], and its cells and lock handles belong to
+    that run alone.  On a {!build}-constructed arena the run rewinds to
+    the built subject instead, and [setup], [body] and [model] must be
+    the ones [build] was given; the construction's cells and lock handles
+    then serve every run, while cells a run allocates (queue nodes) are
+    dropped by the next run's rewind.
 
     [crash] and [abort] (default {!Abort.none}) are the plans of this one
     run; stateful plans must be fresh per call.  The hooks of {!run}

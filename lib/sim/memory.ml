@@ -22,12 +22,15 @@ type t = {
      levels of BA-Lock in a failure-free run) cost nothing.  Only used
      under CC. *)
   cached : int array Vec.t;
-  (* Rows of the cells a [reset] dropped, handed out again by [row]. *)
+  (* Rows of the cells a [rewind] dropped, handed out again by [row]. *)
   spare : int array Vec.t;
   (* RMR cost of the last unboxed-variant operation ([read_u] etc.): the
      engine's hot loop reads it back instead of allocating a result tuple
      per instruction. *)
   mutable last_cost : int;
+  (* The post-construction image [rewind] returns to: the contents of
+     cells [0, Array.length image) when [seal] ran ([||]: none). *)
+  mutable image : int array;
 }
 
 let create model ~n =
@@ -40,20 +43,37 @@ let create model ~n =
     cached = Vec.create ();
     spare = Vec.create ();
     last_cost = 0;
+    image = [||];
   }
 
 (* A cell no process has fetched yet.  Never written: [row] replaces it. *)
 let no_row : int array = [||]
 
-let reset t =
+let seal t = t.image <- Vec.to_array t.contents
+
+(* Construction writes no version and fetches no line, so the image is
+   the contents alone: every version back to 0, every row unfetched. *)
+let rewind t =
+  let mark = Array.length t.image in
   for c = 0 to Vec.length t.cached - 1 do
     let r = Vec.unsafe_get t.cached c in
-    if r != no_row then Vec.push t.spare r
+    if r != no_row then begin
+      Vec.push t.spare r;
+      Vec.set t.cached c no_row
+    end
   done;
-  Vec.clear t.contents;
-  Vec.clear t.version;
-  Vec.clear t.cached;
+  Vec.truncate t.contents mark;
+  Vec.truncate t.version mark;
+  Vec.truncate t.cached mark;
+  for c = 0 to mark - 1 do
+    Vec.set t.contents c t.image.(c);
+    Vec.set t.version c 0
+  done;
   t.last_cost <- 0
+
+let reset t =
+  t.image <- [||];
+  rewind t
 
 let model t = t.model
 
@@ -91,10 +111,6 @@ let alloc_per_process t ~name v =
 let cell_count t = Vec.length t.contents
 
 let peek t (c : Cell.t) = Vec.get t.contents c.id
-
-let poke t (c : Cell.t) v =
-  Vec.set t.contents c.id v;
-  Vec.set t.version c.id (Vec.get t.version c.id + 1)
 
 let check_pid t pid =
   if pid < 0 || pid >= t.n then invalid_arg (Printf.sprintf "Memory: pid %d out of range" pid)

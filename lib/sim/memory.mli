@@ -29,11 +29,27 @@ val create : model -> n:int -> t
 (** [create model ~n] is an empty store for [n] processes. *)
 
 val reset : t -> unit
-(** [reset t] empties [t] for a fresh run: the next {!alloc} gets cell id 0
-    again and every cell starts unfetched.  The storage stays, cache rows
-    included, so a store reset before each run stops allocating once its
-    first runs have sized it.  Cells of the earlier run must not be used
-    again. *)
+(** [reset t] empties [t] for a fresh run and forgets its {!seal}ed image:
+    the next {!alloc} gets cell id 0 again and every cell starts
+    unfetched.  The storage stays, cache rows included, so a store reset
+    before each run stops allocating once its first runs have sized it.
+    Cells of the earlier run must not be used again. *)
+
+val seal : t -> unit
+(** [seal t] records [t] as the image {!rewind} returns to: its cell count
+    and every cell's contents.  Call it at the end of construction, before
+    any accounted operation, while every version is 0 and no process has
+    fetched a line. *)
+
+val rewind : t -> unit
+(** [rewind t] returns [t] to its sealed image ([reset] before any
+    {!seal}): the cells allocated since are dropped, so the next {!alloc}
+    reuses their ids; the sealed cells get their sealed contents back,
+    every version is 0 again and every cache row goes back to the spare
+    pool.  Cell ids, contents, versions and rows then match a fresh
+    construction, {!fingerprint} included.  The cells and lock handles of
+    the construction stay valid; cells allocated after the seal must not
+    be used again.  O(cells), no allocation once the pool is sized. *)
 
 val model : t -> model
 
@@ -58,9 +74,6 @@ val cell_count : t -> int
 val peek : t -> Cell.t -> int
 (** [peek t c] reads [c] without any accounting — for checkers, printers and
     tests, never for algorithm steps. *)
-
-val poke : t -> Cell.t -> int -> unit
-(** [poke t c v] writes [c] without accounting (test setup only). *)
 
 val forget : t -> pid:int -> unit
 (** [forget t ~pid] drops every cache line of [pid] — called by the engine

@@ -44,6 +44,10 @@ let pop t =
 
 let clear t = t.len <- 0
 
+let truncate t len =
+  if len < 0 || len > t.len then invalid_arg (Printf.sprintf "Vec.truncate: %d not in [0, %d]" len t.len);
+  t.len <- len
+
 let iter f t =
   for i = 0 to t.len - 1 do
     f t.data.(i)

@@ -44,6 +44,10 @@ val pop : 'a t -> 'a
 val clear : 'a t -> unit
 (** [clear t] removes all elements (O(1); storage is retained). *)
 
+val truncate : 'a t -> int -> unit
+(** [truncate t len] keeps the first [len] elements (O(1); storage is
+    retained).  @raise Invalid_argument unless [0 <= len <= length t]. *)
+
 val iter : ('a -> unit) -> 'a t -> unit
 
 val iteri : (int -> 'a -> unit) -> 'a t -> unit

@@ -79,7 +79,8 @@ let test_splitter_exhaustive_one_winner () =
     Explore.explore ~max_runs:20_000 ~n:2 ~model:Memory.CC
       ~crash:(fun () -> Crash.none)
       ~setup:(fun ctx ->
-        winners := 0;
+        (* [setup] runs once per search: the count restarts with each run. *)
+        Engine.Ctx.on_rewind ctx (fun () -> winners := 0);
         Splitter.create ctx)
       ~body:(fun sp ~pid ->
         if Api.completed_requests () < 1 then begin

@@ -25,7 +25,7 @@ let wr_trusting_cas ctx =
   let mem = Engine.Ctx.memory ctx in
   let n = Engine.Ctx.n ctx in
   let id = Engine.Ctx.register_lock ctx "mut-wr" in
-  let reg = Nodes.create_registry mem ~prefix:"mut-wr" in
+  let reg = Nodes.create_registry ctx ~prefix:"mut-wr" in
   let tail = Memory.alloc mem ~name:"mut-wr.tail" Nodes.null in
   let cell_array field init =
     Array.init n (fun i -> Memory.alloc mem ~home:i ~name:(Printf.sprintf "mut-wr.%s[%d]" field i) init)

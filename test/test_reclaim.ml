@@ -18,7 +18,7 @@ let run_alloc ~n ~body () =
     Engine.run ~n ~model:Memory.CC ~sched:(Sched.round_robin ()) ~crash:Crash.none
       ~setup:(fun ctx ->
         let r = Reclaim.create ctx in
-        let reg = Nodes.create_registry (Engine.Ctx.memory ctx) ~prefix:"t" in
+        let reg = Nodes.create_registry ctx ~prefix:"t" in
         out := Some (r, reg);
         (r, reg))
       ~body:(fun (r, reg) ~pid -> body r reg ~pid)

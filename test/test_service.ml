@@ -300,9 +300,12 @@ let test_consulted_step_allocation () =
          ("async_at", 3, pending);
        ])
 
-(* Minor words one explorer run spends before its first step: engine
-   creation, lock construction (cell names included) and [finish].  A
-   warm-up run first, so one-time initialisation is not counted. *)
+(* Minor words of a run that constructs its subject, before its first
+   step: engine creation, lock construction (cell names included) and
+   [finish].  [Engine.run], [Explore.replay] and a run on an unbuilt arena
+   pay it on every call; an explorer search pays the construction once,
+   in [Engine.build].  A warm-up run first, so one-time initialisation is
+   not counted. *)
 let test_construction_allocation () =
   pins_hold
   @@ List.map
@@ -322,31 +325,34 @@ let test_construction_allocation () =
          (Printf.sprintf "%s n=2: %.0f minor words to construct <= 1800" key w, w <= 1800.))
        [ "sa-jjj"; "ba-jjj" ]
 
+let words f =
+  let w0 = Gc.minor_words () in
+  let r = f () in
+  (r, Gc.minor_words () -. w0)
+
+let one_request lock ~pid = Harness.standard_body ~lock ~requests:1 pid
+
 (* Minor words of one whole default-schedule explorer run with footprints:
    construction, 132 steps, degrees, footprints and [finish].  Cold: a
    fresh arena per run, sized from the run (3,698 words before the
    continuation slots and the sized buffers; 2,973 with them on OCaml
-   5.1; 2,550 now).  Warm: a run on an arena two runs have sized (the
-   second one grows the store's pool of spare cache rows), which resets
-   the engine, the store and the buffers in place, so only [setup], the
-   steps and the result allocate: 1,337 words on OCaml 5.1, against 2,325
-   for a run on the buffers a search used to share. *)
+   5.1; 2,564 now).  Warm: a run on an arena built once, as an explorer
+   search's is, after two runs have sized it (the second one grows the
+   store's pool of spare cache rows): the run rewinds the engine, the
+   store and the buffers in place and constructs nothing, so only the
+   steps and the result allocate — 661 words on OCaml 5.1, against 1,335
+   when every run ran [setup] and 2,325 for a run on the buffers a search
+   used to share. *)
 let test_trace_run_allocation () =
   let make = (Rme.Spec.find_exn "sa-jjj").Rme.Spec.make in
   let run ?arena () =
     Engine.run_trace ?arena ~por:true ~decisions:[||] ~n:2 ~model:Memory.CC ~crash:Crash.none
-      ~setup:make
-      ~body:(fun lock ~pid -> Harness.standard_body ~lock ~requests:1 pid)
-      ()
-  in
-  let words f =
-    let w0 = Gc.minor_words () in
-    let r = f () in
-    (r, Gc.minor_words () -. w0)
+      ~setup:make ~body:one_request ()
   in
   ignore (run ());
   let r, cold = words (fun () -> run ()) in
   let arena = Engine.arena ~n:2 in
+  Engine.build arena ~model:Memory.CC ~setup:make ~body:one_request;
   ignore (run ~arena ());
   ignore (run ~arena ());
   let _, warm = words (fun () -> run ~arena ()) in
@@ -357,8 +363,41 @@ let test_trace_run_allocation () =
   pins_hold
     [
       (Printf.sprintf "sa-jjj n=2: %.0f minor words per cold run <= 3300" cold, cold <= 3300.);
-      (Printf.sprintf "sa-jjj n=2: %.0f minor words per warm run <= 1400" warm, warm <= 1400.);
+      (Printf.sprintf "sa-jjj n=2: %.0f minor words per warm run <= 700" warm, warm <= 700.);
     ]
+
+(* A zero-step run on a built arena constructs nothing: it allocates
+   exactly what the same run of a setup that registers as many locks and
+   allocates no cell does (the engine's per-run record and [finish]).  The
+   node-allocating wr-reclaim runs its rewinders, which allocate nothing
+   either. *)
+let test_rewound_run_allocation () =
+  let zero_step ~setup ~body =
+    let arena = Engine.arena ~n:2 in
+    Engine.build arena ~model:Memory.CC ~setup ~body;
+    let run () =
+      Engine.run_trace ~arena ~max_steps:0 ~por:true ~decisions:[||] ~n:2 ~model:Memory.CC
+        ~crash:Crash.none ~setup ~body ()
+    in
+    ignore (run ());
+    ignore (run ());
+    let r, w = words run in
+    (Array.length r.Engine.tr_result.Engine.locks, w)
+  in
+  pins_hold
+  @@ List.map
+       (fun key ->
+         let nlocks, built = zero_step ~setup:(Rme.Spec.find_exn key).Rme.Spec.make ~body:one_request in
+         let setup ctx =
+           for _ = 1 to nlocks do
+             ignore (Engine.Ctx.register_lock ctx key)
+           done
+         in
+         let _, bare = zero_step ~setup ~body:(fun () ~pid:_ -> ()) in
+         ( Printf.sprintf "%s n=2: %.0f minor words per zero-step rewound run = %.0f without cells" key
+             built bare,
+           built = bare ))
+       [ "sa-jjj"; "ba-jjj"; "wr-reclaim" ]
 
 (* Minor words per passage of [bench gc]'s two runs — 8 WR-Lock clients,
    500 requests each, [Sched.random ~seed:11] — on the fast path ([`Fast],
@@ -628,6 +667,8 @@ let () =
           Alcotest.test_case "minor words per consulted step" `Quick test_consulted_step_allocation;
           Alcotest.test_case "minor words per construction" `Quick test_construction_allocation;
           Alcotest.test_case "minor words per explorer run" `Quick test_trace_run_allocation;
+          Alcotest.test_case "minor words per rewound zero-step run" `Quick
+            test_rewound_run_allocation;
           Alcotest.test_case "minor words per bench gc passage" `Quick test_gc_bench_allocation;
         ] );
       ( "register dispatch",

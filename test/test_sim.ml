@@ -629,6 +629,102 @@ let test_arena_result_kept () =
   check cb "run 1's result unchanged by run 2" true (kept = copy);
   check cb "run 2 on the arena = run 2 on a fresh one" true (second = clean ())
 
+(* Built arenas: one construction per search, rewound before each run.
+   Every registry lock runs a mixed sequence on one built arena — clean
+   runs, a per-process and a system-wide crash plan, an abort plan with
+   recorded events, a run cut by [max_steps] — and each run must equal the
+   same run constructed afresh.  Two requests per process, so node-
+   allocating locks (mcs, clh, kport, the WR family with and without
+   pools) reuse and recycle what the run before them allocated. *)
+let twice lock ~pid = Harness.standard_body ~lock ~requests:2 pid
+
+(* A cell a run allocates, per node-allocating lock, named by the lock's
+   own count of its nodes: a crash plan that strikes it by name sees the
+   names a fresh construction gives only if that count was rewound. *)
+let node_cells =
+  [
+    ("mcs", "mcs.n2.locked");
+    ("mcs-be", "mcs-be.n2.locked");
+    ("clh", "clh.n2");
+    ("ramaraju", "ramaraju.n2.next");
+    ("wr", "wr.n2.next");
+  ]
+
+(* Plans are stateful, so each run builds its own.  Each run comes with
+   what its result must show, so the sequence covers what it names. *)
+let built_sequence key setup :
+    (string * (Engine.result -> bool) * (?arena:Engine.arena -> unit -> observed)) list =
+  let run ?(max_steps = 3_000) ?(crash = fun () -> Crash.none) ?(abort = fun () -> Abort.none)
+      ?record ~state_key_at ~decisions () ?arena () =
+    observe ?arena ?record ~crash:(crash ()) ~abort:(abort ()) ~max_steps ~state_key_at ~decisions
+      ~setup ~body:twice ()
+  in
+  let clean (r : Engine.result) = Engine.total_completed r = 6 && r.Engine.total_crashes = 0 in
+  [
+    ("clean", clean, run ~state_key_at:8 ~decisions:[||] ());
+    ( "per-process crashes",
+      (fun r -> r.Engine.total_crashes > 0 && r.Engine.system_crashes = 0),
+      run
+        ~crash:(fun () -> Crash.random ~seed:3 ~rate:0.05 ~max_crashes:3 ())
+        ~state_key_at:20 ~decisions:[| 2; 1; 1; 0; 2; 2; 1 |] () );
+    ( "system-wide crash",
+      (fun r -> r.Engine.system_crashes = 1),
+      run ~crash:(fun () -> Crash.system_at ~step:25) ~state_key_at:30 ~decisions:[| 1; 2 |] () );
+    ( "abort plan",
+      (fun r -> r.Engine.aborts <> [] && r.Engine.events <> []),
+      run ~record:true
+        ~abort:(fun () -> Abort.impatient ~timeout_steps:2 ())
+        ~state_key_at:12 ~decisions:[| 0; 2; 1 |] () );
+    ( "cut by max_steps",
+      (fun r -> r.Engine.timed_out && r.Engine.total_crashes > 0),
+      run ~max_steps:40
+        ~crash:(fun () -> Crash.random ~seed:5 ~rate:0.1 ~max_crashes:2 ())
+        ~state_key_at:15 ~decisions:[| 1; 1; 2; 0 |] () );
+    ("clean again", clean, run ~state_key_at:40 ~decisions:[| 2; 0; 1; 2; 0; 1 |] ());
+  ]
+  @
+  match List.assoc_opt key node_cells with
+  | None -> []
+  | Some cell ->
+      [
+        ( "crash on a node the run allocated",
+          (fun r -> r.Engine.total_crashes > 0),
+          run
+            ~crash:(fun () ->
+              Crash.all (List.init 3 (fun pid -> Crash.on_cell ~pid ~cell ~occurrence:0 Crash.After)))
+            ~state_key_at:10 ~decisions:[| 1; 2; 0 |] () );
+      ]
+
+let test_built_arena_matches_construction () =
+  List.iter
+    (fun (spec : Rme.Spec.t) ->
+      let setup = spec.Rme.Spec.make in
+      let arena = Engine.arena ~n:3 in
+      Engine.build arena ~model:Memory.CC ~setup ~body:twice;
+      List.iter
+        (fun (name, shows, (run : ?arena:_ -> _)) ->
+          let what = Printf.sprintf "%s, %s" spec.Rme.Spec.key name in
+          let ((res, _, _, keys) as built) = run ~arena () in
+          check cb (what ^ ": the run shows what it names") true (shows res && keys <> []);
+          check cb (what ^ ": built arena = fresh construction") true (built = run ()))
+        (built_sequence spec.Rme.Spec.key setup))
+    Rme.Spec.all
+
+let test_built_arena_rejects_another_subject () =
+  let setup = lock_setup "mcs" in
+  let arena = Engine.arena ~n:3 in
+  Engine.build arena ~model:Memory.CC ~setup ~body:twice;
+  let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  check cb "another setup" true
+    (raises (fun () -> observe ~arena ~setup:(lock_setup "clh") ~body:twice ()));
+  check cb "another body" true (raises (fun () -> observe ~arena ~setup ~body:standard ()));
+  check cb "another model" true
+    (raises (fun () ->
+         Engine.run_trace ~arena ~decisions:[||] ~n:3 ~model:Memory.DSM ~crash:Crash.none ~setup
+           ~body:twice ()));
+  let (res, _, _, _) = observe ~arena ~setup ~body:twice () in
+  check ci "the built subject still runs" 6 (Engine.total_completed res)
+
 let () =
   Alcotest.run "rme_sim"
     [
@@ -686,5 +782,9 @@ let () =
         [
           Alcotest.test_case "shared arena matches fresh" `Quick test_arena_matches_fresh;
           Alcotest.test_case "kept result survives the next run" `Quick test_arena_result_kept;
+          Alcotest.test_case "built arena matches construction" `Quick
+            test_built_arena_matches_construction;
+          Alcotest.test_case "built arena rejects another subject" `Quick
+            test_built_arena_rejects_another_subject;
         ] );
     ]
