@@ -240,22 +240,31 @@ let run_one cfg ~make ~adversary ~seed =
     decisions = Vec.to_array decisions;
   }
 
-let replay cfg ~make ~fired ?(ab_fired = []) ~decisions () =
+(* The subject a run's replays rewind: one construction serves the
+   confirm replay and every shrink candidate of a violation. *)
+let arena cfg ~make = Engine.arena ~n:cfg.n ~model:cfg.model ~setup:make ~body:(body cfg)
+
+let replay_in arena cfg ~fired ~ab_fired ~decisions =
   let abort = if ab_fired = [] then Abort.none else Abort.replay_fired ab_fired in
   let res, diverged =
-    Explore.replay ~record:true ~max_steps:cfg.max_steps ~abort ~decisions
-      ~n:cfg.n ~model:cfg.model ~crash:(Crash.replay_fired fired) ~setup:make
-      ~body:(body cfg) ()
+    Explore.replay ~record:true ~max_steps:cfg.max_steps ~abort ~arena ~decisions
+      ~crash:(Crash.replay_fired fired) ()
   in
   (res, diverged <> None)
 
-let shrink_witness cfg ~make ~fired ?(ab_fired = []) ~check trace =
+let replay cfg ~make ~fired ?(ab_fired = []) ~decisions () =
+  replay_in (arena cfg ~make) cfg ~fired ~ab_fired ~decisions
+
+let shrink_in arena cfg ~fired ~ab_fired ~check trace =
   Array.of_list
     (Explore.shrink
        ~reproduces:(fun t ->
-         let res, diverged = replay cfg ~make ~fired ~ab_fired ~decisions:(Array.of_list t) () in
+         let res, diverged = replay_in arena cfg ~fired ~ab_fired ~decisions:(Array.of_list t) in
          (not diverged) && check res <> None)
        (Array.to_list trace))
+
+let shrink_witness cfg ~make ~fired ?(ab_fired = []) ~check trace =
+  shrink_in (arena cfg ~make) cfg ~fired ~ab_fired ~check trace
 
 type case = {
   case_name : string;
@@ -351,14 +360,13 @@ let confirm_and_shrink case ~seed (r : run) problems =
       Some prop
     else None
   in
+  let arena = arena r.cfg ~make:case.case_make in
   let replay_res, diverged =
-    replay r.cfg ~make:case.case_make ~fired:r.fired ~ab_fired:r.ab_fired ~decisions:r.decisions ()
+    replay_in arena r.cfg ~fired:r.fired ~ab_fired:r.ab_fired ~decisions:r.decisions
   in
   let replay_ok = (not diverged) && check replay_res <> None in
   let witness =
-    if replay_ok then
-      shrink_witness r.cfg ~make:case.case_make ~fired:r.fired ~ab_fired:r.ab_fired ~check
-        r.decisions
+    if replay_ok then shrink_in arena r.cfg ~fired:r.fired ~ab_fired:r.ab_fired ~check r.decisions
     else r.decisions
   in
   {

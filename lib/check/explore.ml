@@ -55,18 +55,15 @@ let shrink ~reproduces trace =
 (* Everything one run needs, bundled so the search and the shrinker replay
    schedules identically.  [por] enables footprint collection for the
    sleep-set reduction; [crashy] marks the crash plan's possible victims
-   (see Crash.por_class); [arena] is the engine storage every run of the
-   search, shrink replays included, resets and reuses, with the subject
-   built into it once: each run rewinds to it instead of constructing. *)
-type 'a driver = {
+   (see Crash.por_class); [arena] is the subject, constructed once, that
+   every run of the search, shrink replays included, rewinds and runs
+   in. *)
+type driver = {
   max_steps : int;
   record : bool;
   n : int;
-  model : Memory.model;
   crash : unit -> Crash.t;
   abort : unit -> Abort.t;
-  setup : Engine.Ctx.t -> 'a;
-  body : 'a -> pid:int -> unit;
   check : Engine.result -> string option;
   por : bool;
   crashy : int -> bool;
@@ -100,8 +97,8 @@ let por_setup ~por ~record ~n ~crash ~abort =
 let run_node ?state_key_at ?on_state_key d decisions =
   let rr =
     Engine.run_trace ?state_key_at ?on_state_key ~record:d.record ~max_steps:d.max_steps ~por:d.por
-      ~footprint_crashy:d.crashy ~abort:(d.abort ()) ~arena:d.arena ~decisions ~n:d.n
-      ~model:d.model ~crash:(d.crash ()) ~setup:d.setup ~body:d.body ()
+      ~footprint_crashy:d.crashy ~abort:(d.abort ()) ~arena:d.arena ~decisions ~crash:(d.crash ())
+      ()
   in
   d.tally rr.Engine.tr_result;
   rr
@@ -121,8 +118,8 @@ let divergence (rr : Engine.trun) decisions =
   in
   first 0
 
-let replay ?record ?max_steps ?abort ~decisions ~n ~model ~crash ~setup ~body () =
-  let rr = Engine.run_trace ?record ?max_steps ?abort ~decisions ~n ~model ~crash ~setup ~body () in
+let replay ?record ?max_steps ?abort ~arena ~decisions ~crash () =
+  let rr = Engine.run_trace ?record ?max_steps ?abort ~arena ~decisions ~crash () in
   (rr.Engine.tr_result, divergence rr decisions)
 
 (* A shrink candidate counts only if it reproduces the violation *and* its
@@ -522,19 +519,15 @@ let explore ?(max_runs = 100_000) ?(max_steps = 20_000) ?(shrink_violations = tr
       max_steps;
       record;
       n;
-      model;
       crash;
       abort;
-      setup;
-      body;
       check;
       por = tier <> `Off;
       crashy;
       tally;
-      arena = Engine.arena ~n;
+      arena = Engine.arena ~n ~model ~setup ~body;
     }
   in
-  Engine.build d.arena ~model ~setup ~body;
   (* Hoisted so the [stats] callback can read the counters after the
      search, whichever branch ran. *)
   let cache =

@@ -17,11 +17,10 @@
     once over the whole tree on the calling domain, and
     every run replays its whole decision vector from the root.
 
-    A search allocates one {!Engine.arena} for its [n], constructs its
-    subject into it once ({!Engine.build}), and runs every one of its runs
-    in it, the root probe and the shrink replays included: each run
-    rewinds the arena to the constructed subject instead of running
-    [setup] again.  A node reads its run's degrees and footprints in
+    A search builds one {!Engine.arena} from its subject, which runs
+    [setup] once, and runs every one of its runs in it, the root probe and
+    the shrink replays included: each run rewinds the arena to the
+    constructed subject.  A node reads its run's degrees and footprints in
     place, in the arena's buffers: a cache hit walks its prefix there, and
     a node that expands children first copies its own suffix of them (from
     its depth to the end of its run), which the children's runs
@@ -74,16 +73,14 @@ val replay :
   ?record:bool ->
   ?max_steps:int ->
   ?abort:Abort.t ->
+  arena:Engine.arena ->
   decisions:int array ->
-  n:int ->
-  model:Memory.model ->
   crash:Crash.t ->
-  setup:(Engine.Ctx.t -> 'a) ->
-  body:('a -> pid:int -> unit) ->
   unit ->
   Engine.result * divergence option
 (** The one replay rule of the explorer, its shrinker and {!Chaos}: run
-    [decisions] from the root through {!Engine.run_trace} and return the
+    [decisions] from the root of [arena]'s subject through
+    {!Engine.run_trace} and return the
     result with the first position whose decision does not index a real
     branch ([choice < 0] or [choice >= degree]), or [None] when every
     decision the run reached was a real branch.  Positions past the end
@@ -92,8 +89,9 @@ val replay :
     schedule — just not the one [decisions] was recorded as; a caller
     that reports a witness must reject it.  [crash] and [abort] (default
     {!Abort.none}) are the plans of this one run; stateful plans must be
-    fresh per call.  Each call runs on a fresh {!Engine.arena}.  Defaults
-    as {!Engine.run_trace}. *)
+    fresh per call.  The call rewinds [arena], so one arena serves any
+    number of replays of its subject, one at a time.  Defaults as
+    {!Engine.run_trace}. *)
 
 val explore :
   ?max_runs:int ->
@@ -113,8 +111,9 @@ val explore :
   check:(Engine.result -> string option) ->
   unit ->
   outcome
-(** [setup] runs once per search, before the first run; every run
-    starts from the state [setup] left, rewound ({!Engine.build}).  Host-side
+(** [setup] runs once per search, before the first run, into the
+    search's {!Engine.arena}; every run starts from the state [setup]
+    left, rewound.  Host-side
     state that [setup] creates and a run mutates — a private array, a
     node registry, a counter [check] reads — must be put back before each
     run by a reset [setup] registers through {!Engine.Ctx.on_rewind};

@@ -1,9 +1,9 @@
 open Rme_sim
 
-type report = { ops_replayed : int; cells_checked : int; divergence : string option }
+type report = { ops_replayed : int; divergence : string option }
 
 let pp_report ppf r =
-  Fmt.pf ppf "ops=%d cells=%d %s" r.ops_replayed r.cells_checked
+  Fmt.pf ppf "ops=%d %s" r.ops_replayed
     (match r.divergence with None -> "consistent" | Some d -> "DIVERGENT: " ^ d)
 
 (* Replay the recorded instruction stream as a sequentially consistent
@@ -11,7 +11,7 @@ let pp_report ppf r =
    their cell; any op's recorded post-value becomes the cell's current
    contents.  The first op seen on a cell establishes its value (the
    initialisation is not in the trace). *)
-let verify (res : Engine.result) ~mem_dump =
+let verify (res : Engine.result) =
   let contents : (string, int) Hashtbl.t = Hashtbl.create 64 in
   let ops = ref 0 in
   let divergence = ref None in
@@ -30,18 +30,4 @@ let verify (res : Engine.result) ~mem_dump =
             | _ -> Hashtbl.replace contents cell value)
         | Event.Op _ | Event.Note _ | Event.Crash _ | Event.Sys_crash _ -> ())
     res.Engine.events;
-  let checked = ref 0 in
-  if !divergence = None then
-    List.iter
-      (fun (name, final) ->
-        match Hashtbl.find_opt contents name with
-        | Some v when v <> final ->
-            if !divergence = None then
-              divergence :=
-                Some (Printf.sprintf "cell %s: trace ends at %d, store holds %d" name v final)
-        | Some _ -> incr checked
-        | None -> ())
-      mem_dump;
-  { ops_replayed = !ops; cells_checked = !checked; divergence = !divergence }
-
-let dump mem ~cells = List.map (fun (c : Cell.t) -> (c.Cell.name, Memory.peek mem c)) cells
+  { ops_replayed = !ops; divergence = !divergence }

@@ -62,8 +62,6 @@ let positive points = List.filter (fun (x, y) -> x > 0.0 && y > 0.0) points
 
 let fit_exponent points = slope (List.map (fun (x, y) -> (log x, log y)) (positive points))
 
-let fit_log points = slope (List.map (fun (x, y) -> (log x, y)) (positive points))
-
 type growth = Flat | Logarithmic | Sqrt | Linear | Superlinear
 
 let pp_growth ppf g =
@@ -84,12 +82,6 @@ let classify points =
   else Superlinear
 
 type classification = { pm1 : bool; pm2a : bool; pm2b : bool; pm3a : bool; pm3b : bool }
-
-let yn b = if b then "yes" else "no"
-
-let pp_classification ppf c =
-  Fmt.pf ppf "PM1=%s PM2a=%s PM2b=%s PM3a=%s PM3b=%s" (yn c.pm1) (yn c.pm2a) (yn c.pm2b)
-    (yn c.pm3a) (yn c.pm3b)
 
 let adaptivity_name c =
   if c.pm2b then "super-adaptive"

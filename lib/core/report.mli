@@ -20,10 +20,6 @@ val fit_exponent : (float * float) list -> float
     ≈1 for linear growth.  Points with non-positive coordinates are
     dropped. *)
 
-val fit_log : (float * float) list -> float
-(** Least-squares slope of y against log x — distinguishes logarithmic from
-    polynomial growth when {!fit_exponent} is small. *)
-
 type growth = Flat | Logarithmic | Sqrt | Linear | Superlinear
 
 val pp_growth : growth Fmt.t
@@ -40,8 +36,6 @@ type classification = {
   pm3a : bool;  (** bounded: arbitrary-failure RMR bounded by h(n) *)
   pm3b : bool;  (** well-bounded: ... with h = o(log n) *)
 }
-
-val pp_classification : classification Fmt.t
 
 val adaptivity_name : classification -> string
 (** "non-adaptive" / "semi-adaptive" / "adaptive" / "super-adaptive". *)

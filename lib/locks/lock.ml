@@ -54,8 +54,6 @@ type side = Left | Right
 
 let side_index = function Left -> 0 | Right -> 1
 
-let pp_side ppf = function Left -> Fmt.string ppf "left" | Right -> Fmt.string ppf "right"
-
 type dual = {
   dual_name : string;
   dual_acquire : side -> pid:int -> unit;

@@ -46,8 +46,6 @@ type side = Left | Right
 
 val side_index : side -> int
 
-val pp_side : side Fmt.t
-
 (** A dual-port lock: at most one process may compete on each side at any
     time, but any pair of the n processes may be the two competitors. *)
 type dual = {

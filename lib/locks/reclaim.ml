@@ -39,7 +39,7 @@ type t = {
   pool_index : Cell.t array;
   confirm_pool_index : Cell.t array;
   notify : notify option;
-  mutable pools : Nodes.node array array array;  (* pools.(i).(b).(s) *)
+  mutable pools : Nodes.node array array array;  (* pools.(i).(b).(s), drawn by [alloc] *)
 }
 
 let create ?(name = "reclaim") ?(notify = false) ctx =
@@ -51,35 +51,22 @@ let create ?(name = "reclaim") ?(notify = false) ctx =
     Array.init n (fun i ->
         Memory.alloc_array mem ~home:i ~len:n ~name:(name ^ "[" ^ string_of_int i ^ "]") init)
   in
-  let t =
-    {
-      name;
-      n;
-      incoming = arr "in" 0;
-      outgoing = arr "out" 0;
-      switch = arr "switch" completed;
-      mode = arr "mode" scan;
-      index = arr "index" 0;
-      snapshot = matrix "snapshot" 0;
-      pool_index = arr "pool_index" 0;
-      confirm_pool_index = arr "confirm_pool_index" 0;
-      notify =
-        (if notify then Some { ding = arr "ding" 0; slot = matrix "slot" 0; dirty = arr "dirty" 0 }
-         else None);
-      pools = [||];
-    }
-  in
-  (* A rewound store drops the pool nodes a run drew. *)
-  Engine.Ctx.on_rewind ctx (fun () -> t.pools <- [||]);
-  t
-
-(* The pools model statically allocated NVRAM; they are drawn lazily from
-   the owning lock's registry so that node ids resolve in that lock. *)
-let ensure_pools t reg =
-  if Array.length t.pools = 0 then
-    t.pools <-
-      Array.init t.n (fun i ->
-          Array.init 2 (fun _ -> Array.init (2 * t.n) (fun _ -> Nodes.fresh reg ~owner:i)))
+  {
+    name;
+    n;
+    incoming = arr "in" 0;
+    outgoing = arr "out" 0;
+    switch = arr "switch" completed;
+    mode = arr "mode" scan;
+    index = arr "index" 0;
+    snapshot = matrix "snapshot" 0;
+    pool_index = arr "pool_index" 0;
+    confirm_pool_index = arr "confirm_pool_index" 0;
+    notify =
+      (if notify then Some { ding = arr "ding" 0; slot = matrix "slot" 0; dirty = arr "dirty" 0 }
+       else None);
+    pools = [||];
+  }
 
 (* One incremental step of the epoch state machine (Algorithm 4). *)
 let epoch t ~pid =
@@ -124,8 +111,7 @@ let epoch t ~pid =
     Api.write t.switch.(pid) completed
   end
 
-let new_node t ~pid reg =
-  ensure_pools t reg;
+let new_node t ~pid =
   if Api.read t.incoming.(pid) = Api.read t.outgoing.(pid) then begin
     epoch t ~pid;
     Api.write t.incoming.(pid) (Api.read t.incoming.(pid) + 1)
@@ -153,4 +139,11 @@ let retire t ~pid =
           done
   end
 
-let alloc = new_node
+(* The pools model statically allocated NVRAM: drawn during construction,
+   from the owning lock's registry so that node ids resolve in that lock,
+   they belong to the image every run rewinds to. *)
+let alloc t reg =
+  t.pools <-
+    Array.init t.n (fun i ->
+        Array.init 2 (fun _ -> Array.init (2 * t.n) (fun _ -> Nodes.fresh reg ~owner:i)));
+  fun ~pid -> new_node t ~pid

@@ -2,7 +2,7 @@
 
     A failure can leave an MCS node referenced by other processes long after
     its owner finished with it, so nodes cannot be freed eagerly.  Each
-    process owns two pools (active and reserve) of 2n nodes; [new_node]
+    process owns two pools (active and reserve) of 2n nodes; the allocator
     serves nodes round-robin from the active pool, and an incremental epoch
     runs one step per allocation: scan every process's [in] counter, wait
     for the matching [out] counters to catch up (all requests that might
@@ -13,7 +13,7 @@
 
     All reclamation state lives in shared cells and every step is
     idempotent, so the algorithm is itself crash-recoverable; in particular
-    repeated [new_node] calls return the same node until {!retire} is
+    repeated allocations return the same node until {!retire} is
     called, which covers a crash between allocating a node and persisting
     the reference to it.
 
@@ -31,12 +31,14 @@ val create : ?name:string -> ?notify:bool -> Rme_sim.Engine.Ctx.t -> t
     the O(n) doorbell scan; sticky because clearing it would open a
     crash window that loses wake-ups). *)
 
-val new_node : t -> pid:int -> Nodes.registry -> Nodes.node
-(** Allocate (or re-return) the current node for [pid]'s active request.
-    The pools are drawn from the given registry, fixed at first use. *)
+val alloc : t -> Nodes.registry -> pid:int -> Nodes.node
+(** [alloc t reg] draws [t]'s pools from [reg] — two pools of 2n nodes per
+    process, the statically allocated NVRAM of §7.2 — and returns the
+    allocator: [alloc t reg ~pid] allocates (or re-returns) the current
+    node for [pid]'s active request.  Apply it to the registry once,
+    during construction, so the pools belong to the constructed image;
+    {!Wr_lock.create} does so with its [alloc] at the end of its own
+    construction. *)
 
 val retire : t -> pid:int -> unit
-(** Mark [pid]'s current node as done; the next [new_node] advances. *)
-
-val alloc : t -> pid:int -> Nodes.registry -> Nodes.node
-(** Alias of {!new_node}, matching {!Wr_lock.create}'s [alloc] signature. *)
+(** Mark [pid]'s current node as done; the next allocation advances. *)

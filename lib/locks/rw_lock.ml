@@ -82,19 +82,3 @@ let write_acquire t ~pid =
 let write_release t ~pid =
   Api.write t.wflag 0;
   t.wlock.Lock.release ~pid
-
-let reader_lock t =
-  {
-    Lock.name = t.name ^ ".reader";
-    acquire = (fun ~pid -> read_acquire t ~pid);
-    release = (fun ~pid -> read_release t ~pid);
-    try_abort = None;
-  }
-
-let writer_lock_view t =
-  {
-    Lock.name = t.name ^ ".writer";
-    acquire = (fun ~pid -> write_acquire t ~pid);
-    release = (fun ~pid -> write_release t ~pid);
-    try_abort = None;
-  }

@@ -32,9 +32,3 @@ val read_release : t -> pid:int -> unit
 val write_acquire : t -> pid:int -> unit
 
 val write_release : t -> pid:int -> unit
-
-val reader_lock : t -> Lock.t
-(** The read side packaged as an ordinary lock (for the harness). *)
-
-val writer_lock_view : t -> Lock.t
-(** The write side packaged as an ordinary lock. *)

@@ -11,14 +11,6 @@ let in_cs = 3
 
 let leaving = 4
 
-let state_name = function
-  | 0 -> "Free"
-  | 1 -> "Initializing"
-  | 2 -> "Trying"
-  | 3 -> "InCS"
-  | 4 -> "Leaving"
-  | s -> Printf.sprintf "?%d" s
-
 type t = {
   id : int;
   name : string;
@@ -29,30 +21,25 @@ type t = {
   state : Cell.t array;
   mine : Cell.t array;
   pred : Cell.t array;
-  alloc : pid:int -> Nodes.registry -> Nodes.node;
+  alloc : pid:int -> Nodes.node;
   retire : pid:int -> unit;
 }
 
-let default_alloc ~pid reg = Nodes.fresh reg ~owner:pid
+let default_alloc reg ~pid = Nodes.fresh reg ~owner:pid
 
 let create ?(name = "wr") ?(alloc = default_alloc) ?(retire = fun ~pid:_ -> ()) ctx =
   let mem = Engine.Ctx.memory ctx in
   let n = Engine.Ctx.n ctx in
   let id = Engine.Ctx.register_lock ctx name in
   let cell_array field init = Memory.alloc_per_process mem ~name:(name ^ "." ^ field) init in
-  {
-    id;
-    name;
-    mem;
-    n;
-    reg = Nodes.create_registry ctx ~prefix:name;
-    tail = Memory.alloc mem ~name:(name ^ ".tail") Nodes.null;
-    state = cell_array "state" free;
-    mine = cell_array "mine" Nodes.null;
-    pred = cell_array "pred" Nodes.null;
-    alloc;
-    retire;
-  }
+  (* Cells in id order, then the nodes an allocator draws at construction
+     (a reclamation pool). *)
+  let pred = cell_array "pred" Nodes.null in
+  let mine = cell_array "mine" Nodes.null in
+  let state = cell_array "state" free in
+  let tail = Memory.alloc mem ~name:(name ^ ".tail") Nodes.null in
+  let reg = Nodes.create_registry ctx ~prefix:name in
+  { id; name; mem; n; reg; tail; state; mine; pred; alloc = alloc reg; retire }
 
 let lock_id t = t.id
 
@@ -99,7 +86,7 @@ let recover_segment t ~pid =
 let enter_segment ?(abortable = false) t ~pid =
   if Api.read t.state.(pid) = initializing then begin
     if Api.read t.mine.(pid) = Nodes.null then begin
-      let node = t.alloc ~pid t.reg in
+      let node = t.alloc ~pid in
       Api.write t.mine.(pid) node.Nodes.id
     end;
     let mine = Api.read t.mine.(pid) in
@@ -178,8 +165,6 @@ let make ctx = lock (create ctx)
 let make_abort ctx = lock_abortable (create ~name:"wr-abort" ctx)
 
 let owner_of_node t id = (Nodes.get t.reg id).Nodes.owner
-
-let peek_state t ~pid = state_name (Memory.peek t.mem t.state.(pid))
 
 (* Reconstruct the implicit sub-queues from shared memory, in the spirit of
    Proposition 4.1: a live process's node, together with the predecessor

@@ -24,23 +24,18 @@ type t
 
 val create :
   ?name:string ->
-  ?alloc:(pid:int -> Nodes.registry -> Nodes.node) ->
+  ?alloc:(Nodes.registry -> pid:int -> Nodes.node) ->
   ?retire:(pid:int -> unit) ->
   Rme_sim.Engine.Ctx.t ->
   t
 (** [alloc] overrides node allocation and [retire] is invoked at the end of
     every Exit (normal or relinquishing) — together they plug in the §7.2
-    memory-reclamation pool ({!Reclaim}).  [alloc] defaults to a fresh node
-    per call and [retire] to a no-op. *)
+    memory-reclamation pool ({!Reclaim}).  [alloc] is applied once to the
+    lock's node registry, at the end of construction, and the result
+    allocates per call.  [alloc] defaults to a fresh node per call and
+    [retire] to a no-op. *)
 
 val lock : t -> Lock.t
-
-val lock_abortable : t -> Lock.t
-(** Like {!lock}, but the waiting spin is abortable and the lock carries an
-    abort port.  The queue has no mid-queue unlink, so a withdrawal waits
-    for the incoming hand-off and relays it to the successor through the
-    wait-free exit; a grant that already landed means the abort lost the
-    race ([Acquired_instead]). *)
 
 val lock_id : t -> int
 
@@ -48,7 +43,11 @@ val make : Lock.maker
 (** [make ctx = lock (create ctx)]. *)
 
 val make_abort : Lock.maker
-(** [make_abort ctx = lock_abortable (create ~name:"wr-abort" ctx)]. *)
+(** [make ctx], but the waiting spin is abortable and the lock carries an
+    abort port.  The queue has no mid-queue unlink, so a withdrawal waits
+    for the incoming hand-off and relays it to the successor through the
+    wait-free exit; a grant that already landed means the abort lost the
+    race ([Acquired_instead]).  Registered as ["wr-abort"]. *)
 
 val registry : t -> Nodes.registry
 
@@ -62,7 +61,3 @@ val subqueues : t -> int list list
 
 val owner_of_node : t -> int -> int
 (** The process that allocated a node. *)
-
-val state_name : int -> string
-
-val peek_state : t -> pid:int -> string

@@ -164,20 +164,15 @@ let fresh_info () =
 (* Shared by every engine off the instrumented path, which never writes it. *)
 let no_consult = { info = fresh_info (); cell_names = [||]; note_box = None }
 
-(* The subject {!build} constructed into an arena: every later run on the
-   arena rewinds to it instead of running [setup] again, and must name the
-   same [setup] and [body]. *)
-type image = Unbuilt | Built : { setup : Ctx.t -> 'a; body : 'a -> pid:int -> unit } -> image
-
-(* One engine, which is also an arena: [make] allocates it for [n]
-   processes and [prepare] resets it in place for each run, so the runs of
-   one explorer search share every per-pid array, slot and buffer below.
-   The per-run configuration is mutable for the same reason. *)
+(* One engine, which is also an arena: [arena] constructs its subject into
+   it once and [prepare] rewinds it in place for each run, so the runs of
+   one explorer search share the store and every per-pid array, slot and
+   buffer below.  The per-run configuration is mutable for the same
+   reason. *)
 type t = {
   n : int;
-  mutable mem : Memory.t;
-  lock_names : string Vec.t;  (* by lock id: the registry [setup] fills *)
-  mutable nlocks : int;  (* locks of the subject; the per-lock arrays may be longer *)
+  mem : Memory.t;  (* sealed after [setup]: every run rewinds to that image *)
+  lock_names : string Vec.t;  (* by lock id: the registry [setup] filled *)
   mutable crash : Crash.t;
   mutable abort : Abort.t;
   mutable has_abort : bool;  (* abort != Abort.none: gates all abort bookkeeping *)
@@ -200,7 +195,7 @@ type t = {
      of this stream, so equal digests mean equal control state — the
      private half of {!state_key}. *)
   ans_hash : int array;
-  mutable body : pid:int -> unit;
+  body : pid:int -> unit;
   mutable handler : (unit, phase) Effect.Deep.handler;  (* [make_handler], once per engine *)
   phase : phase array;
   mutable cur : int;  (* the pid whose fiber runs: where the handler files its suspension *)
@@ -238,9 +233,9 @@ type t = {
   passage_start : int array;
   passages : passage Vec.t array;
   level_max : int array;
-  mutable occupancy : int array;
-  mutable occupancy_max : int array;
-  mutable unsafe_crashes : int array;
+  occupancy : int array;  (* by lock id, like the two below *)
+  occupancy_max : int array;
+  unsafe_crashes : int array;
   parked_cells : (int, unit) Hashtbl.t;  (* cell ids with parked processes *)
   (* Per-count scratch arrays for {!runnable}: [Sched.pick] implementations
      read [Array.length runnable], so each ready-set size needs an
@@ -262,8 +257,7 @@ type t = {
   mutable global_cs_max : int;
   mutable deadlocked : bool;
   mutable timed_out : bool;
-  mutable rewinders : (unit -> unit) list;  (* [Ctx.on_rewind]'s, run before each run of a built arena *)
-  mutable image : image;
+  rewinders : (unit -> unit) list;  (* [Ctx.on_rewind]'s, run before every run *)
 }
 
 (* Call sites guard with [eng.emit] *before* constructing the event, so a
@@ -285,7 +279,7 @@ let file_k eng s k = if Array.length s.k = 0 then s.k <- Array.make eng.n k else
    instruction stores no view. *)
 let file_view s pid view = if s.view.(pid) != view then s.view.(pid) <- view
 
-(* The run's effect handler, built once per run by [drive].  [effc] files
+(* The engine's effect handler, built once per arena by [arena].  [effc] files
    the suspension under [eng.cur]: the operands into [pend] and the view
    into the slots of its answer type, and hands the runtime one of three
    preallocated results, which files the continuation and returns the
@@ -871,7 +865,7 @@ let pending_footprint eng ~crashy pid =
    which the digests determine. *)
 let state_key eng =
   let n = eng.n in
-  let nlocks = eng.nlocks in
+  let nlocks = Array.length eng.occupancy in
   let key = Array.make ((3 * n) + nlocks + 4) 0 in
   key.(0) <- Memory.fingerprint eng.mem;
   for p = 0 to n - 1 do
@@ -1041,7 +1035,7 @@ let finish eng =
         })
   in
   let locks =
-    Array.init eng.nlocks (fun id ->
+    Array.init (Array.length eng.occupancy) (fun id ->
         {
           lock_name = Vec.get eng.lock_names id;
           max_occupancy = eng.occupancy_max.(id);
@@ -1097,29 +1091,32 @@ let no_handler : (unit, phase) Effect.Deep.handler =
   { retc = (fun () -> Halted); exnc = raise; effc = (fun _ -> None) }
 
 (* Domain-safety audit (plans and seeds sharded over domains): an engine
-   serves one run at a time.  [run] makes a fresh one per call, and
-   [run_trace] uses its caller's arena (or a fresh one), which one search
-   owns.  Every piece of mutable state below — the store, the engine
-   record, the continuation and view slots, the per-process arrays, the
-   effect handler with its preallocated results — belongs to one engine:
-   [make] allocates it and [prepare] resets it.  The module has no
-   top-level mutable bindings (and the same holds for Memory, Cell, Crash
-   and Vec).  The one shared piece is {!Api.register}, which is per
-   domain: [prepare] takes the running domain's, the run's fibers fill it
-   in that same domain, and the handler empties it into [pend] before
-   another fiber runs.  Concurrent runs on different engines in different
-   domains therefore share nothing, *provided* the caller's [sched],
-   [crash], [setup] and [body] arguments are themselves domain-safe: a
-   stateful scheduler or crash plan must be built fresh per run, and the
-   closures must not capture shared mutable state. *)
-let make ~n ~model =
+   serves one run at a time.  [run] constructs a fresh one per call, and
+   [run_trace] uses its caller's arena, which one search owns.  Every
+   piece of mutable state below — the store, the engine record, the
+   continuation and view slots, the per-process arrays, the effect handler
+   with its preallocated results — belongs to one engine: [arena]
+   allocates it and [prepare] resets it.  The module has no top-level
+   mutable bindings (and the same holds for Memory, Cell, Crash and Vec).
+   The one shared piece is {!Api.register}, which is per domain:
+   [prepare] takes the running domain's, the run's fibers fill it in that
+   same domain, and the handler empties it into [pend] before another
+   fiber runs.  Concurrent runs on different engines in different domains
+   therefore share nothing, *provided* the caller's [sched], [crash],
+   [setup] and [body] arguments are themselves domain-safe: a stateful
+   scheduler or crash plan must be built fresh per run, and the closures
+   must not capture shared mutable state. *)
+let arena ~n ~model ~setup ~body =
   let mem = Memory.create model ~n in
+  let ctx = { Ctx.mem; lock_names = Vec.create (); rewinders = [] } in
+  let shared = setup ctx in
+  Memory.seal mem;
+  let nlocks = Vec.length ctx.lock_names in
   let eng =
     {
       n;
       mem;
-      lock_names = Vec.create ();
-      nlocks = 0;
+      lock_names = ctx.lock_names;
       crash = Crash.none;
       abort = Abort.none;
       has_abort = false;
@@ -1136,7 +1133,7 @@ let make ~n ~model =
       on_crash = default_on_crash;
       on_op = default_on_op;
       ans_hash = Array.make n 0;
-      body = (fun ~pid:_ -> ());
+      body = (fun ~pid -> body shared ~pid);
       handler = no_handler;
       phase = Array.make n Start;
       cur = 0;
@@ -1169,9 +1166,9 @@ let make ~n ~model =
       passage_start = Array.make n 0;
       passages = Array.init n (fun _ -> Vec.create ());
       level_max = Array.make n 0;
-      occupancy = [||];
-      occupancy_max = [||];
-      unsafe_crashes = [||];
+      occupancy = Array.make nlocks 0;
+      occupancy_max = Array.make nlocks 0;
+      unsafe_crashes = Array.make nlocks 0;
       parked_cells = Hashtbl.create 8;
       ready_bufs = Array.make (n + 1) [||];
       degrees = [||];
@@ -1186,59 +1183,25 @@ let make ~n ~model =
       global_cs_max = 0;
       deadlocked = false;
       timed_out = false;
-      rewinders = [];
-      image = Unbuilt;
+      rewinders = ctx.rewinders;
     }
   in
   eng.handler <- make_handler eng;
   eng
 
-(* Construct the subject into [eng]: [setup] allocates into the emptied
-   store and lock registry, so cell and lock ids restart at 0. *)
-let construct eng ~model ~setup ~body =
-  if Memory.model eng.mem = model then Memory.reset eng.mem
-  else eng.mem <- Memory.create model ~n:eng.n;
-  Vec.clear eng.lock_names;
-  eng.image <- Unbuilt;
-  let ctx = { Ctx.mem = eng.mem; lock_names = eng.lock_names; rewinders = [] } in
-  let shared = setup ctx in
-  eng.rewinders <- ctx.rewinders;
-  let nlocks = Vec.length eng.lock_names in
-  if Array.length eng.occupancy < nlocks then begin
-    eng.occupancy <- Array.make nlocks 0;
-    eng.occupancy_max <- Array.make nlocks 0;
-    eng.unsafe_crashes <- Array.make nlocks 0
-  end;
-  eng.nlocks <- nlocks;
-  eng.body <- (fun ~pid -> body shared ~pid)
-
-let build eng ~model ~setup ~body =
-  construct eng ~model ~setup ~body;
-  Memory.seal eng.mem;
-  eng.image <- Built { setup; body }
-
-(* Reset [eng] in place for a run: construct the subject afresh, or, on a
-   built arena, rewind the store and the registered host state to the
-   image [build] left.  What a run leaves behind (suspended continuations,
-   stale views and operands) stays in the slots, unread: every slot read
-   is guarded by a [phase] tag this run set. *)
+(* Reset [eng] in place for a run: rewind the store and the registered
+   host state to the image [arena] sealed.  What a run leaves behind
+   (suspended continuations, stale views and operands) stays in the
+   slots, unread: every slot read is guarded by a [phase] tag this run
+   set. *)
 let prepare eng ~stall_window ~max_steps ~sink ~consult_ops ~track_ans ~trace_ops ~on_crash ~on_op
-    ~model ~crash ~abort ~setup ~body =
+    ~crash ~abort =
   let n = eng.n in
-  (match eng.image with
-  | Unbuilt -> construct eng ~model ~setup ~body
-  | Built b ->
-      if
-        Obj.repr b.setup != Obj.repr setup
-        || Obj.repr b.body != Obj.repr body
-        || Memory.model eng.mem <> model
-      then invalid_arg "Engine.run_trace: the arena was built with another setup, body or model";
-      Memory.rewind eng.mem;
-      List.iter (fun rewind -> rewind ()) eng.rewinders);
-  let nlocks = eng.nlocks in
-  Array.fill eng.occupancy 0 nlocks 0;
-  Array.fill eng.occupancy_max 0 nlocks 0;
-  Array.fill eng.unsafe_crashes 0 nlocks 0;
+  Memory.rewind eng.mem;
+  List.iter (fun rewind -> rewind ()) eng.rewinders;
+  Array.fill eng.occupancy 0 (Array.length eng.occupancy) 0;
+  Array.fill eng.occupancy_max 0 (Array.length eng.occupancy_max) 0;
+  Array.fill eng.unsafe_crashes 0 (Array.length eng.unsafe_crashes) 0;
   eng.crash <- crash;
   eng.abort <- abort;
   eng.has_crash <- crash != Crash.none;
@@ -1375,15 +1338,13 @@ let run ?(mode = `Auto) ?sink ?(record = false) ?(trace_ops = false) ?(max_steps
              configuration (no sink, no hooks)";
         (false, false)
   in
-  let eng = make ~n ~model in
+  let eng = arena ~n ~model ~setup ~body in
   prepare eng ~stall_window ~max_steps ~sink ~consult_ops ~track_ans ~trace_ops ~on_crash ~on_op
-    ~model ~crash ~abort ~setup ~body;
+    ~crash ~abort;
   drive eng ~pick:(fun _ ready -> Sched.pick sched ~runnable:ready ~step:eng.step);
   finish eng
 
 type arena = t
-
-let arena ~n = make ~n ~model:Memory.CC
 
 type trun = {
   tr_result : result;
@@ -1400,20 +1361,15 @@ let grow a ~len filler =
 
 let run_trace ?(record = false) ?(max_steps = 5_000_000) ?stall_window ?(por = false)
     ?(footprint_crashy = fun _ -> false) ?(state_key_at = -1) ?(on_state_key = fun _ -> ())
-    ?(abort = Abort.none) ?arena ~decisions ~n ~model ~crash ~setup ~body () =
+    ?(abort = Abort.none) ~arena:eng ~decisions ~crash () =
+  let n = eng.n in
   if por && n > 0xffff then
     invalid_arg "Engine.run_trace: footprint recording supports at most 65536 processes";
-  let eng =
-    match arena with
-    | None -> make ~n ~model
-    | Some eng when eng.n = n -> eng
-    | Some _ -> invalid_arg "Engine.run_trace: the arena was made for another n"
-  in
   prepare eng ~stall_window ~max_steps
     ~sink:(if record then Event.Sink.keep () else Event.Sink.drop)
     ~consult_ops:(crash != Crash.none || abort != Abort.none)
     ~track_ans:(state_key_at >= 0) ~trace_ops:false ~on_crash:default_on_crash
-    ~on_op:default_on_op ~model ~crash ~abort ~setup ~body;
+    ~on_op:default_on_op ~crash ~abort;
   (* Sized at a length the run already knows: a replay runs about as many
      steps as it has decisions, and a short default schedule fits in
      128. *)

@@ -27,10 +27,10 @@ module Ctx : sig
 
   val on_rewind : t -> (unit -> unit) -> unit
   (** [on_rewind ctx f] registers the reset of host-side state that a run
-      mutates: a private per-process array, a node registry, a lazily
-      drawn pool.  On an arena {!build} constructed once for many runs, [f]
-      runs before every run, after the store has been rewound to its
-      post-construction image, and must put that state back as [setup]
+      mutates: a private per-process array, a node registry.  An {!arena}
+      constructs its subject once for all its runs, and [f] runs before
+      every one of them, after the store has been rewound to its
+      post-construction image; it must put that state back as [setup]
       left it.  Setup code that keeps such state and registers no reset
       carries one run's state into the next.  Call during [setup] only. *)
 end
@@ -155,8 +155,9 @@ val run :
   body:('a -> pid:int -> unit) ->
   unit ->
   result
-(** [run ~n ~model ~sched ~crash ~setup ~body ()] builds a store, calls
-    [setup] once (lock construction; no RMR accounting), then runs
+(** [run ~n ~model ~sched ~crash ~setup ~body ()] constructs a fresh
+    {!arena} of its own — a store, and [setup] called once into it (lock
+    construction; no RMR accounting) — then runs
     [body shared ~pid] for every pid until all bodies return, a deadlock is
     detected (every live process parked), or [max_steps] (default 5e6)
     elapses.  [record] keeps the event history; [trace_ops] additionally
@@ -213,11 +214,10 @@ val run :
     resolution appending an {!abort_stat} to [result.aborts].  Passing
     [Abort.none] itself (physical equality) skips all abort bookkeeping.
 
-    [run] and {!run_trace} reset the engine the same way and share one
+    [run] and {!run_trace} rewind an arena the same way and share one
     step loop; they differ only in the pick function, where [run_trace]
-    also records its footprints and state key, and in the engine's
-    storage: [run_trace] may reuse an {!arena}, built or not, while [run]
-    constructs its subject afresh on every call.
+    also records its footprints and state key, and in the arena: [run]
+    makes its own on every call, [run_trace] runs in its caller's.
     [run] is re-entrant and domain-safe: all engine state (store, fibers,
     the effect handler and its continuation slots, statistics) is
     allocated per call, and the operand register its fibers fill is the
@@ -230,33 +230,28 @@ val run :
 (** {1 Decision-vector replay} *)
 
 type arena
-(** An engine's storage, reused across runs: the per-process arrays, the
+(** An engine built from its subject, reused across runs: the store with
+    the subject constructed into it, the per-process arrays, the
     pending-operand records, the continuation and view slots, the ready
-    buffers, the parked-cell table, the passage vectors, the store's
-    contents, version and cache vectors, and the degree and footprint
-    buffers {!run_trace} reports through.  Each run resets it in place,
-    so the runs of one explorer search stop allocating engine storage once
-    the first ones have sized it.  A run on an unbuilt arena runs its
-    [setup] afresh; a run on a {!build}-constructed one rewinds to the
-    subject [build] made.  An arena serves one run at a time: one arena
-    per search and domain. *)
+    buffers, the parked-cell table, the passage vectors, and the degree
+    and footprint buffers {!run_trace} reports through.  Each run rewinds
+    it in place, so the runs of one explorer search neither construct
+    their subject again nor allocate engine storage once the first ones
+    have sized it.  An arena serves one run at a time: one arena per
+    search and domain. *)
 
-val arena : n:int -> arena
-(** [arena ~n] is an empty, unbuilt arena for runs of [n] processes. *)
-
-val build :
-  arena -> model:Memory.model -> setup:(Ctx.t -> 'a) -> body:('a -> pid:int -> unit) -> unit
-(** [build arena ~model ~setup ~body] constructs the subject once: it
-    empties the arena's store, runs [setup] into it, and records the
-    image every later {!run_trace} on [arena] starts from — the store's
-    cells and their initial contents, the lock registry, the shared value
-    and the [body] closure over it.  Each such run rewinds the store to
-    that image ({!Memory.rewind}) and runs the resets [setup] registered
-    through {!Ctx.on_rewind}, instead of constructing again; its result,
-    degrees, footprints and state keys equal those of a run that
-    constructs afresh.  The runs must pass this very [setup] and [body]
-    (physical equality) and this [model], or {!run_trace} raises
-    [Invalid_argument].  A later [build] replaces the image. *)
+val arena :
+  n:int -> model:Memory.model -> setup:(Ctx.t -> 'a) -> body:('a -> pid:int -> unit) -> arena
+(** [arena ~n ~model ~setup ~body] creates a store for [n] processes,
+    runs [setup] into it once and seals the post-construction image: the
+    store's cells and their initial contents ({!Memory.seal}), the lock
+    registry, the shared value and the [body] closure over it.  Every run
+    on the arena starts by rewinding the store to that image
+    ({!Memory.rewind}) and running the resets [setup] registered through
+    {!Ctx.on_rewind}; its result, degrees, footprints and state keys equal
+    those of the same run on a fresh arena.  The construction's cells and
+    lock handles serve every run, while cells a run allocates (queue
+    nodes) are dropped by the next run's rewind. *)
 
 type trun = {
   tr_result : result;  (** freshly built: keeps nothing of the arena *)
@@ -279,16 +274,13 @@ val run_trace :
   ?state_key_at:int ->
   ?on_state_key:(int array -> unit) ->
   ?abort:Abort.t ->
-  ?arena:arena ->
+  arena:arena ->
   decisions:int array ->
-  n:int ->
-  model:Memory.model ->
   crash:Crash.t ->
-  setup:(Ctx.t -> 'a) ->
-  body:('a -> pid:int -> unit) ->
   unit ->
   trun
-(** [run_trace ~decisions ...] runs, from the root, the schedule
+(** [run_trace ~arena ~decisions ~crash ()] runs, from the root of
+    [arena]'s subject, the schedule
     identified by [decisions] exactly as {!run} under {!Sched.trace} would
     (position [i] picks the [decisions.(i)]-th smallest runnable pid,
     default 0 past the end, an index outside the ready set reduced modulo
@@ -318,18 +310,11 @@ val run_trace :
     distinct states can collide.  Step counts, latencies and the stall
     classification are excluded, matching the POR contract.
 
-    [arena] (default: a fresh one) is the storage the run resets and runs
-    in; it must have been made for this [n].  The returned degrees and
-    footprints are the arena's own buffers, not copies: they stay valid
-    until the next run on that arena, so a caller that runs again before
-    it is done with them copies what it still needs.  The [result] is
-    built afresh and stays valid.  On an unbuilt arena the run constructs
-    its subject with [setup], and its cells and lock handles belong to
-    that run alone.  On a {!build}-constructed arena the run rewinds to
-    the built subject instead, and [setup], [body] and [model] must be
-    the ones [build] was given; the construction's cells and lock handles
-    then serve every run, while cells a run allocates (queue nodes) are
-    dropped by the next run's rewind.
+    [arena] is the subject and storage the run rewinds and runs in.  The
+    returned degrees and footprints are the arena's own buffers, not
+    copies: they stay valid until the next run on that arena, so a caller
+    that runs again before it is done with them copies what it still
+    needs.  The [result] is built afresh and stays valid.
 
     [crash] and [abort] (default {!Abort.none}) are the plans of this one
     run; stateful plans must be fresh per call.  The hooks of {!run}

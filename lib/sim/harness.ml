@@ -1,12 +1,5 @@
 type abort_outcome = Aborted | Acquired_instead | Not_supported
 
-let pp_abort_outcome ppf o =
-  Fmt.string ppf
-    (match o with
-    | Aborted -> "aborted"
-    | Acquired_instead -> "acquired-instead"
-    | Not_supported -> "not-supported")
-
 type lock = {
   name : string;
   acquire : pid:int -> unit;

@@ -17,8 +17,6 @@ type abort_outcome =
           the lock and must proceed to the CS and release normally *)
   | Not_supported  (** the lock has no abort path; treat as acquire-through *)
 
-val pp_abort_outcome : abort_outcome Fmt.t
-
 type lock = {
   name : string;
   acquire : pid:int -> unit;

@@ -71,10 +71,6 @@ let rewind t =
   done;
   t.last_cost <- 0
 
-let reset t =
-  t.image <- [||];
-  rewind t
-
 let model t = t.model
 
 let n t = t.n

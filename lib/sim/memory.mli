@@ -28,13 +28,6 @@ type t
 val create : model -> n:int -> t
 (** [create model ~n] is an empty store for [n] processes. *)
 
-val reset : t -> unit
-(** [reset t] empties [t] for a fresh run and forgets its {!seal}ed image:
-    the next {!alloc} gets cell id 0 again and every cell starts
-    unfetched.  The storage stays, cache rows included, so a store reset
-    before each run stops allocating once its first runs have sized it.
-    Cells of the earlier run must not be used again. *)
-
 val seal : t -> unit
 (** [seal t] records [t] as the image {!rewind} returns to: its cell count
     and every cell's contents.  Call it at the end of construction, before
@@ -42,8 +35,8 @@ val seal : t -> unit
     fetched a line. *)
 
 val rewind : t -> unit
-(** [rewind t] returns [t] to its sealed image ([reset] before any
-    {!seal}): the cells allocated since are dropped, so the next {!alloc}
+(** [rewind t] returns [t] to its sealed image (the empty store before
+    any {!seal}): the cells allocated since are dropped, so the next {!alloc}
     reuses their ids; the sealed cells get their sealed contents back,
     every version is 0 again and every cache row goes back to the spare
     pool.  Cell ids, contents, versions and rows then match a fresh

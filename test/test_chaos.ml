@@ -513,6 +513,67 @@ let test_campaign_weak_wr_clean () =
   check (Alcotest.list Alcotest.string) "no violations" []
     (List.map (fun v -> Fmt.str "%a" Chaos.pp_violation v) o.Chaos.violations)
 
+(* ------------------------------------------------------------------ *)
+(* One construction per search, replay and violation                   *)
+(* ------------------------------------------------------------------ *)
+
+(* [make] wrapped to count its calls. *)
+let counting make =
+  let calls = ref 0 in
+  (calls, fun ctx -> incr calls; make ctx)
+
+let test_one_setup_per_subject () =
+  (* An explorer search that finds an overlap and shrinks it. *)
+  let calls, setup = counting (fun _ -> ()) in
+  let o =
+    Rme_check.Explore.explore ~n:2 ~model:Memory.CC ~crash:(fun () -> Crash.none) ~setup
+      ~body:(fun () ~pid:_ ->
+        Api.note (Event.Seg Event.Cs_begin);
+        Api.yield ();
+        Api.note (Event.Seg Event.Cs_end))
+      ~check:(fun r -> if r.Engine.cs_max > 1 then Some "overlap" else None)
+      ()
+  in
+  check cb "the search finds the overlap" true (o.Rme_check.Explore.violation <> None);
+  check ci "one setup per search, shrink included" 1 !calls;
+  (* Replays on one arena. *)
+  let calls, setup = counting wr_make in
+  let arena =
+    Engine.arena ~n:2 ~model:Memory.CC ~setup
+      ~body:(fun lock ~pid -> Harness.standard_body ~lock ~requests:1 pid)
+  in
+  for _ = 1 to 3 do
+    let r, diverged = Rme_check.Explore.replay ~arena ~decisions:[| 1; 0; 1 |] ~crash:Crash.none () in
+    check cb "replay faithful" true (diverged = None);
+    check ci "replay completes" 2 (Engine.total_completed r)
+  done;
+  check ci "one setup for the arena, none per replay" 1 !calls;
+  (* A campaign run that violates: one setup for the run, one for its
+     confirm replay and every shrink candidate. *)
+  let adversary = Chaos.Holder { rate = 0.05; max_crashes = 8 } in
+  let rec hunt seed =
+    let r = Chaos.run_one wr_cfg ~make:wr_make ~adversary ~seed in
+    if r.Chaos.res.Engine.cs_max > 1 then seed else hunt (seed + 1)
+  in
+  let seed = hunt 0 in
+  let calls, case_make = counting wr_make in
+  let case =
+    {
+      Chaos.case_name = "wr-as-strong";
+      case_make;
+      case_weak = false;
+      case_ff_bound = None;
+      case_abortable = false;
+    }
+  in
+  let o = Chaos.campaign ~cfg:wr_cfg ~adversaries:[ adversary ] ~runs:1 ~seed_base:seed [ case ] in
+  (match o.Chaos.violations with
+  | [ v ] ->
+      check cb "replay confirmed" true v.Chaos.v_replay_ok;
+      check cb "witness shrunk" true (v.Chaos.v_witness <> [||])
+  | _ -> Alcotest.fail "the hunted seed must violate");
+  check ci "one setup for the run, one for its confirm and shrink" 2 !calls
+
 let test_recording_scheduler_roundtrip () =
   (* A run under Sched.recording replays step-for-step under Sched.trace. *)
   let r =
@@ -651,6 +712,8 @@ let () =
             test_campaign_reports_wr_overlap;
           Alcotest.test_case "weak interval form stays clean" `Slow test_campaign_weak_wr_clean;
         ] );
+      ( "construction",
+        [ Alcotest.test_case "one setup per subject" `Quick test_one_setup_per_subject ] );
       ( "oblivious",
         [
           Alcotest.test_case "a seed names the workload run" `Quick

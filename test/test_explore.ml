@@ -160,12 +160,13 @@ let test_truncation_not_exhausted () =
 (* Two processes, two scheduling points each: position 0 branches two
    ways, and the rendered history tells the schedules apart. *)
 let replay_two decisions =
-  let res, diverged =
-    Explore.replay ~record:true ~decisions:(Array.of_list decisions) ~n:2 ~model:Memory.CC
-      ~crash:Crash.none
+  let arena =
+    Engine.arena ~n:2 ~model:Memory.CC
       ~setup:(fun _ -> ())
       ~body:(fun () ~pid:_ -> Api.note (Event.Seg Event.Req_begin))
-      ()
+  in
+  let res, diverged =
+    Explore.replay ~record:true ~arena ~decisions:(Array.of_list decisions) ~crash:Crash.none ()
   in
   (Fmt.str "%a" Fmt.(list Event.pp) res.Engine.events, diverged)
 
@@ -219,8 +220,9 @@ let wr_gap_check res = if res.Engine.cs_max > 1 then Some "ME violation" else No
 
 let wr_gap_replay trace =
   let res, diverged =
-    Explore.replay ~max_steps:4_000 ~decisions:(Array.of_list trace) ~n:3 ~model:Memory.CC
-      ~crash:(wr_gap_crash ()) ~setup:wr_gap_setup ~body:wr_gap_body ()
+    Explore.replay ~max_steps:4_000
+      ~arena:(Engine.arena ~n:3 ~model:Memory.CC ~setup:wr_gap_setup ~body:wr_gap_body)
+      ~decisions:(Array.of_list trace) ~crash:(wr_gap_crash ()) ()
   in
   (res, diverged <> None)
 

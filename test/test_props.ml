@@ -233,7 +233,7 @@ let test_replay_consistency () =
   List.iter
     (fun (make, crash) ->
       let res = run ~trace_ops:true ~n:4 ~requests:3 ~crash ~make () in
-      let report = Replay.verify res ~mem_dump:[] in
+      let report = Replay.verify res in
       (match report.Replay.divergence with
       | None -> ()
       | Some d -> Alcotest.fail d);
@@ -256,8 +256,8 @@ let test_replay_detects_divergence () =
         List.rev res.Engine.events;
     }
   in
-  let r1 = Replay.verify res ~mem_dump:[] in
-  let r2 = Replay.verify corrupted ~mem_dump:[] in
+  let r1 = Replay.verify res in
+  let r2 = Replay.verify corrupted in
   check cb "original consistent" true (r1.Replay.divergence = None);
   check cb "corrupted flagged" true (r2.Replay.divergence <> None)
 

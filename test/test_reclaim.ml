@@ -19,25 +19,24 @@ let run_alloc ~n ~body () =
       ~setup:(fun ctx ->
         let r = Reclaim.create ctx in
         let reg = Nodes.create_registry ctx ~prefix:"t" in
-        out := Some (r, reg);
-        (r, reg))
-      ~body:(fun (r, reg) ~pid -> body r reg ~pid)
+        out := Some reg;
+        (r, Reclaim.alloc r reg))
+      ~body:(fun (r, alloc) ~pid -> body r alloc ~pid)
       ()
   in
-  let r, reg = Option.get !out in
-  (res, r, reg)
+  (res, Option.get !out)
 
 let test_same_node_until_retire () =
   let ids = ref [] in
   let _ =
     run_alloc ~n:2
-      ~body:(fun r reg ~pid ->
+      ~body:(fun r alloc ~pid ->
         if pid = 0 && Api.completed_requests () < 1 then begin
           Api.note (Event.Seg Event.Req_begin);
-          let a = Reclaim.new_node r ~pid reg in
-          let b = Reclaim.new_node r ~pid reg in
+          let a = alloc ~pid in
+          let b = alloc ~pid in
           Reclaim.retire r ~pid;
-          let c = Reclaim.new_node r ~pid reg in
+          let c = alloc ~pid in
           ids := [ a.Nodes.id; b.Nodes.id; c.Nodes.id ];
           Api.note (Event.Seg Event.Req_done)
         end)
@@ -53,12 +52,12 @@ let test_retire_without_alloc_is_noop () =
   let ok = ref false in
   let _ =
     run_alloc ~n:1
-      ~body:(fun r reg ~pid ->
+      ~body:(fun r alloc ~pid ->
         if Api.completed_requests () < 1 then begin
           Api.note (Event.Seg Event.Req_begin);
           Reclaim.retire r ~pid;
           Reclaim.retire r ~pid;
-          let a = Reclaim.new_node r ~pid reg in
+          let a = alloc ~pid in
           ok := a.Nodes.id > 0;
           Api.note (Event.Seg Event.Req_done)
         end)
@@ -70,12 +69,12 @@ let test_pool_is_bounded () =
   (* Many allocate/retire cycles must not allocate more than the two pools
      of 2n nodes each per process. *)
   let n = 3 in
-  let res, _, reg =
+  let res, reg =
     run_alloc ~n
-      ~body:(fun r reg ~pid ->
+      ~body:(fun r alloc ~pid ->
         while Api.completed_requests () < 30 do
           Api.note (Event.Seg Event.Req_begin);
-          let (_ : Nodes.node) = Reclaim.new_node r ~pid reg in
+          let (_ : Nodes.node) = alloc ~pid in
           Reclaim.retire r ~pid;
           Api.note (Event.Seg Event.Req_done)
         done)
@@ -90,11 +89,11 @@ let test_nodes_cycle_through_pool () =
   let seen = ref [] in
   let _ =
     run_alloc ~n
-      ~body:(fun r reg ~pid ->
+      ~body:(fun r alloc ~pid ->
         if pid = 0 then
           while Api.completed_requests () < 4 do
             Api.note (Event.Seg Event.Req_begin);
-            let node = Reclaim.new_node r ~pid reg in
+            let node = alloc ~pid in
             seen := node.Nodes.id :: !seen;
             Reclaim.retire r ~pid;
             Api.note (Event.Seg Event.Req_done)
@@ -102,7 +101,7 @@ let test_nodes_cycle_through_pool () =
         else
           while Api.completed_requests () < 4 do
             Api.note (Event.Seg Event.Req_begin);
-            let (_ : Nodes.node) = Reclaim.new_node r ~pid reg in
+            let (_ : Nodes.node) = alloc ~pid in
             Reclaim.retire r ~pid;
             Api.note (Event.Seg Event.Req_done)
           done)

@@ -300,31 +300,6 @@ let test_consulted_step_allocation () =
          ("async_at", 3, pending);
        ])
 
-(* Minor words of a run that constructs its subject, before its first
-   step: engine creation, lock construction (cell names included) and
-   [finish].  [Engine.run], [Explore.replay] and a run on an unbuilt arena
-   pay it on every call; an explorer search pays the construction once,
-   in [Engine.build].  A warm-up run first, so one-time initialisation is
-   not counted. *)
-let test_construction_allocation () =
-  pins_hold
-  @@ List.map
-       (fun key ->
-         let make = (Rme.Spec.find_exn key).Rme.Spec.make in
-         let run () =
-           ignore
-             (Engine.run_trace ~max_steps:0 ~decisions:[||] ~n:2 ~model:Memory.CC ~crash:Crash.none
-                ~setup:make
-                ~body:(fun lock ~pid -> Harness.standard_body ~lock ~requests:1 pid)
-                ())
-         in
-         run ();
-         let w0 = Gc.minor_words () in
-         run ();
-         let w = Gc.minor_words () -. w0 in
-         (Printf.sprintf "%s n=2: %.0f minor words to construct <= 1800" key w, w <= 1800.))
-       [ "sa-jjj"; "ba-jjj" ]
-
 let words f =
   let w0 = Gc.minor_words () in
   let r = f () in
@@ -332,30 +307,46 @@ let words f =
 
 let one_request lock ~pid = Harness.standard_body ~lock ~requests:1 pid
 
+(* Minor words of [Engine.arena]: engine creation, lock construction (cell
+   names included) and the sealed image.  [Engine.run] pays it on every
+   call; an explorer search, a replay and a Chaos violation's confirm and
+   shrink replays pay it once.  A warm-up construction first, so one-time
+   initialisation is not counted. *)
+let test_construction_allocation () =
+  pins_hold
+  @@ List.map
+       (fun key ->
+         let make = (Rme.Spec.find_exn key).Rme.Spec.make in
+         let construct () = Engine.arena ~n:2 ~model:Memory.CC ~setup:make ~body:one_request in
+         ignore (construct ());
+         let _, w = words construct in
+         (Printf.sprintf "%s n=2: %.0f minor words to construct <= 1400" key w, w <= 1400.))
+       [ "sa-jjj"; "ba-jjj" ]
+
 (* Minor words of one whole default-schedule explorer run with footprints:
-   construction, 132 steps, degrees, footprints and [finish].  Cold: a
-   fresh arena per run, sized from the run (3,698 words before the
-   continuation slots and the sized buffers; 2,973 with them on OCaml
-   5.1; 2,564 now).  Warm: a run on an arena built once, as an explorer
-   search's is, after two runs have sized it (the second one grows the
-   store's pool of spare cache rows): the run rewinds the engine, the
-   store and the buffers in place and constructs nothing, so only the
-   steps and the result allocate — 661 words on OCaml 5.1, against 1,335
-   when every run ran [setup] and 2,325 for a run on the buffers a search
-   used to share. *)
+   132 steps, degrees, footprints and [finish].  Cold: on a fresh arena,
+   construction and sizing included (3,698 words before the continuation
+   slots and the sized buffers; 2,973 with them on OCaml 5.1; 2,594
+   now).  Warm: a run on one arena, as an explorer search's are, after two
+   runs have sized it (the second one grows the store's pool of spare
+   cache rows): the run rewinds the engine, the store and the buffers in
+   place and constructs nothing, so only the steps and the result
+   allocate — 659 words on OCaml 5.1, against 1,335 when every run ran
+   [setup] and 2,325 for a run on the buffers a search used to share. *)
+let warm_run_words key =
+  let make = (Rme.Spec.find_exn key).Rme.Spec.make in
+  let fresh () = Engine.arena ~n:2 ~model:Memory.CC ~setup:make ~body:one_request in
+  let run arena = Engine.run_trace ~arena ~por:true ~decisions:[||] ~crash:Crash.none () in
+  ignore (run (fresh ()));
+  let r, cold = words (fun () -> run (fresh ())) in
+  let arena = fresh () in
+  ignore (run arena);
+  ignore (run arena);
+  let _, warm = words (fun () -> run arena) in
+  (r, cold, warm)
+
 let test_trace_run_allocation () =
-  let make = (Rme.Spec.find_exn "sa-jjj").Rme.Spec.make in
-  let run ?arena () =
-    Engine.run_trace ?arena ~por:true ~decisions:[||] ~n:2 ~model:Memory.CC ~crash:Crash.none
-      ~setup:make ~body:one_request ()
-  in
-  ignore (run ());
-  let r, cold = words (fun () -> run ()) in
-  let arena = Engine.arena ~n:2 in
-  Engine.build arena ~model:Memory.CC ~setup:make ~body:one_request;
-  ignore (run ~arena ());
-  ignore (run ~arena ());
-  let _, warm = words (fun () -> run ~arena ()) in
+  let r, cold, warm = warm_run_words "sa-jjj" in
   check ci "default schedule length" 132 r.Engine.tr_result.Engine.steps;
   check ci "one degree per position" 132 r.Engine.tr_len;
   let degrees = Array.sub r.Engine.tr_degrees 0 r.Engine.tr_len in
@@ -366,19 +357,25 @@ let test_trace_run_allocation () =
       (Printf.sprintf "sa-jjj n=2: %.0f minor words per warm run <= 700" warm, warm <= 700.);
     ]
 
-(* A zero-step run on a built arena constructs nothing: it allocates
+(* The same warm run of wr-reclaim, 112 steps: its 4n^2 pool nodes are
+   drawn at construction, into the image every run rewinds to, so a run
+   draws and names none of them — 443 words on OCaml 5.1, against 993
+   when the first allocation of every run drew the pools. *)
+let test_reclaim_run_allocation () =
+  let r, _, warm = warm_run_words "wr-reclaim" in
+  check ci "default schedule length" 112 r.Engine.tr_result.Engine.steps;
+  pins_hold
+    [ (Printf.sprintf "wr-reclaim n=2: %.0f minor words per warm run <= 500" warm, warm <= 500.) ]
+
+(* A zero-step run on an arena constructs nothing: it allocates
    exactly what the same run of a setup that registers as many locks and
    allocates no cell does (the engine's per-run record and [finish]).  The
    node-allocating wr-reclaim runs its rewinders, which allocate nothing
    either. *)
 let test_rewound_run_allocation () =
   let zero_step ~setup ~body =
-    let arena = Engine.arena ~n:2 in
-    Engine.build arena ~model:Memory.CC ~setup ~body;
-    let run () =
-      Engine.run_trace ~arena ~max_steps:0 ~por:true ~decisions:[||] ~n:2 ~model:Memory.CC
-        ~crash:Crash.none ~setup ~body ()
-    in
+    let arena = Engine.arena ~n:2 ~model:Memory.CC ~setup ~body in
+    let run () = Engine.run_trace ~arena ~max_steps:0 ~por:true ~decisions:[||] ~crash:Crash.none () in
     ignore (run ());
     ignore (run ());
     let r, w = words run in
@@ -667,6 +664,8 @@ let () =
           Alcotest.test_case "minor words per consulted step" `Quick test_consulted_step_allocation;
           Alcotest.test_case "minor words per construction" `Quick test_construction_allocation;
           Alcotest.test_case "minor words per explorer run" `Quick test_trace_run_allocation;
+          Alcotest.test_case "minor words per wr-reclaim explorer run" `Quick
+            test_reclaim_run_allocation;
           Alcotest.test_case "minor words per rewound zero-step run" `Quick
             test_rewound_run_allocation;
           Alcotest.test_case "minor words per bench gc passage" `Quick test_gc_bench_allocation;

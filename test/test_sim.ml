@@ -536,16 +536,16 @@ let test_engine_get_done_survives_crash () =
 
 type observed = Engine.result * int array * Footprint.t array * int array list
 
-(* Everything a caller can read of one 3-process [run_trace]: the result,
+(* Everything a caller can read of one [run_trace] on [arena]: the result,
    the degrees and footprints of the positions it reached (copied before
    the arena's next run overwrites them) and the state keys it reported. *)
-let observe ?arena ?(record = false) ?(max_steps = 20_000) ?(crash = Crash.none)
-    ?(abort = Abort.none) ?(state_key_at = -1) ?(decisions = [||]) ~setup ~body () : observed =
+let observe ?(record = false) ?(max_steps = 20_000) ?(crash = Crash.none) ?(abort = Abort.none)
+    ?(state_key_at = -1) ?(decisions = [||]) arena : observed =
   let keys = ref [] in
   let rr =
-    Engine.run_trace ?arena ~record ~max_steps ~por:true ~state_key_at
+    Engine.run_trace ~arena ~record ~max_steps ~por:true ~state_key_at
       ~on_state_key:(fun k -> keys := k :: !keys)
-      ~abort ~decisions ~n:3 ~model:Memory.CC ~crash ~setup ~body ()
+      ~abort ~decisions ~crash ()
   in
   let degrees = Array.sub rr.Engine.tr_degrees 0 rr.Engine.tr_len in
   let footprints = Array.sub rr.Engine.tr_footprints 0 (Array.fold_left ( + ) 0 degrees) in
@@ -570,72 +570,70 @@ let stuck_body (lock, x, gate) ~pid =
       Api.note (Event.Seg Event.Cs_begin));
   Api.spin_until gate (Api.Eq 1)
 
-let stuck ?arena () =
-  observe ?arena ~state_key_at:4
+let stuck_arena () = Engine.arena ~n:3 ~model:Memory.CC ~setup:stuck_setup ~body:stuck_body
+
+let stuck arena =
+  observe ~state_key_at:4
     ~crash:(Crash.on_kind ~pid:1 ~kind:Api.Write ~occurrence:0 Crash.After)
-    ~setup:stuck_setup ~body:stuck_body ()
+    arena
+
+(* The stuck subject without the crash, in another order: its state key
+   would show any state the stuck run left. *)
+let unstuck arena = observe ~state_key_at:3 ~decisions:[| 2; 1; 0 |] arena
 
 let standard lock ~pid = Harness.standard_body ~lock ~requests:1 pid
 
 let lock_setup key = (Rme.Spec.find_exn key).Rme.Spec.make
 
-(* A clean run whose state key would show any state a stuck run left. *)
-let clean ?arena () = observe ?arena ~state_key_at:6 ~setup:(lock_setup "sa-jjj") ~body:standard ()
+let wr_arena () = Engine.arena ~n:3 ~model:Memory.CC ~setup:(lock_setup "wr") ~body:standard
 
 (* Cut by [max_steps] mid-passage under a crash plan that has struck
    inside WR-Lock's unsafe window. *)
-let cut ?arena () =
-  observe ?arena ~max_steps:60
+let cut arena =
+  observe ~max_steps:60
     ~crash:(Crash.random ~seed:2 ~rate:0.05 ~max_crashes:3 ())
-    ~decisions:[| 0; 1; 2; 2; 1; 0; 1 |] ~setup:(lock_setup "wr") ~body:standard ()
+    ~decisions:[| 0; 1; 2; 2; 1; 0; 1 |] arena
 
-(* A mixed sequence: clean runs, a deadlock under a crash plan, a run cut
-   by [max_steps] mid-passage under a crash plan, an abort run that
-   records its events, and state keys along the way. *)
-let arena_runs : (?arena:Engine.arena -> unit -> observed) list =
+(* Per subject, one arena: a deadlock with every fiber suspended, or a run
+   cut mid-passage after an unsafe crash, followed by runs whose state
+   keys would show what it left. *)
+let arena_runs : ((unit -> Engine.arena) * (Engine.arena -> observed) list) list =
   [
-    clean;
-    stuck;
-    clean;
-    cut;
-    (fun ?arena () -> observe ?arena ~state_key_at:10 ~setup:(lock_setup "wr") ~body:standard ());
-    (fun ?arena () ->
-      observe ?arena ~record:true
-        ~abort:(Abort.impatient ~timeout_steps:5 ())
-        ~setup:(lock_setup "wr-abort") ~body:standard ());
-    (fun ?arena () ->
-      observe ?arena ~state_key_at:3 ~decisions:[| 1; 2; 1 |] ~setup:(lock_setup "ba-jjj")
-        ~body:standard ());
+    (stuck_arena, [ stuck; unstuck; stuck; unstuck ]);
+    (wr_arena, [ cut; observe ~state_key_at:10; cut; observe ~state_key_at:6 ]);
   ]
 
 let test_arena_matches_fresh () =
-  let (res, _, _, _) = stuck () in
+  let (res, _, _, _) = stuck (stuck_arena ()) in
   check cb "the stuck run deadlocks" true res.Engine.deadlocked;
-  let (res, _, _, _) = cut () in
+  let (res, _, _, _) = cut (wr_arena ()) in
   check cb "the cut run times out" true res.Engine.timed_out;
   check cb "after an unsafe crash" true (res.Engine.locks.(0).Engine.unsafe_crashes > 0);
-  let arena = Engine.arena ~n:3 in
-  let shared = List.map (fun (run : ?arena:_ -> _) -> run ~arena ()) arena_runs in
-  let fresh = List.map (fun (run : ?arena:_ -> _) -> run ()) arena_runs in
-  List.iteri
-    (fun i (a, b) -> check cb (Printf.sprintf "run %d: shared arena = fresh arena" i) true (a = b))
-    (List.combine shared fresh)
+  List.iter
+    (fun (subject, runs) ->
+      let arena = subject () in
+      List.iteri
+        (fun i run ->
+          check cb (Printf.sprintf "run %d: shared arena = fresh arena" i) true
+            (run arena = run (subject ())))
+        runs)
+    arena_runs
 
 let test_arena_result_kept () =
-  let arena = Engine.arena ~n:3 in
-  let (kept, _, _, _) = stuck ~arena () in
+  let arena = stuck_arena () in
+  let (kept, _, _, _) = stuck arena in
   let copy : Engine.result = Marshal.from_string (Marshal.to_string kept []) 0 in
-  let second = clean ~arena () in
+  let second = unstuck arena in
   check cb "run 1's result unchanged by run 2" true (kept = copy);
-  check cb "run 2 on the arena = run 2 on a fresh one" true (second = clean ())
+  check cb "run 2 on the arena = run 2 on a fresh one" true (second = unstuck (stuck_arena ()))
 
-(* Built arenas: one construction per search, rewound before each run.
-   Every registry lock runs a mixed sequence on one built arena — clean
-   runs, a per-process and a system-wide crash plan, an abort plan with
-   recorded events, a run cut by [max_steps] — and each run must equal the
-   same run constructed afresh.  Two requests per process, so node-
-   allocating locks (mcs, clh, kport, the WR family with and without
-   pools) reuse and recycle what the run before them allocated. *)
+(* One construction per arena, rewound before each run.  Every registry
+   lock runs a mixed sequence on one arena — clean runs, a per-process and
+   a system-wide crash plan, an abort plan with recorded events, a run cut
+   by [max_steps] — and each run must equal the same run on a fresh arena.
+   Two requests per process, so node-allocating locks (mcs, clh, kport,
+   the WR family with and without pools) reuse and recycle what the run
+   before them allocated. *)
 let twice lock ~pid = Harness.standard_body ~lock ~requests:2 pid
 
 (* A cell a run allocates, per node-allocating lock, named by the lock's
@@ -652,12 +650,10 @@ let node_cells =
 
 (* Plans are stateful, so each run builds its own.  Each run comes with
    what its result must show, so the sequence covers what it names. *)
-let built_sequence key setup :
-    (string * (Engine.result -> bool) * (?arena:Engine.arena -> unit -> observed)) list =
+let built_sequence key : (string * (Engine.result -> bool) * (Engine.arena -> observed)) list =
   let run ?(max_steps = 3_000) ?(crash = fun () -> Crash.none) ?(abort = fun () -> Abort.none)
-      ?record ~state_key_at ~decisions () ?arena () =
-    observe ?arena ?record ~crash:(crash ()) ~abort:(abort ()) ~max_steps ~state_key_at ~decisions
-      ~setup ~body:twice ()
+      ?record ~state_key_at ~decisions () arena =
+    observe ?record ~crash:(crash ()) ~abort:(abort ()) ~max_steps ~state_key_at ~decisions arena
   in
   let clean (r : Engine.result) = Engine.total_completed r = 6 && r.Engine.total_crashes = 0 in
   [
@@ -698,32 +694,16 @@ let built_sequence key setup :
 let test_built_arena_matches_construction () =
   List.iter
     (fun (spec : Rme.Spec.t) ->
-      let setup = spec.Rme.Spec.make in
-      let arena = Engine.arena ~n:3 in
-      Engine.build arena ~model:Memory.CC ~setup ~body:twice;
+      let subject () = Engine.arena ~n:3 ~model:Memory.CC ~setup:spec.Rme.Spec.make ~body:twice in
+      let arena = subject () in
       List.iter
-        (fun (name, shows, (run : ?arena:_ -> _)) ->
+        (fun (name, shows, run) ->
           let what = Printf.sprintf "%s, %s" spec.Rme.Spec.key name in
-          let ((res, _, _, keys) as built) = run ~arena () in
+          let ((res, _, _, keys) as rewound) = run arena in
           check cb (what ^ ": the run shows what it names") true (shows res && keys <> []);
-          check cb (what ^ ": built arena = fresh construction") true (built = run ()))
-        (built_sequence spec.Rme.Spec.key setup))
+          check cb (what ^ ": rewound arena = fresh arena") true (rewound = run (subject ())))
+        (built_sequence spec.Rme.Spec.key))
     Rme.Spec.all
-
-let test_built_arena_rejects_another_subject () =
-  let setup = lock_setup "mcs" in
-  let arena = Engine.arena ~n:3 in
-  Engine.build arena ~model:Memory.CC ~setup ~body:twice;
-  let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
-  check cb "another setup" true
-    (raises (fun () -> observe ~arena ~setup:(lock_setup "clh") ~body:twice ()));
-  check cb "another body" true (raises (fun () -> observe ~arena ~setup ~body:standard ()));
-  check cb "another model" true
-    (raises (fun () ->
-         Engine.run_trace ~arena ~decisions:[||] ~n:3 ~model:Memory.DSM ~crash:Crash.none ~setup
-           ~body:twice ()));
-  let (res, _, _, _) = observe ~arena ~setup ~body:twice () in
-  check ci "the built subject still runs" 6 (Engine.total_completed res)
 
 let () =
   Alcotest.run "rme_sim"
@@ -784,7 +764,5 @@ let () =
           Alcotest.test_case "kept result survives the next run" `Quick test_arena_result_kept;
           Alcotest.test_case "built arena matches construction" `Quick
             test_built_arena_matches_construction;
-          Alcotest.test_case "built arena rejects another subject" `Quick
-            test_built_arena_rejects_another_subject;
         ] );
     ]
