@@ -40,8 +40,9 @@ let replay cases adversaries seed =
   let clean = List.concat_map (fun case -> List.map (report case) adversaries) cases in
   if List.for_all Fun.id clean then 0 else 1
 
-(* The oblivious soak prints per-lock progress, its totals and replay
-   commands; the adaptive adversaries print a campaign summary. *)
+(* The oblivious soak prints per-lock progress and its totals, the
+   adaptive adversaries a campaign summary; every violation is followed by
+   the command that replays it. *)
 let campaign ~oblivious ~scenario cases adversaries runs seed_base verbose jobs =
   let o = Chaos.campaign ~jobs ~adversaries ~runs ~seed_base cases in
   (* -v: what each run went under ([Chaos.setup]) and whether it failed. *)
@@ -70,9 +71,10 @@ let campaign ~oblivious ~scenario cases adversaries runs seed_base verbose jobs 
   List.iter
     (fun (v : Chaos.violation) ->
       Fmt.pr "%a@." Chaos.pp_violation v;
-      if oblivious then
-        Fmt.pr "  (replay: soak --replay %d --lock %s%s)@." v.v_seed v.v_case
-          (match scenario with Some s -> " --scenario " ^ Filename.quote s | None -> ""))
+      Fmt.pr "  (replay: soak %s--replay %d --lock %s%s)@."
+        (if oblivious then "" else "--adversary " ^ Chaos.adversary_name v.v_adversary ^ " ")
+        v.v_seed v.v_case
+        (match scenario with Some s -> " --scenario " ^ Filename.quote s | None -> ""))
     o.violations;
   if violations = 0 then 0 else 1
 

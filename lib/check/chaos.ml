@@ -120,19 +120,18 @@ let default_sys_storm = Sys_storm { rate = 0.002; max_crashes = 3; gap = 400; ba
 let default_impatient_storm =
   Impatient_storm { rate = 0.05; max_aborts = 12; gap = 40; backoff = 1.5 }
 
-(* An adversary's CLI name: its rendering up to the parameter list. *)
-let name adv = List.hd (String.split_on_char '(' (Fmt.str "%a" pp_adversary adv))
+let adversary_name adv = List.hd (String.split_on_char '(' (Fmt.str "%a" pp_adversary adv))
 
 let adversary_of_string s =
   let s = String.map (function '_' -> '-' | c -> c) (String.lowercase_ascii s) in
   let key = match s with "system-storm" -> "sys-storm" | "impatient" -> "impatient-storm" | k -> k in
   let defaults = standard_adversaries @ [ default_sys_storm; default_impatient_storm ] in
-  match List.find_opt (fun adv -> name adv = key) defaults with
+  match List.find_opt (fun adv -> adversary_name adv = key) defaults with
   | Some adv -> Ok adv
   | None ->
       Error
         (Printf.sprintf "unknown adversary %S (%s)" s
-           (String.concat "|" (List.map name defaults)))
+           (String.concat "|" (List.map adversary_name defaults)))
 
 type cfg = {
   n : int;
@@ -224,19 +223,18 @@ let body cfg =
 let run_one cfg ~make ~adversary ~seed =
   let cfg, adversary = setup cfg adversary ~seed in
   let decisions = Vec.make (min cfg.max_steps 1024) 0 in
-  let crash, fired = Crash.record_fired (plan adversary ~seed) in
-  let abort, ab_fired = Abort.record_fired (abort_plan adversary ~seed) in
   let sched = Sched.recording ~inner:(Sched.random ~seed) ~decisions in
   let res =
-    Engine.run ~record:true ~max_steps:cfg.max_steps ~n:cfg.n ~model:cfg.model ~sched ~crash
-      ~abort ~setup:make ~body:(body cfg) ()
+    Engine.run ~record:true ~max_steps:cfg.max_steps ~n:cfg.n ~model:cfg.model ~sched
+      ~crash:(plan adversary ~seed) ~abort:(abort_plan adversary ~seed) ~setup:make
+      ~body:(body cfg) ()
   in
   {
     cfg;
     adversary;
     res;
-    fired = fired ();
-    ab_fired = ab_fired ();
+    fired = res.crash_log;
+    ab_fired = Engine.abort_log res;
     decisions = Vec.to_array decisions;
   }
 
@@ -245,10 +243,9 @@ let run_one cfg ~make ~adversary ~seed =
 let arena cfg ~make = Engine.arena ~n:cfg.n ~model:cfg.model ~setup:make ~body:(body cfg)
 
 let replay_in arena cfg ~fired ~ab_fired ~decisions =
-  let abort = if ab_fired = [] then Abort.none else Abort.replay_fired ab_fired in
   let res, diverged =
-    Explore.replay ~record:true ~max_steps:cfg.max_steps ~abort ~arena ~decisions
-      ~crash:(Crash.replay_fired fired) ()
+    Explore.replay ~record:true ~max_steps:cfg.max_steps ~abort:(Abort.replay_fired ab_fired)
+      ~arena ~decisions ~crash:(Crash.replay_fired fired) ()
   in
   (res, diverged <> None)
 

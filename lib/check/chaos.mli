@@ -10,10 +10,11 @@
     ({!Oblivious}, [soak]'s default) runs a {!scenario} under a
     configuration drawn from the seed.  Each run is judged by the full
     property battery plus the adaptivity-contract monitors; on a violation
-    the campaign turns the crashes the adversary fired into a composite
-    {!Rme_sim.Crash.at_op} plan, re-confirms that this fixed plan replays
-    the violation under the recorded schedule, and hands the decision
-    vector to {!Explore.shrink} for a minimal witness.
+    the campaign turns the crashes and abort signals the engine delivered
+    into a composite of one-shot plans ({!Rme_sim.Crash.replay_fired},
+    {!Rme_sim.Abort.replay_fired}), re-confirms that this fixed plan
+    replays the violation under the recorded schedule, and hands the
+    decision vector to {!Explore.shrink} for a minimal witness.
 
     Everything is seeded: a campaign is a pure function of its
     configuration, and every reported witness replays deterministically. *)
@@ -94,6 +95,10 @@ val adversary_of_string : string -> (adversary, string) result
     {!standard_adversaries}, {!default_sys_storm} and
     {!default_impatient_storm}).  {!Oblivious} has none. *)
 
+val adversary_name : adversary -> string
+(** The CLI name of an adaptive adversary, the one {!adversary_of_string}
+    parses: its {!pp_adversary} rendering up to the parameter list. *)
+
 val standard_adversaries : adversary list
 (** One per-process adversary of each kind, with campaign-tuned default
     parameters.  Does {e not} include {!Sys_storm}: the per-process
@@ -137,8 +142,11 @@ type run = {
   cfg : cfg;  (** as run ({!setup}) *)
   adversary : adversary;  (** as run ({!setup}) *)
   res : Engine.result;
-  fired : Crash.fired list;  (** crashes the adversary fired, in order *)
-  ab_fired : Abort.fired list;  (** abort signals fired, in order *)
+  fired : Crash.fired list;
+      (** crashes the engine delivered, in order ([res.crash_log]) *)
+  ab_fired : Abort.fired list;
+      (** abort signals the engine delivered, in signal order
+          ({!Rme_sim.Engine.abort_log}) *)
   decisions : int array;
       (** recorded schedule: per pick, the index into the ascending ready
           set ({!Sched.recording}) *)
@@ -147,7 +155,8 @@ type run = {
 val run_one : cfg -> make:(Engine.Ctx.t -> Harness.lock) -> adversary:adversary -> seed:int -> run
 (** One seeded adversarial run: the adversary's plans under a recorded
     [Sched.random ~seed], with history recording on so the event-based
-    checkers apply. *)
+    checkers apply.  The failures are read from the engine's result, not
+    from the plans: a decision the engine ignored is not listed. *)
 
 val replay :
   cfg ->
@@ -158,9 +167,10 @@ val replay :
   unit ->
   Engine.result * bool
 (** Deterministic re-execution through {!Explore.replay}: the recorded
-    schedule, the recorded crashes as a fresh composite
-    {!Crash.replay_fired} plan, and — when [ab_fired] is non-empty — the
-    recorded abort signals as an {!Rme_sim.Abort.replay_fired} plan.
+    schedule, the logged crashes as a fresh composite
+    {!Crash.replay_fired} plan and the logged abort signals as an
+    {!Rme_sim.Abort.replay_fired} plan.  The replay's own logs equal the
+    ones it was given.
     Returns the result and whether the replay {e diverged} from the
     recorded branching structure ([true] = some decision named no real
     branch; reject the replay as unfaithful). *)
@@ -229,7 +239,7 @@ type outcome = {
   runs : int;
   steps : int;  (** engine steps summed over the runs (not their replays) *)
   crashes : int;  (** crashes injected across all runs *)
-  aborts : int;  (** abort signals injected across all runs *)
+  aborts : int;  (** abort signals delivered across all runs *)
   detect_steps : int;
       (** summed engine steps from the first injection of a run — crash or
           abort signal — to the end of that run, over the [detect_runs]

@@ -103,20 +103,13 @@ let storm ~seed ~rate ~max_aborts ~gap ?(backoff = 1.0) () : t =
 
 type fired = { a_pid : int; a_op_index : int; a_step : int; a_async : bool }
 
-let record_fired plan =
-  let wrapped, log = Plan.record_fired plan in
-  let of_plan = function
-    | Plan.Op { pid; op_index; step; payload = () } ->
-        { a_pid = pid; a_op_index = op_index; a_step = step; a_async = false }
-    | Plan.Async { pid; step } -> { a_pid = pid; a_op_index = -1; a_step = step; a_async = true }
-    | Plan.System { step } -> { a_pid = -1; a_op_index = -1; a_step = step; a_async = true }
-  in
-  (wrapped, fun () -> List.map of_plan (log ()))
-
-let replay_fired fired : t =
-  Plan.replay_fired ~tag:"abort-"
-    (List.map
-       (fun f ->
-         if f.a_async then Plan.Async { pid = f.a_pid; step = f.a_step }
-         else Plan.Op { pid = f.a_pid; op_index = f.a_op_index; step = f.a_step; payload = () })
-       fired)
+let replay_fired = function
+  | [] -> none
+  | fired ->
+      let plan_of f =
+        if f.a_async then async_at [ (f.a_step, f.a_pid) ] else at_op ~pid:f.a_pid ~nth:f.a_op_index
+      in
+      {
+        (all (List.map plan_of fired)) with
+        label = Printf.sprintf "abort-replay-fired(%d)" (List.length fired);
+      }

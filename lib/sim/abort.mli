@@ -76,16 +76,15 @@ val all : t list -> t
 
 (** {1 Record and replay} *)
 
+(** One abort signal the engine delivered ([Engine.abort_log] lists a
+    run's, from [Engine.result.aborts]). *)
 type fired = {
   a_pid : int;
-  a_op_index : int;  (** victim's op index, [-1] for async firings *)
+  a_op_index : int;  (** victim's op index, [-1] for async deliveries *)
   a_step : int;
   a_async : bool;
 }
 
-val record_fired : t -> t * (unit -> fired list)
-(** Wraps a plan so every firing is recorded in order ({!Plan.record_fired}). *)
-
 val replay_fired : fired list -> t
-(** Re-issues exactly the recorded decisions: {!at_op} per op firing,
-    {!async_at} per async firing. *)
+(** Re-issues exactly the logged signals: {!at_op} per on-op entry,
+    {!async_at} per async entry, unioned ({!none} for none). *)

@@ -224,24 +224,16 @@ type fired = {
   f_async : bool;
 }
 
-let record_fired plan =
-  let wrapped, log = Plan.record_fired plan in
-  let of_plan = function
-    | Plan.Op { pid; op_index; step; payload } ->
-        { f_pid = pid; f_op_index = op_index; f_step = step; f_point = payload; f_async = false }
-    | Plan.Async { pid; step } ->
-        { f_pid = pid; f_op_index = -1; f_step = step; f_point = Before; f_async = true }
-    | Plan.System { step } ->
-        { f_pid = -1; f_op_index = -1; f_step = step; f_point = Before; f_async = true }
-  in
-  (wrapped, fun () -> List.map of_plan (log ()))
-
-let replay_fired fired : t =
-  Plan.replay_fired ~tag:""
-    (List.map
-       (fun f ->
-         if not f.f_async then
-           Plan.Op { pid = f.f_pid; op_index = f.f_op_index; step = f.f_step; payload = f.f_point }
-         else if f.f_pid < 0 then Plan.System { step = f.f_step }
-         else Plan.Async { pid = f.f_pid; step = f.f_step })
-       fired)
+(* One one-shot per entry, by the axis it was delivered on. *)
+let replay_fired = function
+  | [] -> none
+  | fired ->
+      let plan_of f =
+        if not f.f_async then at_op ~pid:f.f_pid ~nth:f.f_op_index f.f_point
+        else if f.f_pid < 0 then system_at ~step:f.f_step
+        else async_at [ (f.f_step, f.f_pid) ]
+      in
+      {
+        (all (List.map plan_of fired)) with
+        label = Printf.sprintf "replay-fired(%d)" (List.length fired);
+      }

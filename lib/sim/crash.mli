@@ -12,8 +12,10 @@
     its recovery section.
 
     Crashes are one of two decision axes over the core {!Plan} (the other
-    is {!Abort}), which owns the seeded gate, the one-shots, {!all} and
-    record/replay.  Plans are stateful; build a fresh plan for every run. *)
+    is {!Abort}), which owns the seeded gate, the one-shots and {!all}.
+    The engine logs every crash it delivers ([Engine.result.crash_log]),
+    and {!replay_fired} turns that log back into a plan.  Plans are
+    stateful; build a fresh plan for every run. *)
 
 type point = Before | After
 
@@ -37,7 +39,8 @@ val label : t -> string
 val on_op : t -> op_info -> decision
 
 val async : t -> step:int -> int list
-(** Pids to crash right now, whatever they are doing (even parked). *)
+(** Pids to crash right now, whatever they are doing (even parked).  The
+    engine ignores a pid that has halted or that the run does not have. *)
 
 val system : t -> step:int -> bool
 (** [true] to crash the whole system (parked spinners included) right now;
@@ -93,7 +96,8 @@ val every_nth_passage : pid:int -> period:int -> max_crashes:int -> t
 
     Seeded plans that watch the milestones and window state in {!op_info}
     and aim where the algorithms are most exposed.  They decide through
-    [on_op] only, so {!record_fired} replays each crash by {!at_op}. *)
+    [on_op] only, so the engine logs each crash they fire with its op
+    index, and {!replay_fired} replays it by {!at_op}. *)
 
 val target_holder : ?lock:int -> seed:int -> rate:float -> max_crashes:int -> unit -> t
 (** Crash processes only inside a lock's [Lock_enter]…[Lock_released]
@@ -138,22 +142,20 @@ val system_storm :
 
 (** {1 Recording and replay} *)
 
-(** One crash a plan fired, by the coordinates that replay it. *)
+(** One crash the engine delivered ([Engine.result.crash_log]), by the
+    coordinates that replay it. *)
 type fired = {
   f_pid : int;  (** [-1] for a system-wide crash *)
   f_op_index : int;  (** the [nth] of {!at_op}; [-1] when [f_async] *)
-  f_step : int;  (** global step at which the crash fired *)
+  f_step : int;  (** global step at which the crash was delivered *)
   f_point : point;  (** [Before] for asynchronous and system crashes *)
-  f_async : bool;  (** fired through [async] or [system]: replayed by step *)
+  f_async : bool;  (** delivered through [async] or [system]: replayed by step *)
 }
 
-val record_fired : t -> t * (unit -> fired list)
-(** Wraps a plan so every crash it fires, on every axis, is captured; the
-    thunk lists them in firing order ({!Plan.record_fired}). *)
-
 val replay_fired : fired list -> t
-(** One {!at_op}, {!async_at} or {!system_at} per record, unioned: under
-    the same scheduler decisions it re-injects exactly the same failures. *)
+(** One {!at_op}, {!async_at} or {!system_at} per entry, unioned ({!none}
+    for none): under the same scheduler decisions it re-injects exactly
+    the crashes of the logged run. *)
 
 val all : t list -> t
 (** Union ({!Plan.all}): every member is consulted on every axis, even

@@ -71,6 +71,7 @@ type result = {
   timed_out : bool;
   stall : stall option;
   aborts : abort_stat list;
+  crash_log : Crash.fired list;
   events : Event.t list;
 }
 
@@ -226,6 +227,7 @@ type t = {
   entry_depth : int array;
   entry_since : int array;
   ab_stats : abort_stat Vec.t;
+  crash_log : Crash.fired Vec.t;  (* every crash delivered, in delivery order *)
   in_passage : bool array;
   in_app_cs : bool array;
   passage_rmr : int array;
@@ -684,13 +686,38 @@ let crash_now eng pid =
   | Halted -> ()
   | Start | Ready_int | Ready_bool | Ready_unit | Parked | Woken -> do_crash eng pid
 
+(* Log a delivered crash; [op_index] is -1 for an asynchronous or a
+   system-wide one. *)
+let log_crash eng ~pid ~op_index point =
+  Vec.push eng.crash_log
+    {
+      Crash.f_pid = pid;
+      f_op_index = op_index;
+      f_step = eng.step;
+      f_point = point;
+      f_async = op_index < 0;
+    }
+
+(* An asynchronous crash the plan aimed at [pid], logged only if delivered:
+   a halted pid has nothing left to crash, and a pid outside the run (a
+   batch larger than [n]) is no process at all. *)
+let async_crash eng pid =
+  if pid >= 0 && pid < eng.n then
+    match eng.phase.(pid) with
+    | Halted -> ()
+    | Start | Ready_int | Ready_bool | Ready_unit | Parked | Woken ->
+        log_crash eng ~pid ~op_index:(-1) Before;
+        do_crash eng pid
+
 (* A system-wide crash (the JJJ model): every process's continuation —
    running, ready, and parked alike — is erased at this instant; NVRAM
    persists and every live body restarts through its recovery section.
-   Processes that already satisfied all their requests stay [Halted]. *)
+   Processes that already satisfied all their requests stay [Halted].  It
+   is logged once, not per pid. *)
 let system_crash_now eng =
   if eng.emit then record_event eng (Event.Sys_crash { step = eng.step });
   eng.system_crashes <- eng.system_crashes + 1;
+  log_crash eng ~pid:(-1) ~op_index:(-1) Before;
   for pid = 0 to eng.n - 1 do
     crash_now eng pid
   done
@@ -772,7 +799,11 @@ let exec : type a. t -> int -> a answer -> a Api.view -> (a, phase) Effect.Deep.
          delivered. *)
       if eng.has_abort && Abort.on_op eng.abort info then
         signal_abort eng ~origin:info.Crash.op_index pid;
-      Crash.on_op eng.crash info
+      let decision = Crash.on_op eng.crash info in
+      (match decision with
+      | Crash point -> log_crash eng ~pid ~op_index:info.op_index point
+      | No_crash -> ());
+      decision
     end
     else begin
       (* Fast path: no plan and no hook reads the [op_info], so only the
@@ -1070,6 +1101,7 @@ let finish eng =
     timed_out = eng.timed_out;
     stall = classify_stall eng;
     aborts = Vec.to_list eng.ab_stats @ !pending_aborts;
+    crash_log = Vec.to_list eng.crash_log;
     events = Event.Sink.events eng.sink;
   }
 
@@ -1159,6 +1191,7 @@ let arena ~n ~model ~setup ~body =
       entry_depth = Array.make n 0;
       entry_since = Array.make n (-1);
       ab_stats = Vec.create ();
+      crash_log = Vec.create ();
       in_passage = Array.make n false;
       in_app_cs = Array.make n false;
       passage_rmr = Array.make n 0;
@@ -1252,6 +1285,7 @@ let prepare eng ~stall_window ~max_steps ~sink ~consult_ops ~track_ans ~trace_op
   Array.fill eng.entry_depth 0 n 0;
   Array.fill eng.entry_since 0 n (-1);
   Vec.clear eng.ab_stats;
+  Vec.clear eng.crash_log;
   Array.fill eng.in_passage 0 n false;
   Array.fill eng.in_app_cs 0 n false;
   Array.fill eng.passage_rmr 0 n 0;
@@ -1278,7 +1312,7 @@ let drive eng ~pick =
   let handler = eng.handler in
   (* Hoisted once: partially applying these in the loop would allocate a
      closure per step. *)
-  let crash_iter = if eng.has_crash then crash_now eng else ignore in
+  let crash_iter = if eng.has_crash then async_crash eng else ignore in
   let abort_iter = if eng.has_abort then signal_abort eng ~origin:(-1) else ignore in
   let rec loop pos =
     if eng.has_crash then begin
@@ -1407,6 +1441,17 @@ let run_trace ?(record = false) ?(max_steps = 5_000_000) ?stall_window ?(por = f
     tr_degrees = eng.degrees;
     tr_footprints = (if por then eng.footprints else [||]);
   }
+
+let abort_log res =
+  let signal (a : abort_stat) = (a.ab_signal_step, a.ab_pid) in
+  List.sort (fun a b -> compare (signal a) (signal b)) res.aborts
+  |> List.map (fun a ->
+         {
+           Abort.a_pid = a.ab_pid;
+           a_op_index = a.ab_op_index;
+           a_step = a.ab_signal_step;
+           a_async = a.ab_op_index < 0;
+         })
 
 let all_passages res = Array.to_list res.procs |> List.concat_map (fun (p : proc_stats) -> p.passages)
 

@@ -128,7 +128,16 @@ type result = {
   aborts : abort_stat list;
       (** one record per delivered abort signal, resolved records in
           resolution order followed by the still-pending ones; [[]] unless
-          an {!Abort.t} plan was supplied *)
+          an {!Abort.t} plan was supplied.  {!abort_log} lists them as the
+          signals that replay them. *)
+  crash_log : Crash.fired list;
+      (** every crash the engine delivered, in delivery order: an on-op
+          crash with the consult's op index and point, an asynchronous
+          crash of a live process, and one entry ([f_pid = -1]) per
+          system-wide crash, none for the per-process crashes it causes.
+          A plan's decision that reaches nobody (an asynchronous crash
+          aimed at a halted pid) is not logged.  {!Crash.replay_fired}
+          re-injects exactly these crashes under the same schedule. *)
   events : Event.t list;
       (** what the event sink retained: the full history under [record] (a
           [Keep] sink), the trailing window under a [Ring] sink, [[]] under
@@ -136,6 +145,14 @@ type result = {
 }
 
 val pp_stall : stall Fmt.t
+
+val abort_log : result -> Abort.fired list
+(** [result.aborts] as the signals the engine delivered, in signal order
+    (signal step, then pid): an on-op signal with the victim's op index,
+    an asynchronous one with [a_op_index = -1].  A plan's decision the
+    engine ignored (its victim was already signalled, outside every entry
+    section, or halted) is not listed, so {!Abort.replay_fired} of the log
+    re-delivers exactly these signals under the same schedule. *)
 
 val run :
   ?mode:[ `Auto | `Fast | `Full ] ->

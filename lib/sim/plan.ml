@@ -174,51 +174,3 @@ let all plans =
     system = (fun ~step -> system_any ~step false plans);
     por = List.fold_left (fun acc p -> union acc p.por) (Robust []) plans;
   }
-
-type 'p fired =
-  | Op of { pid : int; op_index : int; step : int; payload : 'p }
-  | Async of { pid : int; step : int }
-  | System of { step : int }
-
-let record_fired plan =
-  let log = ref [] in
-  let push f = log := f :: !log in
-  let wrapped =
-    {
-      plan with
-      on_op =
-        (fun info ->
-          let d = plan.on_op info in
-          (match d with
-          | Some payload ->
-              push (Op { pid = info.pid; op_index = info.op_index; step = info.step; payload })
-          | None -> ());
-          d);
-      async =
-        (fun ~step v ->
-          let pids = plan.async ~step v in
-          (* Matched first: the closure would otherwise be built every
-             iteration, firing or not. *)
-          (match pids with [] -> () | _ -> List.iter (fun pid -> push (Async { pid; step })) pids);
-          pids);
-      system =
-        (fun ~step ->
-          let hit = plan.system ~step in
-          if hit then push (System { step });
-          hit);
-    }
-  in
-  (wrapped, fun () -> List.rev !log)
-
-let replay_fired ~tag = function
-  | [] -> none
-  | fired ->
-      let plan_of = function
-        | Op { pid; op_index; payload; _ } -> at_op ~tag ~pid ~nth:op_index payload
-        | Async { pid; step } -> async_at ~tag [ (step, pid) ]
-        | System { step } -> system_at ~step
-      in
-      {
-        (all (List.map plan_of fired)) with
-        label = Printf.sprintf "%sreplay-fired(%d)" tag (List.length fired);
-      }

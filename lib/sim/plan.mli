@@ -15,7 +15,7 @@
     The engine fills {e one} record per run in place and hands it to every
     consult, so an [on_op] (or an {!Engine.run} [on_op] hook) that keeps
     the record past its call sees it overwritten by the next instruction:
-    copy the fields you need ({!record_fired} does). *)
+    copy the fields you need (the engine's crash log does). *)
 type op_info = {
   mutable pid : int;
   mutable step : int;  (** global step counter *)
@@ -91,16 +91,3 @@ val all : ('p, 'v) t list -> ('p, 'v) t
     wins, [async] pids are concatenated, [system] fires if any member
     does, and the class is the {!union}.  A consult where no member fires
     allocates nothing. *)
-
-type 'p fired =
-  | Op of { pid : int; op_index : int; step : int; payload : 'p }
-  | Async of { pid : int; step : int }
-  | System of { step : int }
-
-val record_fired : ('p, 'v) t -> ('p, 'v) t * (unit -> 'p fired list)
-(** Captures every firing on every axis, in order, copying the
-    coordinates out of the reused {!op_info}; keeps the class.  A consult
-    that fires nothing allocates nothing. *)
-
-val replay_fired : tag:string -> 'p fired list -> ('p, 'v) t
-(** {!all} of one one-shot per record, {!none} for none. *)

@@ -1,5 +1,5 @@
 (* The abort (impatience) axis: scenario grammar round-trips, the
-   composite rule and record/replay at plan level, the instrumentation
+   composite rule, record/replay from the engine's abort log, the instrumentation
    milestones, the abort battery's negative space (each
    planted pathology trips exactly its own checker), the naive abortable
    TAS caught by no-lost-wakeup with a replay-confirmed witness, and the
@@ -126,41 +126,47 @@ let test_all_consults_every_member () =
   check cb "the rule is observable here" true (List.sort_uniq compare (0 :: skipped) <> composite)
 
 let test_record_replay_roundtrip () =
-  (* Drive a recorded union of a one-shot, an async strike and a random
-     member over a synthetic stream (pids alternate, one op per step), then
-     drive its replay over the same stream. *)
-  let drive plan =
-    let hits = ref [] in
-    for step = 0 to 15 do
-      List.iter
-        (fun pid -> hits := (true, pid, step) :: !hits)
-        (Abort.async plan ~step (Abort.blind_view ~n:2));
-      let pid = step mod 2 in
-      if Abort.on_op plan (info ~pid ~op_index:(step / 2) ~step) then
-        hits := (false, pid, step) :: !hits
-    done;
-    List.rev !hits
+  (* A union of a one-shot, two async strikes and a random member drives
+     wr-abort under a recorded schedule; the engine's abort log then
+     replays the run exactly.  The engine ignores the strike at step 0 (p0
+     is outside every entry section) and the one-shot on p0's op 6 (the
+     step-14 strike already flagged p0), and the log leaves both out. *)
+  let run ~sched abort =
+    Harness.run_lock ~record:true ~abort ~cs:(fun ~pid:_ -> Api.yield ()) ~n:2 ~model:Memory.CC
+      ~sched ~crash:Crash.none ~requests:3
+      ~make:(Rme.Spec.find_exn "wr-abort").Rme.Spec.make ()
   in
-  let plan, fired =
-    Abort.record_fired
+  let decisions = Vec.create () in
+  let original =
+    run
+      ~sched:(Sched.recording ~inner:(Sched.random ~seed:4) ~decisions)
       (Abort.all
          [
-           Abort.at_op ~pid:0 ~nth:3;
-           Abort.async_at [ (5, 1) ];
+           Abort.at_op ~pid:0 ~nth:6;
+           Abort.async_at [ (0, 0); (14, 0) ];
            Abort.random ~seed:2 ~rate:0.3 ~max_aborts:3 ~pids:[ 1 ] ();
          ])
   in
-  let original = drive plan in
-  let record = fired () in
-  let coords = List.map (fun a -> (a.Abort.a_async, a.Abort.a_pid, a.Abort.a_step)) record in
-  check cb "the record is what fired" true (coords = original);
-  check cb "the one-shot fired" true (List.mem (false, 0, 6) original);
-  check cb "the async strike fired" true (List.mem (true, 1, 5) original);
-  check cb "the random member fired" true (List.exists (fun (a, p, _) -> (not a) && p = 1) original);
-  check cb "op firings keep their op index" true
-    (List.for_all (fun a -> a.Abort.a_async || a.Abort.a_op_index = a.Abort.a_step / 2) record);
-  check cb "replay fires exactly the recorded coordinates" true
-    (drive (Abort.replay_fired record) = original)
+  let log = Engine.abort_log original in
+  let coords = List.map (fun a -> (a.Abort.a_step, a.Abort.a_pid)) log in
+  check ci "one entry per delivered signal" (List.length original.Engine.aborts) (List.length log);
+  check cb "in signal order" true (List.sort compare coords = coords);
+  check cb "the ignored decisions are not logged" true
+    ((not (List.mem (0, 0) coords)) && List.for_all (fun a -> a.Abort.a_op_index <> 6) log);
+  check cb "both axes delivered" true
+    (List.exists (fun a -> a.Abort.a_async) log
+    && List.exists (fun a -> not a.Abort.a_async) log);
+  check cb "on-op entries keep their op index" true
+    (List.for_all (fun a -> a.Abort.a_async = (a.Abort.a_op_index < 0)) log);
+  let replayed =
+    run
+      ~sched:(Sched.trace ~decisions ~record:(Vec.create ()) ())
+      (Abort.replay_fired log)
+  in
+  check cb "replay re-delivers the same signals" true
+    (original.Engine.aborts = replayed.Engine.aborts);
+  check cb "replay logs the same signals" true (Engine.abort_log replayed = log);
+  check cb "replay has the same history" true (original.Engine.events = replayed.Engine.events)
 
 (* ------------------------------------------------------------------ *)
 (* Instrumentation milestones when release raises                      *)

@@ -101,36 +101,14 @@ let test_storm_validation () =
     (Invalid_argument "Crash.storm: backoff must be >= 1") (fun () ->
       ignore (Crash.storm ~seed:0 ~rate:0.1 ~max_crashes:1 ~gap:0 ~backoff:0.5 ()))
 
-let test_record_and_replay_fired () =
-  let plan, fired = Crash.record_fired (Crash.target_window ~seed:0 ~rate:1.0 ~max_crashes:2 ()) in
-  ignore (Crash.on_op plan (info ~pid:1 ~op_index:7 ~step:40 ~unsafe_wrt:[ 0 ] ()));
-  ignore (Crash.on_op plan (info ~pid:1 ~op_index:8 ~step:41 ()));
-  ignore (Crash.on_op plan (info ~pid:2 ~op_index:3 ~step:44 ~unsafe_wrt:[ 1 ] ()));
-  let f = fired () in
-  check ci "two crashes recorded" 2 (List.length f);
-  let first = List.hd f in
-  check ci "pid recorded" 1 first.Crash.f_pid;
-  check ci "op_index recorded" 7 first.Crash.f_op_index;
-  check ci "step recorded" 40 first.Crash.f_step;
-  (* The composite replay plan crashes at exactly the recorded coordinates
-     and nowhere else. *)
-  let replay = Crash.replay_fired f in
-  check cb "replays first site" true
-    (is_crash (Crash.on_op replay (info ~pid:1 ~op_index:7 ())));
-  check cb "replays second site" true
-    (is_crash (Crash.on_op replay (info ~pid:2 ~op_index:3 ())));
-  check cb "spares everything else" false
-    (is_crash (Crash.on_op replay (info ~pid:1 ~op_index:8 ())))
-
-(* The engine refills one [op_info] per run, so a recorder must copy each
-   firing's coordinates out of it: a plan that fires on every op of two
-   pids logs every firing at its own coordinates, as the [on_op] hook
-   observed them. *)
-let test_record_fired_copies_reused_info () =
+(* A plan that fires on every op of two pids, run to its six crashes;
+   returns the engine's crash log and the coordinates the [on_op] hook
+   observed. *)
+let six_crash_run () =
   let seen = ref [] in
-  let plan, fired = Crash.record_fired (Crash.random ~seed:1 ~rate:1.0 ~max_crashes:6 ()) in
   let res =
-    Engine.run ~n:2 ~model:Memory.CC ~sched:(Sched.round_robin ()) ~crash:plan
+    Engine.run ~n:2 ~model:Memory.CC ~sched:(Sched.round_robin ())
+      ~crash:(Crash.random ~seed:1 ~rate:1.0 ~max_crashes:6 ())
       ~on_op:(fun (i : Crash.op_info) -> seen := (i.pid, i.op_index, i.step) :: !seen)
       ~setup:(fun ctx -> Memory.alloc (Engine.Ctx.memory ctx) ~name:"c" 0)
       ~body:(fun c ~pid:_ ->
@@ -139,31 +117,60 @@ let test_record_fired_copies_reused_info () =
         done)
       ()
   in
+  (res, !seen)
+
+(* The composite replay plan strikes exactly the logged coordinates, each
+   at its logged point, and nothing else. *)
+let test_crash_log_and_replay_fired () =
+  let res, _ = six_crash_run () in
+  let log = res.Engine.crash_log in
+  check cb "every entry is on-op" true (List.for_all (fun (f : Crash.fired) -> not f.f_async) log);
+  let replay = Crash.replay_fired log in
+  List.iter
+    (fun (f : Crash.fired) ->
+      let label = Printf.sprintf "replays p%d op %d" f.f_pid f.f_op_index in
+      check cb label true
+        (Crash.on_op replay (info ~pid:f.f_pid ~op_index:f.f_op_index ()) = Crash.Crash f.f_point))
+    log;
+  check cb "spares everything else" false
+    (is_crash (Crash.on_op replay (info ~pid:0 ~op_index:1_000 ())))
+
+(* The engine logs each on-op crash at the coordinates the [on_op] hook
+   observed, copied out of the one [op_info] it refills per instruction:
+   six firings give six distinct entries. *)
+let test_crash_log_copies_reused_info () =
+  let res, seen = six_crash_run () in
   let coords =
-    List.map (fun (f : Crash.fired) -> (f.f_pid, f.f_op_index, f.f_step)) (fired ())
+    List.map (fun (f : Crash.fired) -> (f.f_pid, f.f_op_index, f.f_step)) res.Engine.crash_log
   in
   check ci "six crashes" 6 res.Engine.total_crashes;
-  check ci "six records" 6 (List.length coords);
+  check ci "six entries" 6 (List.length coords);
   check ci "distinct (pid, op_index, step)" 6 (List.length (List.sort_uniq compare coords));
   check cb "both pids struck" true
     (List.exists (fun (p, _, _) -> p = 0) coords && List.exists (fun (p, _, _) -> p = 1) coords);
-  check cb "each record is an observed op" true (List.for_all (fun c -> List.mem c !seen) coords)
+  check cb "each entry is an observed op" true (List.for_all (fun c -> List.mem c seen) coords)
 
-let test_record_fired_logs_every_async_pid () =
-  let plan, fired = Crash.record_fired (Crash.async_at [ (5, 0); (5, 1) ]) in
-  ignore
-    (Engine.run ~n:2 ~model:Memory.CC ~sched:(Sched.round_robin ()) ~crash:plan
-       ~setup:(fun _ -> ())
-       ~body:(fun () ~pid:_ ->
-         for _ = 1 to 10 do
-           Api.yield ()
-         done)
-       ());
+(* Both pids an asynchronous decision names are logged; one aimed at a
+   halted pid or at a pid the run does not have is not, since nothing is
+   delivered. *)
+let test_crash_log_every_async_pid () =
+  let res =
+    Engine.run ~n:2 ~model:Memory.CC ~sched:(Sched.round_robin ())
+      ~crash:(Crash.async_at [ (5, 0); (5, 1); (5, 7); (50, 0) ])
+      ~setup:(fun _ -> ())
+      ~body:(fun () ~pid ->
+        for _ = 1 to if pid = 0 then 10 else 60 do
+          Api.yield ()
+        done)
+      ()
+  in
+  check cb "p1 outlived the last decision" true (res.Engine.steps > 50);
   check
     Alcotest.(list (triple int int bool))
     "both pids at step 5"
     [ (0, 5, true); (1, 5, true) ]
-    (List.map (fun (f : Crash.fired) -> (f.f_pid, f.f_step, f.f_async)) (fired ()))
+    (List.map (fun (f : Crash.fired) -> (f.f_pid, f.f_step, f.f_async)) res.Engine.crash_log);
+  check ci "neither the halted nor the missing pid was crashed" 2 res.Engine.total_crashes
 
 let test_adversary_of_string () =
   check cb "holder parses" true (Result.is_ok (Chaos.adversary_of_string "holder"));
@@ -664,6 +671,109 @@ let test_oblivious_planted_mcs () =
         (Array.length v.v_witness <= Array.length r.Chaos.decisions))
     o.Chaos.violations
 
+(* ------------------------------------------------------------------ *)
+(* Replay from the engine's logs                                       *)
+(* ------------------------------------------------------------------ *)
+
+let forced s = Chaos.Oblivious (Some (Option.get (Chaos.scenario_of_string s)))
+
+(* The fields of [a] that differ in [b].  The record pattern names every
+   field, so a new one must be compared here too. *)
+let result_diffs (a : Engine.result) (b : Engine.result) =
+  let {
+    Engine.steps;
+    total_rmr;
+    rmr_by_kind;
+    total_crashes;
+    system_crashes;
+    procs;
+    locks;
+    cs_max;
+    deadlocked;
+    timed_out;
+    stall;
+    aborts;
+    crash_log;
+    events;
+  } =
+    a
+  in
+  List.filter_map
+    (fun (field, same) -> if same then None else Some field)
+    [
+      ("steps", steps = b.steps);
+      ("total_rmr", total_rmr = b.total_rmr);
+      ("rmr_by_kind", rmr_by_kind = b.rmr_by_kind);
+      ("total_crashes", total_crashes = b.total_crashes);
+      ("system_crashes", system_crashes = b.system_crashes);
+      ("procs", procs = b.procs);
+      ("locks", locks = b.locks);
+      ("cs_max", cs_max = b.cs_max);
+      ("deadlocked", deadlocked = b.deadlocked);
+      ("timed_out", timed_out = b.timed_out);
+      ("stall", stall = b.stall);
+      ("aborts", aborts = b.aborts);
+      ("crash_log", crash_log = b.crash_log);
+      ("events", events = b.events);
+    ]
+
+(* Replays [r] from its decisions and the two logs: the replay must be
+   faithful, reproduce the result field for field and log the same
+   failures. *)
+let check_replay label ~make (r : Chaos.run) =
+  let res, diverged =
+    Chaos.replay r.cfg ~make ~fired:r.fired ~ab_fired:r.ab_fired ~decisions:r.decisions ()
+  in
+  check cb (label ^ " faithful") false diverged;
+  check Alcotest.(list string) (label ^ " differing fields") [] (result_diffs r.res res);
+  check cb (label ^ " same crash log") true (res.Engine.crash_log = r.fired);
+  check cb (label ^ " same abort log") true (Engine.abort_log res = r.ab_fired)
+
+let test_replay_from_logs () =
+  let adversaries =
+    Chaos.standard_adversaries
+    @ [
+        Chaos.default_sys_storm;
+        Chaos.default_impatient_storm;
+        forced "batch:4";
+        forced "impatient:40:3:2";
+      ]
+  in
+  let crash_runs = ref 0 and abort_runs = ref 0 in
+  List.iter
+    (fun key ->
+      let make = (Rme.Spec.find_exn key).Rme.Spec.make in
+      List.iter
+        (fun adversary ->
+          for seed = 0 to 19 do
+            let r = Chaos.run_one Chaos.default_cfg ~make ~adversary ~seed in
+            let label = Fmt.str "%s %a seed %d" key Chaos.pp_adversary r.adversary seed in
+            check ci (label ^ " one entry per delivered signal") (List.length r.res.Engine.aborts)
+              (List.length r.ab_fired);
+            if r.fired <> [] then incr crash_runs;
+            if r.ab_fired <> [] then incr abort_runs;
+            check_replay label ~make r
+          done)
+        adversaries)
+    [ "wr"; "wr-abort"; "ba-jjj"; "jjj-sys" ];
+  check cb "some runs logged crashes" true (!crash_runs > 0);
+  check cb "some runs logged aborts" true (!abort_runs > 0)
+
+(* An impatient waiter is re-signalled on every step until its signal
+   resolves; the engine ignores all but the first, and only that one is
+   logged. *)
+let test_impatient_logs_deliveries () =
+  let spec = Rme.Spec.find_exn "wr-abort" in
+  let adversary = forced "impatient:40:3:2" in
+  let r = Chaos.run_one Chaos.default_cfg ~make:spec.Rme.Spec.make ~adversary ~seed:3 in
+  check ci "seed 3 logs its 37 delivered signals" 37 (List.length r.ab_fired);
+  check_replay "seed 3" ~make:spec.Rme.Spec.make r;
+  let o =
+    Chaos.campaign ~adversaries:[ adversary ] ~runs:100 ~seed_base:0 [ Rme.Spec.chaos_case spec ]
+  in
+  check ci "signals delivered over seeds 0-99" 4806 o.Chaos.aborts;
+  check ci "no violations" 0 (List.length o.Chaos.violations)
+
 let () =
   Alcotest.run "chaos"
     [
@@ -675,11 +785,10 @@ let () =
           Alcotest.test_case "repeat offender cadence" `Quick test_repeat_offender_cadence;
           Alcotest.test_case "storm gap and backoff" `Quick test_storm_gap_backoff;
           Alcotest.test_case "storm validates backoff" `Quick test_storm_validation;
-          Alcotest.test_case "record_fired / replay_fired" `Quick test_record_and_replay_fired;
-          Alcotest.test_case "record_fired copies the reused op_info" `Quick
-            test_record_fired_copies_reused_info;
-          Alcotest.test_case "record_fired logs every async pid" `Quick
-            test_record_fired_logs_every_async_pid;
+          Alcotest.test_case "crash log / replay_fired" `Quick test_crash_log_and_replay_fired;
+          Alcotest.test_case "crash log copies the reused op_info" `Quick
+            test_crash_log_copies_reused_info;
+          Alcotest.test_case "crash log logs every async pid" `Quick test_crash_log_every_async_pid;
           Alcotest.test_case "adversary parsing" `Quick test_adversary_of_string;
         ] );
       ( "watchdog",
@@ -719,5 +828,10 @@ let () =
           Alcotest.test_case "a seed names the workload run" `Quick
             test_oblivious_is_the_workload_run;
           Alcotest.test_case "planted mcs starvation" `Quick test_oblivious_planted_mcs;
+        ] );
+      ( "log replay",
+        [
+          Alcotest.test_case "replay from the logs is exact" `Quick test_replay_from_logs;
+          Alcotest.test_case "impatient logs only deliveries" `Quick test_impatient_logs_deliveries;
         ] );
     ]

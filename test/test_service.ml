@@ -271,7 +271,9 @@ let test_step_allocation () =
    [Some] payload is boxed once and reused while the payload stays the
    same constant.  The plans here never fire. *)
 let test_consulted_step_allocation () =
-  let recorders () = (fst (Crash.record_fired Crash.none), fst (Abort.record_fired Abort.none)) in
+  let both_axes () =
+    (Crash.at_op ~pid:0 ~nth:max_int Crash.Before, Abort.at_op ~pid:0 ~nth:max_int)
+  in
   let coin () = (Crash.random ~seed:5 ~rate:0.0 ~max_crashes:8 (), Abort.none) in
   let union () =
     ( Crash.all [ Crash.at_op ~pid:0 ~nth:max_int Crash.Before; Crash.system_at ~step:max_int ],
@@ -294,7 +296,7 @@ let test_consulted_step_allocation () =
              ("note", 0, fun _ -> Api.note (Event.Seg Event.Cs_begin));
            ])
        [
-         ("recorded none", 3, recorders);
+         ("at_op on both axes", 3, both_axes);
          ("random rate 0", 3, coin);
          ("all [at_op; system_at]", 3, union);
          ("async_at", 3, pending);

@@ -327,10 +327,7 @@ let test_por_class_table () =
       ("abort all (empty)", Abort.all [], Crash.Robust []);
     ]
   in
-  List.iter (fun (name, plan, expected) -> check por name expected (Abort.por_class plan)) abort_rows;
-  (* record_fired is a transparent wrapper: the class must pass through. *)
-  let wrapped, _ = Crash.record_fired (Crash.at_op ~pid:1 ~nth:0 Crash.Before) in
-  check por "record_fired preserves por_class" (Crash.Robust [ 1 ]) (Crash.por_class wrapped)
+  List.iter (fun (name, plan, expected) -> check por name expected (Abort.por_class plan)) abort_rows
 
 (* ------------------------------------------------------------------ *)
 (* The shared gate: cooldown and backoff on all three storms           *)
@@ -415,27 +412,34 @@ let test_all_consults_every_member () =
   check (Alcotest.list ci) "crashes at ops 2 and 4" [ 2; 4 ] crashed
 
 (* ------------------------------------------------------------------ *)
-(* record_fired / replay_fired closure over every crash axis           *)
+(* The engine's crash log and replay_fired over every crash axis        *)
 (* ------------------------------------------------------------------ *)
 
-let test_record_fired_captures_async_and_system () =
-  (* Synthetic drive of all three axes through one recorded union plan. *)
-  let plan, fired =
-    Crash.record_fired
-      (Crash.all
-         [
-           Crash.at_op ~pid:1 ~nth:4 Crash.After;
-           Crash.async_at [ (7, 0) ];
-           Crash.system_at ~step:11;
-         ])
+let test_crash_log_captures_async_and_system () =
+  (* One union plan strikes on all three axes; the system crash hits both
+     live pids but is logged once. *)
+  let res =
+    Engine.run ~n:2 ~model:Memory.CC ~sched:(Sched.round_robin ())
+      ~crash:
+        (Crash.all
+           [
+             Crash.at_op ~pid:1 ~nth:2 Crash.After;
+             Crash.async_at [ (7, 0) ];
+             Crash.system_at ~step:11;
+           ])
+      ~setup:(fun _ -> ())
+      ~body:(fun () ~pid:_ ->
+        for _ = 1 to 10 do
+          Api.yield ()
+        done)
+      ()
   in
-  ignore (Crash.on_op plan (op_info ~pid:1 ~op_index:4 ~step:3 ()));
-  ignore (Crash.async plan ~step:7);
-  ignore (Crash.system plan ~step:11);
-  match fired () with
+  check ci "every crash delivered" 4 res.Engine.total_crashes;
+  match res.Engine.crash_log with
   | [ op; asy; sys ] ->
       check ci "op pid" 1 op.Crash.f_pid;
-      check ci "op index" 4 op.Crash.f_op_index;
+      check ci "op index" 2 op.Crash.f_op_index;
+      check cb "op point" true (op.Crash.f_point = Crash.After);
       check cb "op is synchronous" false op.Crash.f_async;
       check ci "async pid" 0 asy.Crash.f_pid;
       check ci "async step" 7 asy.Crash.f_step;
@@ -444,22 +448,22 @@ let test_record_fired_captures_async_and_system () =
       check ci "system pid is -1" (-1) sys.Crash.f_pid;
       check ci "system step" 11 sys.Crash.f_step;
       check cb "system flagged async" true sys.Crash.f_async
-  | f -> Alcotest.failf "expected 3 recorded crashes, got %d" (List.length f)
+  | f -> Alcotest.failf "expected 3 logged crashes, got %d" (List.length f)
 
-(* Run [make] under a recorded adversary, then replay the fired record on
-   the same schedule and require the identical crash history and outcome. *)
+(* Run [make] under an adversary on a recorded schedule, then replay its
+   crash log on the same schedule and require the identical crash history,
+   log and outcome. *)
 let roundtrip ~n ~requests ~make ~adversary () =
   let decisions = Vec.create () in
-  let plan, fired = Crash.record_fired (adversary ()) in
   let first =
     Harness.run_lock ~record:true ~n ~model:Memory.CC
       ~sched:(Sched.recording ~inner:(Sched.random ~seed:42) ~decisions)
-      ~crash:plan ~requests ~make ()
+      ~crash:(adversary ()) ~requests ~make ()
   in
   let replayed =
     Harness.run_lock ~record:true ~n ~model:Memory.CC
       ~sched:(Sched.trace ~decisions ~record:(Vec.create ()) ())
-      ~crash:(Crash.replay_fired (fired ())) ~requests ~make ()
+      ~crash:(Crash.replay_fired first.Engine.crash_log) ~requests ~make ()
   in
   let crash_history res =
     List.filter_map
@@ -469,7 +473,8 @@ let roundtrip ~n ~requests ~make ~adversary () =
         | _ -> None)
       res.Engine.events
   in
-  check cb "some crashes fired" true (fired () <> []);
+  check cb "some crashes fired" true (first.Engine.crash_log <> []);
+  check cb "identical crash log" true (first.Engine.crash_log = replayed.Engine.crash_log);
   check cb "identical crash history" true (crash_history first = crash_history replayed);
   check ci "identical system crash count" first.Engine.system_crashes
     replayed.Engine.system_crashes;
@@ -623,7 +628,7 @@ let () =
       ( "record-replay",
         [
           Alcotest.test_case "record captures async and system" `Quick
-            test_record_fired_captures_async_and_system;
+            test_crash_log_captures_async_and_system;
           Alcotest.test_case "roundtrip: batch" `Quick test_replay_roundtrip_batch;
           Alcotest.test_case "roundtrip: system storm" `Quick test_replay_roundtrip_system_storm;
           Alcotest.test_case "roundtrip: mixed axes" `Quick test_replay_roundtrip_mixed;
