@@ -218,16 +218,40 @@ let body cfg =
   let ncs = if cfg.ncs_yields = 0 then None else Some (Harness.yields cfg.ncs_yields) in
   fun lock ~pid -> Harness.standard_body ~cs ?ncs ~lock ~requests:cfg.requests pid
 
-(* The recorded schedule starts at 1,024 decisions, above the 700-odd
-   steps a default-config run takes, so most runs never grow it. *)
+(* One subject per domain: the arena of the last (make, cfg) pair that
+   ran here, and the schedule buffer [run_one] records into.  A campaign
+   runs a pair's seeds back to back, so all but its first run rewind the
+   arena instead of constructing the subject again; a violation's confirm
+   replay and shrink candidates rewind the same arena.  The buffer starts
+   at 1,024 decisions, above the 700-odd steps a default-config run takes,
+   so most runs never grow it. *)
+type slot = {
+  mutable subject : ((Engine.Ctx.t -> Harness.lock) * cfg * Engine.arena) option;
+  decisions : int Vec.t;
+}
+
+let slot = Domain.DLS.new_key (fun () -> { subject = None; decisions = Vec.make 1024 0 })
+
+(* [make]'s arena for [cfg]: the slot's on a hit ([make] physically equal,
+   [cfg] structurally), else a new one that replaces it. *)
+let arena cfg ~make =
+  let s = Domain.DLS.get slot in
+  match s.subject with
+  | Some (m, c, a) when m == make && c = cfg -> a
+  | Some _ | None ->
+      let a = Engine.arena ~n:cfg.n ~model:cfg.model ~setup:make ~body:(body cfg) in
+      s.subject <- Some (make, cfg, a);
+      a
+
 let run_one cfg ~make ~adversary ~seed =
   let cfg, adversary = setup cfg adversary ~seed in
-  let decisions = Vec.make (min cfg.max_steps 1024) 0 in
+  let arena = arena cfg ~make in
+  let decisions = (Domain.DLS.get slot).decisions in
+  Vec.clear decisions;
   let sched = Sched.recording ~inner:(Sched.random ~seed) ~decisions in
   let res =
-    Engine.run ~record:true ~max_steps:cfg.max_steps ~n:cfg.n ~model:cfg.model ~sched
-      ~crash:(plan adversary ~seed) ~abort:(abort_plan adversary ~seed) ~setup:make
-      ~body:(body cfg) ()
+    Engine.run_in ~record:true ~max_steps:cfg.max_steps ~arena ~sched ~crash:(plan adversary ~seed)
+      ~abort:(abort_plan adversary ~seed) ()
   in
   {
     cfg;
@@ -237,10 +261,6 @@ let run_one cfg ~make ~adversary ~seed =
     ab_fired = Engine.abort_log res;
     decisions = Vec.to_array decisions;
   }
-
-(* The subject a run's replays rewind: one construction serves the
-   confirm replay and every shrink candidate of a violation. *)
-let arena cfg ~make = Engine.arena ~n:cfg.n ~model:cfg.model ~setup:make ~body:(body cfg)
 
 let replay_in arena cfg ~fired ~ab_fired ~decisions =
   let res, diverged =

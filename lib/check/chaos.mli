@@ -17,7 +17,20 @@
     decision vector to {!Explore.shrink} for a minimal witness.
 
     Everything is seeded: a campaign is a pure function of its
-    configuration, and every reported witness replays deterministically. *)
+    configuration, and every reported witness replays deterministically.
+
+    {b One arena per subject and domain.}  Each domain keeps one slot: the
+    {!Rme_sim.Engine.arena} of the last subject it ran, keyed by the
+    lock's [make] (physical equality) and the run's {!cfg} (structural
+    equality: n, model, requests, CS and NCS yields, max steps).
+    {!run_one}, {!replay} and {!shrink_witness} rewind the slot's arena
+    when the key matches and build a new one that replaces it otherwise,
+    so the seeds of one (case, adversary) pair, and a violation's confirm
+    replay and shrink candidates, construct their lock stack once.  A run
+    on the slot equals the same run on a fresh arena provided [make] is a
+    deterministic function of its context and every piece of host state a
+    run mutates is reset through {!Rme_sim.Engine.Ctx.on_rewind}; a fresh
+    closure per run (a timing wrapper, say) always misses. *)
 
 open Rme_sim
 
@@ -156,7 +169,9 @@ val run_one : cfg -> make:(Engine.Ctx.t -> Harness.lock) -> adversary:adversary 
 (** One seeded adversarial run: the adversary's plans under a recorded
     [Sched.random ~seed], with history recording on so the event-based
     checkers apply.  The failures are read from the engine's result, not
-    from the plans: a decision the engine ignored is not listed. *)
+    from the plans: a decision the engine ignored is not listed.  Runs in
+    the domain's slot arena, recording into the slot's schedule buffer;
+    [decisions] is a copy. *)
 
 val replay :
   cfg ->
@@ -166,7 +181,8 @@ val replay :
   decisions:int array ->
   unit ->
   Engine.result * bool
-(** Deterministic re-execution through {!Explore.replay}: the recorded
+(** Deterministic re-execution through {!Explore.replay}, on the domain's
+    slot arena for [make] and [cfg]: the recorded
     schedule, the logged crashes as a fresh composite
     {!Crash.replay_fired} plan and the logged abort signals as an
     {!Rme_sim.Abort.replay_fired} plan.  The replay's own logs equal the
@@ -183,7 +199,8 @@ val shrink_witness :
   check:(Engine.result -> string option) ->
   int array ->
   int array
-(** {!Explore.shrink} over faithful replays: minimise the decision vector
+(** {!Explore.shrink} over faithful replays on the slot arena, as
+    {!replay}'s: minimise the decision vector
     while the composite crash plan still reproduces a violation of
     [check].  Returns the input unchanged if it does not reproduce. *)
 

@@ -1124,16 +1124,16 @@ let no_handler : (unit, phase) Effect.Deep.handler =
 
 (* Domain-safety audit (plans and seeds sharded over domains): an engine
    serves one run at a time.  [run] constructs a fresh one per call, and
-   [run_trace] uses its caller's arena, which one search owns.  Every
-   piece of mutable state below — the store, the engine record, the
-   continuation and view slots, the per-process arrays, the effect handler
-   with its preallocated results — belongs to one engine: [arena]
-   allocates it and [prepare] resets it.  The module has no top-level
-   mutable bindings (and the same holds for Memory, Cell, Crash and Vec).
-   The one shared piece is {!Api.register}, which is per domain:
-   [prepare] takes the running domain's, the run's fibers fill it in that
-   same domain, and the handler empties it into [pend] before another
-   fiber runs.  Concurrent runs on different engines in different domains
+   [run_in] and [run_trace] use their caller's arena, which one search or
+   one domain's Chaos slot owns.  Every piece of mutable state below —
+   the store, the engine record, the continuation and view slots, the
+   per-process arrays, the effect handler with its preallocated results —
+   belongs to one engine: [arena] allocates it and [prepare] resets it.
+   The module has no top-level mutable bindings (and the same holds for
+   Memory, Cell, Crash and Vec).  The one shared piece is {!Api.register},
+   which is per domain: [prepare] takes the running domain's, the run's
+   fibers fill it in that same domain, and the handler empties it into
+   [pend] before another fiber runs.  Concurrent runs on different engines in different domains
    therefore share nothing, *provided* the caller's [sched], [crash],
    [setup] and [body] arguments are themselves domain-safe: a stateful
    scheduler or crash plan must be built fresh per run, and the closures
@@ -1343,9 +1343,11 @@ let drive eng ~pick =
   in
   loop 0
 
-let run ?(mode = `Auto) ?sink ?(record = false) ?(trace_ops = false) ?(max_steps = 5_000_000)
-    ?stall_window ?(on_crash = default_on_crash) ?(on_op = default_on_op) ?(abort = Abort.none) ~n
-    ~model ~sched ~crash ~setup ~body () =
+type arena = t
+
+let run_in ?(mode = `Auto) ?sink ?(record = false) ?(trace_ops = false) ?(max_steps = 5_000_000)
+    ?stall_window ?(on_crash = default_on_crash) ?(on_op = default_on_op) ?(abort = Abort.none)
+    ~arena:eng ~sched ~crash () =
   let sink =
     match sink with
     | Some s -> s
@@ -1372,13 +1374,15 @@ let run ?(mode = `Auto) ?sink ?(record = false) ?(trace_ops = false) ?(max_steps
              configuration (no sink, no hooks)";
         (false, false)
   in
-  let eng = arena ~n ~model ~setup ~body in
   prepare eng ~stall_window ~max_steps ~sink ~consult_ops ~track_ans ~trace_ops ~on_crash ~on_op
     ~crash ~abort;
   drive eng ~pick:(fun _ ready -> Sched.pick sched ~runnable:ready ~step:eng.step);
   finish eng
 
-type arena = t
+let run ?mode ?sink ?record ?trace_ops ?max_steps ?stall_window ?on_crash ?on_op ?abort ~n ~model
+    ~sched ~crash ~setup ~body () =
+  run_in ?mode ?sink ?record ?trace_ops ?max_steps ?stall_window ?on_crash ?on_op ?abort
+    ~arena:(arena ~n ~model ~setup ~body) ~sched ~crash ()
 
 type trun = {
   tr_result : result;

@@ -172,9 +172,10 @@ val run :
   body:('a -> pid:int -> unit) ->
   unit ->
   result
-(** [run ~n ~model ~sched ~crash ~setup ~body ()] constructs a fresh
-    {!arena} of its own — a store, and [setup] called once into it (lock
-    construction; no RMR accounting) — then runs
+(** [run ~n ~model ~sched ~crash ~setup ~body ()] is
+    [run_in ~arena:(arena ~n ~model ~setup ~body) ~sched ~crash ()]: it
+    constructs a fresh {!arena} of its own — a store, and [setup] called
+    once into it (lock construction; no RMR accounting) — then runs
     [body shared ~pid] for every pid until all bodies return, a deadlock is
     detected (every live process parked), or [max_steps] (default 5e6)
     elapses.  [record] keeps the event history; [trace_ops] additionally
@@ -231,20 +232,20 @@ val run :
     resolution appending an {!abort_stat} to [result.aborts].  Passing
     [Abort.none] itself (physical equality) skips all abort bookkeeping.
 
-    [run] and {!run_trace} rewind an arena the same way and share one
-    step loop; they differ only in the pick function, where [run_trace]
-    also records its footprints and state key, and in the arena: [run]
-    makes its own on every call, [run_trace] runs in its caller's.
-    [run] is re-entrant and domain-safe: all engine state (store, fibers,
-    the effect handler and its continuation slots, statistics) is
-    allocated per call, and the operand register its fibers fill is the
-    calling domain's own, so independent runs may execute
-    concurrently on separate OCaml domains — {!Rme_check.Pool} runs
-    independent plans and seeds that way.  The caller must supply domain-safe arguments: build stateful
-    [sched]s and [crash] plans fresh per run, and keep shared mutable
-    state out of the [setup]/[body]/[on_crash] closures. *)
+    [run], {!run_in} and {!run_trace} rewind an arena the same way and
+    share one step loop; [run_trace] differs only in the pick function,
+    where it also records its footprints and state key.  [run] makes its
+    own arena on every call, so it is re-entrant and domain-safe: all
+    engine state (store, fibers, the effect handler and its continuation
+    slots, statistics) is allocated per call, and the operand register
+    its fibers fill is the calling domain's own, so independent runs may
+    execute concurrently on separate OCaml domains — {!Rme_check.Pool}
+    runs independent plans and seeds that way.  The caller must supply
+    domain-safe arguments: build stateful [sched]s and [crash] plans
+    fresh per run, and keep shared mutable state out of the
+    [setup]/[body]/[on_crash] closures. *)
 
-(** {1 Decision-vector replay} *)
+(** {1 Arenas} *)
 
 type arena
 (** An engine built from its subject, reused across runs: the store with
@@ -254,8 +255,9 @@ type arena
     and footprint buffers {!run_trace} reports through.  Each run rewinds
     it in place, so the runs of one explorer search neither construct
     their subject again nor allocate engine storage once the first ones
-    have sized it.  An arena serves one run at a time: one arena per
-    search and domain. *)
+    have sized it.  An arena serves one run at a time and belongs to the
+    domain that runs it: one arena per search, or per campaign subject
+    and domain ({!Rme_check.Chaos} keeps one slot per domain). *)
 
 val arena :
   n:int -> model:Memory.model -> setup:(Ctx.t -> 'a) -> body:('a -> pid:int -> unit) -> arena
@@ -269,6 +271,29 @@ val arena :
     those of the same run on a fresh arena.  The construction's cells and
     lock handles serve every run, while cells a run allocates (queue
     nodes) are dropped by the next run's rewind. *)
+
+val run_in :
+  ?mode:[ `Auto | `Fast | `Full ] ->
+  ?sink:Event.Sink.t ->
+  ?record:bool ->
+  ?trace_ops:bool ->
+  ?max_steps:int ->
+  ?stall_window:int ->
+  ?on_crash:(pid:int -> step:int -> unit) ->
+  ?on_op:(Crash.op_info -> unit) ->
+  ?abort:Abort.t ->
+  arena:arena ->
+  sched:Sched.t ->
+  crash:Crash.t ->
+  unit ->
+  result
+(** [run_in ~arena ~sched ~crash ()] is {!run} on [arena]'s subject: it
+    rewinds the arena and runs it under [sched], taking every optional
+    argument of [run] with the same meaning and defaults ([mode]'s checks
+    included).  Its result equals the same {!run} on a fresh arena and
+    keeps nothing of the arena, so a caller may hold it across later runs. *)
+
+(** {1 Decision-vector replay} *)
 
 type trun = {
   tr_result : result;  (** freshly built: keeps nothing of the arena *)

@@ -555,8 +555,8 @@ let test_one_setup_per_subject () =
     check ci "replay completes" 2 (Engine.total_completed r)
   done;
   check ci "one setup for the arena, none per replay" 1 !calls;
-  (* A campaign run that violates: one setup for the run, one for its
-     confirm replay and every shrink candidate. *)
+  (* A campaign run that violates: its confirm replay and every shrink
+     candidate rewind the run's own arena. *)
   let adversary = Chaos.Holder { rate = 0.05; max_crashes = 8 } in
   let rec hunt seed =
     let r = Chaos.run_one wr_cfg ~make:wr_make ~adversary ~seed in
@@ -579,7 +579,37 @@ let test_one_setup_per_subject () =
       check cb "replay confirmed" true v.Chaos.v_replay_ok;
       check cb "witness shrunk" true (v.Chaos.v_witness <> [||])
   | _ -> Alcotest.fail "the hunted seed must violate");
-  check ci "one setup for the run, one for its confirm and shrink" 2 !calls
+  check ci "one setup for the run and its confirm and shrink" 1 !calls
+
+let ba_jjj_make = (Rme.Spec.find_exn "ba-jjj").Rme.Spec.make
+
+let holder = Chaos.Holder { rate = 0.05; max_crashes = 8 }
+
+let test_one_setup_per_campaign () =
+  (* The seeds of one (case, adversary) pair share one arena. *)
+  let calls, case_make = counting ba_jjj_make in
+  let case = { (Rme.Spec.chaos_case (Rme.Spec.find_exn "ba-jjj")) with Chaos.case_make } in
+  let o = Chaos.campaign ~jobs:1 ~adversaries:[ holder ] ~runs:20 ~seed_base:0 [ case ] in
+  check ci "runs" 20 o.Chaos.runs;
+  check ci "one setup for 20 runs" 1 !calls
+
+let test_warm_run_words () =
+  (* A warm run skips the construction a cold one pays: Engine.arena alone
+     costs about 2,977 minor words for ba-jjj at n = 4. *)
+  let words f =
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. before
+  in
+  let run make () = Chaos.run_one Chaos.default_cfg ~make ~adversary:holder ~seed:5 in
+  ignore (run ba_jjj_make ());
+  let make ctx = ba_jjj_make ctx in
+  let cold = words (run make) in
+  let warm = words (run make) in
+  check cb
+    (Printf.sprintf "warm %.0f words, cold %.0f: at least 2,500 fewer" warm cold)
+    true
+    (cold -. warm >= 2500.0)
 
 let test_recording_scheduler_roundtrip () =
   (* A run under Sched.recording replays step-for-step under Sched.trace. *)
@@ -759,6 +789,67 @@ let test_replay_from_logs () =
   check cb "some runs logged crashes" true (!crash_runs > 0);
   check cb "some runs logged aborts" true (!abort_runs > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Arena reuse: a rewound slot arena runs what a fresh one does         *)
+(* ------------------------------------------------------------------ *)
+
+(* [Chaos.run_one] as a fresh [Engine.run] per run: the recorded
+   [Sched.random ~seed], the adversary's plans and the Algorithm-1 body. *)
+let fresh_run_one cfg ~make ~adversary ~seed =
+  let cfg, adversary = Chaos.setup cfg adversary ~seed in
+  let decisions = Vec.create () in
+  let cs = Harness.yields cfg.Chaos.cs_yields in
+  let ncs = if cfg.Chaos.ncs_yields = 0 then None else Some (Harness.yields cfg.Chaos.ncs_yields) in
+  let res =
+    Engine.run ~record:true ~max_steps:cfg.Chaos.max_steps ~n:cfg.Chaos.n ~model:cfg.Chaos.model
+      ~sched:(Sched.recording ~inner:(Sched.random ~seed) ~decisions)
+      ~crash:(Chaos.plan adversary ~seed) ~abort:(Chaos.abort_plan adversary ~seed) ~setup:make
+      ~body:(fun lock ~pid -> Harness.standard_body ~cs ?ncs ~lock ~requests:cfg.Chaos.requests pid)
+      ()
+  in
+  {
+    Chaos.cfg;
+    adversary;
+    res;
+    fired = res.Engine.crash_log;
+    ab_fired = Engine.abort_log res;
+    decisions = Vec.to_array decisions;
+  }
+
+let test_arena_reuse () =
+  (* Every subject runs seeds 0-9 of an adversary, then the next subject
+     does; then seeds 10-19 the same way.  Each block's first run misses
+     the slot and builds an arena, its other runs hit it (the oblivious
+     arm draws a configuration per seed, so its runs mostly miss). *)
+  let keys =
+    [ "wr"; "ba-jjj"; "dm-jjj"; "jjj-sys"; "wr-abort"; "tas-abort"; "wr-reclaim"; "mcs"; "clh" ]
+  in
+  let adversaries =
+    Chaos.standard_adversaries
+    @ [ Chaos.default_sys_storm; Chaos.default_impatient_storm; Chaos.Oblivious None ]
+  in
+  List.iter
+    (fun adversary ->
+      List.iter
+        (fun seeds ->
+          List.iter
+            (fun key ->
+              let make = (Rme.Spec.find_exn key).Rme.Spec.make in
+              List.iter
+                (fun seed ->
+                  let r = Chaos.run_one Chaos.default_cfg ~make ~adversary ~seed in
+                  let f = fresh_run_one Chaos.default_cfg ~make ~adversary ~seed in
+                  let label = Fmt.str "%s %a seed %d" key Chaos.pp_adversary r.adversary seed in
+                  check Alcotest.(list string) (label ^ " differing fields") []
+                    (result_diffs f.res r.res);
+                  check cb (label ^ " fired") true (r.fired = f.fired);
+                  check cb (label ^ " ab_fired") true (r.ab_fired = f.ab_fired);
+                  check cb (label ^ " decisions") true (r.decisions = f.decisions))
+                seeds)
+            keys)
+        [ List.init 10 Fun.id; List.init 10 (fun i -> 10 + i) ])
+    adversaries
+
 (* An impatient waiter is re-signalled on every step until its signal
    resolves; the engine ignores all but the first, and only that one is
    logged. *)
@@ -822,7 +913,11 @@ let () =
           Alcotest.test_case "weak interval form stays clean" `Slow test_campaign_weak_wr_clean;
         ] );
       ( "construction",
-        [ Alcotest.test_case "one setup per subject" `Quick test_one_setup_per_subject ] );
+        [
+          Alcotest.test_case "one setup per subject" `Quick test_one_setup_per_subject;
+          Alcotest.test_case "one setup per campaign" `Quick test_one_setup_per_campaign;
+          Alcotest.test_case "a warm run skips construction" `Quick test_warm_run_words;
+        ] );
       ( "oblivious",
         [
           Alcotest.test_case "a seed names the workload run" `Quick
@@ -834,4 +929,6 @@ let () =
           Alcotest.test_case "replay from the logs is exact" `Quick test_replay_from_logs;
           Alcotest.test_case "impatient logs only deliveries" `Quick test_impatient_logs_deliveries;
         ] );
+      ( "arena reuse",
+        [ Alcotest.test_case "rewound runs equal fresh ones" `Quick test_arena_reuse ] );
     ]
