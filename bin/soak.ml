@@ -23,13 +23,20 @@ let pp_abort_stat ppf (a : Engine.abort_stat) =
     a.ab_own_steps a.ab_rmr Engine.pp_abort_result a.ab_result
 
 (* --replay: one seed's full report per selected case and adversary; the
-   abort decisions list every delivered signal and how it resolved. *)
+   abort decisions list every delivered signal and how it resolved.  A
+   campaign run keeps no history, so the timeline is drawn from the
+   history its replay from the logs records. *)
 let replay cases adversaries seed =
   let report (case : Chaos.case) adversary =
     let r = Chaos.run_one Chaos.default_cfg ~make:case.case_make ~adversary ~seed in
     let problems = Chaos.battery case ~requests:r.cfg.requests r.res in
+    let recorded, diverged =
+      Chaos.replay r.cfg ~make:case.case_make ~fired:r.fired ~ab_fired:r.ab_fired
+        ~decisions:r.decisions ()
+    in
+    if diverged then Fmt.pr "(the replay diverged: the timeline is not this run's)@.";
     Fmt.pr "=== %s seed=%d: %a@.%a@.%a@." case.case_name seed pp_setup (r.cfg, r.adversary)
-      Engine.pp_summary r.res (Rme_check.Timeline.pp ?width:None) r.res;
+      Engine.pp_summary r.res (Rme_check.Timeline.pp ?width:None) recorded;
     if r.fired <> [] then Fmt.pr "fired: %a@." Fmt.(list ~sep:(any " ") Chaos.pp_fired) r.fired;
     if r.res.aborts <> [] then Fmt.pr "abort decisions (%d):@." (List.length r.res.aborts);
     List.iter (Fmt.pr "  %a@." pp_abort_stat) r.res.aborts;

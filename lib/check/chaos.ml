@@ -250,7 +250,7 @@ let run_one cfg ~make ~adversary ~seed =
   Vec.clear decisions;
   let sched = Sched.recording ~inner:(Sched.random ~seed) ~decisions in
   let res =
-    Engine.run_in ~record:true ~max_steps:cfg.max_steps ~arena ~sched ~crash:(plan adversary ~seed)
+    Engine.run_in ~max_steps:cfg.max_steps ~arena ~sched ~crash:(plan adversary ~seed)
       ~abort:(abort_plan adversary ~seed) ()
   in
   {

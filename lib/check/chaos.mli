@@ -167,11 +167,14 @@ type run = {
 
 val run_one : cfg -> make:(Engine.Ctx.t -> Harness.lock) -> adversary:adversary -> seed:int -> run
 (** One seeded adversarial run: the adversary's plans under a recorded
-    [Sched.random ~seed], with history recording on so the event-based
-    checkers apply.  The failures are read from the engine's result, not
-    from the plans: a decision the engine ignored is not listed.  Runs in
-    the domain's slot arena, recording into the slot's schedule buffer;
-    [decisions] is a copy. *)
+    [Sched.random ~seed].  It keeps no event history ([res.events = []]):
+    every check of {!battery} reads what the engine keeps whatever its
+    sink, the history properties included ({!Rme_sim.Engine.monitors}).
+    {!replay} of its logs and decisions records the history when one is
+    wanted (a timeline, an event-based check).  The failures are read
+    from the engine's result, not from the plans: a decision the engine
+    ignored is not listed.  Runs in the domain's slot arena, recording
+    into the slot's schedule buffer; [decisions] is a copy. *)
 
 val replay :
   cfg ->
@@ -185,8 +188,9 @@ val replay :
     slot arena for [make] and [cfg]: the recorded
     schedule, the logged crashes as a fresh composite
     {!Crash.replay_fired} plan and the logged abort signals as an
-    {!Rme_sim.Abort.replay_fired} plan.  The replay's own logs equal the
-    ones it was given.
+    {!Rme_sim.Abort.replay_fired} plan.  The replay records the event
+    history, and every other field of its result equals the original
+    run's; its own logs equal the ones it was given.
     Returns the result and whether the replay {e diverged} from the
     recorded branching structure ([true] = some decision named no real
     branch; reject the replay as unfaithful). *)

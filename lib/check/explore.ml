@@ -76,10 +76,10 @@ type driver = {
 (* Decide which reduction tier can actually run.  Both reduced tiers need
    (a) a schedule-robust crash plan — otherwise commuting two independent
    steps can move where a crash fires — and (b) no event recording:
-   [check]s that read [result.events] can observe the order of independent
-   steps, which the reduction deliberately does not preserve.  Aggregate
-   statistics (counts, maxima, per-passage RMRs) are permutation-stable by
-   the footprint oracle's construction.  (c) The reduced search keeps its
+   [check]s that read [result.events] or [result.monitors] can observe the
+   order of independent steps, which the reduction deliberately does not
+   preserve.  Aggregate statistics (counts, maxima, per-passage RMRs) are
+   permutation-stable by the footprint oracle's construction.  (c) The reduced search keeps its
    per-position sibling sets and sleep masks in one int, so it cannot name
    choices or pids past 61.  When any condition fails the requested tier
    downgrades to `Off. *)

@@ -123,10 +123,14 @@ val explore :
     [crash] builds a fresh (stateful) plan per run.  [abort] (default
     {!Abort.none}) likewise builds a fresh abort plan per run — the abort
     decision axis explored alongside the schedule.  [record] (default
-    false) runs the engine with history recording so that [check] can use
-    the event-based property checkers (e.g.
-    {!Props.weak_me_intervals}); leave it off when the check only reads
-    the aggregate statistics.  [check] returns [Some
+    false) keeps each run's event history for checks that scan it
+    ({!Props.bounded_exit}, say), and turns the reduced tiers off: set it
+    too for a check that reads the engine's history monitors
+    ({!Props.weak_me_intervals}, {!Props.no_lost_wakeup},
+    {!Props.system_recovery}), which see the order of notes across
+    processes that the reduction does not preserve and the state key
+    does not cover.  Leave it off when the check only reads the
+    aggregate statistics.  [check] returns [Some
     msg] on a property violation; exploration stops at the first one and,
     with [shrink_violations] (default true), minimises its decision vector
     before reporting.  Shrink candidates are replayed by {!replay}'s rule,

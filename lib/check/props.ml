@@ -32,65 +32,17 @@ let responsiveness (res : Engine.result) ~lock_id =
       (Printf.sprintf "%s: occupancy %d with only %d unsafe failures" s.Engine.lock_name
          s.Engine.max_occupancy s.Engine.unsafe_crashes)
 
-(* Interval form of Theorem 4.2.  Replays the event log tracking, per
-   moment: the lock's holder count, the set of in-flight super-passages, and
-   the still-active unsafe failures (consequence interval = until every
-   super-passage pending at the failure is satisfied). *)
+(* Interval form of Theorem 4.2: the engine's weak-ME monitor keeps each
+   lock's first breach ({!Engine.weak_me_breach}). *)
 let weak_me_intervals (res : Engine.result) ~lock_id =
-  let holders = Hashtbl.create 8 in
-  (* pid -> super currently in flight (outstanding request) *)
-  let outstanding : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  (* active unsafe failures: list of pending-sets, each a (pid, super) list *)
-  let active : (int * int) list ref list ref = ref [] in
-  let violation = ref None in
-  let prune () =
-    active :=
-      List.filter
-        (fun pending ->
-          pending :=
-            List.filter
-              (fun (pid, super) ->
-                match Hashtbl.find_opt outstanding pid with
-                | Some s -> s = super
-                | None -> false)
-              !pending;
-          !pending <> [])
-        !active
-  in
-  List.iter
-    (fun ev ->
-      if !violation = None then
-        match ev with
-        | Event.Note { pid; super; note = Event.Seg Event.Req_begin; _ } ->
-            if not (Hashtbl.mem outstanding pid) then Hashtbl.replace outstanding pid super
-        | Event.Note { pid; note = Event.Seg Event.Req_done; _ } ->
-            Hashtbl.remove outstanding pid;
-            prune ()
-        | Event.Note { pid; step; note = Event.Lock_acquired id; _ } when id = lock_id ->
-            Hashtbl.replace holders pid ();
-            let k = Hashtbl.length holders in
-            prune ();
-            let live = List.length !active in
-            if k > 1 + live then
-              violation :=
-                Some
-                  (Printf.sprintf
-                     "step %d: %d holders with only %d active unsafe failures" step k live)
-        | Event.Note { pid; note = Event.Lock_release id; _ } when id = lock_id ->
-            Hashtbl.remove holders pid
-        | Event.Crash { pid; unsafe_wrt; holding; _ } ->
-            if List.mem lock_id holding then Hashtbl.remove holders pid;
-            if List.mem lock_id unsafe_wrt then begin
-              let pending =
-                Hashtbl.fold (fun p s acc -> (p, s) :: acc) outstanding []
-              in
-              active := ref pending :: !active
-            end
-        (* a system crash is followed by per-pid Crash events; those carry
-           the holder/window bookkeeping *)
-        | Event.Sys_crash _ | Event.Note _ | Event.Op _ -> ())
-    res.Engine.events;
-  !violation
+  List.find_map
+    (fun (b : Engine.weak_me_breach) ->
+      if b.wm_lock <> lock_id then None
+      else
+        Some
+          (Printf.sprintf "step %d: %d holders with only %d active unsafe failures" b.wm_step
+             b.wm_holders b.wm_live))
+    res.Engine.monitors.weak_me_breaches
 
 (* Count [pid]'s instruction events from index [start] up to its first
    [is_to] note; [None] when [pid] crashes first or the history ends. *)
@@ -235,33 +187,15 @@ let failure_free_rmr (res : Engine.result) ~bound =
    next [Cs_begin] must be preceded by a [Req_begin] emitted after the
    crash.  A violation means a continuation (or the CS occupancy it
    implies) survived the whole-system restart — the engine erasure or a
-   lock's recovery path is broken. *)
+   lock's recovery path is broken.  A system crash crashes every live
+   process, so the engine's per-process monitor covers both models. *)
 let system_recovery (res : Engine.result) =
-  let needs_recovery : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  let violation = ref None in
-  List.iter
-    (fun ev ->
-      if !violation = None then
-        match ev with
-        (* A system crash is followed by one per-pid [Crash] event per
-           victim at the same step, so marking on [Crash] covers both the
-           per-process and the system-wide model. *)
-        | Event.Crash { pid; step; _ } -> Hashtbl.replace needs_recovery pid step
-        | Event.Note { pid; note = Event.Seg Event.Req_begin; _ } ->
-            Hashtbl.remove needs_recovery pid
-        | Event.Note { pid; step; note = Event.Seg Event.Cs_begin; _ } -> (
-            match Hashtbl.find_opt needs_recovery pid with
-            | Some crash_step ->
-                violation :=
-                  Some
-                    (Printf.sprintf
-                       "p%d entered the CS at step %d without restarting its passage after \
-                        crashing at step %d"
-                       pid step crash_step)
-            | None -> ())
-        | Event.Sys_crash _ | Event.Note _ | Event.Op _ -> ())
-    res.Engine.events;
-  !violation
+  Option.map
+    (fun (s : Engine.skipped_recovery) ->
+      Printf.sprintf
+        "p%d entered the CS at step %d without restarting its passage after crashing at step %d"
+        s.sr_pid s.sr_step s.sr_crash_step)
+    res.Engine.monitors.skipped_recovery
 
 (* Every abort signal must resolve — Abort_done, Abort_lost_race,
    acquisition, or a crash — within [bound] of the victim's own steps.  The
@@ -297,63 +231,30 @@ let abort_liveness (res : Engine.result) ~bound ~supported =
    - overtaking: a waiter's unresolved [Lock_enter] spans [bound] complete
      passages (acquired -> released) of the same lock by other processes.
      Correct hand-off locks admit a registered waiter within O(n)
-     passages, so a generously linear [bound] separates the two.
+     passages, so a generously linear [bound] separates the two.  The
+     engine logs the first release to reach each count, so the violation
+     is the one that first reached [bound].
    - stalled-free: the run ends in a stall with some process parked in an
      entry section while no process holds any lock. *)
 let no_lost_wakeup (res : Engine.result) ~bound =
-  let n = Array.length res.Engine.procs in
-  (* waiting.(pid) = Some (lock id, passages by others since Lock_enter) *)
-  let waiting = Array.make n None in
-  let holders : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  let violation = ref None in
-  List.iter
-    (fun ev ->
-      if !violation = None then
-        match ev with
-        | Event.Note { pid; note = Event.Lock_enter id; _ } -> waiting.(pid) <- Some (id, 0)
-        | Event.Note { pid; note = Event.Lock_acquired id; _ } ->
-            Hashtbl.replace holders id pid;
-            (match waiting.(pid) with Some (w, _) when w = id -> waiting.(pid) <- None | _ -> ())
-        | Event.Note { pid; step; note = Event.Lock_released id; _ } ->
-            if Hashtbl.find_opt holders id = Some pid then Hashtbl.remove holders id;
-            Array.iteri
-              (fun w -> function
-                | Some (l, k) when l = id && w <> pid ->
-                    if k + 1 >= bound then
-                      violation :=
-                        Some
-                          (Printf.sprintf
-                             "p%d waiting on lock %d overtaken by %d complete passages (>= %d) \
-                              by step %d"
-                             w id (k + 1) bound step)
-                    else waiting.(w) <- Some (l, k + 1)
-                | _ -> ())
-              waiting
-        | Event.Note { pid; note = Event.Abort_done id | Event.Abort_lost_race id; _ } -> (
-            match waiting.(pid) with Some (w, _) when w = id -> waiting.(pid) <- None | _ -> ())
-        | Event.Crash { pid; _ } -> waiting.(pid) <- None
-        | Event.Sys_crash _ | Event.Note _ | Event.Op _ -> ())
-    res.Engine.events;
-  match !violation with
-  | Some _ as v -> v
-  | None ->
-      if res.Engine.deadlocked || res.Engine.stall <> None then begin
-        let stuck = ref [] in
-        Array.iteri
-          (fun pid -> function Some (id, _) -> stuck := (pid, id) :: !stuck | None -> ())
-          waiting;
-        match (!stuck, Hashtbl.length holders) with
-        | (pid, id) :: _, 0 ->
-            Some
-              (Printf.sprintf
-                 "run stalled with p%d (and %d more) parked in lock %d's entry section while \
-                  no process holds any lock — a hand-off was lost"
-                 pid
-                 (List.length !stuck - 1)
-                 id)
-        | _ -> None
-      end
-      else None
+  let m = res.Engine.monitors in
+  let count = max 1 bound in
+  if count <= Array.length m.overtakes then
+    let o = m.overtakes.(count - 1) in
+    Some
+      (Printf.sprintf
+         "p%d waiting on lock %d overtaken by %d complete passages (>= %d) by step %d" o.ov_waiter
+         o.ov_lock count bound o.ov_step)
+  else if res.Engine.deadlocked || res.Engine.stall <> None then
+    match m.parked_at_end with
+    | Some p when not m.held_at_end ->
+        Some
+          (Printf.sprintf
+             "run stalled with p%d (and %d more) parked in lock %d's entry section while no \
+              process holds any lock — a hand-off was lost"
+             p.pk_pid (p.pk_count - 1) p.pk_lock)
+    | Some _ | None -> None
+  else None
 
 (* The abort protocol itself must be cheap: RMRs charged to the victim
    between the signal and an [Aborted] / [Acquired_instead] resolution.
@@ -398,7 +299,6 @@ let check_battery ?abort (res : Engine.result) ~requests ~weak_lock_ids =
             None weak_lock_ids );
       ("starvation-freedom", starvation_freedom res ~requests);
       ("super-adaptivity", super_adaptivity res);
-      (* Vacuous without a recorded history ([events = []]). *)
       ("system-recovery", system_recovery res);
     ]
     @

@@ -1,12 +1,17 @@
-(** Offline property checkers over recorded histories.
+(** Property checkers over a run's result.
 
-    Each checker consumes an {!Rme_sim.Engine.result} (run with
-    [~record:true], and [~trace_ops:true] where step counting is needed) and
-    returns [None] when the property holds or [Some message] describing the
-    first violation.  The properties are the ones §2.4 and §3 of the paper
-    define: ME, starvation freedom, weak-ME with consequence intervals,
-    responsiveness (Theorem 4.2), bounded exit / recovery / CS reentry, and
-    FCFS. *)
+    Each checker consumes an {!Rme_sim.Engine.result} and returns [None]
+    when the property holds or [Some message] describing the first
+    violation.  Most read the result's aggregate statistics, which every
+    run keeps.  {!weak_me_intervals}, {!system_recovery} and
+    {!no_lost_wakeup} read the facts of the engine's online history
+    monitors ({!Rme_sim.Engine.monitors}), which every run keeps too,
+    whatever its event sink.  {!bounded_exit}, {!bounded_recovery},
+    {!bcsr} and {!fcfs} scan the recorded history: run them with
+    [~record:true ~trace_ops:true].  The properties are the ones §2.4 and
+    §3 of the paper define: ME, starvation freedom, weak-ME with
+    consequence intervals, responsiveness (Theorem 4.2), bounded exit /
+    recovery / CS reentry, and FCFS. *)
 
 open Rme_sim
 
@@ -33,7 +38,9 @@ val weak_me_intervals : Engine.result -> lock_id:int -> string option
     consequence intervals overlapping that moment.  A failure's consequence
     interval extends until every request outstanding at the failure has been
     satisfied (Definition 3.1; requests here are super-passages of the
-    target lock's users). *)
+    target lock's users).  An [Abort_lost_race] counts as an acquisition:
+    the abort lost the race and the process holds the lock.  Reads the
+    engine's weak-ME monitor, which checks every lock id. *)
 
 val bounded_exit : Engine.result -> lock_id:int -> bound:int -> string option
 (** Every Exit segment of the lock takes at most [bound] instructions of the
@@ -78,7 +85,8 @@ val system_recovery : Engine.result -> string option
     one per-pid crash event per victim) — a process must emit a fresh
     [Req_begin] before its next [Cs_begin].  A violation means a
     continuation survived the erasure or a recovery path jumped straight
-    back into the CS.  Vacuous without recorded history. *)
+    back into the CS.  Reads the engine's system-recovery monitor, so it
+    holds a run to this whatever its event sink. *)
 
 (** {1 Abort monitors} *)
 
@@ -97,7 +105,10 @@ val no_lost_wakeup : Engine.result -> bound:int -> string option
     (acquired → released) of the same lock by other processes — correct
     hand-off locks admit a registered waiter within O(n) passages — or
     (b) a run that stalls with some process parked in an entry section
-    while, per the event history, no process holds any lock. *)
+    while, per the event history, no process holds any lock.  Reads the
+    engine's lost-wakeup monitor, which logs the first release to bring
+    a waiter to each overtake count, so any [bound] is judged from one
+    run. *)
 
 val abort_rmr : Engine.result -> bound:int -> string option
 (** The abort protocol is cheap: RMRs charged to the victim between the
@@ -127,4 +138,6 @@ val check_battery :
     starvation freedom, the super-adaptivity monitor and the
     {!system_recovery} monitor.  With [?abort], additionally
     {!abort_liveness}, {!no_lost_wakeup} and {!abort_rmr} with the given
-    expectations.  Returns the violations found ([[]] = clean). *)
+    expectations.  Every check in it reads what every run keeps, so a run
+    with no recorded history is judged exactly.  Returns the violations
+    found ([[]] = clean). *)

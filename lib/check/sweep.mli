@@ -87,7 +87,9 @@ val lock_scenario : ?cs_yields:int -> requests:int -> (Engine.Ctx.t -> Harness.l
     plan is reported as an expected consequence of the class (WR-Lock's
     weak mutual exclusion, a non-recoverable lock's deadlock) rather than
     a FAIL.  Violations under {!No_crash} are always FAILs.
-    [needs_record] marks checkers that replay the event history. *)
+    [needs_record] marks checkers that read the order of events across
+    processes (the event history, or the engine's history monitors):
+    their plans are explored with [record], unreduced and uncached. *)
 type prop = {
   prop_name : string;
   check : Engine.result -> string option;

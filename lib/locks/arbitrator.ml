@@ -10,6 +10,7 @@ let leaving = 3
 
 type t = {
   id : int;
+  notes : Lock.milestones;
   name : string;
   mem : Memory.t;
   want : Cell.t array;  (* per side *)
@@ -29,6 +30,7 @@ let create ?(name = "arb") ?spin_pool ctx =
   let per_side field init = Memory.alloc_array mem ~len:2 ~name:(name ^ "." ^ field) init in
   {
     id;
+    notes = Lock.milestones id;
     name;
     mem;
     want = per_side "want" 0;
@@ -81,14 +83,14 @@ let enter_segment t s ~pid =
   end
 
 let acquire t side ~pid =
-  Api.note (Event.Lock_enter t.id);
+  Api.note t.notes.m_enter;
   enter_segment t (Lock.side_index side) ~pid;
-  Api.note (Event.Lock_acquired t.id)
+  Api.note t.notes.m_acquired
 
 let release t side ~pid =
-  Api.note (Event.Lock_release t.id);
+  Api.note t.notes.m_release;
   exit_segment t (Lock.side_index side) ~pid;
-  Api.note (Event.Lock_released t.id)
+  Api.note t.notes.m_released
 
 let dual t =
   {

@@ -12,6 +12,7 @@ let leaving = 4
 
 type t = {
   id : int;
+  notes : Lock.milestones;
   name : string;
   k : int;
   reg : Nodes.registry;
@@ -27,6 +28,7 @@ let create ?(name = "kport") ~k ctx =
   let per_port field init = Memory.alloc_array mem ~len:k ~name:(name ^ "." ^ field) init in
   {
     id;
+    notes = Lock.milestones id;
     name;
     k;
     reg = Nodes.create_registry ctx ~prefix:name;
@@ -90,15 +92,15 @@ let check_port t q =
 
 let acquire t ~port ~pid =
   check_port t port;
-  Api.note (Event.Lock_enter t.id);
+  Api.note t.notes.m_enter;
   enter_segment t port ~pid;
-  Api.note (Event.Lock_acquired t.id)
+  Api.note t.notes.m_acquired
 
 let release t ~port ~pid:_ =
   check_port t port;
-  Api.note (Event.Lock_release t.id);
+  Api.note t.notes.m_release;
   exit_segment t port;
-  Api.note (Event.Lock_released t.id)
+  Api.note t.notes.m_released
 
 let as_lock t =
   {

@@ -9,34 +9,54 @@ type t = Harness.lock = {
 
 type maker = Engine.Ctx.t -> t
 
+type milestones = {
+  m_enter : Event.note;
+  m_acquired : Event.note;
+  m_release : Event.note;
+  m_released : Event.note;
+}
+
+let milestones id =
+  {
+    m_enter = Event.Lock_enter id;
+    m_acquired = Event.Lock_acquired id;
+    m_release = Event.Lock_release id;
+    m_released = Event.Lock_released id;
+  }
+
 let instrument ~id ~name ?try_abort ~acquire ~release () =
+  let m = milestones id in
   {
     name;
     acquire =
       (fun ~pid ->
-        Api.note (Event.Lock_enter id);
+        Api.note m.m_enter;
         acquire ~pid;
-        Api.note (Event.Lock_acquired id));
+        Api.note m.m_acquired);
     release =
       (fun ~pid ->
-        Api.note (Event.Lock_release id);
+        Api.note m.m_release;
         release ~pid;
-        Api.note (Event.Lock_released id));
+        Api.note m.m_released);
     try_abort =
       Option.map
-        (fun inner ~pid ->
-          Api.note (Event.Abort_request id);
-          match (inner ~pid : Harness.abort_outcome) with
-          | Harness.Aborted ->
-              Api.note (Event.Abort_done id);
-              Harness.Aborted
-          | Harness.Acquired_instead ->
-              Api.note (Event.Abort_lost_race id);
-              Harness.Acquired_instead
-          | Harness.Not_supported ->
-              (* No protocol ran: the request proceeds as if never aborted;
-                 the signal resolves at [Lock_acquired]. *)
-              Harness.Not_supported)
+        (fun inner ->
+          let request = Event.Abort_request id
+          and aborted = Event.Abort_done id
+          and lost_race = Event.Abort_lost_race id in
+          fun ~pid ->
+            Api.note request;
+            match (inner ~pid : Harness.abort_outcome) with
+            | Harness.Aborted ->
+                Api.note aborted;
+                Harness.Aborted
+            | Harness.Acquired_instead ->
+                Api.note lost_race;
+                Harness.Acquired_instead
+            | Harness.Not_supported ->
+                (* No protocol ran: the request proceeds as if never
+                   aborted; the signal resolves at [Lock_acquired]. *)
+                Harness.Not_supported)
         try_abort;
   }
 

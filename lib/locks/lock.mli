@@ -19,6 +19,18 @@ type t = Harness.lock = {
 type maker = Engine.Ctx.t -> t
 (** Lock constructor: allocates shared cells and registers the lock. *)
 
+type milestones = {
+  m_enter : Event.note;  (** [Lock_enter id] *)
+  m_acquired : Event.note;  (** [Lock_acquired id] *)
+  m_release : Event.note;  (** [Lock_release id] *)
+  m_released : Event.note;  (** [Lock_released id] *)
+}
+(** A lock's four milestone notes, built once when the lock is: a note
+    whose payload is constructed at the call allocates it on every
+    passage. *)
+
+val milestones : int -> milestones
+
 val instrument :
   id:int ->
   name:string ->

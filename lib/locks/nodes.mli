@@ -19,7 +19,9 @@ val create_registry : Engine.Ctx.t -> prefix:string -> registry
 (** A registry allocating its nodes' cells in the context's store.  It
     registers its own {!Engine.Ctx.on_rewind} reset: a rewound store drops
     the nodes runs allocated, and the registry drops them with it, so
-    every run resolves the node ids a fresh construction would. *)
+    every run resolves the node ids a fresh construction would.  The
+    names of a node id's two cells are built once and kept across
+    rewinds: a rewound run that creates node [k] again reuses them. *)
 
 val fresh : registry -> owner:int -> node
 (** Allocate a new node owned by process [owner].  May be called from inside

@@ -8,6 +8,9 @@ type t = {
   id : int;
   name : string;
   level : int option;
+  level_note : Event.note option;  (* [Level l] at [level = Some l] *)
+  slow_note : Event.note;  (* [Path (level, false)], level 1 when unnumbered *)
+  fast_note : Event.note;  (* [Path (level, true)] *)
   filter : Wr_lock.t;
   flock : Lock.t;  (* instrumented view of [filter], built once *)
   owner : Cell.t;  (* the splitter: pid + 1 of the fast-path occupant, 0 = free *)
@@ -20,10 +23,14 @@ let create ?(name = "sa") ?level ?core ctx =
   let mem = Engine.Ctx.memory ctx in
   let id = Engine.Ctx.register_lock ctx name in
   let filter = Wr_lock.create ~name:(name ^ ".filter") ctx in
+  let path_level = Option.value level ~default:1 in
   {
     id;
     name;
     level;
+    level_note = Option.map (fun l -> Event.Level l) level;
+    slow_note = Event.Path (path_level, false);
+    fast_note = Event.Path (path_level, true);
     filter;
     flock = Wr_lock.lock filter;
     owner = Memory.alloc mem ~name:(name ^ ".owner") 0;
@@ -39,7 +46,7 @@ let filter t = t.filter
 let side_of_type typ = if typ = slow then Lock.Right else Lock.Left
 
 let enter_front t ~pid =
-  (match t.level with Some l -> Api.note (Event.Level l) | None -> ());
+  (match t.level_note with Some note -> Api.note note | None -> ());
   t.flock.Lock.acquire ~pid;
   if Api.read t.typ.(pid) <> slow then begin
     let (_ : bool) = Api.cas t.owner ~expect:0 ~value:(pid + 1) in
@@ -47,11 +54,11 @@ let enter_front t ~pid =
   end;
   if Api.read t.owner <> pid + 1 then begin
     Api.write t.typ.(pid) slow;
-    Api.note (Event.Path ((match t.level with Some l -> l | None -> 1), false));
+    Api.note t.slow_note;
     `Slow
   end
   else begin
-    Api.note (Event.Path ((match t.level with Some l -> l | None -> 1), true));
+    Api.note t.fast_note;
     `Fast
   end
 

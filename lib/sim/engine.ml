@@ -58,6 +58,32 @@ let pp_stall ppf s =
     Fmt.(list ~sep:(any ", ") (fun ppf (pid, seg) -> pf ppf "p%d[%s]" pid seg))
     s.culprits
 
+type skipped_recovery = { sr_pid : int; sr_step : int; sr_crash_step : int }
+
+type weak_me_breach = { wm_lock : int; wm_step : int; wm_holders : int; wm_live : int }
+
+type overtake = { ov_step : int; ov_waiter : int; ov_lock : int }
+
+type parked = { pk_pid : int; pk_lock : int; pk_count : int }
+
+type monitors = {
+  skipped_recovery : skipped_recovery option;
+  weak_me_breaches : weak_me_breach list;
+  overtakes : overtake array;
+  parked_at_end : parked option;
+  held_at_end : bool;
+}
+
+(* A run with nothing to report shares this one. *)
+let no_monitors =
+  {
+    skipped_recovery = None;
+    weak_me_breaches = [];
+    overtakes = [||];
+    parked_at_end = None;
+    held_at_end = false;
+  }
+
 type result = {
   steps : int;
   total_rmr : int;
@@ -72,6 +98,7 @@ type result = {
   stall : stall option;
   aborts : abort_stat list;
   crash_log : Crash.fired list;
+  monitors : monitors;
   events : Event.t list;
 }
 
@@ -238,6 +265,23 @@ type t = {
   occupancy : int array;  (* by lock id, like the two below *)
   occupancy_max : int array;
   unsafe_crashes : int array;
+  (* The online history monitors ([monitors]), fed by [handle_note] and
+     [do_crash] whatever the sink.  System recovery: *)
+  crash_step : int array;  (* step of each pid's last crash since its last Req_begin; -1 if none *)
+  mutable skipped : skipped_recovery option;
+  (* Weak ME: a failure's pending set is the requests outstanding at it,
+     so the failures whose consequence interval is still open are those at
+     or after the oldest outstanding request began. *)
+  outstanding : bool array;  (* the pid has a request between Req_begin and Req_done *)
+  out_since : int array;  (* [crash_seq] when that request began *)
+  mutable crash_seq : int;  (* crashes so far *)
+  unsafe_log : int Vec.t;  (* (crash_seq, lock id) of every unsafe failure, in crash order *)
+  mutable breaches : weak_me_breach list;  (* newest first *)
+  (* Lost wakeup: *)
+  waits_on : int array;  (* lock of each pid's unresolved Lock_enter; -1 if none *)
+  overtaken : int array;  (* releases of it by others since *)
+  last_holder : int array;  (* by lock id: its last acquirer until that one releases; -1 if none *)
+  overtakes : overtake Vec.t;
   parked_cells : (int, unit) Hashtbl.t;  (* cell ids with parked processes *)
   (* Per-count scratch arrays for {!runnable}: [Sched.pick] implementations
      read [Array.length runnable], so each ready-set size needs an
@@ -414,10 +458,15 @@ let close_passage eng pid ~completed =
     eng.passage_rmr.(pid) <- 0
   end
 
+(* [occupancy] counts the pids whose [holding] lists the lock, so a
+   second acquisition without a release adds no holder. *)
 let enter_lock_cs eng pid id =
-  eng.holding.(pid) <- id :: eng.holding.(pid);
-  eng.occupancy.(id) <- eng.occupancy.(id) + 1;
-  if eng.occupancy.(id) > eng.occupancy_max.(id) then eng.occupancy_max.(id) <- eng.occupancy.(id)
+  if not (List.mem id eng.holding.(pid)) then begin
+    eng.occupancy.(id) <- eng.occupancy.(id) + 1;
+    if eng.occupancy.(id) > eng.occupancy_max.(id) then
+      eng.occupancy_max.(id) <- eng.occupancy.(id)
+  end;
+  eng.holding.(pid) <- id :: eng.holding.(pid)
 
 let leave_lock_cs eng pid id =
   if List.mem id eng.holding.(pid) then begin
@@ -425,12 +474,55 @@ let leave_lock_cs eng pid id =
     eng.occupancy.(id) <- eng.occupancy.(id) - 1
   end
 
+(* Theorem 4.2's interval form at an acquisition of lock [id]: more than
+   one holder needs as many open unsafe failures w.r.t. it.  A failure's
+   interval is open while a request outstanding at it still is, so the
+   open ones are those since the oldest outstanding request began.  Only
+   a lock's first breach is kept. *)
+let check_weak_me eng id =
+  let k = eng.occupancy.(id) in
+  if k > 1 && not (List.exists (fun b -> b.wm_lock = id) eng.breaches) then begin
+    let since = ref max_int in
+    for p = 0 to eng.n - 1 do
+      if eng.outstanding.(p) && eng.out_since.(p) < !since then since := eng.out_since.(p)
+    done;
+    let live = ref 0 and i = ref (Vec.length eng.unsafe_log - 2) in
+    while !i >= 0 && Vec.unsafe_get eng.unsafe_log !i >= !since do
+      if Vec.unsafe_get eng.unsafe_log (!i + 1) = id then incr live;
+      i := !i - 2
+    done;
+    if k > 1 + !live then
+      eng.breaches <-
+        { wm_lock = id; wm_step = eng.step; wm_holders = k; wm_live = !live } :: eng.breaches
+  end
+
+(* A release of [id] by [pid] overtakes every other process waiting on
+   it; the first release to bring some waiter to a count no waiter had
+   reached is logged, naming the highest such pid. *)
+let overtake_waiters eng pid id =
+  let reached = Vec.length eng.overtakes and top = ref (-1) in
+  for w = 0 to eng.n - 1 do
+    if w <> pid && eng.waits_on.(w) = id then begin
+      let c = eng.overtaken.(w) + 1 in
+      eng.overtaken.(w) <- c;
+      if c > reached then top := w
+    end
+  done;
+  if !top >= 0 then Vec.push eng.overtakes { ov_step = eng.step; ov_waiter = !top; ov_lock = id }
+
+let stop_waiting eng pid id = if eng.waits_on.(pid) = id then eng.waits_on.(pid) <- -1
+
 let handle_note eng pid (n : Event.note) =
   if eng.emit then
     record_event eng (Event.Note { step = eng.step; pid; super = eng.completed.(pid); note = n });
   match n with
   | Seg Ncs_begin -> ()
   | Seg Req_begin ->
+      eng.crash_step.(pid) <- -1;
+      if not eng.outstanding.(pid) then begin
+        eng.outstanding.(pid) <- true;
+        eng.out_since.(pid) <- eng.crash_seq
+      end;
       (* A restart after a crash begins a new passage of the same
          super-passage: the super id is the index of the pending request.
          A crash already closed its passage; a retry after an {e abort}
@@ -442,6 +534,12 @@ let handle_note eng pid (n : Event.note) =
       eng.passage_start.(pid) <- eng.step;
       eng.passage_rmr.(pid) <- 0
   | Seg Cs_begin ->
+      (if eng.crash_step.(pid) >= 0 then
+         match eng.skipped with
+         | None ->
+             eng.skipped <-
+               Some { sr_pid = pid; sr_step = eng.step; sr_crash_step = eng.crash_step.(pid) }
+         | Some _ -> ());
       if not eng.in_app_cs.(pid) then begin
         eng.in_app_cs.(pid) <- true;
         eng.global_cs <- eng.global_cs + 1;
@@ -453,6 +551,7 @@ let handle_note eng pid (n : Event.note) =
         eng.global_cs <- eng.global_cs - 1
       end
   | Seg Req_done ->
+      eng.outstanding.(pid) <- false;
       eng.completed.(pid) <- eng.completed.(pid) + 1;
       eng.last_progress.(pid) <- eng.step;
       close_passage eng pid ~completed:true;
@@ -463,7 +562,9 @@ let handle_note eng pid (n : Event.note) =
         eng.entry_since.(pid) <- -1;
         eng.ab_streak.(pid) <- 0
       end
-  | Lock_enter _ ->
+  | Lock_enter id ->
+      eng.waits_on.(pid) <- id;
+      eng.overtaken.(pid) <- 0;
       if eng.has_abort then begin
         if eng.entry_depth.(pid) = 0 then eng.entry_since.(pid) <- eng.step;
         eng.entry_depth.(pid) <- eng.entry_depth.(pid) + 1
@@ -477,10 +578,18 @@ let handle_note eng pid (n : Event.note) =
           eng.ab_streak.(pid) <- 0
         end
       end;
-      enter_lock_cs eng pid id
+      eng.last_holder.(id) <- pid;
+      stop_waiting eng pid id;
+      enter_lock_cs eng pid id;
+      check_weak_me eng id
   | Lock_release id -> leave_lock_cs eng pid id
+  | Lock_released id ->
+      if id < Array.length eng.last_holder && eng.last_holder.(id) = pid then
+        eng.last_holder.(id) <- -1;
+      overtake_waiters eng pid id
   | Level l -> if l > eng.level_max.(pid) then eng.level_max.(pid) <- l
-  | Abort_done _ ->
+  | Abort_done id ->
+      stop_waiting eng pid id;
       if eng.has_abort then begin
         resolve_abort eng pid Res_aborted;
         eng.ab_streak.(pid) <- eng.ab_streak.(pid) + 1;
@@ -497,8 +606,10 @@ let handle_note eng pid (n : Event.note) =
         eng.entry_depth.(pid) <- 0;
         eng.entry_since.(pid) <- -1
       end;
-      enter_lock_cs eng pid id
-  | Abort_signal | Abort_request _ | Lock_released _ | Path _ | Custom _ -> ()
+      stop_waiting eng pid id;
+      enter_lock_cs eng pid id;
+      check_weak_me eng id
+  | Abort_signal | Abort_request _ | Path _ | Custom _ -> ()
 
 let open_unsafe eng pid lock =
   if not (List.mem lock eng.unsafe_open.(pid)) then
@@ -651,8 +762,14 @@ let do_crash eng pid =
          });
   eng.crashes.(pid) <- eng.crashes.(pid) + 1;
   List.iter
-    (fun lock -> eng.unsafe_crashes.(lock) <- eng.unsafe_crashes.(lock) + 1)
+    (fun lock ->
+      eng.unsafe_crashes.(lock) <- eng.unsafe_crashes.(lock) + 1;
+      Vec.push eng.unsafe_log eng.crash_seq;
+      Vec.push eng.unsafe_log lock)
     eng.unsafe_open.(pid);
+  eng.crash_seq <- eng.crash_seq + 1;
+  eng.crash_step.(pid) <- eng.step;
+  eng.waits_on.(pid) <- -1;
   List.iter (fun lock -> leave_lock_cs eng pid lock) eng.holding.(pid);
   if eng.in_app_cs.(pid) then begin
     eng.in_app_cs.(pid) <- false;
@@ -1055,6 +1172,33 @@ let charged_kinds eng =
   in
   from (Array.length eng.rmr_by_kind - 1) []
 
+(* The monitors' facts, with the waiters and holders left at the end. *)
+let monitors eng =
+  let parked = ref None in
+  for pid = 0 to eng.n - 1 do
+    if eng.waits_on.(pid) >= 0 then
+      parked :=
+        Some
+          {
+            pk_pid = pid;
+            pk_lock = eng.waits_on.(pid);
+            pk_count = (match !parked with Some p -> p.pk_count + 1 | None -> 1);
+          }
+  done;
+  let held = Array.exists (fun pid -> pid >= 0) eng.last_holder in
+  if
+    eng.skipped = None && eng.breaches = [] && Vec.is_empty eng.overtakes && !parked = None
+    && not held
+  then no_monitors
+  else
+    {
+      skipped_recovery = eng.skipped;
+      weak_me_breaches = List.rev eng.breaches;
+      overtakes = Vec.to_array eng.overtakes;
+      parked_at_end = !parked;
+      held_at_end = held;
+    }
+
 let finish eng =
   let procs =
     Array.init eng.n (fun pid ->
@@ -1102,6 +1246,7 @@ let finish eng =
     stall = classify_stall eng;
     aborts = Vec.to_list eng.ab_stats @ !pending_aborts;
     crash_log = Vec.to_list eng.crash_log;
+    monitors = monitors eng;
     events = Event.Sink.events eng.sink;
   }
 
@@ -1202,6 +1347,17 @@ let arena ~n ~model ~setup ~body =
       occupancy = Array.make nlocks 0;
       occupancy_max = Array.make nlocks 0;
       unsafe_crashes = Array.make nlocks 0;
+      crash_step = Array.make n (-1);
+      skipped = None;
+      outstanding = Array.make n false;
+      out_since = Array.make n 0;
+      crash_seq = 0;
+      unsafe_log = Vec.create ();
+      breaches = [];
+      waits_on = Array.make n (-1);
+      overtaken = Array.make n 0;
+      last_holder = Array.make nlocks (-1);
+      overtakes = Vec.create ();
       parked_cells = Hashtbl.create 8;
       ready_bufs = Array.make (n + 1) [||];
       degrees = [||];
@@ -1235,6 +1391,17 @@ let prepare eng ~stall_window ~max_steps ~sink ~consult_ops ~track_ans ~trace_op
   Array.fill eng.occupancy 0 (Array.length eng.occupancy) 0;
   Array.fill eng.occupancy_max 0 (Array.length eng.occupancy_max) 0;
   Array.fill eng.unsafe_crashes 0 (Array.length eng.unsafe_crashes) 0;
+  Array.fill eng.crash_step 0 n (-1);
+  eng.skipped <- None;
+  Array.fill eng.outstanding 0 n false;
+  Array.fill eng.out_since 0 n 0;
+  eng.crash_seq <- 0;
+  Vec.clear eng.unsafe_log;
+  eng.breaches <- [];
+  Array.fill eng.waits_on 0 n (-1);
+  Array.fill eng.overtaken 0 n 0;
+  Array.fill eng.last_holder 0 (Array.length eng.last_holder) (-1);
+  Vec.clear eng.overtakes;
   eng.crash <- crash;
   eng.abort <- abort;
   eng.has_crash <- crash != Crash.none;

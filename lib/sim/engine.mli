@@ -104,6 +104,69 @@ type stall = {
           [" parked@<cell>"] appended when it sits on a spin wait *)
 }
 
+(** {1 Online history monitors}
+
+    Three properties of a run's history that {!Rme_check.Props} checks
+    are folded by the engine as it goes, over the notes and crashes it
+    handles one at a time, whatever the event sink: the folds allocate
+    nothing per step, and a run that keeps no history is judged as
+    exactly as one that keeps it.  Each leaves the facts its check needs
+    in {!monitors}. *)
+
+type skipped_recovery = {
+  sr_pid : int;
+  sr_step : int;  (** the step of its [Cs_begin] *)
+  sr_crash_step : int;  (** the step of its last crash before it *)
+}
+(** A process that entered the CS after a crash without a [Req_begin] in
+    between. *)
+
+type weak_me_breach = {
+  wm_lock : int;
+  wm_step : int;  (** the acquisition's step *)
+  wm_holders : int;  (** holders of the lock, the acquirer included *)
+  wm_live : int;  (** unsafe failures w.r.t. the lock whose consequence interval was open *)
+}
+(** An acquisition ([Lock_acquired], or [Abort_lost_race]: the abort lost
+    the race and the process holds the lock) that left the lock with more
+    than one holder per open unsafe failure plus one. *)
+
+type overtake = {
+  ov_step : int;  (** the step of the [Lock_released] *)
+  ov_waiter : int;  (** the highest pid it brought to the count *)
+  ov_lock : int;
+}
+(** A release by another process of the lock a waiter's unresolved
+    [Lock_enter] names. *)
+
+type parked = {
+  pk_pid : int;  (** the highest pid with an unresolved [Lock_enter] *)
+  pk_lock : int;  (** the lock that note names *)
+  pk_count : int;  (** processes with an unresolved [Lock_enter] *)
+}
+
+type monitors = {
+  skipped_recovery : skipped_recovery option;
+      (** system recovery: the first process to skip its restart, if any *)
+  weak_me_breaches : weak_me_breach list;
+      (** Theorem 4.2's interval form, for every lock id: each breached
+          lock's first breach, in the order they happened.  A failure is
+          unsafe w.r.t. the locks in its [unsafe_wrt]; its consequence
+          interval stays open while some request outstanding at the
+          failure ([Req_begin] to [Req_done]) is still outstanding. *)
+  overtakes : overtake array;
+      (** lost wakeup: [overtakes.(c - 1)] is the first release that
+          brought some waiter to [c] overtakes.  A waiter is a process
+          between its [Lock_enter] of a lock and its [Lock_acquired],
+          [Abort_done] or [Abort_lost_race] of that lock (a crash or a
+          later [Lock_enter] ends the wait); each [Lock_released] of the
+          lock by another process overtakes it once. *)
+  parked_at_end : parked option;  (** waiters left when the run ended *)
+  held_at_end : bool;
+      (** some lock's last [Lock_acquired] was not followed by its
+          acquirer's [Lock_released] when the run ended *)
+}
+
 type result = {
   steps : int;
   total_rmr : int;
@@ -138,10 +201,13 @@ type result = {
           A plan's decision that reaches nobody (an asynchronous crash
           aimed at a halted pid) is not logged.  {!Crash.replay_fired}
           re-injects exactly these crashes under the same schedule. *)
+  monitors : monitors;
+      (** the online history monitors' facts; equal under every sink *)
   events : Event.t list;
       (** what the event sink retained: the full history under [record] (a
           [Keep] sink), the trailing window under a [Ring] sink, [[]] under
-          the default dropping sink *)
+          the default dropping sink.  Every other field is the same under
+          all three. *)
 }
 
 val pp_stall : stall Fmt.t

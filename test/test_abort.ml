@@ -326,6 +326,7 @@ let naive_tas_stall_res () =
 
 let test_naive_tas_trips_no_lost_wakeup () =
   let res = naive_tas_stall_res () in
+  History_oracle.agree "naive tas" res res.Engine.events;
   (match Props.no_lost_wakeup res ~bound:bounds.Props.overtake_bound with
   | Some msg ->
       check cb "reports a lost hand-off or overtake"
@@ -414,10 +415,11 @@ let explore_wr_abort ?(max_runs = 40_000) ~crash () =
    at n=2 is far beyond any test budget.  The robust {!Abort.at_op} plan
    keeps source-set POR sound — por_setup unions its victim into the
    crashy set — so every (victim, op-index) abort site is explored to
-   exhaustion.  no_lost_wakeup needs a recorded history ([record] would
-   also downgrade POR), so this pass holds the aggregate props — ME,
-   deadlock-freedom, abort-liveness, abort-RMR — and the bounded
-   impatient pass below covers the event-based checker. *)
+   exhaustion.  no_lost_wakeup reads the order of notes across processes,
+   which POR does not preserve (a search that checks it runs with
+   [record], which downgrades POR), so this pass holds the aggregate props
+   — ME, deadlock-freedom, abort-liveness, abort-RMR — and the bounded
+   impatient pass below covers the history checker. *)
 let aggregate_check res =
   if res.Engine.cs_max > 1 then Some "mutual-exclusion"
   else if res.Engine.deadlocked then Some "deadlock"

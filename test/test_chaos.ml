@@ -724,6 +724,7 @@ let result_diffs (a : Engine.result) (b : Engine.result) =
     stall;
     aborts;
     crash_log;
+    monitors;
     events;
   } =
     a
@@ -744,18 +745,23 @@ let result_diffs (a : Engine.result) (b : Engine.result) =
       ("stall", stall = b.stall);
       ("aborts", aborts = b.aborts);
       ("crash_log", crash_log = b.crash_log);
+      ("monitors", monitors = b.monitors);
       ("events", events = b.events);
     ]
 
 (* Replays [r] from its decisions and the two logs: the replay must be
-   faithful, reproduce the result field for field and log the same
-   failures. *)
+   faithful, reproduce every field of the result but the history it
+   records, and log the same failures; the reference scans of that
+   history must give the verdicts of [r]'s monitors. *)
 let check_replay label ~make (r : Chaos.run) =
   let res, diverged =
     Chaos.replay r.cfg ~make ~fired:r.fired ~ab_fired:r.ab_fired ~decisions:r.decisions ()
   in
   check cb (label ^ " faithful") false diverged;
-  check Alcotest.(list string) (label ^ " differing fields") [] (result_diffs r.res res);
+  check cb (label ^ " run keeps no history") true (r.res.Engine.events = []);
+  check Alcotest.(list string) (label ^ " differing fields") []
+    (result_diffs r.res { res with Engine.events = [] });
+  History_oracle.agree label r.res res.Engine.events;
   check cb (label ^ " same crash log") true (res.Engine.crash_log = r.fired);
   check cb (label ^ " same abort log") true (Engine.abort_log res = r.ab_fired)
 
@@ -801,7 +807,7 @@ let fresh_run_one cfg ~make ~adversary ~seed =
   let cs = Harness.yields cfg.Chaos.cs_yields in
   let ncs = if cfg.Chaos.ncs_yields = 0 then None else Some (Harness.yields cfg.Chaos.ncs_yields) in
   let res =
-    Engine.run ~record:true ~max_steps:cfg.Chaos.max_steps ~n:cfg.Chaos.n ~model:cfg.Chaos.model
+    Engine.run ~max_steps:cfg.Chaos.max_steps ~n:cfg.Chaos.n ~model:cfg.Chaos.model
       ~sched:(Sched.recording ~inner:(Sched.random ~seed) ~decisions)
       ~crash:(Chaos.plan adversary ~seed) ~abort:(Chaos.abort_plan adversary ~seed) ~setup:make
       ~body:(fun lock ~pid -> Harness.standard_body ~cs ?ncs ~lock ~requests:cfg.Chaos.requests pid)

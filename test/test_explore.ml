@@ -220,7 +220,7 @@ let wr_gap_check res = if res.Engine.cs_max > 1 then Some "ME violation" else No
 
 let wr_gap_replay trace =
   let res, diverged =
-    Explore.replay ~max_steps:4_000
+    Explore.replay ~record:true ~max_steps:4_000
       ~arena:(Engine.arena ~n:3 ~model:Memory.CC ~setup:wr_gap_setup ~body:wr_gap_body)
       ~decisions:(Array.of_list trace) ~crash:(wr_gap_crash ()) ()
   in
@@ -242,7 +242,8 @@ let test_wr_gap_sequential_finds_violation () =
          must replay without any degree mismatch and still violate. *)
       let res, mismatch = wr_gap_replay trace in
       check cb "witness replays faithfully" false mismatch;
-      check cb "witness still violates ME" true (res.Engine.cs_max > 1)
+      check cb "witness still violates ME" true (res.Engine.cs_max > 1);
+      History_oracle.agree "wr-gap witness" res res.Engine.events
 
 (* --- sleep-set POR equivalence ------------------------------------- *)
 

@@ -278,6 +278,198 @@ let qcheck_checkers_accept_all_strong_locks =
       Props.mutual_exclusion res = None
       && Props.starvation_freedom res ~requests:4 = None)
 
+(* ------------------------------------------------------------------ *)
+(* Online monitors against the reference scans                         *)
+(* ------------------------------------------------------------------ *)
+
+(* [run] once with the history recorded and once without: the monitors
+   must not depend on the sink, and must give the reference scans'
+   verdicts on the recorded history. *)
+let monitored label ~n ~sched ~crash ~setup ~body =
+  let go record =
+    Engine.run ~record ~max_steps:20_000 ~n ~model:Memory.CC ~sched:(sched ()) ~crash:(crash ())
+      ~setup ~body ()
+  in
+  let res = go true in
+  check cb (label ^ ": same facts without a history") true
+    ((go false).Engine.monitors = res.Engine.monitors);
+  History_oracle.agree label res res.Engine.events;
+  res
+
+(* Two processes acquire lock 0 with no failure at all: p0 through an
+   abort that lost the race, p1 normally.  Only counting the lost race as
+   an acquisition sees two holders. *)
+let lost_race_overlap () =
+  monitored "lost race" ~n:2 ~sched:Sched.round_robin ~crash:(fun () -> Crash.none)
+    ~setup:(fun ctx -> Engine.Ctx.register_lock ctx "fake")
+    ~body:(fun id ~pid ->
+      let note m = Api.note m in
+      note (Event.Lock_enter id);
+      if pid = 0 then begin
+        note (Event.Abort_lost_race id);
+        Api.yield ();
+        Api.yield ()
+      end
+      else note (Event.Lock_acquired id);
+      note (Event.Lock_release id);
+      note (Event.Lock_released id))
+
+let test_lost_race_is_an_acquisition () =
+  let res = lost_race_overlap () in
+  match Props.weak_me_intervals res ~lock_id:0 with
+  | Some msg ->
+      check Alcotest.string "message" "step 5: 2 holders with only 0 active unsafe failures" msg
+  | None -> Alcotest.fail "weak ME missed the lost-race holder"
+
+(* p0 crashes inside its passage and, restarted, goes straight to the CS
+   without a new Req_begin. *)
+let skipped_restart () =
+  monitored "skipped restart" ~n:2 ~sched:Sched.round_robin
+    ~crash:(fun () -> Crash.on_custom_note ~pid:0 ~tag:"w" ~occurrence:0 Crash.After)
+    ~setup:(fun ctx -> Memory.alloc (Engine.Ctx.memory ctx) ~name:"started" 0)
+    ~body:(fun started ~pid ->
+      if pid = 0 && Api.read started = 1 then Api.note (Event.Seg Event.Cs_begin)
+      else begin
+        if pid = 0 then Api.write started 1;
+        Api.note (Event.Seg Event.Req_begin);
+        Api.note (Event.Custom "w");
+        Api.note (Event.Seg Event.Cs_begin);
+        Api.note (Event.Seg Event.Cs_end);
+        Api.note (Event.Seg Event.Req_done)
+      end)
+
+(* p0 fails unsafely w.r.t. lock 0 while its request is the only one
+   outstanding, then restarts and completes it: that closes the failure's
+   consequence interval.  Only then do p1 and p2 both acquire the lock,
+   which no open failure covers. *)
+let closed_interval_overlap () =
+  monitored "closed interval" ~n:3 ~sched:Sched.round_robin
+    ~crash:(fun () -> Crash.on_kind ~pid:0 ~kind:Api.Fas ~occurrence:0 Crash.After)
+    ~setup:(fun ctx ->
+      let mem = Engine.Ctx.memory ctx in
+      ( Engine.Ctx.register_lock ctx "fake",
+        Memory.alloc mem ~name:"restarted" 0,
+        Memory.alloc mem ~name:"window" 0,
+        Memory.alloc mem ~name:"p0.done" 0 ))
+    ~body:(fun (id, restarted, window, p0_done) ~pid ->
+      let note m = Api.note m in
+      if pid = 0 then begin
+        let again = Api.read restarted = 1 in
+        Api.write restarted 1;
+        note (Event.Seg Event.Req_begin);
+        if not again then ignore (Api.fas_open_unsafe ~lock:id window 1);
+        note (Event.Seg Event.Req_done);
+        Api.write p0_done 1
+      end
+      else begin
+        Api.spin_until p0_done (Api.Eq 1);
+        note (Event.Seg Event.Req_begin);
+        note (Event.Lock_acquired id);
+        Api.yield ();
+        Api.yield ();
+        note (Event.Lock_release id);
+        note (Event.Seg Event.Req_done)
+      end)
+
+(* A process that releases the lock its own unresolved Lock_enter names
+   does not overtake itself. *)
+let self_release () =
+  monitored "self release" ~n:1 ~sched:Sched.round_robin ~crash:(fun () -> Crash.none)
+    ~setup:(fun ctx -> Engine.Ctx.register_lock ctx "fake")
+    ~body:(fun id ~pid:_ ->
+      Api.note (Event.Lock_enter id);
+      Api.note (Event.Lock_released id))
+
+let standard_run label ~n ~requests ?(cs = Harness.yields 10) ?(crash = fun () -> Crash.none)
+    ~make () =
+  monitored label ~n ~sched:(fun () -> Sched.random ~seed:5) ~crash ~setup:make
+    ~body:(fun lock ~pid -> Harness.standard_body ~cs ~lock ~requests pid)
+
+(* A lock that never lets pids 0 and 1 in: both park in its entry section
+   while the others finish. *)
+let two_starved_make ctx =
+  let mem = Engine.Ctx.memory ctx in
+  let id = Engine.Ctx.register_lock ctx "starver" in
+  let never = Memory.alloc mem ~name:"starver.never" 0 in
+  Lock.instrument ~id ~name:"starver"
+    ~acquire:(fun ~pid -> if pid < 2 then Api.spin_until never (Api.Eq 1))
+    ~release:(fun ~pid:_ -> ())
+    ()
+
+(* The holder of a real lock parks forever in its CS: the waiters behind
+   it stall while it holds the lock, which is no lost hand-off. *)
+let stuck_holder () =
+  monitored "stuck holder" ~n:3 ~sched:Sched.round_robin ~crash:(fun () -> Crash.none)
+    ~setup:(fun ctx -> (Wr_lock.make ctx, Memory.alloc (Engine.Ctx.memory ctx) ~name:"never" 0))
+    ~body:(fun (lock, never) ~pid ->
+      let cs ~pid = if pid = 0 then Api.spin_until never (Api.Eq 1) in
+      Harness.standard_body ~cs ~lock ~requests:1 pid)
+
+let test_monitors_planted () =
+  let planted =
+    [
+      ("broken lock", standard_run "broken lock" ~n:4 ~requests:3 ~make:broken_make ());
+      ("lost race", lost_race_overlap ());
+      ("closed interval", closed_interval_overlap ());
+      ("skipped restart", skipped_restart ());
+      ( "starved waiters",
+        standard_run "starved waiters" ~n:4 ~requests:2 ~make:two_starved_make () );
+    ]
+  in
+  List.iter
+    (fun (label, res) ->
+      check cb (label ^ ": some violation") true (History_oracle.violations res > 0))
+    planted;
+  let verdict label f = f (List.assoc label planted) in
+  is_some "weak-me(broken)" (verdict "broken lock" (Props.weak_me_intervals ~lock_id:0));
+  is_some "weak-me(closed interval)"
+    (verdict "closed interval" (Props.weak_me_intervals ~lock_id:0));
+  is_some "system-recovery(skipped)" (verdict "skipped restart" Props.system_recovery);
+  (match verdict "starved waiters" (Props.no_lost_wakeup ~bound:1_000) with
+  | Some msg ->
+      check Alcotest.string "stall message"
+        "run stalled with p1 (and 1 more) parked in lock 0's entry section while no process \
+         holds any lock — a hand-off was lost"
+        msg
+  | None -> Alcotest.fail "no-lost-wakeup missed the parked waiters");
+  is_none "no-lost-wakeup(self release)" (Props.no_lost_wakeup (self_release ()) ~bound:1);
+  let held = stuck_holder () in
+  check cb "stuck holder deadlocks" true held.Engine.deadlocked;
+  is_none "no-lost-wakeup(stuck holder)" (Props.no_lost_wakeup held ~bound:1_000)
+
+(* recover's lock x adversary pairs, and the oblivious arm over the same
+   locks, seeds 0-19: each run's monitors against the reference scans of
+   its replay's history, and the replay's own. *)
+let test_monitors_recover () =
+  let locks = [ "wr"; "ba-jjj"; "dm-jjj"; "jjj-sys"; "wr-abort"; "tas-abort" ] in
+  let pairs =
+    List.concat_map
+      (fun key ->
+        List.map (fun adv -> (key, adv)) (Chaos.standard_adversaries @ [ Chaos.default_sys_storm ]))
+      [ "wr"; "ba-jjj"; "dm-jjj"; "jjj-sys" ]
+    @ List.map (fun key -> (key, Chaos.default_impatient_storm)) [ "wr-abort"; "tas-abort" ]
+    @ List.map (fun key -> (key, Chaos.Oblivious None)) locks
+  in
+  check Alcotest.int "pairs" 28 (List.length pairs);
+  let violations = ref 0 in
+  List.iter
+    (fun (key, adversary) ->
+      let make = (Rme.Spec.find_exn key).Rme.Spec.make in
+      for seed = 0 to 19 do
+        let r = Chaos.run_one Chaos.default_cfg ~make ~adversary ~seed in
+        let label = Fmt.str "%s %a seed %d" key Chaos.pp_adversary r.Chaos.adversary seed in
+        let replayed, diverged =
+          Chaos.replay r.Chaos.cfg ~make ~fired:r.Chaos.fired ~ab_fired:r.Chaos.ab_fired
+            ~decisions:r.Chaos.decisions ()
+        in
+        check cb (label ^ " faithful") false diverged;
+        History_oracle.agree label r.Chaos.res replayed.Engine.events;
+        History_oracle.agree (label ^ " replay") replayed replayed.Engine.events;
+        violations := !violations + History_oracle.violations r.Chaos.res
+      done)
+    pairs;
+  check cb "the small overtake bounds flag some runs" true (!violations > 0)
+
 let () =
   Alcotest.run "props"
     [
@@ -298,6 +490,12 @@ let () =
           Alcotest.test_case "check battery" `Quick test_check_battery;
           Alcotest.test_case "replay consistency" `Quick test_replay_consistency;
           Alcotest.test_case "replay detects divergence" `Quick test_replay_detects_divergence;
+        ] );
+      ( "monitors",
+        [
+          Alcotest.test_case "lost race is an acquisition" `Quick test_lost_race_is_an_acquisition;
+          Alcotest.test_case "planted violations" `Quick test_monitors_planted;
+          Alcotest.test_case "recover runs" `Quick test_monitors_recover;
         ] );
       ("property", [ QCheck_alcotest.to_alcotest qcheck_checkers_accept_all_strong_locks ]);
     ]
