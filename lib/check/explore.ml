@@ -137,13 +137,29 @@ let faithful_reproduces d t =
    them. *)
 let suffix a ~from ~upto = if upto <= from then [||] else Array.sub a from (upto - from)
 
-(* The decision vector of the child that follows [decisions]' spine (0 past
-   its end) up to position [i] and takes choice [c] there. *)
-let child decisions i c =
-  let v = Array.make (i + 1) 0 in
-  Array.blit decisions 0 v 0 (Array.length decisions);
-  v.(i) <- c;
-  v
+(* The decision stack of one search: [dec.(i)] is the choice the current
+   DFS path takes at position [i], and every position past the running
+   node's depth holds 0.  A frame writes its child's choice at the child's
+   branching position ([push]) and clears it when the child returns
+   ([pop]), so each node runs the whole stack as its decision vector: its
+   own prefix, then the default schedule, which is the run its prefix alone
+   names ({!Engine.run_trace} reads choice 0 past a vector's end).  No node
+   copies its prefix; a reported violation copies it once ([prefix]). *)
+type stack = { mutable dec : int array }
+
+let new_stack () = { dec = Array.make 128 0 }
+
+let push st i c =
+  if i >= Array.length st.dec then begin
+    let grown = Array.make (max (i + 1) (2 * Array.length st.dec)) 0 in
+    Array.blit st.dec 0 grown 0 (Array.length st.dec);
+    st.dec <- grown
+  end;
+  st.dec.(i) <- c
+
+let pop st i = st.dec.(i) <- 0
+
+let prefix st depth = Array.to_list (Array.sub st.dec 0 depth)
 
 (* Plain depth-first search of the schedule tree ([`Off]), the unreduced
    reference the reduced tiers are compared against.  Each node's run
@@ -157,21 +173,23 @@ let child decisions i c =
 let subtree d ~take_run =
   let exception Halt in
   let exception Found of string * int list in
-  let rec go decisions =
+  let st = new_stack () in
+  let rec go depth =
     if not (take_run ()) then raise Halt;
-    let rr = run_node d decisions in
+    let rr = run_node d st.dec in
     (match d.check rr.Engine.tr_result with
-    | Some msg -> raise (Found (msg, Array.to_list decisions))
+    | Some msg -> raise (Found (msg, prefix st depth))
     | None -> ());
-    let depth = Array.length decisions in
     let branches = suffix rr.Engine.tr_degrees ~from:depth ~upto:rr.Engine.tr_len in
     for ix = 0 to Array.length branches - 1 do
       for c = 1 to branches.(ix) - 1 do
-        go (child decisions (depth + ix) c)
+        push st (depth + ix) c;
+        go (depth + ix + 1);
+        pop st (depth + ix)
       done
     done
   in
-  match go [||] with
+  match go 0 with
   | () | (exception Halt) -> None
   | exception Found (msg, tr) -> Some (msg, tr)
 
@@ -220,11 +238,19 @@ module Src = struct
       end
       else acc.fps <- fp :: acc.fps
 
+  (* Direct recursion: a [List.iter (note acc)] would build its partial
+     application on every cache hit. *)
+  let rec note_all acc = function
+    | [] -> ()
+    | fp :: rest ->
+        note acc fp;
+        note_all acc rest
+
   let note_summary acc = function
     | None ->
         acc.universal <- true;
         acc.fps <- []
-    | Some l -> List.iter (note acc) l
+    | Some l -> note_all acc l
 
   let to_summary acc : summary = if acc.universal then None else Some acc.fps
 
@@ -253,7 +279,7 @@ module Src = struct
     offs
 
   (* Scan a completed run for reversible races and deposit the resulting
-     demands.  [decisions] is the explicit prefix (0 past its end),
+     demands.  [decisions] is the decision stack (0 past the node's depth),
      [degrees] and [fps] the run's degrees and flat footprints, read in
      place in the arena. *)
   let scan ctx ~n ~decisions ~len ~degrees ~fps =
@@ -272,33 +298,52 @@ module Src = struct
         done;
         demand ctx ~pos ~deg ~choice:!c)
 
+  (* Does a footprint of another process in [l] conflict with [fk]?  Top
+     level, so a cache hit builds no closure per prefix position. *)
+  let rec conflicts fk = function
+    | [] -> false
+    | f :: rest ->
+        (Footprint.pid f <> Footprint.pid fk && not (Footprint.independent f fk))
+        || conflicts fk rest
+
   (* Conservative demands a pruned (cache-hit) subtree owes the current
-     prefix.  The stored exploration raised its cross-prefix race demands
-     against *its* path, not ours, so re-raise them here from the summary:
-     demand every sibling at every branching prefix position whose
-     executed step conflicts with any footprint the subtree ran.  The
-     prefix is read in place in the arena, walking its offsets. *)
-  let demand_prefix ctx ~decisions ~degrees ~fps (s : summary) =
-    let depth = Array.length decisions in
+     prefix, [decisions.(0 .. depth - 1)].  The stored exploration raised
+     its cross-prefix race demands against *its* path, not ours, so
+     re-raise them here from the summary: demand every sibling at every
+     branching prefix position whose executed step conflicts with any
+     footprint the subtree ran.  The prefix is read in place in the arena,
+     walking its offsets. *)
+  let demand_prefix ctx ~decisions ~depth ~degrees ~fps (s : summary) =
     ensure ctx depth;
     let off = ref 0 in
     for k = 0 to depth - 1 do
       let deg = degrees.(k) in
       if deg > 1 then begin
         let fk = fps.(!off + decisions.(k)) in
-        let conflict =
-          match s with
-          | None -> true
-          | Some l ->
-              List.exists
-                (fun f ->
-                  Footprint.pid f <> Footprint.pid fk && not (Footprint.independent f fk))
-                l
-        in
+        let conflict = match s with None -> true | Some l -> conflicts fk l in
         if conflict then demand ctx ~pos:k ~deg ~choice:(-1)
       end;
       off := !off + deg
     done
+
+  (* Is a footprint of [pid] among the sleepers [l]? *)
+  let rec asleep pid = function [] -> false | s :: rest -> Footprint.pid s = pid || asleep pid rest
+
+  (* [l] filtered to the footprints independent of [step], then [tail]. *)
+  let rec keep_independent step l tail =
+    match l with
+    | [] -> tail
+    | s :: rest ->
+        let rest' = keep_independent step rest tail in
+        if not (Footprint.independent s step) then rest'
+        else if rest' == rest then l
+        else s :: rest'
+
+  (* The sleepers [inh @ expl] that stay asleep past [step], in that
+     order: [List.filter] over the append, without its copy of [inh] and
+     its closure, and sharing [inh] when [expl] is empty and every
+     inherited sleeper stays asleep, as most do. *)
+  let sleep_past step inh expl = keep_independent step inh (keep_independent step expl [])
 
   (* Sleep mask for the cache's subset rule; exact because [por_setup]
      keeps systems wider than 62 pids out of the reduced tiers. *)
@@ -342,18 +387,25 @@ let subtree_source d ~races ~cache ~take_run =
   let exception Found of string * int list in
   let ctx = { Src.slots = Vec.create (); cache; race = Footprint.Race.scratch (); offs = [||] } in
   let caching = cache <> None in
-  let rec go decisions inh0 (note : Src.acc) =
+  let st = new_stack () in
+  (* The state key of the node that ran last ([[||]] for none), filled by
+     one [on_state_key] built for the whole search; a node reads it right
+     after its own run, before any child's run replaces it. *)
+  let last_key = ref [||] in
+  let on_state_key k = last_key := k in
+  let rec go depth inh0 (note : Src.acc) =
     if not (take_run ()) then raise Halt;
-    let depth = Array.length decisions in
-    let key = ref None in
     let rr =
-      if caching then
-        run_node d ~state_key_at:depth ~on_state_key:(fun k -> key := Some k) decisions
-      else run_node d decisions
+      if caching then begin
+        last_key := [||];
+        run_node d ~state_key_at:depth ~on_state_key st.dec
+      end
+      else run_node d st.dec
     in
+    let key = !last_key in
     let res = rr.Engine.tr_result in
     (match d.check res with
-    | Some msg -> raise (Found (msg, Array.to_list decisions))
+    | Some msg -> raise (Found (msg, prefix st depth))
     | None -> ());
     let len = rr.Engine.tr_len in
     let m = len - depth in
@@ -366,7 +418,9 @@ let subtree_source d ~races ~cache ~take_run =
       let branches = suffix rr.Engine.tr_degrees ~from:depth ~upto:len in
       for ix = 0 to m - 1 do
         for c = 1 to branches.(ix) - 1 do
-          ignore (go (child decisions (depth + ix) c) [] note)
+          push st (depth + ix) c;
+          ignore (go (depth + ix + 1) [] note);
+          pop st (depth + ix)
         done
       done;
       (* Demands children deposited at our positions are subsumed by the
@@ -381,17 +435,17 @@ let subtree_source d ~races ~cache ~take_run =
       let degrees = rr.Engine.tr_degrees and fps = rr.Engine.tr_footprints in
       let slept = if caching then Src.mask_of_sleep inh0 else 0 in
       let hit =
-        match (ctx.Src.cache, !key) with
-        | Some c, Some k -> Statecache.find c ~key:k ~slept
-        | _ -> None
+        match ctx.Src.cache with
+        | Some c when Array.length key > 0 -> Statecache.find c ~key ~slept
+        | Some _ | None -> None
       in
       match hit with
       | Some summary ->
-          Src.demand_prefix ctx ~decisions ~degrees ~fps summary;
+          Src.demand_prefix ctx ~decisions:st.dec ~depth ~degrees ~fps summary;
           Src.note_summary note summary;
           true
       | None ->
-          if races then Src.scan ctx ~n:d.n ~decisions ~len ~degrees ~fps;
+          if races then Src.scan ctx ~n:d.n ~decisions:st.dec ~len ~degrees ~fps;
           (* This node's own degrees and footprints, [depth, len): the
              children below overwrite the arena's. *)
           let base = ref 0 in
@@ -448,15 +502,13 @@ let subtree_source d ~races ~cache ~take_run =
                       acted.(ix) <- acted.(ix) lor (1 lsl c);
                       let fpc = fp.(!o + c) in
                       let pidc = Footprint.pid fpc in
-                      if List.exists (fun s -> Footprint.pid s = pidc) inh.(ix) then ()
+                      if Src.asleep pidc inh.(ix) then ()
                       else begin
                         progress := true;
-                        let child_sleep =
-                          List.filter
-                            (fun s -> Footprint.independent s fpc)
-                            (inh.(ix) @ expl.(ix))
-                        in
-                        let ok = go (child decisions (depth + ix) c) child_sleep acc in
+                        let child_sleep = Src.sleep_past fpc inh.(ix) expl.(ix) in
+                        push st (depth + ix) c;
+                        let ok = go (depth + ix + 1) child_sleep acc in
+                        pop st (depth + ix);
                         drain ();
                         summarizable := !summarizable && ok;
                         expl.(ix) <- fpc :: expl.(ix)
@@ -468,23 +520,21 @@ let subtree_source d ~races ~cache ~take_run =
                  the inherited sleepers) stay asleep on the spine iff
                  independent of the step the spine actually took. *)
               if !first_sweep && ix + 1 < m then begin
-                let spine = fp.(!o) in
-                inh.(ix + 1) <-
-                  List.filter (fun s -> Footprint.independent s spine) (inh.(ix) @ expl.(ix))
+                inh.(ix + 1) <- Src.sleep_past fp.(!o) inh.(ix) expl.(ix)
               end;
               o := !o + deg
             done;
             first_sweep := false
           done;
-          (match (ctx.Src.cache, !key) with
-          | Some c, Some k when !summarizable ->
-              Statecache.add c ~key:k ~slept ~summary:(Src.to_summary acc)
-          | _ -> ());
+          (match ctx.Src.cache with
+          | Some c when !summarizable && Array.length key > 0 ->
+              Statecache.add c ~key ~slept ~summary:(Src.to_summary acc)
+          | Some _ | None -> ());
           if caching then Src.note_summary note (Src.to_summary acc);
           !summarizable
     end
   in
-  match go [||] [] (Src.fresh_acc ()) with
+  match go 0 [] (Src.fresh_acc ()) with
   | _ | (exception Halt) -> None
   | exception Found (msg, tr) -> Some (msg, tr)
 

@@ -15,7 +15,10 @@
     search for [`Off], and one reduced search for [`Sleep] and [`Source],
     which differ only in which siblings it is asked to visit.  Each runs
     once over the whole tree on the calling domain, and
-    every run replays its whole decision vector from the root.
+    every run replays its whole decision vector from the root.  A search
+    keeps one decision stack, zero past the running node's depth, which
+    each node runs as its decision vector: a child's choice is written
+    before its run and cleared after, so no node copies its prefix.
 
     A search builds one {!Engine.arena} from its subject, which runs
     [setup] once, and runs every one of its runs in it, the root probe and

@@ -17,7 +17,7 @@ let blind_view ~n = { n; waiting = (fun _ -> -1); streak = (fun _ -> 0) }
 
 type t = (unit, view) Plan.t
 
-let label (t : t) = t.label
+let label (t : t) = Lazy.force t.label
 
 let on_op (t : t) info = match t.on_op info with None -> false | Some () -> true
 
@@ -46,9 +46,11 @@ let impatient ~timeout_steps ?(retries = max_int) ?(backoff = 1.0) () : t =
   {
     Plan.none with
     label =
-      (if retries = max_int && backoff = 1.0 then
-         Printf.sprintf "impatient(timeout=%d)" timeout_steps
-       else Printf.sprintf "impatient(timeout=%d,retries=%d,backoff=%g)" timeout_steps retries backoff);
+      lazy
+        (if retries = max_int && backoff = 1.0 then
+           Printf.sprintf "impatient(timeout=%d)" timeout_steps
+         else
+           Printf.sprintf "impatient(timeout=%d,retries=%d,backoff=%g)" timeout_steps retries backoff);
     async =
       (fun ~step:_ view ->
         let out = ref [] in
@@ -68,7 +70,7 @@ let impatient ~timeout_steps ?(retries = max_int) ?(backoff = 1.0) () : t =
 
 let random ~seed ~rate ~max_aborts ?pids () : t =
   Plan.coin
-    ~label:(Printf.sprintf "abort-random(rate=%g,max=%d)" rate max_aborts)
+    ~label:(lazy (Printf.sprintf "abort-random(rate=%g,max=%d)" rate max_aborts))
     ?pids
     (Plan.gate "Abort.random" ~salt:0xab02 ~seed ~rate ~budget:max_aborts ())
     ignore
@@ -82,7 +84,8 @@ let storm ~seed ~rate ~max_aborts ~gap ?(backoff = 1.0) () : t =
   let gate = Plan.gate "Abort.storm" ~salt:0xab5702 ~seed ~rate ~budget:max_aborts ~gap ~backoff () in
   {
     Plan.none with
-    label = Printf.sprintf "abort-storm(rate=%g,max=%d,gap=%d,backoff=%g)" rate max_aborts gap backoff;
+    label =
+      lazy (Printf.sprintf "abort-storm(rate=%g,max=%d,gap=%d,backoff=%g)" rate max_aborts gap backoff);
     async =
       (fun ~step view ->
         if Plan.fire gate ~step then begin
@@ -111,5 +114,5 @@ let replay_fired = function
       in
       {
         (all (List.map plan_of fired)) with
-        label = Printf.sprintf "abort-replay-fired(%d)" (List.length fired);
+        label = lazy (Printf.sprintf "abort-replay-fired(%d)" (List.length fired));
       }

@@ -34,6 +34,7 @@ val blind_view : n:int -> view
 type t
 
 val label : t -> string
+(** Built on the first call, not with the plan (see {!Plan.t}). *)
 
 val on_op : t -> Plan.op_info -> bool
 (** Signal the op's process before this op? *)

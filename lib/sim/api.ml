@@ -20,9 +20,6 @@ let pp_kind ppf k =
 type _ view =
   | V_read : Cell.t -> int view
   | V_write : Cell.t * int -> unit view
-  | V_fas_open_unsafe : int * Cell.t * int -> int view
-  | V_fas_persist : Cell.t * int * Cell.t -> unit view
-  | V_write_close_unsafe : int * Cell.t * int -> unit view
   | V_get_done : int view
   | V_get_step : int view
   | V_poll_abort : bool view
@@ -35,14 +32,17 @@ type _ view =
   | V_note_reg : unit view
   | V_spin_reg : unit view
   | V_spin_abortable_reg : unit view
+  | V_fas_open_unsafe_reg : int view
+  | V_write_close_unsafe_reg : unit view
+  | V_fas_persist_reg : unit view
 
 exception Abort_signal
 
 let kind_of_view : type a. a view -> kind = function
   | V_read _ | V_read_reg -> Read
-  | V_write _ | V_write_close_unsafe _ | V_write_reg -> Write
+  | V_write _ | V_write_close_unsafe_reg | V_write_reg -> Write
   | V_cas_reg -> Cas
-  | V_fas_open_unsafe _ | V_fas_persist _ | V_fas_reg -> Fas
+  | V_fas_open_unsafe_reg | V_fas_persist_reg | V_fas_reg -> Fas
   | V_faa_reg -> Faa
   | V_spin_reg | V_spin_abortable_reg -> Spin
   | V_note_reg -> Note
@@ -50,11 +50,9 @@ let kind_of_view : type a. a view -> kind = function
 
 let is_register_view : type a. a view -> bool = function
   | V_read_reg | V_write_reg | V_cas_reg | V_fas_reg | V_faa_reg | V_note_reg | V_spin_reg
-  | V_spin_abortable_reg ->
+  | V_spin_abortable_reg | V_fas_open_unsafe_reg | V_write_close_unsafe_reg | V_fas_persist_reg ->
       true
-  | V_read _ | V_write _ | V_fas_open_unsafe _ | V_fas_persist _ | V_write_close_unsafe _
-  | V_get_done | V_get_step | V_poll_abort | V_yield ->
-      false
+  | V_read _ | V_write _ | V_get_done | V_get_step | V_poll_abort | V_yield -> false
 
 type operands = {
   mutable cell : Cell.t;
@@ -93,10 +91,14 @@ let load_operands : type a. a view -> reg:operands -> operands -> unit =
   | V_write_reg | V_fas_reg | V_faa_reg ->
       set_cell o reg.cell;
       o.arg <- reg.arg
-  | V_cas_reg ->
+  | V_cas_reg | V_fas_open_unsafe_reg | V_write_close_unsafe_reg ->
       set_cell o reg.cell;
       o.arg <- reg.arg;
       o.arg2 <- reg.arg2
+  | V_fas_persist_reg ->
+      set_cell o reg.cell;
+      o.arg <- reg.arg;
+      if o.dst != reg.dst then o.dst <- reg.dst
   | V_note_reg -> set_note o reg.note
   | V_spin_reg | V_spin_abortable_reg ->
       set_cell o reg.cell;
@@ -105,14 +107,6 @@ let load_operands : type a. a view -> reg:operands -> operands -> unit =
   | V_write (c, v) ->
       o.cell <- c;
       o.arg <- v
-  | V_fas_open_unsafe (lock, c, v) | V_write_close_unsafe (lock, c, v) ->
-      o.cell <- c;
-      o.arg <- v;
-      o.arg2 <- lock
-  | V_fas_persist (c, v, dst) ->
-      o.cell <- c;
-      o.arg <- v;
-      o.dst <- dst
   | V_get_done | V_get_step | V_poll_abort | V_yield -> ()
 
 (* One register per domain: a fiber fills it and performs its effect, and
@@ -124,10 +118,10 @@ let register () = Domain.DLS.get register_key
 
 type _ Effect.t += Instr : 'a view -> 'a Effect.t
 
-(* The argument-carrying instructions, the spins included, fill the
-   register and perform one shared effect value per kind, so a call
-   allocates no view and no [Instr] block; the argument-free ones need no
-   register at all. *)
+(* The argument-carrying instructions, the spins and the window-marking
+   ones included, fill the register and perform one shared effect value
+   per kind, so a call allocates no view and no [Instr] block; the
+   argument-free ones need no register at all. *)
 let read_eff = Instr V_read_reg
 
 let write_eff = Instr V_write_reg
@@ -143,6 +137,12 @@ let note_eff = Instr V_note_reg
 let spin_eff = Instr V_spin_reg
 
 let spin_abortable_eff = Instr V_spin_abortable_reg
+
+let fas_open_unsafe_eff = Instr V_fas_open_unsafe_reg
+
+let write_close_unsafe_eff = Instr V_write_close_unsafe_reg
+
+let fas_persist_eff = Instr V_fas_persist_reg
 
 let read c =
   let r = register () in
@@ -174,11 +174,26 @@ let faa c v =
   r.arg <- v;
   Effect.perform faa_eff
 
-let fas_open_unsafe ~lock c v = Effect.perform (Instr (V_fas_open_unsafe (lock, c, v)))
+let fas_open_unsafe ~lock c v =
+  let r = register () in
+  set_cell r c;
+  r.arg <- v;
+  r.arg2 <- lock;
+  Effect.perform fas_open_unsafe_eff
 
-let write_close_unsafe ~lock c v = Effect.perform (Instr (V_write_close_unsafe (lock, c, v)))
+let write_close_unsafe ~lock c v =
+  let r = register () in
+  set_cell r c;
+  r.arg <- v;
+  r.arg2 <- lock;
+  Effect.perform write_close_unsafe_eff
 
-let fas_persist c v ~dst = Effect.perform (Instr (V_fas_persist (c, v, dst)))
+let fas_persist c v ~dst =
+  let r = register () in
+  set_cell r c;
+  r.arg <- v;
+  if r.dst != dst then r.dst <- dst;
+  Effect.perform fas_persist_eff
 
 let spin_until c cond =
   let r = register () in

@@ -23,26 +23,17 @@ val pp_kind : kind Fmt.t
 
 (** The engine-side view of a suspended instruction.
 
-    {!read}, {!write}, {!cas}, {!fas}, {!faa}, {!note}, {!spin_until} and
-    {!spin_abortable} perform one of the eight {e register views}
-    ([V_read_reg] … [V_spin_abortable_reg]): constant constructors whose
-    operands travel in this domain's operand {!register}.  The other views
-    carry their operands inline: the window-marking instructions and
-    {!fas_persist} build theirs per call, and [V_read] and [V_write] remain
-    for code that performs {!Instr} directly or asks {!Footprint.of_view}
-    about a given cell. *)
+    Every instruction with operands — {!read}, {!write}, {!cas}, {!fas},
+    {!faa}, {!note}, {!spin_until}, {!spin_abortable}, {!fas_open_unsafe},
+    {!write_close_unsafe} and {!fas_persist} — performs one of the eleven
+    {e register views} ([V_read_reg] … [V_fas_persist_reg]): constant
+    constructors whose operands travel in this domain's operand
+    {!register}.  The only views that carry their operands inline are
+    [V_read] and [V_write], which remain for code that performs {!Instr}
+    directly or asks {!Footprint.of_view} about a given cell. *)
 type _ view =
   | V_read : Cell.t -> int view
   | V_write : Cell.t * int -> unit view
-  | V_fas_open_unsafe : int * Cell.t * int -> int view
-      (** FAS that opens lock [id]'s sensitive window (the WR-Lock append,
-          Algorithm 2 line "FAS(tail, mine\[i\])"). *)
-  | V_fas_persist : Cell.t * int * Cell.t -> unit view
-      (** Atomic FAS-and-persist-result, the stronger instruction used by the
-          [kport] substitution (DESIGN.md S1). *)
-  | V_write_close_unsafe : int * Cell.t * int -> unit view
-      (** Write that closes lock [id]'s sensitive window (persisting the FAS
-          result into [pred]). *)
   | V_get_done : int view
   | V_get_step : int view
   | V_poll_abort : bool view
@@ -59,6 +50,18 @@ type _ view =
           condition possibly still false — when the spinning process
           carries a pending abort signal.  Follow with {!poll_abort} to
           tell the two wake reasons apart. *)
+  | V_fas_open_unsafe_reg : int view
+      (** {!fas_open_unsafe}: FAS of [arg] into [cell] that opens lock
+          [arg2]'s sensitive window (the WR-Lock append, Algorithm 2 line
+          "FAS(tail, mine\[i\])"). *)
+  | V_write_close_unsafe_reg : unit view
+      (** {!write_close_unsafe}: write of [arg] into [cell] that closes lock
+          [arg2]'s sensitive window (persisting the FAS result into
+          [pred]). *)
+  | V_fas_persist_reg : unit view
+      (** {!fas_persist}: atomic FAS of [arg] into [cell] whose result is
+          persisted into [dst], the stronger instruction used by the
+          [kport] substitution (DESIGN.md S1). *)
 
 exception Abort_signal
 (** Raised by abortable lock [acquire] code when it observes a pending
@@ -69,7 +72,7 @@ exception Abort_signal
 val kind_of_view : 'a view -> kind
 
 val is_register_view : 'a view -> bool
-(** [true] for the eight register views, whose operands are not in the view. *)
+(** [true] for the eleven register views, whose operands are not in the view. *)
 
 (** {1 Operands}
 
@@ -106,13 +109,11 @@ val load_operands : 'a view -> reg:operands -> operands -> unit
 
 type _ Effect.t += Instr : 'a view -> 'a Effect.t
 (** The single effect simulated processes perform; handled by {!Engine}.
-    Every instruction function performs a shared top-level [Instr] value
-    except the window-marking ones and {!fas_persist}, which build their
-    inline view and [Instr] per call.  The argument-free instructions
-    ({!step}, {!yield}, {!completed_requests}, {!poll_abort}) need no
-    operands; {!read}, {!write}, {!cas}, {!fas}, {!faa}, {!note} and the
-    spins first store theirs in the {!register}, so their calls allocate
-    nothing either. *)
+    Every instruction function performs a shared top-level [Instr] value.
+    The argument-free instructions ({!step}, {!yield},
+    {!completed_requests}, {!poll_abort}) need no operands; the others
+    first store theirs in the {!register}, so no instruction call
+    allocates. *)
 
 (** {1 Instructions} *)
 

@@ -11,7 +11,7 @@ type por_class = Plan.por_class = Robust of int list | Sensitive
 
 type t = (point, unit) Plan.t
 
-let label (t : t) = t.label
+let label (t : t) = Lazy.force t.label
 
 let on_op (t : t) info = match t.on_op info with None -> No_crash | Some p -> Crash p
 
@@ -58,25 +58,25 @@ let on_match ~label ~pid ~occurrence ~point match_ : t =
 
 let on_kind ~pid ~kind ~occurrence point =
   on_match
-    ~label:(Fmt.str "on-kind(p%d,%a,%d)" pid Api.pp_kind kind occurrence)
+    ~label:(lazy (Fmt.str "on-kind(p%d,%a,%d)" pid Api.pp_kind kind occurrence))
     ~pid ~occurrence ~point
     (fun info -> info.kind = kind)
 
 let on_cell ~pid ~cell ~occurrence point =
   on_match
-    ~label:(Printf.sprintf "on-cell(p%d,%s,%d)" pid cell occurrence)
+    ~label:(lazy (Printf.sprintf "on-cell(p%d,%s,%d)" pid cell occurrence))
     ~pid ~occurrence ~point
     (fun info -> info.cell = Some cell)
 
 let on_custom_note ~pid ~tag ~occurrence point =
   on_match
-    ~label:(Printf.sprintf "on-note(p%d,%s,%d)" pid tag occurrence)
+    ~label:(lazy (Printf.sprintf "on-note(p%d,%s,%d)" pid tag occurrence))
     ~pid ~occurrence ~point
     (fun info -> match info.note with Some (Event.Custom s) -> s = tag | _ -> false)
 
 let random ~seed ~rate ~max_crashes ?pids () : t =
   Plan.coin
-    ~label:(Printf.sprintf "random(rate=%g,max=%d)" rate max_crashes)
+    ~label:(lazy (Printf.sprintf "random(rate=%g,max=%d)" rate max_crashes))
     ?pids
     (Plan.gate "Crash.random" ~salt:0x5ca1ab1e ~seed ~rate ~budget:max_crashes ())
     draw_point
@@ -85,7 +85,7 @@ let fas_gap ~seed ~rate ~max_crashes ?(cell_suffix = "filter.tail") () : t =
   let gate = Plan.gate "Crash.fas_gap" ~salt:0xdeadfa5 ~seed ~rate ~budget:max_crashes () in
   {
     Plan.none with
-    label = Printf.sprintf "fas-gap(rate=%g,max=%d)" rate max_crashes;
+    label = lazy (Printf.sprintf "fas-gap(rate=%g,max=%d)" rate max_crashes);
     on_op =
       (fun info ->
         match info.cell with
@@ -97,7 +97,7 @@ let fas_gap ~seed ~rate ~max_crashes ?(cell_suffix = "filter.tail") () : t =
     por = Sensitive;
   }
 
-let batch ~step ~pids = { (async_at (List.map (fun p -> (step, p)) pids)) with label = "batch" }
+let batch ~step ~pids = { (async_at (List.map (fun p -> (step, p)) pids)) with label = lazy "batch" }
 
 let every_nth_passage ~pid ~period ~max_crashes : t =
   if period <= 0 then invalid_arg "Crash.every_nth_passage: period must be positive";
@@ -105,7 +105,7 @@ let every_nth_passage ~pid ~period ~max_crashes : t =
   let budget = ref max_crashes in
   {
     Plan.none with
-    label = Printf.sprintf "every-nth-passage(p%d,%d)" pid period;
+    label = lazy (Printf.sprintf "every-nth-passage(p%d,%d)" pid period);
     on_op =
       (fun info ->
         match info.note with
@@ -127,7 +127,7 @@ let target_holder ?lock ~seed ~rate ~max_crashes () : t =
   let matches id = match lock with None -> true | Some l -> l = id in
   {
     Plan.none with
-    label = Printf.sprintf "holder(rate=%g,max=%d)" rate max_crashes;
+    label = lazy (Printf.sprintf "holder(rate=%g,max=%d)" rate max_crashes);
     on_op =
       (fun info ->
         (* Track the span before deciding, so the entering note itself is a
@@ -149,7 +149,7 @@ let target_window ~seed ~rate ~max_crashes () : t =
   let gate = Plan.gate "Crash.target_window" ~salt:0x7a26e7 ~seed ~rate ~budget:max_crashes () in
   {
     Plan.none with
-    label = Printf.sprintf "window(rate=%g,max=%d)" rate max_crashes;
+    label = lazy (Printf.sprintf "window(rate=%g,max=%d)" rate max_crashes);
     on_op =
       (fun info ->
         (* [Before] keeps the crash strictly inside the open window: crashing
@@ -164,7 +164,7 @@ let repeat_offender ~victim ~gap ~times : t =
   let countdown = ref (-1) in
   {
     Plan.none with
-    label = Printf.sprintf "repeat-offender(p%d,gap=%d,times=%d)" victim gap times;
+    label = lazy (Printf.sprintf "repeat-offender(p%d,gap=%d,times=%d)" victim gap times);
     on_op =
       (fun info ->
         if info.pid <> victim || !budget <= 0 then None
@@ -189,7 +189,8 @@ let repeat_offender ~victim ~gap ~times : t =
 
 let storm ~seed ~rate ~max_crashes ~gap ?(backoff = 1.0) ?pids () : t =
   Plan.coin
-    ~label:(Printf.sprintf "storm(rate=%g,max=%d,gap=%d,backoff=%g)" rate max_crashes gap backoff)
+    ~label:
+      (lazy (Printf.sprintf "storm(rate=%g,max=%d,gap=%d,backoff=%g)" rate max_crashes gap backoff))
     ?pids
     (Plan.gate "Crash.storm" ~salt:0x5702e0 ~seed ~rate ~budget:max_crashes ~gap ~backoff ())
     draw_point
@@ -207,13 +208,15 @@ let system_gate ~label gate : t =
 
 let system_random ~seed ~rate ~max_crashes () =
   system_gate
-    ~label:(Printf.sprintf "system-random(rate=%g,max=%d)" rate max_crashes)
+    ~label:(lazy (Printf.sprintf "system-random(rate=%g,max=%d)" rate max_crashes))
     (Plan.gate "Crash.system_random" ~salt:0x5b5c8a ~seed ~rate ~budget:max_crashes ())
 
 let system_storm ~seed ~rate ~max_crashes ~gap ?(backoff = 1.0) () =
   system_gate
     ~label:
-      (Printf.sprintf "system-storm(rate=%g,max=%d,gap=%d,backoff=%g)" rate max_crashes gap backoff)
+      (lazy
+        (Printf.sprintf "system-storm(rate=%g,max=%d,gap=%d,backoff=%g)" rate max_crashes gap
+           backoff))
     (Plan.gate "Crash.system_storm" ~salt:0x5b5702 ~seed ~rate ~budget:max_crashes ~gap ~backoff ())
 
 type fired = {
@@ -235,5 +238,5 @@ let replay_fired = function
       in
       {
         (all (List.map plan_of fired)) with
-        label = Printf.sprintf "replay-fired(%d)" (List.length fired);
+        label = lazy (Printf.sprintf "replay-fired(%d)" (List.length fired));
       }

@@ -35,6 +35,7 @@ type por_class = Plan.por_class = Robust of int list | Sensitive
 type t
 
 val label : t -> string
+(** Built on the first call, not with the plan (see {!Plan.t}). *)
 
 val on_op : t -> op_info -> decision
 

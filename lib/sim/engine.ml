@@ -124,7 +124,7 @@ let answer_type : type a. a Api.view -> a answer = function
   | Api.V_read _ -> A_int
   | Api.V_read_reg -> A_int
   | Api.V_fas_reg -> A_int
-  | Api.V_fas_open_unsafe _ -> A_int
+  | Api.V_fas_open_unsafe_reg -> A_int
   | Api.V_faa_reg -> A_int
   | Api.V_get_done -> A_int
   | Api.V_get_step -> A_int
@@ -132,8 +132,8 @@ let answer_type : type a. a Api.view -> a answer = function
   | Api.V_poll_abort -> A_bool
   | Api.V_write _ -> A_unit
   | Api.V_write_reg -> A_unit
-  | Api.V_write_close_unsafe _ -> A_unit
-  | Api.V_fas_persist _ -> A_unit
+  | Api.V_write_close_unsafe_reg -> A_unit
+  | Api.V_fas_persist_reg -> A_unit
   | Api.V_note_reg -> A_unit
   | Api.V_yield -> A_unit
   | Api.V_spin_reg -> A_unit
@@ -295,6 +295,19 @@ type t = {
   mutable npos : int;
   mutable footprints : Footprint.t array;
   mutable nfp : int;
+  (* The run's pick inputs, set by [run_in] and [run_trace], so that the
+     step loop and its picks are top-level functions and a run builds no
+     closure for them. *)
+  mutable sched : Sched.t;
+  mutable decisions : int array;  (* [run_trace]'s decision vector *)
+  mutable por : bool;  (* record footprints *)
+  mutable crashy : int -> bool;
+  mutable key_at : int;  (* the position whose state key [on_key] gets; -1 for none *)
+  mutable on_key : int array -> unit;
+  (* The last run's result parts that [finish] reuses while they still
+     hold: each lock's stats, and the charged-kinds list. *)
+  lock_stats : lock_stats array;
+  mutable kinds : (Api.kind * int) list;
   mutable last_rmr : int;  (* RMR cost of the last [apply] (scratch) *)
   rmr_by_kind : int array;  (* indexed by a dense Api.kind code *)
   mutable total_rmr : int;
@@ -418,8 +431,8 @@ let resolve_abort eng pid result =
 let abortable_spin eng pid =
   match eng.units.view.(pid) with
   | Api.V_spin_abortable_reg -> true
-  | Api.V_spin_reg | Api.V_write _ | Api.V_write_reg | Api.V_write_close_unsafe _
-  | Api.V_fas_persist _ | Api.V_note_reg | Api.V_yield ->
+  | Api.V_spin_reg | Api.V_write _ | Api.V_write_reg | Api.V_write_close_unsafe_reg
+  | Api.V_fas_persist_reg | Api.V_note_reg | Api.V_yield ->
       false
 
 (* Deliver an abort signal.  Only a live process inside some lock's entry
@@ -468,9 +481,21 @@ let enter_lock_cs eng pid id =
   end;
   eng.holding.(pid) <- id :: eng.holding.(pid)
 
+(* [l] without [id], in order, sharing the tail past [id]'s last
+   occurrence: the common case, [id] at the head and nowhere else (the
+   last lock entered is the first one left), returns the tail and
+   allocates nothing, and neither does an [l] without [id]. *)
+let rec without id = function
+  | [] -> []
+  | x :: rest as l ->
+      if x = id then without id rest
+      else
+        let rest' = without id rest in
+        if rest' == rest then l else x :: rest'
+
 let leave_lock_cs eng pid id =
   if List.mem id eng.holding.(pid) then begin
-    eng.holding.(pid) <- List.filter (fun x -> x <> id) eng.holding.(pid);
+    eng.holding.(pid) <- without id eng.holding.(pid);
     eng.occupancy.(id) <- eng.occupancy.(id) - 1
   end
 
@@ -615,8 +640,7 @@ let open_unsafe eng pid lock =
   if not (List.mem lock eng.unsafe_open.(pid)) then
     eng.unsafe_open.(pid) <- lock :: eng.unsafe_open.(pid)
 
-let close_unsafe eng pid lock =
-  eng.unsafe_open.(pid) <- List.filter (fun x -> x <> lock) eng.unsafe_open.(pid)
+let close_unsafe eng pid lock = eng.unsafe_open.(pid) <- without lock eng.unsafe_open.(pid)
 
 (* Apply [pid]'s pending non-spin instruction to shared memory, returning
    its packed answer (see [answer]) and leaving the RMR cost in
@@ -643,16 +667,16 @@ let apply : type a. t -> int -> a Api.view -> int =
       let old = Memory.fas_u mem ~pid o.cell o.arg in
       eng.last_rmr <- Memory.last_cost mem;
       old
-  | Api.V_fas_open_unsafe _ ->
+  | Api.V_fas_open_unsafe_reg ->
       let old = Memory.fas_u mem ~pid o.cell o.arg in
       eng.last_rmr <- Memory.last_cost mem;
       open_unsafe eng pid o.arg2;
       old
-  | Api.V_write_close_unsafe _ ->
+  | Api.V_write_close_unsafe_reg ->
       eng.last_rmr <- Memory.write mem ~pid o.cell o.arg;
       close_unsafe eng pid o.arg2;
       0
-  | Api.V_fas_persist _ ->
+  | Api.V_fas_persist_reg ->
       let old = Memory.fas_u mem ~pid o.cell o.arg in
       let m1 = Memory.last_cost mem in
       eng.last_rmr <- m1 + Memory.write mem ~pid o.dst old;
@@ -702,7 +726,7 @@ let has_cell view =
   | Api.Note | Api.Nop -> false
   | Api.Read | Api.Write | Api.Cas | Api.Fas | Api.Faa | Api.Spin -> true
 
-(* Wake waiters after a mutating instruction.  [V_fas_persist] wakes on its
+(* Wake waiters after a mutating instruction.  [V_fas_persist_reg] wakes on its
    primary cell only. *)
 let wake_after eng pid view =
   match Api.kind_of_view view with
@@ -732,7 +756,7 @@ let record_op : type a. t -> int -> a Api.view -> unit =
     (* fas_persist atomically touches a second cell; give it its own trace
        entry so replay sees every mutation. *)
     match view with
-    | Api.V_fas_persist _ -> emit ~kind:"write" (Some o.dst)
+    | Api.V_fas_persist_reg -> emit ~kind:"write" (Some o.dst)
     | _ -> ()
   end
 
@@ -745,6 +769,21 @@ let discontinue (type a) eng pid (k : (a, phase) Effect.Deep.continuation) =
   | Start | Ready_int | Ready_bool | Ready_unit | Parked | Woken ->
       (* The body swallowed [Crashed] and kept computing: forbidden. *)
       failwith "Engine: process body must not catch the crash exception"
+
+(* The crash's unsafe failures, one per lock whose window it left open. *)
+let rec log_unsafe eng = function
+  | [] -> ()
+  | lock :: rest ->
+      eng.unsafe_crashes.(lock) <- eng.unsafe_crashes.(lock) + 1;
+      Vec.push eng.unsafe_log eng.crash_seq;
+      Vec.push eng.unsafe_log lock;
+      log_unsafe eng rest
+
+let rec leave_all eng pid = function
+  | [] -> ()
+  | lock :: rest ->
+      leave_lock_cs eng pid lock;
+      leave_all eng pid rest
 
 (* Crash [pid], discarding whatever fiber its slots hold.  [exec] calls
    this while the tag is still the [Ready_*] being executed. *)
@@ -761,16 +800,11 @@ let do_crash eng pid =
            in_passage = eng.in_passage.(pid);
          });
   eng.crashes.(pid) <- eng.crashes.(pid) + 1;
-  List.iter
-    (fun lock ->
-      eng.unsafe_crashes.(lock) <- eng.unsafe_crashes.(lock) + 1;
-      Vec.push eng.unsafe_log eng.crash_seq;
-      Vec.push eng.unsafe_log lock)
-    eng.unsafe_open.(pid);
+  log_unsafe eng eng.unsafe_open.(pid);
   eng.crash_seq <- eng.crash_seq + 1;
   eng.crash_step.(pid) <- eng.step;
   eng.waits_on.(pid) <- -1;
-  List.iter (fun lock -> leave_lock_cs eng pid lock) eng.holding.(pid);
+  leave_all eng pid eng.holding.(pid);
   if eng.in_app_cs.(pid) then begin
     eng.in_app_cs.(pid) <- false;
     eng.global_cs <- eng.global_cs - 1
@@ -991,6 +1025,8 @@ let pending_footprint eng ~crashy pid =
   | Woken -> Footprint.waiting ~pid o.cell
   | Parked | Halted -> assert false
 
+let rec hmix_ids h = function [] -> h | l :: rest -> hmix_ids (hmix h (l + 1)) rest
+
 (* The state key behind the explorer's decision-node deduplication: a
    compact int-array digest of everything that determines both the future
    of the run (store contents and versions, cache validity, per-process
@@ -1010,7 +1046,11 @@ let pending_footprint eng ~crashy pid =
    ready/parked/woken, which engine bookkeeping decides outside the
    stream.  A schedule-robust ([Crash.por_class] = [Robust]) plan's
    internal cursor is likewise a function of the per-process op streams,
-   which the digests determine. *)
+   which the digests determine.
+
+   The folds run as plain loops over unboxed accumulators: an iterator's
+   closure over a [ref] would box it, and the key is built once per
+   explorer node. *)
 let state_key eng =
   let n = eng.n in
   let nlocks = Array.length eng.occupancy in
@@ -1027,28 +1067,27 @@ let state_key eng =
       | Halted -> 4
     in
     key.(1 + n + p) <- tag lor (eng.op_index.(p) lsl 3);
-    let h = ref (hmix 0 eng.completed.(p)) in
-    h := hmix !h eng.crashes.(p);
-    h := hmix !h eng.level_max.(p);
-    h := hmix !h (Bool.to_int eng.in_passage.(p));
-    h := hmix !h (Bool.to_int eng.in_app_cs.(p));
-    h := hmix !h eng.passage_rmr.(p);
-    h := hmix !h eng.passage_super.(p);
+    let h = hmix 0 eng.completed.(p) in
+    let h = hmix h eng.crashes.(p) in
+    let h = hmix h eng.level_max.(p) in
+    let h = hmix h (Bool.to_int eng.in_passage.(p)) in
+    let h = hmix h (Bool.to_int eng.in_app_cs.(p)) in
+    let h = hmix h eng.passage_rmr.(p) in
+    let h = hmix h eng.passage_super.(p) in
     (* Abort state, minus global-step quantities ([entry_since],
        [ab_signal_step]) — excluded like latencies, per the POR contract. *)
-    h := hmix !h (Bool.to_int eng.ab_flag.(p));
-    h := hmix !h eng.ab_own.(p);
-    h := hmix !h eng.ab_rmr_acc.(p);
-    h := hmix !h eng.ab_streak.(p);
-    h := hmix !h eng.entry_depth.(p);
-    List.iter (fun l -> h := hmix !h (l + 1)) eng.unsafe_open.(p);
-    h := hmix !h (-2);
-    List.iter (fun l -> h := hmix !h (l + 1)) eng.holding.(p);
-    h := hmix !h (-3);
-    Vec.iter
-      (fun (pa : passage) ->
-        h := hmix (hmix (hmix !h pa.super) pa.rmr) (Bool.to_int pa.completed))
-      eng.passages.(p);
+    let h = hmix h (Bool.to_int eng.ab_flag.(p)) in
+    let h = hmix h eng.ab_own.(p) in
+    let h = hmix h eng.ab_rmr_acc.(p) in
+    let h = hmix h eng.ab_streak.(p) in
+    let h = hmix h eng.entry_depth.(p) in
+    let h = hmix (hmix_ids h eng.unsafe_open.(p)) (-2) in
+    let h = ref (hmix (hmix_ids h eng.holding.(p)) (-3)) in
+    let passages = eng.passages.(p) in
+    for i = 0 to Vec.length passages - 1 do
+      let pa = Vec.unsafe_get passages i in
+      h := hmix (hmix (hmix !h pa.super) pa.rmr) (Bool.to_int pa.completed)
+    done;
     key.(1 + (2 * n) + p) <- !h
   done;
   for l = 0 to nlocks - 1 do
@@ -1056,20 +1095,22 @@ let state_key eng =
       hmix (hmix (hmix 0 eng.occupancy.(l)) eng.occupancy_max.(l)) eng.unsafe_crashes.(l)
   done;
   let h = ref (hmix 0 eng.total_rmr) in
-  Array.iter (fun v -> h := hmix !h v) eng.rmr_by_kind;
+  for k = 0 to Array.length eng.rmr_by_kind - 1 do
+    h := hmix !h eng.rmr_by_kind.(k)
+  done;
   h := hmix !h eng.system_crashes;
-  Vec.iter
-    (fun (a : abort_stat) ->
-      h :=
-        hmix
-          (hmix (hmix (hmix !h (a.ab_pid + 1)) a.ab_own_steps) a.ab_rmr)
-          (match a.ab_result with
-          | Res_aborted -> 1
-          | Res_lost_race -> 2
-          | Res_acquired -> 3
-          | Res_crashed -> 4
-          | Res_pending -> 5))
-    eng.ab_stats;
+  for i = 0 to Vec.length eng.ab_stats - 1 do
+    let a = Vec.unsafe_get eng.ab_stats i in
+    h :=
+      hmix
+        (hmix (hmix (hmix !h (a.ab_pid + 1)) a.ab_own_steps) a.ab_rmr)
+        (match a.ab_result with
+        | Res_aborted -> 1
+        | Res_lost_race -> 2
+        | Res_acquired -> 3
+        | Res_crashed -> 4
+        | Res_pending -> 5)
+  done;
   key.((3 * n) + nlocks + 1) <- !h;
   key.((3 * n) + nlocks + 2) <- eng.global_cs;
   key.((3 * n) + nlocks + 3) <- eng.global_cs_max;
@@ -1199,24 +1240,55 @@ let monitors eng =
       held_at_end = held;
     }
 
+(* [l] is the charged-kinds list of the counters, from code [i] on. *)
+let rec kinds_hold eng i l =
+  if i >= Array.length eng.rmr_by_kind then l = []
+  else
+    let v = eng.rmr_by_kind.(i) in
+    if v = 0 then kinds_hold eng (i + 1) l
+    else
+      match l with
+      | (k, v') :: rest -> kind_code k = i && v' = v && kinds_hold eng (i + 1) rest
+      | [] -> false
+
+let proc_stats eng pid =
+  {
+    passages = Vec.to_list eng.passages.(pid);
+    crashes = eng.crashes.(pid);
+    completed = eng.completed.(pid);
+    max_level = eng.level_max.(pid);
+  }
+
+(* Lock [id]'s stats, the last run's record when they are the same. *)
+let lock_stats eng id =
+  let s = eng.lock_stats.(id) in
+  if s.max_occupancy = eng.occupancy_max.(id) && s.unsafe_crashes = eng.unsafe_crashes.(id) then s
+  else begin
+    let s =
+      {
+        lock_name = Vec.get eng.lock_names id;
+        max_occupancy = eng.occupancy_max.(id);
+        unsafe_crashes = eng.unsafe_crashes.(id);
+      }
+    in
+    eng.lock_stats.(id) <- s;
+    s
+  end
+
+(* The run's result.  Its records are immutable, so the parts that equal
+   the last run's ([lock_stats], [kinds]) are that run's values, shared,
+   and the arrays are filled by loops rather than [Array.init] closures. *)
 let finish eng =
-  let procs =
-    Array.init eng.n (fun pid ->
-        {
-          passages = Vec.to_list eng.passages.(pid);
-          crashes = eng.crashes.(pid);
-          completed = eng.completed.(pid);
-          max_level = eng.level_max.(pid);
-        })
-  in
-  let locks =
-    Array.init (Array.length eng.occupancy) (fun id ->
-        {
-          lock_name = Vec.get eng.lock_names id;
-          max_occupancy = eng.occupancy_max.(id);
-          unsafe_crashes = eng.unsafe_crashes.(id);
-        })
-  in
+  let n = eng.n and nlocks = Array.length eng.occupancy in
+  let procs = if n = 0 then [||] else Array.make n (proc_stats eng 0) in
+  for pid = 1 to n - 1 do
+    procs.(pid) <- proc_stats eng pid
+  done;
+  let locks = if nlocks = 0 then [||] else Array.make nlocks (lock_stats eng 0) in
+  for id = 1 to nlocks - 1 do
+    locks.(id) <- lock_stats eng id
+  done;
+  if not (kinds_hold eng 0 eng.kinds) then eng.kinds <- charged_kinds eng;
   let pending_aborts = ref [] in
   for pid = eng.n - 1 downto 0 do
     if eng.ab_flag.(pid) then
@@ -1235,7 +1307,7 @@ let finish eng =
   {
     steps = eng.step;
     total_rmr = eng.total_rmr;
-    rmr_by_kind = charged_kinds eng;
+    rmr_by_kind = eng.kinds;
     total_crashes = Array.fold_left ( + ) 0 eng.crashes;
     system_crashes = eng.system_crashes;
     procs;
@@ -1266,6 +1338,15 @@ let no_abort_view = Abort.blind_view ~n:0
 
 let no_handler : (unit, phase) Effect.Deep.handler =
   { retc = (fun () -> Halted); exnc = raise; effc = (fun _ -> None) }
+
+let no_sched = Sched.make ~label:"none" (fun ~runnable ~step:_ -> runnable.(0))
+
+let never_crashy (_ : int) = false
+
+(* Matches no lock's stats, so a lock's first [finish] builds its record. *)
+let no_lock_stats = { lock_name = ""; max_occupancy = -1; unsafe_crashes = -1 }
+
+let ignore_key (_ : int array) = ()
 
 (* Domain-safety audit (plans and seeds sharded over domains): an engine
    serves one run at a time.  [run] constructs a fresh one per call, and
@@ -1364,6 +1445,14 @@ let arena ~n ~model ~setup ~body =
       npos = 0;
       footprints = [||];
       nfp = 0;
+      sched = no_sched;
+      decisions = [||];
+      por = false;
+      crashy = never_crashy;
+      key_at = -1;
+      on_key = ignore_key;
+      lock_stats = Array.make nlocks no_lock_stats;
+      kinds = [];
       last_rmr = 0;
       rmr_by_kind = Array.make 8 0;
       total_rmr = 0;
@@ -1472,43 +1561,51 @@ let prepare eng ~stall_window ~max_steps ~sink ~consult_ops ~track_ans ~trace_op
   eng.deadlocked <- false;
   eng.timed_out <- false
 
+let rec async_crashes eng = function
+  | [] -> ()
+  | pid :: rest ->
+      async_crash eng pid;
+      async_crashes eng rest
+
+let rec async_aborts eng = function
+  | [] -> ()
+  | pid :: rest ->
+      signal_abort eng ~origin:(-1) pid;
+      async_aborts eng rest
+
 (* The step loop of both entries.  Each iteration fires the asynchronous
    crash, system-crash and abort decisions, builds the ready set, and steps
-   the pid [pick pos ready] names, [pos] being the decision position. *)
-let drive eng ~pick =
-  let handler = eng.handler in
-  (* Hoisted once: partially applying these in the loop would allocate a
-     closure per step. *)
-  let crash_iter = if eng.has_crash then async_crash eng else ignore in
-  let abort_iter = if eng.has_abort then signal_abort eng ~origin:(-1) else ignore in
-  let rec loop pos =
-    if eng.has_crash then begin
-      List.iter crash_iter (Crash.async eng.crash ~step:eng.step);
-      if Crash.system eng.crash ~step:eng.step then system_crash_now eng
-    end;
-    if eng.has_abort then List.iter abort_iter (Abort.async eng.abort ~step:eng.step eng.abort_view);
-    let ready = runnable eng in
-    if Array.length ready = 0 then begin
-      let any_parked =
-        Array.exists
-          (function
-            | Parked -> true
-            | Start | Ready_int | Ready_bool | Ready_unit | Woken | Halted -> false)
-          eng.phase
-      in
-      if any_parked then eng.deadlocked <- true
-      (* else: all halted — normal termination *)
-    end
-    else if eng.step >= eng.max_steps then eng.timed_out <- true
-    else begin
-      let pid = pick pos ready in
-      eng.last_sched.(pid) <- eng.step;
-      step_process eng handler pid;
-      eng.step <- eng.step + 1;
-      loop (pos + 1)
-    end
-  in
-  loop 0
+   the pid [pick eng pos ready] names, [pos] being the decision position.
+   [pick] is one of the top-level picks below, which read their inputs from
+   the engine, so a run allocates no closure here. *)
+let rec drive eng ~pick pos =
+  if eng.has_crash then begin
+    async_crashes eng (Crash.async eng.crash ~step:eng.step);
+    if Crash.system eng.crash ~step:eng.step then system_crash_now eng
+  end;
+  if eng.has_abort then async_aborts eng (Abort.async eng.abort ~step:eng.step eng.abort_view);
+  let ready = runnable eng in
+  if Array.length ready = 0 then begin
+    let any_parked =
+      Array.exists
+        (function
+          | Parked -> true
+          | Start | Ready_int | Ready_bool | Ready_unit | Woken | Halted -> false)
+        eng.phase
+    in
+    if any_parked then eng.deadlocked <- true
+    (* else: all halted — normal termination *)
+  end
+  else if eng.step >= eng.max_steps then eng.timed_out <- true
+  else begin
+    let pid = pick eng pos ready in
+    eng.last_sched.(pid) <- eng.step;
+    step_process eng eng.handler pid;
+    eng.step <- eng.step + 1;
+    drive eng ~pick (pos + 1)
+  end
+
+let sched_pick eng _ ready = Sched.pick eng.sched ~runnable:ready ~step:eng.step
 
 type arena = t
 
@@ -1543,7 +1640,9 @@ let run_in ?(mode = `Auto) ?sink ?(record = false) ?(trace_ops = false) ?(max_st
   in
   prepare eng ~stall_window ~max_steps ~sink ~consult_ops ~track_ans ~trace_ops ~on_crash ~on_op
     ~crash ~abort;
-  drive eng ~pick:(fun _ ready -> Sched.pick sched ~runnable:ready ~step:eng.step);
+  eng.sched <- sched;
+  drive eng ~pick:sched_pick 0;
+  eng.sched <- no_sched;
   finish eng
 
 let run ?mode ?sink ?record ?trace_ops ?max_steps ?stall_window ?on_crash ?on_op ?abort ~n ~model
@@ -1564,8 +1663,30 @@ let grow a ~len filler =
   Array.blit a 0 b 0 (Array.length a);
   b
 
+(* Trace pick: [runnable] builds the ready set in ascending pid order and
+   {!Sched.trace} indexes it the same way, so this replays the schedules
+   {!run} under {!Sched.trace} does.  Footprints are stored one per
+   runnable pid in that same order, so the explorer can index them by
+   decision position and choice. *)
+let trace_pick eng pos ready =
+  let degree = Array.length ready in
+  if eng.por then begin
+    if eng.nfp + degree > Array.length eng.footprints then
+      eng.footprints <- grow eng.footprints ~len:(eng.nfp + degree) (Footprint.local ~pid:0);
+    for i = 0 to degree - 1 do
+      eng.footprints.(eng.nfp + i) <- pending_footprint eng ~crashy:eng.crashy ready.(i)
+    done;
+    eng.nfp <- eng.nfp + degree
+  end;
+  if pos = eng.key_at then eng.on_key (state_key eng);
+  if pos = Array.length eng.degrees then eng.degrees <- grow eng.degrees ~len:(pos + 1) 0;
+  eng.degrees.(pos) <- degree;
+  eng.npos <- pos + 1;
+  let choice = if pos < Array.length eng.decisions then eng.decisions.(pos) else 0 in
+  ready.(if choice >= 0 && choice < degree then choice else ((choice mod degree) + degree) mod degree)
+
 let run_trace ?(record = false) ?(max_steps = 5_000_000) ?stall_window ?(por = false)
-    ?(footprint_crashy = fun _ -> false) ?(state_key_at = -1) ?(on_state_key = fun _ -> ())
+    ?(footprint_crashy = never_crashy) ?(state_key_at = -1) ?(on_state_key = ignore_key)
     ?(abort = Abort.none) ~arena:eng ~decisions ~crash () =
   let n = eng.n in
   if por && n > 0xffff then
@@ -1582,30 +1703,16 @@ let run_trace ?(record = false) ?(max_steps = 5_000_000) ?stall_window ?(por = f
   if Array.length eng.degrees < cap then eng.degrees <- Array.make cap 0;
   if por && Array.length eng.footprints < n * cap then
     eng.footprints <- Array.make (n * cap) (Footprint.local ~pid:0);
-  let npos = Array.length decisions in
-  (* Trace pick: [runnable] builds the ready set in ascending pid order and
-     {!Sched.trace} indexes it the same way, so this replays the schedules
-     {!run} under {!Sched.trace} does.  Footprints are stored
-     one per runnable pid in that same order, so the explorer can index
-     them by decision position and choice. *)
-  let pick pos ready =
-    let degree = Array.length ready in
-    if por then begin
-      if eng.nfp + degree > Array.length eng.footprints then
-        eng.footprints <- grow eng.footprints ~len:(eng.nfp + degree) (Footprint.local ~pid:0);
-      for i = 0 to degree - 1 do
-        eng.footprints.(eng.nfp + i) <- pending_footprint eng ~crashy:footprint_crashy ready.(i)
-      done;
-      eng.nfp <- eng.nfp + degree
-    end;
-    if pos = state_key_at then on_state_key (state_key eng);
-    if pos = Array.length eng.degrees then eng.degrees <- grow eng.degrees ~len:(pos + 1) 0;
-    eng.degrees.(pos) <- degree;
-    eng.npos <- pos + 1;
-    let choice = if pos < npos then decisions.(pos) else 0 in
-    ready.(if choice >= 0 && choice < degree then choice else ((choice mod degree) + degree) mod degree)
-  in
-  drive eng ~pick;
+  eng.decisions <- decisions;
+  eng.por <- por;
+  eng.crashy <- footprint_crashy;
+  eng.key_at <- state_key_at;
+  eng.on_key <- on_state_key;
+  drive eng ~pick:trace_pick 0;
+  (* Dropped, so the arena keeps none of the caller's values alive. *)
+  eng.decisions <- [||];
+  eng.crashy <- never_crashy;
+  eng.on_key <- ignore_key;
   {
     tr_result = finish eng;
     tr_len = eng.npos;

@@ -81,11 +81,11 @@ let of_pending : type a. pid:int -> crashy:bool -> a Api.view -> Api.operands ->
   match view with
   | Api.V_read _ | Api.V_read_reg -> make ~pid ~crashy cls_read (code_cell o.cell.Cell.id)
   | Api.V_write _ | Api.V_write_reg | Api.V_cas_reg | Api.V_fas_reg
-  | Api.V_fas_open_unsafe _ | Api.V_write_close_unsafe _ | Api.V_faa_reg ->
+  | Api.V_fas_open_unsafe_reg | Api.V_write_close_unsafe_reg | Api.V_faa_reg ->
       make ~pid ~crashy cls_write (code_cell o.cell.Cell.id)
   (* Touches two cells atomically; a single-location footprint cannot
      express that, so it conflicts with everything. *)
-  | Api.V_fas_persist _ -> make ~pid ~crashy cls_global code_none
+  | Api.V_fas_persist_reg -> make ~pid ~crashy cls_global code_none
   (* Spins park and their writers unpark: order against any access to the
      cell matters, so the whole wait protocol is write-class. *)
   | Api.V_spin_reg | Api.V_spin_abortable_reg -> make ~pid ~crashy cls_write (code_cell o.cell.Cell.id)

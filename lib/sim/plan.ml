@@ -16,7 +16,7 @@ let union a b =
   | Robust a, Robust b -> Robust (List.sort_uniq Int.compare (List.rev_append b a))
 
 type ('p, 'v) t = {
-  label : string;
+  label : string Lazy.t;
   on_op : op_info -> 'p option;
   async : step:int -> 'v -> int list;
   system : step:int -> bool;
@@ -25,7 +25,7 @@ type ('p, 'v) t = {
 
 let none =
   {
-    label = "none";
+    label = lazy "none";
     on_op = (fun _ -> None);
     async = (fun ~step:_ _ -> []);
     system = (fun ~step:_ -> false);
@@ -97,7 +97,7 @@ let at_op ~tag ~pid ~nth payload =
   let fired = ref false and hit = Some payload in
   {
     none with
-    label = Printf.sprintf "%sat-op(p%d,%d)" tag pid nth;
+    label = lazy (Printf.sprintf "%sat-op(p%d,%d)" tag pid nth);
     on_op =
       (fun info ->
         if (not !fired) && info.pid = pid && info.op_index = nth then begin
@@ -114,7 +114,7 @@ let async_at ~tag specs =
   let pending = ref specs in
   {
     none with
-    label = tag ^ "async-at";
+    label = lazy (tag ^ "async-at");
     async =
       (fun ~step _ ->
         (* Consulted every iteration: partition only when an entry is due. *)
@@ -131,7 +131,7 @@ let system_at ~step =
   let fired = ref false in
   {
     none with
-    label = Printf.sprintf "system-at(%d)" step;
+    label = lazy (Printf.sprintf "system-at(%d)" step);
     system =
       (fun ~step:now ->
         (not !fired) && now >= step
@@ -168,7 +168,7 @@ let rec system_any ~step acc = function
    no member fires allocates nothing. *)
 let all plans =
   {
-    label = String.concat "+" (List.map (fun p -> p.label) plans);
+    label = lazy (String.concat "+" (List.map (fun p -> Lazy.force p.label) plans));
     on_op = (fun info -> first_fired info None plans);
     async = (fun ~step v -> async_all ~step v plans);
     system = (fun ~step -> system_any ~step false plans);

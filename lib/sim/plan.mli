@@ -45,7 +45,9 @@ val union : por_class -> por_class -> por_class
 (** Robust over both victim sets when both are robust, else Sensitive. *)
 
 type ('p, 'v) t = {
-  label : string;
+  label : string Lazy.t;
+      (** built only when read ({!Crash.label}, {!Abort.label}): a plan is
+          built per run in campaigns, and most runs never print theirs *)
   on_op : op_info -> 'p option;
   async : step:int -> 'v -> int list;
   system : step:int -> bool;
@@ -72,7 +74,7 @@ val fire : gate -> step:int -> bool
 
 val rng : gate -> Random.State.t  (** for payload draws after a firing *)
 
-val coin : label:string -> ?pids:int list -> gate -> (Random.State.t -> 'p) -> ('p, 'v) t
+val coin : label:string Lazy.t -> ?pids:int list -> gate -> (Random.State.t -> 'p) -> ('p, 'v) t
 (** On an op of an eligible pid (default all) {!fire}, then draw the
     payload.  Robust over a single pid without cooldown, else Sensitive. *)
 

@@ -1,17 +1,19 @@
-type t = { label : string; pick : runnable:int array -> step:int -> int }
+(* The label is built only when read: the seeded schedulers would pay a
+   [Printf.sprintf] per construction, and campaigns build one per run. *)
+type t = { label : string Lazy.t; pick : runnable:int array -> step:int -> int }
 
-let label t = t.label
+let label t = Lazy.force t.label
 
 let pick t ~runnable ~step =
   if Array.length runnable = 0 then invalid_arg "Sched.pick: empty runnable set";
   t.pick ~runnable ~step
 
-let make ~label pick = { label; pick }
+let make ~label pick = { label = Lazy.from_val label; pick }
 
 let round_robin () =
   let cursor = ref 0 in
   {
-    label = "round-robin";
+    label = lazy "round-robin";
     pick =
       (fun ~runnable ~step:_ ->
         (* Smallest runnable pid strictly greater than the cursor, wrapping. *)
@@ -30,14 +32,14 @@ let round_robin () =
 let random ~seed =
   let rng = Random.State.make [| seed; 0xfa1afe1 |] in
   {
-    label = Printf.sprintf "random(%d)" seed;
+    label = lazy (Printf.sprintf "random(%d)" seed);
     pick = (fun ~runnable ~step:_ -> runnable.(Random.State.int rng (Array.length runnable)));
   }
 
 let greedy () =
   let last = ref (-1) in
   {
-    label = "greedy";
+    label = lazy "greedy";
     pick =
       (fun ~runnable ~step:_ ->
         if Array.exists (fun p -> p = !last) runnable then !last
@@ -54,7 +56,7 @@ let burst ~seed ~len =
   let current = ref (-1) in
   let remaining = ref 0 in
   {
-    label = Printf.sprintf "burst(%d,%d)" seed len;
+    label = lazy (Printf.sprintf "burst(%d,%d)" seed len);
     pick =
       (fun ~runnable ~step:_ ->
         if !remaining > 0 && Array.exists (fun p -> p = !current) runnable then begin
@@ -73,7 +75,7 @@ let burst ~seed ~len =
    Each runs once per engine step, hence a plain loop and no allocation. *)
 let recording ~inner ~decisions =
   {
-    label = Printf.sprintf "recording(%s)" inner.label;
+    label = lazy (Printf.sprintf "recording(%s)" (Lazy.force inner.label));
     pick =
       (fun ~runnable ~step ->
         let chosen = inner.pick ~runnable ~step in
@@ -88,7 +90,7 @@ let recording ~inner ~decisions =
 let trace ~decisions ~record () =
   let i = ref 0 in
   {
-    label = "trace";
+    label = lazy "trace";
     pick =
       (fun ~runnable ~step:_ ->
         let choice = if !i < Vec.length decisions then Vec.get decisions !i else 0 in

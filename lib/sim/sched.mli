@@ -8,6 +8,8 @@
 type t
 
 val label : t -> string
+(** Built on the first call, not with the scheduler: a campaign builds
+    schedulers per run and reads no label. *)
 
 val pick : t -> runnable:int array -> step:int -> int
 (** [pick t ~runnable ~step] chooses one pid from [runnable] (non-empty). *)

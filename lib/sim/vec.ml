@@ -69,9 +69,10 @@ let exists p t =
   let rec loop i = i < t.len && (p t.data.(i) || loop (i + 1)) in
   loop 0
 
-let to_list t =
-  let rec loop i acc = if i < 0 then acc else loop (i - 1) (t.data.(i) :: acc) in
-  loop (t.len - 1) []
+(* Top level, so a call builds no closure over [t]. *)
+let rec cons_down data i acc = if i < 0 then acc else cons_down data (i - 1) (data.(i) :: acc)
+
+let to_list t = cons_down t.data (t.len - 1) []
 
 let to_array t = Array.sub t.data 0 t.len
 
