@@ -267,7 +267,7 @@ let all =
     {
       key = "jjj-sys";
       descr = "JJJ ticket lock recoverable under system-wide crashes (arXiv 2302.00748 shape)";
-      expectation = expect "O(1)" "O(1) + repair scans" "O(n) repair scans";
+      expectation = expect "O(1)" "O(n(k+1)), k dead tickets" "O(n(k+1)), k dead tickets";
       ff_bound = const 16;
       table1 = false;
       crash_safe = true;
@@ -277,7 +277,7 @@ let all =
     {
       key = "dm-jjj";
       descr = "Dhoked-Mittal fair/adaptive transformation over the JJJ-shape tree (arXiv 2110.08308)";
-      expectation = expect "O(1)" "O(1) + base recovery" "O(n) repair scans";
+      expectation = expect "O(1)" "base recovery + O(n(k+1)) door" "O(n(k+1)) door + base";
       ff_bound = sublog 20 24;
       table1 = false;
       crash_safe = true;
@@ -287,7 +287,7 @@ let all =
     {
       key = "dm-ba-jjj";
       descr = "Dhoked-Mittal transformation over the headline BA-Lock: adaptive and fair";
-      expectation = expect "O(1)" "O(sqrt F)" "O(n) repair scans";
+      expectation = expect "O(1)" "O(sqrt F) + O(n(k+1)) door" "O(n(k+1)) door + base";
       ff_bound = const 62;
       table1 = false;
       crash_safe = true;

@@ -7,8 +7,13 @@
     the composite is FCFS whatever the base's own fairness, and on the
     failure-free path the base is acquired uncontended — the composite's
     failure-free RMR cost is O(1) doorway work plus the base's uncontended
-    cost, while failures degrade gracefully to the base's contended
-    profile plus the doorway's O(n) repair scans. *)
+    cost.  Failures degrade it to the base's contended profile plus the
+    doorway's repairs: once a doorway crash is flagged, a passage's repair
+    scans the n announce slots (O(n)), and a repair that finds k dead
+    tickets in a row skips them all, one O(n) scan each, so one passage
+    can pay O(n(k+1)) RMRs, k up to the doorway crashes so far.  That is
+    far from the O(1) RMRs per passage Jayanti–Jayanti–Joshi (arXiv
+    2302.00748) reach under system-wide crashes; see {!Tickets}. *)
 
 open Rme_sim
 

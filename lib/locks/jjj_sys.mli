@@ -10,7 +10,10 @@
     crash model and the system-wide model ({!Rme_sim.Crash.system_at}):
     mutual exclusion, FCFS and starvation freedom hold across whole-system
     restarts, and a process that crashed inside the critical section
-    resumes ownership on recovery. *)
+    resumes ownership on recovery.  Its RMR cost is constant only on the
+    failure-free path; doorway crashes cost O(n) repair scans
+    ({!Tickets}), so it does not meet JJJ's constant bound under
+    failures. *)
 
 open Rme_sim
 

@@ -39,7 +39,18 @@ let create ?(name = "tickets") ctx =
    or restarts through recovery (which clears it).  If no slot holds [g]
    and none is mid-doorway, the issued ticket [g] is dead and CAS(g, g+1)
    hands the lock on; a concurrent release or rival repairer changes
-   [grant] first, the CAS fails, and nothing is skipped twice. *)
+   [grant] first, the CAS fails, and nothing is skipped twice.
+
+   Skip only dead tickets, however many in a row.  After a skip, repair
+   starts over: it reads [grant] and [seq] again and scans again, so every
+   skip is guarded by its own scan and the argument above holds for each
+   one.  The walk cannot run ahead of the count: a ticket is skipped only
+   when its owner's slot left [taking] without announcing it, which only
+   recovery does, and recovery bumps [dirty] before it clears the slot.  So
+   every skip matches an earlier [dirty] increment, and the decrement after
+   it never takes [dirty] below zero.  The walk ends at a live ticket, at
+   [seq] (nothing issued to skip), or at a failed CAS (someone else moved
+   [grant], and their repair or release takes over). *)
 let rec repair t =
   let g = Api.read t.grant in
   let s = Api.read t.seq in
@@ -60,9 +71,14 @@ let rec repair t =
         Api.spin_until t.ann.(q) (Api.Ne taking);
         repair t
     | `Dead ->
-        if Api.cas t.grant ~expect:g ~value:(g + 1) then
+        if Api.cas t.grant ~expect:g ~value:(g + 1) then begin
           let (_ : int) = Api.faa t.dirty (-1) in
-          ()
+          (* The next ticket may be dead too (its owner crashed in the
+             doorway after this one's did), and nobody else will look: a
+             waiter reads [dirty] once before it spins.  So walk on until
+             the served ticket is live, unissued, or behind a doorway. *)
+          repair t
+        end
   end
 
 (* Recovery-aware doorway + wait.  The only sensitive gap is between

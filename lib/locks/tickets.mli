@@ -18,12 +18,18 @@
       recovery flags a {e repair} and the dead ticket is skipped — with a
       liveness scan guarding the skip — when it becomes current.
 
-    The repair scan is O(n) but runs only while flagged failures are
-    outstanding; the failure-free path is a constant number of
-    instructions and, under the simulator's local-spin accounting (one
-    refetch per wake), O(1) RMRs per passage in both CC and DSM — the
-    in-model stand-in for the constant-RMR hand-off structure of
-    Jayanti–Jayanti–Joshi (arXiv 2302.00748). *)
+    The failure-free path is a constant number of instructions and, under
+    the simulator's local-spin accounting (one refetch per wake), O(1)
+    RMRs per passage in both CC and DSM — the in-model stand-in for the
+    constant-RMR hand-off structure of Jayanti–Jayanti–Joshi (arXiv
+    2302.00748).  Under failures it is not constant.  The repair scan is
+    O(n) and runs whenever [dirty] is positive, and [dirty] can overcount
+    (a crash before the ticket FAA flags a ticket that was never taken),
+    so after one doorway crash every passage may pay O(n).  One repair
+    skips every dead ticket in a row, each after its own O(n) scan, so a
+    passage that meets k of them pays O(n(k+1)) RMRs.  JJJ's O(1) bound
+    under system-wide crashes needs their hand-off structure, which this
+    doorway does not reproduce. *)
 
 open Rme_sim
 

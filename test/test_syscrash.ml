@@ -193,6 +193,45 @@ let test_dm_locks_survive_system_crash () =
       ("dm-ba", Dm_lock.make_over ~name:"dm-ba" ~base:Ba_lock.default);
     ]
 
+(* The minimal budget-2 witnesses [conformance -n 2 --requests 2
+   --cs-yields 2 --budget 2 --lock jjj-sys,dm-jjj] found against a
+   doorway repair that skipped at most one dead ticket per call: two
+   doorway crashes lose two tickets in a row, one release skips the
+   first, and the waiter behind the second parked on [grant] for good.
+   Each replays the witness's all-1 decision vector under its crash plan;
+   every request must be served. *)
+let witness_run ~make ~crash ~ones =
+  let arena =
+    Engine.arena ~n:2 ~model:Memory.CC ~setup:make ~body:(fun lock ~pid ->
+        Harness.standard_body ~cs:(Harness.yields 2) ~lock ~requests:2 pid)
+  in
+  fst (Explore.replay ~arena ~decisions:(Array.make ones 1) ~crash ())
+
+let check_witness name res =
+  if res.Engine.deadlocked || res.Engine.timed_out then
+    Alcotest.failf "%s: stalled (%a)" name Fmt.(option Engine.pp_stall) res.Engine.stall;
+  check ci (name ^ ": all satisfied") 4 (Engine.total_completed res);
+  check ci (name ^ ": ME") 1 res.Engine.cs_max
+
+let dm_jjj = Dm_lock.make_over ~name:"dm-jjj" ~base:Jjj_tree.make
+
+let test_witness_per_process () =
+  let after pid nth = Crash.at_op ~pid ~nth Crash.After in
+  (* [after p0#6 faa seq + after p0#16 faa grant] (jjj-sys) and [after p0#6
+     faa door.seq + after p0#16 read jjj.l0.n0.state[0]] (dm-jjj): p0's
+     sixth instruction is its first FAA on [seq], its sixteenth the FAA of
+     its recovered doorway. *)
+  check_witness "jjj-sys"
+    (witness_run ~make:Jjj_sys.make ~crash:(Crash.all [ after 0 6; after 0 16 ]) ~ones:29);
+  check_witness "dm-jjj"
+    (witness_run ~make:dm_jjj ~crash:(Crash.all [ after 0 6; after 0 16 ]) ~ones:61)
+
+let test_witness_system ~second ~ones () =
+  let crash = Crash.all [ Crash.system_at ~step:8; Crash.system_at ~step:second ] in
+  List.iter
+    (fun (name, make) -> check_witness name (witness_run ~make ~crash ~ones))
+    [ ("jjj-sys", Jjj_sys.make); ("dm-jjj", dm_jjj) ]
+
 (* A deliberately unrecoverable ticket lock: the doorway publishes nothing,
    so a system crash between the FAA and the spin (or while holding) loses
    the ticket forever and wedges the grant counter.  The shape the JJJ
@@ -606,6 +645,11 @@ let () =
             test_dm_locks_survive_system_crash;
           Alcotest.test_case "naive ticket lock breaks" `Quick
             test_naive_ticket_breaks_under_system_crash;
+          Alcotest.test_case "witness: per-process pair" `Quick test_witness_per_process;
+          Alcotest.test_case "witness: system@8 + system@19" `Quick
+            (test_witness_system ~second:19 ~ones:33);
+          Alcotest.test_case "witness: system@8 + system@27" `Quick
+            (test_witness_system ~second:27 ~ones:19);
         ] );
       ( "plans",
         [
