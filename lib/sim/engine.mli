@@ -431,6 +431,37 @@ val run_trace :
     execute concurrently on separate domains, runs on one arena may
     not. *)
 
+type trace_opts
+(** The options of {!run_trace} that stay fixed across the runs of one
+    search: [record], [max_steps], [stall_window], [por],
+    [footprint_crashy] and [on_state_key]. *)
+
+val trace_opts :
+  ?record:bool ->
+  ?max_steps:int ->
+  ?stall_window:int ->
+  ?por:bool ->
+  ?footprint_crashy:(int -> bool) ->
+  ?on_state_key:(int array -> unit) ->
+  unit ->
+  trace_opts
+(** Those options with {!run_trace}'s defaults, built once for a search,
+    so that its runs pass none of them one by one. *)
+
+val run_with :
+  trace_opts ->
+  state_key_at:int ->
+  abort:Abort.t ->
+  arena:arena ->
+  decisions:int array ->
+  crash:Crash.t ->
+  trun
+(** [run_with o ~state_key_at ~abort ~arena ~decisions ~crash] is
+    {!run_trace} under the options [o], with the per-run arguments
+    explicit ([state_key_at = -1]: no state key).  {!run_trace} is
+    [run_with] over options built for the one call; a search builds them
+    once and its runs box no optional argument. *)
+
 (** {1 Result helpers} *)
 
 val completed_passages : result -> passage list

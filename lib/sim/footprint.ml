@@ -150,7 +150,8 @@ module Race = struct
      [cur.(p*n + q)]: the same clock carried forward along process [p]'s
      program order.  [evs.(p)]: positions of process [p]'s steps so far, in
      order.  [v]: the clock of the step being scanned.  [cand_pos]: the
-     race candidates of one step, at most one per other process. *)
+     race candidates of one step, at most one per other process.  [found]:
+     the scan's races, as (position, pid) pairs in emission order. *)
   type scratch = {
     mutable n : int;
     mutable eclock : int array;
@@ -158,13 +159,15 @@ module Race = struct
     mutable evs : int Vec.t array;
     mutable v : int array;
     mutable cand_pos : int array;
+    found : int Vec.t;
   }
 
-  let scratch () = { n = 0; eclock = [||]; cur = [||]; evs = [||]; v = [||]; cand_pos = [||] }
+  let scratch () =
+    { n = 0; eclock = [||]; cur = [||]; evs = [||]; v = [||]; cand_pos = [||]; found = Vec.create () }
 
   (* Size [s] for [n] processes and [len] positions and clear what a scan
-     reads before writing: [cur] and [evs].  [eclock] rows are written
-     before they are read, and [v] and [cand_pos] per step. *)
+     reads before writing: [cur] and [evs].  [eclock] rows are
+     written before they are read, and [v] and [cand_pos] per step. *)
   let prepare s ~n ~len =
     if s.n <> n then begin
       s.n <- n;
@@ -180,19 +183,27 @@ module Race = struct
     if Array.length s.eclock < len * n then
       s.eclock <- Array.make (max (len * n) (2 * Array.length s.eclock)) (-1)
 
-  (* [scan s ~n ~len ~executed ~degree ~emit]:
-     [executed i] is the footprint of the step the run took at decision
-     position [i]; [degree i] its branching degree (races at degree-1
-     positions have no alternative schedule and are not emitted);
-     [emit ~pos ~pid] demands that the explorer also try scheduling [pid]
-     at position [pos].  O(len * n) plus the race-initial walks. *)
-  let scan s ~n ~len ~executed ~degree ~emit =
+  (* The first position in [(k, j)] whose step is not happens-after step
+     [k] of process [q] ([eclock.(m*n+q) >= k] iff a step of q at or past
+     [k] happens-before step [m]), or [j] when there is none. *)
+  let rec initial eclock ~n ~q ~k ~j m =
+    if m >= j || eclock.((m * n) + q) < k then m else initial eclock ~n ~q ~k ~j (m + 1)
+
+  (* [scan s ~n ~len ~executed ~degrees]: [executed.(i)] is the footprint
+     of the step the run took at decision position [i]; [degrees.(i)] its
+     branching degree (races at degree-1 positions have no alternative
+     schedule and are not recorded); each race found demands that the
+     explorer also try scheduling some pid at some position, read back
+     through [races], [race_pos] and [race_pid].  O(len * n) plus the
+     race-initial walks. *)
+  let scan s ~n ~len ~(executed : t array) ~degrees =
+    Vec.clear s.found;
     if len > 0 then begin
       prepare s ~n ~len;
       let eclock = s.eclock and cur = s.cur and evs = s.evs and v = s.v in
       let cand_pos = s.cand_pos in
       for j = 0 to len - 1 do
-        let f = executed j in
+        let f = executed.(j) in
         let p = pid f in
         Array.blit cur (p * n) v 0 n;
         v.(p) <- j;
@@ -208,7 +219,7 @@ module Race = struct
               while (not !stop) && !i >= 0 do
                 let k = Vec.unsafe_get qevs !i in
                 if k <= v.(q) then stop := true
-                else if not (independent (executed k) f) then begin
+                else if not (independent executed.(k) f) then begin
                   cand_pos.(q) <- k;
                   stop := true
                 end
@@ -228,21 +239,17 @@ module Race = struct
             if !best < 0 then continue_ := false
             else begin
               let k = !best in
-              let fk = executed k in
-              let q = pid fk in
+              let q = pid executed.(k) in
               cand_pos.(q) <- -1;
               if k > v.(q) then begin
-                (* Reversible race between steps k and j. *)
-                (if degree k > 1 then
-                   (* Initial of the reversal: first step after [k] not
-                      happens-after step [k]; [eclock.(m*n+q) >= k] iff a
-                      step of q at or past [k] happens-before step [m]. *)
-                   let rec find m =
-                     if m >= j then p
-                     else if eclock.((m * n) + q) < k then pid (executed m)
-                     else find (m + 1)
-                   in
-                   emit ~pos:k ~pid:(find (k + 1)));
+                (* Reversible race between steps k and j.  Its initial is
+                   the first step after [k] not happens-after step [k],
+                   else the racing step's own process. *)
+                if degrees.(k) > 1 then begin
+                  let m = initial eclock ~n ~q ~k ~j (k + 1) in
+                  Vec.push s.found k;
+                  Vec.push s.found (if m >= j then p else pid executed.(m))
+                end;
                 (* Dependence orders k before j for later steps. *)
                 for r = 0 to n - 1 do
                   let x = eclock.((k * n) + r) in
@@ -265,6 +272,12 @@ module Race = struct
         Vec.push evs.(p) j
       done
     end
+
+  let races s = Vec.length s.found / 2
+
+  let race_pos s i = Vec.get s.found (2 * i)
+
+  let race_pid s i = Vec.get s.found ((2 * i) + 1)
 end
 
 let pp ppf t =

@@ -52,7 +52,8 @@ val pp : t Fmt.t
 module Race : sig
   type scratch
   (** A scan's working storage — the vector clocks, the per-process step
-      positions and the race candidates — kept by the caller across scans.
+      positions, the race candidates and the demands the last scan
+      found — kept by the caller across scans.
       Each scan sizes it for its [n] and [len], growing it only when it is
       too small, so a search that scans every run with one scratch stops
       allocating for the scans once its longest run has been scanned.  One
@@ -61,25 +62,29 @@ module Race : sig
   val scratch : unit -> scratch
   (** An empty scratch; the first scan sizes it. *)
 
-  val scan :
-    scratch ->
-    n:int ->
-    len:int ->
-    executed:(int -> t) ->
-    degree:(int -> int) ->
-    emit:(pos:int -> pid:int -> unit) ->
-    unit
-  (** [scan s ~n ~len ~executed ~degree ~emit], working in [s], computes
-      the happens-before relation of a run of [len] decision positions
-      ([executed i] is the footprint of the step taken at position [i])
-      with per-process vector clocks, finds every {e reversible race} — dependent steps [(k, j)],
-      [k < j], of different processes with no intervening happens-before
-      chain — and calls [emit ~pos:k ~pid] for each race at a branching
-      position ([degree k > 1]).  [pid] is the process whose scheduling at
-      [k] starts the reversed execution: the process of the first step
-      after [k] that is not happens-after step [k] (an initial of the
-      reversal, in DPOR terms), defaulting to the racing step's process.
-      The dependence oracle is {!independent}, so every conservative
-      "dependent" answer can only add emitted demands, never hide one.
-      O([len] · [n]) plus the per-race initial walks. *)
+  val scan : scratch -> n:int -> len:int -> executed:t array -> degrees:int array -> unit
+  (** [scan s ~n ~len ~executed ~degrees], working in [s], computes the
+      happens-before relation of a run of [len] decision positions
+      ([executed.(i)] is the footprint of the step taken at position [i])
+      with per-process vector clocks, finds every {e reversible race} —
+      dependent steps [(k, j)], [k < j], of different processes with no
+      intervening happens-before chain — and records in [s] one demand
+      [(k, pid)] for each race at a branching position
+      ([degrees.(k) > 1]), in the order it finds them.  [pid] is the
+      process whose scheduling at [k] starts the reversed execution: the
+      process of the first step after [k] that is not happens-after step
+      [k] (an initial of the reversal, in DPOR terms), defaulting to the
+      racing step's process.  The dependence oracle is {!independent}, so
+      every conservative "dependent" answer can only add demands, never
+      hide one.  O([len] · [n]) plus the per-race initial walks.  The
+      scan takes the run's arrays as they are and builds no closure. *)
+
+  val races : scratch -> int
+  (** The number of demands the last scan recorded. *)
+
+  val race_pos : scratch -> int -> int
+  (** [race_pos s i]: the decision position of the [i]th demand. *)
+
+  val race_pid : scratch -> int -> int
+  (** [race_pid s i]: the pid the [i]th demand asks to schedule there. *)
 end
