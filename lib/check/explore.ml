@@ -234,9 +234,10 @@ let subtree d ~take_run =
    clears its own positions before returning, and leaves demands for
    positions below its depth to the ancestor frames that own them. *)
 module Src = struct
-  type summary = Footprint.t array option
-  (* distinct footprints a subtree executed, in no particular order;
-     [None] = overflowed the cap, treated as conflicting with everything *)
+  type summary = Footprint.Set.t option
+  (* the distinct footprints a subtree executed, indexed for the prefix
+     demands of a hit; [None] = overflowed the cap, treated as conflicting
+     with everything *)
 
   (* [race], [offs] and [exec] are the race scan's storage, reused by every
      scan of the search: [offs.(j)] is position [j]'s first footprint in
@@ -314,14 +315,14 @@ module Src = struct
 
   let note_summary ctx l = function
     | None -> ctx.acc_len.(l) <- -1
-    | Some a ->
-        for i = 0 to Array.length a - 1 do
-          note ctx l a.(i)
+    | Some s ->
+        for i = 0 to Footprint.Set.length s - 1 do
+          note ctx l (Footprint.Set.get s i)
         done
 
   let to_summary ctx l : summary =
     let len = ctx.acc_len.(l) in
-    if len < 0 then None else Some (Array.sub ctx.acc_fps (l * summary_cap) len)
+    if len < 0 then None else Some (Footprint.Set.of_sub ctx.acc_fps ~off:(l * summary_cap) ~len)
 
   let ensure ctx len =
     while Vec.length ctx.slots < len do
@@ -386,35 +387,26 @@ module Src = struct
       end
     done
 
-  (* Does a footprint of another process in [a] conflict with [fk]?  Top
-     level, so a cache hit builds no closure per prefix position. *)
-  let conflicts fk a =
-    let i = ref 0 in
-    while
-      !i < Array.length a
-      && (Footprint.pid a.(!i) = Footprint.pid fk || Footprint.independent a.(!i) fk)
-    do
-      incr i
-    done;
-    !i < Array.length a
+  (* Does the step [fk] conflict with a footprint of another process in
+     the summary?  An overflowed summary conflicts with every step. *)
+  let owes (s : summary) fk = match s with None -> true | Some set -> Footprint.Set.conflicts set fk
 
   (* Conservative demands a pruned (cache-hit) subtree owes the current
      prefix, [decisions.(0 .. depth - 1)].  The stored exploration raised
      its cross-prefix race demands against *its* path, not ours, so
      re-raise them here from the summary: demand every sibling at every
      branching prefix position whose executed step conflicts with any
-     footprint the subtree ran.  The prefix is read in place in the arena,
-     walking its offsets. *)
+     footprint of another process the subtree ran.  A position whose slot
+     already demands every sibling is skipped: a demand there changes
+     nothing.  The prefix is read in place in the arena, walking its
+     offsets. *)
   let demand_prefix ctx ~decisions ~depth ~degrees ~fps (s : summary) =
     ensure ctx depth;
     let off = ref 0 in
     for k = 0 to depth - 1 do
       let deg = degrees.(k) in
-      if deg > 1 then begin
-        let fk = fps.(!off + decisions.(k)) in
-        let conflict = match s with None -> true | Some l -> conflicts fk l in
-        if conflict then demand ctx ~pos:k ~deg ~choice:(-1)
-      end;
+      if deg > 1 && Vec.get ctx.slots k <> all_mask && owes s fps.(!off + decisions.(k)) then
+        demand ctx ~pos:k ~deg ~choice:(-1);
       off := !off + deg
     done
 

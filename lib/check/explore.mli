@@ -107,7 +107,7 @@ val explore :
   ?shrink_violations:bool ->
   ?record:bool ->
   ?por:[ `Off | `Sleep | `Source ] ->
-  ?statecache:Footprint.t array option Statecache.t ->
+  ?statecache:Footprint.Set.t option Statecache.t ->
   ?cache_capacity:int ->
   ?abort:(unit -> Abort.t) ->
   ?stats:(search_stats -> unit) ->
@@ -190,7 +190,10 @@ val explore :
 
     [statecache] injects the [`Source] search's single state cache
     (tests use degenerate hashes/capacities to exercise collision
-    behaviour); by default a fresh cache of [cache_capacity] (default
+    behaviour).  An entry's summary is the distinct footprints its
+    subtree executed, as a {!Footprint.Set.t} indexed for the prefix
+    demands of a hit, or [None] past 64 of them (conflicts with every
+    step).  By default a fresh cache of [cache_capacity] (default
     65536) entries is built per call.  [cache_capacity = 0] disables
     state caching — the source-set reduction still applies.  Both are
     ignored outside [`Source].

@@ -109,11 +109,24 @@ let of_view ~pid ~crashy view =
     of_pending ~pid ~crashy view o
   end
 
+(* Any class and location, by name, including pairings the engine never
+   builds; the constructors above are the engine's. *)
+let make ~pid ~crashy cls loc =
+  let cls =
+    match cls with `Local -> cls_local | `Read -> cls_read | `Write -> cls_write | `Global -> cls_global
+  in
+  let code =
+    match loc with `None -> code_none | `Cs -> code_cs | `Cell k -> code_cell k | `Lock k -> code_lock k
+  in
+  make ~pid ~crashy cls code
+
 (* Crash teardown (close the CS, drop held locks, forget the cache) commutes
    with other processes' plain memory accesses but not with anything that
    reads or moves the same aggregate state: the pseudo-cells, global steps,
    and other potentially-crashing steps. *)
-let crash_conflict a b = crashy a && (crashy b || is_pseudo (code b) || cls b = cls_global)
+let crash_target b = crashy b || is_pseudo (code b) || cls b = cls_global
+
+let crash_conflict a b = crashy a && crash_target b
 
 let independent a b =
   let ca = a land 3 and cb = b land 3 in
@@ -121,6 +134,87 @@ let independent a b =
   else if crash_conflict a b || crash_conflict b a then false
   else if ca = cls_local || cb = cls_local then true
   else code a <> code b || (ca = cls_read && cb = cls_read)
+
+(* ------------------------------------------------------------------ *)
+(* Conflict index over a set of footprints                             *)
+(* ------------------------------------------------------------------ *)
+
+(* One int array: four pid masks, then the members in ascending order.
+   Footprints order by location code first (its bits are the highest), so
+   the members of one location sit together.  The masks carry every rule
+   of [independent] that does not depend on a shared location; only the
+   same-location read/write rule looks at members, by binary search. *)
+module Set = struct
+  type fp = t
+
+  type t = int array
+
+  (* Mask slots: every member; the global-class members; the crashy
+     members; the members a crashy step conflicts with (crashy, on a
+     pseudo-cell, or global). *)
+  let m_any = 0
+
+  let m_global = 1
+
+  let m_crashy = 2
+
+  let m_target = 3
+
+  let header = 4
+
+  let length s = Array.length s - header
+
+  let get s i : fp = s.(header + i)
+
+  let of_sub (arr : fp array) ~off ~len =
+    let s = Array.make (header + len) 0 in
+    for i = 0 to len - 1 do
+      let f = arr.(off + i) in
+      let p = pid f in
+      if p > 61 then invalid_arg "Footprint.Set.of_sub: pid past 61";
+      (* Insertion sort: a set holds at most a few dozen members. *)
+      let j = ref (header + i) in
+      while !j > header && s.(!j - 1) > f do
+        s.(!j) <- s.(!j - 1);
+        decr j
+      done;
+      s.(!j) <- f;
+      let bit = 1 lsl p in
+      s.(m_any) <- s.(m_any) lor bit;
+      if cls f = cls_global then s.(m_global) <- s.(m_global) lor bit;
+      if crashy f then s.(m_crashy) <- s.(m_crashy) lor bit;
+      if crash_target f then s.(m_target) <- s.(m_target) lor bit
+    done;
+    s
+
+  (* The first member index in [lo, hi) whose footprint is at least [x],
+     or [hi]. *)
+  let rec lower_bound (s : t) (x : int) lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) lsr 1 in
+      if s.(mid) < x then lower_bound s x (mid + 1) hi else lower_bound s x lo mid
+
+  (* Is a read/write member of another pid at [fk]'s location, from [i]
+     on, written by [fk] or by itself? *)
+  let rec same_cell s fk i =
+    i < Array.length s
+    && code s.(i) = code fk
+    &&
+    let f = s.(i) in
+    (pid f <> pid fk && (cls f = cls_write || (cls f = cls_read && cls fk = cls_write)))
+    || same_cell s fk (i + 1)
+
+  let conflicts s fk =
+    let others = lnot (1 lsl pid fk) in
+    let c = cls fk in
+    if c = cls_global then s.(m_any) land others <> 0
+    else if s.(m_global) land others <> 0 then true
+    else if (crashy fk || is_pseudo (code fk)) && s.(m_crashy) land others <> 0 then true
+    else if crashy fk && s.(m_target) land others <> 0 then true
+    else if c = cls_local then false
+    else same_cell s fk (lower_bound s (code fk lsl 19) header (Array.length s))
+end
 
 (* ------------------------------------------------------------------ *)
 (* Happens-before / race-reversal analysis                             *)

@@ -9,6 +9,17 @@
 
 type t = private int
 
+val make :
+  pid:int ->
+  crashy:bool ->
+  [ `Local | `Read | `Write | `Global ] ->
+  [ `None | `Cs | `Cell of int | `Lock of int ] ->
+  t
+(** [make ~pid ~crashy cls loc]: any footprint, by class and location
+    ([`Cs]: the application-CS pseudo-cell; [`Lock k]: the occupancy
+    pseudo-cell of lock [k]), including pairings the engine never builds,
+    such as a local step on a cell.  For tests of the oracles below. *)
+
 val local : pid:int -> t
 (** A step that touches no shared state (the initial dispatch of a process
     body, per-process segment notes, yields). *)
@@ -45,6 +56,49 @@ val independent : t -> t -> bool
     ([cs_max], lock occupancy). *)
 
 val pp : t Fmt.t
+
+(** A set of footprints indexed for one question: does any member of
+    another process conflict with a given step?  The explorer stores one
+    per cache entry (a subtree's summary) and asks it about every
+    branching position of each prefix that hits the entry.
+
+    A set is one int array, [[| any; global; crashy; crash_target;
+    members… |]].  The members are sorted by location code.  The four
+    fields are pid masks: the pids of every member, of the global-class
+    members, of the crashy members, and of the members a crashy step
+    conflicts with (crashy, on a pseudo-cell, or global).  Pids are
+    therefore limited to 0–61, the bound the explorer's reduced tiers
+    already keep. *)
+module Set : sig
+  type fp := t
+
+  type t
+
+  val of_sub : fp array -> off:int -> len:int -> t
+  (** [of_sub arr ~off ~len]: the set of [arr.(off .. off + len - 1)], in
+      one allocation.  Member order and duplicates in the input do not
+      change any answer.  Raises [Invalid_argument] if a member's pid is
+      past 61. *)
+
+  val length : t -> int
+  (** The number of members (duplicates in the input count). *)
+
+  val get : t -> int -> fp
+  (** [get s i]: the [i]th member, [0 <= i < length s], in ascending
+      order. *)
+
+  val conflicts : t -> fp -> bool
+  (** [conflicts s fk] is [exists f in s. pid f <> pid fk && not
+      (independent f fk)], answered in this order against the masks with
+      [fk]'s own pid removed: [fk] global conflicts with any other member;
+      a global member conflicts; [fk] crashy or on a pseudo-cell conflicts
+      with a crashy member; [fk] crashy conflicts with a crash-target
+      member; [fk] local conflicts with nothing else; otherwise [fk]
+      conflicts with a read or write member at its location when [fk] or
+      that member writes, found by binary search.  A few mask tests and
+      O(log [length s]) comparisons, plus the members at [fk]'s
+      location. *)
+end
 
 (** Happens-before / race-reversal analysis over the executed steps of one
     complete run — the oracle behind the explorer's source-set dynamic

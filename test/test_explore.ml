@@ -425,10 +425,19 @@ let splitter_trunc ~max_runs ~por =
     ~crash:(fun () -> Crash.none)
     ~setup:splitter_setup ~body:splitter_body ~check:me_or_deadlock ()
 
+(* The outcome of a crash-free n=2 search and its effort counters. *)
+let lock_search ~make ~body ~max_runs ~max_steps ~por =
+  let stats = ref None in
+  let o =
+    Explore.explore ~por ~max_runs ~max_steps ~n:2 ~model:Memory.CC
+      ~stats:(fun s -> stats := Some s)
+      ~crash:(fun () -> Crash.none)
+      ~setup:make ~body ~check:me_or_deadlock ()
+  in
+  (o, Option.get !stats)
+
 let lock_battery ~make ~body ~max_runs ~max_steps ~por =
-  Explore.explore ~por ~max_runs ~max_steps ~n:2 ~model:Memory.CC
-    ~crash:(fun () -> Crash.none)
-    ~setup:make ~body ~check:me_or_deadlock ()
+  fst (lock_search ~make ~body ~max_runs ~max_steps ~por)
 
 let sa0_battery ~max_runs ~por =
   Explore.explore ~por ~max_runs ~max_steps:6_000 ~n:3 ~model:Memory.CC ~crash:sa0_crash
@@ -555,6 +564,80 @@ let run_dpor_case { dname; drun; dmono } =
 
 let test_dpor_battery () = List.iter run_dpor_case dpor_battery_cases
 
+(* The summary index a cache hit asks for its prefix demands must answer
+   exactly as the linear definition it replaces: some member of another
+   process is not independent of the probe.  Every class x crashy x
+   location footprint at pids 0, 1 and 61 is a probe.  Each member set is
+   drawn from a seeded random slice of those footprints (some classes,
+   crash flags and pids), so sets without global or crashy members, where
+   the location rule decides, are common. *)
+let footprints ~pids ~crashies ~classes =
+  List.concat_map
+    (fun pid ->
+      List.concat_map
+        (fun crashy ->
+          List.concat_map
+            (fun cls ->
+              List.map
+                (fun loc -> Footprint.make ~pid ~crashy cls loc)
+                [ `None; `Cs; `Cell 0; `Cell 1; `Lock 0; `Lock 1 ])
+            classes)
+        crashies)
+    pids
+
+let linear_conflicts members fk =
+  Array.exists
+    (fun f -> Footprint.pid f <> Footprint.pid fk && not (Footprint.independent f fk))
+    members
+
+let test_summary_index () =
+  let rng = Random.State.make [| 0x1dc5; 33 |] in
+  let some l = List.filter (fun _ -> Random.State.bool rng) l in
+  let probes =
+    Array.of_list
+      (footprints ~pids:[ 0; 1; 61 ] ~crashies:[ false; true ]
+         ~classes:[ `Local; `Read; `Write; `Global ])
+  in
+  let pp_set = Fmt.(brackets (array ~sep:semi Footprint.pp)) in
+  for i = 0 to 599 do
+    let pool =
+      match
+        footprints ~pids:(some [ 0; 1; 61 ]) ~crashies:(some [ false; true ])
+          ~classes:(some [ `Local; `Read; `Write; `Global ])
+      with
+      | [] -> probes
+      | l -> Array.of_list l
+    in
+    let len = if i <= 64 then i else Random.State.int rng 65 in
+    let members = Array.init len (fun _ -> pool.(Random.State.int rng (Array.length pool))) in
+    let set = Footprint.Set.of_sub members ~off:0 ~len in
+    (* The same members shuffled, behind a footprint [of_sub] must skip. *)
+    let shuffled = Array.append [| Footprint.make ~pid:62 ~crashy:true `Global `None |] members in
+    for k = len downto 2 do
+      let j = 1 + Random.State.int rng k in
+      let x = shuffled.(k) in
+      shuffled.(k) <- shuffled.(j);
+      shuffled.(j) <- x
+    done;
+    let set' = Footprint.Set.of_sub shuffled ~off:1 ~len in
+    let sorted = Array.copy members in
+    Array.sort compare sorted;
+    let got = Array.init (Footprint.Set.length set) (Footprint.Set.get set) in
+    if got <> sorted then Alcotest.failf "set %d: members %a, expected %a" i pp_set got pp_set sorted;
+    Array.iter
+      (fun fk ->
+        let want = linear_conflicts members fk in
+        let a = Footprint.Set.conflicts set fk and b = Footprint.Set.conflicts set' fk in
+        if a <> want || b <> want then
+          Alcotest.failf "set %d %a, probe %a: index %b, shuffled %b, linear %b" i pp_set sorted
+            Footprint.pp fk a b want)
+      probes
+  done;
+  Alcotest.check_raises "a pid past 61 raises"
+    (Invalid_argument "Footprint.Set.of_sub: pid past 61") (fun () ->
+      ignore
+        (Footprint.Set.of_sub [| Footprint.local ~pid:0; Footprint.local ~pid:62 |] ~off:0 ~len:2))
+
 (* --- state cache: unit + adversarial collisions ---------------------- *)
 
 let test_statecache_unit () =
@@ -639,6 +722,17 @@ let pin name ~runs ~exhausted (o : Explore.outcome) =
   check cb (name ^ ": exhausted") exhausted o.Explore.exhausted;
   check cb (name ^ ": clean") true (o.Explore.violation = None)
 
+(* The effort behind a `Source verdict: a moved step or cache count with
+   the same run count means the search demanded, pruned or replayed
+   differently. *)
+let pin_stats name ~engine_runs ~engine_steps ~hits ~misses ~evictions (s : Explore.search_stats)
+    =
+  check ci (name ^ ": engine runs") engine_runs s.Explore.engine_runs;
+  check ci (name ^ ": engine steps") engine_steps s.Explore.engine_steps;
+  check ci (name ^ ": cache hits") hits s.Explore.cache_hits;
+  check ci (name ^ ": cache misses") misses s.Explore.cache_misses;
+  check ci (name ^ ": cache evictions") evictions s.Explore.cache_evictions
+
 let test_source_pins_splitter () =
   let run por = explore_splitter ~por ~crash:(fun () -> Crash.none) () in
   pin "splitter-me-n2 off" ~runs:3_552 ~exhausted:true (run `Off);
@@ -649,13 +743,22 @@ let test_source_pins_sa_wr () =
   let wr = lock_battery ~make:Wr_lock.make ~body:standard_one ~max_steps:4_000 in
   pin "wr-me-n2 off" ~runs:10_000 ~exhausted:false (wr ~por:`Off ~max_runs:10_000);
   pin "wr-me-n2 sleep" ~runs:2_097 ~exhausted:true (wr ~por:`Sleep ~max_runs:200_000);
-  pin "wr-me-n2 source" ~runs:2_037 ~exhausted:true (wr ~por:`Source ~max_runs:200_000);
+  let o, s =
+    lock_search ~make:Wr_lock.make ~body:standard_one ~max_steps:4_000 ~max_runs:200_000
+      ~por:`Source
+  in
+  pin "wr-me-n2 source" ~runs:2_037 ~exhausted:true o;
+  pin_stats "wr-me-n2 source" ~engine_runs:2_038 ~engine_steps:153_505 ~hits:1_484 ~misses:553
+    ~evictions:1 s;
   let sa =
-    lock_battery ~make:(Lazy.force sa_me_make) ~body:standard_one ~max_steps:20_000
+    lock_search ~make:(Lazy.force sa_me_make) ~body:standard_one ~max_steps:20_000
       ~max_runs:200_000
   in
-  pin "sa-me-n2 sleep" ~runs:31_290 ~exhausted:true (sa ~por:`Sleep);
-  pin "sa-me-n2 source" ~runs:18_875 ~exhausted:true (sa ~por:`Source)
+  pin "sa-me-n2 sleep" ~runs:31_290 ~exhausted:true (fst (sa ~por:`Sleep));
+  let o, s = sa ~por:`Source in
+  pin "sa-me-n2 source" ~runs:18_875 ~exhausted:true o;
+  pin_stats "sa-me-n2 source" ~engine_runs:18_876 ~engine_steps:2_513_916 ~hits:16_838
+    ~misses:2_037 ~evictions:40 s
 
 let test_source_pins_wr_gap () =
   (* Every tier stops at the same first violation after the same number of
@@ -731,7 +834,10 @@ let () =
           Alcotest.test_case "non-reproducing input" `Quick test_shrink_keeps_nonreproducing_input;
         ] );
       ( "dpor battery",
-        [ Alcotest.test_case "three-tier differential battery" `Quick test_dpor_battery ] );
+        [
+          Alcotest.test_case "three-tier differential battery" `Quick test_dpor_battery;
+          Alcotest.test_case "summary index differential" `Quick test_summary_index;
+        ] );
       ( "statecache",
         [
           Alcotest.test_case "unit: subset rule and eviction" `Quick test_statecache_unit;
