@@ -15,33 +15,9 @@ module Ctx = struct
   let on_rewind t f = t.rewinders <- f :: t.rewinders
 end
 
-type passage = { super : int; rmr : int; completed : bool; latency : int }
+include Folds.Types
 
 type proc_stats = { passages : passage list; crashes : int; completed : int; max_level : int }
-
-type lock_stats = { lock_name : string; max_occupancy : int; unsafe_crashes : int }
-
-(* How one delivered abort signal resolved. *)
-type abort_result = Res_aborted | Res_lost_race | Res_acquired | Res_crashed | Res_pending
-
-type abort_stat = {
-  ab_pid : int;
-  ab_signal_step : int;
-  ab_op_index : int;  (* victim op index of an on-op signal; -1 for async *)
-  ab_resolved_step : int;  (* -1 while pending *)
-  ab_own_steps : int;  (* victim's own steps from signal to resolution *)
-  ab_rmr : int;  (* RMRs the victim incurred between signal and resolution *)
-  ab_result : abort_result;
-}
-
-let pp_abort_result ppf r =
-  Fmt.string ppf
-    (match r with
-    | Res_aborted -> "aborted"
-    | Res_lost_race -> "lost-race"
-    | Res_acquired -> "acquired"
-    | Res_crashed -> "crashed"
-    | Res_pending -> "pending")
 
 type stall_kind = Deadlock | Livelock | Starvation | Underbudget
 
@@ -57,32 +33,6 @@ let pp_stall ppf s =
   Fmt.pf ppf "%a: %a" pp_stall_kind s.stall_kind
     Fmt.(list ~sep:(any ", ") (fun ppf (pid, seg) -> pf ppf "p%d[%s]" pid seg))
     s.culprits
-
-type skipped_recovery = { sr_pid : int; sr_step : int; sr_crash_step : int }
-
-type weak_me_breach = { wm_lock : int; wm_step : int; wm_holders : int; wm_live : int }
-
-type overtake = { ov_step : int; ov_waiter : int; ov_lock : int }
-
-type parked = { pk_pid : int; pk_lock : int; pk_count : int }
-
-type monitors = {
-  skipped_recovery : skipped_recovery option;
-  weak_me_breaches : weak_me_breach list;
-  overtakes : overtake array;
-  parked_at_end : parked option;
-  held_at_end : bool;
-}
-
-(* A run with nothing to report shares this one. *)
-let no_monitors =
-  {
-    skipped_recovery = None;
-    weak_me_breaches = [];
-    overtakes = [||];
-    parked_at_end = None;
-    held_at_end = false;
-  }
 
 type result = {
   steps : int;
@@ -147,9 +97,8 @@ type 'a slots = {
   view : 'a Api.view array;
 }
 
-(* FNV-style fold for the per-process answer-stream digests and the state
-   key.  Stays in [0, max_int] so the digests are portable ints. *)
-let hmix h x = (h lxor x) * 0x100000001b3 land max_int
+(* The per-process answer-stream digests fold like the state key. *)
+let hmix = Folds.hmix
 
 (* Each process's answer stream: in global resolution order, every event
    that advanced its fiber — a body dispatch, the answer fed to a suspended
@@ -245,50 +194,8 @@ type t = {
   crashes : int array;
   last_progress : int array;  (* step of each pid's last satisfied request; -1 if none *)
   last_sched : int array;  (* step at which each pid last took a step; -1 if never *)
-  unsafe_open : int list array;
-  holding : int list array;
-  (* Abort axis: a pending signal per pid, its accounting, and the entry
-     oracles the plans' async decisions read.  [entry_since] holds the
-     global step at which the process entered its (outermost) entry
-     section, -1 outside one; [ab_streak] counts consecutive aborts of the
-     current super-passage (reset on acquire / lost race / crash). *)
-  ab_flag : bool array;
-  ab_signal_step : int array;
-  ab_op_origin : int array;
-  ab_own : int array;
-  ab_rmr_acc : int array;
-  ab_streak : int array;
-  entry_depth : int array;
-  entry_since : int array;
-  ab_stats : abort_stat Vec.t;
   crash_log : Crash.fired Vec.t;  (* every crash delivered, in delivery order *)
-  in_passage : bool array;
-  in_app_cs : bool array;
-  passage_rmr : int array;
-  passage_super : int array;
-  passage_start : int array;
-  passages : passage Vec.t array;
-  level_max : int array;
-  occupancy : int array;  (* by lock id, like the two below *)
-  occupancy_max : int array;
-  unsafe_crashes : int array;
-  (* The online history monitors ([monitors]), fed by [handle_note] and
-     [do_crash] whatever the sink.  System recovery: *)
-  crash_step : int array;  (* step of each pid's last crash since its last Req_begin; -1 if none *)
-  mutable skipped : skipped_recovery option;
-  (* Weak ME: a failure's pending set is the requests outstanding at it,
-     so the failures whose consequence interval is still open are those at
-     or after the oldest outstanding request began. *)
-  outstanding : bool array;  (* the pid has a request between Req_begin and Req_done *)
-  out_since : int array;  (* [crash_seq] when that request began *)
-  mutable crash_seq : int;  (* crashes so far *)
-  unsafe_log : int Vec.t;  (* (crash_seq, lock id) of every unsafe failure, in crash order *)
-  mutable breaches : weak_me_breach list;  (* newest first *)
-  (* Lost wakeup: *)
-  waits_on : int array;  (* lock of each pid's unresolved Lock_enter; -1 if none *)
-  overtaken : int array;  (* releases of it by others since *)
-  last_holder : int array;  (* by lock id: its last acquirer until that one releases; -1 if none *)
-  overtakes : overtake Vec.t;
+  folds : Folds.t;  (* what the run measures as it goes; the abort flag with them *)
   parked_cells : (int, unit) Hashtbl.t;  (* cell ids with parked processes *)
   (* Per-count scratch arrays for {!runnable}: [Sched.pick] implementations
      read [Array.length runnable], so each ready-set size needs an
@@ -319,8 +226,6 @@ type t = {
   rmr_by_kind : int array;  (* indexed by a dense Api.kind code *)
   mutable total_rmr : int;
   mutable system_crashes : int;
-  mutable global_cs : int;
-  mutable global_cs_max : int;
   mutable deadlocked : bool;
   mutable timed_out : bool;
   rewinders : (unit -> unit) list;  (* [Ctx.on_rewind]'s, run before every run *)
@@ -412,25 +317,7 @@ let charge eng pid ~kind rmr =
   if rmr > 0 then begin
     eng.total_rmr <- eng.total_rmr + rmr;
     eng.rmr_by_kind.(kind_code kind) <- eng.rmr_by_kind.(kind_code kind) + rmr;
-    if eng.in_passage.(pid) then eng.passage_rmr.(pid) <- eng.passage_rmr.(pid) + rmr;
-    if eng.has_abort && eng.ab_flag.(pid) then
-      eng.ab_rmr_acc.(pid) <- eng.ab_rmr_acc.(pid) + rmr
-  end
-
-(* Close the books on [pid]'s pending abort signal. *)
-let resolve_abort eng pid result =
-  if eng.ab_flag.(pid) then begin
-    Vec.push eng.ab_stats
-      {
-        ab_pid = pid;
-        ab_signal_step = eng.ab_signal_step.(pid);
-        ab_op_index = eng.ab_op_origin.(pid);
-        ab_resolved_step = eng.step;
-        ab_own_steps = eng.ab_own.(pid);
-        ab_rmr = eng.ab_rmr_acc.(pid);
-        ab_result = result;
-      };
-    eng.ab_flag.(pid) <- false
+    Folds.charge eng.folds pid rmr ~abort:eng.has_abort
   end
 
 (* Is [pid]'s spin (parked or woken) abortable?  Its view slot still holds
@@ -447,15 +334,12 @@ let abortable_spin eng pid =
    plans are harmless.  An abortable parked victim is woken so it can
    observe the flag. *)
 let signal_abort eng ~origin pid =
-  if pid >= 0 && pid < eng.n && eng.entry_depth.(pid) > 0 && not eng.ab_flag.(pid) then begin
+  let a = eng.folds.aborts in
+  if pid >= 0 && pid < eng.n && a.depth.(pid) > 0 && not a.flag.(pid) then begin
     match eng.phase.(pid) with
     | Halted -> ()
     | (Start | Ready_int | Ready_bool | Ready_unit | Parked | Woken) as ph ->
-        eng.ab_flag.(pid) <- true;
-        eng.ab_signal_step.(pid) <- eng.step;
-        eng.ab_op_origin.(pid) <- origin;
-        eng.ab_own.(pid) <- 0;
-        eng.ab_rmr_acc.(pid) <- 0;
+        Folds.Aborts.signal a pid ~step:eng.step ~origin;
         if eng.emit then
           record_event eng
             (Event.Note
@@ -465,189 +349,15 @@ let signal_abort eng ~origin pid =
         | Start | Ready_int | Ready_bool | Ready_unit | Parked | Woken | Halted -> ())
   end
 
-let close_passage eng pid ~completed =
-  if eng.in_passage.(pid) then begin
-    Vec.push eng.passages.(pid)
-      {
-        super = eng.passage_super.(pid);
-        rmr = eng.passage_rmr.(pid);
-        completed;
-        latency = eng.step - eng.passage_start.(pid);
-      };
-    eng.in_passage.(pid) <- false;
-    eng.passage_rmr.(pid) <- 0
-  end
-
-(* [occupancy] counts the pids whose [holding] lists the lock, so a
-   second acquisition without a release adds no holder. *)
-let enter_lock_cs eng pid id =
-  if not (List.mem id eng.holding.(pid)) then begin
-    eng.occupancy.(id) <- eng.occupancy.(id) + 1;
-    if eng.occupancy.(id) > eng.occupancy_max.(id) then
-      eng.occupancy_max.(id) <- eng.occupancy.(id)
-  end;
-  eng.holding.(pid) <- id :: eng.holding.(pid)
-
-(* [l] without [id], in order, sharing the tail past [id]'s last
-   occurrence: the common case, [id] at the head and nowhere else (the
-   last lock entered is the first one left), returns the tail and
-   allocates nothing, and neither does an [l] without [id]. *)
-let rec without id = function
-  | [] -> []
-  | x :: rest as l ->
-      if x = id then without id rest
-      else
-        let rest' = without id rest in
-        if rest' == rest then l else x :: rest'
-
-let leave_lock_cs eng pid id =
-  if List.mem id eng.holding.(pid) then begin
-    eng.holding.(pid) <- without id eng.holding.(pid);
-    eng.occupancy.(id) <- eng.occupancy.(id) - 1
-  end
-
-(* Theorem 4.2's interval form at an acquisition of lock [id]: more than
-   one holder needs as many open unsafe failures w.r.t. it.  A failure's
-   interval is open while a request outstanding at it still is, so the
-   open ones are those since the oldest outstanding request began.  Only
-   a lock's first breach is kept. *)
-let check_weak_me eng id =
-  let k = eng.occupancy.(id) in
-  if k > 1 && not (List.exists (fun b -> b.wm_lock = id) eng.breaches) then begin
-    let since = ref max_int in
-    for p = 0 to eng.n - 1 do
-      if eng.outstanding.(p) && eng.out_since.(p) < !since then since := eng.out_since.(p)
-    done;
-    let live = ref 0 and i = ref (Vec.length eng.unsafe_log - 2) in
-    while !i >= 0 && Vec.unsafe_get eng.unsafe_log !i >= !since do
-      if Vec.unsafe_get eng.unsafe_log (!i + 1) = id then incr live;
-      i := !i - 2
-    done;
-    if k > 1 + !live then
-      eng.breaches <-
-        { wm_lock = id; wm_step = eng.step; wm_holders = k; wm_live = !live } :: eng.breaches
-  end
-
-(* A release of [id] by [pid] overtakes every other process waiting on
-   it; the first release to bring some waiter to a count no waiter had
-   reached is logged, naming the highest such pid. *)
-let overtake_waiters eng pid id =
-  let reached = Vec.length eng.overtakes and top = ref (-1) in
-  for w = 0 to eng.n - 1 do
-    if w <> pid && eng.waits_on.(w) = id then begin
-      let c = eng.overtaken.(w) + 1 in
-      eng.overtaken.(w) <- c;
-      if c > reached then top := w
-    end
-  done;
-  if !top >= 0 then Vec.push eng.overtakes { ov_step = eng.step; ov_waiter = !top; ov_lock = id }
-
-let stop_waiting eng pid id = if eng.waits_on.(pid) = id then eng.waits_on.(pid) <- -1
-
 let handle_note eng pid (n : Event.note) =
   if eng.emit then
     record_event eng (Event.Note { step = eng.step; pid; super = eng.completed.(pid); note = n });
-  match n with
-  | Seg Ncs_begin -> ()
-  | Seg Req_begin ->
-      eng.crash_step.(pid) <- -1;
-      if not eng.outstanding.(pid) then begin
-        eng.outstanding.(pid) <- true;
-        eng.out_since.(pid) <- eng.crash_seq
-      end;
-      (* A restart after a crash begins a new passage of the same
-         super-passage: the super id is the index of the pending request.
-         A crash already closed its passage; a retry after an {e abort}
-         reaches here with the abandoned passage still open — close it as
-         incomplete so its RMRs stay accounted per passage. *)
-      close_passage eng pid ~completed:false;
-      eng.in_passage.(pid) <- true;
-      eng.passage_super.(pid) <- eng.completed.(pid);
-      eng.passage_start.(pid) <- eng.step;
-      eng.passage_rmr.(pid) <- 0
-  | Seg Cs_begin ->
-      (if eng.crash_step.(pid) >= 0 then
-         match eng.skipped with
-         | None ->
-             eng.skipped <-
-               Some { sr_pid = pid; sr_step = eng.step; sr_crash_step = eng.crash_step.(pid) }
-         | Some _ -> ());
-      if not eng.in_app_cs.(pid) then begin
-        eng.in_app_cs.(pid) <- true;
-        eng.global_cs <- eng.global_cs + 1;
-        if eng.global_cs > eng.global_cs_max then eng.global_cs_max <- eng.global_cs
-      end
-  | Seg Cs_end ->
-      if eng.in_app_cs.(pid) then begin
-        eng.in_app_cs.(pid) <- false;
-        eng.global_cs <- eng.global_cs - 1
-      end
+  (match n with
   | Seg Req_done ->
-      eng.outstanding.(pid) <- false;
       eng.completed.(pid) <- eng.completed.(pid) + 1;
-      eng.last_progress.(pid) <- eng.step;
-      close_passage eng pid ~completed:true;
-      if eng.has_abort then begin
-        (* Defensive: a request can only finish outside every entry
-           section, so clear any stale tracking. *)
-        eng.entry_depth.(pid) <- 0;
-        eng.entry_since.(pid) <- -1;
-        eng.ab_streak.(pid) <- 0
-      end
-  | Lock_enter id ->
-      eng.waits_on.(pid) <- id;
-      eng.overtaken.(pid) <- 0;
-      if eng.has_abort then begin
-        if eng.entry_depth.(pid) = 0 then eng.entry_since.(pid) <- eng.step;
-        eng.entry_depth.(pid) <- eng.entry_depth.(pid) + 1
-      end
-  | Lock_acquired id ->
-      if eng.has_abort then begin
-        eng.entry_depth.(pid) <- max 0 (eng.entry_depth.(pid) - 1);
-        if eng.entry_depth.(pid) = 0 then begin
-          eng.entry_since.(pid) <- -1;
-          resolve_abort eng pid Res_acquired;
-          eng.ab_streak.(pid) <- 0
-        end
-      end;
-      eng.last_holder.(id) <- pid;
-      stop_waiting eng pid id;
-      enter_lock_cs eng pid id;
-      check_weak_me eng id
-  | Lock_release id -> leave_lock_cs eng pid id
-  | Lock_released id ->
-      if id < Array.length eng.last_holder && eng.last_holder.(id) = pid then
-        eng.last_holder.(id) <- -1;
-      overtake_waiters eng pid id
-  | Level l -> if l > eng.level_max.(pid) then eng.level_max.(pid) <- l
-  | Abort_done id ->
-      stop_waiting eng pid id;
-      if eng.has_abort then begin
-        resolve_abort eng pid Res_aborted;
-        eng.ab_streak.(pid) <- eng.ab_streak.(pid) + 1;
-        eng.entry_depth.(pid) <- 0;
-        eng.entry_since.(pid) <- -1
-      end
-  | Abort_lost_race id ->
-      (* The abort raced the handoff and lost: the process now holds the
-         lock even though [Lock_acquired] never fired on this path, so the
-         occupancy/ME bookkeeping enters the CS here. *)
-      if eng.has_abort then begin
-        resolve_abort eng pid Res_lost_race;
-        eng.ab_streak.(pid) <- 0;
-        eng.entry_depth.(pid) <- 0;
-        eng.entry_since.(pid) <- -1
-      end;
-      stop_waiting eng pid id;
-      enter_lock_cs eng pid id;
-      check_weak_me eng id
-  | Abort_signal | Abort_request _ | Path _ | Custom _ -> ()
-
-let open_unsafe eng pid lock =
-  if not (List.mem lock eng.unsafe_open.(pid)) then
-    eng.unsafe_open.(pid) <- lock :: eng.unsafe_open.(pid)
-
-let close_unsafe eng pid lock = eng.unsafe_open.(pid) <- without lock eng.unsafe_open.(pid)
+      eng.last_progress.(pid) <- eng.step
+  | _ -> ());
+  Folds.note eng.folds pid n ~step:eng.step ~super:eng.completed.(pid) ~abort:eng.has_abort
 
 (* Apply [pid]'s pending non-spin instruction to shared memory, returning
    its packed answer (see [answer]) and leaving the RMR cost in
@@ -677,11 +387,11 @@ let apply : type a. t -> int -> a Api.view -> int =
   | Api.V_fas_open_unsafe_reg ->
       let old = Memory.fas_u mem ~pid o.cell o.arg in
       eng.last_rmr <- Memory.last_cost mem;
-      open_unsafe eng pid o.arg2;
+      Folds.Occupancy.open_unsafe eng.folds.occupancy pid o.arg2;
       old
   | Api.V_write_close_unsafe_reg ->
       eng.last_rmr <- Memory.write mem ~pid o.cell o.arg;
-      close_unsafe eng pid o.arg2;
+      Folds.Occupancy.close_unsafe eng.folds.occupancy pid o.arg2;
       0
   | Api.V_fas_persist_reg ->
       let old = Memory.fas_u mem ~pid o.cell o.arg in
@@ -704,7 +414,7 @@ let apply : type a. t -> int -> a Api.view -> int =
       eng.step
   | Api.V_poll_abort ->
       eng.last_rmr <- 0;
-      Bool.to_int eng.ab_flag.(pid)
+      Bool.to_int eng.folds.aborts.flag.(pid)
   | Api.V_yield ->
       eng.last_rmr <- 0;
       0
@@ -777,21 +487,6 @@ let discontinue (type a) eng pid (k : (a, phase) Effect.Deep.continuation) =
       (* The body swallowed [Crashed] and kept computing: forbidden. *)
       failwith "Engine: process body must not catch the crash exception"
 
-(* The crash's unsafe failures, one per lock whose window it left open. *)
-let rec log_unsafe eng = function
-  | [] -> ()
-  | lock :: rest ->
-      eng.unsafe_crashes.(lock) <- eng.unsafe_crashes.(lock) + 1;
-      Vec.push eng.unsafe_log eng.crash_seq;
-      Vec.push eng.unsafe_log lock;
-      log_unsafe eng rest
-
-let rec leave_all eng pid = function
-  | [] -> ()
-  | lock :: rest ->
-      leave_lock_cs eng pid lock;
-      leave_all eng pid rest
-
 (* Crash [pid], discarding whatever fiber its slots hold.  [exec] calls
    this while the tag is still the [Ready_*] being executed. *)
 let do_crash eng pid =
@@ -802,29 +497,13 @@ let do_crash eng pid =
            step = eng.step;
            pid;
            super = eng.completed.(pid);
-           unsafe_wrt = eng.unsafe_open.(pid);
-           holding = eng.holding.(pid);
-           in_passage = eng.in_passage.(pid);
+           unsafe_wrt = eng.folds.occupancy.unsafe_open.(pid);
+           holding = eng.folds.occupancy.holding.(pid);
+           in_passage = eng.folds.passages.in_passage.(pid);
          });
   eng.crashes.(pid) <- eng.crashes.(pid) + 1;
-  log_unsafe eng eng.unsafe_open.(pid);
-  eng.crash_seq <- eng.crash_seq + 1;
-  eng.crash_step.(pid) <- eng.step;
-  eng.waits_on.(pid) <- -1;
-  leave_all eng pid eng.holding.(pid);
-  if eng.in_app_cs.(pid) then begin
-    eng.in_app_cs.(pid) <- false;
-    eng.global_cs <- eng.global_cs - 1
-  end;
-  close_passage eng pid ~completed:false;
-  if eng.has_abort then begin
-    resolve_abort eng pid Res_crashed;
-    eng.entry_depth.(pid) <- 0;
-    eng.entry_since.(pid) <- -1;
-    eng.ab_streak.(pid) <- 0
-  end;
+  Folds.crash eng.folds pid ~step:eng.step ~abort:eng.has_abort;
   Memory.forget eng.mem ~pid;
-  eng.unsafe_open.(pid) <- [];
   (match eng.phase.(pid) with
   | Ready_int ->
       jpush eng (jt_crash lor (pid lsl 3)) 0;
@@ -928,7 +607,7 @@ let op_info : type a. t -> int -> a Api.view -> Crash.op_info =
   info.kind <- Api.kind_of_view view;
   info.cell <- (if has_cell view then cell_name eng.consult o.cell else None);
   info.note <- (match view with Api.V_note_reg -> note_box eng.consult o.note | _ -> None);
-  info.unsafe_wrt <- eng.unsafe_open.(pid);
+  info.unsafe_wrt <- eng.folds.occupancy.unsafe_open.(pid);
   eng.op_index.(pid) <- eng.op_index.(pid) + 1;
   eng.on_op info;
   info
@@ -947,7 +626,7 @@ let spin eng pid view (k : (unit, phase) Effect.Deep.continuation) ~crash_after 
   charge eng pid ~kind:Api.Spin (Memory.last_cost eng.mem);
   record_op eng pid view;
   if crash_after then do_crash eng pid
-  else if Api.cond_holds o.cond v || (abortable && eng.ab_flag.(pid)) then begin
+  else if Api.cond_holds o.cond v || (abortable && eng.folds.aborts.flag.(pid)) then begin
     jpush eng (jt_ans_unit lor (pid lsl 3)) 0;
     eng.phase.(pid) <- Effect.Deep.continue k ()
   end
@@ -1005,9 +684,7 @@ let exec : type a. t -> int -> a answer -> a Api.view -> (a, phase) Effect.Deep.
    back with: the handler has already filed a suspension in [pid]'s
    slots. *)
 let step_process eng handler pid =
-  (* Steps taken while the abort flag is up are the victim's own resolving
-     steps — the quantity [Props.abort_liveness] bounds. *)
-  if eng.has_abort && eng.ab_flag.(pid) then eng.ab_own.(pid) <- eng.ab_own.(pid) + 1;
+  if eng.has_abort then Folds.Aborts.step eng.folds.aborts pid;
   eng.cur <- pid;
   match eng.phase.(pid) with
   | Start ->
@@ -1021,7 +698,8 @@ let step_process eng handler pid =
       let o = eng.pend.(pid) in
       let v = Memory.read_u eng.mem ~pid o.cell in
       charge eng pid ~kind:Api.Spin (Memory.last_cost eng.mem);
-      if Api.cond_holds o.cond v || (abortable_spin eng pid && eng.ab_flag.(pid)) then begin
+      let aborted = abortable_spin eng pid && eng.folds.aborts.flag.(pid) in
+      if Api.cond_holds o.cond v || aborted then begin
         jpush eng (jt_ans_unit lor (pid lsl 3)) 0;
         eng.phase.(pid) <- Effect.Deep.continue eng.units.k.(pid) ()
       end
@@ -1042,8 +720,6 @@ let pending_footprint eng ~crashy pid =
   | Ready_unit -> Footprint.of_pending ~pid ~crashy:(crashy pid) eng.units.view.(pid) o
   | Woken -> Footprint.waiting ~pid o.cell
   | Parked | Halted -> assert false
-
-let rec hmix_ids h = function [] -> h | l :: rest -> hmix_ids (hmix h (l + 1)) rest
 
 (* The state key behind the explorer's decision-node deduplication: a
    compact int-array digest of everything that determines both the future
@@ -1070,8 +746,8 @@ let rec hmix_ids h = function [] -> h | l :: rest -> hmix_ids (hmix h (l + 1)) r
    closure over a [ref] would box it, and the key is built once per
    explorer node. *)
 let state_key eng =
-  let n = eng.n in
-  let nlocks = Array.length eng.occupancy in
+  let n = eng.n and f = eng.folds in
+  let nlocks = Array.length f.occupancy.occupancy in
   let key = Array.make ((3 * n) + nlocks + 4) 0 in
   key.(0) <- Memory.fingerprint eng.mem;
   for p = 0 to n - 1 do
@@ -1085,53 +761,18 @@ let state_key eng =
       | Halted -> 4
     in
     key.(1 + n + p) <- tag lor (eng.op_index.(p) lsl 3);
-    let h = hmix 0 eng.completed.(p) in
-    let h = hmix h eng.crashes.(p) in
-    let h = hmix h eng.level_max.(p) in
-    let h = hmix h (Bool.to_int eng.in_passage.(p)) in
-    let h = hmix h (Bool.to_int eng.in_app_cs.(p)) in
-    let h = hmix h eng.passage_rmr.(p) in
-    let h = hmix h eng.passage_super.(p) in
-    (* Abort state, minus global-step quantities ([entry_since],
-       [ab_signal_step]) — excluded like latencies, per the POR contract. *)
-    let h = hmix h (Bool.to_int eng.ab_flag.(p)) in
-    let h = hmix h eng.ab_own.(p) in
-    let h = hmix h eng.ab_rmr_acc.(p) in
-    let h = hmix h eng.ab_streak.(p) in
-    let h = hmix h eng.entry_depth.(p) in
-    let h = hmix (hmix_ids h eng.unsafe_open.(p)) (-2) in
-    let h = ref (hmix (hmix_ids h eng.holding.(p)) (-3)) in
-    let passages = eng.passages.(p) in
-    for i = 0 to Vec.length passages - 1 do
-      let pa = Vec.unsafe_get passages i in
-      h := hmix (hmix (hmix !h pa.super) pa.rmr) (Bool.to_int pa.completed)
-    done;
-    key.(1 + (2 * n) + p) <- !h
+    key.(1 + (2 * n) + p) <- Folds.key_proc f p (hmix (hmix 0 eng.completed.(p)) eng.crashes.(p))
   done;
   for l = 0 to nlocks - 1 do
-    key.(1 + (3 * n) + l) <-
-      hmix (hmix (hmix 0 eng.occupancy.(l)) eng.occupancy_max.(l)) eng.unsafe_crashes.(l)
+    key.(1 + (3 * n) + l) <- Folds.Occupancy.key_lock f.occupancy l
   done;
   let h = ref (hmix 0 eng.total_rmr) in
   for k = 0 to Array.length eng.rmr_by_kind - 1 do
     h := hmix !h eng.rmr_by_kind.(k)
   done;
-  h := hmix !h eng.system_crashes;
-  for i = 0 to Vec.length eng.ab_stats - 1 do
-    let a = Vec.unsafe_get eng.ab_stats i in
-    h :=
-      hmix
-        (hmix (hmix (hmix !h (a.ab_pid + 1)) a.ab_own_steps) a.ab_rmr)
-        (match a.ab_result with
-        | Res_aborted -> 1
-        | Res_lost_race -> 2
-        | Res_acquired -> 3
-        | Res_crashed -> 4
-        | Res_pending -> 5)
-  done;
-  key.((3 * n) + nlocks + 1) <- !h;
-  key.((3 * n) + nlocks + 2) <- eng.global_cs;
-  key.((3 * n) + nlocks + 3) <- eng.global_cs_max;
+  key.((3 * n) + nlocks + 1) <- Folds.Aborts.key_stats f.aborts (hmix !h eng.system_crashes);
+  key.((3 * n) + nlocks + 2) <- f.app_cs.count;
+  key.((3 * n) + nlocks + 3) <- f.app_cs.max;
   key
 
 (* Build the ready set (ascending pids) into a per-count scratch buffer.
@@ -1173,12 +814,13 @@ let runnable eng =
 
 (* Where is [pid] right now, for the watchdog's culprit report. *)
 let segment eng pid =
+  let holding = eng.folds.occupancy.holding.(pid) in
   let base =
-    if eng.in_app_cs.(pid) then "cs"
-    else if not eng.in_passage.(pid) then "ncs"
-    else if eng.holding.(pid) <> [] then
+    if eng.folds.app_cs.in_cs.(pid) then "cs"
+    else if not eng.folds.passages.in_passage.(pid) then "ncs"
+    else if holding <> [] then
       Printf.sprintf "holding(%s)"
-        (String.concat "," (List.map (fun id -> Vec.get eng.lock_names id) eng.holding.(pid)))
+        (String.concat "," (List.map (fun id -> Vec.get eng.lock_names id) holding))
     else "entry"
   in
   match eng.phase.(pid) with
@@ -1231,33 +873,6 @@ let charged_kinds eng =
   in
   from (Array.length eng.rmr_by_kind - 1) []
 
-(* The monitors' facts, with the waiters and holders left at the end. *)
-let monitors eng =
-  let parked = ref None in
-  for pid = 0 to eng.n - 1 do
-    if eng.waits_on.(pid) >= 0 then
-      parked :=
-        Some
-          {
-            pk_pid = pid;
-            pk_lock = eng.waits_on.(pid);
-            pk_count = (match !parked with Some p -> p.pk_count + 1 | None -> 1);
-          }
-  done;
-  let held = Array.exists (fun pid -> pid >= 0) eng.last_holder in
-  if
-    eng.skipped = None && eng.breaches = [] && Vec.is_empty eng.overtakes && !parked = None
-    && not held
-  then no_monitors
-  else
-    {
-      skipped_recovery = eng.skipped;
-      weak_me_breaches = List.rev eng.breaches;
-      overtakes = Vec.to_array eng.overtakes;
-      parked_at_end = !parked;
-      held_at_end = held;
-    }
-
 (* [l] is the charged-kinds list of the counters, from code [i] on. *)
 let rec kinds_hold eng i l =
   if i >= Array.length eng.rmr_by_kind then l = []
@@ -1270,23 +885,24 @@ let rec kinds_hold eng i l =
       | [] -> false
 
 let proc_stats eng pid =
+  let ps = eng.folds.passages in
   {
-    passages = Vec.to_list eng.passages.(pid);
+    passages = Vec.to_list ps.closed.(pid);
     crashes = eng.crashes.(pid);
     completed = eng.completed.(pid);
-    max_level = eng.level_max.(pid);
+    max_level = ps.level_max.(pid);
   }
 
 (* Lock [id]'s stats, the last run's record when they are the same. *)
 let lock_stats eng id =
-  let s = eng.lock_stats.(id) in
-  if s.max_occupancy = eng.occupancy_max.(id) && s.unsafe_crashes = eng.unsafe_crashes.(id) then s
+  let s = eng.lock_stats.(id) and o = eng.folds.occupancy in
+  if s.max_occupancy = o.occupancy_max.(id) && s.unsafe_crashes = o.unsafe_crashes.(id) then s
   else begin
     let s =
       {
         lock_name = Vec.get eng.lock_names id;
-        max_occupancy = eng.occupancy_max.(id);
-        unsafe_crashes = eng.unsafe_crashes.(id);
+        max_occupancy = o.occupancy_max.(id);
+        unsafe_crashes = o.unsafe_crashes.(id);
       }
     in
     eng.lock_stats.(id) <- s;
@@ -1297,7 +913,7 @@ let lock_stats eng id =
    the last run's ([lock_stats], [kinds]) are that run's values, shared,
    and the arrays are filled by loops rather than [Array.init] closures. *)
 let finish eng =
-  let n = eng.n and nlocks = Array.length eng.occupancy in
+  let n = eng.n and nlocks = Array.length eng.lock_stats in
   let procs = if n = 0 then [||] else Array.make n (proc_stats eng 0) in
   for pid = 1 to n - 1 do
     procs.(pid) <- proc_stats eng pid
@@ -1307,21 +923,6 @@ let finish eng =
     locks.(id) <- lock_stats eng id
   done;
   if not (kinds_hold eng 0 eng.kinds) then eng.kinds <- charged_kinds eng;
-  let pending_aborts = ref [] in
-  for pid = eng.n - 1 downto 0 do
-    if eng.ab_flag.(pid) then
-      pending_aborts :=
-        {
-          ab_pid = pid;
-          ab_signal_step = eng.ab_signal_step.(pid);
-          ab_op_index = eng.ab_op_origin.(pid);
-          ab_resolved_step = -1;
-          ab_own_steps = eng.ab_own.(pid);
-          ab_rmr = eng.ab_rmr_acc.(pid);
-          ab_result = Res_pending;
-        }
-        :: !pending_aborts
-  done;
   {
     steps = eng.step;
     total_rmr = eng.total_rmr;
@@ -1330,24 +931,24 @@ let finish eng =
     system_crashes = eng.system_crashes;
     procs;
     locks;
-    cs_max = eng.global_cs_max;
+    cs_max = eng.folds.app_cs.max;
     deadlocked = eng.deadlocked;
     timed_out = eng.timed_out;
     stall = classify_stall eng;
-    aborts = Vec.to_list eng.ab_stats @ !pending_aborts;
+    aborts = Folds.Aborts.facts eng.folds.aborts;
     crash_log = Vec.to_list eng.crash_log;
-    monitors = monitors eng;
+    monitors = Folds.monitors eng.folds;
     events = Event.Sink.events eng.sink;
   }
 
 (* The oracles an abort plan's async decisions read, closed over the
    engine.  Built on the engine's first run with an abort plan. *)
 let make_abort_view eng =
+  let a = eng.folds.aborts in
   {
     Abort.n = eng.n;
-    waiting =
-      (fun pid -> if eng.entry_since.(pid) < 0 then -1 else eng.step - eng.entry_since.(pid));
-    streak = (fun pid -> eng.ab_streak.(pid));
+    waiting = (fun pid -> if a.since.(pid) < 0 then -1 else eng.step - a.since.(pid));
+    streak = (fun pid -> a.streak.(pid));
   }
 
 (* Placeholders until [make_abort_view] and [make_handler] replace them;
@@ -1371,10 +972,10 @@ let ignore_key (_ : int array) = ()
    [run_in] and [run_trace] use their caller's arena, which one search or
    one domain's Chaos slot owns.  Every piece of mutable state below —
    the store, the engine record, the continuation and view slots, the
-   per-process arrays, the effect handler with its preallocated results —
-   belongs to one engine: [arena] allocates it and [prepare] resets it.
-   The module has no top-level mutable bindings (and the same holds for
-   Memory, Cell, Crash and Vec).  The one shared piece is {!Api.register},
+   per-process arrays, the folds, the effect handler with its preallocated
+   results — belongs to one engine: [arena] allocates it and [prepare]
+   resets it.  The module has no top-level mutable bindings (and the same
+   holds for Memory, Cell, Crash, Folds and Vec).  The one shared piece is {!Api.register},
    which is per domain: [prepare] takes the running domain's, the run's
    fibers fill it in that same domain, and the handler empties it into
    [pend] before another fiber runs.  Concurrent runs on different engines in different domains
@@ -1424,39 +1025,8 @@ let arena ~n ~model ~setup ~body =
       crashes = Array.make n 0;
       last_progress = Array.make n (-1);
       last_sched = Array.make n (-1);
-      unsafe_open = Array.make n [];
-      holding = Array.make n [];
-      ab_flag = Array.make n false;
-      ab_signal_step = Array.make n (-1);
-      ab_op_origin = Array.make n (-1);
-      ab_own = Array.make n 0;
-      ab_rmr_acc = Array.make n 0;
-      ab_streak = Array.make n 0;
-      entry_depth = Array.make n 0;
-      entry_since = Array.make n (-1);
-      ab_stats = Vec.create ();
       crash_log = Vec.create ();
-      in_passage = Array.make n false;
-      in_app_cs = Array.make n false;
-      passage_rmr = Array.make n 0;
-      passage_super = Array.make n 0;
-      passage_start = Array.make n 0;
-      passages = Array.init n (fun _ -> Vec.create ());
-      level_max = Array.make n 0;
-      occupancy = Array.make nlocks 0;
-      occupancy_max = Array.make nlocks 0;
-      unsafe_crashes = Array.make nlocks 0;
-      crash_step = Array.make n (-1);
-      skipped = None;
-      outstanding = Array.make n false;
-      out_since = Array.make n 0;
-      crash_seq = 0;
-      unsafe_log = Vec.create ();
-      breaches = [];
-      waits_on = Array.make n (-1);
-      overtaken = Array.make n 0;
-      last_holder = Array.make nlocks (-1);
-      overtakes = Vec.create ();
+      folds = Folds.create ~n ~nlocks;
       parked_cells = Hashtbl.create 8;
       ready_bufs = Array.make (n + 1) [||];
       degrees = [||];
@@ -1475,8 +1045,6 @@ let arena ~n ~model ~setup ~body =
       rmr_by_kind = Array.make 8 0;
       total_rmr = 0;
       system_crashes = 0;
-      global_cs = 0;
-      global_cs_max = 0;
       deadlocked = false;
       timed_out = false;
       rewinders = ctx.rewinders;
@@ -1495,20 +1063,7 @@ let prepare eng ~stall_window ~max_steps ~sink ~consult_ops ~track_ans ~trace_op
   let n = eng.n in
   Memory.rewind eng.mem;
   List.iter (fun rewind -> rewind ()) eng.rewinders;
-  Array.fill eng.occupancy 0 (Array.length eng.occupancy) 0;
-  Array.fill eng.occupancy_max 0 (Array.length eng.occupancy_max) 0;
-  Array.fill eng.unsafe_crashes 0 (Array.length eng.unsafe_crashes) 0;
-  Array.fill eng.crash_step 0 n (-1);
-  eng.skipped <- None;
-  Array.fill eng.outstanding 0 n false;
-  Array.fill eng.out_since 0 n 0;
-  eng.crash_seq <- 0;
-  Vec.clear eng.unsafe_log;
-  eng.breaches <- [];
-  Array.fill eng.waits_on 0 n (-1);
-  Array.fill eng.overtaken 0 n 0;
-  Array.fill eng.last_holder 0 (Array.length eng.last_holder) (-1);
-  Vec.clear eng.overtakes;
+  Folds.reset eng.folds;
   eng.crash <- crash;
   eng.abort <- abort;
   eng.has_crash <- crash != Crash.none;
@@ -1543,25 +1098,7 @@ let prepare eng ~stall_window ~max_steps ~sink ~consult_ops ~track_ans ~trace_op
   Array.fill eng.crashes 0 n 0;
   Array.fill eng.last_progress 0 n (-1);
   Array.fill eng.last_sched 0 n (-1);
-  Array.fill eng.unsafe_open 0 n [];
-  Array.fill eng.holding 0 n [];
-  Array.fill eng.ab_flag 0 n false;
-  Array.fill eng.ab_signal_step 0 n (-1);
-  Array.fill eng.ab_op_origin 0 n (-1);
-  Array.fill eng.ab_own 0 n 0;
-  Array.fill eng.ab_rmr_acc 0 n 0;
-  Array.fill eng.ab_streak 0 n 0;
-  Array.fill eng.entry_depth 0 n 0;
-  Array.fill eng.entry_since 0 n (-1);
-  Vec.clear eng.ab_stats;
   Vec.clear eng.crash_log;
-  Array.fill eng.in_passage 0 n false;
-  Array.fill eng.in_app_cs 0 n false;
-  Array.fill eng.passage_rmr 0 n 0;
-  Array.fill eng.passage_super 0 n 0;
-  Array.fill eng.passage_start 0 n 0;
-  Array.iter Vec.clear eng.passages;
-  Array.fill eng.level_max 0 n 0;
   Hashtbl.clear eng.parked_cells;
   eng.npos <- 0;
   eng.nfp <- 0;
@@ -1569,8 +1106,6 @@ let prepare eng ~stall_window ~max_steps ~sink ~consult_ops ~track_ans ~trace_op
   Array.fill eng.rmr_by_kind 0 (Array.length eng.rmr_by_kind) 0;
   eng.total_rmr <- 0;
   eng.system_crashes <- 0;
-  eng.global_cs <- 0;
-  eng.global_cs_max <- 0;
   eng.deadlocked <- false;
   eng.timed_out <- false
 
