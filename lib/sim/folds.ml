@@ -561,8 +561,11 @@ let reset f =
   Wakeup.reset f.wakeup;
   Aborts.reset f.aborts
 
-(* An acquisition of lock [id] by [pid]. *)
+(* An acquisition of lock [id] by [pid]: a [Lock_acquired], or an
+   [Abort_lost_race], after which the process holds the lock even though
+   [Lock_acquired] never fired. *)
 let acquired f pid id ~step =
+  Wakeup.acquired f.wakeup pid id;
   Occupancy.enter f.occupancy pid id;
   Weak_me.acquired f.weak_me id ~holders:f.occupancy.occupancy.(id) ~step
 
@@ -590,7 +593,6 @@ let note f pid (n : Event.note) ~step ~super ~abort =
       if abort then Aborts.enter f.aborts pid ~step
   | Lock_acquired id ->
       if abort then Aborts.acquired f.aborts pid ~step;
-      Wakeup.acquired f.wakeup pid id;
       acquired f pid id ~step
   | Lock_release id -> Occupancy.leave f.occupancy pid id
   | Lock_released id -> Wakeup.released f.wakeup pid id ~step
@@ -599,10 +601,7 @@ let note f pid (n : Event.note) ~step ~super ~abort =
       Wakeup.stop_waiting f.wakeup pid id;
       if abort then Aborts.resolved f.aborts pid ~step Res_aborted
   | Abort_lost_race id ->
-      (* The abort raced the handoff and lost: the process now holds the
-         lock even though [Lock_acquired] never fired on this path. *)
       if abort then Aborts.resolved f.aborts pid ~step Res_lost_race;
-      Wakeup.stop_waiting f.wakeup pid id;
       acquired f pid id ~step
   | Abort_signal | Abort_request _ | Path _ | Custom _ -> ()
 

@@ -99,7 +99,8 @@ let system_recovery (events : Event.t list) =
 (* A waiter's unresolved [Lock_enter] overtaken by [bound] complete
    passages of the same lock by others, or, when the run [stalled]
    (deadlocked, or timed out with a stall verdict), a waiter parked while
-   no lock is held. *)
+   no lock is held.  An [Abort_lost_race] acquires the lock like a
+   [Lock_acquired]. *)
 let no_lost_wakeup (events : Event.t list) ~n ~stalled ~bound =
   (* waiting.(pid) = Some (lock id, passages by others since Lock_enter) *)
   let waiting = Array.make n None in
@@ -110,7 +111,7 @@ let no_lost_wakeup (events : Event.t list) ~n ~stalled ~bound =
       if !violation = None then
         match ev with
         | Event.Note { pid; note = Event.Lock_enter id; _ } -> waiting.(pid) <- Some (id, 0)
-        | Event.Note { pid; note = Event.Lock_acquired id; _ } -> (
+        | Event.Note { pid; note = Event.Lock_acquired id | Event.Abort_lost_race id; _ } -> (
             Hashtbl.replace holders id pid;
             match waiting.(pid) with Some (w, _) when w = id -> waiting.(pid) <- None | _ -> ())
         | Event.Note { pid; step; note = Event.Lock_released id; _ } ->
@@ -128,7 +129,7 @@ let no_lost_wakeup (events : Event.t list) ~n ~stalled ~bound =
                     else waiting.(w) <- Some (l, k + 1)
                 | _ -> ())
               waiting
-        | Event.Note { pid; note = Event.Abort_done id | Event.Abort_lost_race id; _ } -> (
+        | Event.Note { pid; note = Event.Abort_done id; _ } -> (
             match waiting.(pid) with Some (w, _) when w = id -> waiting.(pid) <- None | _ -> ())
         | Event.Crash { pid; _ } -> waiting.(pid) <- None
         | Event.Sys_crash _ | Event.Note _ | Event.Op _ -> ())

@@ -321,6 +321,27 @@ let test_lost_race_is_an_acquisition () =
       check Alcotest.string "message" "step 5: 2 holders with only 0 active unsafe failures" msg
   | None -> Alcotest.fail "weak ME missed the lost-race holder"
 
+(* p0 wins lock 0 through an abort that lost the race and parks inside
+   the CS; p1 parks in the lock's entry section behind it.  The run
+   deadlocks with p0 holding the lock, which is no lost hand-off. *)
+let lost_race_holder () =
+  monitored "lost race holder" ~n:2 ~sched:Sched.round_robin ~crash:(fun () -> Crash.none)
+    ~setup:(fun ctx ->
+      (Engine.Ctx.register_lock ctx "fake", Memory.alloc (Engine.Ctx.memory ctx) ~name:"never" 0))
+    ~body:(fun (id, never) ~pid ->
+      Api.note (Event.Lock_enter id);
+      if pid = 0 then begin
+        Api.note (Event.Abort_lost_race id);
+        Api.note (Event.Seg Event.Cs_begin)
+      end;
+      Api.spin_until never (Api.Eq 1))
+
+let test_lost_race_holds_the_lock () =
+  let res = lost_race_holder () in
+  check cb "deadlocks" true res.Engine.deadlocked;
+  check cb "held at the end" true res.Engine.monitors.Engine.held_at_end;
+  is_none "no-lost-wakeup(lost race holder)" (Props.no_lost_wakeup res ~bound:1_000)
+
 (* p0 crashes inside its passage and, restarted, goes straight to the CS
    without a new Req_begin. *)
 let skipped_restart () =
@@ -494,6 +515,7 @@ let () =
       ( "monitors",
         [
           Alcotest.test_case "lost race is an acquisition" `Quick test_lost_race_is_an_acquisition;
+          Alcotest.test_case "lost race holds the lock" `Quick test_lost_race_holds_the_lock;
           Alcotest.test_case "planted violations" `Quick test_monitors_planted;
           Alcotest.test_case "recover runs" `Quick test_monitors_recover;
         ] );
