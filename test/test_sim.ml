@@ -705,6 +705,185 @@ let test_built_arena_matches_construction () =
         (built_sequence spec.Rme.Spec.key))
     Rme.Spec.all
 
+(* ------------------------------------------------------------------ *)
+(* Online folds                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Three processes misuse one lock: p0 crashes in its passage, enters the
+   CS without restarting it, aborts its wait for the lock and waits
+   again; p1 and p2 both acquire it with no failure to excuse the
+   overlap, and p2's release overtakes p0.  Every process ends parked. *)
+let rogue_setup ctx =
+  let mem = Engine.Ctx.memory ctx in
+  let lock = Engine.Ctx.register_lock ctx "rogue" in
+  (lock, Memory.alloc mem ~name:"restarted" 0, Memory.alloc mem ~name:"never" 0)
+
+let rogue_body (lock, restarted, never) ~pid =
+  let note = Api.note in
+  (match pid with
+  | 0 when Api.read restarted = 0 ->
+      Api.write restarted 1;
+      note (Event.Seg Event.Req_begin);
+      note (Event.Custom "w")
+  | 0 ->
+      note (Event.Seg Event.Cs_begin);
+      note (Event.Lock_enter lock);
+      note (Event.Abort_done lock);
+      note (Event.Lock_enter lock)
+  | _ ->
+      note (Event.Lock_enter lock);
+      note (Event.Lock_acquired lock);
+      note (Event.Level 2);
+      if pid = 2 then begin
+        note (Event.Lock_release lock);
+        note (Event.Lock_released lock)
+      end);
+  Api.spin_until never (Api.Eq 1)
+
+(* A fold input: a recorded event, or the windows a process had open at
+   one of its instructions ([on_op]'s view, which the history lacks). *)
+type fold_input = Ev of Event.t | Windows of int * int list
+
+(* Runs whose inputs leave every fold's state away from its start values:
+   the stuck and cut subjects, a system-wide crash, an abort plan cut
+   mid-run, and the rogue subject under an abort plan.  Each is a run on
+   a fresh arena of the subject, recorded, with [on_op] logging the open
+   windows, under the schedule [decisions] names. *)
+let dirty_runs () =
+  let recorded ?(crash = Crash.none) ?(abort = Abort.none) ?(max_steps = 20_000)
+      ?(decisions = [||]) arena =
+    let windows = ref [] in
+    let on_op (i : Crash.op_info) =
+      if i.unsafe_wrt <> [] then windows := (i.step, Windows (i.pid, i.unsafe_wrt)) :: !windows
+    in
+    let sched = Sched.trace ~decisions:(Vec.of_list (Array.to_list decisions)) ~record:(Vec.create ()) () in
+    let res = Engine.run_in ~arena ~sched ~crash ~abort ~max_steps ~record:true ~on_op () in
+    (* An instruction's windows precede what happened at its step. *)
+    let events = List.map (fun ev -> (Event.step ev, Ev ev)) res.Engine.events in
+    let inputs = List.stable_sort (fun (a, _) (b, _) -> compare a b) (List.rev !windows @ events) in
+    (res, List.map snd inputs)
+  in
+  let twice_arena key = Engine.arena ~n:3 ~model:Memory.CC ~setup:(lock_setup key) ~body:twice in
+  [
+    ( "stuck",
+      recorded ~crash:(Crash.on_kind ~pid:1 ~kind:Api.Write ~occurrence:0 Crash.After)
+        (stuck_arena ()) );
+    ( "cut",
+      recorded ~max_steps:60
+        ~crash:(Crash.random ~seed:2 ~rate:0.05 ~max_crashes:3 ())
+        ~decisions:[| 0; 1; 2; 2; 1; 0; 1 |] (wr_arena ()) );
+    ("system crash", recorded ~max_steps:40 ~crash:(Crash.system_at ~step:25) (wr_arena ()));
+    ( "abort plan",
+      recorded ~max_steps:150 ~abort:(Abort.impatient ~timeout_steps:2 ()) (twice_arena "wr-abort")
+    );
+    ( "rogue",
+      recorded
+        ~crash:(Crash.on_custom_note ~pid:0 ~tag:"w" ~occurrence:0 Crash.After)
+        ~abort:(Abort.impatient ~timeout_steps:2 ())
+        (Engine.arena ~n:3 ~model:Memory.CC ~setup:rogue_setup ~body:rogue_body) );
+  ]
+
+(* Feed a run's inputs to [f] through the hooks the engine calls: each
+   note and crash as it happened, each window as it was open, and one RMR
+   and one step of the noting process per note.  A signal's op index is
+   not in the history; it replays as 0. *)
+let replay_folds (f : Folds.t) inputs =
+  List.iter
+    (function
+      | Windows (pid, locks) -> List.iter (Folds.Occupancy.open_unsafe f.Folds.occupancy pid) locks
+      | Ev (Event.Note { step; pid; note = Event.Abort_signal; _ }) ->
+          Folds.Aborts.signal f.Folds.aborts pid ~step ~origin:0
+      | Ev (Event.Note { step; pid; super; note }) ->
+          Folds.Aborts.step f.Folds.aborts pid;
+          Folds.charge f pid 1 ~abort:true;
+          Folds.note f pid note ~step ~super ~abort:true
+      | Ev (Event.Crash { step; pid; _ }) -> Folds.crash f pid ~step ~abort:true
+      | Ev (Event.Sys_crash _ | Event.Op _) -> ())
+    inputs
+
+(* Every field of every fold, [f]'s against [g]'s: [(name, equal)], the
+   vectors compared by their contents.  The record patterns name every
+   field, so a field added to a fold does not compile here until it is
+   compared. *)
+let fold_fields (f : Folds.t) (g : Folds.t) =
+  let vec v w = Vec.to_list v = Vec.to_list w in
+  let { Folds.Occupancy.unsafe_open; holding; occupancy; occupancy_max; unsafe_crashes } =
+    f.Folds.occupancy
+  and o = g.Folds.occupancy in
+  let { Folds.App_cs.in_cs; count; max } = f.Folds.app_cs and a = g.Folds.app_cs in
+  let { Folds.Passages.in_passage; rmr; super; start; closed; level_max } = f.Folds.passages
+  and ps = g.Folds.passages in
+  let { Folds.Recovery.crash_step; skipped } = f.Folds.recovery and r = g.Folds.recovery in
+  let { Folds.Weak_me.outstanding; out_since; crash_seq; unsafe_log; breaches } = f.Folds.weak_me
+  and w = g.Folds.weak_me in
+  let { Folds.Wakeup.waits_on; overtaken; last_holder; overtakes } = f.Folds.wakeup
+  and k = g.Folds.wakeup in
+  let ab = f.Folds.aborts and b = g.Folds.aborts in
+  let { Folds.Aborts.flag; signal_step; origin; own; rmr = ab_rmr; streak; depth; since; stats } =
+    ab
+  in
+  [
+    ("occupancy.unsafe_open", unsafe_open = o.unsafe_open);
+    ("occupancy.holding", holding = o.holding);
+    ("occupancy.occupancy", occupancy = o.occupancy);
+    ("occupancy.occupancy_max", occupancy_max = o.occupancy_max);
+    ("occupancy.unsafe_crashes", unsafe_crashes = o.unsafe_crashes);
+    ("app_cs.in_cs", in_cs = a.in_cs);
+    ("app_cs.count", count = a.count);
+    ("app_cs.max", max = a.max);
+    ("passages.in_passage", in_passage = ps.in_passage);
+    ("passages.rmr", rmr = ps.rmr);
+    ("passages.super", super = ps.super);
+    ("passages.start", start = ps.start);
+    ("passages.closed", Array.for_all2 vec closed ps.closed);
+    ("passages.level_max", level_max = ps.level_max);
+    ("recovery.crash_step", crash_step = r.crash_step);
+    ("recovery.skipped", skipped = r.skipped);
+    ("weak_me.outstanding", outstanding = w.outstanding);
+    ("weak_me.out_since", out_since = w.out_since);
+    ("weak_me.crash_seq", crash_seq = w.crash_seq);
+    ("weak_me.unsafe_log", vec unsafe_log w.unsafe_log);
+    ("weak_me.breaches", breaches = w.breaches);
+    ("wakeup.waits_on", waits_on = k.waits_on);
+    ("wakeup.overtaken", overtaken = k.overtaken);
+    ("wakeup.last_holder", last_holder = k.last_holder);
+    ("wakeup.overtakes", vec overtakes k.overtakes);
+    ("aborts.flag", flag = b.flag);
+    ("aborts.signal_step", signal_step = b.signal_step);
+    ("aborts.origin", origin = b.origin);
+    ("aborts.own", own = b.own);
+    ("aborts.rmr", ab_rmr = b.rmr);
+    ("aborts.streak", streak = b.streak);
+    ("aborts.depth", depth = b.depth);
+    ("aborts.since", since = b.since);
+    ("aborts.stats", vec stats b.stats);
+  ]
+
+(* Each subject's history leaves some fields away from a fresh fold's,
+   together every field; [Folds.reset] brings every one back. *)
+let test_fold_reset () =
+  let dirtied = Hashtbl.create 64 in
+  List.iter
+    (fun (name, ((res : Engine.result), inputs)) ->
+      let n = Array.length res.Engine.procs and nlocks = Array.length res.Engine.locks in
+      let f = Folds.create ~n ~nlocks in
+      replay_folds f inputs;
+      List.iter
+        (fun (field, same) -> if not same then Hashtbl.replace dirtied field ())
+        (fold_fields f (Folds.create ~n ~nlocks));
+      Folds.reset f;
+      List.iter
+        (fun (field, same) -> check cb (Printf.sprintf "%s: %s reset" name field) true same)
+        (fold_fields f (Folds.create ~n ~nlocks)))
+    (dirty_runs ());
+  let clean =
+    List.filter_map
+      (fun (field, _) -> if Hashtbl.mem dirtied field then None else Some field)
+      (let f = Folds.create ~n:1 ~nlocks:1 in
+       fold_fields f f)
+  in
+  check Alcotest.(list string) "fields no run dirtied" [] clean
+
 let () =
   Alcotest.run "rme_sim"
     [
@@ -764,5 +943,9 @@ let () =
           Alcotest.test_case "kept result survives the next run" `Quick test_arena_result_kept;
           Alcotest.test_case "built arena matches construction" `Quick
             test_built_arena_matches_construction;
+        ] );
+      ( "folds",
+        [
+          Alcotest.test_case "reset restores the created state" `Quick test_fold_reset;
         ] );
     ]
