@@ -372,7 +372,7 @@ module Wakeup = struct
      it; the first release to bring some waiter to a count no waiter had
      reached is logged, naming the highest such pid. *)
   let released k pid id ~step =
-    if id < Array.length k.last_holder && k.last_holder.(id) = pid then k.last_holder.(id) <- -1;
+    if k.last_holder.(id) = pid then k.last_holder.(id) <- -1;
     let reached = Vec.length k.overtakes and top = ref (-1) in
     for w = 0 to Array.length k.waits_on - 1 do
       if w <> pid && k.waits_on.(w) = id then begin
@@ -569,9 +569,22 @@ let acquired f pid id ~step =
   Occupancy.enter f.occupancy pid id;
   Weak_me.acquired f.weak_me id ~holders:f.occupancy.occupancy.(id) ~step
 
+(* Every lock note names a registered lock. *)
+let check_lock f (n : Event.note) id =
+  let nlocks = Array.length f.occupancy.occupancy in
+  if id < 0 || id >= nlocks then
+    invalid_arg
+      (Fmt.str "Engine: note %a names lock %d, but %d lock(s) are registered" Event.pp_note n id
+         nlocks)
+
 (* [pid]'s note [n] at [step], [super] its satisfied requests so far.
    [abort] (an abort plan runs) gates the abort statistics. *)
 let note f pid (n : Event.note) ~step ~super ~abort =
+  (match n with
+  | Lock_enter id | Lock_acquired id | Lock_release id | Lock_released id | Abort_done id
+  | Abort_lost_race id ->
+      check_lock f n id
+  | Seg _ | Level _ | Path _ | Abort_signal | Abort_request _ | Custom _ -> ());
   match n with
   | Seg Ncs_begin -> ()
   | Seg Req_begin ->

@@ -884,6 +884,44 @@ let test_fold_reset () =
   in
   check Alcotest.(list string) "fields no run dirtied" [] clean
 
+(* A lock note naming an id the arena did not register fails loudly, each
+   of the six the folds read alike. *)
+let test_unregistered_lock_note () =
+  let notes id =
+    Event.
+      [
+        Lock_enter id;
+        Lock_acquired id;
+        Lock_release id;
+        Lock_released id;
+        Abort_done id;
+        Abort_lost_race id;
+      ]
+  in
+  List.iter
+    (fun note ->
+      let id =
+        match note with
+        | Event.Lock_enter id
+        | Lock_acquired id
+        | Lock_release id
+        | Lock_released id
+        | Abort_done id
+        | Abort_lost_race id ->
+            id
+        | _ -> assert false
+      in
+      let msg =
+        Fmt.str "Engine: note %a names lock %d, but 1 lock(s) are registered" Event.pp_note note id
+      in
+      Alcotest.check_raises (Fmt.str "%a" Event.pp_note note) (Invalid_argument msg) (fun () ->
+          ignore
+            (Engine.run ~n:1 ~model:Memory.CC ~sched:(Sched.round_robin ()) ~crash:Crash.none
+               ~setup:(fun ctx -> ignore (Engine.Ctx.register_lock ctx "one"))
+               ~body:(fun () ~pid:_ -> Api.note note)
+               ())))
+    (notes 7 @ notes (-1))
+
 let () =
   Alcotest.run "rme_sim"
     [
@@ -947,5 +985,6 @@ let () =
       ( "folds",
         [
           Alcotest.test_case "reset restores the created state" `Quick test_fold_reset;
+          Alcotest.test_case "unregistered lock note" `Quick test_unregistered_lock_note;
         ] );
     ]
