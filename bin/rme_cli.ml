@@ -9,7 +9,7 @@ let lock_arg =
   let doc =
     Printf.sprintf "Lock to drive; one of: %s." (String.concat ", " (Rme.Spec.keys ()))
   in
-  Arg.(value & opt string "ba-jjj" & info [ "l"; "lock" ] ~docv:"LOCK" ~doc)
+  Arg.(value & opt Cli_exit.lock Rme.Spec.headline & info [ "l"; "lock" ] ~docv:"LOCK" ~doc)
 
 let n_arg =
   Arg.(value & opt Cli_exit.pos_int 8 & info [ "n" ] ~docv:"N" ~doc:"Number of processes.")
@@ -48,7 +48,7 @@ let timeline_arg =
   Arg.(value & flag & info [ "timeline" ] ~doc:"Print an ASCII execution timeline.")
 
 let run_cmd =
-  let run lock n requests seed model scenario events timeline =
+  let run spec n requests seed model scenario events timeline =
     let cfg =
       {
         Rme.Workload.default_cfg with
@@ -61,7 +61,6 @@ let run_cmd =
         cs_yields = 4;
       }
     in
-    let spec = Rme.Spec.find_exn lock in
     let res = Rme.Workload.run spec cfg in
     if events then List.iter (fun ev -> Fmt.pr "%a@." Event.pp ev) res.Engine.events;
     if timeline then Fmt.pr "%a@." (Rme_check.Timeline.pp ?width:None) res;
@@ -104,7 +103,7 @@ let list_cmd =
     Term.(const list $ const ())
 
 let check_cmd =
-  let check lock n requests seed model scenario =
+  let check spec n requests seed model scenario =
     let cfg =
       {
         Rme.Workload.default_cfg with
@@ -117,7 +116,6 @@ let check_cmd =
         cs_yields = 4;
       }
     in
-    let spec = Rme.Spec.find_exn lock in
     let res = Rme.Workload.run spec cfg in
     let report name = function
       | None -> Fmt.pr "%-22s ok@." name
@@ -154,8 +152,8 @@ let sweep_cmd =
   let svg_arg =
     Arg.(value & opt (some string) None & info [ "svg" ] ~docv:"FILE" ~doc:"Also write an SVG chart.")
   in
-  let sweep_values lock n requests seed model over values csv svg =
-    let spec = Rme.Spec.find_exn lock in
+  let sweep_values (spec : Rme.Spec.t) n requests seed model over values csv svg =
+    let lock = spec.key in
     let cfg_of v =
       let base =
         { Rme.Workload.default_cfg with n; requests; seed; model; cs_yields = 6 }
@@ -213,7 +211,7 @@ let sweep_cmd =
      be positive like [-n], a failure count non-negative like [--scenario
      fas:F] (0 means failure-free). *)
   let invalid_value over v = match over with `N -> v < 1 | `F -> v < 0 in
-  let sweep lock n requests seed model over values csv svg =
+  let sweep spec n requests seed model over values csv svg =
     match List.find_opt (invalid_value over) values with
     | Some v ->
         `Error
@@ -222,7 +220,7 @@ let sweep_cmd =
               (match over with
               | `N -> "positive integer (a process count for --over n)"
               | `F -> "non-negative integer (a failure count for --over f)") )
-    | None -> `Ok (sweep_values lock n requests seed model over values csv svg)
+    | None -> `Ok (sweep_values spec n requests seed model over values csv svg)
   in
   Cmd.v
     (Cmd.info "sweep" ~exits:(Cli_exit.exits ())

@@ -87,7 +87,7 @@ let campaign ~oblivious ~scenario cases adversaries runs seed_base verbose jobs 
 
 let () =
   let lock =
-    Arg.(value & opt (some string) None & info [ "l"; "lock" ] ~docv:"LOCK" ~doc:"Only this lock.")
+    Arg.(value & opt (some Cli_exit.lock) None & info [ "l"; "lock" ] ~docv:"LOCK" ~doc:"Only this lock.")
   in
   let runs =
     Arg.(value & opt Cli_exit.pos_int 50 & info [ "runs" ] ~docv:"N" ~doc:"Runs per lock.")
@@ -103,7 +103,7 @@ let () =
   let repro_arg =
     Arg.(
       value
-      & opt (some (pair ~sep:':' string int)) None
+      & opt (some (pair ~sep:':' Cli_exit.lock int)) None
       & info [ "repro" ] ~docv:"LOCK:SEED"
           ~doc:"Shorthand for --replay SEED --lock LOCK (kept for muscle memory).")
   in
@@ -149,7 +149,7 @@ let () =
     in
     let specs =
       match lock with
-      | Some key -> [ Rme.Spec.find_exn key ]
+      | Some spec -> [ spec ]
       | None -> List.filter (fun (s : Rme.Spec.t) -> s.crash_safe) Rme.Spec.all
     in
     (* Oblivious runs draw n and the model: no CC ff bound at one n applies. *)
