@@ -35,12 +35,17 @@ module Ctx : sig
       carries one run's state into the next.  Call during [setup] only. *)
 end
 
-type passage = { super : int; rmr : int; completed : bool; latency : int }
-(** One passage: [super] identifies the super-passage it belongs to (the
-    index of the request being worked on), [rmr] the remote references it
-    incurred, [completed] whether it ended with a satisfied request rather
-    than a crash, [latency] its span in global engine steps (a fairness /
-    waiting-time measure under contention). *)
+(** {1 Online folds}
+
+    The facts the engine's online folds ({!Folds}) leave in a run's
+    result: passages, lock occupancy, abort statistics, and the online
+    history monitors' {!monitors}.  The folds run over the notes, crashes
+    and RMR charges the engine handles one at a time, whatever the event
+    sink, and allocate nothing per step.  The monitors' state is not in
+    the state key {!run_trace} reports. *)
+include module type of struct
+  include Folds.Types
+end
 
 type proc_stats = {
   passages : passage list;  (** in execution order *)
@@ -48,37 +53,6 @@ type proc_stats = {
   completed : int;  (** satisfied requests *)
   max_level : int;  (** highest BA-Lock level reported via [Level] notes *)
 }
-
-type lock_stats = {
-  lock_name : string;
-  max_occupancy : int;  (** max simultaneous holders observed *)
-  unsafe_crashes : int;  (** crashes inside this lock's sensitive window *)
-}
-
-(** How one delivered abort signal resolved. *)
-type abort_result =
-  | Res_aborted  (** the victim ran the abort protocol and abandoned the request *)
-  | Res_lost_race  (** the abort raced a handoff and lost: the victim acquired instead *)
-  | Res_acquired
-      (** the victim acquired normally before observing the signal — the
-          only resolution a non-abortable lock offers *)
-  | Res_crashed  (** the victim crashed while the signal was pending *)
-  | Res_pending  (** the run ended with the signal unresolved *)
-
-type abort_stat = {
-  ab_pid : int;
-  ab_signal_step : int;  (** global step the signal was delivered at *)
-  ab_op_index : int;
-      (** victim op index of an on-op signal; [-1] for async deliveries *)
-  ab_resolved_step : int;  (** [-1] while pending *)
-  ab_own_steps : int;
-      (** the victim's own steps from signal to resolution — the quantity
-          {!Rme_check.Props.abort_liveness} bounds *)
-  ab_rmr : int;  (** RMRs the victim incurred between signal and resolution *)
-  ab_result : abort_result;
-}
-
-val pp_abort_result : abort_result Fmt.t
 
 (** Watchdog verdict on an abnormal end state. *)
 type stall_kind =
@@ -102,69 +76,6 @@ type stall = {
           pids, each with a description of where it stands:
           ["ncs"], ["entry"], ["cs"], ["holding(<lock>)"], with
           [" parked@<cell>"] appended when it sits on a spin wait *)
-}
-
-(** {1 Online history monitors}
-
-    Three properties of a run's history that {!Rme_check.Props} checks
-    are folded by the engine as it goes, over the notes and crashes it
-    handles one at a time, whatever the event sink: the folds allocate
-    nothing per step, and a run that keeps no history is judged as
-    exactly as one that keeps it.  Each leaves the facts its check needs
-    in {!monitors}. *)
-
-type skipped_recovery = {
-  sr_pid : int;
-  sr_step : int;  (** the step of its [Cs_begin] *)
-  sr_crash_step : int;  (** the step of its last crash before it *)
-}
-(** A process that entered the CS after a crash without a [Req_begin] in
-    between. *)
-
-type weak_me_breach = {
-  wm_lock : int;
-  wm_step : int;  (** the acquisition's step *)
-  wm_holders : int;  (** holders of the lock, the acquirer included *)
-  wm_live : int;  (** unsafe failures w.r.t. the lock whose consequence interval was open *)
-}
-(** An acquisition ([Lock_acquired], or [Abort_lost_race]: the abort lost
-    the race and the process holds the lock) that left the lock with more
-    than one holder per open unsafe failure plus one. *)
-
-type overtake = {
-  ov_step : int;  (** the step of the [Lock_released] *)
-  ov_waiter : int;  (** the highest pid it brought to the count *)
-  ov_lock : int;
-}
-(** A release by another process of the lock a waiter's unresolved
-    [Lock_enter] names. *)
-
-type parked = {
-  pk_pid : int;  (** the highest pid with an unresolved [Lock_enter] *)
-  pk_lock : int;  (** the lock that note names *)
-  pk_count : int;  (** processes with an unresolved [Lock_enter] *)
-}
-
-type monitors = {
-  skipped_recovery : skipped_recovery option;
-      (** system recovery: the first process to skip its restart, if any *)
-  weak_me_breaches : weak_me_breach list;
-      (** Theorem 4.2's interval form, for every lock id: each breached
-          lock's first breach, in the order they happened.  A failure is
-          unsafe w.r.t. the locks in its [unsafe_wrt]; its consequence
-          interval stays open while some request outstanding at the
-          failure ([Req_begin] to [Req_done]) is still outstanding. *)
-  overtakes : overtake array;
-      (** lost wakeup: [overtakes.(c - 1)] is the first release that
-          brought some waiter to [c] overtakes.  A waiter is a process
-          between its [Lock_enter] of a lock and its [Lock_acquired],
-          [Abort_done] or [Abort_lost_race] of that lock (a crash or a
-          later [Lock_enter] ends the wait); each [Lock_released] of the
-          lock by another process overtakes it once. *)
-  parked_at_end : parked option;  (** waiters left when the run ended *)
-  held_at_end : bool;
-      (** some lock's last [Lock_acquired] was not followed by its
-          acquirer's [Lock_released] when the run ended *)
 }
 
 type result = {

@@ -10,19 +10,37 @@
 (* The facts the folds leave in a run's result, which {!Engine} exports. *)
 module Types = struct
   type passage = { super : int; rmr : int; completed : bool; latency : int }
+  (** One passage: [super] identifies the super-passage it belongs to (the
+      index of the request being worked on), [rmr] the remote references it
+      incurred, [completed] whether it ended with a satisfied request rather
+      than a crash, [latency] its span in global engine steps (a fairness /
+      waiting-time measure under contention). *)
 
-  type lock_stats = { lock_name : string; max_occupancy : int; unsafe_crashes : int }
+  type lock_stats = {
+    lock_name : string;
+    max_occupancy : int;  (** max simultaneous holders observed *)
+    unsafe_crashes : int;  (** crashes inside this lock's sensitive window *)
+  }
 
-  (* How one delivered abort signal resolved. *)
-  type abort_result = Res_aborted | Res_lost_race | Res_acquired | Res_crashed | Res_pending
+  (** How one delivered abort signal resolved. *)
+  type abort_result =
+    | Res_aborted  (** the victim ran the abort protocol and abandoned the request *)
+    | Res_lost_race  (** the abort raced a handoff and lost: the victim acquired instead *)
+    | Res_acquired
+        (** the victim acquired normally before observing the signal — the
+            only resolution a non-abortable lock offers *)
+    | Res_crashed  (** the victim crashed while the signal was pending *)
+    | Res_pending  (** the run ended with the signal unresolved *)
 
   type abort_stat = {
     ab_pid : int;
-    ab_signal_step : int;
-    ab_op_index : int;  (* victim op index of an on-op signal; -1 for async *)
-    ab_resolved_step : int;  (* -1 while pending *)
-    ab_own_steps : int;  (* victim's own steps from signal to resolution *)
-    ab_rmr : int;  (* RMRs the victim incurred between signal and resolution *)
+    ab_signal_step : int;  (** global step the signal was delivered at *)
+    ab_op_index : int;  (** victim op index of an on-op signal; [-1] for async deliveries *)
+    ab_resolved_step : int;  (** [-1] while pending *)
+    ab_own_steps : int;
+        (** the victim's own steps from signal to resolution — the quantity
+            {!Rme_check.Props.abort_liveness} bounds *)
+    ab_rmr : int;  (** RMRs the victim incurred between signal and resolution *)
     ab_result : abort_result;
   }
 
@@ -35,20 +53,68 @@ module Types = struct
       | Res_crashed -> "crashed"
       | Res_pending -> "pending")
 
-  type skipped_recovery = { sr_pid : int; sr_step : int; sr_crash_step : int }
+  (** {1 Online history monitors}
 
-  type weak_me_breach = { wm_lock : int; wm_step : int; wm_holders : int; wm_live : int }
+      Three properties of a run's history that {!Rme_check.Props} checks
+      are folded as the run goes (the system recovery, weak ME and lost
+      wakeup folds below), whatever the event sink: a run that keeps no
+      history is judged exactly as one that keeps it.  Each leaves the
+      facts its check needs in {!monitors}.  None of their state is in the
+      state key. *)
 
-  type overtake = { ov_step : int; ov_waiter : int; ov_lock : int }
+  type skipped_recovery = {
+    sr_pid : int;
+    sr_step : int;  (** the step of its [Cs_begin] *)
+    sr_crash_step : int;  (** the step of its last crash before it *)
+  }
+  (** A process that entered the CS after a crash without a [Req_begin] in
+      between. *)
 
-  type parked = { pk_pid : int; pk_lock : int; pk_count : int }
+  type weak_me_breach = {
+    wm_lock : int;
+    wm_step : int;  (** the acquisition's step *)
+    wm_holders : int;  (** holders of the lock, the acquirer included *)
+    wm_live : int;  (** unsafe failures w.r.t. the lock whose consequence interval was open *)
+  }
+  (** An acquisition ([Lock_acquired], or [Abort_lost_race]: the abort lost
+      the race and the process holds the lock) that left the lock with more
+      than one holder per open unsafe failure plus one. *)
+
+  type overtake = {
+    ov_step : int;  (** the step of the [Lock_released] *)
+    ov_waiter : int;  (** the highest pid it brought to the count *)
+    ov_lock : int;
+  }
+  (** A release by another process of the lock a waiter's unresolved
+      [Lock_enter] names. *)
+
+  type parked = {
+    pk_pid : int;  (** the highest pid with an unresolved [Lock_enter] *)
+    pk_lock : int;  (** the lock that note names *)
+    pk_count : int;  (** processes with an unresolved [Lock_enter] *)
+  }
 
   type monitors = {
     skipped_recovery : skipped_recovery option;
+        (** system recovery: the first process to skip its restart, if any *)
     weak_me_breaches : weak_me_breach list;
+        (** Theorem 4.2's interval form, for every lock id: each breached
+            lock's first breach, in the order they happened.  A failure is
+            unsafe w.r.t. the locks in its [unsafe_wrt]; its consequence
+            interval stays open while some request outstanding at the
+            failure ([Req_begin] to [Req_done]) is still outstanding. *)
     overtakes : overtake array;
-    parked_at_end : parked option;
+        (** lost wakeup: [overtakes.(c - 1)] is the first release that
+            brought some waiter to [c] overtakes.  A waiter is a process
+            between its [Lock_enter] of a lock and its [Lock_acquired],
+            [Abort_done] or [Abort_lost_race] of that lock (a crash or a
+            later [Lock_enter] ends the wait); each [Lock_released] of the
+            lock by another process overtakes it once. *)
+    parked_at_end : parked option;  (** waiters left when the run ended *)
     held_at_end : bool;
+        (** some lock's last acquisition ([Lock_acquired] or
+            [Abort_lost_race]) was not followed by its acquirer's
+            [Lock_released] when the run ended *)
   }
 end
 
@@ -388,18 +454,14 @@ module Wakeup = struct
   (* The waiters left at the end: the highest pid, its lock and their
      count. *)
   let parked k =
-    let parked = ref None in
+    let top = ref (-1) and count = ref 0 in
     for pid = 0 to Array.length k.waits_on - 1 do
-      if k.waits_on.(pid) >= 0 then
-        parked :=
-          Some
-            {
-              pk_pid = pid;
-              pk_lock = k.waits_on.(pid);
-              pk_count = (match !parked with Some p -> p.pk_count + 1 | None -> 1);
-            }
+      if k.waits_on.(pid) >= 0 then begin
+        top := pid;
+        incr count
+      end
     done;
-    !parked
+    if !top < 0 then None else Some { pk_pid = !top; pk_lock = k.waits_on.(!top); pk_count = !count }
 
   let held k = Array.exists (fun pid -> pid >= 0) k.last_holder
 end
