@@ -461,7 +461,8 @@ module Wakeup = struct
         incr count
       end
     done;
-    if !top < 0 then None else Some { pk_pid = !top; pk_lock = k.waits_on.(!top); pk_count = !count }
+    if !top < 0 then None
+    else Some { pk_pid = !top; pk_lock = k.waits_on.(!top); pk_count = !count }
 
   let held k = Array.exists (fun pid -> pid >= 0) k.last_holder
 end
@@ -631,7 +632,8 @@ let acquired f pid id ~step =
   Occupancy.enter f.occupancy pid id;
   Weak_me.acquired f.weak_me id ~holders:f.occupancy.occupancy.(id) ~step
 
-(* Every lock note names a registered lock. *)
+(* Every lock note must name a registered lock: another id would index
+   past the per-lock slots, or pass unnoticed where no slot is read. *)
 let check_lock f (n : Event.note) id =
   let nlocks = Array.length f.occupancy.occupancy in
   if id < 0 || id >= nlocks then

@@ -756,7 +756,9 @@ let dirty_runs () =
     let on_op (i : Crash.op_info) =
       if i.unsafe_wrt <> [] then windows := (i.step, Windows (i.pid, i.unsafe_wrt)) :: !windows
     in
-    let sched = Sched.trace ~decisions:(Vec.of_list (Array.to_list decisions)) ~record:(Vec.create ()) () in
+    let sched =
+      Sched.trace ~decisions:(Vec.of_list (Array.to_list decisions)) ~record:(Vec.create ()) ()
+    in
     let res = Engine.run_in ~arena ~sched ~crash ~abort ~max_steps ~record:true ~on_op () in
     (* An instruction's windows precede what happened at its step. *)
     let events = List.map (fun ev -> (Event.step ev, Ev ev)) res.Engine.events in
