@@ -36,11 +36,5 @@ let pos_int =
 (* A registry key ({!Rme.Spec.keys}).  An unknown key is a parse error,
    so it exits 2 with usage instead of escaping as an uncaught exception. *)
 let lock =
-  let parse s =
-    Option.to_result (Rme.Spec.find s)
-      ~none:
-        (`Msg
-          (Printf.sprintf "unknown lock %S (expected one of: %s)" s
-             (String.concat ", " (Rme.Spec.keys ()))))
-  in
+  let parse s = try Ok (Rme.Spec.find_exn s) with Invalid_argument msg -> Error (`Msg msg) in
   Arg.conv (parse, fun ppf (s : Rme.Spec.t) -> Format.pp_print_string ppf s.key)

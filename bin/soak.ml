@@ -87,7 +87,8 @@ let campaign ~oblivious ~scenario cases adversaries runs seed_base verbose jobs 
 
 let () =
   let lock =
-    Arg.(value & opt (some Cli_exit.lock) None & info [ "l"; "lock" ] ~docv:"LOCK" ~doc:"Only this lock.")
+    Arg.(
+      value & opt (some Cli_exit.lock) None & info [ "l"; "lock" ] ~docv:"LOCK" ~doc:"Only this lock.")
   in
   let runs =
     Arg.(value & opt Cli_exit.pos_int 50 & info [ "runs" ] ~docv:"N" ~doc:"Runs per lock.")
