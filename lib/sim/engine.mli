@@ -228,7 +228,7 @@ type arena
 (** An engine built from its subject, reused across runs: the store with
     the subject constructed into it, the per-process arrays, the
     pending-operand records, the continuation and view slots, the ready
-    buffers, the parked-cell table, the passage vectors, and the degree
+    buffers, the parked-cell marks, the passage vectors, and the degree
     and footprint buffers {!run_trace} reports through.  Each run rewinds
     it in place, so the runs of one explorer search neither construct
     their subject again nor allocate engine storage once the first ones

@@ -17,7 +17,8 @@ val pick : t -> runnable:int array -> step:int -> int
 val make : label:string -> (runnable:int array -> step:int -> int) -> t
 (** A scheduler from its pick function, for adversaries and probes defined
     outside this module.  The engine passes every runnable set in
-    ascending pid order. *)
+    ascending pid order, in an array it reuses across steps: a pick
+    function must not modify it, and must copy it to keep it. *)
 
 val round_robin : unit -> t
 (** Cycles through the processes in pid order. *)
