@@ -32,7 +32,7 @@ let replay cases adversaries seed =
     let problems = Chaos.battery case ~requests:r.cfg.requests r.res in
     let recorded, diverged =
       Chaos.replay r.cfg ~make:case.case_make ~fired:r.fired ~ab_fired:r.ab_fired
-        ~decisions:r.decisions ()
+        ~decisions:(Vec.to_array r.decisions) ()
     in
     if diverged then Fmt.pr "(the replay diverged: the timeline is not this run's)@.";
     Fmt.pr "=== %s seed=%d: %a@.%a@.%a@." case.case_name seed pp_setup (r.cfg, r.adversary)

@@ -160,9 +160,11 @@ type run = {
   ab_fired : Abort.fired list;
       (** abort signals the engine delivered, in signal order
           ({!Rme_sim.Engine.abort_log}) *)
-  decisions : int array;
+  decisions : int Vec.t;
       (** recorded schedule: per pick, the index into the ascending ready
-          set ({!Sched.recording}) *)
+          set ({!Sched.recording}).  The domain's slot buffer, valid until
+          this domain's next {!run_one}; [Vec.to_array] copies what is
+          kept. *)
 }
 
 val run_one : cfg -> make:(Engine.Ctx.t -> Harness.lock) -> adversary:adversary -> seed:int -> run
@@ -174,7 +176,9 @@ val run_one : cfg -> make:(Engine.Ctx.t -> Harness.lock) -> adversary:adversary 
     wanted (a timeline, an event-based check).  The failures are read
     from the engine's result, not from the plans: a decision the engine
     ignored is not listed.  Runs in the domain's slot arena, recording
-    into the slot's schedule buffer; [decisions] is a copy. *)
+    into the slot's schedule buffer, which [decisions] is: the next
+    [run_one] in this domain overwrites it, so a caller that keeps a
+    run's schedule past that copies it. *)
 
 val replay :
   cfg ->

@@ -449,9 +449,8 @@ let test_holder_rediscovers_wr_fas_gap () =
     ((r.Chaos.res.Engine.locks.(0)).Engine.unsafe_crashes > 0);
   (* Bridge 1: the recorded schedule + the fired crashes as a fixed at-op
      composite replay the very same violation, faithfully. *)
-  let replayed, mismatch =
-    Chaos.replay wr_cfg ~make:wr_make ~fired:r.Chaos.fired ~decisions:r.Chaos.decisions ()
-  in
+  let decisions = Vec.to_array r.Chaos.decisions in
+  let replayed, mismatch = Chaos.replay wr_cfg ~make:wr_make ~fired:r.Chaos.fired ~decisions () in
   check cb "replay faithful" false mismatch;
   check cb "replay violates ME" true (replayed.Engine.cs_max > 1);
   check ci "replay injects the same crashes" r.Chaos.res.Engine.total_crashes
@@ -459,11 +458,10 @@ let test_holder_rediscovers_wr_fas_gap () =
   (* Bridge 2: the explorer's shrinker minimises the schedule witness and
      the minimum still replays the violation. *)
   let witness =
-    Chaos.shrink_witness wr_cfg ~make:wr_make ~fired:r.Chaos.fired ~check:me_check
-      r.Chaos.decisions
+    Chaos.shrink_witness wr_cfg ~make:wr_make ~fired:r.Chaos.fired ~check:me_check decisions
   in
   check cb "witness no longer than the discovery" true
-    (Array.length witness <= Array.length r.Chaos.decisions);
+    (Array.length witness <= Array.length decisions);
   let wres, wmis = Chaos.replay wr_cfg ~make:wr_make ~fired:r.Chaos.fired ~decisions:witness () in
   check cb "witness faithful" false wmis;
   check cb "witness violates ME" true (wres.Engine.cs_max > 1)
@@ -619,7 +617,8 @@ let test_recording_scheduler_roundtrip () =
       ~seed:42
   in
   let replayed, mismatch =
-    Chaos.replay wr_cfg ~make:wr_make ~fired:r.Chaos.fired ~decisions:r.Chaos.decisions ()
+    Chaos.replay wr_cfg ~make:wr_make ~fired:r.Chaos.fired
+      ~decisions:(Vec.to_array r.Chaos.decisions) ()
   in
   check cb "faithful" false mismatch;
   check ci "same steps" r.Chaos.res.Engine.steps replayed.Engine.steps;
@@ -698,7 +697,7 @@ let test_oblivious_planted_mcs () =
           ~seed:v.v_seed
       in
       check cb (label ^ " witness no longer than the schedule") true
-        (Array.length v.v_witness <= Array.length r.Chaos.decisions))
+        (Array.length v.v_witness <= Vec.length r.Chaos.decisions))
     o.Chaos.violations
 
 (* ------------------------------------------------------------------ *)
@@ -755,7 +754,8 @@ let result_diffs (a : Engine.result) (b : Engine.result) =
    history must give the verdicts of [r]'s monitors. *)
 let check_replay label ~make (r : Chaos.run) =
   let res, diverged =
-    Chaos.replay r.cfg ~make ~fired:r.fired ~ab_fired:r.ab_fired ~decisions:r.decisions ()
+    Chaos.replay r.cfg ~make ~fired:r.fired ~ab_fired:r.ab_fired
+      ~decisions:(Vec.to_array r.decisions) ()
   in
   check cb (label ^ " faithful") false diverged;
   check cb (label ^ " run keeps no history") true (r.res.Engine.events = []);
@@ -819,7 +819,7 @@ let fresh_run_one cfg ~make ~adversary ~seed =
     res;
     fired = res.Engine.crash_log;
     ab_fired = Engine.abort_log res;
-    decisions = Vec.to_array decisions;
+    decisions;
   }
 
 let test_arena_reuse () =
@@ -850,7 +850,8 @@ let test_arena_reuse () =
                     (result_diffs f.res r.res);
                   check cb (label ^ " fired") true (r.fired = f.fired);
                   check cb (label ^ " ab_fired") true (r.ab_fired = f.ab_fired);
-                  check cb (label ^ " decisions") true (r.decisions = f.decisions))
+                  check cb (label ^ " decisions") true
+                    (Vec.to_array r.decisions = Vec.to_array f.decisions))
                 seeds)
             keys)
         [ List.init 10 Fun.id; List.init 10 (fun i -> 10 + i) ])

@@ -481,7 +481,7 @@ let test_monitors_recover () =
         let label = Fmt.str "%s %a seed %d" key Chaos.pp_adversary r.Chaos.adversary seed in
         let replayed, diverged =
           Chaos.replay r.Chaos.cfg ~make ~fired:r.Chaos.fired ~ab_fired:r.Chaos.ab_fired
-            ~decisions:r.Chaos.decisions ()
+            ~decisions:(Vec.to_array r.Chaos.decisions) ()
         in
         check cb (label ^ " faithful") false diverged;
         History_oracle.agree label r.Chaos.res replayed.Engine.events;
