@@ -77,11 +77,12 @@ let test_sink_ring_wraparound () =
 (* Engine: sink policies and the fast-path differential                 *)
 (* ------------------------------------------------------------------ *)
 
-let lock_workload ?mode ?sink ?record ?ncs () =
-  let body lock ~pid = Harness.standard_body ?ncs ~lock ~requests:3 pid in
-  Engine.run ?mode ?sink ?record ~n:3 ~model:Memory.CC
+let lock_workload ?mode ?sink ?record ?trace_ops ?on_op ?abort ?(setup = Rme_locks.Wr_lock.make)
+    ?cs ?ncs () =
+  let body lock ~pid = Harness.standard_body ?cs ?ncs ~lock ~requests:3 pid in
+  Engine.run ?mode ?sink ?record ?trace_ops ?on_op ?abort ~n:3 ~model:Memory.CC
     ~sched:(Sched.random ~seed:42)
-    ~crash:Crash.none ~setup:Rme_locks.Wr_lock.make ~body ()
+    ~crash:Crash.none ~setup ~body ()
 
 let test_keep_vs_drop_equivalence () =
   (* The sink policy must never change what happens — only what is
@@ -116,25 +117,106 @@ let paced_ncs ~pid =
     Api.yield ()
   done
 
+(* A CS that polls the abort flag: with the paced NCS (which reads
+   [Api.step] and [Api.completed_requests] and yields) a body uses every
+   argument-free instruction. *)
+let polling_cs ~pid:_ =
+  ignore (Api.poll_abort ());
+  Api.yield ()
+
+let wr_abort = (Rme.Spec.find_exn "wr-abort").Rme.Spec.make
+
+(* Impatient waiters in wr-abort, which polls the flag after each
+   abortable spin of its entry section. *)
+let impatient () = Abort.impatient ~timeout_steps:3 ()
+
+(* The argument-free instructions a run executed, counted twice: by the
+   [Op] events of a [~trace_ops] run and by an [?on_op] hook on a second
+   run of the same schedule.  [workload] takes the two options. *)
+let nop_counts (workload : trace_ops:bool -> on_op:(Crash.op_info -> unit) option -> Engine.result)
+    =
+  let traced = workload ~trace_ops:true ~on_op:None in
+  let traced_nops =
+    List.length
+      (List.filter
+         (function Event.Op { kind = "nop"; _ } -> true | _ -> false)
+         traced.Engine.events)
+  in
+  let seen = ref 0 in
+  let hooked =
+    workload ~trace_ops:false
+      ~on_op:(Some (fun (info : Crash.op_info) -> if info.kind = Api.Nop then incr seen))
+  in
+  (traced, traced_nops, hooked, !seen)
+
 let test_fast_full_differential () =
   (* The tentpole contract: `Fast elides bookkeeping, never semantics.
      Every field of the result — steps, RMRs by kind, per-process
      passages with their latencies, lock stats, cs_max — must be
      byte-identical across `Fast, `Auto and `Full on the same schedule,
-     for closed-loop clients and for paced clients polling Api.step. *)
+     for closed-loop clients, for paced clients polling Api.step, and for
+     a body that uses every argument-free instruction. *)
   List.iter
-    (fun (name, ncs) ->
-      let run mode = lock_workload ~mode ?ncs () in
+    (fun (name, cs, ncs) ->
+      let run mode = lock_workload ~mode ?cs ?ncs () in
       let fast = run `Fast and auto = run `Auto and full = run `Full in
       check cb (name ^ ": fast = auto") true (fast = auto);
       check cb (name ^ ": fast = full") true (fast = full);
       check cb (name ^ ": work happened") true
         (fast.Engine.steps > 0 && fast.Engine.total_rmr > 0))
-    [ ("closed-loop", None); ("paced", Some paced_ncs) ];
+    [
+      ("closed-loop", None, None);
+      ("paced", None, Some paced_ncs);
+      ("argument-free", Some polling_cs, Some paced_ncs);
+    ];
   (* The paced clients really waited: the last request of pid 2 is due at
      step 2*7 + 400*2, over twice the closed-loop run's length. *)
   check cb "paced: last due step reached" true
-    ((lock_workload ~mode:`Fast ~ncs:paced_ncs ()).Engine.steps >= 814)
+    ((lock_workload ~mode:`Fast ~ncs:paced_ncs ()).Engine.steps >= 814);
+  (* Under an abort plan `Fast is refused, so `Auto and `Full are held to
+     each other: abort signals are delivered and answered by the polls. *)
+  let run mode =
+    lock_workload ~mode ~abort:(impatient ()) ~setup:wr_abort ~cs:polling_cs ~ncs:paced_ncs ()
+  in
+  let auto = run `Auto and full = run `Full in
+  check cb "poll_abort under aborts: auto = full" true (auto = full);
+  check cb "poll_abort under aborts: signals delivered" true (auto.Engine.aborts <> []);
+  check ci "poll_abort under aborts: every request satisfied" 9 (Engine.total_completed auto);
+  (* Every argument-free instruction is traced: one [Op] event of kind
+     nop each, as many as the hook sees, with and without the abort plan.
+     The bare loop's count is known: 4 instructions x 50 x 3 processes. *)
+  let bare ~trace_ops ~on_op =
+    Engine.run ~trace_ops ?on_op ~n:3 ~model:Memory.CC ~sched:(Sched.random ~seed:42)
+      ~crash:Crash.none
+      ~setup:(fun _ -> ())
+      ~body:(fun () ~pid:_ ->
+        for _ = 1 to 50 do
+          ignore (Api.step ());
+          Api.yield ();
+          ignore (Api.completed_requests ());
+          ignore (Api.poll_abort ())
+        done)
+      ()
+  in
+  List.iter
+    (fun (name, workload, expected) ->
+      let traced, traced_nops, hooked, hooked_nops = nop_counts workload in
+      check ci (name ^ ": same steps traced and hooked") traced.Engine.steps hooked.Engine.steps;
+      check ci (name ^ ": one nop event per argument-free instruction") hooked_nops traced_nops;
+      match expected with
+      | Some k -> check ci (name ^ ": nop count") k traced_nops
+      | None -> check cb (name ^ ": some nops") true (traced_nops > 0))
+    [
+      ("bare loop", bare, Some 600);
+      ( "paced",
+        (fun ~trace_ops ~on_op -> lock_workload ~trace_ops ?on_op ~cs:polling_cs ~ncs:paced_ncs ()),
+        None );
+      ( "paced under aborts",
+        (fun ~trace_ops ~on_op ->
+          lock_workload ~trace_ops ?on_op ~abort:(impatient ()) ~setup:wr_abort ~cs:polling_cs
+            ~ncs:paced_ncs ()),
+        None );
+    ]
 
 let test_fast_rejects_instrumented_configs () =
   let crashy () =
