@@ -218,42 +218,52 @@ let body cfg =
   let ncs = if cfg.ncs_yields = 0 then None else Some (Harness.yields cfg.ncs_yields) in
   fun lock ~pid -> Harness.standard_body ~cs ?ncs ~lock ~requests:cfg.requests pid
 
-(* One subject per domain: the arena of the last (make, cfg) pair that
-   ran here, and the schedule buffer [run_one] records into.  A campaign
-   runs a pair's seeds back to back, so all but its first run rewind the
-   arena instead of constructing the subject again; a violation's confirm
-   replay and shrink candidates rewind the same arena.  The buffer starts
+(* One subject per domain: the arena and run options of the last (make,
+   cfg) pair that ran here, and the schedule buffer [run_one] records
+   into.  A campaign runs a pair's seeds back to back, so all but its
+   first run rewind the arena instead of constructing the subject again;
+   a violation's confirm replay and shrink candidates rewind the same
+   arena.  The buffer starts
    at 1,024 decisions, above the 700-odd steps a default-config run takes,
    so most runs never grow it.  [run_one] hands the buffer itself back: a
    copy of a run's schedule is too long for the minor heap, so every run
    would allocate one in the major heap, and only a violation reads it. *)
 type slot = {
-  mutable subject : ((Engine.Ctx.t -> Harness.lock) * cfg * Engine.arena) option;
+  mutable subject : ((Engine.Ctx.t -> Harness.lock) * cfg * Engine.arena * Engine.opts) option;
   decisions : int Vec.t;
 }
 
 let slot = Domain.DLS.new_key (fun () -> { subject = None; decisions = Vec.make 1024 0 })
 
-(* [make]'s arena for [cfg]: the slot's on a hit ([make] physically equal,
-   [cfg] structurally), else a new one that replaces it. *)
-let arena cfg ~make =
+(* [make]'s subject for [cfg]: the slot's on a hit ([make] physically
+   equal, [cfg] structurally), else a new one that replaces it. *)
+let subject cfg ~make =
   let s = Domain.DLS.get slot in
   match s.subject with
-  | Some (m, c, a) when m == make && c = cfg -> a
+  | Some ((m, c, _, _) as sub) when m == make && c = cfg -> sub
   | Some _ | None ->
-      let a = Engine.arena ~n:cfg.n ~model:cfg.model ~setup:make ~body:(body cfg) in
-      s.subject <- Some (make, cfg, a);
-      a
+      let sub =
+        ( make,
+          cfg,
+          Engine.arena ~n:cfg.n ~model:cfg.model ~setup:make ~body:(body cfg),
+          Engine.opts ~max_steps:cfg.max_steps () )
+      in
+      s.subject <- Some sub;
+      sub
+
+let arena cfg ~make =
+  let _, _, a, _ = subject cfg ~make in
+  a
 
 let run_one cfg ~make ~adversary ~seed =
   let cfg, adversary = setup cfg adversary ~seed in
-  let arena = arena cfg ~make in
+  let _, _, arena, opts = subject cfg ~make in
   let decisions = (Domain.DLS.get slot).decisions in
   Vec.clear decisions;
   let sched = Sched.recording ~inner:(Sched.random ~seed) ~decisions in
   let res =
-    Engine.run_in ~max_steps:cfg.max_steps ~arena ~sched ~crash:(plan adversary ~seed)
-      ~abort:(abort_plan adversary ~seed) ()
+    Engine.run_in opts ~arena ~crash:(plan adversary ~seed) ~abort:(abort_plan adversary ~seed)
+      (Sched sched)
   in
   {
     cfg;

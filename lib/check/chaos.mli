@@ -20,7 +20,8 @@
     configuration, and every reported witness replays deterministically.
 
     {b One arena per subject and domain.}  Each domain keeps one slot: the
-    {!Rme_sim.Engine.arena} of the last subject it ran, keyed by the
+    {!Rme_sim.Engine.arena} of the last subject it ran, with the
+    {!Rme_sim.Engine.opts} its campaign runs share, keyed by the
     lock's [make] (physical equality) and the run's {!cfg} (structural
     equality: n, model, requests, CS and NCS yields, max steps).
     {!run_one}, {!replay} and {!shrink_witness} rewind the slot's arena

@@ -65,8 +65,8 @@ type driver = {
   crash : unit -> Crash.t;
   abort : unit -> Abort.t;
   check : Engine.result -> string option;
-  opts : Engine.trace_opts;
-  plain : Engine.trace_opts;
+  opts : Engine.opts;
+  plain : Engine.opts;
   last_key : int array ref;
       (* the state key of the run that computed one last, [[||]] for none *)
   tally : Engine.result -> unit;
@@ -95,33 +95,38 @@ let por_setup ~por ~record ~n ~crash ~abort =
 
 (* Run one node from the root under [opts] ([d.opts] or [d.plain]): the
    schedule [decisions] names (choice 0 past its end), with the state key
-   taken at [key_at] (-1: none). *)
+   taken at [key_at] (-1: none).  Its degrees and footprints are left in
+   [d.arena]. *)
 let run_node d opts ~key_at decisions =
-  let rr =
-    Engine.run_with opts ~state_key_at:key_at ~abort:(d.abort ()) ~arena:d.arena ~decisions
-      ~crash:(d.crash ())
+  let res =
+    Engine.run_in opts ~arena:d.arena ~crash:(d.crash ()) ~abort:(d.abort ())
+      (Trace { decisions; key_at })
   in
-  d.tally rr.Engine.tr_result;
-  rr
+  d.tally res;
+  res
 
 type divergence = { position : int; choice : int; degree : int }
 
-(* The first position where [decisions] names a choice outside the run's
-   ready set.  Positions the run never reached are not checked: past its
-   end a decision vector names nothing. *)
-let divergence (rr : Engine.trun) decisions =
+(* The first position where [decisions] names a choice outside the ready
+   set of [arena]'s last run.  Positions the run never reached are not
+   checked: past its end a decision vector names nothing. *)
+let divergence arena decisions =
+  let degrees = Engine.degrees arena in
   let rec first i =
-    if i >= min (Array.length decisions) rr.tr_len then None
+    if i >= min (Array.length decisions) (Engine.positions arena) then None
     else
-      let choice = decisions.(i) and degree = rr.tr_degrees.(i) in
+      let choice = decisions.(i) and degree = degrees.(i) in
       if choice < 0 || choice >= degree then Some { position = i; choice; degree }
       else first (i + 1)
   in
   first 0
 
-let replay ?record ?max_steps ?abort ~arena ~decisions ~crash () =
-  let rr = Engine.run_trace ?record ?max_steps ?abort ~arena ~decisions ~crash () in
-  (rr.Engine.tr_result, divergence rr decisions)
+let replay ?record ?max_steps ?(abort = Abort.none) ~arena ~decisions ~crash () =
+  let res =
+    Engine.run_in (Engine.opts ?record ?max_steps ()) ~arena ~crash ~abort
+      (Trace { decisions; key_at = -1 })
+  in
+  (res, divergence arena decisions)
 
 (* A shrink candidate counts only if it reproduces the violation *and* its
    replay does not diverge: a candidate whose degrees shifted takes
@@ -130,8 +135,8 @@ let replay ?record ?max_steps ?abort ~arena ~decisions ~crash () =
    replays single vectors, so no footprints are collected. *)
 let faithful_reproduces d t =
   let decisions = Array.of_list t in
-  let rr = run_node d d.plain ~key_at:(-1) decisions in
-  divergence rr decisions = None && d.check rr.Engine.tr_result <> None
+  let res = run_node d d.plain ~key_at:(-1) decisions in
+  divergence d.arena decisions = None && d.check res <> None
 
 (* The decision stack of one search: [dec.(i)] is the choice the current
    DFS path takes at position [i], and every position past the running
@@ -139,7 +144,7 @@ let faithful_reproduces d t =
    branching position ([push]) and clears it when the child returns
    ([pop]), so each node runs the whole stack as its decision vector: its
    own prefix, then the default schedule, which is the run its prefix alone
-   names ({!Engine.run_trace} reads choice 0 past a vector's end).  No node
+   names (a {!Engine.Trace} pick reads choice 0 past a vector's end).  No node
    copies its prefix; a reported violation copies it once ([prefix]). *)
 type stack = { mutable dec : int array }
 
@@ -201,13 +206,13 @@ let subtree d ~take_run =
   let branches = frames 0 in
   let rec go depth =
     if not (take_run ()) then raise Halt;
-    let rr = run_node d d.opts ~key_at:(-1) st.dec in
-    (match d.check rr.Engine.tr_result with
+    let res = run_node d d.opts ~key_at:(-1) st.dec in
+    (match d.check res with
     | Some msg -> raise (Found (msg, prefix st depth))
     | None -> ());
-    let m = max 0 (rr.Engine.tr_len - depth) in
+    let m = max 0 (Engine.positions d.arena - depth) in
     let b = reserve branches m in
-    Array.blit rr.Engine.tr_degrees depth branches.data b m;
+    Array.blit (Engine.degrees d.arena) depth branches.data b m;
     for ix = 0 to m - 1 do
       for c = 1 to branches.%(b + ix) - 1 do
         push st (depth + ix) c;
@@ -487,13 +492,12 @@ let subtree_source d ~races ~cache ~take_run =
     (* The state key lands in [d.last_key]; read right after the run,
        before any child's run replaces it. *)
     if caching then d.last_key := [||];
-    let rr = run_node d d.opts ~key_at:(if caching then depth else -1) st.dec in
+    let res = run_node d d.opts ~key_at:(if caching then depth else -1) st.dec in
     let key = !(d.last_key) in
-    let res = rr.Engine.tr_result in
     (match d.check res with
     | Some msg -> raise (Found (msg, prefix st depth))
     | None -> ());
-    let len = rr.Engine.tr_len in
+    let len = Engine.positions d.arena in
     let m = max 0 (len - depth) in
     if res.Engine.timed_out then begin
       (* The run was cut mid-schedule: the permutation argument needs
@@ -502,7 +506,7 @@ let subtree_source d ~races ~cache ~take_run =
          the subtree's footprints are unknown, so no ancestor summary can
          be trusted. *)
       let b = reserve ctx.ints m in
-      Array.blit rr.Engine.tr_degrees depth ctx.ints.data b m;
+      Array.blit (Engine.degrees d.arena) depth ctx.ints.data b m;
       for ix = 0 to m - 1 do
         for c = 1 to ctx.ints.%(b + ix) - 1 do
           push st (depth + ix) c;
@@ -520,7 +524,7 @@ let subtree_source d ~races ~cache ~take_run =
       false
     end
     else begin
-      let degrees = rr.Engine.tr_degrees and fps = rr.Engine.tr_footprints in
+      let degrees = Engine.degrees d.arena and fps = Engine.footprints d.arena in
       let slept = if caching then Src.mask_of_sleep inh0 else 0 in
       let hit =
         match ctx.Src.cache with
@@ -672,10 +676,10 @@ let explore ?(max_runs = 100_000) ?(max_steps = 20_000) ?(shrink_violations = tr
       abort;
       check;
       opts =
-        Engine.trace_opts ~record ~max_steps ~por:(tier <> `Off) ~footprint_crashy:crashy
+        Engine.opts ~record ~max_steps ~por:(tier <> `Off) ~footprint_crashy:crashy
           ~on_state_key:(fun k -> last_key := k)
           ();
-      plain = Engine.trace_opts ~record ~max_steps ();
+      plain = Engine.opts ~record ~max_steps ();
       last_key;
       tally;
       arena = Engine.arena ~n ~model ~setup ~body;
@@ -720,7 +724,7 @@ let explore ?(max_runs = 100_000) ?(max_steps = 20_000) ?(shrink_violations = tr
            exactly. *)
         if not (take_run ()) then None
         else begin
-          match d.check (run_node d d.plain ~key_at:(-1) [||]).Engine.tr_result with
+          match d.check (run_node d d.plain ~key_at:(-1) [||]) with
           | Some msg -> Some (msg, [])
           | None ->
               let first = ref true in

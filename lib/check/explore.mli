@@ -4,7 +4,8 @@
     Replays the simulation under every interleaving reachable within the
     configured bounds: a run is identified by its decision vector (which
     runnable process steps at each point, as an index into the ascending
-    ready set, replayed from the root by {!Engine.run_trace}); after each run, the
+    ready set, replayed from the root by {!Engine.run_in} under an
+    {!Engine.Trace} pick); after each run, the
     recorded branching degrees spawn the sibling decision vectors.  With
     small [n] and request counts this enumerates the complete schedule
     tree and checks a property on every run — exhaustive verification of
@@ -24,9 +25,10 @@
     [setup] once, and runs every one of its runs in it, the root probe and
     the shrink replays included: each run rewinds the arena to the
     constructed subject.  It also builds its run options once
-    ({!Engine.trace_opts}), so a run passes {!Engine.run_with} only its
-    decisions, plans and state-key position.  A node reads its run's
-    degrees and footprints in place, in the arena's buffers: a cache hit
+    ({!Engine.opts}), so a run passes {!Engine.run_in} only its plans and
+    its pick: the decisions and the state-key position.  A node reads its
+    run's degrees and footprints in place, in the arena's buffers
+    ({!Engine.degrees}, {!Engine.footprints}): a cache hit
     walks its prefix there, and a node that expands children first copies
     its own suffix of them (from its depth to the end of its run), which
     the children's runs overwrite, onto frame stacks the search keeps.  A
@@ -87,8 +89,8 @@ val replay :
   unit ->
   Engine.result * divergence option
 (** The one replay rule of the explorer, its shrinker and {!Chaos}: run
-    [decisions] from the root of [arena]'s subject through
-    {!Engine.run_trace} and return the
+    [decisions] from the root of [arena]'s subject under an
+    {!Engine.Trace} pick and return the
     result with the first position whose decision does not index a real
     branch ([choice < 0] or [choice >= degree]), or [None] when every
     decision the run reached was a real branch.  Positions past the end
@@ -98,8 +100,8 @@ val replay :
     that reports a witness must reject it.  [crash] and [abort] (default
     {!Abort.none}) are the plans of this one run; stateful plans must be
     fresh per call.  The call rewinds [arena], so one arena serves any
-    number of replays of its subject, one at a time.  Defaults as
-    {!Engine.run_trace}. *)
+    number of replays of its subject, one at a time.  [record] and
+    [max_steps] default as in {!Engine.opts}. *)
 
 val explore :
   ?max_runs:int ->
@@ -159,8 +161,8 @@ val explore :
     - [`Source]: source-set dynamic POR with state caching on top of the
       sleep sets.  A sibling is explored only when an {e observed} race
       in some explored run demands its reversal ({!Footprint.Race}), and
-      a decision node whose engine state key ({!Engine.run_trace}'s
-      [on_state_key]) was already fully explored under a sleep mask ⊆ the
+      a decision node whose engine state key (an {!Engine.Trace} pick's
+      [key_at]) was already fully explored under a sleep mask ⊆ the
       current one prunes its whole subtree ({!Statecache}).  Explores a
       subset of [`Sleep]'s runs (equal in the worst case; the run count
       is not guaranteed smaller, but is on every benched subject).

@@ -1,5 +1,6 @@
 (** Bounded cache of fully-explored decision-tree nodes, keyed by the
-    engine state key ({!Rme_sim.Engine.run_trace}'s [on_state_key] digest) — the
+    engine state key (the digest an {!Rme_sim.Engine.Trace} pick's [key_at]
+    hands to [on_state_key]) — the
     deduplication behind the explorer's `Source tier.
 
     Direct-mapped with an explicit capacity bound: a colliding add

@@ -223,12 +223,12 @@ let discover cfg ~n ~model scenario =
       (* The crash-free discovery run replays the explorer's root schedule
          (empty decision vector = lowest runnable pid at every point), so
          the discovered op_index anchors transfer to explored runs. *)
-      let decisions = Vec.create () in
-      let record = Vec.create () in
-      let sched = Sched.trace ~decisions ~record () in
       let (_ : Engine.result) =
-        Engine.run ~max_steps:cfg.max_steps ~on_op ~n ~model ~sched ~crash:Crash.none ~setup
-          ~body ()
+        Engine.run_in
+          (Engine.opts ~max_steps:cfg.max_steps ~on_op ())
+          ~arena:(Engine.arena ~n ~model ~setup ~body)
+          ~crash:Crash.none ~abort:Abort.none
+          (Trace { decisions = [||]; key_at = -1 })
       in
       let sites = List.rev !acc in
       let truncated = List.length sites > cfg.site_cap in

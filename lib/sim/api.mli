@@ -146,9 +146,15 @@ val fas_persist : Cell.t -> int -> dst:Cell.t -> unit
 
 val spin_until : Cell.t -> cond -> unit
 (** Local-spin wait until the cell satisfies [cond].  The engine parks the
-    process and wakes it when a write makes the condition true; RMR
-    accounting charges the initial fetch and one re-fetch per wake, which is
-    the standard O(1)-per-handoff cost of local spinning. *)
+    process and wakes it when a write makes the condition true.  It charges
+    the first fetch and one re-read per wake, and nothing for a write that
+    leaves the condition false.  §2.5 charges more in two cases: under CC,
+    one RMR for each such write (it invalidates the waiter's copy); under
+    DSM, every iteration of a spin on a cell not homed at the waiter, which
+    the engine charges once per fetch.  So the charge equals §2.5's only
+    when the waited cell is written O(1) times per wait and, under DSM, is
+    homed at the waiter.  The ticket locks' spin on their one [grant] cell
+    breaks both conditions. *)
 
 val spin_abortable : Cell.t -> cond -> unit
 (** Local-spin wait that an abort signal can interrupt: parks like

@@ -148,6 +148,58 @@ let fresh_info () =
 (* Shared by every engine off the instrumented path, which never writes it. *)
 let no_consult = { info = fresh_info (); cell_names = [||]; note_boxes = [||]; notes = 0; next = 0 }
 
+(* Module-level defaults, so that a run detects "no hook supplied" by
+   physical equality and skips bookkeeping that exists only to feed the
+   hooks. *)
+let default_on_crash ~pid:_ ~step:_ = ()
+
+let default_on_op (_ : Crash.op_info) = ()
+
+let never_crashy (_ : int) = false
+
+let ignore_key (_ : int array) = ()
+
+(* A run's options, fixed across the runs of one search or campaign
+   subject: [opts] builds them once and a run reads them through the
+   engine's [o], so it boxes none of them.  [sink] is resolved from
+   [record] and [trace_ops], and [stall_window] from [max_steps]. *)
+type opts = {
+  mode : [ `Auto | `Fast | `Full ];
+  sink : Event.Sink.t;
+  trace_ops : bool;
+  max_steps : int;
+  stall_window : int;
+  on_crash : pid:int -> step:int -> unit;
+  on_op : Crash.op_info -> unit;
+  por : bool;  (* record footprints under a decision-vector pick *)
+  crashy : int -> bool;
+  on_key : int array -> unit;
+}
+
+let opts ?(mode = `Auto) ?sink ?(record = false) ?(trace_ops = false) ?(max_steps = 5_000_000)
+    ?stall_window ?(on_crash = default_on_crash) ?(on_op = default_on_op) ?(por = false)
+    ?(footprint_crashy = never_crashy) ?(on_state_key = ignore_key) () =
+  {
+    mode;
+    sink =
+      (match sink with
+      | Some s -> s
+      | None -> if record || trace_ops then Event.Sink.keep () else Event.Sink.drop);
+    trace_ops;
+    max_steps;
+    stall_window = (match stall_window with Some w -> w | None -> max 1_000 (max_steps / 8));
+    on_crash;
+    on_op;
+    por;
+    crashy = footprint_crashy;
+    on_key = on_state_key;
+  }
+
+(* An arena's options until its first run. *)
+let no_opts = opts ()
+
+type pick = Sched of Sched.t | Trace of { decisions : int array; key_at : int }
+
 (* One engine, which is also an arena: [arena] constructs its subject into
    it once and [prepare] rewinds it in place for each run, so the runs of
    one explorer search share the store and every per-pid array, slot and
@@ -162,18 +214,13 @@ type t = {
   mutable has_abort : bool;  (* abort != Abort.none: gates all abort bookkeeping *)
   mutable abort_view : Abort.view;  (* oracles over this engine, built once *)
   mutable has_crash : bool;  (* crash != Crash.none: gates the per-step plan consults *)
-  mutable sink : Event.Sink.t;
-  mutable emit : bool;  (* [Event.Sink.wants sink], cached: gates event construction *)
+  mutable o : opts;  (* the run's options *)
+  mutable emit : bool;  (* [Event.Sink.wants o.sink], cached: gates event construction *)
   mutable consult_ops : bool;  (* fill [consult.info] per instruction and consult
                                   the plans/hooks; off on the fast path, where only
                                   the op counter advances *)
   mutable consult : consult;  (* [no_consult] until the first [consult_ops] run *)
   mutable track_ans : bool;  (* fold answer-stream digests (state keys) *)
-  mutable trace_ops : bool;
-  mutable max_steps : int;
-  mutable stall_window : int;
-  mutable on_crash : pid:int -> step:int -> unit;
-  mutable on_op : Crash.op_info -> unit;
   (* Running digest of each process's answer stream (dispatches, answers,
      crash discontinuations).  A process body is a deterministic function
      of this stream, so equal digests mean equal control state — the
@@ -210,23 +257,19 @@ type t = {
      left the ready set (it parked or halted, was woken, or crashed) and
      by [prepare]. *)
   mutable ready_stale : bool;
-  (* [run_trace]'s output: the degree of every decision position in
-     [degrees.(0 .. npos - 1)] and, under [por], the flat per-choice
+  (* A decision-vector run's output: the degree of every decision position
+     in [degrees.(0 .. npos - 1)] and, under [o.por], the flat per-choice
      footprints in [footprints.(0 .. nfp - 1)].  Grown by doubling; the
-     first [run_trace] sizes them. *)
+     first such run sizes them. *)
   mutable degrees : int array;
   mutable npos : int;
   mutable footprints : Footprint.t array;
   mutable nfp : int;
-  (* The run's pick inputs, set by [run_in] and [run_trace], so that the
-     step loop and its picks are top-level functions and a run builds no
-     closure for them. *)
+  (* The run's pick, unpacked by [run_in], so that the step loop and its
+     picks are top-level functions and a run builds no closure for them. *)
   mutable sched : Sched.t;
-  mutable decisions : int array;  (* [run_trace]'s decision vector *)
-  mutable por : bool;  (* record footprints *)
-  mutable crashy : int -> bool;
-  mutable key_at : int;  (* the position whose state key [on_key] gets; -1 for none *)
-  mutable on_key : int array -> unit;
+  mutable decisions : int array;
+  mutable key_at : int;  (* the position whose state key [o.on_key] gets; -1 for none *)
   (* The last run's result parts that [finish] reuses while they still
      hold: each lock's stats, and the charged-kinds list. *)
   lock_stats : lock_stats array;
@@ -242,14 +285,7 @@ type t = {
 
 (* Call sites guard with [eng.emit] *before* constructing the event, so a
    dropping sink costs neither the emit call nor the event allocation. *)
-let record_event eng ev = Event.Sink.emit eng.sink ev
-
-(* Module-level defaults so [run] can detect "no hook supplied" by physical
-   equality and skip per-instruction bookkeeping that exists only to feed
-   the hooks. *)
-let default_on_crash ~pid:_ ~step:_ = ()
-
-let default_on_op (_ : Crash.op_info) = ()
+let record_event eng ev = Event.Sink.emit eng.o.sink ev
 
 (* File the running pid's continuation, creating the slot array on the
    run's first capture of its type. *)
@@ -475,7 +511,7 @@ let wake_after eng pid (kind : Api.kind) =
    (for reads, the value read) — the data the replay checker feeds on. *)
 let record_op : type a. t -> int -> a Api.view -> unit =
  fun eng pid view ->
-  if eng.trace_ops then begin
+  if eng.o.trace_ops then begin
     let o = eng.pend.(pid) in
     let emit ~kind (cell : Cell.t option) =
       record_event eng
@@ -538,7 +574,7 @@ let do_crash eng pid =
   | Start | Halted -> () (* no live fiber — nothing for a replay to discontinue *));
   eng.phase.(pid) <- Start;
   eng.ready_stale <- true;
-  eng.on_crash ~pid ~step:eng.step
+  eng.o.on_crash ~pid ~step:eng.step
 
 let crash_now eng pid =
   match eng.phase.(pid) with
@@ -631,7 +667,7 @@ let op_info : type a. t -> int -> a Api.view -> Crash.op_info =
   info.note <- (match view with Api.V_note_reg -> note_box eng.consult o.note | _ -> None);
   info.unsafe_wrt <- eng.folds.occupancy.unsafe_open.(pid);
   eng.op_index.(pid) <- eng.op_index.(pid) + 1;
-  eng.on_op info;
+  eng.o.on_op info;
   info
 
 (* Park [pid] on its spin: the continuation stays in its unit slot and the
@@ -675,7 +711,7 @@ let resolve : type a.
    nobody: its answer [res] is engine state, and it is traced and
    resolved like any other. *)
 let answer_nop eng pid ans view k ~crash_after res =
-  if eng.trace_ops then record_op eng pid view;
+  if eng.o.trace_ops then record_op eng pid view;
   resolve eng pid ans k ~crash_after res
 
 (* Execute [pid]'s pending instruction [view], resuming [k] (its slot's
@@ -727,7 +763,7 @@ let exec : type a. t -> int -> a answer -> a Api.view -> (a, phase) Effect.Deep.
           let res = apply eng pid view in
           let kind = Api.kind_of_view view in
           charge eng pid ~kind eng.last_rmr;
-          if eng.trace_ops then record_op eng pid view;
+          if eng.o.trace_ops then record_op eng pid view;
           wake_after eng pid kind;
           resolve eng pid ans k ~crash_after res)
 
@@ -746,15 +782,8 @@ let step_process eng handler pid =
   | Ready_bool -> exec eng pid A_bool eng.bools.view.(pid) eng.bools.k.(pid)
   | Ready_unit -> exec eng pid A_unit eng.units.view.(pid) eng.units.k.(pid)
   | Woken ->
-      let o = eng.pend.(pid) in
-      let v = Memory.read_u eng.mem ~pid o.cell in
-      charge eng pid ~kind:Api.Spin (Memory.last_cost eng.mem);
-      let aborted = abortable_spin eng pid && eng.folds.aborts.flag.(pid) in
-      if Api.cond_holds o.cond v || aborted then begin
-        jpush eng (jt_ans_unit lor (pid lsl 3)) 0;
-        eng.phase.(pid) <- Effect.Deep.continue eng.units.k.(pid) ()
-      end
-      else park eng pid
+      spin eng pid eng.units.view.(pid) eng.units.k.(pid) ~crash_after:false
+        ~abortable:(abortable_spin eng pid)
   | Parked | Halted -> assert false
 
 (* The access footprint of the step [pid] would take if scheduled now, for
@@ -828,7 +857,7 @@ let state_key eng =
 
 (* Build the ready set (ascending pids) into a per-count scratch buffer.
    The ascending order is a contract: {!Sched.recording}, {!Sched.trace}
-   and [run_trace]'s pick index into it directly.  Scratch arrays must be
+   and [trace_pick] index into it directly.  Scratch arrays must be
    exactly [count] long because [Sched.pick] reads [Array.length
    runnable]. *)
 let scan_ready eng =
@@ -912,7 +941,7 @@ let classify_stall eng =
     in
     if eng.deadlocked then report Deadlock live
     else begin
-      let horizon = eng.step - eng.stall_window in
+      let horizon = eng.step - eng.o.stall_window in
       let progressed p = eng.last_progress.(p) >= horizon in
       let starved = List.filter (fun p -> not (progressed p)) live in
       if starved = [] then report Underbudget live
@@ -1001,7 +1030,7 @@ let finish eng =
     aborts = Folds.Aborts.facts eng.folds.aborts;
     crash_log = Vec.to_list eng.crash_log;
     monitors = Folds.monitors eng.folds;
-    events = Event.Sink.events eng.sink;
+    events = Event.Sink.events eng.o.sink;
   }
 
 (* The oracles an abort plan's async decisions read, closed over the
@@ -1023,17 +1052,13 @@ let no_handler : (unit, phase) Effect.Deep.handler =
 
 let no_sched = Sched.make ~label:"none" (fun ~runnable ~step:_ -> runnable.(0))
 
-let never_crashy (_ : int) = false
-
 (* Matches no lock's stats, so a lock's first [finish] builds its record. *)
 let no_lock_stats = { lock_name = ""; max_occupancy = -1; unsafe_crashes = -1 }
 
-let ignore_key (_ : int array) = ()
-
 (* Domain-safety audit (plans and seeds sharded over domains): an engine
    serves one run at a time.  [run] constructs a fresh one per call, and
-   [run_in] and [run_trace] use their caller's arena, which one search or
-   one domain's Chaos slot owns.  Every piece of mutable state below —
+   [run_in] uses its caller's arena, which one search or one domain's
+   Chaos slot owns.  Every piece of mutable state below —
    the store, the engine record, the continuation and view slots, the
    per-process arrays, the folds, the effect handler with its preallocated
    results — belongs to one engine: [arena] allocates it and [prepare]
@@ -1042,7 +1067,7 @@ let ignore_key (_ : int array) = ()
    which is per domain: [prepare] takes the running domain's, the run's
    fibers fill it in that same domain, and the handler empties it into
    [pend] before another fiber runs.  Concurrent runs on different engines in different domains
-   therefore share nothing, *provided* the caller's [sched], [crash],
+   therefore share nothing, *provided* the caller's options, pick, [crash],
    [setup] and [body] arguments are themselves domain-safe: a stateful
    scheduler or crash plan must be built fresh per run, and the closures
    must not capture shared mutable state. *)
@@ -1062,16 +1087,11 @@ let arena ~n ~model ~setup ~body =
       has_abort = false;
       abort_view = no_abort_view;
       has_crash = false;
-      sink = Event.Sink.drop;
+      o = no_opts;
       emit = false;
       consult_ops = false;
       consult = no_consult;
       track_ans = false;
-      trace_ops = false;
-      max_steps = 0;
-      stall_window = 0;
-      on_crash = default_on_crash;
-      on_op = default_on_op;
       ans_hash = Array.make n 0;
       body = (fun ~pid -> body shared ~pid);
       handler = no_handler;
@@ -1100,10 +1120,7 @@ let arena ~n ~model ~setup ~body =
       nfp = 0;
       sched = no_sched;
       decisions = [||];
-      por = false;
-      crashy = never_crashy;
       key_at = -1;
-      on_key = ignore_key;
       lock_stats = Array.make nlocks no_lock_stats;
       kinds = [];
       last_rmr = 0;
@@ -1118,26 +1135,48 @@ let arena ~n ~model ~setup ~body =
   eng.handler <- make_handler eng;
   eng
 
-(* Reset [eng] in place for a run: rewind the store and the registered
-   host state to the image [arena] sealed.  What a run leaves behind
-   (suspended continuations, stale views and operands) stays in the
-   slots, unread: every slot read is guarded by a [phase] tag this run
-   set. *)
-let prepare eng ~stall_window ~max_steps ~sink ~consult_ops ~track_ans ~trace_ops ~on_crash ~on_op
-    ~crash ~abort =
+(* Reset [eng] in place for a run under the options [o], the plans and
+   the state-key position [key_at] (-1: none): rewind the store and the
+   registered host state to the image [arena] sealed, empty the sink, and
+   derive the per-feature instrumentation guards from [o.mode].  [`Auto]
+   runs each bookkeeping layer only when the run needs it; [`Full] forces
+   them on (for differential benchmarking: results are identical either
+   way); [`Fast] asserts that nothing needs them.  What a run leaves
+   behind (suspended continuations, stale views and operands) stays in
+   the slots, unread: every slot read is guarded by a [phase] tag this
+   run set. *)
+let prepare eng o ~crash ~abort ~key_at =
   let n = eng.n in
+  let has_crash = crash != Crash.none and has_abort = abort != Abort.none in
+  (match o.mode with
+  | `Auto ->
+      eng.consult_ops <- has_crash || has_abort || o.on_op != default_on_op;
+      eng.track_ans <- key_at >= 0
+  | `Full ->
+      eng.consult_ops <- true;
+      eng.track_ans <- true
+  | `Fast ->
+      if
+        has_crash || has_abort || Event.Sink.wants o.sink || o.trace_ops
+        || o.on_op != default_on_op || o.on_crash != default_on_crash || o.por || key_at >= 0
+      then
+        invalid_arg
+          "Engine.run_in: ~mode:`Fast requires a crash-free, abort-free, uninstrumented \
+           configuration (no sink, hooks, footprints or state key)";
+      eng.consult_ops <- false;
+      eng.track_ans <- false);
   Memory.rewind eng.mem;
   List.iter (fun rewind -> rewind ()) eng.rewinders;
   Folds.reset eng.folds;
   eng.crash <- crash;
   eng.abort <- abort;
-  eng.has_crash <- crash != Crash.none;
-  eng.has_abort <- abort != Abort.none;
-  if eng.has_abort && eng.abort_view == no_abort_view then eng.abort_view <- make_abort_view eng;
-  eng.sink <- sink;
-  eng.emit <- Event.Sink.wants sink;
-  eng.consult_ops <- consult_ops;
-  if consult_ops && eng.consult == no_consult then
+  eng.has_crash <- has_crash;
+  eng.has_abort <- has_abort;
+  if has_abort && eng.abort_view == no_abort_view then eng.abort_view <- make_abort_view eng;
+  eng.o <- o;
+  Event.Sink.clear o.sink;
+  eng.emit <- Event.Sink.wants o.sink;
+  if eng.consult_ops && eng.consult == no_consult then
     eng.consult <-
       {
         info = fresh_info ();
@@ -1146,13 +1185,7 @@ let prepare eng ~stall_window ~max_steps ~sink ~consult_ops ~track_ans ~trace_op
         notes = 0;
         next = 0;
       };
-  eng.track_ans <- track_ans;
-  eng.trace_ops <- trace_ops;
-  eng.max_steps <- max_steps;
-  eng.stall_window <-
-    (match stall_window with Some w -> w | None -> max 1_000 (max_steps / 8));
-  eng.on_crash <- on_crash;
-  eng.on_op <- on_op;
+  eng.key_at <- key_at;
   eng.reg <- Api.register ();
   Array.fill eng.ans_hash 0 n 0;
   Array.fill eng.phase 0 n Start;
@@ -1187,7 +1220,7 @@ let rec async_aborts eng = function
       signal_abort eng ~origin:(-1) pid;
       async_aborts eng rest
 
-(* The step loop of both entries.  Each iteration fires the asynchronous
+(* The step loop of every run.  Each iteration fires the asynchronous
    crash, system-crash and abort decisions, builds the ready set, and steps
    the pid [pick eng pos ready] names, [pos] being the decision position.
    [pick] is one of the top-level picks below, which read their inputs from
@@ -1212,7 +1245,7 @@ let rec drive eng ~pick pos =
     if any_parked then eng.deadlocked <- true
     (* else: all halted — normal termination *)
   end
-  else if eng.step >= eng.max_steps then eng.timed_out <- true
+  else if eng.step >= eng.o.max_steps then eng.timed_out <- true
   else begin
     let pid = pick eng pos ready in
     eng.last_sched.(pid) <- eng.step;
@@ -1226,144 +1259,74 @@ let rec drive eng ~pick pos =
 
 let sched_pick eng _ ready = Sched.pick eng.sched ~runnable:ready ~step:eng.step
 
-type arena = t
-
-let run_in ?(mode = `Auto) ?sink ?(record = false) ?(trace_ops = false) ?(max_steps = 5_000_000)
-    ?stall_window ?(on_crash = default_on_crash) ?(on_op = default_on_op) ?(abort = Abort.none)
-    ~arena:eng ~sched ~crash () =
-  let sink =
-    match sink with
-    | Some s -> s
-    | None -> if record || trace_ops then Event.Sink.keep () else Event.Sink.drop
-  in
-  let has_crash = crash != Crash.none in
-  let has_abort = abort != Abort.none in
-  (* Per-feature instrumentation guards.  [`Auto] derives them from what the
-     caller actually supplied; [`Full] forces the instrumented code paths on
-     (for differential benchmarking — results are identical either way);
-     [`Fast] asserts that nothing requires instrumentation, catching configs
-     that would silently fall off the fast path. *)
-  let consult_ops, track_ans =
-    match mode with
-    | `Auto -> (has_crash || has_abort || on_op != default_on_op, false)
-    | `Full -> (true, true)
-    | `Fast ->
-        if
-          has_crash || has_abort || Event.Sink.wants sink || trace_ops || on_op != default_on_op
-          || on_crash != default_on_crash
-        then
-          invalid_arg
-            "Engine.run: ~mode:`Fast requires a crash-free, abort-free, uninstrumented \
-             configuration (no sink, no hooks)";
-        (false, false)
-  in
-  prepare eng ~stall_window ~max_steps ~sink ~consult_ops ~track_ans ~trace_ops ~on_crash ~on_op
-    ~crash ~abort;
-  eng.sched <- sched;
-  drive eng ~pick:sched_pick 0;
-  eng.sched <- no_sched;
-  finish eng
-
-let run ?mode ?sink ?record ?trace_ops ?max_steps ?stall_window ?on_crash ?on_op ?abort ~n ~model
-    ~sched ~crash ~setup ~body () =
-  run_in ?mode ?sink ?record ?trace_ops ?max_steps ?stall_window ?on_crash ?on_op ?abort
-    ~arena:(arena ~n ~model ~setup ~body) ~sched ~crash ()
-
-type trun = {
-  tr_result : result;
-  tr_len : int;
-  tr_degrees : int array;
-  tr_footprints : Footprint.t array;
-}
-
 (* [a] at least [len] long, keeping its contents. *)
 let grow a ~len filler =
   let b = Array.make (max len (2 * Array.length a)) filler in
   Array.blit a 0 b 0 (Array.length a);
   b
 
-(* Trace pick: [runnable] builds the ready set in ascending pid order and
-   {!Sched.trace} indexes it the same way, so this replays the schedules
-   {!run} under {!Sched.trace} does.  Footprints are stored one per
-   runnable pid in that same order, so the explorer can index them by
+(* The decision-vector pick: [runnable] builds the ready set in ascending
+   pid order and {!Sched.trace} indexes it the same way, so this replays
+   the schedules a {!Sched.trace} pick does.  Footprints are stored one
+   per runnable pid in that same order, so the explorer can index them by
    decision position and choice. *)
 let trace_pick eng pos ready =
   let degree = Array.length ready in
-  if eng.por then begin
+  if eng.o.por then begin
     if eng.nfp + degree > Array.length eng.footprints then
       eng.footprints <- grow eng.footprints ~len:(eng.nfp + degree) (Footprint.local ~pid:0);
     for i = 0 to degree - 1 do
-      eng.footprints.(eng.nfp + i) <- pending_footprint eng ~crashy:eng.crashy ready.(i)
+      eng.footprints.(eng.nfp + i) <- pending_footprint eng ~crashy:eng.o.crashy ready.(i)
     done;
     eng.nfp <- eng.nfp + degree
   end;
-  if pos = eng.key_at then eng.on_key (state_key eng);
+  if pos = eng.key_at then eng.o.on_key (state_key eng);
   if pos = Array.length eng.degrees then eng.degrees <- grow eng.degrees ~len:(pos + 1) 0;
   eng.degrees.(pos) <- degree;
   eng.npos <- pos + 1;
   let choice = if pos < Array.length eng.decisions then eng.decisions.(pos) else 0 in
   ready.(if choice >= 0 && choice < degree then choice else ((choice mod degree) + degree) mod degree)
 
-(* A search's run options, built once and shared by all its runs, so
-   that a run boxes none of them. *)
-type trace_opts = {
-  t_record : bool;
-  t_max_steps : int;
-  t_stall_window : int option;
-  t_por : bool;
-  t_crashy : int -> bool;
-  t_on_key : int array -> unit;
-}
+type arena = t
 
-let trace_opts ?(record = false) ?(max_steps = 5_000_000) ?stall_window ?(por = false)
-    ?(footprint_crashy = never_crashy) ?(on_state_key = ignore_key) () =
-  {
-    t_record = record;
-    t_max_steps = max_steps;
-    t_stall_window = stall_window;
-    t_por = por;
-    t_crashy = footprint_crashy;
-    t_on_key = on_state_key;
-  }
-
-let run_with o ~state_key_at ~abort ~arena:eng ~decisions ~crash =
-  let n = eng.n and por = o.t_por in
-  if por && n > 0xffff then
-    invalid_arg "Engine.run_trace: footprint recording supports at most 65536 processes";
-  prepare eng ~stall_window:o.t_stall_window ~max_steps:o.t_max_steps
-    ~sink:(if o.t_record then Event.Sink.keep () else Event.Sink.drop)
-    ~consult_ops:(crash != Crash.none || abort != Abort.none)
-    ~track_ans:(state_key_at >= 0) ~trace_ops:false ~on_crash:default_on_crash
-    ~on_op:default_on_op ~crash ~abort;
-  (* Sized at a length the run already knows: a replay runs about as many
-     steps as it has decisions, and a short default schedule fits in
-     128. *)
-  let cap = max 128 (Array.length decisions) in
-  if Array.length eng.degrees < cap then eng.degrees <- Array.make cap 0;
-  if por && Array.length eng.footprints < n * cap then
-    eng.footprints <- Array.make (n * cap) (Footprint.local ~pid:0);
-  eng.decisions <- decisions;
-  eng.por <- por;
-  eng.crashy <- o.t_crashy;
-  eng.key_at <- state_key_at;
-  eng.on_key <- o.t_on_key;
-  drive eng ~pick:trace_pick 0;
+let run_in o ~arena:eng ~crash ~abort pick =
+  (match pick with
+  | Sched sched ->
+      prepare eng o ~crash ~abort ~key_at:(-1);
+      eng.sched <- sched;
+      drive eng ~pick:sched_pick 0
+  | Trace { decisions; key_at } ->
+      let n = eng.n in
+      if o.por && n > 0xffff then
+        invalid_arg "Engine.run_in: footprint recording supports at most 65536 processes";
+      prepare eng o ~crash ~abort ~key_at;
+      (* Sized at a length the run already knows: a replay runs about as
+         many steps as it has decisions, and a short default schedule fits
+         in 128. *)
+      let cap = max 128 (Array.length decisions) in
+      if Array.length eng.degrees < cap then eng.degrees <- Array.make cap 0;
+      if o.por && Array.length eng.footprints < n * cap then
+        eng.footprints <- Array.make (n * cap) (Footprint.local ~pid:0);
+      eng.decisions <- decisions;
+      drive eng ~pick:trace_pick 0);
+  let res = finish eng in
   (* Dropped, so the arena keeps none of the caller's values alive. *)
+  eng.o <- no_opts;
+  eng.sched <- no_sched;
   eng.decisions <- [||];
-  eng.crashy <- never_crashy;
-  eng.on_key <- ignore_key;
-  {
-    tr_result = finish eng;
-    tr_len = eng.npos;
-    tr_degrees = eng.degrees;
-    tr_footprints = (if por then eng.footprints else [||]);
-  }
+  res
 
-let run_trace ?record ?max_steps ?stall_window ?por ?footprint_crashy ?(state_key_at = -1)
-    ?on_state_key ?(abort = Abort.none) ~arena ~decisions ~crash () =
-  run_with
-    (trace_opts ?record ?max_steps ?stall_window ?por ?footprint_crashy ?on_state_key ())
-    ~state_key_at ~abort ~arena ~decisions ~crash
+let positions eng = eng.npos
+
+let degrees eng = eng.degrees
+
+let footprints eng = eng.footprints
+
+let run ?mode ?sink ?record ?trace_ops ?max_steps ?stall_window ?on_crash ?on_op
+    ?(abort = Abort.none) ~n ~model ~sched ~crash ~setup ~body () =
+  run_in
+    (opts ?mode ?sink ?record ?trace_ops ?max_steps ?stall_window ?on_crash ?on_op ())
+    ~arena:(arena ~n ~model ~setup ~body) ~crash ~abort (Sched sched)
 
 let abort_log res =
   let signal (a : abort_stat) = (a.ab_signal_step, a.ab_pid) in

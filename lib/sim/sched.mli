@@ -38,7 +38,8 @@ val recording : inner:t -> decisions:int Vec.t -> t
 (** Delegates every pick to [inner] and appends the chosen pid's index into
     the runnable set to [decisions].  The engine passes every runnable set
     in ascending pid order, so the index is the chosen pid's rank — the
-    decision-vector encoding of {!trace} and {!Engine.run_trace}.  This is
+    decision-vector encoding of {!trace} and of the engine's
+    {!Engine.Trace} pick.  This is
     how the chaos campaign turns a random adversarial discovery into a
     deterministic, shrinkable witness ({!Rme_check.Explore.replay}
     re-executes it and reports where a replay diverges). *)
@@ -47,6 +48,7 @@ val trace : decisions:int Vec.t -> record:int Vec.t -> unit -> t
 (** Decision-vector scheduler: the [i]-th pick takes [decisions.(i)] as an
     index into the runnable set (0 when the vector is exhausted; an index
     outside the set is reduced modulo its size) and appends the size of
-    the runnable set to [record].  The same rule as {!Engine.run_trace},
-    for callers that need {!Engine.run}'s hooks; to check that a vector
-    replays faithfully, use {!Rme_check.Explore.replay}. *)
+    the runnable set to [record].  The same rule as the engine's
+    {!Engine.Trace} pick, as a {!t}, for callers that compose schedulers or
+    time the pick itself; to check that a vector replays faithfully, use
+    {!Rme_check.Explore.replay}. *)

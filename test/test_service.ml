@@ -77,12 +77,15 @@ let test_sink_ring_wraparound () =
 (* Engine: sink policies and the fast-path differential                 *)
 (* ------------------------------------------------------------------ *)
 
+let workload_body ?cs ?ncs lock ~pid = Harness.standard_body ?cs ?ncs ~lock ~requests:3 pid
+
 let lock_workload ?mode ?sink ?record ?trace_ops ?on_op ?abort ?(setup = Rme_locks.Wr_lock.make)
-    ?cs ?ncs () =
-  let body lock ~pid = Harness.standard_body ?cs ?ncs ~lock ~requests:3 pid in
+    ?(seed = 42) ?cs ?ncs () =
   Engine.run ?mode ?sink ?record ?trace_ops ?on_op ?abort ~n:3 ~model:Memory.CC
-    ~sched:(Sched.random ~seed:42)
-    ~crash:Crash.none ~setup ~body ()
+    ~sched:(Sched.random ~seed) ~crash:Crash.none ~setup ~body:(workload_body ?cs ?ncs) ()
+
+let wr_workload_arena () =
+  Engine.arena ~n:3 ~model:Memory.CC ~setup:Rme_locks.Wr_lock.make ~body:(workload_body ?cs:None ?ncs:None)
 
 let test_keep_vs_drop_equivalence () =
   (* The sink policy must never change what happens — only what is
@@ -92,7 +95,20 @@ let test_keep_vs_drop_equivalence () =
   check cb "keep retains history" true (kept.Engine.events <> []);
   check cb "drop retains nothing" true (dropped.Engine.events = []);
   check cb "all other fields equal" true
-    ({ kept with Engine.events = [] } = dropped)
+    ({ kept with Engine.events = [] } = dropped);
+  (* One [Keep] sink, held by one options value, serves two runs on one
+     arena: each run's history holds its own events only, as a fresh
+     sink's would. *)
+  let arena = wr_workload_arena () in
+  let opts = Engine.opts ~sink:(Event.Sink.keep ()) () in
+  let run seed =
+    Engine.run_in opts ~arena ~crash:Crash.none ~abort:Abort.none (Sched (Sched.random ~seed))
+  in
+  let first = run 42 in
+  let second = run 7 in
+  check cb "shared keep: first run's history is its own" true (first = kept);
+  check cb "shared keep: second run's history is its own" true
+    (second = lock_workload ~seed:7 ~sink:(Event.Sink.keep ()) ())
 
 let test_ring_is_keep_suffix () =
   let kept = lock_workload ~sink:(Event.Sink.keep ()) () in
@@ -216,7 +232,35 @@ let test_fast_full_differential () =
           lock_workload ~trace_ops ?on_op ~abort:(impatient ()) ~setup:wr_abort ~cs:polling_cs
             ~ncs:paced_ncs ()),
         None );
-    ]
+    ];
+  (* A decision-vector pick keeps the contract: one vector under `Auto
+     and `Full gives the same result, degrees, footprints and state key,
+     and the same vector through [Sched.trace] gives the same result,
+     with the degrees it records. *)
+  let arena = wr_workload_arena () in
+  let decisions = [| 2; 1; 0; 2; 2; 1; 0; 1; 2; 2; 1 |] in
+  let vector mode =
+    let key = ref [||] in
+    let opts = Engine.opts ~mode ~por:true ~on_state_key:(fun k -> key := k) () in
+    let res =
+      Engine.run_in opts ~arena ~crash:Crash.none ~abort:Abort.none (Trace { decisions; key_at = 6 })
+    in
+    let degrees = Array.sub (Engine.degrees arena) 0 (Engine.positions arena) in
+    let footprints = Array.sub (Engine.footprints arena) 0 (Array.fold_left ( + ) 0 degrees) in
+    (res, degrees, footprints, !key)
+  in
+  let ((res, degrees, _, key) as auto) = vector `Auto in
+  check cb "vector: auto = full" true (auto = vector `Full);
+  check cb "vector: state key taken" true (key <> [||]);
+  let record = Vec.create () in
+  let traced =
+    Engine.run ~n:3 ~model:Memory.CC
+      ~sched:(Sched.trace ~decisions:(Vec.of_list (Array.to_list decisions)) ~record ())
+      ~crash:Crash.none ~setup:Rme_locks.Wr_lock.make ~body:(workload_body ?cs:None ?ncs:None) ()
+  in
+  check cb "vector: Sched.trace gives the same result" true (traced = res);
+  check cb "vector: degrees = Sched.trace's record" true
+    (Vec.to_list record = Array.to_list degrees)
 
 let test_fast_rejects_instrumented_configs () =
   let crashy () =
@@ -243,7 +287,19 @@ let test_fast_rejects_instrumented_configs () =
     match f () with exception Invalid_argument _ -> true | _ -> false
   in
   check cb "crash plan rejected" true (raises crashy);
-  check cb "event sink rejected" true (raises sinky)
+  check cb "event sink rejected" true (raises sinky);
+  (* Under a decision-vector pick, footprints and a state key are
+     instrumentation too; the bare vector is not. *)
+  let vector ~por ~key_at () =
+    ignore
+      (Engine.run_in
+         (Engine.opts ~mode:`Fast ~por ())
+         ~arena:(wr_workload_arena ()) ~crash:Crash.none ~abort:Abort.none
+         (Trace { decisions = [||]; key_at }))
+  in
+  check cb "footprints rejected" true (raises (vector ~por:true ~key_at:(-1)));
+  check cb "state key rejected" true (raises (vector ~por:false ~key_at:0));
+  check cb "bare vector accepted" false (raises (vector ~por:false ~key_at:(-1)))
 
 let test_api_step_monotone () =
   (* Api.step is the global simulated clock: non-decreasing within a
@@ -422,34 +478,39 @@ let test_construction_allocation () =
 (* Minor words of one whole default-schedule explorer run with footprints:
    132 steps, degrees, footprints and [finish].  Cold: on a fresh arena,
    construction and sizing included (3,698 words before the continuation
-   slots and the sized buffers; 2,973 with them on OCaml 5.1; 2,580
+   slots and the sized buffers; 2,973 with them on OCaml 5.1; 2,568
    now).  Warm: a run on one arena, as an explorer search's are, after two
    runs have sized it (the second one grows the store's pool of spare
    cache rows): the run rewinds the engine, the store and the buffers in
    place and constructs nothing, so only the steps and the result
-   allocate — 416 words on OCaml 5.1, of which 264 are the steps'
-   continuations; 590 when the step loop and its pick were closures built
+   allocate — 411 words on OCaml 5.1, of which 264 are the steps'
+   continuations; 423 when every run built its options and returned its
+   degrees and footprints in a record of their own; 590 when the step loop and its pick were closures built
    per run, [finish] rebuilt every lock's stats and the charged-kinds
    list, and every lock release filtered its holder's list; 1,335 when
    every run ran [setup]; 2,325 for a run on the buffers a search used to
    share. *)
+let default_schedule = Engine.Trace { decisions = [||]; key_at = -1 }
+
 let warm_run_words key =
   let make = (Rme.Spec.find_exn key).Rme.Spec.make in
   let fresh () = Engine.arena ~n:2 ~model:Memory.CC ~setup:make ~body:one_request in
-  let run arena = Engine.run_trace ~arena ~por:true ~decisions:[||] ~crash:Crash.none () in
+  let opts = Engine.opts ~por:true () in
+  let run arena = Engine.run_in opts ~arena ~crash:Crash.none ~abort:Abort.none default_schedule in
   ignore (run (fresh ()));
   let r, cold = words (fun () -> run (fresh ())) in
   let arena = fresh () in
   ignore (run arena);
   ignore (run arena);
   let _, warm = words (fun () -> run arena) in
-  (r, cold, warm)
+  (r, arena, cold, warm)
 
 let test_trace_run_allocation () =
-  let r, cold, warm = warm_run_words "sa-jjj" in
-  check ci "default schedule length" 132 r.Engine.tr_result.Engine.steps;
-  check ci "one degree per position" 132 r.Engine.tr_len;
-  let degrees = Array.sub r.Engine.tr_degrees 0 r.Engine.tr_len in
+  (* The warm arena's last run took the same default schedule. *)
+  let r, arena, cold, warm = warm_run_words "sa-jjj" in
+  check ci "default schedule length" 132 r.Engine.steps;
+  check ci "one degree per position" 132 (Engine.positions arena);
+  let degrees = Array.sub (Engine.degrees arena) 0 (Engine.positions arena) in
   check ci "one footprint per runnable pid" 198 (Array.fold_left ( + ) 0 degrees);
   pins_hold
     [
@@ -459,12 +520,13 @@ let test_trace_run_allocation () =
 
 (* The same warm run of wr-reclaim, 112 steps: its 4n^2 pool nodes are
    drawn at construction, into the image every run rewinds to, so a run
-   draws and names none of them — 316 words on OCaml 5.1 (440 with the
-   per-run closures and rebuilt stats above), against 993 when the first
+   draws and names none of them — 311 words on OCaml 5.1 (316 with the
+   per-run options and record above, 440 with the per-run closures and
+   rebuilt stats), against 993 when the first
    allocation of every run drew the pools. *)
 let test_reclaim_run_allocation () =
-  let r, _, warm = warm_run_words "wr-reclaim" in
-  check ci "default schedule length" 112 r.Engine.tr_result.Engine.steps;
+  let r, _, _, warm = warm_run_words "wr-reclaim" in
+  check ci "default schedule length" 112 r.Engine.steps;
   pins_hold
     [ (Printf.sprintf "wr-reclaim n=2: %.0f minor words per warm run <= 350" warm, warm <= 350.) ]
 
@@ -474,7 +536,9 @@ let test_reclaim_run_allocation () =
    is measured, so one-time initialisation is not counted.  A run pays its
    steps' continuations (266 words), the lock code and engine steps
    (118), its state key (16), [finish] (54) and the explorer's own
-   bookkeeping (about 10): 455 words on OCaml 5.1.  It was 531 when a
+   bookkeeping (about 10): 453 words on OCaml 5.1, 455 while a run
+   returned its degrees and footprints in a record of its own rather than
+   take its pick in one.  It was 531 when a
    cache-miss node allocated six arrays as long as its remaining run, a
    drain closure, the race scan's closures and a list cell per summary
    footprint, and every run boxed its optional arguments; 1,102 when a
@@ -513,17 +577,18 @@ let test_source_search_allocation () =
 
 (* A zero-step run on an arena constructs nothing: it allocates
    exactly what the same run of a setup that registers as many locks and
-   allocates no cell does (the engine's per-run record and [finish]).  The
+   allocates no cell does (the result [finish] builds).  The
    node-allocating wr-reclaim runs its rewinders, which allocate nothing
    either. *)
 let test_rewound_run_allocation () =
   let zero_step ~setup ~body =
     let arena = Engine.arena ~n:2 ~model:Memory.CC ~setup ~body in
-    let run () = Engine.run_trace ~arena ~max_steps:0 ~por:true ~decisions:[||] ~crash:Crash.none () in
+    let opts = Engine.opts ~max_steps:0 ~por:true () in
+    let run () = Engine.run_in opts ~arena ~crash:Crash.none ~abort:Abort.none default_schedule in
     ignore (run ());
     ignore (run ());
     let r, w = words run in
-    (Array.length r.Engine.tr_result.Engine.locks, w)
+    (Array.length r.Engine.locks, w)
   in
   pins_hold
   @@ List.map
@@ -546,7 +611,8 @@ let test_rewound_run_allocation () =
    recorded).  The bench gates their wall-clock ratio, which a host
    changing speed between the two timings can flip; these counts are
    deterministic, so an allocation regression fails here on any host.
-   147 and 10,361 words on OCaml 5.1, at 40 steps per passage (169 and
+   143 and 10,599 words on OCaml 5.1, at 40 steps per passage (10,339
+   instrumented before a woken spinner's re-read was traced; 169 and
    10,383 while WR-Lock's window-marking instructions built their views
    per call and a window close filtered through a closure); the pins
    leave 5% plus one word per step for other 5.x runtimes, as the

@@ -194,8 +194,8 @@ let test_burst_sched_bursts () =
   in
   check ci "all done under burst" 12 (Engine.total_completed res)
 
-(* The replay schedulers ([Sched.recording], [Sched.trace],
-   [Engine.run_trace]) index the ready set directly, so every pick must
+(* The replay schedulers ([Sched.recording], [Sched.trace], the engine's
+   decision-vector pick) index the ready set directly, so every pick must
    see a strictly ascending one — across per-process crashes, a
    system-wide crash and abort signals too. *)
 let test_ready_set_ascending () =
@@ -537,25 +537,29 @@ let test_engine_parks_on_late_cell () =
     end
   in
   let arena = Engine.arena ~n:2 ~model:Memory.CC ~setup ~body in
+  let opts = Engine.opts ~trace_ops:true () in
   for run = 1 to 2 do
     let res =
-      Engine.run_in ~trace_ops:true ~arena ~sched:(Sched.round_robin ()) ~crash:Crash.none ()
+      Engine.run_in opts ~arena ~crash:Crash.none ~abort:Abort.none
+        (Sched (Sched.round_robin ()))
     in
     let label = Printf.sprintf "run %d: " run in
     check cb (label ^ "late cell past the sealed store") true (!late_id >= !sealed);
     check cb (label ^ "no stall") true (res.Engine.stall = None);
-    (* The waiter's one traced spin on the late cell read 0: it parked
-       there, and only the write could wake it (a woken spinner's re-read
-       is not traced). *)
-    let parked_spins =
+    (* The waiter's traced spins on the late cell: the fetch that read 0
+       and parked it, then the woken re-read of the write's 1. *)
+    let spins value =
       List.length
         (List.filter
            (function
-             | Event.Op { pid = 1; kind = "spin"; cell = "late39"; value = 0; _ } -> true
+             | Event.Op { pid = 1; kind = "spin"; cell = "late39"; value = v; _ } -> v = value
              | _ -> false)
            res.Engine.events)
     in
-    check ci (label ^ "parked on the late cell") 1 parked_spins
+    check ci (label ^ "parked on the late cell") 1 (spins 0);
+    check ci (label ^ "woken re-read traced") 1 (spins 1);
+    check cb (label ^ "replay verifies") true
+      ((Rme_check.Replay.verify res).Rme_check.Replay.divergence = None)
   done
 
 let test_percentiles () =
@@ -590,20 +594,20 @@ let test_engine_get_done_survives_crash () =
 
 type observed = Engine.result * int array * Footprint.t array * int array list
 
-(* Everything a caller can read of one [run_trace] on [arena]: the result,
-   the degrees and footprints of the positions it reached (copied before
-   the arena's next run overwrites them) and the state keys it reported. *)
+(* Everything a caller can read of one decision-vector run on [arena]:
+   the result, the degrees and footprints of the positions it reached
+   (copied before the arena's next run overwrites them) and the state
+   keys it reported. *)
 let observe ?(record = false) ?(max_steps = 20_000) ?(crash = Crash.none) ?(abort = Abort.none)
     ?(state_key_at = -1) ?(decisions = [||]) arena : observed =
   let keys = ref [] in
-  let rr =
-    Engine.run_trace ~arena ~record ~max_steps ~por:true ~state_key_at
-      ~on_state_key:(fun k -> keys := k :: !keys)
-      ~abort ~decisions ~crash ()
+  let opts =
+    Engine.opts ~record ~max_steps ~por:true ~on_state_key:(fun k -> keys := k :: !keys) ()
   in
-  let degrees = Array.sub rr.Engine.tr_degrees 0 rr.Engine.tr_len in
-  let footprints = Array.sub rr.Engine.tr_footprints 0 (Array.fold_left ( + ) 0 degrees) in
-  (rr.Engine.tr_result, degrees, footprints, !keys)
+  let res = Engine.run_in opts ~arena ~crash ~abort (Trace { decisions; key_at = state_key_at }) in
+  let degrees = Array.sub (Engine.degrees arena) 0 (Engine.positions arena) in
+  let footprints = Array.sub (Engine.footprints arena) 0 (Array.fold_left ( + ) 0 degrees) in
+  (res, degrees, footprints, !keys)
 
 (* Three processes that all end parked on a cell nobody writes: p0 inside
    an open unsafe window of the scenario's lock, p1 after a crash and
@@ -836,10 +840,12 @@ let dirty_runs () =
     let on_op (i : Crash.op_info) =
       if i.unsafe_wrt <> [] then windows := (i.step, Windows (i.pid, i.unsafe_wrt)) :: !windows
     in
-    let sched =
-      Sched.trace ~decisions:(Vec.of_list (Array.to_list decisions)) ~record:(Vec.create ()) ()
+    let res =
+      Engine.run_in
+        (Engine.opts ~max_steps ~record:true ~on_op ())
+        ~arena ~crash ~abort
+        (Trace { decisions; key_at = -1 })
     in
-    let res = Engine.run_in ~arena ~sched ~crash ~abort ~max_steps ~record:true ~on_op () in
     (* An instruction's windows precede what happened at its step. *)
     let events = List.map (fun ev -> (Event.step ev, Ev ev)) res.Engine.events in
     let inputs = List.stable_sort (fun (a, _) (b, _) -> compare a b) (List.rev !windows @ events) in
