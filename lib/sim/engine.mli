@@ -5,9 +5,10 @@
     suspends it at every shared-memory instruction, lets the run's {!pick}
     (a {!Sched.t} or a decision vector) choose who steps next, applies the
     instruction, charges RMRs, and consults the {!Crash.t} plan to inject
-    failures immediately before or after the instruction.  A crash discards the process's continuation
-    (private state, program counter — §2.2 of the paper) and restarts its
-    body from scratch; shared memory persists.
+    failures immediately before or after the instruction.  A crash
+    discards the process's continuation (private state, program counter —
+    §2.2 of the paper) and restarts its body from scratch; shared memory
+    persists.
 
     Local-spin waits ({!Api.spin_until}) park the process; a write that
     makes the awaited condition true wakes it, and its re-read is charged

@@ -85,7 +85,8 @@ let lock_workload ?mode ?sink ?record ?trace_ops ?on_op ?abort ?(setup = Rme_loc
     ~sched:(Sched.random ~seed) ~crash:Crash.none ~setup ~body:(workload_body ?cs ?ncs) ()
 
 let wr_workload_arena () =
-  Engine.arena ~n:3 ~model:Memory.CC ~setup:Rme_locks.Wr_lock.make ~body:(workload_body ?cs:None ?ncs:None)
+  Engine.arena ~n:3 ~model:Memory.CC ~setup:Rme_locks.Wr_lock.make
+    ~body:(workload_body ?cs:None ?ncs:None)
 
 let test_keep_vs_drop_equivalence () =
   (* The sink policy must never change what happens — only what is
@@ -243,7 +244,8 @@ let test_fast_full_differential () =
     let key = ref [||] in
     let opts = Engine.opts ~mode ~por:true ~on_state_key:(fun k -> key := k) () in
     let res =
-      Engine.run_in opts ~arena ~crash:Crash.none ~abort:Abort.none (Trace { decisions; key_at = 6 })
+      Engine.run_in opts ~arena ~crash:Crash.none ~abort:Abort.none
+        (Trace { decisions; key_at = 6 })
     in
     let degrees = Array.sub (Engine.degrees arena) 0 (Engine.positions arena) in
     let footprints = Array.sub (Engine.footprints arena) 0 (Array.fold_left ( + ) 0 degrees) in
@@ -485,11 +487,11 @@ let test_construction_allocation () =
    place and constructs nothing, so only the steps and the result
    allocate — 411 words on OCaml 5.1, of which 264 are the steps'
    continuations; 423 when every run built its options and returned its
-   degrees and footprints in a record of their own; 590 when the step loop and its pick were closures built
-   per run, [finish] rebuilt every lock's stats and the charged-kinds
-   list, and every lock release filtered its holder's list; 1,335 when
-   every run ran [setup]; 2,325 for a run on the buffers a search used to
-   share. *)
+   degrees and footprints in a record of their own; 590 when the step
+   loop and its pick were closures built per run, [finish] rebuilt every
+   lock's stats and the charged-kinds list, and every lock release
+   filtered its holder's list; 1,335 when every run ran [setup]; 2,325
+   for a run on the buffers a search used to share. *)
 let default_schedule = Engine.Trace { decisions = [||]; key_at = -1 }
 
 let warm_run_words key =
